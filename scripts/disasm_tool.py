@@ -11,17 +11,16 @@ their source names, branch targets and whether each branch compiled as
     PYTHONPATH=src python scripts/disasm_tool.py --workload diff-exp1 \
         --method "all branches" --function main
     PYTHONPATH=src python scripts/disasm_tool.py --workload userver-exp1 \
-        --no-regalloc --summary
+        --summary
 
 ``--method none`` (the default compiles unspecialized code) selects the
-plan; ``--no-regalloc`` shows the named-cell code the pre-slot VM ran;
-``--no-specialize`` turns off the adaptive-specialization tiers (no
-unboxed ``BINOP_II*`` forms, no warm-up triggers, no synthesized
-superinstructions — the generic slot stream); ``--quickened`` runs the
-workload once first and disassembles the stream the warmed-up VM is
-actually executing (runtime-quickened sites rewritten in place, deopted
-sites back in generic form); ``--summary`` prints per-function frame
-layouts and opcode counts instead of full listings.
+plan; ``--no-specialize`` shows the generic stream the opcode profiler
+counts (no unboxed ``BINOP_II*`` forms, no warm-up triggers, no synthesized
+superinstructions); ``--quickened`` runs the workload once first and
+disassembles the stream the warmed-up VM is actually executing
+(runtime-quickened sites rewritten in place, deopted sites back in generic
+form); ``--summary`` prints per-function frame layouts and opcode counts
+instead of full listings.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.vm.opcodes import OPCODE_NAMES  # noqa: E402
 from repro.workloads import workload_registry  # noqa: E402
 
 
-def warm_up(program, plan, environment, regalloc: bool, specialize: bool):
+def warm_up(program, plan, environment):
     """Run the workload once on the VM; returns ``(machine, result)``.
 
     The machine's compiled stream is what the run left behind — warm-up
@@ -62,10 +61,7 @@ def warm_up(program, plan, environment, regalloc: bool, specialize: bool):
     vm = VirtualMachine(
         program, kernel=environment.make_kernel(), hooks=hooks,
         binder=InputBinder(mode=ExecutionMode.RECORD),
-        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend="vm",
-                               register_allocation=regalloc,
-                               specialize_ints=specialize,
-                               synth_superinstructions=specialize))
+        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend="vm"))
     result = vm.run(environment.argv)
     return vm, result
 
@@ -97,14 +93,12 @@ def main(argv=None) -> int:
                              "(omit for unspecialized code)")
     parser.add_argument("--function", default=None,
                         help="disassemble only this function")
-    parser.add_argument("--no-regalloc", action="store_true",
-                        help="compile without register allocation "
-                             "(every local on the named-cell path)")
-    parser.add_argument("--no-specialize", action="store_true",
-                        help="compile without the adaptive-specialization "
-                             "tiers (generic boxed slot code, no synthesized "
+    stream = parser.add_mutually_exclusive_group()
+    stream.add_argument("--no-specialize", action="store_true",
+                        help="compile the generic stream the opcode profiler "
+                             "counts (boxed slot code, no synthesized "
                              "superinstructions)")
-    parser.add_argument("--quickened", action="store_true",
+    stream.add_argument("--quickened", action="store_true",
                         help="run the workload once and disassemble the "
                              "warmed-up stream (runtime quickening applied "
                              "in place)")
@@ -124,16 +118,14 @@ def main(argv=None) -> int:
     if args.method is not None:
         plan = pipeline.make_plan(InstrumentationMethod(args.method),
                                   environment=environment)
-    specialize = not (args.no_specialize or args.no_regalloc)
+    specialize = not args.no_specialize
     quicken_line = None
     if args.quickened:
         # Disassemble what the warmed-up VM actually runs: execute the
         # workload once and dump the machine's own (in-place rewritten)
         # stream, so warm-up triggers show as their quickened forms and any
         # guard-violating site shows back in generic form.
-        vm, result = warm_up(program, plan, environment,
-                             regalloc=not args.no_regalloc,
-                             specialize=specialize)
+        vm, result = warm_up(program, plan, environment)
         compiled = vm.compiled
         quicken_line = (f"quickened after one run ({result.steps} steps): "
                         f"{vm._quicken_hits} sites rewritten, "
@@ -141,11 +133,10 @@ def main(argv=None) -> int:
                         f"{vm._quicken_deopts} deoptimized")
     else:
         compiled = compile_program(
-            program, plan, resolve=not args.no_regalloc,
-            specialize_ints=specialize,
+            program, plan, specialize_ints=specialize,
             synth_fusions=synth.DEFAULT_FUSIONS if specialize else None)
 
-    resolution = None if args.no_regalloc else resolve_program(program)
+    stats = resolve_program(program).stats()
     header = [f"workload {args.workload}: {len(compiled.functions)} functions, "
               f"{compiled.instruction_count()} instructions"]
     header.append(f"plan: {args.method or 'none (unspecialized)'}; "
@@ -155,16 +146,12 @@ def main(argv=None) -> int:
                      "superinstructions)" if specialize else "off"))
     if quicken_line is not None:
         header.append(quicken_line)
-    if resolution is not None:
-        stats = resolution.stats()
-        header.append(
-            f"register allocation v{compiled.resolver_version}: "
-            f"{stats['slots']} slots, {stats['slot_accesses']} slot accesses, "
-            f"{stats['global_accesses']} global accesses, "
-            f"{stats['named_accesses']} named-cell accesses, "
-            f"{stats['fully_slotted_functions']} fully slotted functions")
-    else:
-        header.append("register allocation: disabled (named cells only)")
+    header.append(
+        f"register allocation v{compiled.resolver_version}: "
+        f"{stats['slots']} slots, {stats['slot_accesses']} slot accesses, "
+        f"{stats['global_accesses']} global accesses, "
+        f"{stats['named_accesses']} named-cell accesses, "
+        f"{stats['fully_slotted_functions']} fully slotted functions")
     print("\n".join(header))
     print()
 

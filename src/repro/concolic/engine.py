@@ -72,7 +72,7 @@ class ConcolicEngine:
 
     def __init__(self, program: Program, environment: Environment,
                  budget: Optional[ConcolicBudget] = None,
-                 backend: str = "interp") -> None:
+                 backend: str = "vm") -> None:
         self.program = program
         self.environment = environment
         self.budget = budget or ConcolicBudget()

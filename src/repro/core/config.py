@@ -34,45 +34,19 @@ class PipelineConfig:
     static_skips_library: bool = True
     replay_search_order: str = "dfs"
     record_max_steps: int = 10_000_000
-    # Execution engine used by every stage (record, replay, analysis):
-    # "interp" (tree-walking interpreter) or "vm" (bytecode VM).
-    backend: str = "interp"
+    # Execution engine used by every stage (record, replay, analysis): "vm"
+    # (bytecode VM) or "interp" (the tree-walking interpreter, kept as the
+    # reference oracle the VM is tested against).
+    backend: str = "vm"
     # Workers for the replay engine's pending-list search.  Results commit in
-    # serial pop order, so any worker count (and either worker kind) explores
-    # the identical run set; >1 merely overlaps speculative evaluations.
-    # ``replay_worker_kind`` picks the pool: "thread" (cheap, GIL-bound) or
-    # "process" (each worker rebuilds the engine from a pickled spec and runs
-    # in its own interpreter — real multi-core scaling).
+    # serial pop order, so any worker count explores the identical run set;
+    # >1 evaluates speculative items on a process pool (each worker rebuilds
+    # the engine from a pickled spec and runs in its own interpreter).
     replay_workers: int = 1
-    replay_worker_kind: str = "thread"
     # Seed each pending item's search from the parent run's satisfying
     # assignment; skips the solver whenever flipping one branch only moves
     # one input variable (see repro.symbolic.solver.warm_start_assignment).
     replay_warm_start: bool = True
-    # Let the VM backend run plan-specialized bytecode (BRANCH_LOGGED /
-    # BRANCH_BARE instead of hook-dispatched BRANCH) during record and replay.
-    specialize_plans: bool = True
-    # Let the VM backend run register-allocated bytecode: locals the static
-    # resolution pass proves pure live in numbered frame slots (LOAD_FAST/
-    # STORE_FAST) instead of scope dicts.  Disable to run the named-cell VM
-    # for comparison; semantics are identical either way.
-    register_allocation: bool = True
-    # Let the VM fuse BINOP_FF;BRANCH_* into the compare-and-branch
-    # superinstructions.  Observation-preserving; disable for comparison
-    # benchmarks.  (Pre-deployment analysis runs keep the default, like the
-    # other VM code-generation knobs.)
-    fuse_compare_branch: bool = True
-    # Let the VM run the adaptive int-specialization tier: unboxed BINOP_II*
-    # forms for slots the resolver's type lattice proves integer-only, plus
-    # runtime quickening of the remaining candidate sites.  Every unboxed
-    # site deoptimizes to its generic origin on a type-guard violation, so
-    # record/replay observations are identical either way.
-    specialize_ints: bool = True
-    # Let the VM run the profile-synthesized superinstructions
-    # (repro.vm.synth): adjacent-pair fusions ranked from recorded
-    # ``vm.opcode.*`` dispatch profiles.  Observation-preserving like the
-    # other code-generation knobs.
-    synth_superinstructions: bool = True
     # Guest call-stack depth limit applied to record and replay runs.
     max_call_depth: int = 256
     # Record metrics and spans into repro.telemetry registries during record

@@ -153,13 +153,7 @@ class Pipeline:
             config=ExecutionConfig(mode=ExecutionMode.RECORD,
                                    max_steps=self.config.record_max_steps,
                                    max_call_depth=self.config.max_call_depth,
-                                   backend=self.config.backend,
-                                   specialize_plans=self.config.specialize_plans,
-                                   register_allocation=self.config.register_allocation,
-                                   fuse_compare_branch=self.config.fuse_compare_branch,
-                                   specialize_ints=self.config.specialize_ints,
-                                   synth_superinstructions=(
-                                       self.config.synth_superinstructions)),
+                                   backend=self.config.backend),
         )
         return executor.run(environment.argv)
 
@@ -176,12 +170,6 @@ class Pipeline:
                                    max_steps=self.config.record_max_steps,
                                    max_call_depth=self.config.max_call_depth,
                                    backend=self.config.backend,
-                                   specialize_plans=self.config.specialize_plans,
-                                   register_allocation=self.config.register_allocation,
-                                   fuse_compare_branch=self.config.fuse_compare_branch,
-                                   specialize_ints=self.config.specialize_ints,
-                                   synth_superinstructions=(
-                                       self.config.synth_superinstructions),
                                    profile_opcodes=(self.config.telemetry_enabled
                                                     and self.config.profile_opcodes)),
         )
@@ -239,12 +227,6 @@ class Pipeline:
             search_order=search_order or self.config.replay_search_order,
             backend=self.config.backend,
             workers=self.config.replay_workers,
-            worker_kind=self.config.replay_worker_kind,
-            specialize_plans=self.config.specialize_plans,
-            register_allocation=self.config.register_allocation,
-            fuse_compare_branch=self.config.fuse_compare_branch,
-            specialize_ints=self.config.specialize_ints,
-            synth_superinstructions=self.config.synth_superinstructions,
             max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,
             telemetry=self.config.telemetry_enabled,
@@ -297,12 +279,6 @@ class Pipeline:
             search_order=search_order or self.config.replay_search_order,
             backend=self.config.backend,
             workers=self.config.replay_workers,
-            worker_kind=self.config.replay_worker_kind,
-            specialize_plans=self.config.specialize_plans,
-            register_allocation=self.config.register_allocation,
-            fuse_compare_branch=self.config.fuse_compare_branch,
-            specialize_ints=self.config.specialize_ints,
-            synth_superinstructions=self.config.synth_superinstructions,
             max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,
             telemetry=self.config.telemetry_enabled,

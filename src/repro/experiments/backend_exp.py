@@ -23,7 +23,7 @@ from typing import Dict, List
 from repro.environment import Environment
 from repro.instrument.logger import BranchLogger
 from repro.instrument.methods import InstrumentationMethod, build_plan
-from repro.interp.backend import create_backend
+from repro.interp.backend import BACKENDS, create_backend
 from repro.interp.inputs import ExecutionMode, InputBinder
 from repro.interp.interpreter import ExecutionConfig
 from repro.interp.tracer import NullHooks
@@ -31,24 +31,6 @@ from repro.lang.program import Program
 from repro.vm import synth
 from repro.vm.compiler import compile_program
 from repro.workloads import fibonacci, microbench, userver
-
-
-#: The measured execution substrates ``(name, backend, register_allocation,
-#: fuse_compare_branch, specialize)``: both Backend implementations, the
-#: bytecode VM with register allocation disabled (the pre-slot "PR 3" VM)
-#: which anchors the slot-frame speedup gate in ``bench_backends.py``, the
-#: slot VM with the compare-and-branch superinstruction disabled
-#: (``vm-nocmp``), which anchors the recorded ``BINOP_FF;BRANCH_*`` fusion
-#: delta, and the slot VM with adaptive specialization disabled
-#: (``vm-nospec``: no unboxed int slots, no quickening, no synthesized
-#: superinstructions — the PR 5 VM), which anchors the ``specialize`` gate.
-MEASURED = (
-    ("interp", "interp", True, True, True),
-    ("vm-base", "vm", False, True, False),  # named-cell frames (no regalloc)
-    ("vm-nocmp", "vm", True, False, True),  # slot frames, unfused cmp+branch
-    ("vm-nospec", "vm", True, True, False),  # slot frames, generic boxed ops
-    ("vm", "vm", True, True, True),  # slot frames + all specialization tiers
-)
 
 
 def bench_workloads(smoke: bool = False) -> List[tuple]:
@@ -73,8 +55,7 @@ def bench_workloads(smoke: bool = False) -> List[tuple]:
 
 
 def _timed_run(program: Program, environment: Environment, backend: str,
-               register_allocation: bool, fuse_compare_branch: bool,
-               specialize: bool, logged: bool) -> Dict[str, object]:
+               logged: bool) -> Dict[str, object]:
     if logged:
         plan = build_plan(InstrumentationMethod.ALL_BRANCHES,
                           program.branch_locations, log_syscalls=True)
@@ -86,11 +67,7 @@ def _timed_run(program: Program, environment: Environment, backend: str,
         kernel=environment.make_kernel(),
         hooks=hooks,
         binder=InputBinder(mode=ExecutionMode.RECORD),
-        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend,
-                               register_allocation=register_allocation,
-                               fuse_compare_branch=fuse_compare_branch,
-                               specialize_ints=specialize,
-                               synth_superinstructions=specialize),
+        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend),
     )
     start = time.perf_counter()
     result = executor.run(environment.argv)
@@ -105,94 +82,42 @@ def backend_rows(repeats: int = 3, smoke: bool = False) -> List[Dict[str, object
     rows: List[Dict[str, object]] = []
     for workload, source, environment in bench_workloads(smoke):
         program = Program.from_source(source, name=workload)
-        # Pay all compilations once, up front.
-        compile_program(program)
-        compile_program(program, resolve=False)
-        compile_program(program, cmp_branch=False,
-                        specialize_ints=True,
-                        synth_fusions=synth.DEFAULT_FUSIONS)
+        # Pay the compilation once, up front.
         compile_program(program, specialize_ints=True,
                         synth_fusions=synth.DEFAULT_FUSIONS)
         for configuration, logged in (("none", False), ("all branches", True)):
             measured = {}
-            for name, backend, regalloc, cmp_fuse, specialize in MEASURED:
+            for backend in BACKENDS:
                 best = None
                 for _ in range(repeats):
-                    sample = _timed_run(program, environment, backend,
-                                        regalloc, cmp_fuse, specialize,
-                                        logged)
+                    sample = _timed_run(program, environment, backend, logged)
                     if best is None or sample["wall_seconds"] < best["wall_seconds"]:
                         best = sample
-                measured[name] = best
+                measured[backend] = best
             baseline_ips = (measured["interp"]["steps"]
                             / measured["interp"]["wall_seconds"])
-            vm_base_ips = (measured["vm-base"]["steps"]
-                           / measured["vm-base"]["wall_seconds"])
-            vm_nocmp_ips = (measured["vm-nocmp"]["steps"]
-                            / measured["vm-nocmp"]["wall_seconds"])
-            vm_nospec_ips = (measured["vm-nospec"]["steps"]
-                             / measured["vm-nospec"]["wall_seconds"])
-            for name, backend, regalloc, cmp_fuse, specialize in MEASURED:
-                best = measured[name]
+            for backend in BACKENDS:
+                best = measured[backend]
                 ips = best["steps"] / best["wall_seconds"]
                 rows.append({
                     "workload": workload,
                     "configuration": configuration,
-                    "backend": name,
+                    "backend": backend,
                     "steps": best["steps"],
                     "branch_executions": best["branch_executions"],
                     "wall_seconds": round(best["wall_seconds"], 4),
                     "instructions_per_sec": round(ips),
                     "speedup_vs_interp": round(ips / baseline_ips, 2),
-                    "speedup_vs_vm_base": round(ips / vm_base_ips, 2),
-                    # The compare-and-branch fusion delta (ips over the same
-                    # VM with BINOP_FF;BRANCH_* emitted unfused).
-                    "speedup_vs_vm_nocmp": round(ips / vm_nocmp_ips, 3),
-                    # The adaptive-specialization delta (ips over the same
-                    # VM with unboxed ints, quickening and synthesized
-                    # superinstructions all disabled — the PR 5 VM).
-                    "speedup_vs_vm_nospec": round(ips / vm_nospec_ips, 3),
                 })
     return rows
 
 
-def specialize_summary(rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """The ``specialize`` artifact block for ``BENCH_replay.json``.
-
-    Per (workload, configuration): the specialized VM's ips, its speedup
-    over the specialization-free PR 5 VM (``vm-nospec``), and the nospec
-    row itself, which doubles as the proof the off path still runs (same
-    steps, same branch counts, specialization knobs ignored).
-    """
-
-    summary: Dict[str, object] = {"workloads": {}}
-    for row in rows:
-        if row["backend"] not in ("vm", "vm-nospec"):
-            continue
-        key = f"{row['workload']}/{row['configuration']}"
-        entry = summary["workloads"].setdefault(key, {})
-        label = "specialize-on" if row["backend"] == "vm" else "specialize-off"
-        entry[label] = {
-            "instructions_per_sec": row["instructions_per_sec"],
-            "steps": row["steps"],
-            "branch_executions": row["branch_executions"],
-            "speedup_vs_vm_nospec": row["speedup_vs_vm_nospec"],
-        }
-    speedups = [entry["specialize-on"]["speedup_vs_vm_nospec"]
-                for entry in summary["workloads"].values()
-                if "specialize-on" in entry]
-    if speedups:
-        summary["min_speedup_vs_nospec"] = min(speedups)
-        summary["max_speedup_vs_nospec"] = max(speedups)
-    return summary
-
-
-def merge_specialize_artifact(summary: Dict[str, object],
-                              path: str = "BENCH_replay.json") -> str:
-    """Merge the ``specialize`` block into the PR-over-PR tracking artifact.
+def merge_backend_artifact(rows: List[Dict[str, object]],
+                           path: str = "BENCH_replay.json") -> str:
+    """Merge the ``backends`` rows into the perf tracking artifact.
 
     ``bench_replay_search`` owns the artifact's top-level layout; this only
-    adds/replaces the ``specialize`` key so the two bench files can run in
+    adds/replaces the ``backends`` key so the two bench files can run in
     either order without clobbering each other.
     """
 
@@ -205,7 +130,7 @@ def merge_specialize_artifact(summary: Dict[str, object],
             loaded = {}
         if isinstance(loaded, dict):
             payload = loaded
-    payload["specialize"] = summary
+    payload["backends"] = rows
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     return path

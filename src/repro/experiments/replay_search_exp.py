@@ -1,35 +1,22 @@
-"""Replay-search benchmark: PR-over-PR wall-clock of the guided search.
+"""Replay-search benchmark: wall-clock of the guided search, serial vs process.
 
 This experiment times the complete guided search (record once, then search
 until the crash reproduces) on uServer, diff and coreutils workloads under
-five configurations spanning three PRs of engine work:
+two configurations:
 
-* ``pr1-serial``   — the PR 1 stack: unspecialized VM bytecode (every branch
-  dispatches a hook event), the legacy full-rescan constraint search, one
-  worker;
-* ``pr2-serial``   — plan-specialized bytecode + the incremental constraint
-  search, one worker;
-* ``pr3-serial``   — pr2 plus the solver warm start: pending items whose
-  flipped branch moves a single input variable reuse the parent run's
-  assignment and skip the solver call entirely;
-* ``pr3-threads``  — the speculative worker pool on threads (GIL-bound);
-* ``pr3-process``  — the speculative pool on *processes*: each worker
-  rebuilds the engine from a pickled spec and evaluates pending items in its
-  own interpreter, the first configuration that can beat single-core
-  wall-clock on a multi-core machine.
+* ``serial``  — one worker: every pending item is solved and run inline;
+* ``process`` — the speculative pool on *processes*: each worker rebuilds
+  the engine from a pickled spec and evaluates pending items in its own
+  interpreter, while the engine commits results in serial pop order.
 
-Every configuration must explore a *byte-identical* search tree — same run
+Both configurations must explore a *byte-identical* search tree — same run
 records, same pending-list statistics, same reproducing input — which each
-row asserts before it reports a time.  Solver-call counts are deliberately
-**not** part of the tree identity: the warm start's whole point is answering
-the same query without a solver call, so they are reported as a separate
-savings column instead.  The ``speedup`` column is the configuration's
-wall-clock advantage over ``pr1-serial`` on the same scenario.
+row asserts before it reports a time.  The ``speedup_vs_serial`` column of
+the process row is the pure multi-core win over identical serial work.
 
 The grown scenarios (``userver-load6``, ``diff-big10``, ``paste-big24``)
 scale the workloads toward the paper's original request counts and file
-sizes; the budget below is tuned so the slowest configuration (pr1 on the
-big diff) still finishes on a laptop.
+sizes.
 """
 
 from __future__ import annotations
@@ -50,25 +37,11 @@ from repro.vm import synth
 from repro.workloads import diffutil, library_functions_for, userver
 from repro.workloads.coreutils import paste
 
-#: The benchmarked configurations:
-#: (name, solver impl, specialize, workers, worker kind, warm start,
-#:  register allocation).  ``pr4`` adds the register-allocated VM frames;
-#: ``pr3-serial`` keeps running the named-cell VM so the PR-over-PR artifact
-#: records the slot-frame win on identical search trees.
-CONFIGURATIONS: Tuple[Tuple[str, str, bool, int, str, bool, bool], ...] = (
-    ("pr1-serial", "legacy", False, 1, "thread", False, False),
-    ("pr2-serial", "incremental", True, 1, "thread", False, False),
-    ("pr3-serial", "incremental", True, 1, "thread", True, False),
-    ("pr4-serial", "incremental", True, 1, "thread", True, True),
-    ("pr4-process", "incremental", True, 4, "process", True, True),
+#: The benchmarked configurations: ``(name, replay workers)``.
+CONFIGURATIONS: Tuple[Tuple[str, int], ...] = (
+    ("serial", 1),
+    ("process", 4),
 )
-
-BASELINE = "pr1-serial"
-#: The serial equivalent of the process configuration; their wall-clock ratio
-#: is the pure multi-core win (identical work, different scheduling).
-SERIAL_REFERENCE = "pr4-serial"
-#: pr4-serial vs this configuration isolates the register-allocation win.
-PRE_REGALLOC_REFERENCE = "pr3-serial"
 
 
 def scenarios(smoke: bool = False) -> List[Tuple[str, str, str, "object", frozenset]]:
@@ -114,9 +87,7 @@ def _outcome_fingerprint(outcome: ReplayOutcome) -> tuple:
     )
 
 
-def _timed_search(pipeline: Pipeline, recording, solver_impl: str,
-                  specialize: bool, workers: int, worker_kind: str,
-                  warm_start: bool, register_allocation: bool,
+def _timed_search(pipeline: Pipeline, recording, workers: int,
                   budget: ReplayBudget) -> Tuple[ReplayOutcome, float]:
     engine = ReplayEngine(
         program=pipeline.program,
@@ -128,20 +99,11 @@ def _timed_search(pipeline: Pipeline, recording, solver_impl: str,
         budget=budget,
         backend="vm",
         workers=workers,
-        worker_kind=worker_kind,
-        specialize_plans=specialize,
-        register_allocation=register_allocation,
-        warm_start=warm_start,
     )
-    previous = solver_mod.set_search_impl(solver_impl)
     solver_mod._UNARY_FILTER_CACHE.clear()  # every configuration starts cold
-    try:
-        start = time.perf_counter()
-        outcome = engine.reproduce()
-        wall = time.perf_counter() - start
-    finally:
-        solver_mod.set_search_impl(previous)
-    return outcome, wall
+    start = time.perf_counter()
+    outcome = engine.reproduce()
+    return outcome, time.perf_counter() - start
 
 
 def search_rows(smoke: bool = False, repeats: int = 2,
@@ -158,35 +120,24 @@ def search_rows(smoke: bool = False, repeats: int = 2,
         plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                                   environment=environment)
         recording = pipeline.record(plan, environment)
-        # Pay every bytecode compilation up front: the searches being
-        # compared should time re-runs, not one-off compiles.
-        vm_compiler.compile_program(pipeline.program)
-        vm_compiler.compile_program(pipeline.program, plan)
-        vm_compiler.compile_program(pipeline.program, resolve=False)
-        vm_compiler.compile_program(pipeline.program, plan, resolve=False)
-        # The pr4 configurations run the adaptive-specialization tiers.
-        vm_compiler.compile_program(pipeline.program, specialize_ints=True,
-                                    synth_fusions=synth.DEFAULT_FUSIONS)
+        # Pay the bytecode compilation up front: the searches being compared
+        # should time re-runs, not one-off compiles.
         vm_compiler.compile_program(pipeline.program, plan,
                                     specialize_ints=True,
                                     synth_fusions=synth.DEFAULT_FUSIONS)
 
         fingerprints = {}
         walls: Dict[str, float] = {}
-        solver_calls: Dict[str, int] = {}
-        for (config, solver_impl, specialize, workers, worker_kind, warm,
-             regalloc) in CONFIGURATIONS:
+        for config, workers in CONFIGURATIONS:
             best_wall = None
             outcome = None
             for _ in range(repeats):
-                outcome, wall = _timed_search(pipeline, recording, solver_impl,
-                                              specialize, workers, worker_kind,
-                                              warm, regalloc, budget)
+                outcome, wall = _timed_search(pipeline, recording, workers,
+                                              budget)
                 if best_wall is None or wall < best_wall:
                     best_wall = wall
             fingerprints[config] = _outcome_fingerprint(outcome)
             walls[config] = best_wall
-            solver_calls[config] = outcome.solver_calls
             rows.append({
                 "scenario": scenario,
                 "configuration": config,
@@ -194,25 +145,14 @@ def search_rows(smoke: bool = False, repeats: int = 2,
                 "runs": outcome.runs,
                 "bits": len(recording.bitvector),
                 "wall_seconds": round(best_wall, 4),
-                "speedup_vs_pr1": round(walls[BASELINE] / best_wall, 2),
-                "identical_to_pr1": fingerprints[config] == fingerprints[BASELINE],
+                "speedup_vs_serial": round(walls["serial"] / best_wall, 2),
+                "identical_to_serial": (fingerprints[config]
+                                        == fingerprints["serial"]),
                 "solver_calls": outcome.solver_calls,
-                "solver_calls_saved_vs_pr1": solver_calls[BASELINE] - outcome.solver_calls,
                 "warm_start_hits": outcome.warm_start_hits,
                 "cache_lookups": outcome.compile_cache_lookups,
                 "speculation_hits": outcome.speculation_hits,
             })
-        # The process pool's pure multi-core win over identical serial work.
-        process_row = rows[-1]
-        assert process_row["configuration"] == "pr4-process"
-        process_row["speedup_vs_serial"] = round(
-            walls[SERIAL_REFERENCE] / walls["pr4-process"], 2)
-        # The register-allocation win on an identical search tree (pr4-serial
-        # differs from pr3-serial only by the VM frame representation).
-        serial_row = rows[-2]
-        assert serial_row["configuration"] == "pr4-serial"
-        serial_row["regalloc_speedup_vs_pr3"] = round(
-            walls[PRE_REGALLOC_REFERENCE] / walls[SERIAL_REFERENCE], 2)
     return rows
 
 
@@ -220,7 +160,7 @@ def telemetry_rows(smoke: bool = False, repeats: int = 2,
                    budget: Optional[ReplayBudget] = None) -> Dict[str, object]:
     """Telemetry-on vs telemetry-off cost of the same guided search.
 
-    Runs the ``pr4-serial``-shaped engine on one scenario with telemetry off
+    Runs the serial engine on one scenario with telemetry off
     and on (spans, per-item registries, histograms — VM opcode profiling
     stays off, it is a separately-priced knob) and reports the wall-clock
     ratio next to the deterministic metrics snapshot, so the artifact both
@@ -236,8 +176,9 @@ def telemetry_rows(smoke: bool = False, repeats: int = 2,
     plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                               environment=environment)
     recording = pipeline.record(plan, environment)
-    vm_compiler.compile_program(pipeline.program)
-    vm_compiler.compile_program(pipeline.program, plan)
+    vm_compiler.compile_program(pipeline.program, plan,
+                                specialize_ints=True,
+                                synth_fusions=synth.DEFAULT_FUSIONS)
 
     def timed(telemetry: bool) -> Tuple[ReplayOutcome, float]:
         best = None
@@ -278,7 +219,7 @@ def write_artifact(rows: List[Dict[str, object]], path: str = "BENCH_replay.json
                    telemetry: Optional[Dict[str, object]] = None,
                    net: Optional[List[Dict[str, object]]] = None,
                    checkpoint: Optional[Dict[str, object]] = None) -> str:
-    """Dump the rows as the PR-over-PR tracking artifact.
+    """Dump the rows as the perf tracking artifact.
 
     ``inbox_rows`` (see :mod:`repro.experiments.service_exp`) records the
     service layer's batch-inbox throughput — traces/sec and dedup ratio —
@@ -293,7 +234,7 @@ def write_artifact(rows: List[Dict[str, object]], path: str = "BENCH_replay.json
 
     payload = {
         "benchmark": "replay_search",
-        "configurations": [config[0] for config in CONFIGURATIONS],
+        "configurations": [config for config, _workers in CONFIGURATIONS],
         "rows": rows,
     }
     if inbox_rows is not None:
@@ -305,7 +246,7 @@ def write_artifact(rows: List[Dict[str, object]], path: str = "BENCH_replay.json
     if checkpoint is not None:
         payload["checkpoint"] = checkpoint
     # Merge, don't clobber: other bench modules contribute their own keys
-    # (``specialize`` from bench_backends) to the same artifact, and the
+    # (``backends`` from bench_backends) to the same artifact, and the
     # bench files run in either order.
     if os.path.exists(path):
         try:

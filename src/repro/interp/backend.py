@@ -75,7 +75,7 @@ def create_backend(program: Program, kernel: Optional[Kernel] = None,
     """Build the execution engine selected by ``config.backend``."""
 
     config = config or ExecutionConfig()
-    name = config.backend or "interp"
+    name = config.backend or "vm"
     if name == "vm":
         from repro.vm.machine import VirtualMachine
 

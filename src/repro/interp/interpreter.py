@@ -113,41 +113,15 @@ class ExecutionConfig:
     # syscall kind, return the next recorded result (or None to fall through
     # to the symbolic model).
     syscall_result_provider: Optional[Callable[[SyscallKind], Optional[int]]] = None
-    # Which execution engine runs the program: the tree-walking interpreter
-    # ("interp") or the bytecode VM ("vm").  See repro.interp.backend.
-    backend: str = "interp"
-    # Allow the VM to run plan-specialized bytecode when the installed hooks
-    # support it (BranchLogger / ReplayRunHooks).  Ignored by the interpreter;
-    # disable to force the legacy one-BRANCH-opcode dispatch for comparison.
-    specialize_plans: bool = True
-    # Let the VM run register-allocated code: locals the static resolution
-    # pass (repro.lang.resolve) can prove pure live in numbered frame slots
-    # instead of the scope dict.  Ignored by the interpreter; disable to
-    # force every local onto the named-cell path (the pre-slot VM) for
-    # comparison benchmarks and differential tests.
-    register_allocation: bool = True
-    # Let the VM fuse ``BINOP_FF;BRANCH_*`` into one compare-and-branch
-    # dispatch (the ``while (i < n)`` hot shape).  Ignored by the
-    # interpreter; disable to emit the unfused pair for comparison.
-    fuse_compare_branch: bool = True
+    # Which execution engine runs the program: the bytecode VM ("vm") or the
+    # tree-walking interpreter ("interp").  See repro.interp.backend.
+    backend: str = "vm"
     # Run the VM's per-opcode profiling dispatch loop: exact execution
     # counts per opcode, merged into the active repro.telemetry registry
     # after the run.  The profiled loop is generated mechanically from the
     # shipped loop's source (see repro.vm.machine), so with this off the VM
     # executes literally unmodified code.  Ignored by the interpreter.
     profile_opcodes: bool = False
-    # Let the VM specialize int-typed slots: locals the resolver's type
-    # lattice proves integer-only run on unboxed raw ints via the BINOP_II
-    # opcode family, and generic sites that merely *look* int at runtime
-    # are quickened in place after a short warm-up.  Guard violations
-    # deoptimize the site back to its generic form, so every observable
-    # (steps, events, crash sites) is identical with this on or off.
-    # Requires register_allocation; ignored by the interpreter.
-    specialize_ints: bool = True
-    # Let the VM fuse profile-selected adjacent opcode pairs into
-    # superinstructions (repro.vm.synth).  Observation-equivalent by
-    # construction; disable to emit the unfused stream for comparison.
-    synth_superinstructions: bool = True
 
 
 @dataclass

@@ -29,9 +29,9 @@ and — when a function has no fallback names at all — to elide the frame's
 scope push/pop bookkeeping entirely.  Semantics are preserved by
 construction: anything this pass cannot prove keeps the old code shape.
 
-``RESOLVER_VERSION`` participates in the compiled-code cache key so a stale
-slot layout can never be paired with bytecode produced by a different
-resolver (see :func:`repro.vm.compiler.compile_program`).
+``RESOLVER_VERSION`` is stamped on every compiled program
+(``CompiledProgram.resolver_version``) so a disassembly names the rules its
+slot layout came from (see :func:`repro.vm.compiler.compile_program`).
 """
 
 from __future__ import annotations

@@ -9,28 +9,23 @@ run crashes at the recorded crash site; the input assignment of that run is
 the "set of inputs that activate the bug" the paper promises the developer.
 
 **Parallel search.**  With ``workers > 1`` the engine evaluates pending items
-on a pool of workers.  Evaluating an item — solve its constraint set, run the
-program, collect the run's alternatives — is a pure function of the item and
-the recording, so workers *speculate* on the items at the head of the pending
-list while the engine commits results strictly in the serial pop order.  The
+on a pool of worker processes.  Evaluating an item — solve its constraint
+set, run the program, collect the run's alternatives — is a pure function of
+the item and the recording, so workers *speculate* on the items at the head
+of the pending list while the engine commits results strictly in the serial
+pop order.  The
 committed sequence of runs, the pushed alternatives, the solver-call and run
 counters, and the explored pending set are therefore byte-identical to the
 serial engine's; speculation only changes wall-clock time.
 
-Two worker kinds share that commit discipline:
-
-* ``worker_kind="thread"`` — a :class:`ThreadPoolExecutor`.  Cheap to spin
-  up, but CPython's GIL serializes the actual interpretation, so the win is
-  bounded (overlap of the small C-level portions).
-* ``worker_kind="process"`` — a :class:`ProcessPoolExecutor`.  Each worker
-  process rebuilds the engine from a pickled :class:`_EngineSpec` (program,
-  plan, recorded logs, environment spec) and evaluates items in its own
-  interpreter, so the search scales with cores.  Everything that crosses the
-  process boundary — pending items in, :class:`_ItemEvaluation` summaries out
-  — is plain picklable data, and the evaluation summaries are *distilled*
-  (classification string, assignment, alternatives, counters) rather than
-  live hook/interpreter state, which keeps the pickle payload small and the
-  commit path identical for every worker kind.
+Each worker process rebuilds the engine from a pickled :class:`_EngineSpec`
+(program, plan, recorded logs, environment spec) and evaluates items in its
+own interpreter, so the search scales with cores.  Everything that crosses
+the process boundary — pending items in, :class:`_ItemEvaluation` summaries
+out — is plain picklable data, and the evaluation summaries are *distilled*
+(classification string, assignment, alternatives, counters) rather than live
+hook/interpreter state, which keeps the pickle payload small and the commit
+path identical for serial and parallel searches.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import dataclasses
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -70,8 +65,6 @@ from repro.telemetry import (
 )
 from repro.telemetry import runtime as telemetry_runtime
 from repro.vm import compiler as vm_compiler
-
-WORKER_KINDS = ("thread", "process")
 
 
 class WorkerCrashError(RuntimeError):
@@ -109,17 +102,16 @@ class ReplayOutcome:
     pending_stats: Dict[str, int] = field(default_factory=dict)
     run_records: List[ReplayRunRecord] = field(default_factory=list)
     # Aggregated worker-side counters.  All of these fold in *committed*
-    # evaluations only, so they are identical for workers=1, thread workers
-    # and process workers (compile-cache hits/misses additionally depend on
-    # per-process cache warmth — see ``compile_cache_lookups`` below for the
-    # mode-independent total).
+    # evaluations only, so they are identical for any worker count
+    # (compile-cache hits/misses additionally depend on per-process cache
+    # warmth — see ``compile_cache_lookups`` below for the mode-independent
+    # total).
     warm_start_hits: int = 0
     solver_nodes: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     # Parallel-search telemetry (never part of the explored-set identity).
     workers: int = 1
-    worker_kind: str = "thread"
     speculated_items: int = 0
     speculation_hits: int = 0
     symbolic_logged_locations: int = 0
@@ -138,7 +130,7 @@ class ReplayOutcome:
     # ``telemetry=True``; ``None`` otherwise.  Timing-marked metrics (wall
     # clocks, per-process cache warmth, speculation) are excluded from
     # ``telemetry.deterministic()``, whose canonical bytes are identical for
-    # every worker count and kind.
+    # every worker count.
     telemetry: Optional[RegistrySnapshot] = None
 
     @property
@@ -154,7 +146,7 @@ class ReplayOutcome:
         Unlike the hit/miss split — every worker process warms its own cache,
         so process workers report more misses than a serial search — the
         lookup total is a pure function of the committed run sequence and is
-        byte-identical across worker counts and kinds.
+        byte-identical across worker counts.
         """
 
         return self.compile_cache_hits + self.compile_cache_misses
@@ -244,11 +236,6 @@ class _EngineSpec:
     search_order: str
     require_full_log_match: bool
     backend: str
-    specialize_plans: bool
-    register_allocation: bool
-    fuse_compare_branch: bool
-    specialize_ints: bool
-    synth_superinstructions: bool
     max_call_depth: int
     warm_start: bool
     telemetry: bool = False
@@ -267,11 +254,6 @@ class _EngineSpec:
             require_full_log_match=self.require_full_log_match,
             backend=self.backend,
             workers=1,
-            specialize_plans=self.specialize_plans,
-            register_allocation=self.register_allocation,
-            fuse_compare_branch=self.fuse_compare_branch,
-            specialize_ints=self.specialize_ints,
-            synth_superinstructions=self.synth_superinstructions,
             max_call_depth=self.max_call_depth,
             warm_start=self.warm_start,
             telemetry=self.telemetry,
@@ -306,20 +288,12 @@ class ReplayEngine:
                  budget: Optional[ReplayBudget] = None,
                  search_order: str = "dfs",
                  require_full_log_match: bool = True,
-                 backend: str = "interp",
+                 backend: str = "vm",
                  workers: int = 1,
-                 worker_kind: str = "thread",
-                 specialize_plans: bool = True,
-                 register_allocation: bool = True,
-                 fuse_compare_branch: bool = True,
-                 specialize_ints: bool = True,
-                 synth_superinstructions: bool = True,
                  max_call_depth: int = 256,
                  warm_start: bool = True,
                  telemetry: bool = False,
                  profile_opcodes: bool = False) -> None:
-        if worker_kind not in WORKER_KINDS:
-            raise ValueError(f"worker_kind must be one of {WORKER_KINDS}")
         self.program = program
         self.plan = plan
         self.bitvector = bitvector
@@ -330,12 +304,6 @@ class ReplayEngine:
         self.search_order = search_order
         self.backend = backend
         self.workers = max(1, int(workers))
-        self.worker_kind = worker_kind
-        self.specialize_plans = specialize_plans
-        self.register_allocation = register_allocation
-        self.fuse_compare_branch = fuse_compare_branch
-        self.specialize_ints = specialize_ints
-        self.synth_superinstructions = synth_superinstructions
         self.max_call_depth = max_call_depth
         self.warm_start = warm_start
         # Telemetry never affects the explored search tree; profiling opcodes
@@ -477,7 +445,7 @@ class ReplayEngine:
             # merge at commit time.
             with scoped(self._registry):
                 with span("replay.search", order=self.search_order,
-                          workers=self.workers, kind=self.worker_kind):
+                          workers=self.workers):
                     self._run_search(outcome, pending, start)
         else:
             self._registry = None
@@ -494,8 +462,7 @@ class ReplayEngine:
         pending = PendingList(order=self.search_order,
                               max_size=self.budget.max_pending)
         if self._resume is None:
-            outcome = ReplayOutcome(reproduced=False, workers=self.workers,
-                                    worker_kind=self.worker_kind)
+            outcome = ReplayOutcome(reproduced=False, workers=self.workers)
             pending.push(PendingItem(ConstraintSet(), hint={}, reason="initial run"))
             return outcome, pending
         ckpt = self._resume
@@ -506,7 +473,6 @@ class ReplayEngine:
             run_records=list(ckpt.outcome_state.run_records),
             telemetry=None,
             workers=self.workers,
-            worker_kind=self.worker_kind,
             preempted=False,
             resumed=True)
         pending._items = list(ckpt.pending_items)
@@ -532,7 +498,7 @@ class ReplayEngine:
         """Record search-level metrics and snapshot the engine registry.
 
         Everything deterministic here is a pure function of the committed run
-        sequence; per-machine facts (worker count/kind, speculation, wall
+        sequence; per-machine facts (worker count, speculation, wall
         clocks) are timing-marked so ``deterministic()`` drops them.  A
         *preempted* outcome is a pause, not a result: the final counters are
         skipped (the resumed run records them once, at the true end), so the
@@ -574,16 +540,12 @@ class ReplayEngine:
                 break
 
     def _make_pool(self) -> Tuple[object, Callable[[PendingItem], "object"]]:
-        """The executor plus an item-submission closure for the worker kind."""
+        """The worker process pool plus an item-submission closure."""
 
-        if self.worker_kind == "process":
-            pool = ProcessPoolExecutor(max_workers=self.workers,
-                                       initializer=_process_worker_init,
-                                       initargs=(self._engine_spec(),))
-            return pool, lambda item: pool.submit(_process_worker_evaluate, item)
-        pool = ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="replay-worker")
-        return pool, lambda item: pool.submit(self._evaluate_item, item)
+        pool = ProcessPoolExecutor(max_workers=self.workers,
+                                   initializer=_process_worker_init,
+                                   initargs=(self._engine_spec(),))
+        return pool, lambda item: pool.submit(_process_worker_evaluate, item)
 
     def to_spec(self) -> "_EngineSpec":
         """A picklable recipe that rebuilds this engine (serially) elsewhere.
@@ -626,11 +588,6 @@ class ReplayEngine:
             search_order=self.search_order,
             require_full_log_match=self.require_full_log_match,
             backend=self.backend,
-            specialize_plans=self.specialize_plans,
-            register_allocation=self.register_allocation,
-            fuse_compare_branch=self.fuse_compare_branch,
-            specialize_ints=self.specialize_ints,
-            synth_superinstructions=self.synth_superinstructions,
             max_call_depth=self.max_call_depth,
             warm_start=self.warm_start,
             telemetry=self.telemetry,
@@ -684,11 +641,11 @@ class ReplayEngine:
                                        timing=True).inc()
             raise WorkerCrashError(
                 f"replay worker process died mid-search "
-                f"({self.workers} x {self.worker_kind}): {exc}") from exc
+                f"({self.workers} workers): {exc}") from exc
         finally:
             # Drop anything still queued, but wait for the runs already
             # executing: reproduce() must not leak workers that keep burning
-            # CPU (and, for threads, reading engine state) after it returns.
+            # CPU after it returns.
             try:
                 pool.shutdown(wait=True, cancel_futures=True)
             except BrokenProcessPool:  # already broken: nothing to drain
@@ -852,11 +809,11 @@ class ReplayEngine:
             evaluation.cache_hits = cache_events["hits"]
             evaluation.cache_misses = cache_events["misses"]
             return evaluation
-        # One registry per item, installed thread-locally: worker threads and
-        # worker processes alike collect into isolated registries, snapshot
-        # them into the (picklable) evaluation, and the commit path merges
-        # snapshots in serial pop order — so the deterministic portion of the
-        # merged registry is byte-identical for every worker configuration.
+        # One registry per item: inline and in worker processes alike, items
+        # collect into isolated registries, snapshot them into the
+        # (picklable) evaluation, and the commit path merges snapshots in
+        # serial pop order — so the deterministic portion of the merged
+        # registry is byte-identical for every worker count.
         local = MetricsRegistry()
         item_start = time.perf_counter()
         with scoped(local):
@@ -993,12 +950,6 @@ class ReplayEngine:
                                  max_call_depth=self.max_call_depth,
                                  syscall_result_provider=provider,
                                  backend=self.backend,
-                                 specialize_plans=self.specialize_plans,
-                                 register_allocation=self.register_allocation,
-                                 fuse_compare_branch=self.fuse_compare_branch,
-                                 specialize_ints=self.specialize_ints,
-                                 synth_superinstructions=(
-                                     self.synth_superinstructions),
                                  profile_opcodes=(self.telemetry
                                                   and self.profile_opcodes))
         executor = create_backend(self.program, kernel=kernel, hooks=hooks,

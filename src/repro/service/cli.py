@@ -34,10 +34,10 @@ def build_config(args) -> ReproConfig:
     """The layered service config for one CLI invocation."""
 
     config = ReproConfig()
-    config.execution.backend = getattr(args, "backend", "vm")
+    if hasattr(args, "backend"):
+        config.execution.backend = args.backend
     if hasattr(args, "workers"):
         config.replay.workers = args.workers
-        config.replay.worker_kind = args.worker_kind
         config.replay.warm_start = not args.no_warm_start
     if hasattr(args, "max_runs"):
         config.replay.budget = ReplayBudget(max_runs=args.max_runs,
@@ -464,9 +464,8 @@ def main(argv=None) -> int:
     replay.add_argument("--workload", required=True,
                         help="the developer's copy of the program")
     replay.add_argument("--backend", default="vm", choices=["interp", "vm"])
-    replay.add_argument("--workers", type=int, default=1)
-    replay.add_argument("--worker-kind", default="thread",
-                        choices=["thread", "process"])
+    replay.add_argument("--workers", type=int, default=1,
+                        help="replay-engine worker processes (1 = serial)")
     replay.add_argument("--no-warm-start", action="store_true")
     replay.add_argument("--max-runs", type=int, default=3000)
     replay.add_argument("--max-seconds", type=float, default=120.0)
@@ -486,9 +485,8 @@ def main(argv=None) -> int:
     serve.add_argument("--spool", default=None)
     serve.add_argument("--backend", default="vm", choices=["interp", "vm"])
     serve.add_argument("--workers", type=int, default=1,
-                       help="replay-engine workers inside one search")
-    serve.add_argument("--worker-kind", default="thread",
-                       choices=["thread", "process"])
+                       help="replay-engine worker processes inside one "
+                            "search (1 = serial)")
     serve.add_argument("--no-warm-start", action="store_true")
     serve.add_argument("--service-workers", type=int, default=1,
                        help="cluster-level process pool size (1 = inline)")

@@ -7,7 +7,7 @@ switches) and the two budget dataclasses.  :class:`ReproConfig` subsumes them
 behind four sections mirroring the paper's phases:
 
 * ``execution`` — which engine runs the program and how (backend, step
-  limits, VM specializations);
+  limits);
 * ``instrumentation`` — what the user site logs (syscalls, library-function
   handling) and the pre-deployment analysis budget;
 * ``replay`` — how hard the developer site searches (budget, order, worker
@@ -48,16 +48,11 @@ __all__ = [
 
 @dataclass
 class ExecutionSection:
-    """Which engine executes runs, and the VM's code-generation switches."""
+    """Which engine executes runs, and its limits."""
 
-    backend: str = "interp"
+    backend: str = "vm"
     record_max_steps: int = 10_000_000
     max_call_depth: int = 256
-    specialize_plans: bool = True
-    register_allocation: bool = True
-    fuse_compare_branch: bool = True
-    specialize_ints: bool = True
-    synth_superinstructions: bool = True
 
 
 @dataclass
@@ -77,7 +72,6 @@ class ReplaySection:
     budget: ReplayBudget = field(default_factory=ReplayBudget)
     search_order: str = "dfs"
     workers: int = 1
-    worker_kind: str = "thread"
     warm_start: bool = True
 
 
@@ -235,11 +229,6 @@ class ReproConfig:
                     backend=legacy.backend,
                     record_max_steps=legacy.record_max_steps,
                     max_call_depth=legacy.max_call_depth,
-                    specialize_plans=legacy.specialize_plans,
-                    register_allocation=legacy.register_allocation,
-                    fuse_compare_branch=legacy.fuse_compare_branch,
-                    specialize_ints=legacy.specialize_ints,
-                    synth_superinstructions=legacy.synth_superinstructions,
                 ),
                 instrumentation=InstrumentationSection(
                     log_syscalls=legacy.log_syscalls,
@@ -251,7 +240,6 @@ class ReproConfig:
                     budget=legacy.replay_budget,
                     search_order=legacy.replay_search_order,
                     workers=legacy.replay_workers,
-                    worker_kind=legacy.replay_worker_kind,
                     warm_start=legacy.replay_warm_start,
                 ),
                 telemetry=TelemetrySection(
@@ -265,11 +253,6 @@ class ReproConfig:
                     backend=legacy.backend,
                     record_max_steps=legacy.max_steps,
                     max_call_depth=legacy.max_call_depth,
-                    specialize_plans=legacy.specialize_plans,
-                    register_allocation=legacy.register_allocation,
-                    fuse_compare_branch=legacy.fuse_compare_branch,
-                    specialize_ints=legacy.specialize_ints,
-                    synth_superinstructions=legacy.synth_superinstructions,
                 ),
                 telemetry=TelemetrySection(
                     profile_vm=legacy.profile_opcodes,
@@ -292,13 +275,7 @@ class ReproConfig:
             record_max_steps=self.execution.record_max_steps,
             backend=self.execution.backend,
             replay_workers=self.replay.workers,
-            replay_worker_kind=self.replay.worker_kind,
             replay_warm_start=self.replay.warm_start,
-            specialize_plans=self.execution.specialize_plans,
-            register_allocation=self.execution.register_allocation,
-            fuse_compare_branch=self.execution.fuse_compare_branch,
-            specialize_ints=self.execution.specialize_ints,
-            synth_superinstructions=self.execution.synth_superinstructions,
             max_call_depth=self.execution.max_call_depth,
             telemetry_enabled=self.telemetry.enabled,
             profile_opcodes=self.telemetry.profile_vm,
@@ -320,11 +297,6 @@ class ReproConfig:
             max_call_depth=self.execution.max_call_depth,
             syscall_result_provider=syscall_result_provider,
             backend=self.execution.backend,
-            specialize_plans=self.execution.specialize_plans,
-            register_allocation=self.execution.register_allocation,
-            fuse_compare_branch=self.execution.fuse_compare_branch,
-            specialize_ints=self.execution.specialize_ints,
-            synth_superinstructions=self.execution.synth_superinstructions,
             profile_opcodes=self.telemetry.profile_vm,
         )
 
@@ -348,7 +320,6 @@ class ReproConfig:
                 "budget": _plain_fields(self.replay.budget),
                 "search_order": self.replay.search_order,
                 "workers": self.replay.workers,
-                "worker_kind": self.replay.worker_kind,
                 "warm_start": self.replay.warm_start,
             },
             "service": _plain_fields(self.service),
@@ -433,7 +404,7 @@ def _instrumentation_from_dict(payload: Dict[str, object]) -> InstrumentationSec
 
 def _replay_from_dict(payload: Dict[str, object]) -> ReplaySection:
     _reject_unknown(payload, ("budget", "search_order", "workers",
-                              "worker_kind", "warm_start"), "replay")
+                              "warm_start"), "replay")
     kwargs = dict(payload)
     if "budget" in kwargs and isinstance(kwargs["budget"], dict):
         kwargs["budget"] = _budget_from_dict(ReplayBudget, kwargs["budget"],

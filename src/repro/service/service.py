@@ -470,6 +470,7 @@ class ReproService:
         if self._use_supervisor():
             self._process_supervised(clusters, reports)
             return
+        pooled = self.config.service.workers > 1
         jobs: List[Tuple[TraceCluster, object]] = []
         for cluster in clusters:
             try:
@@ -477,14 +478,32 @@ class ReproService:
             except (TraceError, KeyError) as exc:
                 self._fail_cluster(cluster, exc, reports)
                 continue
-            if self.config.service.workers > 1:
+            if pooled:
                 jobs.append((cluster, self._ensure_pool().submit(
                     _search_worker, engine.to_spec())))
             else:
-                jobs.append((cluster, engine.reproduce()))
-        for cluster, job in jobs:
-            outcome = job.result() if hasattr(job, "result") else job
-            self._commit_cluster(cluster, outcome, reports)
+                self._finish_search(cluster, engine.reproduce, reports)
+        for cluster, future in jobs:
+            self._finish_search(cluster, future.result, reports)
+
+    def _finish_search(self, cluster: TraceCluster,
+                       search: Callable[[], ReplayOutcome],
+                       reports: Dict[str, ReproductionReport]) -> None:
+        """Run (or collect) one cluster's search and commit it at once.
+
+        A search that raises fails only its own cluster, with a typed error
+        report and a rejection-ledger entry (as the supervisor quarantines a
+        poison search); clusters already committed stay committed, and the
+        next :meth:`process` call does not meet the poison cluster again.
+        """
+
+        try:
+            outcome = search()
+        except Exception as exc:  # noqa: BLE001 - one search, not the batch
+            self.inbox.reject(f"cluster:{cluster.cluster_id}", exc)
+            self._fail_cluster(cluster, exc, reports)
+            return
+        self._commit_cluster(cluster, outcome, reports)
 
     def _process_supervised(self, clusters: List[TraceCluster],
                             reports: Dict[str, ReproductionReport]) -> None:
@@ -605,12 +624,6 @@ class ReproService:
             search_order=replay.search_order,
             backend=execution.backend,
             workers=replay.workers,
-            worker_kind=replay.worker_kind,
-            specialize_plans=execution.specialize_plans,
-            register_allocation=execution.register_allocation,
-            fuse_compare_branch=execution.fuse_compare_branch,
-            specialize_ints=execution.specialize_ints,
-            synth_superinstructions=execution.synth_superinstructions,
             max_call_depth=execution.max_call_depth,
             warm_start=replay.warm_start,
             telemetry=self.config.telemetry.enabled,

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.symbolic.constraints import Constraint, ConstraintSet
 from repro.symbolic.expr import SymBinOp, SymConst, SymExpr, SymUnOp, SymVar, sym_const
@@ -140,31 +141,6 @@ def _interesting_values(expr: SymExpr) -> Set[int]:
     return values
 
 
-#: Active search implementation: ``"incremental"`` (default) or ``"legacy"``.
-#: The legacy implementation is the original reference search — it rescans
-#: the full constraint list at every node and filters unary constraints
-#: without the cross-call cache.  Both implementations visit candidate
-#: assignments in the same order and return identical results; the legacy one
-#: is kept as a differential-testing oracle and as the baseline for the
-#: replay-search benchmark's PR-over-PR comparison.
-_SEARCH_IMPL = "incremental"
-
-
-def set_search_impl(name: str) -> str:
-    """Select the search implementation; returns the previous selection."""
-
-    global _SEARCH_IMPL
-    if name not in ("incremental", "legacy"):
-        raise ValueError(f"unknown search implementation {name!r}")
-    previous = _SEARCH_IMPL
-    _SEARCH_IMPL = name
-    return previous
-
-
-def search_impl() -> str:
-    return _SEARCH_IMPL
-
-
 #: Memo of unary-constraint satisfying sets, keyed by ``(expr, lo, hi)``.
 #: The replay engine re-solves near-identical constraint sets on every run of
 #: a search, so the same single-variable constraints are filtered over the
@@ -255,9 +231,7 @@ class _Search:
         order = sorted(self.domains,
                        key=lambda name: (self.domains[name].size(),
                                          -len(self.by_var.get(name, ()))))
-        assignment: Dict[str, int] = {}
-        result = self._assign(order, 0, assignment)
-        return result
+        return self._assign(order, {})
 
     def _narrowed_ok(self, name: str, assignment: Dict[str, int]) -> bool:
         """Re-check only the constraints narrowed by assigning *name*.
@@ -292,113 +266,62 @@ class _Search:
                     return False
         return True
 
-    def _assign(self, order: List[str], depth: int,
+    def _assign(self, order: List[str],
                 assignment: Dict[str, int]) -> Optional[Dict[str, int]]:
-        if self.stats.nodes >= self.node_budget:
-            self.stats.budget_exhausted = True
-            return None
-        if depth == len(order):
-            return dict(assignment)
-        name = order[depth]
-        domain = self.domains[name]
+        """Depth-first search over *order*, one frame per bound variable.
+
+        An explicit stack instead of recursion, so searches over thousands
+        of variables (a no-syscall-log diff of a big file) cannot overflow
+        the interpreter's recursion limit.  Each frame holds a variable and
+        its remaining candidates; a frame whose candidates run out (or that
+        hits the node budget) pops, and its parent counts a backtrack and
+        moves on to its own next value.
+        """
+
+        stats = self.stats
+        node_budget = self.node_budget
         free_counts = self.free_counts
-        touched = self.by_var[name]
-        for index in touched:
-            free_counts[index] -= 1
-        try:
-            for value in domain.iter_values(self.preferred.get(name, ())):
-                self.stats.nodes += 1
-                if self.stats.nodes >= self.node_budget:
-                    self.stats.budget_exhausted = True
-                    return None
+        frames: List[Tuple[str, Iterator[int]]] = []
+        descend = True
+        while True:
+            if descend:
+                descend = False
+                if stats.nodes >= node_budget:
+                    stats.budget_exhausted = True
+                    if not frames:
+                        return None
+                    stats.backtracks += 1
+                    del assignment[frames[-1][0]]
+                elif len(frames) == len(order):
+                    return dict(assignment)
+                else:
+                    name = order[len(frames)]
+                    for index in self.by_var[name]:
+                        free_counts[index] -= 1
+                    frames.append((name, iter(self.domains[name].iter_values(
+                        self.preferred.get(name, ())))))
+            name, values = frames[-1]
+            for value in values:
+                stats.nodes += 1
+                if stats.nodes >= node_budget:
+                    stats.budget_exhausted = True
+                    break
                 assignment[name] = value
                 if self._narrowed_ok(name, assignment):
-                    result = self._assign(order, depth + 1, assignment)
-                    if result is not None:
-                        return result
-                self.stats.backtracks += 1
-                del assignment[name]
-            return None
-        finally:
-            for index in touched:
-                free_counts[index] += 1
-
-
-class _LegacySearch(_Search):
-    """The original (PR 1) search: full constraint rescans at every node.
-
-    Kept verbatim as a reference implementation.  Differential tests assert
-    it agrees with the incremental :class:`_Search` on satisfiability and on
-    the found assignment, and the replay-search benchmark uses it as the
-    PR-over-PR baseline.
-    """
-
-    def run(self) -> Optional[Dict[str, int]]:
-        order = sorted(self.domains,
-                       key=lambda name: (self.domains[name].size(),
-                                         -len(self.by_var.get(name, ()))))
-        assignment: Dict[str, int] = {}
-        return self._assign(order, 0, assignment)
-
-    def _constraints_ok(self, assignment: Dict[str, int]) -> bool:
-        """Check every constraint whose variables are all assigned."""
-
-        assigned = set(assignment)
-        for index, expr in enumerate(self.constraints):
-            names = self.constraint_vars[index]
-            if names and not names.issubset(assigned):
-                continue
-            value = try_evaluate(expr, assignment)
-            if value is None or value == 0:
-                return False
-        return True
-
-    def _forward_check(self, assignment: Dict[str, int]) -> bool:
-        """Cheap look-ahead: any unassigned var whose unary residue is unsat?"""
-
-        assigned = set(assignment)
-        for index, expr in enumerate(self.constraints):
-            names = self.constraint_vars[index]
-            remaining = names - assigned
-            if len(remaining) != 1:
-                continue
-            (free_name,) = remaining
-            domain = self.domains[free_name]
-            if domain.size() > 512:
-                continue
-            residual = substitute(expr, assignment)
-            self.stats.propagations += 1
-            feasible = False
-            for value in domain.iter_values(self.preferred.get(free_name, ())):
-                if try_evaluate(residual, {free_name: value}):
-                    feasible = True
+                    descend = True
                     break
-            if not feasible:
-                return False
-        return True
-
-    def _assign(self, order: List[str], depth: int,
-                assignment: Dict[str, int]) -> Optional[Dict[str, int]]:
-        if self.stats.nodes >= self.node_budget:
-            self.stats.budget_exhausted = True
-            return None
-        if depth == len(order):
-            return dict(assignment) if self._constraints_ok(assignment) else None
-        name = order[depth]
-        domain = self.domains[name]
-        for value in domain.iter_values(self.preferred.get(name, ())):
-            self.stats.nodes += 1
-            if self.stats.nodes >= self.node_budget:
-                self.stats.budget_exhausted = True
+                stats.backtracks += 1
+                del assignment[name]
+            if descend:
+                continue
+            # This frame failed: unbind its variable, backtrack the parent.
+            frames.pop()
+            for index in self.by_var[name]:
+                free_counts[index] += 1
+            if not frames:
                 return None
-            assignment[name] = value
-            if self._constraints_ok(assignment) and self._forward_check(assignment):
-                result = self._assign(order, depth + 1, assignment)
-                if result is not None:
-                    return result
-            self.stats.backtracks += 1
-            del assignment[name]
-        return None
+            stats.backtracks += 1
+            del assignment[frames[-1][0]]
 
 
 def warm_start_assignment(constraint_set: ConstraintSet,
@@ -547,12 +470,7 @@ def solve(constraint_set: ConstraintSet,
         if domain.size() > _MAX_ENUMERABLE_DOMAIN:
             continue
         stats.propagations += 1
-        if _SEARCH_IMPL == "legacy":
-            allowed = [value for value in domain.iter_values()
-                       if try_evaluate(expr, {name: value})]
-        else:
-            allowed = _unary_satisfying_values(expr, name, domain)
-        domain.restrict_to(allowed)
+        domain.restrict_to(_unary_satisfying_values(expr, name, domain))
         if domain.is_empty():
             stats.wall_seconds = time.monotonic() - start
             return SolverResult(False, None, stats)
@@ -568,8 +486,7 @@ def solve(constraint_set: ConstraintSet,
         stats.wall_seconds = time.monotonic() - start
         return SolverResult(True, assignment, stats)
 
-    search_class = _LegacySearch if _SEARCH_IMPL == "legacy" else _Search
-    search = search_class(simplified, domains, hint, node_budget)
+    search = _Search(simplified, domains, hint, node_budget)
     search.stats = stats
     assignment = search.run()
     stats.wall_seconds = time.monotonic() - start

@@ -128,8 +128,7 @@ def scoped(registry) -> Iterator[object]:
 
     Scopes nest (the previous registry is restored on exit), and a scope
     shadows the process-global registry — that is what isolates one pending
-    item's metrics from another's when replay worker threads run
-    concurrently.
+    item's metrics from the engine's and from other threads'.
     """
 
     previous = getattr(_TLS, "registry", None)

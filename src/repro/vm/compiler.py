@@ -25,7 +25,7 @@ InstrumentationPlan` produces *plan-specialized* code: branches the plan
 instruments compile to ``BRANCH_LOGGED`` (the VM inlines the bitvector
 append/compare) and every other branch compiles to the hook-free
 ``BRANCH_BARE`` — uninstrumented branches pay zero hook dispatch, mirroring
-the paper's "overhead only where you instrument".  Without a plan the legacy
+the paper's "overhead only where you instrument".  Without a plan the generic
 ``BRANCH`` (every event dispatched to the hooks) is emitted, which any
 :class:`~repro.interp.tracer.ExecutionHooks` implementation can observe.
 """
@@ -146,8 +146,9 @@ def unboxed_form(instr: tuple) -> tuple:
     return (_UNBOXED_OPCODES[opcode], tuple(arg) + (instr,), charge, line)
 
 #: Process-wide compiled-code cache counters (all programs, all plans).
-#: Guarded by a lock because replay workers construct VMs concurrently and
-#: the counters are a diagnostic whose sums must add up.
+#: Guarded by a lock because VMs may be constructed from several threads
+#: (the upload server's connection handlers) and the counters are a
+#: diagnostic whose sums must add up.
 _CACHE_STATS = {"hits": 0, "misses": 0}
 _CACHE_STATS_LOCK = threading.Lock()
 
@@ -174,10 +175,10 @@ def reset_cache_stats() -> None:
 
 
 #: Per-thread scope for attributing cache events to one logical operation.
-#: The process-wide counters above cannot tell concurrent replay workers
-#: apart; a scope counts only the compile_program calls made by *this* thread
-#: while it is active, which is exactly one pending-item evaluation in the
-#: replay engine (worker threads and worker processes alike).
+#: The process-wide counters above cannot tell concurrent callers apart; a
+#: scope counts only the compile_program calls made by *this* thread while it
+#: is active, which is exactly one pending-item evaluation in the replay
+#: engine (inline and in worker processes alike).
 _SCOPE_TLS = threading.local()
 
 
@@ -214,8 +215,6 @@ def _count_event(kind: str) -> None:
 
 
 def compile_program(program: Program, plan=None,
-                    resolve: bool = True,
-                    cmp_branch: bool = True,
                     specialize_ints: bool = False,
                     synth_fusions=None) -> CompiledProgram:
     """Compile *program* for *plan*, caching per ``(program, key)``.
@@ -227,33 +226,26 @@ def compile_program(program: Program, plan=None,
     instrumented branch sets are identical (in which case the code streams
     are, too).
 
-    ``resolve`` enables register allocation (the static scope-resolution
-    pass of :mod:`repro.lang.resolve`); the cache key incorporates
-    :data:`~repro.lang.resolve.RESOLVER_VERSION` — and whether resolution
-    was enabled at all — so a stale slot layout can never leak into a run
-    compiled under different resolution rules.
-
-    ``cmp_branch`` enables the compare-and-branch superinstructions
-    (``BINOP_FF_BRANCH*``); disable to emit the unfused pair for comparison
-    benchmarks.  Part of the cache key for the same staleness reason.
+    Locals the static scope-resolution pass of :mod:`repro.lang.resolve`
+    proves pure live in numbered frame slots; names it poisons stay on the
+    named-cell path.  ``BINOP_FF;BRANCH_*`` pairs always fuse into the
+    compare-and-branch superinstructions.
 
     ``specialize_ints`` enables the adaptive int specialization tier: the
     resolver's int-slot lattice drives static ``BINOP_II*`` emission and
     warm-up triggers mark the remaining candidate sites for runtime
-    quickening.  Requires ``resolve``; keyed into the cache because the
-    quickening pass mutates specialized streams in place and such code must
-    never be handed to a run compiled with the knob off.
+    quickening.  Keyed into the cache because the quickening pass mutates
+    specialized streams in place and such code must never be handed to a
+    run of the generic stream (the opcode profiler's).
 
     ``synth_fusions`` is an ordered tuple of :data:`repro.vm.synth.
     PAIR_CATALOG` names to materialize (``None`` disables the pass); part of
     the cache key since each selection yields a distinct stream.
     """
 
-    specialize_ints = bool(specialize_ints and resolve)
     fusion_key = tuple(synth_fusions) if synth_fusions else ()
-    key = (RESOLVER_VERSION if resolve else 0,
-           None if plan is None else plan.fingerprint(),
-           cmp_branch, specialize_ints, fusion_key)
+    key = (None if plan is None else plan.fingerprint(),
+           bool(specialize_ints), fusion_key)
     cache = getattr(program, _CACHE_ATTR, None)
     if cache is None:
         cache = {}
@@ -263,9 +255,8 @@ def compile_program(program: Program, plan=None,
         _count_event("hits")
         return cached
     _count_event("misses")
-    compiled = Compiler(program, plan=plan, resolve=resolve,
-                        cmp_branch=cmp_branch,
-                        specialize_ints=specialize_ints,
+    compiled = Compiler(program, plan=plan,
+                        specialize_ints=bool(specialize_ints),
                         synth_fusions=fusion_key).compile()
     cache[key] = compiled
     return compiled
@@ -283,14 +274,12 @@ class _Label:
 class Compiler:
     """Compiles every function of one program (optionally plan-specialized)."""
 
-    def __init__(self, program: Program, plan=None, resolve: bool = True,
-                 cmp_branch: bool = True, specialize_ints: bool = False,
-                 synth_fusions=()) -> None:
+    def __init__(self, program: Program, plan=None,
+                 specialize_ints: bool = False, synth_fusions=()) -> None:
         self.program = program
         self.plan = plan
-        self.cmp_branch = cmp_branch
-        self.resolution = resolve_program(program) if resolve else None
-        self.specialize_ints = specialize_ints and self.resolution is not None
+        self.resolution = resolve_program(program)
+        self.specialize_ints = specialize_ints
         self.synth_fusions = tuple(synth_fusions) if synth_fusions else ()
         # Slot table for BRANCH_LOGGED: slot index -> BranchLocation.  The VM
         # keeps one inline execution counter per slot.
@@ -300,20 +289,12 @@ class Compiler:
         for name, fn in program.functions.items():
             code = CodeObject(name=name, params=[p.name for p in fn.params],
                               source_line=fn.line)
-            fn_resolution = self._function_resolution(name)
-            if fn_resolution is not None:
-                code.nlocals = fn_resolution.nlocals
-                code.slot_names = list(fn_resolution.slot_names)
-                code.param_slots = list(fn_resolution.param_slots)
-                code.bare_frame = fn_resolution.elide_scopes
-            else:
-                code.param_slots = [None] * len(code.params)
+            fn_resolution = self.resolution.for_function(name)
+            code.nlocals = fn_resolution.nlocals
+            code.slot_names = list(fn_resolution.slot_names)
+            code.param_slots = list(fn_resolution.param_slots)
+            code.bare_frame = fn_resolution.elide_scopes
             self.code_objects[name] = code
-
-    def _function_resolution(self, name: str) -> Optional[FunctionResolution]:
-        if self.resolution is None:
-            return None
-        return self.resolution.for_function(name)
 
     def compile(self) -> CompiledProgram:
         globals_code = CodeObject(name="<globals>")
@@ -326,7 +307,7 @@ class Compiler:
         emitter.finish()
         for name, fn in self.program.functions.items():
             body_emitter = _FunctionEmitter(self, name, self.code_objects[name],
-                                            self._function_resolution(name))
+                                            self.resolution.for_function(name))
             body_emitter.compile_stmt(fn.body)
             body_emitter.finish()
         return CompiledProgram(name=self.program.name,
@@ -335,9 +316,7 @@ class Compiler:
                                plan_fingerprint=(None if self.plan is None
                                                  else self.plan.fingerprint()),
                                logged_locations=self.logged_locations,
-                               resolver_version=(RESOLVER_VERSION
-                                                 if self.resolution is not None
-                                                 else 0))
+                               resolver_version=RESOLVER_VERSION)
 
 
 class _FunctionEmitter:
@@ -624,8 +603,6 @@ class _FunctionEmitter:
         (a jump could land there expecting the condition on the stack).
         """
 
-        if not self.compiler.cmp_branch:
-            return False
         instructions = self.instructions
         if not instructions or len(instructions) in self._bound_positions:
             return False
@@ -634,8 +611,8 @@ class _FunctionEmitter:
             # The slot-vs-const flavour belongs to the specialization tier:
             # it exists to be unboxed into BINOP_IC_BRANCH* (and to serve as
             # that form's deopt target), so it is only emitted when the tier
-            # can consume it — the PR 5 instruction set stays byte-identical
-            # with specialization off.
+            # can consume it — the generic stream the opcode profiler counts
+            # keeps the unfused pair.
             if not self.compiler.specialize_ints:
                 return False
             fused_opcode = _FC_BRANCH_FORMS[fused_opcode]

@@ -242,26 +242,17 @@ class VirtualMachine:
         self._syscall_seen = 0
         # Plan specialization: compile for the hooks' instrumentation plan
         # when the hooks opt in (BranchLogger / ReplayRunHooks), otherwise run
-        # legacy code whose BRANCH dispatches every event to the hooks.
+        # plan-free code whose BRANCH dispatches every event to the hooks.
         self._spec = self._select_specialization()
         plan = getattr(self.hooks, "plan", None) if self._spec else None
-        profile = bool(self.config.profile_opcodes)
-        # Adaptive specialization (unboxed int slots + runtime quickening)
-        # and synthesized superinstructions both require slotted frames, and
-        # both are forced off under the opcode profiler: profiles must count
-        # the generic stream (in-place quickening would make the counts
-        # depend on process warmth, and synth ranking wants the unfused
-        # generic profile as its input).
-        specialize_ints = (self.config.specialize_ints
-                           and self.config.register_allocation and not profile)
-        fusions = (synth.DEFAULT_FUSIONS
-                   if (self.config.synth_superinstructions
-                       and self.config.register_allocation and not profile)
-                   else None)
+        # The opcode profiler counts the generic stream: no unboxed int slots,
+        # no runtime quickening (in-place rewrites would make the counts
+        # depend on process warmth) and no synthesized superinstructions
+        # (synth ranking wants the unfused generic profile as its input).
+        generic = bool(self.config.profile_opcodes)
         self.compiled = compile_program(
-            program, plan, resolve=self.config.register_allocation,
-            cmp_branch=self.config.fuse_compare_branch,
-            specialize_ints=specialize_ints, synth_fusions=fusions)
+            program, plan, specialize_ints=not generic,
+            synth_fusions=None if generic else synth.DEFAULT_FUSIONS)
         self._quicken_hits = 0
         self._quicken_misses = 0
         self._quicken_deopts = 0
@@ -292,8 +283,6 @@ class VirtualMachine:
                 self._exec_code = profiled.__get__(self, VirtualMachine)
 
     def _select_specialization(self) -> Optional[str]:
-        if not self.config.specialize_plans:
-            return None
         if getattr(self.hooks, "plan", None) is None:
             return None
         mode = getattr(self.hooks, "vm_inline", None)

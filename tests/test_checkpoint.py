@@ -268,8 +268,7 @@ def test_worker_process_death_raises_typed_error(monkeypatch, mkdir_case):
     from repro.replay import engine as engine_mod
 
     pipeline, trace = mkdir_case
-    engine = _engine(pipeline, trace, workers=2, worker_kind="process",
-                     telemetry=True)
+    engine = _engine(pipeline, trace, workers=2, telemetry=True)
     monkeypatch.setattr(engine_mod, "_process_worker_evaluate", _die_evaluate)
     with pytest.raises(WorkerCrashError) as excinfo:
         engine.reproduce()

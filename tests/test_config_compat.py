@@ -50,10 +50,7 @@ LEGACY_PIPELINE_PATTERNS = [
     ("backend-library", lambda: PipelineConfig(
         backend="vm", library_functions=set(userver.LIBRARY_FUNCTIONS))),
     ("workers", lambda: PipelineConfig(
-        backend="vm", replay_workers=3, replay_worker_kind="process",
-        replay_warm_start=False)),
-    ("vm-knobs-off", lambda: PipelineConfig(
-        backend="vm", specialize_plans=False, register_allocation=False)),
+        backend="vm", replay_workers=3, replay_warm_start=False)),
     ("search-order", lambda: PipelineConfig(
         replay_search_order="bfs", record_max_steps=123_456,
         log_syscalls=False)),
@@ -67,10 +64,9 @@ LEGACY_EXECUTION_PATTERNS = [
     ("mode-steps", lambda: ExecutionConfig(mode=ExecutionMode.REPLAY,
                                            max_steps=5_000, backend="vm")),
     ("depth", lambda: ExecutionConfig(max_call_depth=64, backend="vm")),
-    ("knobs", lambda: ExecutionConfig(mode=ExecutionMode.RECORD, backend="vm",
-                                      specialize_plans=False,
-                                      register_allocation=False,
-                                      fuse_compare_branch=False)),
+    ("knobs", lambda: ExecutionConfig(mode=ExecutionMode.RECORD,
+                                      backend="interp",
+                                      profile_opcodes=True)),
 ]
 
 
@@ -150,15 +146,14 @@ class TestDictRoundTrip:
 
     def test_customised_round_trips_through_json(self):
         config = ReproConfig(
-            execution=ExecutionSection(backend="vm", record_max_steps=1_000,
-                                       fuse_compare_branch=False),
+            execution=ExecutionSection(backend="interp",
+                                       record_max_steps=1_000),
             instrumentation=InstrumentationSection(
                 log_syscalls=False, library_functions={"b", "a"},
                 concolic_budget=ConcolicBudget(max_iterations=3,
                                                max_seconds=1.5, label="LC")),
             replay=ReplaySection(budget=ReplayBudget(max_runs=7),
-                                 workers=4, worker_kind="process",
-                                 warm_start=False),
+                                 workers=4, warm_start=False),
             service=ServiceSection(workers=2, priority="arrival",
                                    persist=False),
         )

@@ -60,54 +60,43 @@ def record_for(source, environment, library):
     return pipeline, pipeline.record(plan, environment)
 
 
-def search(pipeline, recording, workers, worker_kind, warm_start=True,
-           budget=None):
+def search(pipeline, recording, workers, warm_start=True, budget=None):
     engine = ReplayEngine(
         program=pipeline.program, plan=recording.plan,
         bitvector=recording.bitvector, syscall_log=recording.syscall_log,
         crash_site=recording.crash_site,
         environment=recording.environment.scaffold(),
         budget=budget or ReplayBudget(max_runs=1500, max_seconds=60),
-        backend="vm", workers=workers, worker_kind=worker_kind,
-        warm_start=warm_start)
+        backend="vm", workers=workers, warm_start=warm_start)
     return engine.reproduce()
 
 
 class TestProcessPoolDeterminism:
     @pytest.mark.parametrize("name,source,environment,library", FAMILIES,
                              ids=[f[0] for f in FAMILIES])
-    def test_explored_set_identical_across_worker_kinds(self, name, source,
-                                                        environment, library):
+    def test_pool_tree_matches_serial(self, name, source, environment,
+                                      library):
         pipeline, recording = record_for(source, environment, library)
-        serial = search(pipeline, recording, workers=1, worker_kind="thread")
-        threads = search(pipeline, recording, workers=3, worker_kind="thread")
-        processes = search(pipeline, recording, workers=2, worker_kind="process")
+        serial = search(pipeline, recording, workers=1)
+        processes = search(pipeline, recording, workers=2)
         assert serial.reproduced
-        base = outcome_fingerprint(serial)
-        assert outcome_fingerprint(threads) == base
-        assert outcome_fingerprint(processes) == base
+        assert outcome_fingerprint(processes) == outcome_fingerprint(serial)
         # Cross-process observability: the aggregated totals match serial
         # (the hit/miss split legitimately differs — each worker process
         # warms its own compile cache — but the lookup total cannot).
         for key in ("runs", "solver_calls", "solver_nodes", "warm_start_hits",
                     "compile_cache_lookups"):
             assert processes.stats()[key] == serial.stats()[key], key
-        assert processes.worker_kind == "process"
+        assert processes.workers == 2
         assert serial.compile_cache_lookups == serial.runs
 
     def test_grown_coreutils_scenario_process_identical(self):
         pipeline, recording = record_for(paste.SOURCE, paste.big_bug_scenario(24),
                                          frozenset())
-        serial = search(pipeline, recording, workers=1, worker_kind="thread")
-        processes = search(pipeline, recording, workers=2, worker_kind="process")
+        serial = search(pipeline, recording, workers=1)
+        processes = search(pipeline, recording, workers=2)
         assert serial.reproduced
         assert outcome_fingerprint(processes) == outcome_fingerprint(serial)
-
-    def test_invalid_worker_kind_rejected(self):
-        pipeline, recording = record_for(mkdir.SOURCE, mkdir.bug_scenario(),
-                                         frozenset())
-        with pytest.raises(ValueError, match="worker_kind"):
-            search(pipeline, recording, workers=2, worker_kind="fork-bomb")
 
     def test_pending_items_pickle_with_stable_signatures(self):
         constraints = ConstraintSet()
@@ -172,7 +161,7 @@ class TestConstraintInterning:
         pipeline, recording = record_for(mkdir.SOURCE, mkdir.bug_scenario(),
                                          frozenset())
         before = intern_stats()
-        outcome = search(pipeline, recording, workers=1, worker_kind="thread")
+        outcome = search(pipeline, recording, workers=1)
         assert outcome.reproduced
         after = intern_stats()
         # The search pushed prefix-sharing alternatives through the intern
@@ -218,10 +207,8 @@ class TestWarmStart:
     def test_engine_tree_identical_with_and_without_warm_start(self):
         pipeline, recording = record_for(userver.SOURCE, userver.experiment(2),
                                          frozenset(userver.LIBRARY_FUNCTIONS))
-        warm = search(pipeline, recording, workers=1, worker_kind="thread",
-                      warm_start=True)
-        cold = search(pipeline, recording, workers=1, worker_kind="thread",
-                      warm_start=False)
+        warm = search(pipeline, recording, workers=1, warm_start=True)
+        cold = search(pipeline, recording, workers=1, warm_start=False)
         assert warm.reproduced and cold.reproduced
         # Identical tree (runs, records, pending, input) ...
         def tree(outcome):
@@ -254,8 +241,7 @@ class TestTwoProcessEndToEnd:
 
         replay = subprocess.run(
             [sys.executable, tool, "replay", "--trace", trace_path,
-             "--workload", "mkdir-bug", "--workers", "2",
-             "--worker-kind", "process"],
+             "--workload", "mkdir-bug", "--workers", "2"],
             capture_output=True, text=True, env=env, timeout=120)
         assert replay.returncode == 0, replay.stdout + replay.stderr
         assert "reproduced" in replay.stdout

@@ -2,11 +2,11 @@
 
 The first half pins the resolution rules directly (what gets a slot, what
 falls back to named cells, what resolves to a global); the second half is a
-differential fuzz loop asserting that register-allocated execution is
-observably identical to the named-cell VM and the tree-walking interpreter
-on randomly generated MiniC snippets that lean into the ugly corners:
-implicit declarations, conditional declarations, shadowing, read-before-
-write, globals, and block lifetimes.
+differential fuzz loop asserting that the register-allocated VM is
+observably identical to the tree-walking interpreter on randomly generated
+MiniC snippets that lean into the ugly corners: implicit declarations,
+conditional declarations, shadowing, read-before-write, globals, and block
+lifetimes.
 """
 
 from __future__ import annotations
@@ -198,11 +198,9 @@ class TestResolutionRules:
                 return total; }
         """)
         compiled = compile_program(program)
+        assert compiled.resolver_version == RESOLVER_VERSION
         opcodes = [instr[0] for instr in compiled.main.instructions]
         assert op.SCOPE_PUSH not in opcodes and op.SCOPE_POP not in opcodes
-        unresolved = compile_program(program, resolve=False)
-        named = [instr[0] for instr in unresolved.main.instructions]
-        assert op.SCOPE_PUSH in named and op.SCOPE_POP in named
 
     def test_fallback_function_keeps_scope_opcodes(self):
         program, resolution = resolution_for("""
@@ -224,29 +222,18 @@ class TestResolutionRules:
         program, resolution = resolution_for(source)
         assert "a" in resolution.for_function("f").fallback_names
         fingerprints = {}
-        for backend, regalloc in (("interp", True), ("vm", True), ("vm", False)):
+        for backend in ("interp", "vm"):
             executor = create_backend(
-                program, config=ExecutionConfig(
-                    backend=backend, register_allocation=regalloc))
+                program, config=ExecutionConfig(backend=backend))
             result = executor.run(["dup"])
-            fingerprints[(backend, regalloc)] = (result.exit_code, result.steps,
-                                                 result.crashed)
-        assert len(set(fingerprints.values())) == 1
-        assert fingerprints[("interp", True)][0] == 2  # last argument wins
-
-    def test_cache_key_separates_resolver_versions(self):
-        program, _ = resolution_for("int main() { int a = 1; return a; }")
-        resolved = compile_program(program)
-        unresolved = compile_program(program, resolve=False)
-        assert resolved is not unresolved
-        assert resolved.resolver_version == RESOLVER_VERSION
-        assert unresolved.resolver_version == 0
-        assert compile_program(program) is resolved
-        assert compile_program(program, resolve=False) is unresolved
+            fingerprints[backend] = (result.exit_code, result.steps,
+                                     result.crashed)
+        assert fingerprints["vm"] == fingerprints["interp"]
+        assert fingerprints["interp"][0] == 2  # last argument wins
 
 
 # ---------------------------------------------------------------------------
-# Differential fuzzing: resolved vs named-cell vs interpreter
+# Differential fuzzing: resolved VM vs interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -336,8 +323,7 @@ class _SnippetGenerator:
 
 
 def run_fingerprint(program: Program, backend: str,
-                    register_allocation: bool,
-                    specialize: bool = True) -> tuple:
+                    profile_opcodes: bool = False) -> tuple:
     recorder = TraceRecorder()
     executor = create_backend(
         program,
@@ -346,9 +332,7 @@ def run_fingerprint(program: Program, backend: str,
         binder=InputBinder(mode=ExecutionMode.RECORD),
         config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend,
                                max_steps=60_000,
-                               register_allocation=register_allocation,
-                               specialize_ints=specialize,
-                               synth_superinstructions=specialize),
+                               profile_opcodes=profile_opcodes),
     )
     result = executor.run(["fuzz", "7"])
     crash = None
@@ -365,29 +349,29 @@ def run_fingerprint(program: Program, backend: str,
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzzed_resolution_parity(seed):
-    """Resolved VM == named-cell VM == interpreter on random snippets."""
+    """Resolved VM == interpreter on random snippets."""
 
     rng = random.Random(20260730 + seed)
     for iteration in range(12):
         source = _SnippetGenerator(rng).program()
         program = Program.from_source(source, name=f"fuzz-{seed}-{iteration}")
-        resolved = run_fingerprint(program, "vm", True)
-        named = run_fingerprint(program, "vm", False)
-        interp = run_fingerprint(program, "interp", True)
-        assert resolved == named == interp, source
+        resolved = run_fingerprint(program, "vm")
+        interp = run_fingerprint(program, "interp")
+        assert resolved == interp, source
 
 
 # ---------------------------------------------------------------------------
 # Fuzzed adaptive-specialization parity: the unboxed/quickened/synthesized
-# VM is observably identical to the generic slot VM and the interpreter —
-# same steps, branch events, syscalls, crash sites and stdout — and the
-# replay search it drives explores the identical fan-out.
+# VM is observably identical to the generic stream the opcode profiler runs
+# and to the interpreter — same steps, branch events, syscalls, crash sites
+# and stdout — and the replay search it drives explores the identical
+# fan-out.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzzed_specialization_parity(seed):
-    """Specialized VM == generic slot VM == interpreter on random snippets.
+    """Specialized VM == profiled generic VM == interpreter on random snippets.
 
     The generator leans into the specializer's risk surface: implicitly
     declared ints, shadowing (slot reuse across sibling blocks), loops
@@ -401,9 +385,9 @@ def test_fuzzed_specialization_parity(seed):
         source = _SnippetGenerator(rng).program()
         program = Program.from_source(
             source, name=f"spec-fuzz-{seed}-{iteration}")
-        specialized = run_fingerprint(program, "vm", True, specialize=True)
-        generic = run_fingerprint(program, "vm", True, specialize=False)
-        interp = run_fingerprint(program, "interp", True)
+        specialized = run_fingerprint(program, "vm")
+        generic = run_fingerprint(program, "vm", profile_opcodes=True)
+        interp = run_fingerprint(program, "interp")
         assert specialized == generic == interp, source
 
 
@@ -421,8 +405,7 @@ def _fanout_fingerprint(outcome) -> tuple:
     )
 
 
-def _fuzz_replay_search(pipeline, recording, specialize: bool, workers: int,
-                        worker_kind: str = "thread"):
+def _fuzz_replay_search(pipeline, recording, backend: str, workers: int):
     from repro.core.config import ReplayBudget
     from repro.replay.engine import ReplayEngine
 
@@ -437,11 +420,8 @@ def _fuzz_replay_search(pipeline, recording, specialize: bool, workers: int,
         # Run-count bounded so the termination point is deterministic
         # across substrates and machines.
         budget=ReplayBudget(max_runs=24, max_seconds=600),
-        backend="vm",
+        backend=backend,
         workers=workers,
-        worker_kind=worker_kind,
-        specialize_ints=specialize,
-        synth_superinstructions=specialize,
     )
     return engine.reproduce()
 
@@ -472,13 +452,12 @@ def _fanout_source(seed: int) -> str:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzzed_specialization_replay_fanout(seed):
-    """The replay search fans out identically with specialization on or off.
+    """The specialized VM's replay search fans out like the interpreter's.
 
-    Record once, then search the recorded crash with specialization off
-    (serial), on (serial), and on across a process pool — every
-    configuration must explore the identical run tree: same run count,
-    per-run outcomes, consumed bits, deviation points, solver calls and
-    found input.
+    Record once, then search the recorded crash on the interpreter, on the
+    VM serially and on the VM across a process pool — every configuration
+    must explore the identical run tree: same run count, per-run outcomes,
+    consumed bits, deviation points, solver calls and found input.
     """
 
     from repro.core.pipeline import Pipeline
@@ -492,18 +471,14 @@ def test_fuzzed_specialization_replay_fanout(seed):
     recording = pipeline.record(plan, environment)
     assert recording.crash_site is not None, source
     reference = _fanout_fingerprint(
-        _fuzz_replay_search(pipeline, recording, False, 1))
-    assert reference[0], source  # the generic search reproduces the crash
+        _fuzz_replay_search(pipeline, recording, "interp", 1))
+    assert reference[0], source  # the oracle search reproduces the crash
     assert reference[1] >= 2, source  # ...and really fanned out to do so
     serial = _fanout_fingerprint(
-        _fuzz_replay_search(pipeline, recording, True, 1))
+        _fuzz_replay_search(pipeline, recording, "vm", 1))
     assert serial == reference, source
-    threaded = _fanout_fingerprint(
-        _fuzz_replay_search(pipeline, recording, True, 2, "thread"))
-    assert threaded == reference, source
     # Process workers rebuild the engine from a pickled spec in their own
-    # interpreters; the specialization knobs must survive the round-trip
-    # and commit the same serial pop order.
+    # interpreters and must commit the same serial pop order.
     pooled = _fanout_fingerprint(
-        _fuzz_replay_search(pipeline, recording, True, 2, "process"))
+        _fuzz_replay_search(pipeline, recording, "vm", 2))
     assert pooled == reference, source

@@ -255,6 +255,43 @@ class TestServiceProcessing:
         assert "mystery" in reports[stray_id].error
         assert service.inbox.cluster_of(stray_id).status == "failed"
 
+    def test_poison_search_fails_only_its_cluster(self, tmp_path, mkdir_bytes,
+                                                  mkfifo_bytes, monkeypatch):
+        """A search that raises fails its own cluster — typed error report,
+        rejection-ledger entry — while the cluster searched before it stays
+        committed, and the next process() call returns normally."""
+
+        service, ingested = self._loaded_service(
+            tmp_path, [(mkdir_bytes, 1), (mkfifo_bytes, 1)])
+        poison = service.inbox.cluster_of(ingested[0].trace_id)
+        healthy = service.inbox.cluster_of(ingested[1].trace_id)
+        order = [c.cluster_id for c in service.inbox.pending_clusters(
+            service.config.service.priority)]
+        assert order == [healthy.cluster_id, poison.cluster_id]
+        engine_for = service._engine_for
+
+        def poisoned_engine_for(cluster):
+            engine = engine_for(cluster)
+            if cluster.cluster_id == poison.cluster_id:
+                def explode():
+                    raise RecursionError("maximum recursion depth exceeded")
+                engine.reproduce = explode
+            return engine
+
+        monkeypatch.setattr(service, "_engine_for", poisoned_engine_for)
+        reports = service.process()
+        assert reports[ingested[1].trace_id].reproduced
+        failed = reports[ingested[0].trace_id]
+        assert not failed.reproduced
+        assert failed.error.startswith("RecursionError: ")
+        assert service.inbox.cluster_of(ingested[0].trace_id).status == "failed"
+        assert service.inbox.rejected[f"cluster:{poison.cluster_id}"] \
+            .startswith("RecursionError: ")
+        assert service.process() == {}
+        stats = service.stats()
+        assert stats.clusters_done == 1
+        assert stats.searches_run == 1
+
     def test_same_bug_different_recordings_search_separately(self, tmp_path):
         """Two users hit the *same* bug with *different* inputs: the traces
         share a bug key but are not equivalent recordings, so each gets its

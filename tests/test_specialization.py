@@ -13,8 +13,6 @@ exactly the runs the serial one does.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -28,9 +26,6 @@ from repro.interp.interpreter import ExecutionConfig
 from repro.lang.program import Program
 from repro.replay.budget import ReplayBudget
 from repro.replay.engine import ReplayEngine
-from repro.symbolic import solver as solver_mod
-from repro.symbolic.constraints import ConstraintSet
-from repro.symbolic.expr import SymBinOp, SymConst, sym_var
 from repro.vm import opcodes as op
 from repro.vm.compiler import cache_stats, compile_program, reset_cache_stats
 from repro.workloads import all_cases, diffutil, userver
@@ -63,16 +58,15 @@ def plan_variants(program: Program):
     }
 
 
-def record_fingerprint(program: Program, environment, plan, backend: str,
-                       specialize: bool) -> tuple:
+def record_fingerprint(program: Program, environment, plan,
+                       backend: str) -> tuple:
     logger = BranchLogger(plan)
     executor = create_backend(
         program,
         kernel=environment.make_kernel(),
         hooks=logger,
         binder=InputBinder(mode=ExecutionMode.RECORD),
-        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend,
-                               specialize_plans=specialize),
+        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend),
     )
     result = executor.run(environment.argv)
     crash = None
@@ -103,11 +97,9 @@ def record_fingerprint(program: Program, environment, plan, backend: str,
 def test_specialized_recording_parity(name, source, environment, plan_kind):
     program = program_for(name, source)
     plan = plan_variants(program)[plan_kind]
-    reference = record_fingerprint(program, environment, plan, "interp", True)
-    specialized = record_fingerprint(program, environment, plan, "vm", True)
-    unspecialized = record_fingerprint(program, environment, plan, "vm", False)
+    reference = record_fingerprint(program, environment, plan, "interp")
+    specialized = record_fingerprint(program, environment, plan, "vm")
     assert specialized == reference
-    assert unspecialized == reference
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +121,8 @@ def outcome_fingerprint(outcome) -> tuple:
     )
 
 
-def replay_search(pipeline, recording, backend: str, specialize: bool,
-                  workers: int, plan=None, max_runs: int = 400):
+def replay_search(pipeline, recording, backend: str, workers: int,
+                  plan=None, max_runs: int = 400):
     engine = ReplayEngine(
         program=pipeline.program,
         plan=plan or recording.plan,
@@ -143,7 +135,6 @@ def replay_search(pipeline, recording, backend: str, specialize: bool,
         budget=ReplayBudget(max_runs=max_runs, max_seconds=600),
         backend=backend,
         workers=workers,
-        specialize_plans=specialize,
     )
     return engine.reproduce()
 
@@ -169,13 +160,12 @@ def test_replay_search_parity(workload):
                               environment=environment)
     recording = pipeline.record(plan, environment)
     reference = outcome_fingerprint(
-        replay_search(pipeline, recording, "interp", True, 1))
-    for backend, specialize, workers in (("vm", False, 1), ("vm", True, 1),
-                                         ("vm", True, 4)):
-        outcome = replay_search(pipeline, recording, backend, specialize, workers)
+        replay_search(pipeline, recording, "interp", 1))
+    for workers in (1, 2):
+        outcome = replay_search(pipeline, recording, "vm", workers)
         assert outcome_fingerprint(outcome) == reference, (
-            f"{workload}: {backend}/specialize={specialize}/workers={workers} "
-            f"diverged from the interpreter search")
+            f"{workload}: vm/workers={workers} diverged from the "
+            f"interpreter search")
     assert reference[0], f"{workload}: search did not reproduce the crash"
 
 
@@ -191,8 +181,8 @@ def test_parallel_replay_determinism_with_fat_pending():
                          pipeline.program.branch_locations).from_sets(
                              "partial", locations[::2], locations)
     recording = pipeline.record(partial, environment)
-    serial = replay_search(pipeline, recording, "vm", True, 1, max_runs=40)
-    parallel = replay_search(pipeline, recording, "vm", True, 4, max_runs=40)
+    serial = replay_search(pipeline, recording, "vm", 1, max_runs=40)
+    parallel = replay_search(pipeline, recording, "vm", 2, max_runs=40)
     assert outcome_fingerprint(serial) == outcome_fingerprint(parallel)
     # The pool actually speculated (the search has a fat pending list), yet
     # the explored tree is still byte-identical to the serial engine's.
@@ -201,20 +191,22 @@ def test_parallel_replay_determinism_with_fat_pending():
 
 
 def test_pipeline_threads_workers_and_specialization():
+    """``PipelineConfig.replay_workers`` reaches the plan-specialized VM's
+    search, and the pool explores the serial search's tree."""
+
     module = ALL_PROGRAMS["mkfifo"]
     outcomes = {}
-    for workers, specialize in ((1, False), (4, True)):
-        config = PipelineConfig(backend="vm", replay_workers=workers,
-                                specialize_plans=specialize)
+    for workers in (1, 2):
+        config = PipelineConfig(backend="vm", replay_workers=workers)
         pipeline = Pipeline.from_source(module.SOURCE, name="mkfifo-cfg",
                                         config=config)
         plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                                   environment=module.bug_scenario())
         recording = pipeline.record(plan, module.bug_scenario())
         report = pipeline.reproduce(recording)
-        outcomes[(workers, specialize)] = outcome_fingerprint(report.outcome)
+        outcomes[workers] = outcome_fingerprint(report.outcome)
         assert report.outcome.workers == workers
-    assert outcomes[(1, False)] == outcomes[(4, True)]
+    assert outcomes[1] == outcomes[2]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +306,18 @@ def test_superinstructions_emitted():
     assert op.BINOP_FC_STORE in opcodes   # i = i + 1
     assert op.BINOP_FF_STORE in opcodes   # total = total + i
     assert op.LOAD_FAST_RET in opcodes    # return r;
-    # ... and on the named-cell path (resolution disabled) in the legacy ones.
-    unresolved = compile_program(program, resolve=False)
-    named = [instr[0] for code in unresolved.functions.values()
+    # ... and names the resolver poisons (here: reads that never execute
+    # before any declaration) stay on the named-cell path, in its variants.
+    poisoned = Program.from_source("""
+        int bump(int n) { if (n < 0) { n = r; } r = n * 2; return r; }
+        int main(int argc) {
+            if (argc < 0) { argc = i + total; }
+            i = 0; total = 0;
+            while (i < 8) { total = total + i; i = i + 1; }
+            return bump(total);
+        }
+    """, name="named-fusion-probe")
+    named = [instr[0] for code in compile_program(poisoned).functions.values()
              for instr in code.instructions]
     assert op.BINOP_NC_STORE in named
     assert op.BINOP_NN_STORE in named
@@ -330,8 +331,8 @@ def _opcode_stream(compiled):
 
 def test_compare_and_branch_superinstruction_parity():
     """``BINOP_FF;BRANCH_*`` fuses for ``while (i < n)`` and changes nothing
-    observable: identical results, events and bitvectors across the
-    interpreter, the fused VM and the fusion-disabled VM."""
+    observable: identical results, events and bitvectors on the interpreter
+    and the fused VM."""
 
     source = """
         int main(int argc, char **argv) {
@@ -354,39 +355,31 @@ def test_compare_and_branch_superinstruction_parity():
     # (`i < n`) and the input-dependent character test (`c == target`).
     fused = _opcode_stream(compile_program(program))
     assert fused.count(op.BINOP_FF_BRANCH) == 2
-    # ... the knob restores the unfused pair ...
-    plain = _opcode_stream(compile_program(program, cmp_branch=False))
-    assert op.BINOP_FF_BRANCH not in plain
-    assert op.BINOP_FF in plain and op.BRANCH in plain
     # ... and plan-specialized code fuses into the logged/bare variants.
     plan = build_plan(InstrumentationMethod.ALL_BRANCHES,
                       program.branch_locations)
     specialized = _opcode_stream(compile_program(program, plan))
     assert op.BINOP_FF_BRANCH_LOGGED in specialized
 
-    # Record-mode differential on all three substrates.
+    # Record-mode differential against the interpreter.
     environment = simple_environment(["cmp", "axbx"], name="cmp-branch")
     fingerprints = {}
-    for label, backend, fuse in (("interp", "interp", True),
-                                 ("vm-fused", "vm", True),
-                                 ("vm-unfused", "vm", False)):
+    for backend in ("interp", "vm"):
         logger = BranchLogger(plan)
         executor = create_backend(
             program,
             kernel=environment.make_kernel(),
             hooks=logger,
             binder=InputBinder(mode=ExecutionMode.RECORD),
-            config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend,
-                                   fuse_compare_branch=fuse))
+            config=ExecutionConfig(mode=ExecutionMode.RECORD, backend=backend))
         result = executor.run(environment.argv)
         crash = ((result.crash.function, result.crash.line)
                  if result.crash else None)
-        fingerprints[label] = (
+        fingerprints[backend] = (
             result.steps, result.branch_executions,
             result.symbolic_branch_executions, result.crashed, crash,
             list(logger.bitvector), logger.instrumented_executions)
-    assert fingerprints["vm-fused"] == fingerprints["interp"]
-    assert fingerprints["vm-unfused"] == fingerprints["interp"]
+    assert fingerprints["vm"] == fingerprints["interp"]
     assert fingerprints["interp"][3] is True  # the probe crash fired
 
     # Replay parity: the replay run binds the argument bytes symbolically, so
@@ -415,59 +408,6 @@ def test_compare_and_branch_superinstruction_parity():
                 tuple(sorted(outcome.found_input.items())))
 
     assert tree(outcomes["vm"]) == tree(outcomes["interp"])
-
-
-def test_pipeline_threads_fuse_compare_branch_knob():
-    """``PipelineConfig(fuse_compare_branch=False)`` must actually reach the
-    VM: every compilation a pipeline run triggers carries the unfused cache
-    key, so the knob can never silently no-op."""
-
-    from repro.workloads.coreutils import mkdir
-
-    pipeline = Pipeline.from_source(
-        mkdir.SOURCE, name="mkdir-nofuse",
-        config=PipelineConfig(backend="vm", fuse_compare_branch=False))
-    environment = mkdir.bug_scenario()
-    plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
-                              environment=environment)
-    recording = pipeline.record(plan, environment)
-    report = pipeline.reproduce(recording)
-    assert report.outcome.reproduced
-    cache = getattr(pipeline.program, "_vm_compiled_by_plan")
-    assert cache, "pipeline never compiled anything"
-    assert all(key[2] is False for key in cache), sorted(cache)
-
-
-# ---------------------------------------------------------------------------
-# The incremental constraint search vs the legacy reference
-# ---------------------------------------------------------------------------
-
-
-def test_incremental_search_matches_legacy_reference():
-    rng = random.Random(20260730)
-    operators = ["==", "!=", "<", "<=", ">", ">="]
-    for _ in range(120):
-        variable_count = rng.randint(1, 6)
-        variables = [sym_var(f"v{i}", 0, 255) for i in range(variable_count)]
-        constraints = ConstraintSet()
-        for origin in range(rng.randint(1, 10)):
-            left = rng.choice(variables)
-            if variable_count > 1 and rng.random() < 0.3:
-                expr = SymBinOp(rng.choice(operators), left, rng.choice(variables))
-            else:
-                expr = SymBinOp(rng.choice(operators), left,
-                                SymConst(rng.randint(0, 255)))
-            constraints.add_expr(expr, origin=origin)
-        hint = {f"v{i}": rng.randint(0, 255) for i in range(variable_count)
-                if rng.random() < 0.7}
-        previous = solver_mod.set_search_impl("legacy")
-        try:
-            legacy = solver_mod.solve(constraints, hint=hint)
-        finally:
-            solver_mod.set_search_impl(previous)
-        fast = solver_mod.solve(constraints, hint=hint)
-        assert (legacy.satisfiable, legacy.assignment) == (
-            fast.satisfiable, fast.assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,13 @@ def _pipeline_for(name, **overrides):
     return pipeline, plan, environment
 
 
-def _search(pipeline, recording, *, telemetry, workers=1, kind="thread",
-            profile=False):
+def _search(pipeline, recording, *, telemetry, workers=1, profile=False):
     engine = ReplayEngine(
         program=pipeline.program, plan=recording.plan,
         bitvector=recording.bitvector, syscall_log=recording.syscall_log,
         crash_site=recording.crash_site,
         environment=recording.environment.scaffold(),
-        budget=BUDGET, backend="vm", workers=workers, worker_kind=kind,
+        budget=BUDGET, backend="vm", workers=workers,
         telemetry=telemetry, profile_opcodes=profile)
     return engine.reproduce()
 
@@ -221,22 +220,17 @@ class TestDifferentialOnOff:
         assert on.telemetry.counters["replay.runs"] == off.runs
 
     def test_worker_merge_byte_identical(self):
-        # Satellite: histogram merging across thread and process workers is
-        # byte-identical to serial, on a server workload and a diff workload.
+        # Histogram merging across process workers is byte-identical to
+        # serial, on a server workload and a diff workload.
         for name in ("userver-exp2", "diff-exp1"):
             pipeline, plan, environment = _pipeline_for(
                 name, telemetry_enabled=True)
             recording = pipeline.record(plan, environment)
             serial = _search(pipeline, recording, telemetry=True, workers=1)
             base = serial.telemetry.deterministic().canonical_bytes()
-            for workers, kind in ((2, "thread"), (4, "thread"),
-                                  (2, "process")):
-                out = _search(pipeline, recording, telemetry=True,
-                              workers=workers, kind=kind)
-                assert (out.telemetry.deterministic().canonical_bytes()
-                        == base), (name, workers, kind)
-                assert (outcome_fingerprint(out)
-                        == outcome_fingerprint(serial)), (name, workers, kind)
+            out = _search(pipeline, recording, telemetry=True, workers=2)
+            assert out.telemetry.deterministic().canonical_bytes() == base, name
+            assert outcome_fingerprint(out) == outcome_fingerprint(serial), name
 
     def test_profiled_vm_execution_parity(self):
         pipeline, plan, environment = _pipeline_for(

@@ -277,124 +277,16 @@ def test_language_feature_parity(feature):
 
 
 # ---------------------------------------------------------------------------
-# Register allocation: slot frames vs named-cell frames vs interpreter
-# ---------------------------------------------------------------------------
-
-
-def run_vm(program: Program, environment, hooks, register_allocation: bool):
-    executor = create_backend(
-        program,
-        kernel=environment.make_kernel(),
-        hooks=hooks,
-        binder=InputBinder(mode=ExecutionMode.RECORD),
-        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend="vm",
-                               register_allocation=register_allocation),
-    )
-    return executor.run(environment.argv)
-
-
-@pytest.mark.parametrize("name, source, environment", CASES, ids=CASE_IDS)
-def test_register_allocation_execution_parity(name, source, environment):
-    """Slot frames change nothing observable on any workload."""
-
-    program = program_for(name, source)
-    fingerprints = {}
-    for regalloc in (False, True):
-        recorder = TraceRecorder()
-        result = run_vm(program, environment, recorder, regalloc)
-        fingerprints[regalloc] = (result_fingerprint(result),
-                                  trace_fingerprint(recorder))
-    interp_recorder = TraceRecorder()
-    interp_result = run_backend(program, environment, "interp",
-                                ExecutionMode.RECORD, interp_recorder)
-    assert fingerprints[True] == fingerprints[False]
-    assert fingerprints[True] == (result_fingerprint(interp_result),
-                                  trace_fingerprint(interp_recorder))
-
-
-@pytest.mark.parametrize("name, source, environment", CASES, ids=CASE_IDS)
-def test_register_allocation_recording_parity(name, source, environment):
-    """Identical bitvectors and syscall logs from plan-specialized slot code."""
-
-    program = program_for(name, source)
-    plan = build_plan(InstrumentationMethod.ALL_BRANCHES,
-                      program.branch_locations, log_syscalls=True)
-    logs = {}
-    for regalloc in (False, True):
-        logger = BranchLogger(plan)
-        result = run_vm(program, environment, logger, regalloc)
-        logs[regalloc] = (result_fingerprint(result),
-                          list(logger.bitvector),
-                          dict(logger.syscall_log.results))
-    assert logs[True] == logs[False]
-
-
-def _replay_outcome_fingerprint(outcome):
-    crash = None
-    if outcome.crash_site is not None:
-        crash = (outcome.crash_site.function, outcome.crash_site.line)
-    return (
-        outcome.reproduced, outcome.runs, outcome.solver_calls,
-        tuple((r.outcome, r.consumed_bits, r.constraints, r.deviation)
-              for r in outcome.run_records),
-        tuple(sorted(outcome.pending_stats.items())),
-        tuple(sorted(outcome.found_input.items())),
-        crash,
-    )
-
-
-@pytest.mark.parametrize("workers,worker_kind",
-                         [(1, "thread"), (3, "thread"), (2, "process")],
-                         ids=["serial", "threads", "process"])
-def test_register_allocation_replay_parity(workers, worker_kind):
-    """Record once, then search with slot and named-cell frames: the explored
-    tree (runs, records, pending stats, reproducing input) is identical for
-    every worker kind."""
-
-    from repro.replay.engine import ReplayEngine
-    from repro.workloads import userver
-    from repro.workloads.coreutils import mkdir
-
-    scenarios = [
-        (mkdir.SOURCE, mkdir.bug_scenario(), frozenset()),
-        (userver.SOURCE, userver.experiment(2),
-         frozenset(userver.LIBRARY_FUNCTIONS)),
-    ]
-    for source, environment, library in scenarios:
-        pipeline = Pipeline.from_source(
-            source, name=environment.name,
-            config=PipelineConfig(library_functions=set(library)))
-        plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
-                                  environment=environment)
-        recording = pipeline.record(plan, environment)
-        outcomes = {}
-        for regalloc in (False, True):
-            engine = ReplayEngine(
-                program=pipeline.program, plan=recording.plan,
-                bitvector=recording.bitvector,
-                syscall_log=recording.syscall_log,
-                crash_site=recording.crash_site,
-                environment=recording.environment.scaffold(),
-                budget=ReplayBudget(max_runs=1500, max_seconds=60),
-                backend="vm", workers=workers, worker_kind=worker_kind,
-                register_allocation=regalloc)
-            outcomes[regalloc] = engine.reproduce()
-        assert outcomes[True].reproduced
-        assert (_replay_outcome_fingerprint(outcomes[True])
-                == _replay_outcome_fingerprint(outcomes[False]))
-
-
-# ---------------------------------------------------------------------------
 # Backend plumbing
 # ---------------------------------------------------------------------------
 
 
 def test_create_backend_selects_engine():
     program = program_for("fibonacci", CASES[0][1])
-    assert isinstance(create_backend(program), Interpreter)
+    assert isinstance(create_backend(program), VirtualMachine)
     assert isinstance(
-        create_backend(program, config=ExecutionConfig(backend="vm")),
-        VirtualMachine)
+        create_backend(program, config=ExecutionConfig(backend="interp")),
+        Interpreter)
     with pytest.raises(ValueError):
         create_backend(program, config=ExecutionConfig(backend="jit"))
 
