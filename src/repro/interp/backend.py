@@ -54,6 +54,8 @@ class Backend(Protocol):
     hooks: ExecutionHooks
     binder: InputBinder
     config: ExecutionConfig
+    #: The replay guard log the builtins append to, or ``None``.
+    guards: Optional[list]
 
     def run(self, argv: Sequence[str]) -> ExecutionResult:
         """Execute ``main`` with *argv* and return the run summary."""

@@ -12,6 +12,19 @@ stdin, files and sockets are bound through the interpreter's
 :class:`~repro.interp.inputs.InputBinder`, and in ``ANALYZE``/``REPLAY`` mode
 the syscall *return values* of input-returning calls are bound as well (unless
 a replay syscall log forces them).
+
+Every builtin that acts on the concrete part of a symbolic value — a count, a
+descriptor, a path byte, a character test — appends ``(kind, expression,
+observed value)`` to ``interp.guards`` when the executing backend keeps a
+guard log (a serial replay run on the VM, which the replay engine may repair
+in place; ``None`` everywhere else).  A replay run repaired in place onto a
+new input must leave every such guard's value unchanged.  That includes the
+output sinks (``printf``, ``puts``, ``putchar``, ``fprintf_err``, ``send``,
+``send_str``): what they write reaches only the output, but their return
+value (a length, a byte, -1) reaches the program, so they pin every value
+they format, every byte of a string they write, the descriptor they send to
+and ``send``'s count.  A value used only as the run ends (``crash``'s
+message, ``exit``'s status) needs no guard: no repair can follow it.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from repro.interp.values import (
 )
 from repro.lang.errors import ExitProgram, ProgramCrash, RuntimeMiniCError
 from repro.osmodel.syscalls import SyscallKind
+from repro.symbolic.expr import SymBinOp, SymExpr, as_condition, sym_const
 
 BuiltinFn = Callable[["Interpreter", List[Value], object], Value]  # noqa: F821
 
@@ -80,6 +94,71 @@ def _pointer_arg(args: List[Value], index: int, node, what: str) -> Pointer:
     return args[index]
 
 
+def _pin(interp, kind: str, value: ConcolicValue) -> int:
+    """``value.concrete``, logged as a replay guard when *value* is symbolic."""
+
+    guards = interp.guards
+    if guards is not None and value.symbolic is not None:
+        guards.append((kind, value.symbolic, value.concrete))
+    return value.concrete
+
+
+def _decide(guards, kind: str, value: ConcolicValue, outcome: bool,
+            build: Callable[..., SymExpr], *operands: int) -> bool:
+    """Return *outcome*, logging the decision when *value* is symbolic.
+
+    ``build(value.symbolic, *operands)`` is the decision's expression, built
+    only when it is logged.
+    """
+
+    if guards is not None and value.symbolic is not None:
+        guards.append((kind, build(value.symbolic, *operands),
+                       1 if outcome else 0))
+    return outcome
+
+
+def _nonzero(guards, value: ConcolicValue) -> bool:
+    """The NUL test of a string walk (``value != 0``), logged when symbolic."""
+
+    if guards is None:
+        return value.concrete != 0
+    return _decide(guards, "libc", value, value.concrete != 0, as_condition)
+
+
+def _equals(expr: SymExpr, value: int) -> SymExpr:
+    return SymBinOp("==", expr, sym_const(value))
+
+
+def _below(expr: SymExpr, value: int) -> SymExpr:
+    return SymBinOp("<", expr, sym_const(value))
+
+
+def _in_range(expr: SymExpr, lo: int, hi: int) -> SymExpr:
+    return SymBinOp("&&", SymBinOp(">=", expr, sym_const(lo)),
+                    SymBinOp("<=", expr, sym_const(hi)))
+
+
+def _path_arg(interp, args: List[Value], node, what: str) -> str:
+    """The string argument 0, every symbolic byte it reads pinned."""
+
+    pointer = _pointer_arg(args, 0, node, what)
+    _pin_string(interp, "path", pointer)
+    return array_to_string(pointer)
+
+
+def _pin_string(interp, kind: str, pointer: Pointer) -> None:
+    """Pin each cell :func:`array_to_string` reads from *pointer*."""
+
+    if interp.guards is None:
+        return
+    block, offset = pointer.block, pointer.offset
+    for index in range(offset, min(len(block), offset + (1 << 16))):
+        cell = as_int(block.get(index))
+        _pin(interp, kind, cell)
+        if cell.concrete == 0:
+            break
+
+
 # ---------------------------------------------------------------------------
 # libc subset: strings and memory
 # ---------------------------------------------------------------------------
@@ -88,10 +167,11 @@ def _pointer_arg(args: List[Value], index: int, node, what: str) -> Pointer:
 @builtin("strlen")
 def _strlen(interp, args, node) -> Value:
     pointer = _pointer_arg(args, 0, node, "strlen")
+    guards = interp.guards
     length = 0
     index = pointer.offset
     block = pointer.block
-    while index < len(block) and as_int(block.get(index)).concrete != 0:
+    while index < len(block) and _nonzero(guards, as_int(block.get(index))):
         length += 1
         index += 1
     return concrete(length)
@@ -101,6 +181,8 @@ def _strlen(interp, args, node) -> Value:
 def _strcmp(interp, args, node) -> Value:
     a = _pointer_arg(args, 0, node, "strcmp")
     b = _pointer_arg(args, 1, node, "strcmp")
+    _pin_string(interp, "libc", a)
+    _pin_string(interp, "libc", b)
     text_a = array_to_string(a)
     text_b = array_to_string(b)
     if text_a == text_b:
@@ -112,7 +194,9 @@ def _strcmp(interp, args, node) -> Value:
 def _strncmp(interp, args, node) -> Value:
     a = _pointer_arg(args, 0, node, "strncmp")
     b = _pointer_arg(args, 1, node, "strncmp")
-    n = _int_arg(args, 2).concrete
+    n = _pin(interp, "libc", _int_arg(args, 2))
+    _pin_string(interp, "libc", a)
+    _pin_string(interp, "libc", b)
     text_a = array_to_string(a)[:n]
     text_b = array_to_string(b)[:n]
     if text_a == text_b:
@@ -124,6 +208,7 @@ def _strncmp(interp, args, node) -> Value:
 def _strcpy(interp, args, node) -> Value:
     dest = _pointer_arg(args, 0, node, "strcpy")
     src = _pointer_arg(args, 1, node, "strcpy")
+    guards = interp.guards
     index = 0
     while True:
         cell = src.block.get(src.offset + index) if src.block.in_bounds(src.offset + index) else ZERO
@@ -131,7 +216,7 @@ def _strcpy(interp, args, node) -> Value:
         if not dest.block.in_bounds(target):
             raise ProgramCrash("strcpy: destination overflow", getattr(node, "line", 0))
         dest.block.set(target, cell)
-        if as_int(cell).concrete == 0:
+        if not _nonzero(guards, as_int(cell)):
             break
         index += 1
     return dest
@@ -149,14 +234,21 @@ def _strcat(interp, args, node) -> Value:
 @builtin("strchr")
 def _strchr(interp, args, node) -> Value:
     pointer = _pointer_arg(args, 0, node, "strchr")
-    target = _int_arg(args, 1).concrete
+    wanted = _int_arg(args, 1)
+    target = wanted.concrete
+    guards = interp.guards
     index = pointer.offset
     block = pointer.block
     while block.in_bounds(index):
-        code = as_int(block.get(index)).concrete
+        cell = as_int(block.get(index))
+        code = cell.concrete
+        if guards is not None and (cell.symbolic is not None
+                                   or wanted.symbolic is not None):
+            guards.append(("libc", SymBinOp("==", cell.expr(), wanted.expr()),
+                           1 if code == target else 0))
         if code == target:
             return Pointer(block, index)
-        if code == 0:
+        if not _nonzero(guards, cell):
             break
         index += 1
     return ZERO
@@ -165,17 +257,22 @@ def _strchr(interp, args, node) -> Value:
 @builtin("atoi")
 def _atoi(interp, args, node) -> Value:
     pointer = _pointer_arg(args, 0, node, "atoi")
+    guards = interp.guards
     block, index = pointer.block, pointer.offset
     result: Value = concrete(0)
     sign = 1
-    if block.in_bounds(index) and as_int(block.get(index)).concrete == ord("-"):
-        sign = -1
-        index += 1
+    if block.in_bounds(index):
+        cell = as_int(block.get(index))
+        if _decide(guards, "libc", cell, cell.concrete == ord("-"),
+                   _equals, ord("-")):
+            sign = -1
+            index += 1
     seen_digit = False
     while block.in_bounds(index):
         cell = as_int(block.get(index))
         code = cell.concrete
-        if not (ord("0") <= code <= ord("9")):
+        if not _decide(guards, "libc", cell, ord("0") <= code <= ord("9"),
+                       _in_range, ord("0"), ord("9")):
             break
         seen_digit = True
         digit = binary_int_op("-", cell, concrete(ord("0")))
@@ -192,7 +289,7 @@ def _atoi(interp, args, node) -> Value:
 def _memcpy(interp, args, node) -> Value:
     dest = _pointer_arg(args, 0, node, "memcpy")
     src = _pointer_arg(args, 1, node, "memcpy")
-    count = _int_arg(args, 2).concrete
+    count = _pin(interp, "count", _int_arg(args, 2))
     for index in range(count):
         if not dest.block.in_bounds(dest.offset + index):
             raise ProgramCrash("memcpy: destination overflow", getattr(node, "line", 0))
@@ -205,7 +302,7 @@ def _memcpy(interp, args, node) -> Value:
 def _memset(interp, args, node) -> Value:
     dest = _pointer_arg(args, 0, node, "memset")
     value = _int_arg(args, 1)
-    count = _int_arg(args, 2).concrete
+    count = _pin(interp, "count", _int_arg(args, 2))
     for index in range(count):
         if not dest.block.in_bounds(dest.offset + index):
             raise ProgramCrash("memset: destination overflow", getattr(node, "line", 0))
@@ -215,7 +312,7 @@ def _memset(interp, args, node) -> Value:
 
 @builtin("malloc")
 def _malloc(interp, args, node) -> Value:
-    size = max(1, _int_arg(args, 0, 1).concrete)
+    size = max(1, _pin(interp, "count", _int_arg(args, 0, 1)))
     return Pointer(ArrayObject(size, label="malloc"), 0)
 
 
@@ -242,22 +339,17 @@ def _ctype(predicate):
 
 
 def _symbolic_ctype(value: ConcolicValue, predicate):
-    from repro.symbolic.expr import SymBinOp, sym_const
-
     expr = value.expr()
     if predicate is _IS_DIGIT:
-        return SymBinOp("&&", SymBinOp(">=", expr, sym_const(ord("0"))),
-                        SymBinOp("<=", expr, sym_const(ord("9"))))
+        return _in_range(expr, ord("0"), ord("9"))
     if predicate is _IS_SPACE:
-        return SymBinOp("||", SymBinOp("==", expr, sym_const(ord(" "))),
-                        SymBinOp("||", SymBinOp("==", expr, sym_const(ord("\t"))),
-                                 SymBinOp("==", expr, sym_const(ord("\n")))))
+        return SymBinOp("||", _equals(expr, ord(" ")),
+                        SymBinOp("||", _equals(expr, ord("\t")),
+                                 SymBinOp("||", _equals(expr, ord("\n")),
+                                          _equals(expr, ord("\r")))))
     if predicate is _IS_ALPHA:
-        lower = SymBinOp("&&", SymBinOp(">=", expr, sym_const(ord("a"))),
-                         SymBinOp("<=", expr, sym_const(ord("z"))))
-        upper = SymBinOp("&&", SymBinOp(">=", expr, sym_const(ord("A"))),
-                         SymBinOp("<=", expr, sym_const(ord("Z"))))
-        return SymBinOp("||", lower, upper)
+        return SymBinOp("||", _in_range(expr, ord("a"), ord("z")),
+                        _in_range(expr, ord("A"), ord("Z")))
     return None
 
 
@@ -282,7 +374,8 @@ _REGISTRY["isspace"] = _ctype(_IS_SPACE)
 def _toupper(interp, args, node) -> Value:
     value = _int_arg(args, 0)
     code = value.concrete
-    if ord("a") <= code <= ord("z"):
+    if _decide(interp.guards, "libc", value, ord("a") <= code <= ord("z"),
+               _in_range, ord("a"), ord("z")):
         return binary_int_op("-", value, concrete(32))
     return value
 
@@ -291,7 +384,8 @@ def _toupper(interp, args, node) -> Value:
 def _tolower(interp, args, node) -> Value:
     value = _int_arg(args, 0)
     code = value.concrete
-    if ord("A") <= code <= ord("Z"):
+    if _decide(interp.guards, "libc", value, ord("A") <= code <= ord("Z"),
+               _in_range, ord("A"), ord("Z")):
         return binary_int_op("+", value, concrete(32))
     return value
 
@@ -299,7 +393,7 @@ def _tolower(interp, args, node) -> Value:
 @builtin("abs")
 def _abs(interp, args, node) -> Value:
     value = _int_arg(args, 0)
-    if value.concrete < 0:
+    if _decide(interp.guards, "libc", value, value.concrete < 0, _below, 0):
         return binary_int_op("*", value, concrete(-1))
     return value
 
@@ -310,7 +404,15 @@ def _abs(interp, args, node) -> Value:
 
 
 def _format_printf(interp, args: List[Value], node) -> str:
-    fmt = array_to_string(_pointer_arg(args, 0, node, "printf"))
+    """The text ``printf`` writes, every symbolic byte or value it reads pinned.
+
+    Its length is the sink's return value: the format's bytes, the formatted
+    values and the bytes of ``%s`` strings all decide it.
+    """
+
+    pointer = _pointer_arg(args, 0, node, "printf")
+    _pin_string(interp, "output", pointer)
+    fmt = array_to_string(pointer)
     out: List[str] = []
     arg_index = 1
     position = 0
@@ -325,15 +427,18 @@ def _format_printf(interp, args: List[Value], node) -> str:
         if spec == "%":
             out.append("%")
         elif spec in ("d", "i", "u", "x"):
-            value = as_int(args[arg_index]).concrete if arg_index < len(args) else 0
+            value = _pin(interp, "output", as_int(args[arg_index])) \
+                if arg_index < len(args) else 0
             out.append(format(value, "x") if spec == "x" else str(value))
             arg_index += 1
         elif spec == "c":
-            value = as_int(args[arg_index]).concrete if arg_index < len(args) else 0
+            value = _pin(interp, "output", as_int(args[arg_index])) \
+                if arg_index < len(args) else 0
             out.append(chr(value & 0xFF))
             arg_index += 1
         elif spec == "s":
             if arg_index < len(args) and isinstance(args[arg_index], Pointer):
+                _pin_string(interp, "output", args[arg_index])
                 out.append(array_to_string(args[arg_index]))
             arg_index += 1
         else:
@@ -350,14 +455,16 @@ def _printf(interp, args, node) -> Value:
 
 @builtin("puts")
 def _puts(interp, args, node) -> Value:
-    text = array_to_string(_pointer_arg(args, 0, node, "puts"))
+    pointer = _pointer_arg(args, 0, node, "puts")
+    _pin_string(interp, "output", pointer)
+    text = array_to_string(pointer)
     interp.kernel.sys_write(1, (text + "\n").encode("utf-8"))
     return concrete(len(text) + 1)
 
 
 @builtin("putchar")
 def _putchar(interp, args, node) -> Value:
-    code = _int_arg(args, 0).concrete & 0xFF
+    code = _pin(interp, "output", _int_arg(args, 0)) & 0xFF
     interp.kernel.sys_write(1, bytes([code]))
     return concrete(code)
 
@@ -377,7 +484,7 @@ def _fprintf_err(interp, args, node) -> Value:
 @builtin("assert")
 def _assert(interp, args, node) -> Value:
     value = _int_arg(args, 0)
-    if value.concrete == 0:
+    if not _nonzero(interp.guards, value):
         raise ProgramCrash("assertion failure", getattr(node, "line", 0),
                            interp.current_function_name())
     return concrete(1)
@@ -466,8 +573,8 @@ def _read_option(interp, args, node) -> Value:
 
 @builtin("open")
 def _open(interp, args, node) -> Value:
-    path = array_to_string(_pointer_arg(args, 0, node, "open"))
-    flags = _int_arg(args, 1).concrete
+    path = _path_arg(interp, args, node, "open")
+    flags = _pin(interp, "path", _int_arg(args, 1))
     fd = interp.kernel.sys_open(path, flags)
     interp.notify_syscall()
     return concrete(fd)
@@ -475,14 +582,14 @@ def _open(interp, args, node) -> Value:
 
 @builtin("read")
 def _read(interp, args, node) -> Value:
-    fd = _int_arg(args, 0).concrete
+    fd = _pin(interp, "fd", _int_arg(args, 0))
     buffer = _pointer_arg(args, 1, node, "read")
-    requested = _int_arg(args, 2).concrete
+    requested = _pin(interp, "count", _int_arg(args, 2))
     channel = _channel_for_fd(interp, fd)
     env_count, data = interp.kernel.sys_read(fd, requested)
     interp.notify_syscall()
     count_value = _bind_count(interp, SyscallKind.READ, channel, env_count, requested)
-    count = count_value.concrete
+    count = _pin(interp, "count", count_value)
     if count > 0:
         _fill_buffer(interp, buffer, channel, data, min(count, requested), node)
     return count_value
@@ -496,10 +603,11 @@ def _read_line(interp, args, node) -> Value:
     at end of input.  Used by the diff workload.
     """
 
-    fd = _int_arg(args, 0).concrete
+    fd = _pin(interp, "fd", _int_arg(args, 0))
     buffer = _pointer_arg(args, 1, node, "read_line")
-    capacity = _int_arg(args, 2).concrete
+    capacity = _pin(interp, "count", _int_arg(args, 2))
     channel = _channel_for_fd(interp, fd)
+    guards = interp.guards
     stored = 0
     while stored < capacity - 1:
         env_count, data = interp.kernel.sys_read(fd, 1)
@@ -510,7 +618,8 @@ def _read_line(interp, args, node) -> Value:
         value = interp.binder.bind_byte(name, data[0])
         buffer.block.set(buffer.offset + stored, value)
         stored += 1
-        if value.concrete == ord("\n"):
+        if _decide(guards, "newline", value, value.concrete == ord("\n"),
+                   _equals, ord("\n")):
             break
     buffer.block.set(buffer.offset + stored, ZERO)
     if stored == 0:
@@ -520,9 +629,9 @@ def _read_line(interp, args, node) -> Value:
 
 @builtin("write")
 def _write(interp, args, node) -> Value:
-    fd = _int_arg(args, 0).concrete
+    fd = _pin(interp, "fd", _int_arg(args, 0))
     buffer = _pointer_arg(args, 1, node, "write")
-    count = _int_arg(args, 2).concrete
+    count = _pin(interp, "count", _int_arg(args, 2))
     data = array_to_bytes(buffer, count)
     result = interp.kernel.sys_write(fd, data)
     interp.notify_syscall()
@@ -531,15 +640,15 @@ def _write(interp, args, node) -> Value:
 
 @builtin("close")
 def _close(interp, args, node) -> Value:
-    result = interp.kernel.sys_close(_int_arg(args, 0).concrete)
+    result = interp.kernel.sys_close(_pin(interp, "fd", _int_arg(args, 0)))
     interp.notify_syscall()
     return concrete(result)
 
 
 @builtin("mkdir")
 def _mkdir(interp, args, node) -> Value:
-    path = array_to_string(_pointer_arg(args, 0, node, "mkdir"))
-    mode = _int_arg(args, 1, 0o755).concrete
+    path = _path_arg(interp, args, node, "mkdir")
+    mode = _pin(interp, "path", _int_arg(args, 1, 0o755))
     result = interp.kernel.sys_mkdir(path, mode)
     interp.notify_syscall()
     return concrete(result)
@@ -547,8 +656,8 @@ def _mkdir(interp, args, node) -> Value:
 
 @builtin("mknod")
 def _mknod(interp, args, node) -> Value:
-    path = array_to_string(_pointer_arg(args, 0, node, "mknod"))
-    mode = _int_arg(args, 1, 0o644).concrete
+    path = _path_arg(interp, args, node, "mknod")
+    mode = _pin(interp, "path", _int_arg(args, 1, 0o644))
     result = interp.kernel.sys_mknod(path, mode)
     interp.notify_syscall()
     return concrete(result)
@@ -556,8 +665,8 @@ def _mknod(interp, args, node) -> Value:
 
 @builtin("mkfifo")
 def _mkfifo(interp, args, node) -> Value:
-    path = array_to_string(_pointer_arg(args, 0, node, "mkfifo"))
-    mode = _int_arg(args, 1, 0o644).concrete
+    path = _path_arg(interp, args, node, "mkfifo")
+    mode = _pin(interp, "path", _int_arg(args, 1, 0o644))
     result = interp.kernel.sys_mkfifo(path, mode)
     interp.notify_syscall()
     return concrete(result)
@@ -565,7 +674,7 @@ def _mkfifo(interp, args, node) -> Value:
 
 @builtin("unlink")
 def _unlink(interp, args, node) -> Value:
-    path = array_to_string(_pointer_arg(args, 0, node, "unlink"))
+    path = _path_arg(interp, args, node, "unlink")
     result = interp.kernel.sys_unlink(path)
     interp.notify_syscall()
     return concrete(result)
@@ -573,7 +682,7 @@ def _unlink(interp, args, node) -> Value:
 
 @builtin("file_exists")
 def _file_exists(interp, args, node) -> Value:
-    path = array_to_string(_pointer_arg(args, 0, node, "file_exists"))
+    path = _path_arg(interp, args, node, "file_exists")
     result = interp.kernel.sys_stat(path)
     interp.notify_syscall()
     return concrete(1 if result == 0 else 0)
@@ -619,7 +728,7 @@ def _workload_done(interp, args, node) -> Value:
 
 @builtin("accept")
 def _accept(interp, args, node) -> Value:
-    listen_fd = _int_arg(args, 0).concrete
+    listen_fd = _pin(interp, "fd", _int_arg(args, 0))
     env_fd = interp.kernel.sys_accept(listen_fd)
     interp.notify_syscall()
     forced = interp.forced_syscall_result(SyscallKind.ACCEPT)
@@ -630,14 +739,14 @@ def _accept(interp, args, node) -> Value:
 
 @builtin("recv")
 def _recv(interp, args, node) -> Value:
-    fd = _int_arg(args, 0).concrete
+    fd = _pin(interp, "fd", _int_arg(args, 0))
     buffer = _pointer_arg(args, 1, node, "recv")
-    requested = _int_arg(args, 2).concrete
+    requested = _pin(interp, "count", _int_arg(args, 2))
     channel = _channel_for_fd(interp, fd)
     env_count, data = interp.kernel.sys_recv(fd, requested)
     interp.notify_syscall()
     count_value = _bind_count(interp, SyscallKind.RECV, channel, env_count, requested)
-    count = count_value.concrete
+    count = _pin(interp, "count", count_value)
     if count > 0:
         _fill_buffer(interp, buffer, channel, data, min(count, requested), node)
     return count_value
@@ -645,9 +754,9 @@ def _recv(interp, args, node) -> Value:
 
 @builtin("send")
 def _send(interp, args, node) -> Value:
-    fd = _int_arg(args, 0).concrete
+    fd = _pin(interp, "fd", _int_arg(args, 0))
     buffer = _pointer_arg(args, 1, node, "send")
-    count = _int_arg(args, 2).concrete
+    count = _pin(interp, "count", _int_arg(args, 2))
     data = array_to_bytes(buffer, count)
     result = interp.kernel.sys_send(fd, data)
     interp.notify_syscall()
@@ -656,8 +765,10 @@ def _send(interp, args, node) -> Value:
 
 @builtin("send_str")
 def _send_str(interp, args, node) -> Value:
-    fd = _int_arg(args, 0).concrete
-    text = array_to_string(_pointer_arg(args, 1, node, "send_str"))
+    fd = _pin(interp, "fd", _int_arg(args, 0))
+    pointer = _pointer_arg(args, 1, node, "send_str")
+    _pin_string(interp, "output", pointer)
+    text = array_to_string(pointer)
     result = interp.kernel.sys_send(fd, text.encode("utf-8"))
     interp.notify_syscall()
     return concrete(result)

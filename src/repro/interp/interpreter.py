@@ -232,6 +232,10 @@ def _make_arg_array(binder: InputBinder, index: int, text: str) -> ArrayObject:
 class Interpreter:
     """Executes one MiniC program run."""
 
+    #: The interpreter always restarts replay runs, so the shared builtins
+    #: record no replay guards here (see ``VirtualMachine.guards``).
+    guards = None
+
     def __init__(self, program: Program, kernel: Optional[Kernel] = None,
                  hooks: Optional[ExecutionHooks] = None,
                  binder: Optional[InputBinder] = None,

@@ -18,6 +18,15 @@ committed sequence of runs, the pushed alternatives, the solver-call and run
 counters, and the explored pending set are therefore byte-identical to the
 serial engine's; speculation only changes wall-clock time.
 
+**Repair in place.**  A serial search on the VM does not restart a run that
+reaches a logged symbolic branch going the wrong way.  The run is committed
+as aborted exactly as before; if the next item popped is the alternative that
+forces the recorded direction (as it is under DFS unless that alternative
+was a duplicate), the VM moves its live state onto that item's solved input
+and keeps running as that item's run.  Guards logged along the run decide
+whether the two runs can have diverged; if so the item restarts from
+``main`` with its solution.  The committed sequence stays the serial one.
+
 Each worker process rebuilds the engine from a pickled :class:`_EngineSpec`
 (program, plan, recorded logs, environment spec) and evaluates items in its
 own interpreter, so the search scales with cores.  Everything that crosses
@@ -65,6 +74,16 @@ from repro.telemetry import (
 )
 from repro.telemetry import runtime as telemetry_runtime
 from repro.vm import compiler as vm_compiler
+
+
+class ReplayRepairError(RuntimeError):
+    """A run repaired in place disagrees with a run of its input from ``main``.
+
+    The engine re-runs a reproducing input from ``main`` before it reports
+    a reproduction whose final run was repaired in place; a difference means
+    the repair broke the run's exactness, and the search fails loudly
+    instead of reporting an input that may not reproduce the crash.
+    """
 
 
 class WorkerCrashError(RuntimeError):
@@ -126,12 +145,30 @@ class ReplayOutcome:
     committed_items: int = 0
     preempted: bool = False
     resumed: bool = False
+    # What the search did, beyond what it explored (never part of the
+    # explored-set identity: repair depends on the worker count).
+    # ``vm_steps`` counts the steps actually executed, the safety-net re-run
+    # included; ``repairs`` the runs continued in place; ``repair_blocked``
+    # the continuations a guard (by kind) sent back to ``main``.
+    vm_steps: int = 0
+    repairs: int = 0
+    repair_blocked: Dict[str, int] = field(default_factory=dict)
+    #: Why the search ended: "reproduced", "exhausted", "run-cap",
+    #: "deadline" or "preempted".
+    stop_reason: str = ""
     # Metrics recorded during the search when the engine runs with
     # ``telemetry=True``; ``None`` otherwise.  Timing-marked metrics (wall
     # clocks, per-process cache warmth, speculation) are excluded from
     # ``telemetry.deterministic()``, whose canonical bytes are identical for
     # every worker count.
     telemetry: Optional[RegistrySnapshot] = None
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # A checkpoint written before the search counters existed resumes
+        # with them at their defaults.
+        self.__dict__.update(vm_steps=0, repairs=0, repair_blocked={},
+                             stop_reason="")
+        self.__dict__.update(state)
 
     @property
     def replay_time(self) -> float:
@@ -208,11 +245,160 @@ class _ItemEvaluation:
     solver_nodes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    vm_steps: int = 0
+    repaired: bool = False
+    repair_blocked: str = ""
     # Snapshot of the per-item metrics registry (worker-side VM opcode
     # counts, item histograms, solver/compile-cache timings).  Picklable —
     # process workers ship it home like every other field — and merged into
     # the engine registry at commit time, in serial pop order.
     telemetry: Optional[RegistrySnapshot] = None
+
+
+@dataclass
+class _Solution:
+    """A pending item's solved input, with what finding it cost."""
+
+    overrides: Optional[Dict[str, int]]  # None: unsatisfiable
+    solver_calls: int = 0
+    solver_nodes: int = 0
+    warm: bool = False
+    solve_seconds: Optional[float] = None
+    # The guard kind that kept a chain from continuing into this item.
+    blocked: str = ""
+
+
+class _ItemScope:
+    """Per-item attribution: a metrics registry and compile-cache events.
+
+    Opened around one physical run; :meth:`restart` starts the next logical
+    run inside it when a chain continues in place, so every committed
+    evaluation carries exactly its own metrics, as in a restarted search.
+    """
+
+    def __init__(self, telemetry: bool) -> None:
+        self.telemetry = telemetry
+        self.registry: Optional[MetricsRegistry] = None
+        self.started = time.perf_counter()
+        self._cache = vm_compiler.cache_scope()
+        self._scope = None
+        self.cache_events: Dict[str, int] = {}
+
+    def __enter__(self) -> "_ItemScope":
+        self.cache_events = self._cache.__enter__()
+        self._open_registry()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._scope is not None:
+            self._scope.__exit__(*exc)
+        self._cache.__exit__(*exc)
+
+    def _open_registry(self) -> None:
+        if self.telemetry:
+            self.registry = MetricsRegistry()
+            self._scope = scoped(self.registry)
+            self._scope.__enter__()
+
+    def restart(self) -> None:
+        self.cache_events["hits"] = self.cache_events["misses"] = 0
+        self.started = time.perf_counter()
+        if self._scope is not None:
+            self._scope.__exit__(None, None, None)
+            self._open_registry()
+
+    def finish(self, evaluation: _ItemEvaluation) -> _ItemEvaluation:
+        """Fill *evaluation*'s cache counters and metrics snapshot."""
+
+        evaluation.cache_hits = self.cache_events["hits"]
+        evaluation.cache_misses = self.cache_events["misses"]
+        local = self.registry
+        if local is None:
+            return evaluation
+        # One registry per item: inline and in worker processes alike, items
+        # collect into isolated registries, snapshot them into the
+        # (picklable) evaluation, and the commit path merges snapshots in
+        # serial pop order — so the deterministic portion of the merged
+        # registry is byte-identical for every worker count.
+        local.histogram("replay.item_seconds", SECONDS_BUCKETS,
+                        timing=True).observe(time.perf_counter() - self.started)
+        if evaluation.ran:
+            local.histogram("replay.item_consumed_bits").observe(
+                evaluation.consumed_bits)
+            local.histogram("replay.item_constraints").observe(
+                evaluation.constraints)
+        if evaluation.solver_calls:
+            local.histogram("replay.item_solver_nodes").observe(
+                evaluation.solver_nodes)
+        evaluation.telemetry = local.snapshot()
+        return evaluation
+
+
+class _Chain:
+    """Continues one serial VM run across logged symbolic mismatches.
+
+    Installed as the replay hooks' continuation.  At a mismatch it commits
+    the run exactly as an aborted run is committed, then takes the serial
+    loop's next steps (see :meth:`ReplayEngine._advance`).  It continues
+    in place only if the item popped next is the forced alternative that
+    commit pushed and the VM's guards allow the repair; otherwise the run
+    ends and the serial loop goes on with :attr:`next_item` (and, if it was
+    solved here, :attr:`next_solution`).
+    """
+
+    def __init__(self, engine: "ReplayEngine", outcome: "ReplayOutcome",
+                 pending: PendingList, start: float) -> None:
+        self.engine = engine
+        self.outcome = outcome
+        self.pending = pending
+        self.start = start
+        self.ended = False
+        self.next_item: Optional[PendingItem] = None
+        self.next_solution: Optional[_Solution] = None
+        # The physical run and its current logical run.
+        self.vm = None
+        self.hooks: Optional[ReplayRunHooks] = None
+        self.binder: Optional[InputBinder] = None
+        self.scope: Optional[_ItemScope] = None
+        self.solution: Optional[_Solution] = None
+        self.opened_at = 0
+        self.repaired = False
+
+    def resume(self, event, live: tuple) -> bool:
+        """The hooks' continuation: True when the run goes on repaired."""
+
+        engine = self.engine
+        evaluation = self.scope.finish(engine._run_evaluation(
+            self.solution, self.hooks, self.binder, "aborted", None,
+            self.vm.steps - self.opened_at, self.repaired))
+        item = engine._advance(self.outcome, self.pending, self.start,
+                               evaluation)
+        self.ended = True
+        if item is None or item is not engine._forced_item:
+            self.next_item = item
+            return False
+        self.scope.restart()
+        solution = engine._solve(item)
+        if solution.overrides is None:
+            # Committed like the serial loop's; that commit pushed nothing,
+            # so whatever pops next restarts.
+            engine._note_solve(solution)
+            self.next_item = engine._advance(
+                self.outcome, self.pending, self.start,
+                self.scope.finish(engine._unsolved_evaluation(solution)))
+            return False
+        solution.blocked = self.vm.repair(live, solution.overrides,
+                                          event.condition)
+        if solution.blocked:
+            self.next_item, self.next_solution = item, solution
+            return False
+        engine._note_solve(solution)
+        self.vm.lookup_compiled()
+        self.ended = False
+        self.solution = solution
+        self.opened_at = self.vm.steps
+        self.repaired = True
+        return True
 
 
 @dataclass
@@ -324,6 +510,9 @@ class ReplayEngine:
         self._elapsed_prior = 0.0
         self._fault_injector_cache = None
         self._live_state: Optional[Tuple[ReplayOutcome, PendingList, float]] = None
+        # The forced alternative the last commit pushed (its final
+        # alternative, when that push was not a duplicate or a drop).
+        self._forced_item: Optional[PendingItem] = None
         # When True (the default), a run only counts as a reproduction if it
         # crashes at the recorded site *and* its instrumented branch directions
         # match the recorded bitvector exactly.  This is what "finding the
@@ -474,6 +663,7 @@ class ReplayEngine:
             telemetry=None,
             workers=self.workers,
             preempted=False,
+            stop_reason="",
             resumed=True)
         pending._items = list(ckpt.pending_items)
         pending._seen = set(ckpt.seen_signatures)
@@ -529,15 +719,47 @@ class ReplayEngine:
 
     def _search_serial(self, outcome: ReplayOutcome, pending: PendingList,
                        start: float) -> None:
-        while not self._budget_exhausted(outcome, start):
-            item = pending.pop()
-            if item is None:
-                # Nothing left to explore: the search failed outright.
-                break
-            if self._commit(outcome, pending, self._evaluate_item(item)):
-                break
-            if self._post_commit(outcome, pending, start):
-                break
+        # Repairing runs in place needs the VM, and the opcode profiler
+        # counts from-main runs.
+        chained = self.backend == "vm" and not (self.telemetry
+                                                and self.profile_opcodes)
+        item = self._next_item(outcome, pending, start)
+        solution: Optional[_Solution] = None
+        while item is not None:
+            chain = _Chain(self, outcome, pending, start) if chained else None
+            evaluation = self._evaluate_item(item, solution, chain)
+            if evaluation is None:
+                item, solution = chain.next_item, chain.next_solution
+            else:
+                item, solution = self._advance(outcome, pending, start,
+                                               evaluation), None
+
+    def _next_item(self, outcome: ReplayOutcome, pending: PendingList,
+                   start: float) -> Optional[PendingItem]:
+        """The budget check and pop that start every serial-loop step."""
+
+        if self._budget_exhausted(outcome, start):
+            return None
+        item = pending.pop()
+        if item is None:
+            # Nothing left to explore: the search failed outright.
+            outcome.stop_reason = "exhausted"
+        return item
+
+    def _advance(self, outcome: ReplayOutcome, pending: PendingList,
+                 start: float, evaluation: _ItemEvaluation
+                 ) -> Optional[PendingItem]:
+        """One serial-loop step: commit, post-commit, budget check, pop.
+
+        Returns the next item, or None when the search ends.  Shared by the
+        serial and parallel drivers and by a chain continuing in place, so
+        every logical run is committed exactly once, in pop order.
+        """
+
+        if (self._commit(outcome, pending, evaluation)
+                or self._post_commit(outcome, pending, start)):
+            return None
+        return self._next_item(outcome, pending, start)
 
     def _make_pool(self) -> Tuple[object, Callable[[PendingItem], "object"]]:
         """The worker process pool plus an item-submission closure."""
@@ -607,10 +829,8 @@ class ReplayEngine:
         inflight: Dict[int, Tuple[PendingItem, object]] = {}
         pool, submit = self._make_pool()
         try:
-            while not self._budget_exhausted(outcome, start):
-                item = pending.pop()
-                if item is None:
-                    break
+            item = self._next_item(outcome, pending, start)
+            while item is not None:
                 entry = inflight.pop(id(item), None)
                 if entry is not None:
                     outcome.speculation_hits += 1
@@ -628,10 +848,7 @@ class ReplayEngine:
                         timing=True).observe(time.perf_counter() - wait_start)
                 else:
                     evaluation = future.result()
-                if self._commit(outcome, pending, evaluation):
-                    break
-                if self._post_commit(outcome, pending, start):
-                    break
+                item = self._advance(outcome, pending, start, evaluation)
         except BrokenProcessPool as exc:
             # A worker process died under us (SIGKILL, OOM, hard crash).
             # Surface the typed error; the supervisor one level up resumes
@@ -692,12 +909,15 @@ class ReplayEngine:
     def _budget_exhausted(self, outcome: ReplayOutcome, start: float) -> bool:
         # A resumed search inherits the clock already consumed before its
         # checkpoint, so the wall budget spans the whole logical search.
-        if (outcome.runs >= self.budget.max_runs
-                or self._elapsed_prior + time.monotonic() - start
-                > self.budget.max_seconds):
-            outcome.timed_out = True
-            return True
-        return False
+        if outcome.runs >= self.budget.max_runs:
+            outcome.stop_reason = "run-cap"
+        elif (self._elapsed_prior + time.monotonic() - start
+              > self.budget.max_seconds):
+            outcome.stop_reason = "deadline"
+        else:
+            return False
+        outcome.timed_out = True
+        return True
 
     # -- checkpointing at commit boundaries ---------------------------------------------------
 
@@ -732,6 +952,7 @@ class ReplayEngine:
             injector.kill_now()
         if preempt:
             outcome.preempted = True
+            outcome.stop_reason = "preempted"
             return True
         return False
 
@@ -800,93 +1021,123 @@ class ReplayEngine:
 
     # -- internals --------------------------------------------------------------------------
 
-    def _evaluate_item(self, item: PendingItem) -> _ItemEvaluation:
-        """Solve and run one pending item — pure, safe for any worker."""
+    def _evaluate_item(self, item: PendingItem,
+                       solution: Optional[_Solution] = None,
+                       chain: Optional[_Chain] = None
+                       ) -> Optional[_ItemEvaluation]:
+        """Solve and run one pending item — pure, safe for any worker.
 
-        if not self.telemetry:
-            with vm_compiler.cache_scope() as cache_events:
-                evaluation = self._evaluate_inner(item)
-            evaluation.cache_hits = cache_events["hits"]
-            evaluation.cache_misses = cache_events["misses"]
-            return evaluation
-        # One registry per item: inline and in worker processes alike, items
-        # collect into isolated registries, snapshot them into the
-        # (picklable) evaluation, and the commit path merges snapshots in
-        # serial pop order — so the deterministic portion of the merged
-        # registry is byte-identical for every worker count.
-        local = MetricsRegistry()
-        item_start = time.perf_counter()
-        with scoped(local):
-            with vm_compiler.cache_scope() as cache_events:
-                evaluation = self._evaluate_inner(item)
-        evaluation.cache_hits = cache_events["hits"]
-        evaluation.cache_misses = cache_events["misses"]
-        local.histogram("replay.item_seconds", SECONDS_BUCKETS,
-                        timing=True).observe(time.perf_counter() - item_start)
-        if evaluation.ran:
-            local.histogram("replay.item_consumed_bits").observe(
-                evaluation.consumed_bits)
-            local.histogram("replay.item_constraints").observe(
-                evaluation.constraints)
-        if evaluation.solver_calls:
-            local.histogram("replay.item_solver_nodes").observe(
-                evaluation.solver_nodes)
-        evaluation.telemetry = local.snapshot()
-        return evaluation
+        *solution* is the item's input when a chain already solved it.  With
+        a *chain* the run may go on past logged symbolic mismatches, as the
+        runs of the items popped there; None means the chain ended the run
+        and has committed every logical run in it (see ``chain.next_item``).
+        """
 
-    def _evaluate_inner(self, item: PendingItem) -> _ItemEvaluation:
-        solver_calls = 0
-        solver_nodes = 0
-        warm = False
+        with _ItemScope(self.telemetry) as scope:
+            if solution is None:
+                solution = self._solve(item)
+            self._note_solve(solution)
+            if solution.overrides is None:
+                return scope.finish(self._unsolved_evaluation(solution))
+            if chain is not None:
+                chain.scope = scope
+                chain.solution = solution
+            hooks, result, binder = self._run_once(solution.overrides, chain)
+            if chain is None:
+                steps, repaired = result.steps, False
+            elif chain.ended:
+                return None  # the chain committed every run it closed
+            else:
+                solution = chain.solution
+                steps = result.steps - chain.opened_at
+                repaired = chain.repaired
+            evaluation = self._run_evaluation(
+                solution, hooks, binder, self._classify_outcome(hooks, result),
+                result.crash, steps, repaired)
+        return scope.finish(evaluation)
+
+    def _solve(self, item: PendingItem) -> _Solution:
+        """The item's input: its hint, the warm start, or a real solve."""
+
         if len(item.constraints) == 0:
-            overrides = dict(item.hint)
-        else:
-            overrides = None
-            if self.warm_start:
-                overrides = warm_start_assignment(item.constraints, item.hint)
-                warm = overrides is not None
-            if overrides is None:
-                solve_start = time.perf_counter()
-                solution = solve(item.constraints, hint=item.hint)
-                telemetry_runtime.active().histogram(
-                    "replay.solver_seconds", SECONDS_BUCKETS,
-                    timing=True).observe(time.perf_counter() - solve_start)
-                solver_calls = 1
-                solver_nodes = solution.stats.nodes
-                if not solution.satisfiable or solution.assignment is None:
-                    return _ItemEvaluation(solver_calls=solver_calls,
-                                           solver_nodes=solver_nodes)
-                overrides = dict(item.hint)
-                overrides.update(solution.assignment)
-        hooks, result, binder = self._run_once(overrides)
-        logged_locs, logged_execs, unlogged_locs, unlogged_execs = hooks.symbolic_counts()
+            return _Solution(dict(item.hint))
+        if self.warm_start:
+            overrides = warm_start_assignment(item.constraints, item.hint)
+            if overrides is not None:
+                return _Solution(overrides, warm=True)
+        solve_start = time.perf_counter()
+        result = solve(item.constraints, hint=item.hint)
+        solution = _Solution(None, solver_calls=1,
+                             solver_nodes=result.stats.nodes,
+                             solve_seconds=time.perf_counter() - solve_start)
+        if result.satisfiable and result.assignment is not None:
+            solution.overrides = dict(item.hint)
+            solution.overrides.update(result.assignment)
+        return solution
+
+    @staticmethod
+    def _note_solve(solution: _Solution) -> None:
+        """Record the solve time in the logical run's registry."""
+
+        if solution.solve_seconds is not None:
+            telemetry_runtime.active().histogram(
+                "replay.solver_seconds", SECONDS_BUCKETS,
+                timing=True).observe(solution.solve_seconds)
+
+    @staticmethod
+    def _unsolved_evaluation(solution: _Solution) -> _ItemEvaluation:
+        return _ItemEvaluation(solver_calls=solution.solver_calls,
+                               solver_nodes=solution.solver_nodes,
+                               repair_blocked=solution.blocked)
+
+    @staticmethod
+    def _run_evaluation(solution: _Solution, hooks: ReplayRunHooks,
+                        binder: InputBinder, outcome: str,
+                        crash: Optional[CrashSite], steps: int,
+                        repaired: bool) -> _ItemEvaluation:
+        """The distilled evaluation of one logical run, from its hooks."""
+
+        logged_locs, logged_execs, unlogged_locs, unlogged_execs = \
+            hooks.symbolic_counts()
         return _ItemEvaluation(
-            solver_calls=solver_calls,
+            solver_calls=solution.solver_calls,
             ran=True,
-            outcome=self._classify_outcome(hooks, result),
+            outcome=outcome,
             consumed_bits=hooks.consumed_bits(),
             constraints=len(hooks.run_constraints),
             deviation=hooks.deviation.kind if hooks.deviation else "",
             assignment=binder.assignment(),
             alternatives=list(hooks.alternatives),
-            crash=result.crash,
+            crash=crash,
             symbolic_logged_locations=logged_locs,
             symbolic_logged_executions=logged_execs,
             symbolic_not_logged_locations=unlogged_locs,
             symbolic_not_logged_executions=unlogged_execs,
-            warm_start=warm,
-            solver_nodes=solver_nodes,
+            warm_start=solution.warm,
+            solver_nodes=solution.solver_nodes,
+            vm_steps=steps,
+            repaired=repaired,
+            repair_blocked=solution.blocked,
         )
 
     def _commit(self, outcome: ReplayOutcome, pending: PendingList,
                 evaluation: _ItemEvaluation) -> bool:
         """Fold one evaluation into the outcome; True ends the search."""
 
+        self._forced_item = None
+        if evaluation.repaired and evaluation.outcome == "reproduced":
+            self._verify_repair(evaluation)
         outcome.solver_calls += evaluation.solver_calls
         outcome.solver_nodes += evaluation.solver_nodes
         outcome.warm_start_hits += 1 if evaluation.warm_start else 0
         outcome.compile_cache_hits += evaluation.cache_hits
         outcome.compile_cache_misses += evaluation.cache_misses
+        outcome.vm_steps += evaluation.vm_steps
+        outcome.repairs += 1 if evaluation.repaired else 0
+        blocked = evaluation.repair_blocked
+        if blocked:
+            outcome.repair_blocked[blocked] = (
+                outcome.repair_blocked.get(blocked, 0) + 1)
         registry = self._registry
         if registry is not None:
             # Merge the item's registry first (commit order = serial pop
@@ -899,6 +1150,14 @@ class ReplayEngine:
             registry.counter("replay.solver_nodes").inc(evaluation.solver_nodes)
             if evaluation.warm_start:
                 registry.counter("replay.warm_start_hits").inc()
+            # What the VM did depends on repair, hence on the worker count.
+            registry.counter("replay.vm_steps", timing=True).inc(
+                evaluation.vm_steps)
+            registry.counter("replay.repairs", timing=True).inc(
+                1 if evaluation.repaired else 0)
+            if blocked:
+                registry.counter(f"replay.repair_blocked.{blocked}",
+                                 timing=True).inc()
         if not evaluation.ran:
             return False  # unsatisfiable constraint set: no run happened
         record = ReplayRunRecord(index=outcome.runs,
@@ -917,6 +1176,7 @@ class ReplayEngine:
             outcome.reproduced = True
             outcome.crash_site = evaluation.crash
             outcome.found_input = dict(evaluation.assignment)
+            outcome.stop_reason = "reproduced"
             return True
 
         # Merge the alternatives this run discovered.  Interning canonicalizes
@@ -924,14 +1184,38 @@ class ReplayEngine:
         # same Constraint objects — whether the evaluation happened inline or
         # came back (prefix-sharing but identity-free) from a worker process.
         for constraints, reason in evaluation.alternatives:
-            pending.push(PendingItem(constraints=constraints.interned(),
-                                     hint=dict(evaluation.assignment),
-                                     depth=len(constraints),
-                                     origin_run=outcome.runs,
-                                     reason=reason))
+            item = PendingItem(constraints=constraints.interned(),
+                               hint=dict(evaluation.assignment),
+                               depth=len(constraints),
+                               origin_run=outcome.runs,
+                               reason=reason)
+            self._forced_item = item if pending.push(item) else None
+        if evaluation.deviation != "symbolic-mismatch":
+            self._forced_item = None
         return False
 
-    def _run_once(self, overrides: Dict[str, int]):
+    def _verify_repair(self, evaluation: _ItemEvaluation) -> None:
+        """The safety net: re-run a repaired reproduction from ``main``.
+
+        Raises :class:`ReplayRepairError` unless the re-run's evaluation
+        equals the repaired run's.  Its steps count into ``vm_steps``.
+        """
+
+        hooks, result, binder = self._run_once(evaluation.assignment)
+        rerun = self._run_evaluation(
+            _Solution(evaluation.assignment), hooks, binder,
+            self._classify_outcome(hooks, result), result.crash,
+            result.steps, False)
+        evaluation.vm_steps += result.steps
+        if _behaviour(rerun) != _behaviour(evaluation):
+            raise ReplayRepairError(
+                "a replay run repaired in place disagrees with its input's "
+                f"run from main ({rerun.outcome} after {rerun.consumed_bits} "
+                f"bits, not {evaluation.outcome} after "
+                f"{evaluation.consumed_bits})")
+
+    def _run_once(self, overrides: Dict[str, int],
+                  chain: Optional[_Chain] = None):
         kernel = self.environment.make_kernel()
         binder = InputBinder(mode=ExecutionMode.REPLAY, overrides=dict(overrides))
         hooks = ReplayRunHooks(self.plan, self.bitvector)
@@ -954,7 +1238,19 @@ class ReplayEngine:
                                                   and self.profile_opcodes))
         executor = create_backend(self.program, kernel=kernel, hooks=hooks,
                                   binder=binder, config=config)
-        result = executor.run(self.environment.argv)
+        if chain is None:
+            return hooks, executor.run(self.environment.argv), binder
+        # Only a run the chain may repair needs the guard log.
+        executor.guards = []
+        chain.vm, chain.hooks, chain.binder = executor, hooks, binder
+        hooks.continuation = chain.resume
+        try:
+            result = executor.run(self.environment.argv)
+        finally:
+            # hooks -> chain -> VM -> hooks is a cycle: break it, so the
+            # run's memory goes back at once rather than at the next GC.
+            hooks.continuation = None
+            chain.vm = chain.hooks = chain.binder = None
         return hooks, result, binder
 
     def _classify_outcome(self, hooks: ReplayRunHooks,
@@ -1011,4 +1307,21 @@ class ReplayEngine:
             evaluation.symbolic_not_logged_locations)
         outcome.symbolic_not_logged_executions = max(
             outcome.symbolic_not_logged_executions,
+            evaluation.symbolic_not_logged_executions)
+
+
+def _behaviour(evaluation: _ItemEvaluation) -> tuple:
+    """Everything a run determines about the search, for the safety net."""
+
+    crash = evaluation.crash
+    return (evaluation.outcome, evaluation.consumed_bits,
+            evaluation.constraints, evaluation.deviation,
+            tuple(evaluation.assignment.items()),
+            tuple((constraints.signature(), reason)
+                  for constraints, reason in evaluation.alternatives),
+            None if crash is None else (crash.function, crash.line,
+                                        crash.message),
+            evaluation.symbolic_logged_locations,
+            evaluation.symbolic_logged_executions,
+            evaluation.symbolic_not_logged_locations,
             evaluation.symbolic_not_logged_executions)

@@ -8,7 +8,9 @@ in the plan), one of:
    constraint set and push the untaken alternative onto the pending list;
 2. **symbolic, instrumented** — compare against the next bit of the recorded
    bitvector; on a match record the constraint and continue, on a mismatch
-   push "follow the recorded direction" onto the pending list and abort;
+   push "follow the recorded direction" onto the pending list and abort (on
+   the VM the engine may instead continue the run on that alternative's
+   input, see :attr:`ReplayRunHooks.continuation`);
 3. **concrete, instrumented** — compare against the next bit; a mismatch means
    an earlier uninstrumented symbolic branch went the wrong way, so abort;
 4. **concrete, not instrumented** — continue.
@@ -17,7 +19,7 @@ in the plan), one of:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.instrument.logger import BitvectorLog
 from repro.instrument.plan import InstrumentationPlan
@@ -25,6 +27,7 @@ from repro.interp.interpreter import AbortRun
 from repro.interp.tracer import BranchEvent, ExecutionHooks
 from repro.lang.cfg import BranchLocation
 from repro.symbolic.constraints import Constraint, ConstraintSet
+from repro.symbolic.expr import SymExpr
 
 
 @dataclass
@@ -66,6 +69,12 @@ class ReplayRunHooks(ExecutionHooks):
         self.branch_executions = 0
         self.symbolic_not_logged: Dict[BranchLocation, int] = {}
         self.symbolic_logged: Dict[BranchLocation, int] = {}
+        # Called by the VM path at a logged symbolic mismatch, with the
+        # mismatching event and the VM's live operand stacks.  Returning True
+        # means the run was committed and moved in place onto the input of
+        # the alternative that follows the log; the run then goes on as that
+        # alternative's run.  None (and always on the interpreter) aborts.
+        self.continuation: Optional[Callable[[BranchEvent, tuple], bool]] = None
 
     @property
     def cursor(self) -> int:
@@ -108,27 +117,37 @@ class ReplayRunHooks(ExecutionHooks):
             # Case 4 (concrete, not instrumented): nothing to do.
 
     def _symbolic_uninstrumented(self, event: BranchEvent) -> None:
-        taken_constraint = Constraint(event.condition,
-                                      origin=event.location.node_id,
-                                      description=event.location.short())
+        taken_constraint = self._constraint(event)
         alternative = self.run_constraints.extended(taken_constraint.negated())
         self._push_alternative(alternative, "unlogged symbolic branch")
         self.run_constraints.add(taken_constraint)
 
     def _symbolic_instrumented(self, event: BranchEvent) -> None:
+        if not self._follows_log(event):
+            raise AbortRun(f"bitvector mismatch at {event.location.short()}")
+
+    def _follows_log(self, event: BranchEvent) -> bool:
+        """Compare *event* with the next recorded bit; False on a mismatch.
+
+        A match records the taken constraint.  A mismatch schedules the
+        constraint set that forces the recorded direction and marks the
+        run's deviation; the caller then ends (or continues) the run.
+        """
+
         recorded_taken = self._next_bit(event)
-        taken_constraint = Constraint(event.condition,
-                                      origin=event.location.node_id,
-                                      description=event.location.short())
+        taken_constraint = self._constraint(event)
         if recorded_taken == event.taken:
             self.run_constraints.add(taken_constraint)
-            return
-        # The recorded execution went the other way: schedule a constraint set
-        # that forces the recorded direction, then abort this run.
+            return True
         forced = self.run_constraints.extended(taken_constraint.negated())
         self._push_alternative(forced, "bitvector mismatch at symbolic branch")
         self.deviation = RunDeviation("symbolic-mismatch", event.location, self.cursor - 1)
-        raise AbortRun(f"bitvector mismatch at {event.location.short()}")
+        return False
+
+    @staticmethod
+    def _constraint(event: BranchEvent) -> Constraint:
+        return Constraint(event.condition, origin=event.location.node_id,
+                          description=event.location.short())
 
     def _concrete_instrumented(self, event: BranchEvent) -> None:
         recorded_taken = self._next_bit(event)
@@ -152,12 +171,36 @@ class ReplayRunHooks(ExecutionHooks):
             self.symbolic_not_logged.get(event.location, 0) + 1)
         self._symbolic_uninstrumented(event)
 
-    def vm_logged_symbolic(self, event: BranchEvent) -> None:
-        """Case 2 slow path: symbolic condition at an instrumented branch."""
+    def vm_logged_symbolic(self, location: BranchLocation, taken: bool,
+                           expr: SymExpr, index: int, stack: list,
+                           call_stack: list) -> bool:
+        """Case 2 slow path: symbolic condition *expr* at an instrumented branch.
 
-        self.symbolic_logged[event.location] = (
-            self.symbolic_logged.get(event.location, 0) + 1)
-        self._symbolic_instrumented(event)
+        Returns the direction the run follows.  On a mismatch the
+        :attr:`continuation` (given the VM's live operand stacks) may commit
+        this run and repair the VM onto the next input; the run is then the
+        forced alternative's run, which reaches this branch on the same path
+        and follows the recorded direction.  Otherwise the run aborts.
+        """
+
+        self.symbolic_logged[location] = self.symbolic_logged.get(location, 0) + 1
+        event = BranchEvent(location=location, taken=taken, symbolic=True,
+                            condition=expr if taken else expr.negated(),
+                            index=index)
+        if self._follows_log(event):
+            return taken
+        if self.continuation is not None and self.continuation(
+                event, (stack, call_stack)):
+            # Exactly what the alternative's own run has at this point: the
+            # same prefix alternatives and constraints, no deviation, and the
+            # constraint of the direction it takes here.
+            self.alternatives.pop()
+            self.deviation = None
+            self.run_constraints.add(self._constraint(BranchEvent(
+                location=location, taken=not taken, symbolic=True,
+                condition=expr.negated() if taken else expr, index=index)))
+            return not taken
+        raise AbortRun(f"bitvector mismatch at {location.short()}")
 
     def vm_concrete_mismatch(self, location: BranchLocation, bit_index: int) -> None:
         """Case 3 deviation: the VM's inline compare saw the wrong direction.

@@ -21,6 +21,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -216,6 +217,15 @@ def cmd_replay(args) -> int:
     print(f"replay of {args.trace} ({trace.scenario}, method={trace.plan.method}): "
           f"{outcome.summary()}")
     print(f"  stats={json.dumps(outcome.stats(), sort_keys=True)}")
+    print(f"  search: stop_reason={outcome.stop_reason} "
+          f"vm_steps={outcome.vm_steps} repairs={outcome.repairs} "
+          f"repair_blocked={json.dumps(outcome.repair_blocked, sort_keys=True)}")
+    # What the search committed, identical for every backend and worker count.
+    found = json.dumps(sorted(outcome.found_input.items()))
+    print(f"  digest: runs={outcome.runs} solver_calls={outcome.solver_calls} "
+          f"warm_start_hits={outcome.warm_start_hits} "
+          f"pending={json.dumps(outcome.pending_stats, sort_keys=True)} "
+          f"input_sha256={hashlib.sha256(found.encode()).hexdigest()}")
     if outcome.reproduced:
         print(f"  crash={outcome.crash_site.function}:{outcome.crash_site.line}")
         shown = dict(sorted(outcome.found_input.items())[:12])

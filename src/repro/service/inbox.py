@@ -686,9 +686,13 @@ class TraceInbox:
             "spooled": self.spooled,
             "rejected": self.rejected,
         }
+        # Compact json.dumps runs the C encoder; json.dump (and any indent)
+        # runs the pure-Python one, several times slower on a large state.
+        # _load_state reads both layouts.
+        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         tmp = self._state_path() + ".tmp"
         with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write(encoded)
         os.replace(tmp, self._state_path())
 
     def _load_state(self) -> None:

@@ -110,6 +110,11 @@ class ReproductionReport:
     #: report ("" when this trace was the representative itself).
     duplicate_of: str = ""
     error: str = ""
+    # What the search did (see ReplayOutcome); outside the fingerprint.
+    vm_steps: int = 0
+    repairs: int = 0
+    repair_blocked: Dict[str, int] = field(default_factory=dict)
+    stop_reason: str = ""
 
     @classmethod
     def from_outcome(cls, outcome: ReplayOutcome, *, trace_id: str,
@@ -130,6 +135,10 @@ class ReproductionReport:
             solver_calls=outcome.solver_calls,
             warm_start_hits=outcome.warm_start_hits,
             duplicate_of=duplicate_of,
+            vm_steps=outcome.vm_steps,
+            repairs=outcome.repairs,
+            repair_blocked=dict(outcome.repair_blocked),
+            stop_reason=outcome.stop_reason,
         )
 
     def fingerprint(self) -> tuple:
@@ -157,6 +166,10 @@ class ReproductionReport:
             "solver_calls": self.solver_calls,
             "warm_start_hits": self.warm_start_hits,
             "error": self.error,
+            "vm_steps": self.vm_steps,
+            "repairs": self.repairs,
+            "repair_blocked": dict(self.repair_blocked),
+            "stop_reason": self.stop_reason,
         }
 
     @classmethod
@@ -179,6 +192,11 @@ class ReproductionReport:
             warm_start_hits=payload["warm_start_hits"],
             duplicate_of="" if trace_id == representative else representative,
             error=payload.get("error", ""),
+            # Absent from state files written before these were reported.
+            vm_steps=payload.get("vm_steps", 0),
+            repairs=payload.get("repairs", 0),
+            repair_blocked=dict(payload.get("repair_blocked", {})),
+            stop_reason=payload.get("stop_reason", ""),
         )
 
 

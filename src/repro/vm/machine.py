@@ -27,6 +27,12 @@ other branches execute the hook-free ``BRANCH_BARE``.  Only the rare slow
 paths (symbolic conditions, bitvector mismatches) call back into the hook
 object, whose bookkeeping the machine merges at the end of the run so the
 observable behaviour is bit-identical to the unspecialized engines.
+
+A replay run the engine may *repair in place* (:meth:`VirtualMachine.repair`)
+also keeps a guard log (:attr:`VirtualMachine.guards`): at a logged symbolic
+mismatch the replay engine may move the run onto the next input of its
+search instead of restarting it from ``main``.  Every other run leaves the
+log off and executes the unguarded helpers.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ from repro.lang.errors import (
 from repro.lang.program import Program
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.syscalls import SyscallKind
-from repro.symbolic.expr import as_condition
+from repro.symbolic.expr import SymExpr, SymVar, as_condition
+from repro.symbolic.simplify import evaluate, variable_names
 from repro.vm import opcodes as op
 from repro.vm import synth
 from repro.vm.code import CodeObject
@@ -250,9 +257,9 @@ class VirtualMachine:
         # depend on process warmth) and no synthesized superinstructions
         # (synth ranking wants the unfused generic profile as its input).
         generic = bool(self.config.profile_opcodes)
-        self.compiled = compile_program(
-            program, plan, specialize_ints=not generic,
-            synth_fusions=None if generic else synth.DEFAULT_FUSIONS)
+        self._compile_key = (plan, not generic,
+                             None if generic else synth.DEFAULT_FUSIONS)
+        self.compiled = self.lookup_compiled()
         self._quicken_hits = 0
         self._quicken_misses = 0
         self._quicken_deopts = 0
@@ -272,6 +279,14 @@ class VirtualMachine:
             self._replay_bits = bits if bits is not None else list(bitvector)
             self._replay_len = len(self._replay_bits)
             self._cursor_cell = self.hooks.cursor_cell
+        # The guard log: ``(kind, expression, observed value)`` for every use
+        # of a symbolic value's concrete part that emits no branch event,
+        # appended by the dispatch loop and the shared builtins.  ``None``
+        # (no recording) unless the replay engine sets a list before a run
+        # it may repair; :meth:`repair` reads it.
+        self.guards: Optional[list] = None
+        self._guard_index: Dict[str, List[int]] = {}
+        self._guards_indexed = 0
         # Per-opcode execution counts (telemetry).  When enabled, the
         # generated profiling dispatch loop shadows the class method on this
         # instance; when off, nothing changes anywhere near the hot loop.
@@ -432,6 +447,190 @@ class VirtualMachine:
                 line, self.current_function_name())
         return base.block, position
 
+    # -- replay guards and repair in place --------------------------------------
+
+    def _guarded_resolve_element(self, base: Value, index_value: Value,
+                                 line: int):
+        """``_resolve_element`` that logs a symbolic index it applies."""
+
+        if type(index_value) is ConcolicValue \
+                and index_value.symbolic is not None:
+            self.guards.append(("index", index_value.symbolic,
+                                index_value.concrete))
+        return self._resolve_element(base, index_value, line)
+
+    def _guarded_int_op(self, operator: str, left: ConcolicValue,
+                        right: ConcolicValue) -> ConcolicValue:
+        """``binary_int_op`` that logs a symbolic divisor's zero test."""
+
+        if (operator == "/" or operator == "%") and right.symbolic is not None:
+            self.guards.append(("divisor", as_condition(right.symbolic),
+                                0 if right.concrete == 0 else 1))
+        return binary_int_op(operator, left, right)
+
+    def _guarded_pointer_op(self, operator: str, left: Value, right: Value,
+                            line: int = 0) -> Value:
+        """``pointer_binary_op`` that logs a symbolic offset it applies."""
+
+        if operator == "+" or operator == "-":
+            for value in (left, right):
+                if type(value) is ConcolicValue and value.symbolic is not None:
+                    self.guards.append(("pointer", value.symbolic,
+                                        value.concrete))
+        return pointer_binary_op(operator, left, right, line)
+
+    def repair(self, live: tuple, overrides: Dict[str, int],
+               condition: SymExpr) -> str:
+        """Move this replay run onto the input *overrides* in place.
+
+        Called at a logged symbolic branch the run took the wrong way, with
+        the solved input of the alternative that forces the recorded
+        direction.  The run may continue as that input's run only if the two
+        cannot have diverged so far: every guard that mentions a changed
+        input must still evaluate to its observed value, and *condition*
+        (the direction taken) must now be false.  Then every live value
+        whose expression mentions a changed input is re-evaluated — the
+        operand stacks (the current one and the callers' parked in
+        ``live``), the slots, named cells and scope undo logs of every
+        frame, the globals, the string literals and every heap block
+        reachable from them — and the binder takes the new input.
+
+        Returns ``""`` on success.  Otherwise the run is left untouched and
+        the result names what forbids the repair: the blocking guard's kind,
+        ``"unbound"`` (the input lacks a value the run already consumed),
+        ``"branch"`` (the branch would still go the wrong way) or
+        ``"evaluation"`` (an expression failed to evaluate).
+        """
+
+        binder = self.binder
+        values = dict(binder.concrete_values)
+        changed = set()
+        for name, old in binder.concrete_values.items():
+            if name not in overrides:
+                return "unbound"
+            var = binder.variables[name]
+            value = max(var.lo, min(var.hi, overrides[name]))
+            if value != old:
+                values[name] = value
+                changed.add(name)
+        try:
+            blocked = self._blocking_guard(changed, values)
+            if blocked:
+                return blocked
+            if evaluate(condition, values):
+                return "branch"
+            updates = self._live_updates(live, values, changed)
+        except (ArithmeticError, KeyError, RecursionError):
+            return "evaluation"
+        for container, key, value in updates:
+            container[key] = value
+        binder.concrete_values.update((name, values[name]) for name in changed)
+        binder.overrides = dict(overrides)
+        return ""
+
+    def _blocking_guard(self, changed, values: Dict[str, int]) -> str:
+        """Kind of the first logged guard the *changed* inputs break."""
+
+        guards = self.guards
+        index = self._guard_index
+        for position in range(self._guards_indexed, len(guards)):
+            for name in variable_names(guards[position][1]):
+                index.setdefault(name, []).append(position)
+        self._guards_indexed = len(guards)
+        for position in sorted({position for name in changed
+                                for position in index.get(name, ())}):
+            kind, expr, observed = guards[position]
+            if evaluate(expr, values) != observed:
+                return kind
+        return ""
+
+    def _live_updates(self, live: tuple, values: Dict[str, int],
+                      changed) -> List[tuple]:
+        """``(container, key, new value)`` for every live value that moves."""
+
+        stack, call_stack = live
+        memo: Dict[int, int] = {}
+        updates: List[tuple] = []
+        blocks = list(self._string_cache.values())
+        seen = {id(block) for block in blocks}
+
+        def refreshed(value):
+            # The value under the new input, or None when it stays put; a
+            # pointer queues its block for the walk.
+            kind = type(value)
+            if kind is ConcolicValue:
+                sym = value.symbolic
+                if sym is None:
+                    return None
+                if type(sym) is SymVar:
+                    if sym.name not in changed:
+                        return None
+                    fresh = values[sym.name]
+                else:
+                    fresh = memo.get(id(sym))
+                    if fresh is None:
+                        fresh = memo[id(sym)] = evaluate(sym, values)
+                return None if fresh == value.concrete \
+                    else ConcolicValue(fresh, sym)
+            if kind is Pointer and id(value.block) not in seen:
+                seen.add(id(value.block))
+                blocks.append(value.block)
+            return None
+
+        def scan(cells: list) -> None:
+            for position, value in enumerate(cells):
+                # Most cells are concrete: skip them without a call.
+                kind = type(value)
+                if kind is ConcolicValue:
+                    if value.symbolic is None:
+                        continue
+                elif kind is not Pointer:
+                    continue
+                fresh = refreshed(value)
+                if fresh is not None:
+                    updates.append((cells, position, fresh))
+
+        scan(stack)
+        for parked in call_stack:
+            scan(parked[3])
+        # The guest frames, plus the globals code's frame when a global
+        # initializer's call is running.
+        frames = list(self._frames)
+        known = {id(frame) for frame in frames}
+        frames.extend(parked[6] for parked in call_stack
+                      if id(parked[6]) not in known)
+        for frame in frames:
+            scan(frame.slots)
+            for name, value in frame.vars.items():
+                fresh = refreshed(value)
+                if fresh is not None:
+                    updates.append((frame.vars, name, fresh))
+            for scope in frame.undo:
+                for position, (name, value) in enumerate(scope):
+                    fresh = refreshed(value)
+                    if fresh is not None:
+                        updates.append((scope, position, (name, fresh)))
+        for name, value in self.globals.items():
+            fresh = refreshed(value)
+            if fresh is not None:
+                updates.append((self.globals, name, fresh))
+        while blocks:
+            scan(blocks.pop().cells)
+        return updates
+
+    def lookup_compiled(self):
+        """This run's compiled code, from the ``(program, plan)`` cache.
+
+        A run repaired in place keeps executing its parent's code but looks
+        it up once more, as a restarted run would: the compile-cache
+        counters stay at one lookup per logical run.
+        """
+
+        plan, specialize_ints, fusions = self._compile_key
+        return compile_program(self.program, plan,
+                               specialize_ints=specialize_ints,
+                               synth_fusions=fusions)
+
     # -- runtime quickening -----------------------------------------------------
 
     def _quicken_code(self, code: CodeObject,
@@ -525,6 +724,18 @@ class VirtualMachine:
         replay_bits = self._replay_bits
         replay_len = self._replay_len
         cursor_cell = self._cursor_cell
+        # A run the replay engine may repair logs every use of a symbolic
+        # value's concrete part that emits no branch event (see repair);
+        # every other run calls the plain helpers.
+        guards = self.guards
+        if guards is None:
+            int_op = binary_int_op
+            pointer_op = pointer_binary_op
+            resolve = self._resolve_element
+        else:
+            int_op = self._guarded_int_op
+            pointer_op = self._guarded_pointer_op
+            resolve = self._guarded_resolve_element
         pc = 0
         while pc < end:
             opcode, arg, charge, line = instructions[pc]
@@ -605,11 +816,11 @@ class VirtualMachine:
                         continue
                 if type(left) is ConcolicValue:
                     try:
-                        push(binary_int_op(operator, left, right))
+                        push(int_op(operator, left, right))
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    push(pointer_binary_op(operator, left, right, line))
+                    push(pointer_op(operator, left, right, line))
             elif opcode == op.BINOP_FF:
                 operator, left_slot, right_slot = arg
                 left = frame_slots[left_slot]
@@ -660,11 +871,11 @@ class VirtualMachine:
                         continue
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        push(binary_int_op(operator, left, right))
+                        push(int_op(operator, left, right))
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    push(pointer_binary_op(operator, left, right, line))
+                    push(pointer_op(operator, left, right, line))
             # The unboxed-int arms (BINOP_II family): operands come straight
             # out of slots the resolver's type lattice proved (or runtime
             # quickening observed) to be int-only; arithmetic runs on raw
@@ -780,9 +991,9 @@ class VirtualMachine:
                     sym = None
                 else:
                     if type(left) is ConcolicValue:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -808,11 +1019,11 @@ class VirtualMachine:
                         rec_append(taken)
                         slot_counts[slot_idx] += 1
                     else:
-                        expr = as_condition(sym)
-                        hooks.vm_logged_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))  # may raise AbortRun
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
                 if not taken:
                     pc = target
             elif opcode == op.BINARY_BRANCH_LOGGED:
@@ -839,9 +1050,9 @@ class VirtualMachine:
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -867,11 +1078,11 @@ class VirtualMachine:
                         rec_append(taken)
                         slot_counts[slot_idx] += 1
                     else:
-                        expr = as_condition(sym)
-                        hooks.vm_logged_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))  # may raise AbortRun
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
                 if not taken:
                     pc = target
             elif opcode == op.BINOP_II_BRANCH_BARE:
@@ -1186,17 +1397,17 @@ class VirtualMachine:
                         value = ONE if a >= b else ZERO
                     else:
                         try:
-                            value = binary_int_op(operator, left, right)
+                            value = int_op(operator, left, right)
                         except ZeroDivisionError:
                             raise DivisionByZeroError("division by zero",
                                                       fc_line)
                 elif type(left) is ConcolicValue:
                     try:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", fc_line)
                 else:
-                    value = pointer_binary_op(operator, left, right, fc_line)
+                    value = pointer_op(operator, left, right, fc_line)
                 push(value)
                 if len(frames) >= max_call_depth:
                     raise ProgramCrash("call stack overflow", line,
@@ -1239,11 +1450,11 @@ class VirtualMachine:
                 left = pop()
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        value = binary_int_op(arg, left, right)
+                        value = int_op(arg, left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    value = pointer_binary_op(arg, left, right, line)
+                    value = pointer_op(arg, left, right, line)
                 if not call_stack:
                     return value
                 frames.pop()
@@ -1268,7 +1479,7 @@ class VirtualMachine:
                     index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
                         else ConcolicValue(index)
                 base = pop()
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 push(block.cells[position])
             elif opcode == op.STORE_INDEX_FAST:
                 index = frame_slots[arg]
@@ -1277,7 +1488,7 @@ class VirtualMachine:
                         else ConcolicValue(index)
                 base = pop()
                 value = pop()
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 block.cells[position] = value
             elif opcode == op.LOAD_INDEX_FF:
                 base_slot, index_slot = arg
@@ -1289,7 +1500,7 @@ class VirtualMachine:
                 if type(index) is int:
                     index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
                         else ConcolicValue(index)
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 push(block.cells[position])
             elif opcode == op.STORE_INDEX_FF:
                 base_slot, index_slot = arg
@@ -1302,7 +1513,7 @@ class VirtualMachine:
                     index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
                         else ConcolicValue(index)
                 value = pop()
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 block.cells[position] = value
             elif opcode == op.CONST_RET:
                 if not call_stack:
@@ -1348,9 +1559,9 @@ class VirtualMachine:
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -1376,11 +1587,11 @@ class VirtualMachine:
                         rec_append(taken)
                         slot_counts[slot] += 1
                     else:
-                        expr = as_condition(sym)
-                        hooks.vm_logged_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))  # may raise AbortRun
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
                 if not taken:
                     pc = target
             elif opcode == op.BINOP_FF_BRANCH_BARE:
@@ -1414,9 +1625,9 @@ class VirtualMachine:
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -1467,9 +1678,9 @@ class VirtualMachine:
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         condition_source = value.symbolic
@@ -1527,9 +1738,9 @@ class VirtualMachine:
                     sym = None
                 else:
                     if type(left) is ConcolicValue:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -1555,11 +1766,11 @@ class VirtualMachine:
                         rec_append(taken)
                         slot_counts[slot_idx] += 1
                     else:
-                        expr = as_condition(sym)
-                        hooks.vm_logged_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))  # may raise AbortRun
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
                 if not taken:
                     pc = target
             elif opcode == op.BINOP_FC_BRANCH_BARE:
@@ -1587,9 +1798,9 @@ class VirtualMachine:
                     sym = None
                 else:
                     if type(left) is ConcolicValue:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -1634,9 +1845,9 @@ class VirtualMachine:
                     condition_source = None
                 else:
                     if type(left) is ConcolicValue:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         condition_source = value.symbolic
@@ -1687,9 +1898,9 @@ class VirtualMachine:
                     sym = None
                 else:
                     if type(left) is ConcolicValue:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -1731,9 +1942,9 @@ class VirtualMachine:
                     condition_source = None
                 else:
                     if type(left) is ConcolicValue:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         condition_source = value.symbolic
@@ -1786,9 +1997,9 @@ class VirtualMachine:
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         sym = value.symbolic
@@ -1832,9 +2043,9 @@ class VirtualMachine:
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     else:
-                        value = pointer_binary_op(operator, left, right, line)
+                        value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
                         condition_source = value.symbolic
@@ -1911,12 +2122,12 @@ class VirtualMachine:
                         continue
                 if type(left) is ConcolicValue:
                     try:
-                        frame_slots[target_slot] = binary_int_op(operator,
+                        frame_slots[target_slot] = int_op(operator,
                                                                  left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    frame_slots[target_slot] = pointer_binary_op(
+                    frame_slots[target_slot] = pointer_op(
                         operator, left, right, line)
             elif opcode == op.BINOP_FF_STORE:
                 operator, left_slot, right_slot, target_slot = arg
@@ -1971,12 +2182,12 @@ class VirtualMachine:
                         continue
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        frame_slots[target_slot] = binary_int_op(operator,
+                        frame_slots[target_slot] = int_op(operator,
                                                                  left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    frame_slots[target_slot] = pointer_binary_op(
+                    frame_slots[target_slot] = pointer_op(
                         operator, left, right, line)
             elif opcode == op.STORE_FAST:
                 frame_slots[arg] = pop()
@@ -1995,11 +2206,11 @@ class VirtualMachine:
                                                 load_line)
                 if type(left) is ConcolicValue:
                     try:
-                        push(binary_int_op(operator, left, right))
+                        push(int_op(operator, left, right))
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    push(pointer_binary_op(operator, left, right, line))
+                    push(pointer_op(operator, left, right, line))
             elif opcode == op.BINOP_NN:
                 operator, left_name, right_name, left_line, right_line = arg
                 left = frame_vars.get(left_name, _MISSING)
@@ -2019,11 +2230,11 @@ class VirtualMachine:
                             f"undefined variable '{right_name}'", right_line)
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        push(binary_int_op(operator, left, right))
+                        push(int_op(operator, left, right))
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    push(pointer_binary_op(operator, left, right, line))
+                    push(pointer_op(operator, left, right, line))
             elif opcode == op.BINOP_NC_STORE:
                 operator, name, right, load_line, target_name = arg
                 left = frame_vars.get(name, _MISSING)
@@ -2039,11 +2250,11 @@ class VirtualMachine:
                                                 load_line)
                 if type(left) is ConcolicValue:
                     try:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    value = pointer_binary_op(operator, left, right, line)
+                    value = pointer_op(operator, left, right, line)
                 if target_name in frame_vars:
                     frame_vars[target_name] = value
                 elif target_name in global_vars:
@@ -2070,11 +2281,11 @@ class VirtualMachine:
                             f"undefined variable '{right_name}'", right_line)
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        value = binary_int_op(operator, left, right)
+                        value = int_op(operator, left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    value = pointer_binary_op(operator, left, right, line)
+                    value = pointer_op(operator, left, right, line)
                 if target_name in frame_vars:
                     frame_vars[target_name] = value
                 elif target_name in global_vars:
@@ -2086,11 +2297,11 @@ class VirtualMachine:
                 left = pop()
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        push(binary_int_op(arg, left, right))
+                        push(int_op(arg, left, right))
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
-                    push(pointer_binary_op(arg, left, right, line))
+                    push(pointer_op(arg, left, right, line))
             elif opcode == op.BRANCH:
                 location, target = arg
                 value = pop()
@@ -2151,11 +2362,11 @@ class VirtualMachine:
                         rec_append(taken)
                         slot_counts[slot] += 1
                     else:
-                        expr = as_condition(sym)
-                        hooks.vm_logged_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))  # may raise AbortRun
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
                 if not taken:
                     pc = target
             elif opcode == op.BRANCH_BARE:
@@ -2195,13 +2406,13 @@ class VirtualMachine:
             elif opcode == op.LOAD_INDEX:
                 index = pop()
                 base = pop()
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 push(block.cells[position])
             elif opcode == op.STORE_INDEX:
                 index = pop()
                 base = pop()
                 value = pop()
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 block.cells[position] = value
             elif opcode == op.CALL_BUILTIN:
                 fn, argc, node = arg
@@ -2314,37 +2525,55 @@ class VirtualMachine:
                 if type(left) is not ConcolicValue:
                     left = as_int(left)
                 if left.concrete == 0:
-                    push(ConcolicValue(0, as_condition(left.symbolic)
-                                       if left.symbolic is not None else None))
+                    sym = left.symbolic
+                    if sym is not None:
+                        sym = as_condition(sym)
+                        if guards is not None:
+                            guards.append(("short-circuit", sym, 0))
+                    push(ConcolicValue(0, sym))
                     pc = arg
                 else:
+                    if guards is not None and left.symbolic is not None:
+                        guards.append(("short-circuit",
+                                       as_condition(left.symbolic), 1))
                     push(left)
             elif opcode == op.AND_END:
                 right = pop()
                 left = pop()
                 if type(right) is not ConcolicValue:
                     right = as_int(right)
-                push(binary_int_op("&&", left, right))
+                push(int_op("&&", left, right))
             elif opcode == op.OR_JUMP:
                 left = pop()
                 if type(left) is not ConcolicValue:
                     left = as_int(left)
                 if left.concrete != 0:
-                    push(ConcolicValue(1, as_condition(left.symbolic)
-                                       if left.symbolic is not None else None))
+                    sym = left.symbolic
+                    if sym is not None:
+                        sym = as_condition(sym)
+                        if guards is not None:
+                            guards.append(("short-circuit", sym, 1))
+                    push(ConcolicValue(1, sym))
                     pc = arg
                 else:
+                    if guards is not None and left.symbolic is not None:
+                        guards.append(("short-circuit",
+                                       as_condition(left.symbolic), 0))
                     push(left)
             elif opcode == op.OR_END:
                 right = pop()
                 left = pop()
                 if type(right) is not ConcolicValue:
                     right = as_int(right)
-                push(binary_int_op("||", left, right))
+                push(int_op("||", left, right))
             elif opcode == op.TERN_FALSE:
                 value = pop()
                 if type(value) is not ConcolicValue:
                     value = as_int(value)
+                if guards is not None and value.symbolic is not None:
+                    guards.append(("short-circuit",
+                                   as_condition(value.symbolic),
+                                   0 if value.concrete == 0 else 1))
                 if value.concrete == 0:
                     pc = arg
             elif opcode == op.STRING:
@@ -2425,7 +2654,7 @@ class VirtualMachine:
             elif opcode == op.ADDR_INDEX:
                 index = pop()
                 base = pop()
-                block, position = self._resolve_element(base, index, line)
+                block, position = resolve(base, index, line)
                 push(Pointer(block, position))
             elif opcode == op.ADDR_INVALID:
                 raise RuntimeMiniCError(
@@ -2441,6 +2670,9 @@ class VirtualMachine:
                     size_value = pop()
                     if type(size_value) is not ConcolicValue:
                         size_value = as_int(size_value)
+                    if guards is not None and size_value.symbolic is not None:
+                        guards.append(("array-size", size_value.symbolic,
+                                       size_value.concrete))
                     size = max(1, size_value.concrete)
                 push(Pointer(ArrayObject(size, label=label), 0))
             elif opcode == op.CALL_UNDEF:

@@ -163,6 +163,26 @@ class TestResumeByteIdentity:
         assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
         assert resumed.telemetry.deterministic().canonical_bytes() == want
 
+    def test_checkpoint_without_search_counters_resumes(self, tmp_path,
+                                                        mkdir_case):
+        """A checkpoint whose outcome predates ``vm_steps``, ``repairs``,
+        ``repair_blocked`` and ``stop_reason`` resumes to the same result."""
+
+        pipeline, trace = mkdir_case
+        baseline = _engine(pipeline, trace).reproduce()
+        path = str(tmp_path / "old.ckpt")
+        engine = _engine(pipeline, trace)
+        engine.attach_checkpointing(
+            CheckpointPolicy(path=path, preempt_after_commits=1))
+        engine.reproduce()
+        ckpt = load_checkpoint(path)
+        for name in ("vm_steps", "repairs", "repair_blocked", "stop_reason"):
+            del ckpt.outcome_state.__dict__[name]
+        save_checkpoint(path, ckpt)
+        resumed = ReplayEngine.from_checkpoint(path).reproduce()
+        assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
+        assert resumed.stop_reason == "reproduced"
+
     def test_request_preempt_checkpoints_at_next_commit(self, tmp_path,
                                                         mkdir_case):
         pipeline, trace = mkdir_case

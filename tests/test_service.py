@@ -232,6 +232,34 @@ class TestServiceProcessing:
         # Nothing pending: a restarted service re-runs no searches.
         assert reborn.process() == {}
         assert reborn.stats().searches_run == 0
+        # The search counters travel with the report, outside its identity.
+        assert (restored.vm_steps, restored.repairs, restored.stop_reason) \
+            == (report.vm_steps, report.repairs, "reproduced")
+        assert report.vm_steps > 0
+
+    def test_pretty_printed_state_still_loads(self, tmp_path, mkdir_bytes):
+        """State files from before the compact encoding (indented, and
+        without the search counters on their reports) load unchanged."""
+
+        root = str(tmp_path / "inbox")
+        service = ReproService(root, config=service_config())
+        trace_id = service.ingest_bytes(mkdir_bytes).trace_id
+        report = service.process()[trace_id]
+        path = os.path.join(root, "inbox.json")
+        with open(path) as handle:
+            text = handle.read()
+        assert "\n" not in text  # written compact
+        payload = json.loads(text)
+        for cluster in payload["clusters"].values():
+            for key in ("vm_steps", "repairs", "repair_blocked",
+                        "stop_reason"):
+                cluster["report"].pop(key)
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+        restored = ReproService(root, config=service_config()).report(trace_id)
+        assert restored.fingerprint() == report.fingerprint()
+        assert (restored.vm_steps, restored.repairs, restored.repair_blocked,
+                restored.stop_reason) == (0, 0, {}, "")
 
     def test_unknown_program_fails_cluster_not_service(self, tmp_path,
                                                        mkdir_bytes):
