@@ -30,7 +30,8 @@ from repro.interp.interpreter import ExecutionConfig, ExecutionResult
 from repro.interp.tracer import TraceRecorder
 from repro.lang.program import Program
 from repro.symbolic.constraints import ConstraintSet
-from repro.symbolic.solver import solve
+from repro.symbolic.simplify import variable_names
+from repro.symbolic.solver import UNKNOWN, solve, warm_start_assignment
 
 
 @dataclass
@@ -51,7 +52,11 @@ class DynamicAnalysisResult:
     labels: BranchLabels
     iterations: int = 0
     explored_paths: int = 0
+    #: Full solver searches; flips the warm start answered are counted in
+    #: ``warm_start_hits`` instead, and give-ups in ``solver_unknowns``.
     solver_calls: int = 0
+    warm_start_hits: int = 0
+    solver_unknowns: int = 0
     wall_seconds: float = 0.0
     budget: Optional[ConcolicBudget] = None
     runs: List[ConcolicRun] = field(default_factory=list)
@@ -121,7 +126,7 @@ class ConcolicEngine:
             ))
 
             # Avoid re-exploring identical paths.
-            signature = tuple((c.origin, str(c.expr)) for c in trace.path_constraints)
+            signature = trace.path_constraints.signature()
             if signature in seen_signatures:
                 continue
             seen_signatures.add(signature)
@@ -129,26 +134,53 @@ class ConcolicEngine:
 
             # Schedule negations of each constraint along this path.
             hint = binder.assignment()
+            # The variables of the path up to the flipped constraint.
+            path_names: Set[str] = set()
             for index in range(trace.constraint_count()):
                 if result.iterations + len(queue) >= self.budget.max_iterations * 4:
                     break
                 if time.monotonic() - start > self.budget.max_seconds:
                     break
+                path_names.update(variable_names(trace.constraint_at(index).expr))
                 flip_key = signature[: index + 1]
                 flip_key = flip_key[:-1] + ((flip_key[-1][0], "!" + flip_key[-1][1]),)
                 if flip_key in scheduled_flips:
                     continue
                 scheduled_flips.add(flip_key)
-                flipped = trace.prefix_flipped(index)
-                solution = solve(flipped, hint=hint)
-                result.solver_calls += 1
-                if solution.satisfiable and solution.assignment is not None:
-                    queue.append(binder.merged_with(solution.assignment))
+                solution = self._solve_flip(result, trace.prefix_flipped(index),
+                                            hint, path_names)
+                if solution is not None:
+                    queue.append(binder.merged_with(solution))
 
         result.wall_seconds = time.monotonic() - start
         return result
 
     # -- helpers -----------------------------------------------------------------------
+
+    @staticmethod
+    def _solve_flip(result: DynamicAnalysisResult, flipped: ConstraintSet,
+                    hint: Dict[str, int],
+                    names: Set[str]) -> Optional[Dict[str, int]]:
+        """The solved input of one flip: the warm start's, or a real solve's.
+
+        A flip is the run's own path prefix plus one negated constraint, and
+        the hint is the run's input, so the warm start may rely on the
+        prefix.  Its answer is cut down to *names*, the set's variables:
+        exactly the assignment ``solve`` returns.
+        """
+
+        warm = warm_start_assignment(flipped, hint,
+                                     satisfied_prefix=len(flipped) - 1)
+        if warm is not None:
+            result.warm_start_hits += 1
+            return {name: warm[name] for name in names}
+        solution = solve(flipped, hint=hint)
+        result.solver_calls += 1
+        if solution.status == UNKNOWN:
+            result.solver_unknowns += 1
+        if solution.satisfiable and solution.assignment is not None:
+            return solution.assignment
+        return None
 
     def _execute(self, overrides: Dict[str, int],
                  trace: ConcolicRunTrace) -> Tuple[ExecutionResult, InputBinder]:

@@ -64,7 +64,7 @@ from repro.replay.budget import ReplayBudget
 from repro.replay.hooks import ReplayRunHooks
 from repro.replay.pending import PendingItem, PendingList
 from repro.symbolic.constraints import ConstraintSet
-from repro.symbolic.solver import solve, warm_start_assignment
+from repro.symbolic.solver import UNKNOWN, solve, warm_start_assignment
 from repro.telemetry import (
     MetricsRegistry,
     RegistrySnapshot,
@@ -153,6 +153,10 @@ class ReplayOutcome:
     vm_steps: int = 0
     repairs: int = 0
     repair_blocked: Dict[str, int] = field(default_factory=dict)
+    #: Solver calls that gave up (``unknown``: node budget, or a domain too
+    #: wide to enumerate).  Their items were dropped like unsatisfiable
+    #: ones; a search that drops one proves nothing about the bug.
+    solver_unknowns: int = 0
     #: Why the search ended: "reproduced", "exhausted", "run-cap",
     #: "deadline" or "preempted".
     stop_reason: str = ""
@@ -167,7 +171,7 @@ class ReplayOutcome:
         # A checkpoint written before the search counters existed resumes
         # with them at their defaults.
         self.__dict__.update(vm_steps=0, repairs=0, repair_blocked={},
-                             stop_reason="")
+                             stop_reason="", solver_unknowns=0)
         self.__dict__.update(state)
 
     @property
@@ -248,6 +252,7 @@ class _ItemEvaluation:
     vm_steps: int = 0
     repaired: bool = False
     repair_blocked: str = ""
+    solver_unknowns: int = 0
     # Snapshot of the per-item metrics registry (worker-side VM opcode
     # counts, item histograms, solver/compile-cache timings).  Picklable —
     # process workers ship it home like every other field — and merged into
@@ -259,9 +264,10 @@ class _ItemEvaluation:
 class _Solution:
     """A pending item's solved input, with what finding it cost."""
 
-    overrides: Optional[Dict[str, int]]  # None: unsatisfiable
+    overrides: Optional[Dict[str, int]]  # None: unsatisfiable or unknown
     solver_calls: int = 0
     solver_nodes: int = 0
+    unknown: bool = False
     warm: bool = False
     solve_seconds: Optional[float] = None
     # The guard kind that kept a chain from continuing into this item.
@@ -1062,13 +1068,18 @@ class ReplayEngine:
         if len(item.constraints) == 0:
             return _Solution(dict(item.hint))
         if self.warm_start:
-            overrides = warm_start_assignment(item.constraints, item.hint)
+            # An item is its parent run's path prefix plus one negated
+            # constraint, and its hint is that run's input.
+            overrides = warm_start_assignment(
+                item.constraints, item.hint,
+                satisfied_prefix=len(item.constraints) - 1)
             if overrides is not None:
                 return _Solution(overrides, warm=True)
         solve_start = time.perf_counter()
         result = solve(item.constraints, hint=item.hint)
         solution = _Solution(None, solver_calls=1,
                              solver_nodes=result.stats.nodes,
+                             unknown=result.status == UNKNOWN,
                              solve_seconds=time.perf_counter() - solve_start)
         if result.satisfiable and result.assignment is not None:
             solution.overrides = dict(item.hint)
@@ -1088,6 +1099,7 @@ class ReplayEngine:
     def _unsolved_evaluation(solution: _Solution) -> _ItemEvaluation:
         return _ItemEvaluation(solver_calls=solution.solver_calls,
                                solver_nodes=solution.solver_nodes,
+                               solver_unknowns=int(solution.unknown),
                                repair_blocked=solution.blocked)
 
     @staticmethod
@@ -1129,6 +1141,7 @@ class ReplayEngine:
             self._verify_repair(evaluation)
         outcome.solver_calls += evaluation.solver_calls
         outcome.solver_nodes += evaluation.solver_nodes
+        outcome.solver_unknowns += evaluation.solver_unknowns
         outcome.warm_start_hits += 1 if evaluation.warm_start else 0
         outcome.compile_cache_hits += evaluation.cache_hits
         outcome.compile_cache_misses += evaluation.cache_misses
@@ -1150,6 +1163,9 @@ class ReplayEngine:
             registry.counter("replay.solver_nodes").inc(evaluation.solver_nodes)
             if evaluation.warm_start:
                 registry.counter("replay.warm_start_hits").inc()
+            if evaluation.solver_unknowns:
+                registry.counter("replay.solver_unknowns").inc(
+                    evaluation.solver_unknowns)
             # What the VM did depends on repair, hence on the worker count.
             registry.counter("replay.vm_steps", timing=True).inc(
                 evaluation.vm_steps)

@@ -54,6 +54,7 @@ from repro.service.inbox import (
     TraceCluster,
     TraceInbox,
     TraceTooLargeError,
+    UnknownProgramError,
 )
 from repro.service.net import (
     UploadClient,
@@ -104,6 +105,7 @@ __all__ = [
     "TraceCluster",
     "TraceInbox",
     "TraceTooLargeError",
+    "UnknownProgramError",
     "UploadClient",
     "UploadFailed",
     "UploadReceipt",

@@ -219,7 +219,8 @@ def cmd_replay(args) -> int:
     print(f"  stats={json.dumps(outcome.stats(), sort_keys=True)}")
     print(f"  search: stop_reason={outcome.stop_reason} "
           f"vm_steps={outcome.vm_steps} repairs={outcome.repairs} "
-          f"repair_blocked={json.dumps(outcome.repair_blocked, sort_keys=True)}")
+          f"repair_blocked={json.dumps(outcome.repair_blocked, sort_keys=True)} "
+          f"solver_unknowns={outcome.solver_unknowns}")
     # What the search committed, identical for every backend and worker count.
     found = json.dumps(sorted(outcome.found_input.items()))
     print(f"  digest: runs={outcome.runs} solver_calls={outcome.solver_calls} "

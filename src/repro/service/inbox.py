@@ -58,7 +58,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.planner.ledger import plan_fingerprint_digest, plan_version_of
 from repro.trace import Trace, TraceError, load_trace_bytes
@@ -69,6 +69,7 @@ __all__ = [
     "TraceCluster",
     "TraceInbox",
     "TraceTooLargeError",
+    "UnknownProgramError",
     "journaled_spool_write",
     "partition_dirs",
     "partition_index",
@@ -84,6 +85,10 @@ _TMP_SUFFIX = ".part"
 
 class TraceTooLargeError(TraceError):
     """An upload or spool file exceeded ``service.max_trace_bytes``."""
+
+
+class UnknownProgramError(TraceError):
+    """A decodable trace names a program no registry resolves."""
 
 
 def _bug_key(trace: Trace) -> str:
@@ -389,7 +394,9 @@ class TraceInbox:
                  spool_pattern: str = "*.trace",
                  max_trace_bytes: int = 0,
                  max_rejected: int = 256,
-                 registry=None) -> None:
+                 registry=None,
+                 check_program: Optional[Callable[[str], None]] = None
+                 ) -> None:
         self.root = root
         self.persist = persist
         self.store_traces = store_traces
@@ -403,6 +410,10 @@ class TraceInbox:
         #: Optional :class:`~repro.telemetry.MetricsRegistry` receiving the
         #: ``service.rejected.<reason>`` counters.
         self.registry = registry
+        #: Called with each decoded trace's program name; raises
+        #: :class:`UnknownProgramError` for a name nothing resolves, which
+        #: rejects the trace like a corrupt one.
+        self.check_program = check_program
         self.clusters: Dict[str, TraceCluster] = {}
         #: trace_id -> {cluster, program, scenario, file, source}
         self.traces: Dict[str, Dict[str, object]] = {}
@@ -431,6 +442,8 @@ class TraceInbox:
 
         self._check_size(len(data), source)
         trace = load_trace_bytes(data)
+        if self.check_program is not None:
+            self.check_program(trace.program_name)
         self._sequence += 1
         digest = hashlib.sha256(data).hexdigest()[:8]
         trace_id = f"t{self._sequence:05d}-{digest}"

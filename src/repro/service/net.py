@@ -498,6 +498,8 @@ class UploadServer:
             return ST_ERROR, {"reason": "trace too large"}
         try:
             trace = load_trace_bytes(body)
+            with self._lock:
+                self.service.check_program(trace.program_name)
         except TraceError as exc:
             with self._lock:
                 self.service.inbox.reject(source, exc)

@@ -36,7 +36,7 @@ from repro.planner import (FleetObservations, PlanLedger, PlanVersion,
 from repro.replay.engine import ReplayEngine, ReplayOutcome, WorkerCrashError
 from repro.service.config import ReproConfig
 from repro.service.inbox import IngestResult, SpoolJournal, TraceCluster, \
-    TraceInbox
+    TraceInbox, UnknownProgramError
 from repro.service.supervisor import (
     SearchDeadlineExceeded,
     SearchJob,
@@ -323,7 +323,8 @@ class ReproService:
                                 spool_pattern=config.service.spool_pattern,
                                 max_trace_bytes=config.service.max_trace_bytes,
                                 max_rejected=config.service.max_rejected_entries,
-                                registry=self._registry)
+                                registry=self._registry,
+                                check_program=self.check_program)
         self._programs_src = dict(programs or {})
         self._resolver = resolver
         self._programs: Dict[str, Program] = {}
@@ -412,6 +413,19 @@ class ReproService:
         raise KeyError(
             f"no program registered for trace program name {name!r}; "
             "pass programs={...} or a resolver to ReproService")
+
+    def check_program(self, name: str) -> None:
+        """Resolve *name* now; :class:`UnknownProgramError` if nothing can.
+
+        The inbox and the network listener call this on every decoded trace,
+        so a report for an unknown program is rejected at ingest, like a
+        corrupt one, instead of failing its cluster at process time.
+        """
+
+        try:
+            self.program_for(name)
+        except KeyError as exc:
+            raise UnknownProgramError(exc.args[0]) from None
 
     def program_for(self, name: str) -> Program:
         """The developer's copy of the binary for *name* (cached)."""

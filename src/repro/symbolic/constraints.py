@@ -30,6 +30,24 @@ class Constraint:
     origin: int = 0
     description: str = ""
 
+    _entry = None  # the cached signature entry; not a field
+
+    def entry(self) -> Tuple[int, str]:
+        """``(origin, rendered expression)``: this constraint's signature entry.
+
+        Rendered once and kept on the constraint (never pickled), so the
+        signature of every set sharing it costs one lookup per constraint.
+        """
+
+        entry = self._entry
+        if entry is None:
+            entry = self.__dict__["_entry"] = (self.origin, str(self.expr))
+        return entry
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items()
+                if name[0] != "_"}
+
     def negated(self) -> "Constraint":
         return Constraint(self.expr.negated(), self.origin,
                           description=f"not({self.description})" if self.description else "")
@@ -133,7 +151,7 @@ class ConstraintSet:
 
         cached = getattr(self, "_signature", None)
         if cached is None or cached[0] != len(self._constraints):
-            signature = tuple((c.origin, str(c.expr)) for c in self._constraints)
+            signature = tuple(c.entry() for c in self._constraints)
             cached = (len(self._constraints), signature)
             self._signature = cached
         return cached[1]

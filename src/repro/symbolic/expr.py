@@ -3,12 +3,17 @@
 Expressions are immutable and hashable, which lets constraint sets be stored in
 Python sets and compared structurally.  Arithmetic follows MiniC's integer
 semantics (Python ints, C-style truncating division towards zero).
+
+Because a node never changes, what :mod:`repro.symbolic.simplify` derives from
+it (its simplified form, its variables, its compiled evaluator) is computed
+on first use and kept in the node's ``__dict__`` under an underscore name.
+Those caches are not part of the node's identity: equality, hashing, ``repr``
+and pickling see only the dataclass fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from dataclasses import dataclass
 
 ARITH_OPS = frozenset({"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"})
 COMPARE_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
@@ -29,6 +34,20 @@ _NEGATED_COMPARE = {
 class SymExpr:
     """Base class for all symbolic expressions."""
 
+    #: True when ``simplify`` returns the node itself.  Leaves are simple by
+    #: class; an operator node is marked in its ``__dict__`` once simplified.
+    _simple = False
+    # Derived caches, None until first asked for (see the module docstring).
+    _simplified = None
+    _vars = None
+    _names = None
+    _fn = None
+
+    def __getstate__(self) -> dict:
+        # Fields only: derived caches are rebuilt on demand after unpickling.
+        return {name: value for name, value in self.__dict__.items()
+                if name[0] != "_"}
+
     def is_boolean(self) -> bool:
         """True when the expression denotes a truth value (0/1)."""
 
@@ -43,6 +62,8 @@ class SymExpr:
 @dataclass(frozen=True)
 class SymConst(SymExpr):
     """A constant integer."""
+
+    _simple = True
 
     value: int
 
@@ -61,6 +82,8 @@ class SymVar(SymExpr):
     bytes returned by the simulated ``read``/``recv`` syscalls.  Syscall return
     values use wider (or signed) domains, e.g. ``read`` returns -1..N.
     """
+
+    _simple = True
 
     name: str
     lo: int = 0

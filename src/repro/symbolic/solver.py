@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Set, Tuple)
 
 from repro.symbolic.constraints import Constraint, ConstraintSet
-from repro.symbolic.expr import SymBinOp, SymConst, SymExpr, SymUnOp, SymVar, sym_const
-from repro.symbolic.simplify import simplify, substitute, try_evaluate, variables
+from repro.symbolic.expr import SymBinOp, SymConst, SymExpr, SymUnOp, SymVar
+from repro.symbolic.simplify import (compiled, evaluate, simplify, substitute,
+                                     try_evaluate, variable_names, variables)
 
 _MAX_ENUMERABLE_DOMAIN = 4096
 _DEFAULT_NODE_BUDGET = 200_000
@@ -41,13 +42,23 @@ class SolverStats:
     budget_exhausted: bool = False
 
 
+#: :attr:`SolverResult.status` values.  ``unknown`` is a give-up, not a
+#: proof: the node budget ran out, or a domain too wide to enumerate was
+#: only probed.
+SAT, UNSAT, UNKNOWN = "sat", "unsat", "unknown"
+
+
 @dataclass
 class SolverResult:
     """Outcome of a ``solve`` call."""
 
-    satisfiable: bool
+    status: str
     assignment: Optional[Dict[str, int]]
     stats: SolverStats = field(default_factory=SolverStats)
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.status == SAT
 
     def __bool__(self) -> bool:
         return self.satisfiable
@@ -60,38 +71,38 @@ class _Domain:
         self.var = var
         self.lo = var.lo
         self.hi = var.hi
-        self.excluded: Set[int] = set()
         # When a constraint pins the variable to a small candidate set, we
-        # switch to explicit enumeration.
-        self.candidates: Optional[Set[int]] = None
+        # switch to explicit enumeration.  The set may be the unary-filter
+        # cache's own, so it is replaced, never mutated.
+        self.candidates: Optional[AbstractSet[int]] = None
 
     def size(self) -> int:
         if self.candidates is not None:
             return len(self.candidates)
-        return max(0, self.hi - self.lo + 1 - len(
-            {v for v in self.excluded if self.lo <= v <= self.hi}))
+        return max(0, self.hi - self.lo + 1)
 
     def is_empty(self) -> bool:
         return self.size() == 0
 
+    def is_probed(self) -> bool:
+        """True when :meth:`iter_values` tries only a few probe values."""
+
+        return (self.candidates is None
+                and self.hi - self.lo + 1 > _MAX_ENUMERABLE_DOMAIN)
+
     def contains(self, value: int) -> bool:
         if self.candidates is not None:
             return value in self.candidates
-        return self.lo <= value <= self.hi and value not in self.excluded
+        return self.lo <= value <= self.hi
 
-    def restrict_to(self, values: Iterable[int]) -> None:
-        if self.candidates is not None:
+    def restrict_to(self, values: FrozenSet[int]) -> None:
+        """Keep only *values*, a set of values inside ``[lo, hi]``."""
+
+        if self.candidates is None:
+            self.candidates = values
+        else:
             # C-speed intersection; same result as filtering via contains().
             self.candidates = self.candidates.intersection(values)
-            return
-        allowed = {v for v in values if self.contains(v)}
-        self.candidates = allowed
-
-    def exclude(self, value: int) -> None:
-        if self.candidates is not None:
-            self.candidates.discard(value)
-        else:
-            self.excluded.add(value)
 
     def iter_values(self, preferred: Sequence[int] = ()) -> Iterable[int]:
         """Yield candidate values, preferred ones first."""
@@ -108,10 +119,9 @@ class _Domain:
             return
         # Enumerate the interval; for wide domains fall back to a bounded scan
         # around "interesting" points plus the interval edges.
-        width = self.hi - self.lo + 1
-        if width <= _MAX_ENUMERABLE_DOMAIN:
+        if not self.is_probed():
             for value in range(self.lo, self.hi + 1):
-                if value not in self.excluded and value not in emitted:
+                if value not in emitted:
                     yield value
             return
         probes = [self.lo, self.lo + 1, 0, 1, -1, self.hi - 1, self.hi]
@@ -150,7 +160,8 @@ _UNARY_FILTER_CACHE: Dict[tuple, frozenset] = {}
 _UNARY_FILTER_CACHE_LIMIT = 65536
 
 
-def _unary_satisfying_values(expr: SymExpr, name: str, domain: "_Domain"):
+def _unary_satisfying_values(expr: SymExpr, name: str,
+                             domain: "_Domain") -> FrozenSet[int]:
     """Values satisfying the single-variable constraint *expr*.
 
     ``Domain.restrict_to`` intersects with the current domain, so answering
@@ -162,18 +173,50 @@ def _unary_satisfying_values(expr: SymExpr, name: str, domain: "_Domain"):
 
     width = domain.hi - domain.lo + 1
     if width > _MAX_ENUMERABLE_DOMAIN:
-        return [value for value in domain.iter_values()
-                if try_evaluate(expr, {name: value})]
+        return _satisfying(expr, name, domain.iter_values())
     key = (expr, domain.lo, domain.hi)
     cached = _UNARY_FILTER_CACHE.get(key)
     if cached is None:
         if len(_UNARY_FILTER_CACHE) >= _UNARY_FILTER_CACHE_LIMIT:
             _UNARY_FILTER_CACHE.clear()
-        cached = frozenset(
-            value for value in range(domain.lo, domain.hi + 1)
-            if try_evaluate(expr, {name: value}))
+        cached = _satisfying(expr, name, range(domain.lo, domain.hi + 1))
         _UNARY_FILTER_CACHE[key] = cached
     return cached
+
+
+def _satisfying(expr: SymExpr, name: str,
+                values: Iterable[int]) -> FrozenSet[int]:
+    """The *values* of variable *name* under which *expr* holds."""
+
+    check = compiled(expr)
+    probe = {name: 0}
+    found = []
+    for value in values:
+        probe[name] = value
+        try:
+            if check(probe):
+                found.append(value)
+        except (KeyError, ZeroDivisionError):
+            pass
+    return frozenset(found)
+
+
+def _nontrivial(constraints: Iterable[Constraint]) -> Optional[List[SymExpr]]:
+    """The simplified constraints minus the constant-true ones.
+
+    None when one simplifies to the constant 0: the set is unsatisfiable.
+    """
+
+    out: List[SymExpr] = []
+    for constraint in constraints:
+        expr = simplify(constraint.expr)
+        if type(expr) is SymConst:
+            if expr.value == 0:
+                return None
+            if expr.value == 1:
+                continue
+        out.append(expr)
+    return out
 
 
 class _Search:
@@ -201,11 +244,16 @@ class _Search:
         self.hint = dict(hint)
         self.node_budget = node_budget
         self.stats = SolverStats()
+        #: Set when a variable that constraints mention was searched over
+        #: probe values only: a failed search is then no proof.
+        self.incomplete = False
+        # The full-assignment check of each constraint.
+        self.checks = [compiled(expr) for expr in constraints]
         # Map variable name -> indices of constraints that mention it.
         self.by_var: Dict[str, List[int]] = {name: [] for name in domains}
         self.constraint_vars: List[FrozenSet[str]] = []
         for index, expr in enumerate(constraints):
-            names = frozenset(v.name for v in variables(expr))
+            names = variable_names(expr)
             self.constraint_vars.append(names)
             for name in names:
                 self.by_var.setdefault(name, []).append(index)
@@ -243,11 +291,14 @@ class _Search:
 
         constraints = self.constraints
         free_counts = self.free_counts
+        checks = self.checks
         for index in self.by_var[name]:
             free = free_counts[index]
             if free == 0:
-                value = try_evaluate(constraints[index], assignment)
-                if value is None or value == 0:
+                try:
+                    if not checks[index](assignment):
+                        return False
+                except (KeyError, ZeroDivisionError):
                     return False
             elif free == 1:
                 (free_name,) = (n for n in self.constraint_vars[index]
@@ -255,11 +306,13 @@ class _Search:
                 domain = self.domains[free_name]
                 if domain.size() > 512:
                     continue
+                # A fresh residual is evaluated a few times at most: walk it
+                # rather than compile it.
                 residual = substitute(constraints[index], assignment)
                 self.stats.propagations += 1
                 feasible = False
                 for value in domain.iter_values(self.preferred.get(free_name, ())):
-                    if try_evaluate(residual, {free_name: value}):
+                    if _walk_evaluate(residual, {free_name: value}):
                         feasible = True
                         break
                 if not feasible:
@@ -298,7 +351,10 @@ class _Search:
                     name = order[len(frames)]
                     for index in self.by_var[name]:
                         free_counts[index] -= 1
-                    frames.append((name, iter(self.domains[name].iter_values(
+                    domain = self.domains[name]
+                    if domain.is_probed() and self.by_var[name]:
+                        self.incomplete = True
+                    frames.append((name, iter(domain.iter_values(
                         self.preferred.get(name, ())))))
             name, values = frames[-1]
             for value in values:
@@ -324,8 +380,40 @@ class _Search:
             del assignment[frames[-1][0]]
 
 
+def _walk_evaluate(expr: SymExpr, assignment: Mapping[str, int]) -> Optional[int]:
+    """:func:`try_evaluate` by a tree walk, for an expression used once."""
+
+    try:
+        return evaluate(expr, assignment)
+    except (KeyError, ZeroDivisionError):
+        return None
+
+
+def _first_occurrences(constraints: Sequence[Constraint],
+                       names: AbstractSet[str]) -> Dict[str, Tuple[int, SymVar]]:
+    """``name -> (position, variable)`` of each name's first occurrence.
+
+    A variable's domain is that of its first occurrence in the set, as in
+    :func:`solve`.
+    """
+
+    first: Dict[str, Tuple[int, SymVar]] = {}
+    remaining = set(names)
+    for position, constraint in enumerate(constraints):
+        if not remaining:
+            break
+        if variable_names(constraint.expr).isdisjoint(remaining):
+            continue
+        for var in variables(constraint.expr):
+            if var.name in remaining:
+                first[var.name] = (position, var)
+                remaining.discard(var.name)
+    return first
+
+
 def warm_start_assignment(constraint_set: ConstraintSet,
-                          hint: Mapping[str, int]) -> Optional[Dict[str, int]]:
+                          hint: Mapping[str, int],
+                          satisfied_prefix: int = 0) -> Optional[Dict[str, int]]:
     """Satisfy *constraint_set* by changing at most one variable of *hint*.
 
     The replay engine's pending items differ from their parent run in exactly
@@ -335,6 +423,16 @@ def warm_start_assignment(constraint_set: ConstraintSet,
     shape in the uServer/coreutils parsers — the full backtracking search is
     overkill: enumerate that variable's filtered domain and keep the hint for
     everything else.
+
+    *satisfied_prefix* is the caller's guarantee that the hint satisfies the
+    first ``satisfied_prefix`` constraints and binds every variable they
+    mention inside its domain.  Only the remaining constraints are then
+    evaluated against the hint, and the flipped variable's other constraints
+    are found from the cached variable-name sets, without walking a tree.
+    Both engines pass ``len(constraint_set) - 1``: every pending item and
+    every concolic flip is a run's own path prefix plus one negated
+    constraint, with that run's input as the hint.  The default of 0
+    guarantees nothing and checks everything.
 
     Correctness contract: the returned assignment is **exactly** the one
     :func:`solve` would produce for the same set and hint (the search prefers
@@ -347,65 +445,59 @@ def warm_start_assignment(constraint_set: ConstraintSet,
 
     if not hint:
         return None
-
-    simplified: List[SymExpr] = []
-    for constraint in constraint_set:
-        expr = simplify(constraint.expr)
-        if expr == sym_const(0):
-            return None  # unsatisfiable: let solve() report it
-        if expr == sym_const(1):
-            continue
-        simplified.append(expr)
-    if not simplified:
+    constraints = constraint_set.constraints
+    head = _nontrivial(constraints[:satisfied_prefix])
+    tail = _nontrivial(constraints[satisfied_prefix:])
+    if head is None or tail is None:
+        return None  # unsatisfiable: let solve() report it
+    if not head and not tail:
         return None  # solve()'s trivial path is already cheap
 
-    # Domains come from the *unsimplified* constraints, exactly like solve():
-    # a variable that simplifies away still receives a value there.
-    all_vars: Dict[str, SymVar] = {}
-    for constraint in constraint_set:
-        for var in variables(constraint.expr):
-            all_vars.setdefault(var.name, var)
-    for name, var in all_vars.items():
+    # Every variable needs a hint value inside its domain, or solve() would
+    # have to invent one or skip the hint's.  The prefix's variables have one.
+    checked: Set[str] = set()
+    for constraint in constraints[satisfied_prefix:]:
+        checked.update(variable_names(constraint.expr))
+    first = _first_occurrences(constraints, checked)
+    for name in checked:
         if name not in hint:
-            return None  # solve() would have to invent this value
-        if not (var.lo <= hint[name] <= var.hi):
-            return None  # solve() would skip the out-of-domain hint value
+            return None
+        position, var = first[name]
+        if position >= satisfied_prefix and not var.lo <= hint[name] <= var.hi:
+            return None
 
-    expr_vars = [frozenset(v.name for v in variables(expr)) for expr in simplified]
-    unsatisfied = [index for index, expr in enumerate(simplified)
-                   if not try_evaluate(expr, hint)]
+    unsatisfied = [expr for expr in tail if not try_evaluate(expr, hint)]
     if not unsatisfied:
         # The hint satisfies everything; solve()'s fast path returns it as-is.
         return dict(hint)
 
-    flip_names = set()
-    for index in unsatisfied:
-        flip_names.update(expr_vars[index])
+    flip_names: Set[str] = set()
+    for expr in unsatisfied:
+        flip_names.update(variable_names(expr))
     if len(flip_names) != 1:
         return None
     (flip,) = flip_names
     # Every constraint mentioning the flip variable must be unary in it;
     # otherwise changing the flip value can break a multi-variable constraint
     # and solve() might instead move one of the *other* variables.
-    relevant = [index for index, names in enumerate(expr_vars) if flip in names]
-    if any(expr_vars[index] != {flip} for index in relevant):
+    relevant = [expr for expr in head + tail if flip in variable_names(expr)]
+    if any(len(variable_names(expr)) != 1 for expr in relevant):
         return None
 
-    domain = _Domain(all_vars[flip])
+    domain = _Domain(first[flip][1])
     if domain.size() <= _MAX_ENUMERABLE_DOMAIN:
         # Mirror solve()'s unary filtering (same candidate order afterwards).
-        for index in relevant:
-            allowed = _unary_satisfying_values(simplified[index], flip, domain)
-            domain.restrict_to(allowed)
+        for expr in relevant:
+            domain.restrict_to(_unary_satisfying_values(expr, flip, domain))
             if domain.is_empty():
                 return None
     preferred: List[int] = [hint[flip]]
-    for index, expr in enumerate(simplified):
-        if flip in expr_vars[index]:
-            preferred.extend(sorted(_interesting_values(expr)))
+    for expr in relevant:
+        preferred.extend(sorted(_interesting_values(expr)))
+    probe = {flip: 0}
     for value in domain.iter_values(preferred):
-        if all(try_evaluate(simplified[index], {flip: value})
-               for index in relevant):
+        probe[flip] = value
+        if all(try_evaluate(expr, probe) for expr in relevant):
             assignment = dict(hint)
             assignment[flip] = value
             return assignment
@@ -431,49 +523,53 @@ def solve(constraint_set: ConstraintSet,
     node_budget:
         Upper bound on search nodes before giving up (reported as
         ``stats.budget_exhausted``).
+
+    The result's :attr:`~SolverResult.status` is ``sat`` with an assignment,
+    ``unsat`` when the set is proven unsatisfiable, or ``unknown`` when the
+    solver gave up: the node budget ran out, or a variable whose domain is
+    wider than 4,096 values was searched over a few probe values only.
     """
 
     start = time.monotonic()
     hint = dict(hint or {})
     stats = SolverStats()
 
-    simplified: List[SymExpr] = []
-    for constraint in constraint_set:
-        expr = simplify(constraint.expr)
-        if expr == sym_const(0):
-            stats.wall_seconds = time.monotonic() - start
-            return SolverResult(False, None, stats)
-        if expr == sym_const(1):
-            continue
-        simplified.append(expr)
+    def finish(status: str,
+               assignment: Optional[Dict[str, int]] = None) -> SolverResult:
+        stats.wall_seconds = time.monotonic() - start
+        return SolverResult(status, assignment, stats)
+
+    simplified = _nontrivial(constraint_set)
+    if simplified is None:
+        return finish(UNSAT)
 
     domains: Dict[str, _Domain] = {}
     for constraint in constraint_set:
         for var in variables(constraint.expr):
-            domains.setdefault(var.name, _Domain(var))
+            if var.name not in domains:
+                domains[var.name] = _Domain(var)
     for var in extra_variables or ():
-        domains.setdefault(var.name, _Domain(var))
+        if var.name not in domains:
+            domains[var.name] = _Domain(var)
 
     # Fast path: the hint may already satisfy everything.
     if domains and all(name in hint for name in domains):
         if all(try_evaluate(expr, hint) for expr in simplified):
-            stats.wall_seconds = time.monotonic() - start
-            return SolverResult(True, {name: hint[name] for name in domains}, stats)
+            return finish(SAT, {name: hint[name] for name in domains})
 
     # Unary filtering: constraints over a single small-domain variable.
     for expr in simplified:
-        names = [v.name for v in variables(expr)]
-        if len(set(names)) != 1:
+        names = variable_names(expr)
+        if len(names) != 1:
             continue
-        name = names[0]
+        (name,) = names
         domain = domains[name]
         if domain.size() > _MAX_ENUMERABLE_DOMAIN:
             continue
         stats.propagations += 1
         domain.restrict_to(_unary_satisfying_values(expr, name, domain))
         if domain.is_empty():
-            stats.wall_seconds = time.monotonic() - start
-            return SolverResult(False, None, stats)
+            return finish(UNSAT)
 
     if not simplified:
         # No non-trivial constraints: answer with the hint / domain minima.
@@ -483,15 +579,14 @@ def solve(constraint_set: ConstraintSet,
                 assignment[name] = hint[name]
             else:
                 assignment[name] = next(iter(domain.iter_values()))
-        stats.wall_seconds = time.monotonic() - start
-        return SolverResult(True, assignment, stats)
+        return finish(SAT, assignment)
 
     search = _Search(simplified, domains, hint, node_budget)
     search.stats = stats
     assignment = search.run()
-    stats.wall_seconds = time.monotonic() - start
     if assignment is None:
-        return SolverResult(False, None, stats)
+        gave_up = stats.budget_exhausted or search.incomplete
+        return finish(UNKNOWN if gave_up else UNSAT)
     # Fill in unconstrained extra variables from the hint where possible.
     for name, domain in domains.items():
         if name not in assignment:
@@ -499,4 +594,4 @@ def solve(constraint_set: ConstraintSet,
                 assignment[name] = hint[name]
             else:
                 assignment[name] = next(iter(domain.iter_values()))
-    return SolverResult(True, assignment, stats)
+    return finish(SAT, assignment)

@@ -166,7 +166,8 @@ class TestResumeByteIdentity:
     def test_checkpoint_without_search_counters_resumes(self, tmp_path,
                                                         mkdir_case):
         """A checkpoint whose outcome predates ``vm_steps``, ``repairs``,
-        ``repair_blocked`` and ``stop_reason`` resumes to the same result."""
+        ``repair_blocked``, ``stop_reason`` and ``solver_unknowns`` resumes
+        to the same result."""
 
         pipeline, trace = mkdir_case
         baseline = _engine(pipeline, trace).reproduce()
@@ -176,12 +177,14 @@ class TestResumeByteIdentity:
             CheckpointPolicy(path=path, preempt_after_commits=1))
         engine.reproduce()
         ckpt = load_checkpoint(path)
-        for name in ("vm_steps", "repairs", "repair_blocked", "stop_reason"):
+        for name in ("vm_steps", "repairs", "repair_blocked", "stop_reason",
+                     "solver_unknowns"):
             del ckpt.outcome_state.__dict__[name]
         save_checkpoint(path, ckpt)
         resumed = ReplayEngine.from_checkpoint(path).reproduce()
         assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
         assert resumed.stop_reason == "reproduced"
+        assert resumed.solver_unknowns == 0
 
     def test_request_preempt_checkpoints_at_next_commit(self, tmp_path,
                                                         mkdir_case):

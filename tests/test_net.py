@@ -11,6 +11,7 @@ single-shot ``Pipeline.reproduce_from_trace`` path.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -54,7 +55,7 @@ from repro.service.net import (
     _send_frame,
 )
 from repro.telemetry import MetricsRegistry
-from repro.trace import dump_trace_bytes, trace_from_recording
+from repro.trace import dump_trace_bytes, load_trace_bytes, trace_from_recording
 
 
 def net_config(**service_overrides) -> ReproConfig:
@@ -395,6 +396,22 @@ class TestUploadServer:
                 [(source, reason)] = server.service.inbox.rejected.items()
             assert source.startswith("net:big:")
             assert "TraceTooLargeError" in reason
+
+    def test_unknown_program_upload_rejected_and_ledgered(self, tmp_path,
+                                                          mkdir_bytes):
+        renamed = dump_trace_bytes(dataclasses.replace(
+            load_trace_bytes(mkdir_bytes), program_name="no-such-program"))
+        with start_server(tmp_path) as server:
+            client = UploadClient(server.host, server.port, client_id="u9")
+            with pytest.raises(UploadRejected, match="UnknownProgramError"):
+                client.upload(renamed)
+            with server._lock:
+                [(source, reason)] = server.service.inbox.rejected.items()
+                traces = server.service.inbox.describe()["traces"]
+            assert source.startswith("net:u9:")
+            assert "no-such-program" in reason and traces == 0
+            counters = server.service.registry.snapshot().counters
+            assert counters["service.rejected.UnknownProgramError"] == 1
 
     def test_oversized_declared_frame_refused_from_length(self, tmp_path):
         # A raw socket declaring a frame far beyond the cap: the server must

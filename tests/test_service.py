@@ -9,6 +9,7 @@ running that trace alone through ``Pipeline.reproduce_from_trace``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,10 +22,11 @@ from repro.service import (
     ReproConfig,
     ReproService,
     TraceInbox,
+    UnknownProgramError,
     outcome_fingerprint,
     workload_pipeline,
 )
-from repro.trace import dump_trace_bytes, trace_from_recording
+from repro.trace import dump_trace_bytes, load_trace_bytes, trace_from_recording
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -263,6 +265,8 @@ class TestServiceProcessing:
 
     def test_unknown_program_fails_cluster_not_service(self, tmp_path,
                                                        mkdir_bytes):
+        # Ingest resolves every program name, so a program can only be
+        # unknown at process time when the service restarts without it.
         from repro import Pipeline
         from repro.workloads import fibonacci
 
@@ -273,15 +277,48 @@ class TestServiceProcessing:
         stray = dump_trace_bytes(trace_from_recording(
             recording, program_name="mystery"))
 
-        service = ReproService(str(tmp_path / "inbox"),
-                               config=service_config())
-        stray_id = service.ingest_bytes(stray).trace_id
+        root = str(tmp_path / "inbox")
+        stray_id = ReproService(
+            root, config=service_config(),
+            programs={"mystery": fibonacci.SOURCE}).ingest_bytes(
+                stray).trace_id
+        service = ReproService(root, config=service_config())
         good_id = service.ingest_bytes(mkdir_bytes).trace_id
         reports = service.process()
         assert reports[good_id].reproduced
         assert not reports[stray_id].reproduced
         assert "mystery" in reports[stray_id].error
         assert service.inbox.cluster_of(stray_id).status == "failed"
+
+    def test_unknown_program_rejected_at_ingest(self, tmp_path, mkdir_bytes):
+        """A decodable trace naming no registered program is rejected at
+        ingest like a corrupt one, and no search ever runs for it."""
+
+        renamed = dump_trace_bytes(dataclasses.replace(
+            load_trace_bytes(mkdir_bytes), program_name="no-such-program"))
+        service = ReproService(str(tmp_path / "inbox"),
+                               config=service_config())
+        with pytest.raises(UnknownProgramError, match="no-such-program"):
+            service.ingest_bytes(renamed)
+        path = tmp_path / "renamed.trace"
+        path.write_bytes(renamed)
+        with pytest.raises(UnknownProgramError):
+            service.ingest_file(str(path))
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "renamed.trace").write_bytes(renamed)
+        assert service.poll_spool(str(spool)) == []  # the grace poll
+        assert service.poll_spool(str(spool)) == []
+        [(source, reason)] = service.inbox.rejected.items()
+        assert source.endswith("renamed.trace")
+        assert reason.startswith("UnknownProgramError:")
+        counters = service.registry.snapshot().counters
+        assert counters["service.rejected.UnknownProgramError"] == 1
+
+        assert service.process() == {}
+        assert service.stats().searches_run == 0
+        assert service.inbox.describe()["traces"] == 0
 
     def test_poison_search_fails_only_its_cluster(self, tmp_path, mkdir_bytes,
                                                   mkfifo_bytes, monkeypatch):

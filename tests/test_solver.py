@@ -8,7 +8,7 @@ import pytest
 from repro.symbolic.constraints import ConstraintSet
 from repro.symbolic.expr import SymBinOp, SymConst, SymUnOp, sym_bin, sym_const, sym_var
 from repro.symbolic.simplify import simplify, try_evaluate, variables
-from repro.symbolic.solver import solve
+from repro.symbolic.solver import SAT, UNKNOWN, UNSAT, solve
 
 
 def make_set(*exprs):
@@ -121,6 +121,33 @@ class TestHintsAndExtras:
         result = solve(cs, node_budget=10)
         assert not result.satisfiable
         assert result.stats.budget_exhausted or result.stats.nodes <= 10
+
+    def test_wide_domain_give_up_is_unknown(self):
+        # 3 * n == 15003 has the solution 5001, but n's domain is wider than
+        # the solver enumerates: it tries a few probe values and gives up.
+        n = sym_var("n", -1, 10000)
+        result = solve(make_set(sym_bin("==", sym_bin("*", sym_const(3), n),
+                                        sym_const(15003))))
+        assert result.status == UNKNOWN and not result.satisfiable
+        assert result.assignment is None
+        assert not result.stats.budget_exhausted
+
+    def test_tight_node_budget_is_unknown(self):
+        cs = make_set(sym_bin("==", sym_bin("+", A, sym_bin("+", B, C)),
+                              sym_const(300)))
+        assert solve(cs).status == SAT
+        tight = solve(cs, node_budget=3)
+        assert tight.status == UNKNOWN and tight.stats.budget_exhausted
+
+    def test_proven_answers(self):
+        assert solve(make_set(sym_bin("==", A, sym_const(5)))).status == SAT
+        assert solve(make_set(sym_bin("==", A, sym_const(300)))).status == UNSAT
+        assert solve(make_set(sym_bin("<", A, sym_const(0)))).status == UNSAT
+        # Unconstrained wide variables do not make a failure unknown.
+        wide = sym_var("w", 0, 100000)
+        cs = make_set(sym_bin("==", sym_bin("+", A, B), sym_const(600)),
+                      sym_bin("==", wide, wide))
+        assert solve(cs, extra_variables=[wide]).status == UNSAT
 
     def test_stats_populated(self):
         cs = make_set(sym_bin("==", A, sym_const(5)))
@@ -241,6 +268,8 @@ def test_solve_matches_brute_force_on_small_domains():
             assert result.satisfiable, str(cs)
             assert result.assignment == first, (str(cs), hint)
             outcomes["sat"] += 1
+        # Small domains are enumerated in full: every answer is a proof.
+        assert result.status == (UNSAT if first is None else SAT), str(cs)
 
         tight = solve(cs, hint=hint, node_budget=rng.randint(1, 12))
         if tight.satisfiable:
@@ -248,4 +277,10 @@ def test_solve_matches_brute_force_on_small_domains():
         elif first is not None:
             assert tight.stats.budget_exhausted, (str(cs), hint)
             outcomes["gave_up"] += 1
+        # Unknown exactly when the budget made it give up.
+        assert tight.status == (
+            SAT if tight.satisfiable
+            else UNKNOWN if tight.stats.budget_exhausted else UNSAT), str(cs)
+        if tight.status == UNSAT:
+            assert first is None, (str(cs), hint)
     assert min(outcomes.values()) >= 10, outcomes
