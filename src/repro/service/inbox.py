@@ -88,7 +88,9 @@ class TraceTooLargeError(TraceError):
 
 
 class UnknownProgramError(TraceError):
-    """A decodable trace names a program no registry resolves."""
+    """A decodable trace names a program the service cannot load: no
+    registry resolves the name, its source does not compile, or the
+    resolver raised."""
 
 
 def _bug_key(trace: Trace) -> str:

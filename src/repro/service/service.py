@@ -415,17 +415,24 @@ class ReproService:
             "pass programs={...} or a resolver to ReproService")
 
     def check_program(self, name: str) -> None:
-        """Resolve *name* now; :class:`UnknownProgramError` if nothing can.
+        """Resolve and compile *name* now; :class:`UnknownProgramError` if
+        that fails.
 
         The inbox and the network listener call this on every decoded trace,
-        so a report for an unknown program is rejected at ingest, like a
-        corrupt one, instead of failing its cluster at process time.
+        so a report for an unknown program, or one whose source does not
+        compile or whose resolver raises, is rejected at ingest like a
+        corrupt one instead of stalling the spool or failing its cluster at
+        process time.
         """
 
         try:
             self.program_for(name)
         except KeyError as exc:
-            raise UnknownProgramError(exc.args[0]) from None
+            raise UnknownProgramError(*exc.args) from None
+        except Exception as exc:
+            raise UnknownProgramError(
+                f"program {name!r} did not load: "
+                f"{type(exc).__name__}: {exc}") from exc
 
     def program_for(self, name: str) -> Program:
         """The developer's copy of the binary for *name* (cached)."""

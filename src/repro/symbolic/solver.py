@@ -24,7 +24,7 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
 
 from repro.symbolic.constraints import Constraint, ConstraintSet
 from repro.symbolic.expr import SymBinOp, SymConst, SymExpr, SymUnOp, SymVar
-from repro.symbolic.simplify import (compiled, evaluate, simplify, substitute,
+from repro.symbolic.simplify import (compiled, simplify, substitute,
                                      try_evaluate, variable_names, variables)
 
 _MAX_ENUMERABLE_DOMAIN = 4096
@@ -306,13 +306,11 @@ class _Search:
                 domain = self.domains[free_name]
                 if domain.size() > 512:
                     continue
-                # A fresh residual is evaluated a few times at most: walk it
-                # rather than compile it.
                 residual = substitute(constraints[index], assignment)
                 self.stats.propagations += 1
                 feasible = False
                 for value in domain.iter_values(self.preferred.get(free_name, ())):
-                    if _walk_evaluate(residual, {free_name: value}):
+                    if try_evaluate(residual, {free_name: value}):
                         feasible = True
                         break
                 if not feasible:
@@ -378,15 +376,6 @@ class _Search:
                 return None
             stats.backtracks += 1
             del assignment[frames[-1][0]]
-
-
-def _walk_evaluate(expr: SymExpr, assignment: Mapping[str, int]) -> Optional[int]:
-    """:func:`try_evaluate` by a tree walk, for an expression used once."""
-
-    try:
-        return evaluate(expr, assignment)
-    except (KeyError, ZeroDivisionError):
-        return None
 
 
 def _first_occurrences(constraints: Sequence[Constraint],

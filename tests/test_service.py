@@ -320,6 +320,51 @@ class TestServiceProcessing:
         assert service.stats().searches_run == 0
         assert service.inbox.describe()["traces"] == 0
 
+    def test_uncompilable_program_rejected_at_ingest(self, tmp_path,
+                                                     mkdir_bytes):
+        """A program whose resolved source does not parse, or whose resolver
+        raises, is rejected like an unknown one: the spool files after it
+        still ingest, and the next poll does not raise again."""
+
+        def resolver(name):
+            if name == "broken":
+                return "int main( {", ()
+            if name == "exploding":
+                raise RuntimeError("resolver backend down")
+            return None
+
+        def renamed(name):
+            return dump_trace_bytes(dataclasses.replace(
+                load_trace_bytes(mkdir_bytes), program_name=name))
+
+        service = ReproService(str(tmp_path / "inbox"),
+                               config=service_config(), resolver=resolver)
+        with pytest.raises(UnknownProgramError, match="ParseError"):
+            service.ingest_bytes(renamed("broken"))
+        with pytest.raises(UnknownProgramError, match="resolver backend down"):
+            service.ingest_bytes(renamed("exploding"))
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "a-broken.trace").write_bytes(renamed("broken"))
+        (spool / "b-exploding.trace").write_bytes(renamed("exploding"))
+        (spool / "c-good.trace").write_bytes(mkdir_bytes)
+        [good] = service.poll_spool(str(spool))  # the grace poll
+        assert service.poll_spool(str(spool)) == []
+        assert service.poll_spool(str(spool)) == []
+        reasons = {os.path.basename(source): reason
+                   for source, reason in service.inbox.rejected.items()}
+        assert sorted(reasons) == ["a-broken.trace", "b-exploding.trace"]
+        assert all(reason.startswith("UnknownProgramError:")
+                   for reason in reasons.values())
+        counters = service.registry.snapshot().counters
+        assert counters["service.rejected.UnknownProgramError"] == 2
+
+        reports = service.process()
+        assert list(reports) == [good.trace_id]
+        assert reports[good.trace_id].reproduced
+        assert service.stats().searches_run == 1
+
     def test_poison_search_fails_only_its_cluster(self, tmp_path, mkdir_bytes,
                                                   mkfifo_bytes, monkeypatch):
         """A search that raises fails its own cluster — typed error report,
