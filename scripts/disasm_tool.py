@@ -149,9 +149,7 @@ def main(argv=None) -> int:
     header.append(
         f"register allocation v{compiled.resolver_version}: "
         f"{stats['slots']} slots, {stats['slot_accesses']} slot accesses, "
-        f"{stats['global_accesses']} global accesses, "
-        f"{stats['named_accesses']} named-cell accesses, "
-        f"{stats['fully_slotted_functions']} fully slotted functions")
+        f"{stats['global_accesses']} global accesses")
     print("\n".join(header))
     print()
 

@@ -9,7 +9,12 @@ stage (recording, replay search, concolic analysis) is backend-agnostic.
 
 :func:`create_backend` picks the engine from
 :attr:`~repro.interp.interpreter.ExecutionConfig.backend`; the pipeline
-threads :attr:`~repro.core.config.PipelineConfig.backend` into it.
+threads :attr:`~repro.core.config.PipelineConfig.backend` into it.  The VM
+runs only programs whose every identifier the static scope resolution pins
+to one frame slot or global (:attr:`~repro.lang.resolve.ProgramResolution.
+complete`); ``backend="vm"`` runs any other program on the interpreter, the
+oracle the VM is checked against, so the choice never changes what a run
+observes.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from repro.interp.inputs import InputBinder
 from repro.interp.interpreter import ExecutionConfig, ExecutionResult, Interpreter
 from repro.interp.tracer import ExecutionHooks
 from repro.lang.program import Program
+from repro.lang.resolve import resolve_program
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.syscalls import SyscallKind
 
@@ -70,21 +76,34 @@ class Backend(Protocol):
         """Next replay-logged result for *kind*, if a log is installed."""
 
 
+def engine_for(program: Program, backend: Optional[str]) -> str:
+    """The engine that runs *program* when *backend* is selected.
+
+    ``"vm"`` only for a program the scope resolution resolves completely
+    (decided once per program: the resolution is cached on it); everything
+    else runs on ``"interp"``.
+    """
+
+    name = backend or "vm"
+    if name not in BACKENDS:
+        raise ValueError(f"unknown execution backend {name!r}; "
+                         f"expected one of {BACKENDS}")
+    if name == "vm" and resolve_program(program).complete:
+        return "vm"
+    return "interp"
+
+
 def create_backend(program: Program, kernel: Optional[Kernel] = None,
                    hooks: Optional[ExecutionHooks] = None,
                    binder: Optional[InputBinder] = None,
                    config: Optional[ExecutionConfig] = None) -> Backend:
-    """Build the execution engine selected by ``config.backend``."""
+    """Build the execution engine :func:`engine_for` picks."""
 
     config = config or ExecutionConfig()
-    name = config.backend or "vm"
-    if name == "vm":
+    if engine_for(program, config.backend) == "vm":
         from repro.vm.machine import VirtualMachine
 
         return VirtualMachine(program, kernel=kernel, hooks=hooks,
                               binder=binder, config=config)
-    if name != "interp":
-        raise ValueError(f"unknown execution backend {name!r}; "
-                         f"expected one of {BACKENDS}")
     return Interpreter(program, kernel=kernel, hooks=hooks,
                        binder=binder, config=config)

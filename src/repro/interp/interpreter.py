@@ -441,6 +441,11 @@ class Interpreter:
         if isinstance(target, Identifier):
             if self.env.is_defined(target.name):
                 self.env.set(target.name, value, target.line)
+            elif not self.env.frames:
+                # A global initializer has no scope to declare a local in.
+                raise RuntimeMiniCError(
+                    f"assignment to undefined variable '{target.name}'",
+                    target.line)
             else:
                 # C would reject this; MiniC treats it as an implicit local so
                 # terse workload code stays readable.

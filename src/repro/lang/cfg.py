@@ -30,6 +30,7 @@ from repro.lang.ast_nodes import (
     WhileStmt,
     iter_branch_statements,
 )
+from repro.lang.errors import SemanticError
 
 
 @dataclass(frozen=True, order=True)
@@ -188,15 +189,13 @@ class _CFGBuilder:
             current.statements.append(stmt)
             current.add_successor(self.exit_block)
             return None
-        if isinstance(stmt, Break):
+        if isinstance(stmt, (Break, Continue)):
+            if not self._loop_stack:
+                keyword = "break" if isinstance(stmt, Break) else "continue"
+                raise SemanticError(f"'{keyword}' outside a loop", stmt.line)
             current.statements.append(stmt)
-            if self._loop_stack:
-                current.add_successor(self._loop_stack[-1][0])
-            return None
-        if isinstance(stmt, Continue):
-            current.statements.append(stmt)
-            if self._loop_stack:
-                current.add_successor(self._loop_stack[-1][1])
+            target = 0 if isinstance(stmt, Break) else 1
+            current.add_successor(self._loop_stack[-1][target])
             return None
         current.statements.append(stmt)
         return current

@@ -28,10 +28,15 @@ class ParseError(MiniCError):
 class SemanticError(MiniCError):
     """Raised for semantic problems detected before execution.
 
-    Examples: duplicate function definitions, a call to an undefined function
-    discovered while building the call graph, or a ``main`` function with an
-    unsupported signature.
+    Examples: duplicate function definitions, a program without ``main``, or
+    a ``break``/``continue`` outside any loop (which carries its line).
     """
+
+    def __init__(self, message: str, line: int = 0) -> None:
+        if line:
+            message = f"{message} (line {line})"
+        super().__init__(message)
+        self.line = line
 
 
 class RuntimeMiniCError(MiniCError):

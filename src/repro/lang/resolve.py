@@ -14,20 +14,18 @@ passes).
 
 An identifier access *resolves* when the abstract walk can name the single
 variable (one ``(scope, name)`` pair, or the global) it denotes on **every**
-execution reaching it.  Accesses that cannot — a ``MAYBE`` entry anywhere in
-the scope chain, a read of a name never declared (which must keep raising
-the interpreter's exact ``undefined variable`` error at run time) — poison
-the name for the whole function: all of its accesses fall back to the VM's
-legacy named-cell operations, whose scope-chain walk is correct for every
-dynamic behaviour.  The fallback is per *name*, not per access, so a named
-cell and a slot can never alias the same variable.
+execution reaching it.  A name with an access that cannot — a ``MAYBE``
+entry anywhere in the scope chain, a read of a name never declared, an
+access in statically dead code, a duplicate parameter — is *unresolved*
+(:attr:`FunctionResolution.unresolved`).  The global initializers resolve
+the same way, against the globals declared before each one.
 
-The compiler (:mod:`repro.vm.compiler`) uses the result to emit
-``LOAD_FAST``/``STORE_FAST`` (flat list indexing) for every pure local,
-``LOAD_GLOBAL``/``STORE_GLOBAL`` for accesses proven to denote a global,
-and — when a function has no fallback names at all — to elide the frame's
-scope push/pop bookkeeping entirely.  Semantics are preserved by
-construction: anything this pass cannot prove keeps the old code shape.
+A program whose every access resolves (:attr:`ProgramResolution.complete`)
+runs on the bytecode VM: the compiler (:mod:`repro.vm.compiler`) emits
+``LOAD_FAST``/``STORE_FAST`` (flat list indexing) for every local and
+``LOAD_GLOBAL``/``STORE_GLOBAL`` for every global.  Any other program runs
+on the tree-walking interpreter, whose scope-chain walk is correct for every
+dynamic behaviour (see :func:`repro.interp.backend.create_backend`).
 
 ``RESOLVER_VERSION`` is stamped on every compiled program
 (``CompiledProgram.resolver_version``) so a disassembly names the rules its
@@ -37,6 +35,7 @@ slot layout came from (see :func:`repro.vm.compiler.compile_program`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast_nodes import (
@@ -70,7 +69,9 @@ from repro.lang.ast_nodes import (
 #: them) change; the bytecode compiler keys its cache on this.
 #: 2: per-slot int-type lattice (``int_slots``/``pointer_slots``) feeding the
 #: unboxed BINOP_II* superinstructions and the runtime quickening pass.
-RESOLVER_VERSION = 2
+#: 3: no named-cell fallback — an unresolved name sends the whole program to
+#: the interpreter — and the global initializers resolve too.
+RESOLVER_VERSION = 3
 
 # Declaration states in the abstract scope chain.
 _DECLARED = 1
@@ -79,7 +80,6 @@ _MAYBE = 2
 #: Access resolutions, as stored in :attr:`FunctionResolution.accesses`.
 SLOT = "slot"      # ("slot", index) — a pure local, lives in frame.slots
 GLOBAL = "global"  # ("global",)     — proven to denote the module global
-NAMED = "named"    # ("named",)      — fallback: legacy scope-chain dict ops
 
 #: Builtins whose return value is always a plain integer (never a pointer).
 #: Used by the int-slot lattice to classify ``x = builtin(...)`` writes; the
@@ -189,22 +189,22 @@ class _LoopCtx:
 
 @dataclass
 class FunctionResolution:
-    """Slot layout and per-access resolutions for one function."""
+    """Slot layout and per-access resolutions for one function.
+
+    Parameters occupy slots ``0..n-1`` in declaration order (resolution
+    creates their variables first).  ``accesses`` covers every identifier
+    and declarator only when no name is :attr:`unresolved`; the compiler
+    reads it for completely resolved programs alone.
+    """
 
     name: str
     nlocals: int = 0
     #: Slot index -> source name (disassembly / debugging).
     slot_names: List[str] = field(default_factory=list)
-    #: Per parameter (in order): its slot index, or None for a named cell.
-    param_slots: List[Optional[int]] = field(default_factory=list)
-    #: node_id -> ("slot", index) | ("global",) | ("named",)
+    #: node_id -> ("slot", index) | ("global",)
     accesses: Dict[int, Tuple] = field(default_factory=dict)
-    #: Names whose accesses all fall back to named cells.
-    fallback_names: Set[str] = field(default_factory=set)
-    #: True when no name falls back: every local lives in a slot, so block
-    #: scope bookkeeping (push/pop/undo) is observationally empty and the
-    #: compiler elides it.
-    elide_scopes: bool = False
+    #: Names with an access the walk cannot pin to one variable.
+    unresolved: frozenset = frozenset()
     #: Slots the int-type lattice proved only ever hold integers (every write
     #: reaching them is provably an int under the declared types of params
     #: and callees).  The proof is optimistic about declarations — a caller
@@ -217,35 +217,50 @@ class FunctionResolution:
     pointer_slots: frozenset = frozenset()
 
     def access(self, node_id: int) -> Tuple:
-        return self.accesses.get(node_id, (NAMED,))
+        return self.accesses[node_id]
+
+
+#: Name of the pseudo-function holding the global initializers' resolution.
+GLOBALS = "<globals>"
 
 
 @dataclass
 class ProgramResolution:
-    """Resolution of every function in a program."""
+    """Resolution of every function and of the global initializers."""
 
     version: int
+    #: The global initializers: every access is ``("global",)``.
+    initializers: FunctionResolution
     functions: Dict[str, FunctionResolution] = field(default_factory=dict)
 
     def for_function(self, name: str) -> Optional[FunctionResolution]:
         return self.functions.get(name)
 
+    @cached_property
+    def complete(self) -> bool:
+        """Whether every access in the program resolves (it runs on the VM)."""
+
+        return not self.unresolved()
+
+    def unresolved(self) -> Dict[str, List[str]]:
+        """Function (or ``<globals>``) -> its unresolved names, sorted."""
+
+        return {resolution.name: sorted(resolution.unresolved)
+                for resolution in (self.initializers,
+                                   *self.functions.values())
+                if resolution.unresolved}
+
     def stats(self) -> Dict[str, int]:
-        slot_accesses = named = global_accesses = slots = 0
-        for resolution in self.functions.values():
+        slot_accesses = global_accesses = slots = 0
+        for resolution in (self.initializers, *self.functions.values()):
             slots += resolution.nlocals
             for kind in resolution.accesses.values():
                 if kind[0] == SLOT:
                     slot_accesses += 1
-                elif kind[0] == GLOBAL:
-                    global_accesses += 1
                 else:
-                    named += 1
+                    global_accesses += 1
         return {"slots": slots, "slot_accesses": slot_accesses,
                 "global_accesses": global_accesses,
-                "named_accesses": named,
-                "fully_slotted_functions": sum(
-                    1 for r in self.functions.values() if r.elide_scopes),
                 "int_slots": sum(
                     len(r.int_slots) for r in self.functions.values())}
 
@@ -261,7 +276,7 @@ _MAX_LOOP_PASSES = 8
 class _FunctionResolver:
     """Resolves one function body (see module docstring for the model)."""
 
-    def __init__(self, function: FunctionDef, global_names: Set[str],
+    def __init__(self, function: Optional[FunctionDef], global_names: Set[str],
                  int_functions: Optional[Set[str]] = None) -> None:
         self.function = function
         self.global_names = global_names
@@ -269,8 +284,8 @@ class _FunctionResolver:
         # calls to them classify as int writes in the type lattice.
         self.int_functions = int_functions if int_functions is not None else set()
         self.vars: Dict[Tuple[int, str], _Var] = {}
-        self.accesses: Dict[int, object] = {}  # node_id -> _Var | GLOBAL | NAMED
-        self.fallback_names: Set[str] = set()
+        self.accesses: Dict[int, object] = {}  # node_id -> _Var | GLOBAL
+        self.unresolved: Set[str] = set()
         self.loop_stack: List[_LoopCtx] = []
 
     # -- variable bookkeeping ---------------------------------------------------
@@ -282,9 +297,6 @@ class _FunctionResolver:
             var = _Var(name, scope_uid, len(self.vars), is_param)
             self.vars[key] = var
         return var
-
-    def _poison(self, name: str) -> None:
-        self.fallback_names.add(name)
 
     # -- chain walks ------------------------------------------------------------
 
@@ -298,16 +310,14 @@ class _FunctionResolver:
                 return
             if status == _MAYBE:
                 # Could bind here or further out depending on the path taken.
-                self._poison(name)
-                self.accesses[node.node_id] = NAMED
+                self.unresolved.add(name)
                 return
         if name in self.global_names:
             self.accesses[node.node_id] = GLOBAL
             return
-        # Guaranteed-undefined read: keep the interpreter's exact runtime
-        # error by leaving the access on the legacy dict path.
-        self._poison(name)
-        self.accesses[node.node_id] = NAMED
+        # Guaranteed-undefined read: the interpreter raises its exact
+        # runtime error.
+        self.unresolved.add(name)
 
     def _resolve_write(self, node: Node, name: str,
                        state: List[_ScopeState]) -> None:
@@ -331,11 +341,15 @@ class _FunctionResolver:
                     scope.names[name] = _DECLARED
                     self.accesses[node.node_id] = self._var(scope.uid, name)
                     return
-                self._poison(name)
-                self.accesses[node.node_id] = NAMED
+                self.unresolved.add(name)
                 return
         if name in self.global_names:
             self.accesses[node.node_id] = GLOBAL
+            return
+        if not state:
+            # A global initializer assigning a name not yet declared: the
+            # interpreter has no frame to declare it in.
+            self.unresolved.add(name)
             return
         # Implicit declaration in the innermost scope.
         innermost = state[-1]
@@ -352,22 +366,22 @@ class _FunctionResolver:
     # -- unreachable code -------------------------------------------------------
 
     def _resolve_dead(self, node: Optional[Node]) -> None:
-        """Resolve a statically unreachable subtree.
+        """Leave every name in a subtree the walk does not model unresolved.
 
-        The compiler still emits code for it, so every identifier needs *a*
-        resolution; the named-cell ops are correct under any dynamic state
-        (and the code never runs, so they cost nothing).  Dead accesses do
-        not poison their names: the live accesses elsewhere keep their slots.
+        That is statically unreachable code and the operands of invalid
+        assignment and address-of targets.  The compiler still emits code
+        for them, so each identifier would need a resolution the walk has
+        no state to give.
         """
 
         if node is None:
             return
         for child in node.walk():
             if isinstance(child, Identifier):
-                self.accesses.setdefault(child.node_id, NAMED)
+                self.unresolved.add(child.name)
             elif isinstance(child, VarDecl):
-                for declarator in child.declarators:
-                    self.accesses.setdefault(declarator.node_id, NAMED)
+                self.unresolved.update(declarator.name
+                                       for declarator in child.declarators)
 
     # -- statement transfer functions ------------------------------------------
 
@@ -412,16 +426,15 @@ class _FunctionResolver:
                 self._expr(stmt.value, state)
             return None
         if isinstance(stmt, Break):
-            if self.loop_stack:
-                ctx = self.loop_stack[-1]
-                ctx.breaks.append(_copy_state(state[:ctx.depth]))
+            # Programs reject break/continue outside a loop when parsed.
+            ctx = self.loop_stack[-1]
+            ctx.breaks.append(_copy_state(state[:ctx.depth]))
             return None
         if isinstance(stmt, Continue):
-            if self.loop_stack:
-                ctx = self.loop_stack[-1]
-                ctx.continues.append(_copy_state(state[:ctx.depth]))
+            ctx = self.loop_stack[-1]
+            ctx.continues.append(_copy_state(state[:ctx.depth]))
             return None
-        # Unknown statement kinds (none today) stay on the dict path.
+        # Unknown statement kinds (none today) stay unresolved.
         self._resolve_dead(stmt)
         return state
 
@@ -438,8 +451,7 @@ class _FunctionResolver:
             return self._expr(target.index, state)
         if isinstance(target, UnaryOp) and target.op == "*":
             return self._expr(target.operand, state)
-        # Invalid assignment target: compiles to a runtime error; any
-        # identifiers inside still get (dead-path) resolutions.
+        # Invalid assignment target: compiles to a runtime error.
         self._resolve_dead(target)
         return state
 
@@ -558,9 +570,8 @@ class _FunctionResolver:
         for param in self.function.params:
             if param.name in base.names:
                 # Duplicate parameter names collapse onto one binding at run
-                # time (the last argument wins); keep that behaviour on the
-                # named-cell path instead of modelling it.
-                self._poison(param.name)
+                # time (the last argument wins), which slots cannot model.
+                self.unresolved.add(param.name)
             base.names[param.name] = _DECLARED
             self._var(_BASE_SCOPE, param.name, is_param=True)
         self._stmt(self.function.body, [base])
@@ -568,38 +579,20 @@ class _FunctionResolver:
 
     def _finish(self) -> FunctionResolution:
         resolution = FunctionResolution(name=self.function.name,
-                                        fallback_names=set(self.fallback_names))
-        # Slot assignment: every variable of a non-poisoned name, in first
-        # (static) appearance order — parameters first by construction.
+                                        unresolved=frozenset(self.unresolved))
+        # Slot assignment: every variable in first (static) appearance
+        # order, so parameters take slots 0..n-1.
         slot_of: Dict[Tuple[int, str], int] = {}
         for key, var in sorted(self.vars.items(), key=lambda kv: kv[1].order):
-            if var.name in self.fallback_names:
-                continue
             slot_of[key] = len(resolution.slot_names)
             resolution.slot_names.append(var.name)
         resolution.nlocals = len(resolution.slot_names)
-        for param in self.function.params:
-            resolution.param_slots.append(
-                slot_of.get((_BASE_SCOPE, param.name)))
         for node_id, target in self.accesses.items():
             if isinstance(target, _Var):
-                slot = slot_of.get((target.scope_uid, target.name))
-                if slot is None:
-                    resolution.accesses[node_id] = (NAMED,)
-                else:
-                    resolution.accesses[node_id] = (SLOT, slot)
-            elif target is GLOBAL:
-                resolution.accesses[node_id] = (GLOBAL,)
+                resolution.accesses[node_id] = (
+                    SLOT, slot_of[(target.scope_uid, target.name)])
             else:
-                resolution.accesses[node_id] = (NAMED,)
-        resolution.elide_scopes = not self.fallback_names
-        if resolution.elide_scopes:
-            # The VM's bare-frame call fast path relies on parameters
-            # occupying slots 0..n-1 in declaration order; resolution
-            # creates parameter variables first, so this holds whenever no
-            # name fell back.
-            assert resolution.param_slots == list(
-                range(len(self.function.params)))
+                resolution.accesses[node_id] = (GLOBAL,)
         resolution.int_slots, resolution.pointer_slots = \
             self._int_slot_analysis(slot_of)
         return resolution
@@ -715,11 +708,34 @@ class _FunctionResolver:
         return False
 
 
+def _resolve_initializers(program) -> FunctionResolution:
+    """Resolve the global initializers, in declaration order.
+
+    They run before any frame exists, so an identifier can only denote a
+    global declared before it: a read of any other name raises, and an
+    assignment to one has no scope to declare it in.  Both stay unresolved.
+    """
+
+    declared: Set[str] = set()
+    resolver = _FunctionResolver(None, declared)
+    for decl in program.unit.globals:
+        for declarator in decl.decl.declarators:
+            for expr in (declarator.array_size, declarator.init):
+                if expr is not None:
+                    resolver._expr(expr, [])
+            declared.add(declarator.name)
+            resolver.accesses[declarator.node_id] = GLOBAL
+    return FunctionResolution(
+        name=GLOBALS, accesses=dict.fromkeys(resolver.accesses, (GLOBAL,)),
+        unresolved=frozenset(resolver.unresolved))
+
+
 _RESOLUTION_ATTR = "_scope_resolution_cache"
 
 
 def resolve_program(program) -> ProgramResolution:
-    """Resolve every function of *program* (cached per program instance)."""
+    """Resolve every function and the global initializers of *program*
+    (cached per program instance)."""
 
     cached = getattr(program, _RESOLUTION_ATTR, None)
     if cached is not None and cached.version == RESOLVER_VERSION:
@@ -729,7 +745,8 @@ def resolve_program(program) -> ProgramResolution:
         name for name, function in program.functions.items()
         if function.return_type.pointer_depth == 0
         and function.return_type.base in _INT_BASES}
-    resolution = ProgramResolution(version=RESOLVER_VERSION)
+    resolution = ProgramResolution(version=RESOLVER_VERSION,
+                                   initializers=_resolve_initializers(program))
     for name, function in program.functions.items():
         resolution.functions[name] = _FunctionResolver(
             function, global_names, int_functions).resolve()

@@ -126,7 +126,7 @@ def dump_checkpoint_bytes(checkpoint: SearchCheckpoint) -> bytes:
 
     meta = _Writer()
     meta.u64(checkpoint.commits)
-    meta.u64(max(0, int(checkpoint.elapsed_seconds * 1_000_000)))
+    meta.u64(max(0, round(checkpoint.elapsed_seconds * 1_000_000)))
     meta.u64(len(checkpoint.pending_items))
     sections = {
         b"META": meta.getvalue(),

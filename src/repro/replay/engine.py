@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.environment import Environment
 from repro.instrument.logger import BitvectorLog, SyscallResultLog
 from repro.instrument.plan import InstrumentationPlan
-from repro.interp.backend import create_backend
+from repro.interp.backend import create_backend, engine_for
 from repro.interp.inputs import ExecutionMode, InputBinder
 from repro.interp.interpreter import (
     CrashSite,
@@ -469,6 +469,33 @@ def _process_worker_evaluate(item: PendingItem) -> _ItemEvaluation:
     return _WORKER_ENGINE._evaluate_item(item)
 
 
+def check_matched_binaries(program: Program, trace,
+                           expect_plan: Optional[InstrumentationPlan] = None
+                           ) -> None:
+    """Raise :class:`~repro.trace.TraceFingerprintMismatch` unless *trace*
+    was recorded from the binary *program* builds.
+
+    Checked against *expect_plan* when the caller knows the plan their
+    build uses, and always against the program's own branch locations (a
+    trace recorded from a different program cannot line up).  The service
+    runs it at ingest as well as before a search, so a trace that would
+    fail its search is rejected on arrival.
+    """
+
+    from repro.trace import TraceFingerprintMismatch, verify_fingerprint
+
+    if expect_plan is not None:
+        verify_fingerprint(trace, expect_plan)
+    known = set(program.branch_locations)
+    unknown = [loc for loc in sorted(trace.plan.instrumented)
+               if loc not in known]
+    if unknown:
+        raise TraceFingerprintMismatch(
+            "trace instruments branch locations this program does not "
+            f"have (first few: {[loc.short() for loc in unknown[:3]]}); "
+            "record and replay must use matched binaries")
+
+
 class ReplayEngine:
     """Searches for an input reproducing a recorded crash."""
 
@@ -537,24 +564,11 @@ class ReplayEngine:
 
         This is the developer half of the paper's user/developer split: the
         trace carries the recording and the input scaffold; *program* is the
-        developer's copy of the binary.  The matched-binaries assumption is
-        enforced twice — against *expect_plan* when the caller supplies the
-        plan their build uses, and always against the program's own branch
-        locations (a trace recorded from a different program cannot line up).
+        developer's copy of the binary.  :func:`check_matched_binaries`
+        enforces the matched-binaries assumption first.
         """
 
-        from repro.trace import TraceFingerprintMismatch, verify_fingerprint
-
-        if expect_plan is not None:
-            verify_fingerprint(trace, expect_plan)
-        known = set(program.branch_locations)
-        unknown = [loc for loc in sorted(trace.plan.instrumented)
-                   if loc not in known]
-        if unknown:
-            raise TraceFingerprintMismatch(
-                "trace instruments branch locations this program does not "
-                f"have (first few: {[loc.short() for loc in unknown[:3]]}); "
-                "record and replay must use matched binaries")
+        check_matched_binaries(program, trace, expect_plan)
         return cls(program=program, plan=trace.plan, bitvector=trace.bitvector,
                    syscall_log=trace.syscall_log if trace.plan.log_syscalls else None,
                    crash_site=trace.crash_site, environment=trace.environment(),
@@ -725,10 +739,11 @@ class ReplayEngine:
 
     def _search_serial(self, outcome: ReplayOutcome, pending: PendingList,
                        start: float) -> None:
-        # Repairing runs in place needs the VM, and the opcode profiler
+        # Repairing runs in place needs the VM (which a program the
+        # resolver cannot slot does not run on), and the opcode profiler
         # counts from-main runs.
-        chained = self.backend == "vm" and not (self.telemetry
-                                                and self.profile_opcodes)
+        chained = (engine_for(self.program, self.backend) == "vm"
+                   and not (self.telemetry and self.profile_opcodes))
         item = self._next_item(outcome, pending, start)
         solution: Optional[_Solution] = None
         while item is not None:

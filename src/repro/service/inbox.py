@@ -29,10 +29,12 @@ The inbox is the receiving dock for that traffic:
 
 Corrupt or truncated trace files never poison a batch: they are recorded in
 the rejection ledger (with the one-line reason) and skipped on subsequent
-polls.  The ledger is *bounded* (``max_rejected`` entries, oldest evicted)
-so a sustained garbage storm cannot grow ``inbox.json`` without limit, and
-every rejection increments a ``service.rejected.<reason>`` telemetry
-counter when the inbox is given a registry.
+polls.  So are decodable traces the service's ``check_trace`` hook refuses
+(an unknown program, a trace from a different binary).  The ledger is
+*bounded* (``max_rejected`` entries, oldest evicted) so a sustained garbage
+storm cannot grow ``inbox.json`` without limit, and every rejection
+increments a ``service.rejected.<reason>`` telemetry counter when the inbox
+is given a registry.
 
 A file that merely *looks* corrupt may simply still be in flight: an
 external transport writing a spool file in place is indistinguishable from
@@ -397,7 +399,7 @@ class TraceInbox:
                  max_trace_bytes: int = 0,
                  max_rejected: int = 256,
                  registry=None,
-                 check_program: Optional[Callable[[str], None]] = None
+                 check_trace: Optional[Callable[[Trace], None]] = None
                  ) -> None:
         self.root = root
         self.persist = persist
@@ -412,10 +414,10 @@ class TraceInbox:
         #: Optional :class:`~repro.telemetry.MetricsRegistry` receiving the
         #: ``service.rejected.<reason>`` counters.
         self.registry = registry
-        #: Called with each decoded trace's program name; raises
-        #: :class:`UnknownProgramError` for a name nothing resolves, which
-        #: rejects the trace like a corrupt one.
-        self.check_program = check_program
+        #: Called with each decoded trace; raises a :class:`TraceError` (an
+        #: unknown program, a trace from a different binary) to reject the
+        #: trace like a corrupt one.
+        self.check_trace = check_trace
         self.clusters: Dict[str, TraceCluster] = {}
         #: trace_id -> {cluster, program, scenario, file, source}
         self.traces: Dict[str, Dict[str, object]] = {}
@@ -444,8 +446,8 @@ class TraceInbox:
 
         self._check_size(len(data), source)
         trace = load_trace_bytes(data)
-        if self.check_program is not None:
-            self.check_program(trace.program_name)
+        if self.check_trace is not None:
+            self.check_trace(trace)
         self._sequence += 1
         digest = hashlib.sha256(data).hexdigest()[:8]
         trace_id = f"t{self._sequence:05d}-{digest}"

@@ -499,7 +499,7 @@ class UploadServer:
         try:
             trace = load_trace_bytes(body)
             with self._lock:
-                self.service.check_program(trace.program_name)
+                self.service.check_trace(trace)
         except TraceError as exc:
             with self._lock:
                 self.service.inbox.reject(source, exc)

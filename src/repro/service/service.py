@@ -30,10 +30,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.instrument.methods import InstrumentationMethod, build_plan
+from repro.instrument.plan import InstrumentationPlan
 from repro.lang.program import Program
 from repro.planner import (FleetObservations, PlanLedger, PlanVersion,
                            ReplanPolicy, Replanner, plan_fingerprint_digest)
-from repro.replay.engine import ReplayEngine, ReplayOutcome, WorkerCrashError
+from repro.replay.engine import (ReplayEngine, ReplayOutcome,
+                                 WorkerCrashError, check_matched_binaries)
 from repro.service.config import ReproConfig
 from repro.service.inbox import IngestResult, SpoolJournal, TraceCluster, \
     TraceInbox, UnknownProgramError
@@ -249,7 +251,7 @@ class ServiceStats:
 #: re-derives the developer-side plan and enforces the strict
 #: matched-binaries fingerprint check (exactly like the single-trace replay
 #: command).  Analysis-based plans are still guarded by the program-level
-#: branch-location check in :meth:`ReplayEngine.from_trace`.
+#: branch-location check in :func:`check_matched_binaries`.
 ANALYSIS_FREE_METHODS = frozenset((InstrumentationMethod.ALL_BRANCHES.value,
                                    InstrumentationMethod.NONE.value))
 
@@ -324,7 +326,7 @@ class ReproService:
                                 max_trace_bytes=config.service.max_trace_bytes,
                                 max_rejected=config.service.max_rejected_entries,
                                 registry=self._registry,
-                                check_program=self.check_program)
+                                check_trace=self.check_trace)
         self._programs_src = dict(programs or {})
         self._resolver = resolver
         self._programs: Dict[str, Program] = {}
@@ -414,25 +416,30 @@ class ReproService:
             f"no program registered for trace program name {name!r}; "
             "pass programs={...} or a resolver to ReproService")
 
-    def check_program(self, name: str) -> None:
-        """Resolve and compile *name* now; :class:`UnknownProgramError` if
-        that fails.
+    def check_trace(self, trace) -> None:
+        """Reject a decoded trace now if its search could only fail.
 
         The inbox and the network listener call this on every decoded trace,
-        so a report for an unknown program, or one whose source does not
-        compile or whose resolver raises, is rejected at ingest like a
-        corrupt one instead of stalling the spool or failing its cluster at
-        process time.
+        so a report for an unknown program, one whose source does not
+        compile or whose resolver raises (:class:`UnknownProgramError`), or
+        one recorded from a different binary
+        (:class:`~repro.trace.TraceFingerprintMismatch`, the same check
+        :meth:`_engine_for` runs) is rejected at ingest like a corrupt one
+        instead of stalling the spool or failing its cluster at process
+        time.
         """
 
+        name = trace.program_name
         try:
-            self.program_for(name)
+            program = self.program_for(name)
         except KeyError as exc:
             raise UnknownProgramError(*exc.args) from None
         except Exception as exc:
             raise UnknownProgramError(
                 f"program {name!r} did not load: "
                 f"{type(exc).__name__}: {exc}") from exc
+        check_matched_binaries(program, trace,
+                               self._expected_plan(program, trace))
 
     def program_for(self, name: str) -> Program:
         """The developer's copy of the binary for *name* (cached)."""
@@ -634,31 +641,32 @@ class ReproService:
                 pass
         return resumable
 
+    def _expected_plan(self, program: Program,
+                       trace) -> Optional[InstrumentationPlan]:
+        """The developer-side plan *trace* must match, when one is known."""
+
+        if trace.plan.method in ANALYSIS_FREE_METHODS:
+            return build_plan(InstrumentationMethod(trace.plan.method),
+                              program.branch_locations,
+                              log_syscalls=trace.plan.log_syscalls)
+        # Analysis-based and replanned plans cannot be re-derived here, but
+        # the plan ledger can vouch for them: a trace whose plan fingerprint
+        # matches a registered version is verified against that version's
+        # plan — the strict matched-binaries check for every generation of
+        # a mixed-fingerprint fleet.
+        entry = self.plan_ledger.by_fingerprint(
+            trace.program_name, plan_fingerprint_digest(trace.plan))
+        return None if entry is None else entry.plan()
+
     def _engine_for(self, cluster: TraceCluster) -> ReplayEngine:
         representative = cluster.members[0]
         trace = load_trace(self.inbox.trace_path(representative))
         program = self.program_for(cluster.program)
-        expect_plan = None
-        if trace.plan.method in ANALYSIS_FREE_METHODS:
-            expect_plan = build_plan(
-                InstrumentationMethod(trace.plan.method),
-                program.branch_locations,
-                log_syscalls=trace.plan.log_syscalls)
-        else:
-            # Analysis-based and replanned plans cannot be re-derived here,
-            # but the plan ledger can vouch for them: a trace whose plan
-            # fingerprint matches a registered version is verified against
-            # that version's plan — the strict matched-binaries check for
-            # every generation of a mixed-fingerprint fleet.
-            entry = self.plan_ledger.by_fingerprint(
-                cluster.program, plan_fingerprint_digest(trace.plan))
-            if entry is not None:
-                expect_plan = entry.plan()
         replay = self.config.replay
         execution = self.config.execution
         return ReplayEngine.from_trace(
             program, trace,
-            expect_plan=expect_plan,
+            expect_plan=self._expected_plan(program, trace),
             budget=replay.budget,
             search_order=replay.search_order,
             backend=execution.backend,

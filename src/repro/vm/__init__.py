@@ -10,7 +10,9 @@ executed construct, which matters because recording, replay search and
 concolic analysis all re-run the same program hundreds of times.
 
 Select it with ``ExecutionConfig(backend="vm")`` /
-``PipelineConfig(backend="vm")`` or build one directly::
+``PipelineConfig(backend="vm")`` (a program whose names the static scope
+resolution cannot all slot then runs on the interpreter) or build one
+directly for a program it resolves completely::
 
     from repro.vm import VirtualMachine
     vm = VirtualMachine(program, kernel=kernel, hooks=hooks)

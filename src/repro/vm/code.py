@@ -26,9 +26,8 @@ class CodeObject:
     ``nlocals``/``slot_names`` describe the register-allocated frame layout
     (see :mod:`repro.lang.resolve`): the frame allocates ``nlocals`` flat
     slots and ``slot_names[i]`` is the source name living in slot ``i``
-    (names repeat when distinct shadowing variables each got a slot).
-    ``param_slots`` aligns with ``params``: the slot each parameter lands in,
-    or ``None`` for parameters that fall back to the named-cell dict.
+    (names repeat when distinct shadowing variables each got a slot).  The
+    parameters occupy slots ``0..len(params)-1``.
     """
 
     name: str
@@ -37,11 +36,6 @@ class CodeObject:
     source_line: int = 0
     nlocals: int = 0
     slot_names: List[str] = field(default_factory=list)
-    param_slots: List[Optional[int]] = field(default_factory=list)
-    #: True when every local is slotted: the frame's named-cell dict and
-    #: scope undo log are provably never touched, so calls share one empty
-    #: dict/undo instead of allocating them (see ``_Frame`` in the machine).
-    bare_frame: bool = False
     #: Instruction indexes eligible for runtime quickening: generic binary
     #: sites whose operand slots are not provably int but never pointers.
     #: The warm-up triggers (ENTRY_WARM/JUMP_WARM) pass these to the VM's
@@ -215,8 +209,7 @@ class CompiledProgram:
     globals_code: Optional[CodeObject] = None
     plan_fingerprint: Optional[Tuple] = None
     logged_locations: List[object] = field(default_factory=list)
-    #: RESOLVER_VERSION the slot layout was produced by, or 0 when compiled
-    #: without register allocation (every local on the named-cell path).
+    #: RESOLVER_VERSION the slot layout was produced by.
     resolver_version: int = 0
 
     @property

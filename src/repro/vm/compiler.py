@@ -18,6 +18,11 @@ with the tree-walking interpreter (which the differential tests in
   error type, message and source line as the interpreter (e.g. a call to an
   undefined function only fails if executed), never at compile time.
 
+Every identifier compiles to a slot or a global operation, as the static
+scope resolution of :mod:`repro.lang.resolve` decided; the compiler accepts
+only programs it resolves completely (programs with an unresolved name run
+on the interpreter, see :func:`repro.interp.backend.create_backend`).
+
 Compilation is cached per ``(Program, plan fingerprint)`` pair
 (``compile_program``), so the replay engine's hundreds of re-runs compile once
 per instrumentation plan.  Passing an :class:`~repro.instrument.plan.
@@ -67,7 +72,7 @@ from repro.lang.cfg import branch_location_for
 from repro.lang.errors import SemanticError
 from repro.lang.program import Program
 from repro.lang.resolve import (
-    GLOBAL,
+    GLOBALS,
     RESOLVER_VERSION,
     SLOT,
     FunctionResolution,
@@ -156,12 +161,10 @@ _CACHE_STATS_LOCK = threading.Lock()
 def cache_stats() -> Dict[str, int]:
     """Hit/miss counters of the ``(Program, plan)`` compiled-code cache.
 
-    .. deprecated:: 0.4
-        Thin shim kept for pre-telemetry callers.  The same events flow into
-        the active :mod:`repro.telemetry` registry as the timing-marked
-        ``vm.compile_cache.hits`` / ``vm.compile_cache.misses`` counters
-        (timing-marked because cache warmth is per-process, not a property
-        of the committed run sequence).
+    The same events flow into the active :mod:`repro.telemetry` registry as
+    the timing-marked ``vm.compile_cache.hits`` / ``vm.compile_cache.misses``
+    counters (timing-marked because cache warmth is per-process, not a
+    property of the committed run sequence).
     """
 
     with _CACHE_STATS_LOCK:
@@ -186,11 +189,10 @@ _SCOPE_TLS = threading.local()
 def cache_scope() -> Iterator[Dict[str, int]]:
     """Count this thread's compile-cache hits/misses while the scope is open.
 
-    .. deprecated:: 0.4
-        Shim over the :mod:`repro.telemetry` runtime: a
-        ``telemetry.scoped(registry)`` block now captures the same events as
-        ``vm.compile_cache.*`` counters.  The replay engine still uses this
-        scope to fill the legacy per-evaluation fields.
+    The replay engine uses it to fill each evaluation's
+    ``compile_cache_hits``/``compile_cache_misses``; a
+    ``telemetry.scoped(registry)`` block captures the same events as
+    ``vm.compile_cache.*`` counters.
     """
 
     events = {"hits": 0, "misses": 0}
@@ -226,10 +228,11 @@ def compile_program(program: Program, plan=None,
     instrumented branch sets are identical (in which case the code streams
     are, too).
 
-    Locals the static scope-resolution pass of :mod:`repro.lang.resolve`
-    proves pure live in numbered frame slots; names it poisons stay on the
-    named-cell path.  ``BINOP_FF;BRANCH_*`` pairs always fuse into the
-    compare-and-branch superinstructions.
+    Locals live in the numbered frame slots the static scope-resolution
+    pass of :mod:`repro.lang.resolve` assigns; a program it does not resolve
+    completely raises :class:`~repro.lang.errors.SemanticError`.
+    ``BINOP_FF;BRANCH_*`` pairs always fuse into the compare-and-branch
+    superinstructions.
 
     ``specialize_ints`` enables the adaptive int specialization tier: the
     resolver's int-slot lattice drives static ``BINOP_II*`` emission and
@@ -279,6 +282,11 @@ class Compiler:
         self.program = program
         self.plan = plan
         self.resolution = resolve_program(program)
+        if not self.resolution.complete:
+            raise SemanticError(
+                f"program {program.name!r} has names the resolver cannot "
+                f"slot ({self.resolution.unresolved()}); it runs on the "
+                f"interpreter")
         self.specialize_ints = specialize_ints
         self.synth_fusions = tuple(synth_fusions) if synth_fusions else ()
         # Slot table for BRANCH_LOGGED: slot index -> BranchLocation.  The VM
@@ -292,18 +300,17 @@ class Compiler:
             fn_resolution = self.resolution.for_function(name)
             code.nlocals = fn_resolution.nlocals
             code.slot_names = list(fn_resolution.slot_names)
-            code.param_slots = list(fn_resolution.param_slots)
-            code.bare_frame = fn_resolution.elide_scopes
             self.code_objects[name] = code
 
     def compile(self) -> CompiledProgram:
-        globals_code = CodeObject(name="<globals>")
-        emitter = _FunctionEmitter(self, "<globals>", globals_code)
+        globals_code = CodeObject(name=GLOBALS)
+        emitter = _FunctionEmitter(self, GLOBALS, globals_code,
+                                   self.resolution.initializers)
         for decl in self.program.unit.globals:
             # The interpreter runs global initializers directly (no statement
             # step for the declaration itself), so only the initializer
             # expressions carry charges here.
-            emitter.compile_vardecl(decl.decl, declare_global=True)
+            emitter.compile_vardecl(decl.decl)
         emitter.finish()
         for name, fn in self.program.functions.items():
             body_emitter = _FunctionEmitter(self, name, self.code_objects[name],
@@ -323,31 +330,19 @@ class _FunctionEmitter:
     """Emits the instruction stream of a single function."""
 
     def __init__(self, compiler: Compiler, function_name: str,
-                 code: CodeObject,
-                 resolution: Optional[FunctionResolution] = None) -> None:
+                 code: CodeObject, resolution: FunctionResolution) -> None:
         self.compiler = compiler
         self.function_name = function_name
         self.code = code
         self.instructions = code.instructions
         self.resolution = resolution
-        # A fully slotted function has no named cells, so scope push/pop
-        # bookkeeping is observationally empty and is not emitted at all.
-        self.elide_scopes = resolution is not None and resolution.elide_scopes
         self.pending = 0
-        self.scope_depth = 0
-        # (break_label, continue_label, scope_depth) for each enclosing loop.
+        # (break_label, continue_label) for each enclosing loop.
         self.loops: List[tuple] = []
         self._labels: List[_Label] = []
         # Instruction indexes some already-bound label points at; peephole
         # fusion must not swallow a jump target.
         self._bound_positions: set = set()
-
-    def _access(self, node) -> tuple:
-        """The resolved access kind of an identifier/declarator node."""
-
-        if self.resolution is None:
-            return ("named",)
-        return self.resolution.access(node.node_id)
 
     # -- emission helpers -------------------------------------------------------
 
@@ -383,7 +378,7 @@ class _FunctionEmitter:
             # fusion product (LOAD2_FAST;LOAD_INDEX -> LOAD_INDEX_FF); a
             # no-op when nothing matches.
             self._apply_synth(self.compiler.synth_fusions)
-        specialize = self.compiler.specialize_ints and self.resolution is not None
+        specialize = self.compiler.specialize_ints
         if specialize and self._needs_quickening():
             self._insert_warm_triggers()
         self._patch_labels()
@@ -653,20 +648,11 @@ class _FunctionEmitter:
     def compile_stmt(self, stmt: Stmt) -> None:
         self.pending += 1  # the interpreter's _exec_stmt step
         if isinstance(stmt, Block):
-            if self.elide_scopes:
-                # No named cells in this function: the scope would only ever
-                # be pushed and popped empty.  The pending charge flows to
-                # the first instruction of the first child, preserving the
-                # accumulated step totals exactly.
-                for child in stmt.statements:
-                    self.compile_stmt(child)
-                return
-            self.emit(op.SCOPE_PUSH)
-            self.scope_depth += 1
+            # Every local lives in a slot, so a block compiles to nothing
+            # of its own: the pending charge flows to the first instruction
+            # of the first child, preserving the accumulated step totals.
             for child in stmt.statements:
                 self.compile_stmt(child)
-            self.emit(op.SCOPE_POP, 1)
-            self.scope_depth -= 1
         elif isinstance(stmt, VarDecl):
             self.compile_vardecl(stmt)
         elif isinstance(stmt, Assign):
@@ -689,15 +675,14 @@ class _FunctionEmitter:
             if not self._fuse_load_ret():
                 self.emit(op.RET)
         elif isinstance(stmt, Break):
-            self._compile_loop_exit(stmt, is_break=True)
+            self.emit(op.JUMP, self.loops[-1][0])
         elif isinstance(stmt, Continue):
-            self._compile_loop_exit(stmt, is_break=False)
+            self.emit(op.JUMP, self.loops[-1][1])
         else:  # pragma: no cover - parser produces no other statement nodes
             raise SemanticError(
                 f"unsupported statement {type(stmt).__name__}")
 
-    def compile_vardecl(self, decl: VarDecl, declare_global: bool = False) -> None:
-        declare = op.DECL_GLOBAL if declare_global else op.DECL_LOCAL
+    def compile_vardecl(self, decl: VarDecl) -> None:
         for declarator in decl.declarators:
             if declarator.is_array:
                 has_size = declarator.array_size is not None
@@ -708,17 +693,13 @@ class _FunctionEmitter:
                 self.compile_expr(declarator.init)
             else:
                 self.emit(op.CONST, ZERO)
-            if declare_global:
-                self.emit(declare, declarator.name)
-                continue
-            access = self._access(declarator)
+            # A declaration is a plain write: locals get their own slot
+            # (shadowing variables get distinct ones), globals their entry.
+            access = self.resolution.access(declarator.node_id)
             if access[0] == SLOT:
-                # Declaring a slotted variable is just a slot write: the
-                # resolver proved no named cell can alias it, so there is
-                # nothing to shadow or undo.
                 self.emit(op.STORE_FAST, access[1])
             else:
-                self.emit(declare, declarator.name)
+                self.emit(op.STORE_GLOBAL, declarator.name)
 
     def _compile_if(self, stmt: IfStmt) -> None:
         else_label = self.new_label()
@@ -742,16 +723,13 @@ class _FunctionEmitter:
         self.compile_expr(stmt.cond)
         location = branch_location_for(self.function_name, stmt)
         self.emit_branch(location, after)
-        self.loops.append((after, header, self.scope_depth))
+        self.loops.append((after, header))
         self.compile_stmt(stmt.body)
         self.loops.pop()
         self.emit(op.JUMP, header)
         self.bind(after)
 
     def _compile_for(self, stmt: ForStmt) -> None:
-        if not self.elide_scopes:
-            self.emit(op.SCOPE_PUSH)  # absorbs the for-statement charge
-            self.scope_depth += 1
         if stmt.init is not None:
             self.compile_stmt(stmt.init)
         header = self.new_label()
@@ -762,7 +740,7 @@ class _FunctionEmitter:
             self.compile_expr(stmt.cond)
             location = branch_location_for(self.function_name, stmt)
             self.emit_branch(location, after)
-        self.loops.append((after, cont, self.scope_depth))
+        self.loops.append((after, cont))
         self.compile_stmt(stmt.body)
         self.loops.pop()
         self.bind(cont)
@@ -770,23 +748,6 @@ class _FunctionEmitter:
             self.compile_stmt(stmt.update)
         self.emit(op.JUMP, header)
         self.bind(after)
-        if not self.elide_scopes:
-            self.emit(op.SCOPE_POP, 1)
-            self.scope_depth -= 1
-
-    def _compile_loop_exit(self, stmt: Stmt, is_break: bool) -> None:
-        if not self.loops:
-            # The interpreter's break/continue signal would escape the run
-            # loop entirely here; no workload does this, but keep it a guest
-            # error rather than a host crash.
-            self.emit(op.CALL_UNDEF, "break" if is_break else "continue",
-                      line=stmt.line)
-            return
-        break_label, continue_label, loop_depth = self.loops[-1]
-        pops = self.scope_depth - loop_depth
-        if pops:
-            self.emit(op.SCOPE_POP, pops)
-        self.emit(op.JUMP, break_label if is_break else continue_label)
 
     # -- lvalues ----------------------------------------------------------------
 
@@ -800,15 +761,13 @@ class _FunctionEmitter:
         if keep_value:
             self.emit(op.DUP)
         if isinstance(target, Identifier):
-            access = self._access(target)
+            access = self.resolution.access(target.node_id)
             if access[0] == SLOT:
                 slot = access[1]
                 if keep_value or not self._fuse_binop_store_fast(slot):
                     self.emit(op.STORE_FAST, slot, line=target.line)
-            elif access[0] == GLOBAL:
+            else:
                 self.emit(op.STORE_GLOBAL, target.name, line=target.line)
-            elif keep_value or not self._fuse_binop_store(target):
-                self.emit(op.STORE, target.name, line=target.line)
         elif isinstance(target, ArrayIndex):
             self.compile_expr(target.base)
             self.compile_expr(target.index)
@@ -830,13 +789,11 @@ class _FunctionEmitter:
         elif isinstance(node, StringLiteral):
             self.emit(op.STRING, (node.node_id, node.value))
         elif isinstance(node, Identifier):
-            access = self._access(node)
+            access = self.resolution.access(node.node_id)
             if access[0] == SLOT:
                 self.emit(op.LOAD_FAST, access[1], line=node.line)
-            elif access[0] == GLOBAL:
-                self.emit(op.LOAD_GLOBAL, node.name, line=node.line)
             else:
-                self.emit(op.LOAD, node.name, line=node.line)
+                self.emit(op.LOAD_GLOBAL, node.name, line=node.line)
         elif isinstance(node, ArrayIndex):
             self.compile_expr(node.base)
             self.compile_expr(node.index)
@@ -864,15 +821,12 @@ class _FunctionEmitter:
                 self.compile_expr(operand.index)
                 self.emit(op.ADDR_INDEX, line=operand.line)
             elif isinstance(operand, Identifier):
-                access = self._access(operand)
+                access = self.resolution.access(operand.node_id)
                 if access[0] == SLOT:
                     self.emit(op.ADDR_FAST, (access[1], operand.name),
                               line=node.line)
                 else:
-                    # Globals take the legacy chain (frame miss, global hit):
-                    # a slotted local of the same name can never sit in the
-                    # frame dict, so the chain result is exact.
-                    self.emit(op.ADDR_NAME, operand.name, line=node.line)
+                    self.emit(op.ADDR_GLOBAL, operand.name, line=node.line)
             else:
                 self.emit(op.ADDR_INVALID, line=node.line)
             return
@@ -905,17 +859,14 @@ class _FunctionEmitter:
             self.emit(op.BINARY, node.op, line=node.line)
 
     def _fuse_binary(self, operator: str, line: int) -> bool:
-        """Peephole: collapse ``LOAD;CONST;BINARY`` / ``LOAD;LOAD;BINARY``.
+        """Peephole: collapse ``LOAD_FAST;CONST;BINARY`` and
+        ``LOAD_FAST;LOAD_FAST;BINARY`` into ``BINOP_FC``/``BINOP_FF``.
 
         These two operand shapes (``i < limit``, ``n - 1``, ``i = i + 1``)
         dominate hot loops; fusing them saves two dispatches per evaluation.
-        Register-allocated operands fuse into the slot-indexed variants
-        (``BINOP_FC``/``BINOP_FF``); mixed slot/named operand pairs are left
-        unfused (three plain dispatches), which is rare outside code that
-        mixes locals with fallback names.  Declined when a bound label points
-        between the candidate instructions (a jump could then land
-        mid-pattern) — the step charges of the fused instructions are summed,
-        so the accounting stays exact.
+        Declined when a bound label points between the candidate
+        instructions (a jump could then land mid-pattern) — the step charges
+        of the fused instructions are summed, so the accounting stays exact.
         """
 
         instructions = self.instructions
@@ -924,63 +875,32 @@ class _FunctionEmitter:
         end = len(instructions)
         if end in self._bound_positions or (end - 1) in self._bound_positions:
             return False
-        first_op, first_arg, first_charge, first_line = instructions[-2]
-        second_op, second_arg, second_charge, second_line = instructions[-1]
-        if first_op == op.LOAD_FAST:
-            if second_op == op.CONST:
-                fused = (op.BINOP_FC, (operator, first_arg, second_arg))
-            elif second_op == op.LOAD_FAST:
-                fused = (op.BINOP_FF, (operator, first_arg, second_arg))
-            else:
-                return False
-        elif first_op == op.LOAD:
-            if second_op == op.CONST:
-                fused = (op.BINOP_NC,
-                         (operator, first_arg, second_arg, first_line))
-            elif second_op == op.LOAD:
-                fused = (op.BINOP_NN,
-                         (operator, first_arg, second_arg,
-                          first_line, second_line))
-            else:
-                return False
+        first_op, first_arg, first_charge, _first_line = instructions[-2]
+        second_op, second_arg, second_charge, _second_line = instructions[-1]
+        if first_op != op.LOAD_FAST:
+            return False
+        if second_op == op.CONST:
+            fused = op.BINOP_FC
+        elif second_op == op.LOAD_FAST:
+            fused = op.BINOP_FF
         else:
             return False
         charge = first_charge + second_charge + self.pending
         self.pending = 0
         del instructions[-2:]
-        instructions.append((fused[0], fused[1], charge, line))
-        return True
-
-    def _fuse_binop_store(self, target: Identifier) -> bool:
-        """Peephole: collapse ``BINOP_N*;STORE`` (the ``i = i + 1`` shape).
-
-        The fused opcodes compute the fused binary operation and assign the
-        result in one dispatch — the single hottest statement shape in every
-        counting loop.  Declined when a bound label points at the would-be
-        ``STORE`` position (a jump could then land expecting the store still
-        to happen).  Fusing *onto* a label-bound position is fine: the fused
-        instruction performs exactly what a jump there expected.
-        """
-
-        instructions = self.instructions
-        if not instructions or len(instructions) in self._bound_positions:
-            return False
-        opcode, arg, charge, line = instructions[-1]
-        if opcode == op.BINOP_NC:
-            fused = op.BINOP_NC_STORE
-        elif opcode == op.BINOP_NN:
-            fused = op.BINOP_NN_STORE
-        else:
-            return False
-        charge += self.pending
-        self.pending = 0
-        instructions[-1] = (fused, arg + (target.name,), charge, line)
+        instructions.append((fused, (operator, first_arg, second_arg),
+                             charge, line))
         return True
 
     def _fuse_binop_store_fast(self, target_slot: int) -> bool:
-        """Peephole: collapse ``BINOP_F*;STORE_FAST`` (slotted ``i = i + 1``).
+        """Peephole: collapse ``BINOP_F*;STORE_FAST`` (the ``i = i + 1``
+        shape) into one dispatch — the hottest statement shape in every
+        counting loop.
 
-        Same label rules as :meth:`_fuse_binop_store`.
+        Declined when a bound label points at the would-be ``STORE_FAST``
+        position (a jump could then land expecting the store still to
+        happen).  Fusing *onto* a label-bound position is fine: the fused
+        instruction performs exactly what a jump there expected.
         """
 
         instructions = self.instructions
@@ -999,21 +919,17 @@ class _FunctionEmitter:
         return True
 
     def _fuse_load_ret(self) -> bool:
-        """Peephole: collapse ``LOAD;RET`` (the ``return x;`` shape)."""
+        """Peephole: collapse ``LOAD_FAST;RET`` (the ``return x;`` shape)."""
 
         instructions = self.instructions
         if not instructions or len(instructions) in self._bound_positions:
             return False
         opcode, arg, charge, line = instructions[-1]
-        if opcode == op.LOAD:
-            fused = op.LOAD_RET
-        elif opcode == op.LOAD_FAST:
-            fused = op.LOAD_FAST_RET
-        else:
+        if opcode != op.LOAD_FAST:
             return False
         charge += self.pending
         self.pending = 0
-        instructions[-1] = (fused, arg, charge, line)
+        instructions[-1] = (op.LOAD_FAST_RET, arg, charge, line)
         return True
 
     def _compile_ternary(self, node: TernaryOp) -> None:

@@ -13,8 +13,12 @@ surface the builtin functions expect from their first argument.
 
 What makes it faster than the tree-walker is purely the execution substrate:
 a flat dispatch loop over pre-lowered instruction tuples instead of recursive
-``isinstance``-dispatched AST visits, and an undo-log scope representation
-that makes variable lookups a single dict probe.
+``isinstance``-dispatched AST visits, and register-allocated frames: every
+local is a numbered slot in a flat list and every global one dict probe.  It
+runs only programs whose every identifier the static scope resolution
+(:mod:`repro.lang.resolve`) pins to one slot or global;
+:func:`~repro.interp.backend.create_backend` sends every other program to the
+interpreter.
 
 When the installed hooks are the branch-logging runtime
 (:class:`~repro.instrument.logger.BranchLogger`) or the replay-run policy
@@ -170,62 +174,26 @@ _QUICKEN_FF_SITES = frozenset((op.BINOP_FF, op.BINOP_FF_STORE,
                                op.BINOP_FF_BRANCH_LOGGED))
 
 
-#: Shared slot list for frames of functions without register-allocated
-#: locals; never written (STORE_FAST is only emitted when ``nlocals > 0``).
+#: Shared slot list for frames of functions without locals; never written
+#: (STORE_FAST is only emitted when ``nlocals > 0``).
 _NO_SLOTS: List[Value] = []
-
-#: Shared named-cell state for *bare* frames (fully slotted functions):
-#: reachable code in such functions contains no named-cell or scope opcode,
-#: so the dict and undo log are provably never mutated and one empty
-#: instance serves every call.
-_EMPTY_VARS: Dict[str, "Value"] = {}
-_EMPTY_UNDO: List[list] = [[]]
 
 
 class _Frame:
-    """One function invocation: numbered slots plus a named-cell dict.
+    """One function invocation: its numbered slots.
 
-    Locals the resolution pass (:mod:`repro.lang.resolve`) proved pure live
-    in ``slots`` — a flat list indexed by the slot numbers burned into the
-    instruction stream.  Everything else (fallback names) lives in ``vars``
-    with a scope undo log: declaring a name records the shadowed binding (or
-    its absence) in the innermost scope's undo list; popping the scope
-    replays the list in reverse.  Named lookups and stores therefore touch a
-    single dict, while scope semantics (shadowing, implicit locals dying
-    with their block) stay identical to the interpreter's scope-chain walk.
-    The two stores can never alias: a name is slotted all-or-nothing per
-    function.
+    Every local lives in ``slots``, a flat list indexed by the slot numbers
+    the resolution pass (:mod:`repro.lang.resolve`) burned into the
+    instruction stream; a shadowing declaration got a slot of its own, so
+    block scopes need no run-time bookkeeping.  Parameters occupy slots
+    ``0..n-1``.
     """
 
-    __slots__ = ("function_name", "vars", "undo", "slots")
+    __slots__ = ("function_name", "slots")
 
-    def __init__(self, function_name: str, nlocals: int = 0,
-                 bare: bool = False) -> None:
+    def __init__(self, function_name: str, nlocals: int = 0) -> None:
         self.function_name = function_name
-        if bare:
-            self.vars = _EMPTY_VARS
-            self.undo = _EMPTY_UNDO
-        else:
-            self.vars = {}
-            self.undo = [[]]
         self.slots: List[Value] = [None] * nlocals if nlocals else _NO_SLOTS
-
-    def declare(self, name: str, value: Value) -> None:
-        variables = self.vars
-        self.undo[-1].append((name, variables.get(name, _MISSING)))
-        variables[name] = value
-
-    def push_scope(self) -> None:
-        self.undo.append([])
-
-    def pop_scopes(self, count: int) -> None:
-        variables = self.vars
-        for _ in range(count):
-            for name, old in reversed(self.undo.pop()):
-                if old is _MISSING:
-                    variables.pop(name, None)
-                else:
-                    variables[name] = old
 
 
 class VirtualMachine:
@@ -415,16 +383,11 @@ class VirtualMachine:
         if len(self._frames) >= self.config.max_call_depth:
             raise ProgramCrash("call stack overflow", line,
                                self.current_function_name())
-        frame = _Frame(code.name, code.nlocals, code.bare_frame)
+        frame = _Frame(code.name, code.nlocals)
         argc = len(args)
         slots = frame.slots
-        variables = frame.vars
-        for index, slot in enumerate(code.param_slots):
-            value = args[index] if index < argc else ZERO
-            if slot is not None:
-                slots[slot] = value
-            else:
-                variables[code.params[index]] = value
+        for index in range(len(code.params)):
+            slots[index] = args[index] if index < argc else ZERO
         self._frames.append(frame)
         try:
             return self._exec_code(code, frame)
@@ -491,9 +454,9 @@ class VirtualMachine:
         (the direction taken) must now be false.  Then every live value
         whose expression mentions a changed input is re-evaluated — the
         operand stacks (the current one and the callers' parked in
-        ``live``), the slots, named cells and scope undo logs of every
-        frame, the globals, the string literals and every heap block
-        reachable from them — and the binder takes the new input.
+        ``live``), the slots of every frame, the globals, the string
+        literals and every heap block reachable from them — and the binder
+        takes the new input.
 
         Returns ``""`` on success.  Otherwise the run is left untouched and
         the result names what forbids the repair: the blocking guard's kind,
@@ -593,23 +556,10 @@ class VirtualMachine:
         scan(stack)
         for parked in call_stack:
             scan(parked[3])
-        # The guest frames, plus the globals code's frame when a global
-        # initializer's call is running.
-        frames = list(self._frames)
-        known = {id(frame) for frame in frames}
-        frames.extend(parked[6] for parked in call_stack
-                      if id(parked[6]) not in known)
-        for frame in frames:
+        # The globals code's frame (parked under a global initializer's
+        # call) has no slots, so the guest frames are all there is.
+        for frame in self._frames:
             scan(frame.slots)
-            for name, value in frame.vars.items():
-                fresh = refreshed(value)
-                if fresh is not None:
-                    updates.append((frame.vars, name, fresh))
-            for scope in frame.undo:
-                for position, (name, value) in enumerate(scope):
-                    fresh = refreshed(value)
-                    if fresh is not None:
-                        updates.append((scope, position, (name, fresh)))
         for name, value in self.globals.items():
             fresh = refreshed(value)
             if fresh is not None:
@@ -689,7 +639,7 @@ class VirtualMachine:
 
         Guest calls do not recurse into the host: ``CALL`` parks the caller's
         execution state (instruction stream, pc, operand stack, frame
-        bindings) on ``call_stack`` and switches the loop's locals to the
+        slots) on ``call_stack`` and switches the loop's locals to the
         callee; the ``RET`` family pops it back.  One guest call therefore
         costs a handful of local rebindings instead of a Python function
         call, a fresh prologue and a try/finally — and host recursion limits
@@ -709,11 +659,10 @@ class VirtualMachine:
         max_call_depth = self.config.max_call_depth
         global_vars = self.globals
         frames = self._frames
-        frame_vars = frame.vars
         frame_slots = frame.slots
         hooks = self.hooks
         # Parked caller states: (instructions, end, pc, stack, push, pop,
-        # frame, frame_vars, frame_slots) per active guest call.
+        # frame_slots) per active guest call.
         call_stack: List[tuple] = []
         # Exactly-NullHooks runs observe no branch events at all, so the
         # unspecialized BRANCH can skip building them (counters still tick).
@@ -754,14 +703,6 @@ class VirtualMachine:
                 if type(value) is int:
                     value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
                         else ConcolicValue(value)
-                push(value)
-            elif opcode == op.LOAD:
-                value = frame_vars.get(arg, _MISSING)
-                if value is _MISSING:
-                    value = global_vars.get(arg, _MISSING)
-                    if value is _MISSING:
-                        raise RuntimeMiniCError(f"undefined variable '{arg}'",
-                                                line)
                 push(value)
             elif opcode == op.CONST:
                 push(arg)
@@ -1412,11 +1353,10 @@ class VirtualMachine:
                 if len(frames) >= max_call_depth:
                     raise ProgramCrash("call stack overflow", line,
                                        self.current_function_name())
-                param_slots = callee.param_slots
-                callee_frame = _Frame(callee.name, callee.nlocals,
-                                      callee.bare_frame)
+                callee_frame = _Frame(callee.name, callee.nlocals)
                 callee_slots = callee_frame.slots
-                if callee.bare_frame and argc == len(param_slots):
+                nparams = len(callee.params)
+                if argc == nparams:
                     if argc:
                         callee_slots[:argc] = stack[-argc:]
                         del stack[-argc:]
@@ -1426,18 +1366,12 @@ class VirtualMachine:
                         del stack[-argc:]
                     else:
                         args = []
-                    callee_vars = callee_frame.vars
-                    for index, param_slot in enumerate(param_slots):
-                        value = args[index] if index < argc else ZERO
-                        if param_slot is not None:
-                            callee_slots[param_slot] = value
-                        else:
-                            callee_vars[callee.params[index]] = value
+                    for index in range(nparams):
+                        callee_slots[index] = args[index] if index < argc \
+                            else ZERO
                 call_stack.append((instructions, end, pc, stack, push, pop,
-                                   frame, frame_vars, frame_slots))
+                                   frame_slots))
                 frames.append(callee_frame)
-                frame = callee_frame
-                frame_vars = callee_frame.vars
                 frame_slots = callee_slots
                 instructions = callee.instructions
                 end = len(instructions)
@@ -1459,7 +1393,7 @@ class VirtualMachine:
                     return value
                 frames.pop()
                 (instructions, end, pc, stack, push, pop,
-                 frame, frame_vars, frame_slots) = call_stack.pop()
+                 frame_slots) = call_stack.pop()
                 push(value)
             elif opcode == op.LOAD2_FAST:
                 left_slot, right_slot = arg
@@ -1520,7 +1454,7 @@ class VirtualMachine:
                     return arg
                 frames.pop()
                 (instructions, end, pc, stack, push, pop,
-                 frame, frame_vars, frame_slots) = call_stack.pop()
+                 frame_slots) = call_stack.pop()
                 push(arg)
             # The three compare-and-branch superinstructions (fused
             # BINOP_FF;BRANCH_*): two fully concrete slots decide the branch
@@ -2191,107 +2125,6 @@ class VirtualMachine:
                         operator, left, right, line)
             elif opcode == op.STORE_FAST:
                 frame_slots[arg] = pop()
-            elif opcode == op.BINOP_NC:
-                operator, name, right, load_line = arg
-                left = frame_vars.get(name, _MISSING)
-                if left is _MISSING:
-                    left = global_vars.get(name, _MISSING)
-                    if left is _MISSING:
-                        # The fused charge pre-paid the right operand's step,
-                        # which the interpreter never reaches when the left
-                        # name is undefined; refund it so the step counts of
-                        # the crash agree.
-                        step_cell[0] -= 1
-                        raise RuntimeMiniCError(f"undefined variable '{name}'",
-                                                load_line)
-                if type(left) is ConcolicValue:
-                    try:
-                        push(int_op(operator, left, right))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    push(pointer_op(operator, left, right, line))
-            elif opcode == op.BINOP_NN:
-                operator, left_name, right_name, left_line, right_line = arg
-                left = frame_vars.get(left_name, _MISSING)
-                if left is _MISSING:
-                    left = global_vars.get(left_name, _MISSING)
-                    if left is _MISSING:
-                        # Refund the right operand's pre-paid step (the
-                        # interpreter crashes before evaluating it).
-                        step_cell[0] -= 1
-                        raise RuntimeMiniCError(
-                            f"undefined variable '{left_name}'", left_line)
-                right = frame_vars.get(right_name, _MISSING)
-                if right is _MISSING:
-                    right = global_vars.get(right_name, _MISSING)
-                    if right is _MISSING:
-                        raise RuntimeMiniCError(
-                            f"undefined variable '{right_name}'", right_line)
-                if type(left) is ConcolicValue and type(right) is ConcolicValue:
-                    try:
-                        push(int_op(operator, left, right))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    push(pointer_op(operator, left, right, line))
-            elif opcode == op.BINOP_NC_STORE:
-                operator, name, right, load_line, target_name = arg
-                left = frame_vars.get(name, _MISSING)
-                if left is _MISSING:
-                    left = global_vars.get(name, _MISSING)
-                    if left is _MISSING:
-                        # The fused charge pre-paid the right operand's step,
-                        # which the interpreter never reaches when the left
-                        # name is undefined; refund it so the step counts of
-                        # the crash agree.
-                        step_cell[0] -= 1
-                        raise RuntimeMiniCError(f"undefined variable '{name}'",
-                                                load_line)
-                if type(left) is ConcolicValue:
-                    try:
-                        value = int_op(operator, left, right)
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    value = pointer_op(operator, left, right, line)
-                if target_name in frame_vars:
-                    frame_vars[target_name] = value
-                elif target_name in global_vars:
-                    global_vars[target_name] = value
-                else:
-                    frame.declare(target_name, value)
-            elif opcode == op.BINOP_NN_STORE:
-                (operator, left_name, right_name,
-                 left_line, right_line, target_name) = arg
-                left = frame_vars.get(left_name, _MISSING)
-                if left is _MISSING:
-                    left = global_vars.get(left_name, _MISSING)
-                    if left is _MISSING:
-                        # Refund the right operand's pre-paid step (the
-                        # interpreter crashes before evaluating it).
-                        step_cell[0] -= 1
-                        raise RuntimeMiniCError(
-                            f"undefined variable '{left_name}'", left_line)
-                right = frame_vars.get(right_name, _MISSING)
-                if right is _MISSING:
-                    right = global_vars.get(right_name, _MISSING)
-                    if right is _MISSING:
-                        raise RuntimeMiniCError(
-                            f"undefined variable '{right_name}'", right_line)
-                if type(left) is ConcolicValue and type(right) is ConcolicValue:
-                    try:
-                        value = int_op(operator, left, right)
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    value = pointer_op(operator, left, right, line)
-                if target_name in frame_vars:
-                    frame_vars[target_name] = value
-                elif target_name in global_vars:
-                    global_vars[target_name] = value
-                else:
-                    frame.declare(target_name, value)
             elif opcode == op.BINARY:
                 right = pop()
                 left = pop()
@@ -2394,15 +2227,6 @@ class VirtualMachine:
                     pc = target
             elif opcode == op.JUMP:
                 pc = arg
-            elif opcode == op.STORE:
-                value = pop()
-                if arg in frame_vars:
-                    frame_vars[arg] = value
-                elif arg in global_vars:
-                    global_vars[arg] = value
-                else:
-                    # Implicit local, exactly like the interpreter's _store.
-                    frame.declare(arg, value)
             elif opcode == op.LOAD_INDEX:
                 index = pop()
                 base = pop()
@@ -2427,39 +2251,30 @@ class VirtualMachine:
                 if len(frames) >= max_call_depth:
                     raise ProgramCrash("call stack overflow", line,
                                        self.current_function_name())
-                param_slots = callee.param_slots
-                callee_frame = _Frame(callee.name, callee.nlocals,
-                                      callee.bare_frame)
+                callee_frame = _Frame(callee.name, callee.nlocals)
                 callee_slots = callee_frame.slots
-                if callee.bare_frame and argc == len(param_slots):
-                    # Fast path: a fully slotted callee's parameters occupy
-                    # slots 0..n-1 in declaration order (resolution creates
-                    # them first), so the arguments drop straight in.
+                nparams = len(callee.params)
+                if argc == nparams:
+                    # Parameters occupy slots 0..n-1 in declaration order
+                    # (resolution creates them first), so the arguments
+                    # drop straight in.
                     if argc:
                         callee_slots[:argc] = stack[-argc:]
                         del stack[-argc:]
                 else:
+                    # Extra arguments were evaluated and are dropped;
+                    # missing ones read as zero, as in the interpreter.
                     if argc:
                         args = stack[-argc:]
                         del stack[-argc:]
                     else:
                         args = []
-                    callee_vars = callee_frame.vars
-                    # Parameters live in their slots, or — for fallback
-                    # names — in the frame's base scope, which is never
-                    # popped (RET discards the frame), so they bypass the
-                    # undo log.
-                    for index, slot in enumerate(param_slots):
-                        value = args[index] if index < argc else ZERO
-                        if slot is not None:
-                            callee_slots[slot] = value
-                        else:
-                            callee_vars[callee.params[index]] = value
+                    for index in range(nparams):
+                        callee_slots[index] = args[index] if index < argc \
+                            else ZERO
                 call_stack.append((instructions, end, pc, stack, push, pop,
-                                   frame, frame_vars, frame_slots))
+                                   frame_slots))
                 frames.append(callee_frame)
-                frame = callee_frame
-                frame_vars = callee_frame.vars
                 frame_slots = callee_slots
                 instructions = callee.instructions
                 end = len(instructions)
@@ -2467,10 +2282,6 @@ class VirtualMachine:
                 push = stack.append
                 pop = stack.pop
                 pc = 0
-            elif opcode == op.SCOPE_PUSH:
-                frame.undo.append([])
-            elif opcode == op.SCOPE_POP:
-                frame.pop_scopes(arg)
             elif opcode == op.POP:
                 pop()
             elif opcode == op.DUP:
@@ -2481,7 +2292,7 @@ class VirtualMachine:
                     return value
                 frames.pop()
                 (instructions, end, pc, stack, push, pop,
-                 frame, frame_vars, frame_slots) = call_stack.pop()
+                 frame_slots) = call_stack.pop()
                 push(value)
             elif opcode == op.LOAD_FAST_RET:
                 value = frame_slots[arg]
@@ -2492,20 +2303,7 @@ class VirtualMachine:
                     return value
                 frames.pop()
                 (instructions, end, pc, stack, push, pop,
-                 frame, frame_vars, frame_slots) = call_stack.pop()
-                push(value)
-            elif opcode == op.LOAD_RET:
-                value = frame_vars.get(arg, _MISSING)
-                if value is _MISSING:
-                    value = global_vars.get(arg, _MISSING)
-                    if value is _MISSING:
-                        raise RuntimeMiniCError(f"undefined variable '{arg}'",
-                                                line)
-                if not call_stack:
-                    return value
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame, frame_vars, frame_slots) = call_stack.pop()
+                 frame_slots) = call_stack.pop()
                 push(value)
             elif opcode == op.UNARY:
                 value = pop()
@@ -2622,34 +2420,25 @@ class VirtualMachine:
                 if isinstance(value, Pointer):
                     push(value)
                 else:
-                    # Box the scalar and rebind the slot, exactly like
-                    # ADDR_NAME does for named cells.
+                    # Box the scalar and rebind the variable, as the
+                    # interpreter's address-of does.
                     box = ArrayObject(1, label=f"&{name}")
                     box.cells[0] = value
                     boxed = Pointer(box, 0)
                     frame_slots[slot] = boxed
                     push(boxed)
-            elif opcode == op.ADDR_NAME:
-                value = frame_vars.get(arg, _MISSING)
-                from_globals = False
+            elif opcode == op.ADDR_GLOBAL:
+                value = global_vars.get(arg, _MISSING)
                 if value is _MISSING:
-                    value = global_vars.get(arg, _MISSING)
-                    from_globals = value is not _MISSING
-                    if value is _MISSING:
-                        raise RuntimeMiniCError(f"undefined variable '{arg}'",
-                                                line)
+                    raise RuntimeMiniCError(f"undefined variable '{arg}'",
+                                            line)
                 if isinstance(value, Pointer):
                     push(value)
                 else:
-                    # Box the scalar and rebind the variable, as the
-                    # interpreter's address-of does.
                     box = ArrayObject(1, label=f"&{arg}")
                     box.cells[0] = value
                     boxed = Pointer(box, 0)
-                    if from_globals:
-                        global_vars[arg] = boxed
-                    else:
-                        frame_vars[arg] = boxed
+                    global_vars[arg] = boxed
                     push(boxed)
             elif opcode == op.ADDR_INDEX:
                 index = pop()
@@ -2659,10 +2448,6 @@ class VirtualMachine:
             elif opcode == op.ADDR_INVALID:
                 raise RuntimeMiniCError(
                     "cannot take the address of this expression", line)
-            elif opcode == op.DECL_LOCAL:
-                frame.declare(arg, pop())
-            elif opcode == op.DECL_GLOBAL:
-                global_vars[arg] = pop()
             elif opcode == op.NEW_ARRAY:
                 label, has_size = arg
                 size = 1

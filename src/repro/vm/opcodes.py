@@ -5,8 +5,9 @@ The instruction stream is a flat list of 4-tuples::
     (opcode, arg, charge, line)
 
 * ``opcode`` — one of the integer constants below;
-* ``arg`` — the operand (a name, a prebuilt :class:`ConcolicValue`, a jump
-  target, a ``(location, target)`` pair for branches, ...), or ``None``;
+* ``arg`` — the operand (a slot index, a global's name, a prebuilt
+  :class:`ConcolicValue`, a jump target, a ``(location, target)`` pair for
+  branches, ...), or ``None``;
 * ``charge`` — how many tree-walker *steps* this instruction accounts for.
   The compiler distributes AST-node visit counts over the instruction stream
   (pre-order, so ancestors are charged before their first descendant executes)
@@ -18,6 +19,11 @@ The instruction stream is a flat list of 4-tuples::
 The machine is a straight stack machine: expression operands are pushed
 left-to-right in the interpreter's evaluation order, so hook events (branches,
 syscalls) fire in exactly the same order as in the tree-walker.
+
+Every variable access is a numbered frame slot or a global: the compiler only
+takes programs the static scope resolution (:mod:`repro.lang.resolve`)
+resolves completely, so there is no by-name local, no scope push/pop and no
+declaration opcode.
 """
 
 from __future__ import annotations
@@ -29,13 +35,9 @@ POP = 2            # discard TOS
 DUP = 3            # duplicate TOS
 RET = 4            # return TOS from the current function
 
-# Literals and variables ------------------------------------------------------
+# Literals --------------------------------------------------------------------
 CONST = 5          # arg: prebuilt (immutable) ConcolicValue
 STRING = 6         # arg: (cache_key, text) — per-run cached NUL-terminated array
-LOAD = 7           # arg: name — frame scopes then globals
-STORE = 8          # arg: name — assign, implicitly declaring an absent local
-DECL_LOCAL = 9     # arg: name — declare in the innermost scope (pop value)
-DECL_GLOBAL = 10   # arg: name — declare a global (pop value)
 NEW_ARRAY = 11     # arg: (label, has_size) — optionally pop size, push pointer
 
 # Memory ----------------------------------------------------------------------
@@ -43,18 +45,13 @@ LOAD_INDEX = 12    # pop index, base; push element
 STORE_INDEX = 13   # pop index, base, value; store element
 LOAD_DEREF = 14    # pop pointer; push pointed-to cell
 STORE_DEREF = 15   # pop pointer, value; store through pointer
-ADDR_NAME = 16     # arg: name — address of a variable (boxes scalars)
+ADDR_GLOBAL = 16   # arg: name — address of a global (boxes scalars)
 ADDR_INDEX = 17    # pop index, base; push pointer to the element
 ADDR_INVALID = 18  # runtime error: operand cannot be addressed
 
 # Operators -------------------------------------------------------------------
 UNARY = 19         # arg: operator string
 BINARY = 20        # arg: operator string (non-short-circuit)
-BINOP_NC = 33      # arg: (op, name, const, load_line) — fused LOAD;CONST;BINARY
-BINOP_NN = 34      # arg: (op, name1, name2, l1, l2) — fused LOAD;LOAD;BINARY
-BINOP_NC_STORE = 35  # arg: (op, name, const, load_line, target) — ...;STORE
-BINOP_NN_STORE = 36  # arg: (op, name1, name2, l1, l2, target) — ...;STORE
-LOAD_RET = 37      # arg: name — fused LOAD;RET (the `return x;` shape)
 AND_JUMP = 21      # arg: target — short-circuit the && when TOS is falsy
 AND_END = 22       # combine the two operands of a fully evaluated &&
 OR_JUMP = 23       # arg: target — short-circuit the || when TOS is truthy
@@ -76,22 +73,18 @@ CALL_BUILTIN = 28  # arg: (builtin_fn, argc, call_node)
 CALL_UNDEF = 29    # arg: name — runtime "call to undefined function" error
 INVALID_TARGET = 30  # runtime "invalid assignment target" error
 
-# Scopes ----------------------------------------------------------------------
-SCOPE_PUSH = 31    # open a lexical scope in the current frame
-SCOPE_POP = 32     # arg: count — close that many scopes (break/continue exits)
-
-# Register-allocated locals ---------------------------------------------------
-# Emitted when the static resolution pass (repro.lang.resolve) proves an
-# identifier denotes one specific local variable on every execution; the
-# variable then lives in a numbered frame slot (a flat Python list) instead
-# of the scope dict.  Slot loads can never fail: resolution guarantees the
-# slot was written on every path reaching the load.
+# Variables -------------------------------------------------------------------
+# The static resolution pass (repro.lang.resolve) proves which variable each
+# identifier denotes on every execution: a local lives in a numbered frame
+# slot (a flat Python list), a global in the globals dict.  Slot loads can
+# never fail: resolution guarantees the slot was written on every path
+# reaching the load.
 LOAD_FAST = 40       # arg: slot — push frame.slots[slot]
 STORE_FAST = 41      # arg: slot — pop into frame.slots[slot] (also declares)
 LOAD_FAST_RET = 42   # arg: slot — fused LOAD_FAST;RET (the `return x;` shape)
 LOAD_GLOBAL = 43     # arg: name — resolved-global read (one dict probe)
 STORE_GLOBAL = 44    # arg: name — resolved-global write
-ADDR_FAST = 45       # arg: (slot, name) — address of a slotted variable
+ADDR_FAST = 45       # arg: (slot, name) — address of a local (boxes scalars)
 BINOP_FC = 46        # arg: (op, slot, const) — fused LOAD_FAST;CONST;BINARY
 BINOP_FF = 47        # arg: (op, slot1, slot2) — fused LOAD_FAST;LOAD_FAST;BINARY
 BINOP_FC_STORE = 48  # arg: (op, slot, const, target_slot) — ...;STORE_FAST

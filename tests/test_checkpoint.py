@@ -15,6 +15,7 @@ typed :class:`CheckpointFormatError`, never as a silently wrong resume.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -83,6 +84,11 @@ class TestSnapshotCodec:
         reread = load_checkpoint(again)
         assert reread.commits == ckpt.commits == 1
         assert reread.elapsed_seconds == ckpt.elapsed_seconds
+        # 0.001014 s is 1013.99... us in binary floating point: the
+        # microsecond encoding must round, or a re-save loses a microsecond.
+        odd = str(tmp_path / "odd.ckpt")
+        save_checkpoint(odd, dataclasses.replace(ckpt, elapsed_seconds=0.001014))
+        assert load_checkpoint(odd).elapsed_seconds == 0.001014
         # PendingItem carries ConstraintSet (identity equality); compare
         # the structural surface here and bytes below.
         assert len(reread.pending_items) == len(ckpt.pending_items)

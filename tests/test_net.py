@@ -57,6 +57,8 @@ from repro.service.net import (
 from repro.telemetry import MetricsRegistry
 from repro.trace import dump_trace_bytes, load_trace_bytes, trace_from_recording
 
+from test_service import mismatched_traces
+
 
 def net_config(**service_overrides) -> ReproConfig:
     config = ReproConfig()
@@ -412,6 +414,23 @@ class TestUploadServer:
             assert "no-such-program" in reason and traces == 0
             counters = server.service.registry.snapshot().counters
             assert counters["service.rejected.UnknownProgramError"] == 1
+
+    def test_mismatched_binaries_upload_rejected_and_ledgered(self, tmp_path,
+                                                              mkdir_bytes):
+        mutant = dump_trace_bytes(
+            mismatched_traces(mkdir_bytes)["missing-location"])
+        with start_server(tmp_path) as server:
+            client = UploadClient(server.host, server.port, client_id="u8")
+            with pytest.raises(UploadRejected,
+                               match="TraceFingerprintMismatch"):
+                client.upload(mutant)
+            with server._lock:
+                [(source, reason)] = server.service.inbox.rejected.items()
+                traces = server.service.inbox.describe()["traces"]
+            assert source.startswith("net:u8:") and traces == 0
+            assert reason.startswith("TraceFingerprintMismatch:")
+            counters = server.service.registry.snapshot().counters
+            assert counters["service.rejected.TraceFingerprintMismatch"] == 1
 
     def test_oversized_declared_frame_refused_from_length(self, tmp_path):
         # A raw socket declaring a frame far beyond the cap: the server must

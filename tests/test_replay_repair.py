@@ -28,6 +28,7 @@ import pytest
 from repro import InstrumentationMethod, Pipeline, PipelineConfig, ReplayBudget
 from repro.environment import simple_environment
 from repro.instrument.methods import build_plan
+from repro.interp.backend import engine_for
 from repro.interp.builtins import lookup_builtin
 from repro.interp.values import ArrayObject, ConcolicValue, Pointer
 from repro.replay import engine as replay_engine
@@ -128,22 +129,13 @@ def live_state(vm, hooks: ReplayRunHooks, stack: list, call_stack: list):
             blocks.append(v.block)
         return ("ptr", order[id(v.block)], v.offset)
 
-    def named(mapping):
-        return [(name, value(v)) for name, v in sorted(mapping.items())]
-
-    frames = list(vm._frames)
-    frames += [parked[6] for parked in call_stack
-               if all(parked[6] is not frame for frame in frames)]
     state = {
         "stacks": [[value(v) for v in stack]]
         + [[value(v) for v in parked[3]] for parked in call_stack],
         "pcs": [parked[2] for parked in call_stack],
-        "frames": [(frame.function_name, [value(v) for v in frame.slots],
-                    named(frame.vars),
-                    [[(name, value(v)) for name, v in scope]
-                     for scope in frame.undo])
-                   for frame in frames],
-        "globals": named(vm.globals),
+        "frames": [(frame.function_name, [value(v) for v in frame.slots])
+                   for frame in vm._frames],
+        "globals": [(name, value(v)) for name, v in sorted(vm.globals.items())],
         "strings": [(key, value(Pointer(block, 0)))
                     for key, block in sorted(vm._string_cache.items())],
     }
@@ -320,22 +312,6 @@ int main() {
     return 0;
 }
 """, b"x", 1),
-    # A named cell (``v`` is declared on one path only, which sends it off
-    # the slot path), then its shadowed binding in a scope undo log.
-    "named-cells": (r"""
-int main() {
-    int a = getchar();
-    int b = getchar();
-    if (a != 7) v = a + b;
-    if (a == 'x') { b = b + 0; }
-    {
-        int v = 5;
-        if (b == 'y') { v = 6; }
-    }
-    if (v == 241) { crash("named"); }
-    return 0;
-}
-""", b"xy", 2),
     # The globals code's frame, parked under a global initializer's call.
     "global-initializer": (r"""
 int pick() {
@@ -366,6 +342,36 @@ def test_repair_moves_every_kind_of_live_value(monkeypatch, name):
     restarted = _engine(pipeline, recording, backend="interp").reproduce()
     assert fingerprint(outcome) == fingerprint(restarted)
     assert outcome.reproduced and outcome.repairs == repairs
+
+
+def test_unresolved_program_searches_on_the_interpreter():
+    """``v`` is declared on one path only, so the resolver cannot slot it:
+    the whole program runs on the interpreter under ``backend="vm"``, whose
+    search restarts every run and commits the interpreter's tree."""
+
+    source = r"""
+int main() {
+    int a = getchar();
+    int b = getchar();
+    if (a != 7) v = a + b;
+    if (a == 'x') { b = b + 0; }
+    {
+        int v = 5;
+        if (b == 'y') { v = 6; }
+    }
+    if (v == 241) { crash("unresolved"); }
+    return 0;
+}
+"""
+    environment = simple_environment(["unresolved"], stdin=b"xy",
+                                     name="unresolved")
+    pipeline, recording = _recorded(source, environment, log_syscalls=False)
+    assert engine_for(pipeline.program, "vm") == "interp"
+    outcome = _engine(pipeline, recording).reproduce()
+    reference = _engine(pipeline, recording, backend="interp").reproduce()
+    assert fingerprint(outcome) == fingerprint(reference)
+    assert outcome.reproduced and outcome.runs > 1
+    assert outcome.repairs == 0 and not outcome.repair_blocked
 
 
 # ---------------------------------------------------------------------------

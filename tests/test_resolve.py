@@ -1,12 +1,12 @@
 """The static scope-resolution pass: edge cases and fuzzed parity.
 
 The first half pins the resolution rules directly (what gets a slot, what
-falls back to named cells, what resolves to a global); the second half is a
-differential fuzz loop asserting that the register-allocated VM is
-observably identical to the tree-walking interpreter on randomly generated
-MiniC snippets that lean into the ugly corners: implicit declarations,
-conditional declarations, shadowing, read-before-write, globals, and block
-lifetimes.
+resolves to a global, what stays unresolved and so sends the program to the
+interpreter); the second half is a differential fuzz loop asserting that the
+register-allocated VM is observably identical to the tree-walking
+interpreter on randomly generated MiniC snippets that lean into the ugly
+corners: implicit declarations, conditional declarations, shadowing,
+read-before-write, globals, and block lifetimes.
 """
 
 from __future__ import annotations
@@ -16,35 +16,27 @@ import random
 import pytest
 
 from repro.environment import simple_environment
-from repro.interp.backend import create_backend
+from repro.interp.backend import create_backend, engine_for
 from repro.interp.inputs import ExecutionMode, InputBinder
-from repro.interp.interpreter import ExecutionConfig
+from repro.interp.interpreter import ExecutionConfig, Interpreter
 from repro.interp.tracer import TraceRecorder
+from repro.lang.errors import SemanticError
 from repro.lang.program import Program
 from repro.lang.resolve import (
     GLOBAL,
-    NAMED,
     RESOLVER_VERSION,
     SLOT,
     resolve_program,
 )
 from repro.vm.compiler import compile_program
 from repro.vm import opcodes as op
+from repro.vm.machine import VirtualMachine
+from repro.workloads import workload_registry
 
 
 def resolution_for(source: str):
     program = Program.from_source(source, name="probe")
     return program, resolve_program(program)
-
-
-def kinds_for(resolution, function, name):
-    """The set of access kinds the identifier *name* got in *function*."""
-
-    fn = resolution.for_function(function)
-    program_kinds = set()
-    for node_id, access in fn.accesses.items():
-        program_kinds.add(access[0])
-    return program_kinds
 
 
 def accesses_of(program, resolution, function, name):
@@ -70,8 +62,7 @@ class TestResolutionRules:
         main = resolution.for_function("main")
         assert main.nlocals == 2
         assert main.slot_names == ["a", "b"]
-        assert main.elide_scopes
-        assert not main.fallback_names
+        assert not main.unresolved and resolution.complete
 
     def test_parameters_get_the_first_slots(self):
         program, resolution = resolution_for("""
@@ -79,20 +70,21 @@ class TestResolutionRules:
             int main() { return add(1, 2); }
         """)
         add = resolution.for_function("add")
-        assert add.param_slots == [0, 1]
         assert add.slot_names[:2] == ["x", "y"]
+        assert accesses_of(program, resolution, "add", "x") == [(SLOT, 0)]
+        assert accesses_of(program, resolution, "add", "y") == [(SLOT, 1)]
 
     def test_read_before_write_falls_back(self):
         # `x` is read before any declaration: the read must keep raising the
-        # interpreter's "undefined variable" error, so every access of `x`
-        # stays on the named-cell path.
+        # interpreter's "undefined variable" error, so the program falls
+        # back to the interpreter.
         program, resolution = resolution_for("""
             int main() { int y = x + 1; x = 2; return y; }
         """)
-        assert "x" in resolution.for_function("main").fallback_names
-        assert all(a == (NAMED,)
-                   for a in accesses_of(program, resolution, "main", "x"))
-        assert not resolution.for_function("main").elide_scopes
+        assert resolution.for_function("main").unresolved == {"x"}
+        assert not resolution.complete
+        assert resolution.unresolved() == {"main": ["x"]}
+        assert engine_for(program, "vm") == "interp"
 
     def test_read_before_write_of_global_resolves_global(self):
         program, resolution = resolution_for("""
@@ -100,11 +92,10 @@ class TestResolutionRules:
             int main() { int y = counter + 1; counter = y; return counter; }
         """)
         main = resolution.for_function("main")
-        assert "counter" not in main.fallback_names
         assert all(a == (GLOBAL,)
                    for a in accesses_of(program, resolution, "main", "counter"))
         # Global accesses do not block slotting of the real locals.
-        assert main.elide_scopes and "y" in main.slot_names
+        assert not main.unresolved and "y" in main.slot_names
 
     def test_same_name_in_sibling_functions_gets_independent_slots(self):
         program, resolution = resolution_for("""
@@ -127,7 +118,7 @@ class TestResolutionRules:
         """)
         main = resolution.for_function("main")
         assert main.slot_names == ["x", "x"]
-        assert "x" not in main.fallback_names
+        assert not main.unresolved
         # Outer return reads slot 0; inner accesses use slot 1.
         accesses = accesses_of(program, resolution, "main", "x")
         assert (SLOT, 0) in accesses and (SLOT, 1) in accesses
@@ -143,7 +134,7 @@ class TestResolutionRules:
             }
         """)
         main = resolution.for_function("main")
-        assert "x" not in main.fallback_names
+        assert not main.unresolved
         assert main.slot_names.count("x") == 3  # outer + if body + while body
 
     def test_conditional_implicit_declaration_falls_back(self):
@@ -155,7 +146,7 @@ class TestResolutionRules:
                 return x;
             }
         """)
-        assert "x" in resolution.for_function("main").fallback_names
+        assert "x" in resolution.for_function("main").unresolved
 
     def test_conditional_then_unconditional_store_is_slotted(self):
         # After the unconditional `x = 2;` both paths denote the same
@@ -169,7 +160,7 @@ class TestResolutionRules:
             }
         """)
         main = resolution.for_function("main")
-        assert "x" not in main.fallback_names
+        assert not main.unresolved
         assert "x" in main.slot_names
 
     def test_block_scoped_implicit_local_dies_with_its_block(self):
@@ -181,7 +172,7 @@ class TestResolutionRules:
                 return t;
             }
         """)
-        assert "t" in resolution.for_function("main").fallback_names
+        assert "t" in resolution.for_function("main").unresolved
 
     def test_address_of_local_keeps_its_slot(self):
         program, resolution = resolution_for("""
@@ -189,20 +180,45 @@ class TestResolutionRules:
         """)
         main = resolution.for_function("main")
         assert "x" in main.slot_names and "p" in main.slot_names
-        assert main.elide_scopes
+        assert not main.unresolved
 
-    def test_fully_slotted_function_elides_scope_opcodes(self):
+    def test_address_of_global_uses_the_globals_only_op(self):
+        program, resolution = resolution_for("""
+            int g = 3;
+            int *p = &g;
+            int main() { int *q = &g; *q = *p + 1; return *p; }
+        """)
+        assert resolution.complete
+        compiled = compile_program(program)
+        for code in (compiled.globals_code, compiled.main):
+            assert op.ADDR_GLOBAL in [instr[0] for instr in code.instructions]
+        results = {backend: create_backend(
+            program, config=ExecutionConfig(backend=backend)).run(["g"])
+            for backend in ("interp", "vm")}
+        assert results["vm"].exit_code == results["interp"].exit_code == 4
+        assert results["vm"].steps == results["interp"].steps
+
+    def test_resolved_program_compiles_to_slot_and_global_ops(self):
         program, _ = resolution_for("""
-            int main() { int total = 0; int i;
-                for (i = 0; i < 4; i = i + 1) { total = total + i; }
+            int limit = 4;
+            int total = limit * 0;
+            int main() { int i;
+                for (i = 0; i < limit; i = i + 1) { total = total + i; }
                 return total; }
         """)
         compiled = compile_program(program)
         assert compiled.resolver_version == RESOLVER_VERSION
-        opcodes = [instr[0] for instr in compiled.main.instructions]
-        assert op.SCOPE_PUSH not in opcodes and op.SCOPE_POP not in opcodes
+        names = {op.OPCODE_NAMES[instr[0]]
+                 for code in (compiled.globals_code, *compiled.functions.values())
+                 for instr in code.instructions}
+        assert {"LOAD_GLOBAL", "STORE_GLOBAL", "STORE_FAST"} <= names
+        # No by-name variable, declaration or scope opcode exists any more.
+        assert not [name for name in (
+            "LOAD", "STORE", "DECL_LOCAL", "DECL_GLOBAL", "SCOPE_PUSH",
+            "SCOPE_POP", "BINOP_NC", "BINOP_NN", "BINOP_NC_STORE",
+            "BINOP_NN_STORE", "LOAD_RET", "ADDR_NAME") if hasattr(op, name)]
 
-    def test_fallback_function_keeps_scope_opcodes(self):
+    def test_unresolved_program_runs_on_the_interpreter(self):
         program, resolution = resolution_for("""
             int main(int argc, char **argv) {
                 if (argc > 1) late = 1;
@@ -210,26 +226,84 @@ class TestResolutionRules:
                 return 0;
             }
         """)
-        assert not resolution.for_function("main").elide_scopes
-        compiled = compile_program(program)
-        opcodes = [instr[0] for instr in compiled.main.instructions]
-        assert op.SCOPE_PUSH in opcodes and op.SCOPE_POP in opcodes
+        assert resolution.for_function("main").unresolved == {"late"}
+        assert engine_for(program, "vm") == "interp"
+        assert engine_for(program, "interp") == "interp"
+        assert isinstance(create_backend(program), Interpreter)
+        with pytest.raises(SemanticError, match="runs on the interpreter"):
+            compile_program(program)
+        with pytest.raises(SemanticError):
+            VirtualMachine(program)
+
+    def test_dead_code_access_is_unresolved(self):
+        # Statically unreachable accesses get no resolution of their own.
+        program, resolution = resolution_for("""
+            int main() { int a = 1; while (a < 3) { a = a + 1; continue;
+                a = a * 2; } return a; }
+        """)
+        assert resolution.for_function("main").unresolved == {"a"}
+        assert engine_for(program, "vm") == "interp"
+
+    def test_global_initializers_resolve_in_declaration_order(self):
+        # A global read before its declaration raises at run time, and an
+        # initializer has no frame to declare an unknown name in: both stay
+        # unresolved.  Earlier globals resolve.
+        for source, unresolved in (
+                ("int a = 1; int b = a + 1;", {}),
+                ("int a = b; int b = 1;", {"<globals>": ["b"]}),
+                ("int a = (z = 2);", {"<globals>": ["z"]}),
+                ("int a = 1; int b = (a = 2) + a;", {})):
+            program = Program.from_source(
+                source + "\nint main() { return 0; }", name="globals")
+            assert resolve_program(program).unresolved() == unresolved, source
+            if "z" in source:
+                # The interpreter runs it and crashes in the guest.
+                crash = create_backend(program).run(["globals"]).crash
+                assert (crash.function, crash.line) == ("<global>", 1)
+                assert "assignment to undefined variable 'z'" in crash.message
 
     def test_duplicate_parameter_names_fall_back(self):
-        # The last argument wins at run time (both backends agree); the
-        # resolver must not try to slot the collapsed binding.
+        # The last argument wins at run time; the resolver must not try to
+        # slot the collapsed binding, so the program runs on the
+        # interpreter whichever backend is selected.
         source = "int f(int a, int a) { return a; }\nint main() { return f(1, 2); }"
         program, resolution = resolution_for(source)
-        assert "a" in resolution.for_function("f").fallback_names
+        assert "a" in resolution.for_function("f").unresolved
         fingerprints = {}
         for backend in ("interp", "vm"):
             executor = create_backend(
                 program, config=ExecutionConfig(backend=backend))
+            assert isinstance(executor, Interpreter)
             result = executor.run(["dup"])
             fingerprints[backend] = (result.exit_code, result.steps,
                                      result.crashed)
         assert fingerprints["vm"] == fingerprints["interp"]
         assert fingerprints["interp"][0] == 2  # last argument wins
+
+
+def test_every_workload_program_runs_on_the_vm():
+    for name, (source, _environment, library) in sorted(
+            workload_registry().items()):
+        program = Program.from_source(source, name=name,
+                                      library_functions=set(library))
+        assert resolve_program(program).unresolved() == {}, name
+        executor = create_backend(program, config=ExecutionConfig())
+        assert isinstance(executor, VirtualMachine), name
+
+
+@pytest.mark.parametrize("source, keyword, line", [
+    ("int main() {\n  break;\n  return 0;\n}", "break", 2),
+    ("int main() {\n  return 0;\n  continue;\n}", "continue", 3),
+    # A helper's break would otherwise break its caller's loop.
+    ("int helper() {\n  break;\n}\nint main() {\n  int i = 0;\n"
+     "  while (i < 2) { i = i + 1; helper(); }\n  return i;\n}", "break", 2),
+])
+def test_loop_exit_outside_a_loop_is_rejected_when_parsed(source, keyword,
+                                                         line):
+    with pytest.raises(SemanticError, match=f"'{keyword}' outside a loop") \
+            as rejected:
+        Program.from_source(source, name="loop-exit")
+    assert rejected.value.line == line
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +312,27 @@ class TestResolutionRules:
 
 
 class _SnippetGenerator:
-    """Random MiniC snippets biased toward scope-resolution edge cases."""
+    """Random MiniC snippets biased toward scope-resolution edge cases.
+
+    With ``declare_up_front`` (the default) every function declares all of
+    :attr:`NAMES` before its random statements, so most programs resolve
+    and run on the VM; without it most programs have a name the resolver
+    cannot slot and run on the interpreter.
+    """
 
     NAMES = ["a", "b", "c", "d", "x", "y"]
 
-    def __init__(self, rng: random.Random) -> None:
+    def __init__(self, rng: random.Random,
+                 declare_up_front: bool = True) -> None:
         self.rng = rng
+        self.declare_up_front = declare_up_front
         self.loop_id = 0
+
+    def declarations(self, *declared: str) -> str:
+        if not self.declare_up_front:
+            return ""
+        return " ".join(f"int {name} = 0;" for name in self.NAMES
+                        if name not in declared)
 
     def expr(self, depth: int = 0) -> str:
         rng = self.rng
@@ -307,10 +395,11 @@ class _SnippetGenerator:
             helper_body = " ".join(self.statement(1)
                                    for _ in range(rng.randint(1, 3)))
             parts.append("int helper(int a, int n) { "
+                         + self.declarations("a") + " "
                          + helper_body + " return a + n; }")
             helper = "x = helper(x, 2);"
         main_body = []
-        main_body.append(f"int x = atoi(argv[1]);")
+        main_body.append(f"int x = atoi(argv[1]); {self.declarations('x')}")
         for _ in range(rng.randint(2, 5)):
             main_body.append(self.statement(0))
         if helper and rng.random() < 0.8:
@@ -347,17 +436,67 @@ def run_fingerprint(program: Program, backend: str,
             events)
 
 
+def fuzzed_programs(base_seed: int, seed: int, count: int,
+                    declare_up_front: bool = True):
+    """*count* generated programs of one fuzz seed, in generation order."""
+
+    rng = random.Random(base_seed + seed)
+    for iteration in range(count):
+        source = _SnippetGenerator(rng, declare_up_front).program()
+        yield Program.from_source(source,
+                                  name=f"fuzz-{base_seed}-{seed}-{iteration}")
+
+
+#: ``base seed, programs per seed`` of the two VM differential fuzzers.
+RESOLUTION_FUZZ = (20260730, 12)
+SPECIALIZATION_FUZZ = (20260807, 10)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzzed_resolution_parity(seed):
     """Resolved VM == interpreter on random snippets."""
 
-    rng = random.Random(20260730 + seed)
-    for iteration in range(12):
-        source = _SnippetGenerator(rng).program()
-        program = Program.from_source(source, name=f"fuzz-{seed}-{iteration}")
+    base_seed, count = RESOLUTION_FUZZ
+    for program in fuzzed_programs(base_seed, seed, count):
         resolved = run_fingerprint(program, "vm")
         interp = run_fingerprint(program, "interp")
-        assert resolved == interp, source
+        assert resolved == interp, program.source
+
+
+def test_fuzzers_stay_on_the_vm():
+    """The differential fuzzers compare the VM with the interpreter, not the
+    interpreter with itself: at least 90% of each one's programs resolve.
+    (Measured: 91/96, 78/80 and 8/8.)"""
+
+    shares = {}
+    for label, (base_seed, count) in (("resolution", RESOLUTION_FUZZ),
+                                      ("specialization", SPECIALIZATION_FUZZ)):
+        programs = [program for seed in range(8)
+                    for program in fuzzed_programs(base_seed, seed, count)]
+        shares[label] = sum(resolve_program(program).complete
+                            for program in programs) / len(programs)
+    shares["fanout"] = sum(
+        resolve_program(Program.from_source(_fanout_source(seed))).complete
+        for seed in range(8)) / 8
+    assert min(shares.values()) >= 0.9, shares
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_unresolved_programs_run_on_the_interpreter(seed):
+    """Programs whose names the resolver cannot slot (undefined reads,
+    conditional implicit declarations): ``backend="vm"`` builds the
+    interpreter and observes exactly what ``backend="interp"`` does."""
+
+    unresolved = 0
+    for program in fuzzed_programs(RESOLUTION_FUZZ[0], seed, 6,
+                                   declare_up_front=False):
+        if resolve_program(program).complete:
+            continue
+        unresolved += 1
+        assert isinstance(create_backend(program), Interpreter)
+        assert run_fingerprint(program, "vm") == \
+            run_fingerprint(program, "interp"), program.source
+    assert unresolved >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +519,12 @@ def test_fuzzed_specialization_parity(seed):
     through fused superinstructions).
     """
 
-    rng = random.Random(20260807 + seed)
-    for iteration in range(10):
-        source = _SnippetGenerator(rng).program()
-        program = Program.from_source(
-            source, name=f"spec-fuzz-{seed}-{iteration}")
+    base_seed, count = SPECIALIZATION_FUZZ
+    for program in fuzzed_programs(base_seed, seed, count):
         specialized = run_fingerprint(program, "vm")
         generic = run_fingerprint(program, "vm", profile_opcodes=True)
         interp = run_fingerprint(program, "interp")
-        assert specialized == generic == interp, source
+        assert specialized == generic == interp, program.source
 
 
 def _fanout_fingerprint(outcome) -> tuple:
@@ -430,12 +566,12 @@ def _fanout_source(seed: int) -> str:
     """A fuzzed program whose crash depends on symbolic input.
 
     The generated body (over pre-declared names, so it cannot crash on its
-    own) stirs the specialization tiers — int arithmetic, loops, branches
-    on the symbolic char ``x`` — while the guarded undefined-name crash on
-    the second symbolic char ``q`` (a name the generator never uses) only
-    fires for part of the input space: recorded ``'E'`` crashes, the
-    scaffolded replay input does not, so the search must fan out and solve
-    its way back to the crash.
+    own and the program runs on the VM) stirs the specialization tiers —
+    int arithmetic, loops, branches on the symbolic char ``x`` — while the
+    guarded ``crash`` on the second symbolic char ``q`` (a name the
+    generator never uses) only fires for part of the input space: recorded
+    ``'E'`` crashes, the scaffolded replay input does not, so the search
+    must fan out and solve its way back to the crash.
     """
 
     rng = random.Random(20260808 + seed)
@@ -446,7 +582,7 @@ def _fanout_source(seed: int) -> str:
             "int a = 0; int b = 1; int c = 2; int d = 3; int y = 4; "
             "char *arg = argv[1]; int x = arg[0]; int q = arg[1]; "
             + body +
-            " if ((q > 67) && (q < 75)) { q = boom + 1; } "
+            ' if ((q > 67) && (q < 75)) { crash("boom"); } '
             'printf("end %d %d\\n", q, x); return q; }')
 
 

@@ -26,7 +26,13 @@ from repro.service import (
     outcome_fingerprint,
     workload_pipeline,
 )
-from repro.trace import dump_trace_bytes, load_trace_bytes, trace_from_recording
+from repro.lang.cfg import BranchLocation
+from repro.trace import (
+    TraceFingerprintMismatch,
+    dump_trace_bytes,
+    load_trace_bytes,
+    trace_from_recording,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,6 +60,24 @@ def record_trace_bytes(workload: str) -> bytes:
 @pytest.fixture(scope="module")
 def mkdir_bytes() -> bytes:
     return record_trace_bytes("mkdir-bug")
+
+
+def mismatched_traces(data: bytes) -> dict:
+    """Decodable *data* mutants no developer binary matches."""
+
+    trace = load_trace_bytes(data)
+    plan = trace.plan
+    dropped = sorted(plan.instrumented)[0]
+    stranger = dataclasses.replace(dropped, node_id=99999)
+    return {
+        # The re-derived all-branches plan instruments one more location.
+        "missing-location": dataclasses.replace(trace, plan=dataclasses.replace(
+            plan, instrumented=plan.instrumented - {dropped})),
+        # No plan to re-derive, but the program has no node 99999.
+        "unknown-location": dataclasses.replace(trace, plan=dataclasses.replace(
+            plan, method=InstrumentationMethod.DYNAMIC.value,
+            instrumented=plan.instrumented | {stranger})),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +388,53 @@ class TestServiceProcessing:
         assert list(reports) == [good.trace_id]
         assert reports[good.trace_id].reproduced
         assert service.stats().searches_run == 1
+
+    def test_mismatched_binaries_rejected_at_ingest(self, tmp_path,
+                                                    mkdir_bytes):
+        """A decodable trace recorded from a different binary is rejected on
+        arrival with the error its search would have failed with, and is
+        never searched."""
+
+        mutants = {name: dump_trace_bytes(trace) for name, trace
+                   in mismatched_traces(mkdir_bytes).items()}
+        service = ReproService(str(tmp_path / "inbox"),
+                               config=service_config())
+        with pytest.raises(TraceFingerprintMismatch,
+                           match="differently instrumented"):
+            service.ingest_bytes(mutants["missing-location"])
+        path = tmp_path / "unknown.trace"
+        path.write_bytes(mutants["unknown-location"])
+        with pytest.raises(TraceFingerprintMismatch,
+                           match="does not have"):
+            service.ingest_file(str(path))
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        for name, data in mutants.items():
+            (spool / f"{name}.trace").write_bytes(data)
+        (spool / "z-good.trace").write_bytes(mkdir_bytes)
+        [good] = service.poll_spool(str(spool))  # the grace poll
+        assert service.poll_spool(str(spool)) == []
+        reasons = sorted(service.inbox.rejected.values())
+        assert len(reasons) == 2 and all(
+            reason.startswith("TraceFingerprintMismatch:") for reason in reasons)
+        counters = service.registry.snapshot().counters
+        assert counters["service.rejected.TraceFingerprintMismatch"] == 2
+        assert list(service.process()) == [good.trace_id]
+        assert service.stats().searches_run == 1
+
+    def test_loop_exit_outside_a_loop_rejected_at_ingest(self, tmp_path,
+                                                         mkdir_bytes):
+        renamed = dump_trace_bytes(dataclasses.replace(
+            load_trace_bytes(mkdir_bytes), program_name="stray-break"))
+        service = ReproService(
+            str(tmp_path / "inbox"), config=service_config(),
+            programs={"stray-break": "int main() {\n  break;\n}"})
+        with pytest.raises(UnknownProgramError,
+                           match=r"SemanticError: 'break' outside a loop "
+                                 r"\(line 2\)"):
+            service.ingest_bytes(renamed)
+        assert service.inbox.describe()["traces"] == 0
 
     def test_poison_search_fails_only_its_cluster(self, tmp_path, mkdir_bytes,
                                                   mkfifo_bytes, monkeypatch):
