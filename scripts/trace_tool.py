@@ -8,7 +8,7 @@ two-process workflow::
     PYTHONPATH=src python scripts/trace_tool.py record \
         --workload diff-exp1 --out /tmp/diff.trace
     PYTHONPATH=src python scripts/trace_tool.py replay \
-        --trace /tmp/diff.trace --workload diff-exp1 --workers 4
+        --trace /tmp/diff.trace --workload diff-exp1
 
 The fleet-scale half lives in the ``inbox`` and ``serve-batch`` subcommands
 (batch ingestion + ``(fingerprint, crash site)`` dedup — see the README's

@@ -38,11 +38,6 @@ class PipelineConfig:
     # (bytecode VM) or "interp" (the tree-walking interpreter, kept as the
     # reference oracle the VM is tested against).
     backend: str = "vm"
-    # Workers for the replay engine's pending-list search.  Results commit in
-    # serial pop order, so any worker count explores the identical run set;
-    # >1 evaluates speculative items on a process pool (each worker rebuilds
-    # the engine from a pickled spec and runs in its own interpreter).
-    replay_workers: int = 1
     # Seed each pending item's search from the parent run's satisfying
     # assignment; skips the solver whenever flipping one branch only moves
     # one input variable (see repro.symbolic.solver.warm_start_assignment).

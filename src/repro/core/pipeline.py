@@ -226,7 +226,6 @@ class Pipeline:
             budget=budget or self.config.replay_budget,
             search_order=search_order or self.config.replay_search_order,
             backend=self.config.backend,
-            workers=self.config.replay_workers,
             max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,
             telemetry=self.config.telemetry_enabled,
@@ -278,7 +277,6 @@ class Pipeline:
             budget=budget or self.config.replay_budget,
             search_order=search_order or self.config.replay_search_order,
             backend=self.config.backend,
-            workers=self.config.replay_workers,
             max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,
             telemetry=self.config.telemetry_enabled,

@@ -1,18 +1,9 @@
-"""Replay-search benchmark: wall-clock of the guided search, serial vs process.
+"""Replay-search benchmark: wall-clock of the guided search.
 
 This experiment times the complete guided search (record once, then search
-until the crash reproduces) on uServer, diff and coreutils workloads under
-two configurations:
-
-* ``serial``  — one worker: every pending item is solved and run inline;
-* ``process`` — the speculative pool on *processes*: each worker rebuilds
-  the engine from a pickled spec and evaluates pending items in its own
-  interpreter, while the engine commits results in serial pop order.
-
-Both configurations must explore a *byte-identical* search tree — same run
-records, same pending-list statistics, same reproducing input — which each
-row asserts before it reports a time.  The ``speedup_vs_serial`` column of
-the process row is the pure multi-core win over identical serial work.
+until the crash reproduces) on uServer, diff and coreutils workloads: the
+paper's "replay time".  Every search is serial; the service parallelizes
+across trace clusters instead (see :mod:`repro.service.supervisor`).
 
 The grown scenarios (``userver-load6``, ``diff-big10``, ``paste-big24``)
 scale the workloads toward the paper's original request counts and file
@@ -36,12 +27,6 @@ from repro.vm import compiler as vm_compiler
 from repro.vm import synth
 from repro.workloads import diffutil, library_functions_for, userver
 from repro.workloads.coreutils import paste
-
-#: The benchmarked configurations: ``(name, replay workers)``.
-CONFIGURATIONS: Tuple[Tuple[str, int], ...] = (
-    ("serial", 1),
-    ("process", 4),
-)
 
 
 def scenarios(smoke: bool = False) -> List[Tuple[str, str, str, "object", frozenset]]:
@@ -67,10 +52,9 @@ def _outcome_fingerprint(outcome: ReplayOutcome) -> tuple:
     """Everything that identifies the explored search tree.
 
     Never timings, and never *cost* counters: solver calls (the warm start
-    answers some items without one) and compile-cache hits/misses (each
-    worker process warms its own cache) vary across configurations while the
-    explored tree stays the same.  The mode-independent cost totals are
-    asserted separately (see ``compile_cache_lookups``).
+    answers some items without one) and compile-cache hits/misses (which
+    depend on the process's cache warmth) can vary while the explored tree
+    stays the same.
     """
 
     crash = None
@@ -87,7 +71,7 @@ def _outcome_fingerprint(outcome: ReplayOutcome) -> tuple:
     )
 
 
-def _timed_search(pipeline: Pipeline, recording, workers: int,
+def _timed_search(pipeline: Pipeline, recording,
                   budget: ReplayBudget) -> Tuple[ReplayOutcome, float]:
     engine = ReplayEngine(
         program=pipeline.program,
@@ -98,9 +82,8 @@ def _timed_search(pipeline: Pipeline, recording, workers: int,
         environment=recording.environment.scaffold(),
         budget=budget,
         backend="vm",
-        workers=workers,
     )
-    solver_mod._UNARY_FILTER_CACHE.clear()  # every configuration starts cold
+    solver_mod._UNARY_FILTER_CACHE.clear()  # every repeat starts cold
     start = time.perf_counter()
     outcome = engine.reproduce()
     return outcome, time.perf_counter() - start
@@ -108,7 +91,7 @@ def _timed_search(pipeline: Pipeline, recording, workers: int,
 
 def search_rows(smoke: bool = False, repeats: int = 2,
                 budget: Optional[ReplayBudget] = None) -> List[Dict[str, object]]:
-    """One row per (scenario, configuration); best-of-``repeats`` walls."""
+    """One row per scenario; best-of-``repeats`` walls."""
 
     budget = budget or ReplayBudget(max_runs=6000, max_seconds=240)
     rows: List[Dict[str, object]] = []
@@ -120,39 +103,28 @@ def search_rows(smoke: bool = False, repeats: int = 2,
         plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                                   environment=environment)
         recording = pipeline.record(plan, environment)
-        # Pay the bytecode compilation up front: the searches being compared
-        # should time re-runs, not one-off compiles.
+        # Pay the bytecode compilation up front: the timed searches should
+        # time re-runs, not one-off compiles.
         vm_compiler.compile_program(pipeline.program, plan,
                                     specialize_ints=True,
                                     synth_fusions=synth.DEFAULT_FUSIONS)
 
-        fingerprints = {}
-        walls: Dict[str, float] = {}
-        for config, workers in CONFIGURATIONS:
-            best_wall = None
-            outcome = None
-            for _ in range(repeats):
-                outcome, wall = _timed_search(pipeline, recording, workers,
-                                              budget)
-                if best_wall is None or wall < best_wall:
-                    best_wall = wall
-            fingerprints[config] = _outcome_fingerprint(outcome)
-            walls[config] = best_wall
-            rows.append({
-                "scenario": scenario,
-                "configuration": config,
-                "reproduced": outcome.reproduced,
-                "runs": outcome.runs,
-                "bits": len(recording.bitvector),
-                "wall_seconds": round(best_wall, 4),
-                "speedup_vs_serial": round(walls["serial"] / best_wall, 2),
-                "identical_to_serial": (fingerprints[config]
-                                        == fingerprints["serial"]),
-                "solver_calls": outcome.solver_calls,
-                "warm_start_hits": outcome.warm_start_hits,
-                "cache_lookups": outcome.compile_cache_lookups,
-                "speculation_hits": outcome.speculation_hits,
-            })
+        best_wall = None
+        outcome = None
+        for _ in range(repeats):
+            outcome, wall = _timed_search(pipeline, recording, budget)
+            if best_wall is None or wall < best_wall:
+                best_wall = wall
+        rows.append({
+            "scenario": scenario,
+            "reproduced": outcome.reproduced,
+            "runs": outcome.runs,
+            "bits": len(recording.bitvector),
+            "wall_seconds": round(best_wall, 4),
+            "solver_calls": outcome.solver_calls,
+            "warm_start_hits": outcome.warm_start_hits,
+            "cache_lookups": outcome.compile_cache_lookups,
+        })
     return rows
 
 
@@ -234,7 +206,6 @@ def write_artifact(rows: List[Dict[str, object]], path: str = "BENCH_replay.json
 
     payload = {
         "benchmark": "replay_search",
-        "configurations": [config for config, _workers in CONFIGURATIONS],
         "rows": rows,
     }
     if inbox_rows is not None:

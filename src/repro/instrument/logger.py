@@ -74,7 +74,7 @@ class BitvectorLog:
 
         Rebuilds the flush count the way :meth:`append` would have, so a
         round-tripped log is indistinguishable from the original (the trace
-        serializer and the process-pool replay workers rely on this).
+        serializer and the engine spec that checkpoints carry rely on this).
         """
 
         if bit_count > len(data) * 8:

@@ -71,7 +71,9 @@ from repro.lang.ast_nodes import (
 #: unboxed BINOP_II* superinstructions and the runtime quickening pass.
 #: 3: no named-cell fallback — an unresolved name sends the whole program to
 #: the interpreter — and the global initializers resolve too.
-RESOLVER_VERSION = 3
+#: 4: a global that a function called from an initializer uses before the
+#: global's declaration is unresolved.
+RESOLVER_VERSION = 4
 
 # Declaration states in the abstract scope chain.
 _DECLARED = 1
@@ -708,12 +710,27 @@ class _FunctionResolver:
         return False
 
 
-def _resolve_initializers(program) -> FunctionResolution:
+def _globals_used(function: FunctionDef,
+                  resolution: FunctionResolution) -> Set[str]:
+    """The globals *function*'s body reads or writes."""
+
+    return {node.name for node in function.walk()
+            if isinstance(node, Identifier)
+            and resolution.accesses.get(node.node_id) == (GLOBAL,)}
+
+
+def _resolve_initializers(program, functions: Dict[str, FunctionResolution]
+                          ) -> FunctionResolution:
     """Resolve the global initializers, in declaration order.
 
     They run before any frame exists, so an identifier can only denote a
     global declared before it: a read of any other name raises, and an
     assignment to one has no scope to declare it in.  Both stay unresolved.
+    So does a global that a function the initializer calls (directly or
+    through further calls) uses: function bodies resolve against every
+    global, but while the initializer runs, the global it initializes and
+    every later one do not exist yet, so the interpreter declares a local
+    where the body assigns one and raises where the body reads one.
     """
 
     declared: Set[str] = set()
@@ -721,8 +738,15 @@ def _resolve_initializers(program) -> FunctionResolution:
     for decl in program.unit.globals:
         for declarator in decl.decl.declarators:
             for expr in (declarator.array_size, declarator.init):
-                if expr is not None:
-                    resolver._expr(expr, [])
+                if expr is None:
+                    continue
+                resolver._expr(expr, [])
+                for node in expr.walk():
+                    if isinstance(node, Call) and node.name in functions:
+                        for callee in program.reachable_functions(node.name):
+                            resolver.unresolved.update(_globals_used(
+                                program.functions[callee],
+                                functions[callee]) - declared)
             declared.add(declarator.name)
             resolver.accesses[declarator.node_id] = GLOBAL
     return FunctionResolution(
@@ -745,10 +769,12 @@ def resolve_program(program) -> ProgramResolution:
         name for name, function in program.functions.items()
         if function.return_type.pointer_depth == 0
         and function.return_type.base in _INT_BASES}
-    resolution = ProgramResolution(version=RESOLVER_VERSION,
-                                   initializers=_resolve_initializers(program))
-    for name, function in program.functions.items():
-        resolution.functions[name] = _FunctionResolver(
-            function, global_names, int_functions).resolve()
+    functions = {name: _FunctionResolver(function, global_names,
+                                         int_functions).resolve()
+                 for name, function in program.functions.items()}
+    resolution = ProgramResolution(
+        version=RESOLVER_VERSION,
+        initializers=_resolve_initializers(program, functions),
+        functions=functions)
     setattr(program, _RESOLUTION_ATTR, resolution)
     return resolution

@@ -18,8 +18,8 @@ version all raise :class:`CheckpointFormatError`.  The supervisor treats a
 corrupt checkpoint as poison — the cluster is quarantined with the typed
 error, never silently restarted into a possibly-wrong report.
 
-Section bodies are pickles (the spec and pending items already cross
-process-pool boundaries by pickle), so the envelope contributes the
+Section bodies are pickles (the spec already crosses the supervisor's
+process boundary by pickle), so the envelope contributes the
 integrity story — magic, version, length and checksum — while pickle
 contributes fidelity.
 """

@@ -8,33 +8,25 @@ alternative constraint sets on the pending list.  Reproduction succeeds when a
 run crashes at the recorded crash site; the input assignment of that run is
 the "set of inputs that activate the bug" the paper promises the developer.
 
-**Parallel search.**  With ``workers > 1`` the engine evaluates pending items
-on a pool of worker processes.  Evaluating an item — solve its constraint
-set, run the program, collect the run's alternatives — is a pure function of
-the item and the recording, so workers *speculate* on the items at the head
-of the pending list while the engine commits results strictly in the serial
-pop order.  The
-committed sequence of runs, the pushed alternatives, the solver-call and run
-counters, and the explored pending set are therefore byte-identical to the
-serial engine's; speculation only changes wall-clock time.
+**One search, in pop order.**  Evaluating an item — solve its constraint
+set, run the program, collect the run's alternatives — yields a distilled
+:class:`_ItemEvaluation` (classification string, assignment, alternatives,
+counters), and the engine commits evaluations strictly in the pending list's
+pop order.  The committed sequence of runs, the pushed alternatives, the
+counters and the explored pending set are therefore a pure function of the
+recording, which is what lets a search pause at any commit boundary and
+resume elsewhere (:mod:`repro.replay.checkpoint`).  Parallelism lives one
+level up: the service's supervisor runs one search per trace cluster in its
+own process, rebuilt from the picklable :class:`_EngineSpec`.
 
-**Repair in place.**  A serial search on the VM does not restart a run that
+**Repair in place.**  A search on the VM does not restart a run that
 reaches a logged symbolic branch going the wrong way.  The run is committed
 as aborted exactly as before; if the next item popped is the alternative that
 forces the recorded direction (as it is under DFS unless that alternative
 was a duplicate), the VM moves its live state onto that item's solved input
 and keeps running as that item's run.  Guards logged along the run decide
 whether the two runs can have diverged; if so the item restarts from
-``main`` with its solution.  The committed sequence stays the serial one.
-
-Each worker process rebuilds the engine from a pickled :class:`_EngineSpec`
-(program, plan, recorded logs, environment spec) and evaluates items in its
-own interpreter, so the search scales with cores.  Everything that crosses
-the process boundary — pending items in, :class:`_ItemEvaluation` summaries
-out — is plain picklable data, and the evaluation summaries are *distilled*
-(classification string, assignment, alternatives, counters) rather than live
-hook/interpreter state, which keeps the pickle payload small and the commit
-path identical for serial and parallel searches.
+``main`` with its solution.  The committed sequence stays the same.
 """
 
 from __future__ import annotations
@@ -43,10 +35,8 @@ import dataclasses
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.environment import Environment
 from repro.instrument.logger import BitvectorLog, SyscallResultLog
@@ -87,12 +77,13 @@ class ReplayRepairError(RuntimeError):
 
 
 class WorkerCrashError(RuntimeError):
-    """A replay worker process died mid-search (SIGKILL, OOM, hard crash).
+    """A supervised search process could not deliver a result.
 
-    The engine's process pool surfaces worker death as this typed error
-    (instead of the raw :class:`BrokenProcessPool`) after recording
-    ``replay.worker_deaths``; the service-side supervisor catches the same
-    condition one level up and resumes the search from its last checkpoint.
+    The service fails a cluster with this typed error when its search
+    worker died more often than ``service.max_search_retries`` allows (the
+    cluster is quarantined), left a corrupt checkpoint, or raised inside
+    the search; a worker death within the retry budget resumes from the
+    last checkpoint instead (see :mod:`repro.service.supervisor`).
     """
 
 
@@ -120,19 +111,13 @@ class ReplayOutcome:
     solver_calls: int = 0
     pending_stats: Dict[str, int] = field(default_factory=dict)
     run_records: List[ReplayRunRecord] = field(default_factory=list)
-    # Aggregated worker-side counters.  All of these fold in *committed*
-    # evaluations only, so they are identical for any worker count
-    # (compile-cache hits/misses additionally depend on per-process cache
-    # warmth — see ``compile_cache_lookups`` below for the mode-independent
-    # total).
+    # Counters folded in from *committed* evaluations only (compile-cache
+    # hits/misses additionally depend on the process's cache warmth — see
+    # ``compile_cache_lookups`` below for the warmth-independent total).
     warm_start_hits: int = 0
     solver_nodes: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
-    # Parallel-search telemetry (never part of the explored-set identity).
-    workers: int = 1
-    speculated_items: int = 0
-    speculation_hits: int = 0
     symbolic_logged_locations: int = 0
     symbolic_logged_executions: int = 0
     symbolic_not_logged_locations: int = 0
@@ -146,7 +131,7 @@ class ReplayOutcome:
     preempted: bool = False
     resumed: bool = False
     # What the search did, beyond what it explored (never part of the
-    # explored-set identity: repair depends on the worker count).
+    # explored-set identity: repair depends on the backend).
     # ``vm_steps`` counts the steps actually executed, the safety-net re-run
     # included; ``repairs`` the runs continued in place; ``repair_blocked``
     # the continuations a guard (by kind) sent back to ``main``.
@@ -162,14 +147,17 @@ class ReplayOutcome:
     stop_reason: str = ""
     # Metrics recorded during the search when the engine runs with
     # ``telemetry=True``; ``None`` otherwise.  Timing-marked metrics (wall
-    # clocks, per-process cache warmth, speculation) are excluded from
-    # ``telemetry.deterministic()``, whose canonical bytes are identical for
-    # every worker count.
+    # clocks, cache warmth, repair) are excluded from
+    # ``telemetry.deterministic()``, whose canonical bytes are identical
+    # for an uninterrupted search and one resumed from a checkpoint.
     telemetry: Optional[RegistrySnapshot] = None
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         # A checkpoint written before the search counters existed resumes
-        # with them at their defaults.
+        # with them at their defaults.  One written while the engine had a
+        # process pool also carries ``workers``, ``speculated_items`` and
+        # ``speculation_hits``; resuming rebuilds the outcome from its
+        # fields (``_initial_state``), which leaves those behind.
         self.__dict__.update(vm_steps=0, repairs=0, repair_blocked={},
                              stop_reason="", solver_unknowns=0)
         self.__dict__.update(state)
@@ -184,37 +172,12 @@ class ReplayOutcome:
     def compile_cache_lookups(self) -> int:
         """Compiled-code cache lookups by committed runs (hits + misses).
 
-        Unlike the hit/miss split — every worker process warms its own cache,
-        so process workers report more misses than a serial search — the
-        lookup total is a pure function of the committed run sequence and is
-        byte-identical across worker counts.
+        Unlike the hit/miss split, which depends on how warm the process's
+        cache was when the search started, the lookup total is a pure
+        function of the committed run sequence: one per committed run.
         """
 
         return self.compile_cache_hits + self.compile_cache_misses
-
-    def stats(self) -> Dict[str, int]:
-        """Aggregated counters, one flat map.
-
-        .. deprecated:: 0.4
-            Thin shim over the :mod:`repro.telemetry` registry — these
-            counters now live on :attr:`telemetry` (``replay.*`` names) when
-            the engine runs with telemetry enabled.  Kept so pre-telemetry
-            callers (benchmarks, service reports) keep working; the keys and
-            values are identical with telemetry on or off.
-        """
-
-        return {
-            "runs": self.runs,
-            "solver_calls": self.solver_calls,
-            "solver_nodes": self.solver_nodes,
-            "warm_start_hits": self.warm_start_hits,
-            "compile_cache_lookups": self.compile_cache_lookups,
-            "compile_cache_hits": self.compile_cache_hits,
-            "compile_cache_misses": self.compile_cache_misses,
-            "speculated_items": self.speculated_items,
-            "speculation_hits": self.speculation_hits,
-            "workers": self.workers,
-        }
 
     def summary(self) -> str:
         status = "reproduced" if self.reproduced else (
@@ -227,9 +190,8 @@ class ReplayOutcome:
 class _ItemEvaluation:
     """The distilled outcome of evaluating one pending item.
 
-    A pure function of the item and the recording, and **plain picklable
-    data**: process workers return exactly this object, and the engine's
-    commit path cannot tell (or care) where an evaluation was computed.
+    A pure function of the item and the recording; the commit path folds it
+    into the outcome without looking at live hook or VM state.
     """
 
     solver_calls: int
@@ -253,10 +215,9 @@ class _ItemEvaluation:
     repaired: bool = False
     repair_blocked: str = ""
     solver_unknowns: int = 0
-    # Snapshot of the per-item metrics registry (worker-side VM opcode
-    # counts, item histograms, solver/compile-cache timings).  Picklable —
-    # process workers ship it home like every other field — and merged into
-    # the engine registry at commit time, in serial pop order.
+    # Snapshot of the per-item metrics registry (VM opcode counts, item
+    # histograms, solver/compile-cache timings), merged into the engine
+    # registry at commit time, in pop order.
     telemetry: Optional[RegistrySnapshot] = None
 
 
@@ -321,11 +282,10 @@ class _ItemScope:
         local = self.registry
         if local is None:
             return evaluation
-        # One registry per item: inline and in worker processes alike, items
-        # collect into isolated registries, snapshot them into the
-        # (picklable) evaluation, and the commit path merges snapshots in
-        # serial pop order — so the deterministic portion of the merged
-        # registry is byte-identical for every worker count.
+        # One registry per item: items collect into isolated registries,
+        # snapshot them into the evaluation, and the commit path merges
+        # snapshots in pop order — so the deterministic portion of the
+        # merged registry is a pure function of the committed sequence.
         local.histogram("replay.item_seconds", SECONDS_BUCKETS,
                         timing=True).observe(time.perf_counter() - self.started)
         if evaluation.ran:
@@ -341,14 +301,14 @@ class _ItemScope:
 
 
 class _Chain:
-    """Continues one serial VM run across logged symbolic mismatches.
+    """Continues one VM run across logged symbolic mismatches.
 
     Installed as the replay hooks' continuation.  At a mismatch it commits
-    the run exactly as an aborted run is committed, then takes the serial
+    the run exactly as an aborted run is committed, then takes the search
     loop's next steps (see :meth:`ReplayEngine._advance`).  It continues
     in place only if the item popped next is the forced alternative that
     commit pushed and the VM's guards allow the repair; otherwise the run
-    ends and the serial loop goes on with :attr:`next_item` (and, if it was
+    ends and the search loop goes on with :attr:`next_item` (and, if it was
     solved here, :attr:`next_solution`).
     """
 
@@ -386,7 +346,7 @@ class _Chain:
         self.scope.restart()
         solution = engine._solve(item)
         if solution.overrides is None:
-            # Committed like the serial loop's; that commit pushed nothing,
+            # Committed like the search loop's; that commit pushed nothing,
             # so whatever pops next restarts.
             engine._note_solve(solution)
             self.next_item = engine._advance(
@@ -409,7 +369,7 @@ class _Chain:
 
 @dataclass
 class _EngineSpec:
-    """A picklable recipe for rebuilding a serial engine in a worker process.
+    """A picklable recipe for rebuilding an engine in another process.
 
     The recorded bitvector travels packed (``BitvectorLog.to_bytes``), the
     environment as a :class:`~repro.trace.EnvironmentSpec`, and the program as
@@ -445,28 +405,11 @@ class _EngineSpec:
             search_order=self.search_order,
             require_full_log_match=self.require_full_log_match,
             backend=self.backend,
-            workers=1,
             max_call_depth=self.max_call_depth,
             warm_start=self.warm_start,
             telemetry=self.telemetry,
             profile_opcodes=self.profile_opcodes,
         )
-
-
-#: The per-process engine a pool worker evaluates items against.  Set once by
-#: the pool initializer; worker processes are single-threaded, so a plain
-#: global is safe.
-_WORKER_ENGINE: Optional["ReplayEngine"] = None
-
-
-def _process_worker_init(spec: _EngineSpec) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = spec.build_engine()
-
-
-def _process_worker_evaluate(item: PendingItem) -> _ItemEvaluation:
-    assert _WORKER_ENGINE is not None, "worker used before initialization"
-    return _WORKER_ENGINE._evaluate_item(item)
 
 
 def check_matched_binaries(program: Program, trace,
@@ -508,7 +451,6 @@ class ReplayEngine:
                  search_order: str = "dfs",
                  require_full_log_match: bool = True,
                  backend: str = "vm",
-                 workers: int = 1,
                  max_call_depth: int = 256,
                  warm_start: bool = True,
                  telemetry: bool = False,
@@ -522,7 +464,6 @@ class ReplayEngine:
         self.budget = budget or ReplayBudget()
         self.search_order = search_order
         self.backend = backend
-        self.workers = max(1, int(workers))
         self.max_call_depth = max_call_depth
         self.warm_start = warm_start
         # Telemetry never affects the explored search tree; profiling opcodes
@@ -621,8 +562,8 @@ class ReplayEngine:
         """Write the current search state to *path* (or the policy path).
 
         Only meaningful while a search is live (between commits, or from
-        another thread while the committing thread waits on a worker);
-        raises :class:`~repro.replay.checkpoint.CheckpointError` otherwise.
+        another thread while the search runs); raises
+        :class:`~repro.replay.checkpoint.CheckpointError` otherwise.
         """
 
         from repro.replay.checkpoint import CheckpointError, save_checkpoint
@@ -648,13 +589,12 @@ class ReplayEngine:
                 # Resume with the checkpointed metrics so the final merged
                 # registry equals the uninterrupted run's.
                 self._registry.merge_snapshot(self._resume.telemetry)
-            # The committing thread runs under the engine registry so the
+            # The search runs under the engine registry so the
             # replay.search span (and any commit-side instrumentation) lands
             # there; per-item metrics use their own scoped registries and
             # merge at commit time.
             with scoped(self._registry):
-                with span("replay.search", order=self.search_order,
-                          workers=self.workers):
+                with span("replay.search", order=self.search_order):
                     self._run_search(outcome, pending, start)
         else:
             self._registry = None
@@ -671,7 +611,7 @@ class ReplayEngine:
         pending = PendingList(order=self.search_order,
                               max_size=self.budget.max_pending)
         if self._resume is None:
-            outcome = ReplayOutcome(reproduced=False, workers=self.workers)
+            outcome = ReplayOutcome(reproduced=False)
             pending.push(PendingItem(ConstraintSet(), hint={}, reason="initial run"))
             return outcome, pending
         ckpt = self._resume
@@ -681,7 +621,6 @@ class ReplayEngine:
             pending_stats=dict(ckpt.outcome_state.pending_stats),
             run_records=list(ckpt.outcome_state.run_records),
             telemetry=None,
-            workers=self.workers,
             preempted=False,
             stop_reason="",
             resumed=True)
@@ -697,10 +636,7 @@ class ReplayEngine:
                     start: float) -> None:
         self._live_state = (outcome, pending, start)
         try:
-            if self.workers > 1:
-                self._search_parallel(outcome, pending, start)
-            else:
-                self._search_serial(outcome, pending, start)
+            self._search(outcome, pending, start)
         finally:
             self._live_state = None
 
@@ -708,12 +644,11 @@ class ReplayEngine:
         """Record search-level metrics and snapshot the engine registry.
 
         Everything deterministic here is a pure function of the committed run
-        sequence; per-machine facts (worker count, speculation, wall
-        clocks) are timing-marked so ``deterministic()`` drops them.  A
-        *preempted* outcome is a pause, not a result: the final counters are
-        skipped (the resumed run records them once, at the true end), so the
-        deterministic snapshot of the resumed run equals the uninterrupted
-        run's byte for byte.
+        sequence; per-run facts (preemption, resumes) are timing-marked so
+        ``deterministic()`` drops them.  A *preempted* outcome is a pause,
+        not a result: the final counters are skipped (the resumed run
+        records them once, at the true end), so the deterministic snapshot
+        of the resumed run equals the uninterrupted run's byte for byte.
         """
 
         registry = self._registry
@@ -728,17 +663,12 @@ class ReplayEngine:
             registry.counter("replay.preempted", timing=True).inc()
         if outcome.resumed:
             registry.counter("replay.checkpoint.resumes", timing=True).inc()
-        registry.gauge("replay.workers", timing=True).set(self.workers)
-        registry.counter("replay.speculated_items", timing=True).inc(
-            outcome.speculated_items)
-        registry.counter("replay.speculation_hits", timing=True).inc(
-            outcome.speculation_hits)
         outcome.telemetry = registry.snapshot()
 
-    # -- the two search drivers ---------------------------------------------------------------
+    # -- the search loop ---------------------------------------------------------------------
 
-    def _search_serial(self, outcome: ReplayOutcome, pending: PendingList,
-                       start: float) -> None:
+    def _search(self, outcome: ReplayOutcome, pending: PendingList,
+                start: float) -> None:
         # Repairing runs in place needs the VM (which a program the
         # resolver cannot slot does not run on), and the opcode profiler
         # counts from-main runs.
@@ -757,7 +687,7 @@ class ReplayEngine:
 
     def _next_item(self, outcome: ReplayOutcome, pending: PendingList,
                    start: float) -> Optional[PendingItem]:
-        """The budget check and pop that start every serial-loop step."""
+        """The budget check and pop that start every loop step."""
 
         if self._budget_exhausted(outcome, start):
             return None
@@ -770,11 +700,11 @@ class ReplayEngine:
     def _advance(self, outcome: ReplayOutcome, pending: PendingList,
                  start: float, evaluation: _ItemEvaluation
                  ) -> Optional[PendingItem]:
-        """One serial-loop step: commit, post-commit, budget check, pop.
+        """One loop step: commit, post-commit, budget check, pop.
 
         Returns the next item, or None when the search ends.  Shared by the
-        serial and parallel drivers and by a chain continuing in place, so
-        every logical run is committed exactly once, in pop order.
+        search loop and by a chain continuing in place, so every logical run
+        is committed exactly once, in pop order.
         """
 
         if (self._commit(outcome, pending, evaluation)
@@ -782,28 +712,16 @@ class ReplayEngine:
             return None
         return self._next_item(outcome, pending, start)
 
-    def _make_pool(self) -> Tuple[object, Callable[[PendingItem], "object"]]:
-        """The worker process pool plus an item-submission closure."""
+    def to_spec(self) -> _EngineSpec:
+        """A picklable recipe that rebuilds this engine elsewhere.
 
-        pool = ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_process_worker_init,
-                                   initargs=(self._engine_spec(),))
-        return pool, lambda item: pool.submit(_process_worker_evaluate, item)
-
-    def to_spec(self) -> "_EngineSpec":
-        """A picklable recipe that rebuilds this engine (serially) elsewhere.
-
-        The public face of the process-pool plumbing: the reproduction
-        service ships one spec per deduped trace cluster to its persistent
-        worker pool, and the worker runs ``spec.build_engine().reproduce()``
-        in its own interpreter.  The rebuilt engine is always serial
-        (``workers=1``), so its explored search tree is byte-identical to
-        the single-shot path by the engine's commit discipline.
+        The service's supervisor ships one spec per deduped trace cluster
+        to a child process, which runs ``spec.build_engine().reproduce()``
+        in its own interpreter; checkpoints carry the same spec.  The
+        rebuilt engine explores the same search tree by the engine's commit
+        discipline.
         """
 
-        return self._engine_spec()
-
-    def _engine_spec(self) -> _EngineSpec:
         from repro.trace import EnvironmentSpec
 
         # A fresh Program instance carries only the dataclass fields: the
@@ -836,96 +754,6 @@ class ReplayEngine:
             telemetry=self.telemetry,
             profile_opcodes=self.profile_opcodes,
         )
-
-    def _search_parallel(self, outcome: ReplayOutcome, pending: PendingList,
-                         start: float) -> None:
-        """Speculative search: workers race ahead, commits follow serial order.
-
-        Every pop either finds the item's evaluation already inflight (a
-        speculation hit) or submits it on the spot; either way the result is
-        committed before the next pop, so the pending list — and with it the
-        pop order — evolves exactly as in :meth:`_search_serial`.
-        """
-
-        inflight: Dict[int, Tuple[PendingItem, object]] = {}
-        pool, submit = self._make_pool()
-        try:
-            item = self._next_item(outcome, pending, start)
-            while item is not None:
-                entry = inflight.pop(id(item), None)
-                if entry is not None:
-                    outcome.speculation_hits += 1
-                    future = entry[1]
-                else:
-                    future = submit(item)
-                # Keep idle workers busy on the likely-next items while the
-                # committing thread waits for this one.
-                self._speculate(submit, pending, inflight, outcome)
-                if self._registry is not None:
-                    wait_start = time.perf_counter()
-                    evaluation = future.result()
-                    self._registry.histogram(
-                        "replay.commit_wait_seconds", SECONDS_BUCKETS,
-                        timing=True).observe(time.perf_counter() - wait_start)
-                else:
-                    evaluation = future.result()
-                item = self._advance(outcome, pending, start, evaluation)
-        except BrokenProcessPool as exc:
-            # A worker process died under us (SIGKILL, OOM, hard crash).
-            # Surface the typed error; the supervisor one level up resumes
-            # the search from its last checkpoint in a fresh process.
-            if self._registry is not None:
-                self._registry.counter("replay.worker_deaths",
-                                       timing=True).inc()
-            raise WorkerCrashError(
-                f"replay worker process died mid-search "
-                f"({self.workers} workers): {exc}") from exc
-        finally:
-            # Drop anything still queued, but wait for the runs already
-            # executing: reproduce() must not leak workers that keep burning
-            # CPU after it returns.
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except BrokenProcessPool:  # already broken: nothing to drain
-                pass
-
-    def _speculate(self, submit: Callable[[PendingItem], "object"],
-                   pending: PendingList,
-                   inflight: Dict[int, Tuple[PendingItem, object]],
-                   outcome: ReplayOutcome) -> None:
-        # Keep a small backlog beyond the worker count so a fast worker always
-        # finds its next item queued.  The cap counts only *unfinished*
-        # evaluations: under DFS, freshly pushed alternatives overtake items
-        # speculated earlier, and those completed-but-not-yet-popped entries
-        # (they stay in `inflight` as a results cache until their item is
-        # popped) must not starve speculation on the new head of the list.
-        # id() keys are safe because the map holds a reference to every
-        # speculated item.
-        cap = self.workers * 2
-        active = sum(1 for _, future in inflight.values() if not future.done())
-        if active < cap:
-            for candidate in pending.peek(cap):
-                key = id(candidate)
-                if key in inflight:
-                    continue
-                inflight[key] = (candidate, submit(candidate))
-                outcome.speculated_items += 1
-                active += 1
-                if active >= cap:
-                    break
-        # Bound the completed-results cache: under DFS fresh alternatives
-        # overtake earlier speculations, whose finished evaluations would
-        # otherwise stay pinned until their item is popped — possibly for the
-        # whole search.  Evicting a done entry is safe: _evaluate_item is
-        # pure, so a later pop just recomputes it.
-        retain = max(32, self.workers * 8)
-        if len(inflight) > retain:
-            keep = {id(item) for item in pending.peek(retain)}
-            for key in [k for k, (_, future) in inflight.items()
-                        if future.done() and k not in keep]:
-                if len(inflight) <= retain:
-                    break
-                del inflight[key]
 
     def _budget_exhausted(self, outcome: ReplayOutcome, start: float) -> bool:
         # A resumed search inherits the clock already consumed before its
@@ -982,7 +810,7 @@ class ReplayEngine:
         from repro.replay.checkpoint import SearchCheckpoint
 
         return SearchCheckpoint(
-            spec=self._engine_spec(),
+            spec=self.to_spec(),
             commits=self._commits,
             elapsed_seconds=self._elapsed_prior + time.monotonic() - start,
             pending_items=list(pending._items),
@@ -1046,7 +874,7 @@ class ReplayEngine:
                        solution: Optional[_Solution] = None,
                        chain: Optional[_Chain] = None
                        ) -> Optional[_ItemEvaluation]:
-        """Solve and run one pending item — pure, safe for any worker.
+        """Solve and run one pending item.
 
         *solution* is the item's input when a chain already solved it.  With
         a *chain* the run may go on past logged symbolic mismatches, as the
@@ -1168,8 +996,8 @@ class ReplayEngine:
                 outcome.repair_blocked.get(blocked, 0) + 1)
         registry = self._registry
         if registry is not None:
-            # Merge the item's registry first (commit order = serial pop
-            # order), then fold the flat counters the item snapshot does not
+            # Merge the item's registry first (commit order = pop order),
+            # then fold the flat counters the item snapshot does not
             # carry.  Cache hits/misses depend on per-process cache warmth,
             # so they are timing-marked like the compiler's own counters.
             if evaluation.telemetry is not None:
@@ -1181,7 +1009,7 @@ class ReplayEngine:
             if evaluation.solver_unknowns:
                 registry.counter("replay.solver_unknowns").inc(
                     evaluation.solver_unknowns)
-            # What the VM did depends on repair, hence on the worker count.
+            # What the VM did depends on repair, hence on the backend.
             registry.counter("replay.vm_steps", timing=True).inc(
                 evaluation.vm_steps)
             registry.counter("replay.repairs", timing=True).inc(
@@ -1212,8 +1040,8 @@ class ReplayEngine:
 
         # Merge the alternatives this run discovered.  Interning canonicalizes
         # the constraint chains so prefix-sharing pending items reference the
-        # same Constraint objects — whether the evaluation happened inline or
-        # came back (prefix-sharing but identity-free) from a worker process.
+        # same Constraint objects — also after a checkpoint's pickle round
+        # trip has made them prefix-sharing but identity-free.
         for constraints, reason in evaluation.alternatives:
             item = PendingItem(constraints=constraints.interned(),
                                hint=dict(evaluation.assignment),

@@ -21,10 +21,10 @@ class PendingItem:
     """One unexplored alternative path.
 
     Items are plain data end to end — constraint sets, hint assignments,
-    bookkeeping ints — so they pickle: the process-pool replay workers
-    receive the exact item the engine popped, and the alternatives they send
-    back re-enter the pending list indistinguishable from locally produced
-    ones (the dedup signature below is structural, not identity-based).
+    bookkeeping ints — so they pickle: a search checkpoint carries the
+    pending list, and the items it restores are indistinguishable from the
+    ones it saved (the dedup signature below is structural, not
+    identity-based).
     """
 
     constraints: ConstraintSet
@@ -73,21 +73,6 @@ class PendingList:
         if self.order == "dfs":
             return self._items.pop()
         return self._items.pop(0)
-
-    def peek(self, count: int = 1) -> List[PendingItem]:
-        """The next *count* items in pop order, without removing them.
-
-        The parallel replay engine speculates on these: barring earlier
-        termination, they are exactly the items the serial engine would pop
-        next (newly pushed alternatives may jump the queue under DFS, but a
-        peeked item's evaluation stays valid until it is actually popped).
-        """
-
-        if count <= 0:
-            return []
-        if self.order == "dfs":
-            return list(reversed(self._items[-count:]))
-        return list(self._items[:count])
 
     def clear(self) -> None:
         self._items.clear()

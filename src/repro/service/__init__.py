@@ -16,8 +16,8 @@ This package is the canonical way to drive the reproduction system:
   objects (:class:`~repro.service.inbox.IngestResult`,
   :class:`~repro.service.service.ReproductionReport`,
   :class:`~repro.service.service.ServiceStats`) and a scheduler dispatching
-  deduped clusters, smallest estimated search first, to a persistent
-  process pool of replay workers.
+  deduped clusters, smallest estimated search first, inline or to the
+  supervisor's worker processes (one serial search per cluster).
 
 Quickstart (the developer site, serving a spool of shipped bug reports)::
 

@@ -37,8 +37,7 @@ def build_config(args) -> ReproConfig:
     config = ReproConfig()
     if hasattr(args, "backend"):
         config.execution.backend = args.backend
-    if hasattr(args, "workers"):
-        config.replay.workers = args.workers
+    if hasattr(args, "no_warm_start"):
         config.replay.warm_start = not args.no_warm_start
     if hasattr(args, "max_runs"):
         config.replay.budget = ReplayBudget(max_runs=args.max_runs,
@@ -216,12 +215,13 @@ def cmd_replay(args) -> int:
     outcome = report.outcome
     print(f"replay of {args.trace} ({trace.scenario}, method={trace.plan.method}): "
           f"{outcome.summary()}")
-    print(f"  stats={json.dumps(outcome.stats(), sort_keys=True)}")
     print(f"  search: stop_reason={outcome.stop_reason} "
           f"vm_steps={outcome.vm_steps} repairs={outcome.repairs} "
           f"repair_blocked={json.dumps(outcome.repair_blocked, sort_keys=True)} "
-          f"solver_unknowns={outcome.solver_unknowns}")
-    # What the search committed, identical for every backend and worker count.
+          f"solver_unknowns={outcome.solver_unknowns} "
+          f"solver_nodes={outcome.solver_nodes} "
+          f"compile_cache_lookups={outcome.compile_cache_lookups}")
+    # What the search committed, identical for every backend.
     found = json.dumps(sorted(outcome.found_input.items()))
     print(f"  digest: runs={outcome.runs} solver_calls={outcome.solver_calls} "
           f"warm_start_hits={outcome.warm_start_hits} "
@@ -287,8 +287,6 @@ def cmd_serve(args) -> int:
         value = getattr(args, arg_name)
         if value is not None:
             setattr(config.service, field_name, value)
-    if args.no_supervise:
-        config.service.supervised = False
     faults = None
     if args.faults:
         faults = FaultInjector(FaultSpec.from_json(json.loads(args.faults)))
@@ -414,8 +412,6 @@ def cmd_serve_batch(args) -> int:
         value = getattr(args, arg_name, None)
         if value is not None:
             setattr(config.service, field_name, value)
-    if args.no_supervise:
-        config.service.supervised = False
     with ReproService(args.root, config=config) as service:
         if args.faults:
             injector = FaultInjector(FaultSpec.from_json(json.loads(args.faults)))
@@ -475,8 +471,6 @@ def main(argv=None) -> int:
     replay.add_argument("--workload", required=True,
                         help="the developer's copy of the program")
     replay.add_argument("--backend", default="vm", choices=["interp", "vm"])
-    replay.add_argument("--workers", type=int, default=1,
-                        help="replay-engine worker processes (1 = serial)")
     replay.add_argument("--no-warm-start", action="store_true")
     replay.add_argument("--max-runs", type=int, default=3000)
     replay.add_argument("--max-seconds", type=float, default=120.0)
@@ -495,12 +489,10 @@ def main(argv=None) -> int:
     serve.add_argument("--root", required=True)
     serve.add_argument("--spool", default=None)
     serve.add_argument("--backend", default="vm", choices=["interp", "vm"])
-    serve.add_argument("--workers", type=int, default=1,
-                       help="replay-engine worker processes inside one "
-                            "search (1 = serial)")
     serve.add_argument("--no-warm-start", action="store_true")
     serve.add_argument("--service-workers", type=int, default=1,
-                       help="cluster-level process pool size (1 = inline)")
+                       help="cluster searches the supervisor runs at once, "
+                            "each in its own process (1 = inline)")
     serve.add_argument("--max-clusters", type=int, default=None)
     serve.add_argument("--max-runs", type=int, default=3000)
     serve.add_argument("--max-seconds", type=float, default=120.0)
@@ -516,8 +508,6 @@ def main(argv=None) -> int:
     serve.add_argument("--preempt-after", type=float, default=None,
                        help="preempt a search after this many seconds when "
                             "smaller searches wait (0 = never)")
-    serve.add_argument("--no-supervise", action="store_true",
-                       help="run searches inline without the supervisor")
     serve.add_argument("--faults", default=None, metavar="JSON",
                        help="FaultSpec JSON for chaos testing search workers, "
                             'e.g. \'{"worker_kill_rate": 0.1}\'')
@@ -569,8 +559,6 @@ def main(argv=None) -> int:
     serve_net.add_argument("--preempt-after", type=float, default=None,
                            help="preempt a search after this many seconds "
                                 "when smaller searches wait (0 = never)")
-    serve_net.add_argument("--no-supervise", action="store_true",
-                           help="run searches inline without the supervisor")
     serve_net.add_argument("--replan-after", type=int, default=None,
                            help="revise instrumentation plans after this "
                                 "many fanned-out reports (0 = never; see "

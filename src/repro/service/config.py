@@ -10,10 +10,10 @@ behind four sections mirroring the paper's phases:
   limits);
 * ``instrumentation`` — what the user site logs (syscalls, library-function
   handling) and the pre-deployment analysis budget;
-* ``replay`` — how hard the developer site searches (budget, order, worker
-  pool, warm start);
-* ``service`` — the trace-inbox / batch-reproduction layer (worker pool over
-  clusters, spool handling, persistence).
+* ``replay`` — how hard the developer site searches (budget, order, warm
+  start);
+* ``service`` — the trace-inbox / batch-reproduction layer (supervised
+  worker processes over clusters, spool handling, persistence).
 
 ``ReproConfig`` round-trips through plain dicts (:meth:`ReproConfig.to_dict`
 / :meth:`ReproConfig.from_dict`, with unknown keys rejected loudly) and
@@ -67,11 +67,10 @@ class InstrumentationSection:
 
 @dataclass
 class ReplaySection:
-    """Developer-site search effort and parallelism."""
+    """Developer-site search effort."""
 
     budget: ReplayBudget = field(default_factory=ReplayBudget)
     search_order: str = "dfs"
-    workers: int = 1
     warm_start: bool = True
 
 
@@ -79,12 +78,15 @@ class ReplaySection:
 class ServiceSection:
     """The trace-inbox / batch-reproduction layer.
 
-    ``workers`` is the *cluster-level* pool: with ``workers > 1`` the service
-    dispatches deduped clusters to a persistent process pool (each worker
-    rebuilds a serial replay engine from a pickled spec); ``workers == 1``
-    runs cluster searches inline.  Either way the per-cluster search tree is
-    byte-identical to the single-shot path — the replay engine's commit
-    discipline guarantees it.
+    ``workers`` is how many cluster searches run at once: with
+    ``workers > 1`` the supervisor (:mod:`repro.service.supervisor`) runs up
+    to that many deduped clusters in parallel, each in a child process that
+    rebuilds the replay engine from a pickled spec; ``workers == 1`` runs
+    cluster searches inline unless a supervision knob below asks for a
+    process.  Either way the per-cluster search tree is byte-identical to
+    the single-shot path — the replay engine's commit discipline guarantees
+    it.  This is the service's one source of parallelism: every replay
+    search is serial.
 
     The remaining knobs parameterize the robustness surface shared by the
     inbox and the network listener (:mod:`repro.service.net`):
@@ -113,11 +115,10 @@ class ServiceSection:
     * ``retry_after_seconds`` — the hint carried by a retry-after response.
 
     The supervision knobs govern the two-level scheduler
-    (:mod:`repro.service.supervisor`): with ``supervised`` on (the default),
-    cluster searches that need isolation — a multi-worker pool, a deadline,
-    preemption, or fault injection — run in supervised child processes that
-    checkpoint at commit boundaries, survive worker death, and resume after
-    service restarts.
+    (:mod:`repro.service.supervisor`): cluster searches that need isolation
+    — more than one worker, checkpointing, a deadline, preemption, or fault
+    injection — run in supervised child processes that checkpoint at commit
+    boundaries, survive worker death, and resume after service restarts.
 
     * ``search_deadline_seconds`` — per-search wall-clock deadline (0 = no
       deadline); a wedged search is killed and its cluster failed with a
@@ -152,7 +153,6 @@ class ServiceSection:
     read_timeout_seconds: float = 5.0
     client_quota: int = 0
     retry_after_seconds: float = 0.05
-    supervised: bool = True
     search_deadline_seconds: float = 0.0
     preempt_after_seconds: float = 0.0
     heartbeat_timeout_seconds: float = 30.0
@@ -239,7 +239,6 @@ class ReproConfig:
                 replay=ReplaySection(
                     budget=legacy.replay_budget,
                     search_order=legacy.replay_search_order,
-                    workers=legacy.replay_workers,
                     warm_start=legacy.replay_warm_start,
                 ),
                 telemetry=TelemetrySection(
@@ -274,7 +273,6 @@ class ReproConfig:
             replay_search_order=self.replay.search_order,
             record_max_steps=self.execution.record_max_steps,
             backend=self.execution.backend,
-            replay_workers=self.replay.workers,
             replay_warm_start=self.replay.warm_start,
             max_call_depth=self.execution.max_call_depth,
             telemetry_enabled=self.telemetry.enabled,
@@ -319,7 +317,6 @@ class ReproConfig:
             "replay": {
                 "budget": _plain_fields(self.replay.budget),
                 "search_order": self.replay.search_order,
-                "workers": self.replay.workers,
                 "warm_start": self.replay.warm_start,
             },
             "service": _plain_fields(self.service),
@@ -403,8 +400,8 @@ def _instrumentation_from_dict(payload: Dict[str, object]) -> InstrumentationSec
 
 
 def _replay_from_dict(payload: Dict[str, object]) -> ReplaySection:
-    _reject_unknown(payload, ("budget", "search_order", "workers",
-                              "warm_start"), "replay")
+    _reject_unknown(payload, ("budget", "search_order", "warm_start"),
+                    "replay")
     kwargs = dict(payload)
     if "budget" in kwargs and isinstance(kwargs["budget"], dict):
         kwargs["budget"] = _budget_from_dict(ReplayBudget, kwargs["budget"],

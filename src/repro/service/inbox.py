@@ -448,6 +448,12 @@ class TraceInbox:
         trace = load_trace_bytes(data)
         if self.check_trace is not None:
             self.check_trace(trace)
+        return self._ingest_trace(data, trace, source, _defer_save)
+
+    def _ingest_trace(self, data: bytes, trace: Trace, source: str,
+                      defer_save: bool) -> IngestResult:
+        """Record *trace*, decoded from *data* and checked, in the inbox."""
+
         self._sequence += 1
         digest = hashlib.sha256(data).hexdigest()[:8]
         trace_id = f"t{self._sequence:05d}-{digest}"
@@ -483,7 +489,7 @@ class TraceInbox:
             "file": stored,
             "source": source,
         }
-        if not _defer_save:
+        if not defer_save:
             self._save_state()
         return IngestResult(trace_id=trace_id, cluster_id=cluster_id,
                             duplicate=duplicate, program=trace.program_name,
@@ -496,7 +502,8 @@ class TraceInbox:
             data = handle.read()
         return self.ingest_bytes(data, source=os.path.abspath(path))
 
-    def ingest_spooled(self, path: str, data: bytes) -> IngestResult:
+    def ingest_spooled(self, path: str, data: bytes,
+                       trace: Trace) -> IngestResult:
         """Ingest a spool file whose bytes the caller already holds.
 
         The network listener's path: it journals *data* into a spool
@@ -504,7 +511,9 @@ class TraceInbox:
         restarted :meth:`poll_spool` over the partitions skips it.  Calling
         it again for an already-ingested path returns the original receipt
         (flagged ``duplicate``) without re-ingesting — the idempotency the
-        upload retry protocol relies on.
+        upload retry protocol relies on.  *trace* is *data* as the listener
+        decoded and checked it (see ``check_trace``), so it is not decoded
+        again.
         """
 
         path = os.path.abspath(path)
@@ -519,7 +528,8 @@ class TraceInbox:
                                 crash_site=cluster.crash_site,
                                 bits=cluster.bits, source=path,
                                 bug_key=cluster.bug_key)
-        result = self.ingest_bytes(data, source=path, _defer_save=True)
+        self._check_size(len(data), path)
+        result = self._ingest_trace(data, trace, path, defer_save=True)
         self.spooled[path] = result.trace_id
         self._save_state()
         return result

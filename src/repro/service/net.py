@@ -83,7 +83,7 @@ from repro.service.inbox import (
     _bug_key,
 )
 from repro.service.service import ReproService
-from repro.trace import TraceError, load_trace_bytes
+from repro.trace import Trace, TraceError, load_trace_bytes
 
 __all__ = [
     "ProtocolError",
@@ -242,14 +242,17 @@ def _decode_response(payload: bytes) -> Tuple[int, Dict[str, object]]:
 class _PendingUpload:
     """One accepted upload travelling the bounded ingest queue."""
 
-    __slots__ = ("client", "digest", "data", "partition", "filename",
-                 "result", "done")
+    __slots__ = ("client", "digest", "data", "trace", "partition",
+                 "filename", "result", "done")
 
-    def __init__(self, client: str, digest: str, data: bytes,
+    def __init__(self, client: str, digest: str, data: bytes, trace: Trace,
                  partition: int, filename: str) -> None:
         self.client = client
         self.digest = digest
         self.data = data
+        #: *data* decoded and checked by the request handler, so the ingest
+        #: does not decode and check it again.
+        self.trace = trace
         self.partition = partition
         self.filename = filename
         self.result: Optional[Tuple[str, Dict[str, object]]] = None
@@ -536,7 +539,8 @@ class UploadServer:
                 return ST_QUOTA, {
                     "reason": f"quota of {quota} reports exhausted"}
             accepted.add(digest)
-        pending = _PendingUpload(client, digest, body, partition, filename)
+        pending = _PendingUpload(client, digest, body, trace, partition,
+                                 filename)
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
@@ -648,7 +652,8 @@ class UploadServer:
                                   key=item.filename, faults=self.faults)
             self.faults.crash_point("net.after_commit")
             with self._lock:
-                result = self.service.ingest_spooled(path, item.data)
+                result = self.service.ingest_spooled(path, item.data,
+                                                     item.trace)
             self.faults.crash_point("net.after_ingest")
         except OSError as exc:
             # A failing disk must not fail the client permanently: nothing

@@ -7,11 +7,11 @@ directory), deduplicate into clusters of equivalent reports — same
 ``(plan fingerprint, crash site)`` bug *and* the same recording, see the
 inbox module for the two-level semantics — and
 :meth:`ReproService.process` dispatches one replay search per cluster —
-smallest estimated search first — either inline or on a persistent process
-pool whose workers rebuild a serial engine from the pickled
-:class:`~repro.replay.engine._EngineSpec`.  Every member of a cluster
-receives the cluster's :class:`ReproductionReport`; because the replay
-engine commits speculative work in serial pop order, each report's explored
+smallest estimated search first — either inline or through the supervisor
+(:mod:`repro.service.supervisor`), whose child processes rebuild the engine
+from the pickled :class:`~repro.replay.engine._EngineSpec`.  Every member
+of a cluster receives the cluster's :class:`ReproductionReport`; because
+the replay engine commits its work in pop order, each report's explored
 search tree is byte-identical to running that trace alone through
 :meth:`Pipeline.reproduce_from_trace`.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,7 +51,7 @@ from repro.telemetry import (
     span,
     write_jsonl,
 )
-from repro.trace import TraceError, load_trace
+from repro.trace import Trace, TraceError, load_trace
 
 __all__ = [
     "ReproService",
@@ -256,12 +255,6 @@ ANALYSIS_FREE_METHODS = frozenset((InstrumentationMethod.ALL_BRANCHES.value,
                                    InstrumentationMethod.NONE.value))
 
 
-def _search_worker(spec) -> ReplayOutcome:
-    """Process-pool entry: rebuild a serial engine from *spec* and search."""
-
-    return spec.build_engine().reproduce()
-
-
 class ReproSession:
     """A client handle on the service: ingest traces, read their reports."""
 
@@ -302,7 +295,7 @@ class ReproSession:
 
 
 class ReproService:
-    """The canonical developer-site API: inbox + scheduler + worker pool."""
+    """The canonical developer-site API: inbox + scheduler + supervisor."""
 
     def __init__(self, root: str,
                  config: Optional[ReproConfig] = None,
@@ -330,7 +323,6 @@ class ReproService:
         self._programs_src = dict(programs or {})
         self._resolver = resolver
         self._programs: Dict[str, Program] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._telemetry_on = config.telemetry.enabled
         #: Seeded fault spec shipped into supervised search workers
         #: (worker_kill / checkpoint_fail streams); set by the chaos harness
@@ -369,18 +361,21 @@ class ReproService:
         return [self._note_arrival(result)
                 for result in self.inbox.poll_spool(spool_dir)]
 
-    def ingest_spooled(self, path: str, data: bytes) -> IngestResult:
+    def ingest_spooled(self, path: str, data: bytes,
+                       trace: Trace) -> IngestResult:
         """Ingest bytes the caller already journaled into the spool.
 
         The network listener's path (see :mod:`repro.service.net`): the
         spool file is durable before this is called, so the receipt this
         returns is safe to acknowledge to the uploader.  An idempotent
         re-ingest of an already-recorded path returns the original receipt
-        without re-counting an arrival.
+        without re-counting an arrival.  *trace* is *data* already decoded
+        and passed through :meth:`check_trace`, as the listener does before
+        it picks the spool partition.
         """
 
         known = os.path.abspath(path) in self.inbox.spooled
-        result = self.inbox.ingest_spooled(path, data)
+        result = self.inbox.ingest_spooled(path, data, trace)
         return result if known else self._note_arrival(result)
 
     @property
@@ -460,9 +455,10 @@ class ReproService:
 
         Clusters dispatch in priority order (smallest estimated search
         first, per the ``service.priority`` section).  With
-        ``service.workers > 1`` the searches run on a persistent process
-        pool, one serial engine per worker; otherwise inline.  Returns a
-        report per *member trace* of every cluster processed in this call.
+        ``service.workers > 1`` (or any supervision knob set, see
+        :meth:`_use_supervisor`) the supervisor runs the searches in child
+        processes; otherwise they run inline.  Returns a report per *member
+        trace* of every cluster processed in this call.
         """
 
         start = time.perf_counter()
@@ -503,8 +499,6 @@ class ReproService:
         """
 
         svc = self.config.service
-        if not svc.supervised:
-            return False
         return (svc.workers > 1
                 or svc.checkpoint_every_runs > 0
                 or svc.search_deadline_seconds > 0
@@ -516,26 +510,17 @@ class ReproService:
         if self._use_supervisor():
             self._process_supervised(clusters, reports)
             return
-        pooled = self.config.service.workers > 1
-        jobs: List[Tuple[TraceCluster, object]] = []
         for cluster in clusters:
             try:
                 engine = self._engine_for(cluster)
             except (TraceError, KeyError) as exc:
                 self._fail_cluster(cluster, exc, reports)
                 continue
-            if pooled:
-                jobs.append((cluster, self._ensure_pool().submit(
-                    _search_worker, engine.to_spec())))
-            else:
-                self._finish_search(cluster, engine.reproduce, reports)
-        for cluster, future in jobs:
-            self._finish_search(cluster, future.result, reports)
+            self._finish_search(cluster, engine, reports)
 
-    def _finish_search(self, cluster: TraceCluster,
-                       search: Callable[[], ReplayOutcome],
+    def _finish_search(self, cluster: TraceCluster, engine: ReplayEngine,
                        reports: Dict[str, ReproductionReport]) -> None:
-        """Run (or collect) one cluster's search and commit it at once.
+        """Run one cluster's search and commit it at once.
 
         A search that raises fails only its own cluster, with a typed error
         report and a rejection-ledger entry (as the supervisor quarantines a
@@ -544,7 +529,7 @@ class ReproService:
         """
 
         try:
-            outcome = search()
+            outcome = engine.reproduce()
         except Exception as exc:  # noqa: BLE001 - one search, not the batch
             self.inbox.reject(f"cluster:{cluster.cluster_id}", exc)
             self._fail_cluster(cluster, exc, reports)
@@ -670,7 +655,6 @@ class ReproService:
             budget=replay.budget,
             search_order=replay.search_order,
             backend=execution.backend,
-            workers=replay.workers,
             max_call_depth=execution.max_call_depth,
             warm_start=replay.warm_start,
             telemetry=self.config.telemetry.enabled,
@@ -684,8 +668,9 @@ class ReproService:
             self._registry.counter("service.reproduced_clusters").inc()
         if outcome.telemetry is not None:
             # Pull the search's own metrics (replay.* counters/histograms,
-            # vm.* profiling) into the service registry; the snapshot crossed
-            # the pool boundary as plain picklable data.
+            # vm.* profiling) into the service registry; a supervised
+            # search's snapshot crossed the process boundary as plain
+            # picklable data.
             self._registry.merge_snapshot(outcome.telemetry)
         representative = cluster.members[0]
         base = ReproductionReport.from_outcome(
@@ -873,16 +858,7 @@ class ReproService:
 
     # -- lifecycle --------------------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.service.workers)
-        return self._pool
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._search_journal is not None:
             self._search_journal.close()
             self._search_journal = None

@@ -1,11 +1,12 @@
 """Supervised two-level scheduler for cluster replay searches.
 
-The PR 5 service ran one engine per cluster on a fire-and-forget process
-pool: a worker OOM-kill surfaced as a raw :class:`BrokenProcessPool`, a
-wedged solver blocked the batch forever, and a service restart threw away
-every in-flight search.  This module replaces that with a supervisor that
-treats searches the way the spool journal treats uploads — as resumable,
-exactly-once work items:
+This is the service's one home for parallelism: every replay search is
+serial, and the supervisor runs up to ``service.workers`` of them at once.
+A fire-and-forget process pool would surface a worker OOM-kill as a raw
+:class:`BrokenProcessPool`, let a wedged solver block the batch forever,
+and throw away every in-flight search on a service restart.  The
+supervisor instead treats searches the way the spool journal treats
+uploads — as resumable, exactly-once work items:
 
 * each cluster search runs in its own ``multiprocessing.Process``, built
   from the cluster's picklable :class:`~repro.replay.engine._EngineSpec`

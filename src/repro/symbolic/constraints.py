@@ -61,17 +61,17 @@ class Constraint:
 # ---------------------------------------------------------------------------
 #
 # The replay engine's pending items are overwhelmingly *prefix-sharing*: a
-# run's alternatives extend the run's own constraint set, and items that come
-# back from a worker process are structurally equal to ones the parent could
-# have produced locally — but, having crossed a pickle boundary, share no
-# objects with them.  The intern table below hash-conses constraint chains:
-# position ``k`` of a chain is canonicalized by the *identity* of position
-# ``k-1``'s canonical constraint plus its own ``(origin, expr)`` signature
-# entry, so two sets with equal prefixes resolve to the very same
-# :class:`Constraint` objects.  That restores object sharing across pending
-# items (pickling a batch of items stores each shared prefix constraint only
-# once, shrinking the payload shipped between the engine and its process
-# workers) and bounds parent-side memory when thousands of items queue up.
+# run's alternatives extend the run's own constraint set, and items restored
+# from a search checkpoint are structurally equal to the ones saved — but,
+# having crossed a pickle boundary, share no objects with the alternatives
+# the resumed search produces.  The intern table below hash-conses
+# constraint chains: position ``k`` of a chain is canonicalized by the
+# *identity* of position ``k-1``'s canonical constraint plus its own
+# ``(origin, expr)`` signature entry, so two sets with equal prefixes
+# resolve to the very same :class:`Constraint` objects.  That restores object
+# sharing across pending items (pickling a batch of items stores each shared
+# prefix constraint only once, shrinking every checkpoint's pending section)
+# and bounds memory when thousands of items queue up.
 
 #: ``(id(parent canonical), origin, rendered expr) -> canonical Constraint``.
 _INTERN_CHAIN: Dict[Tuple, Constraint] = {}

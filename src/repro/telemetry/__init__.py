@@ -5,7 +5,8 @@ The observability layer the rest of the system records into:
 * :class:`~repro.telemetry.registry.MetricsRegistry` — process- or
   item-local counters, gauges and fixed-bucket histograms whose snapshots
   are picklable and merge *exactly* (bucket-wise integer addition), so
-  worker-merged telemetry is byte-identical to a serial run's;
+  telemetry merged per item, or carried across a checkpoint and resume, is
+  byte-identical to an uninterrupted run's;
 * :func:`~repro.telemetry.spans.span` — nested wall-clock intervals
   (``with span("replay.search", cluster=...)``) recorded into the active
   registry's timeline;
@@ -18,9 +19,10 @@ The observability layer the rest of the system records into:
 
 Determinism contract: telemetry never feeds back into execution, and every
 metric that is not a pure function of the committed work (wall clocks,
-per-process cache warmth, speculation counts) is flagged ``timing=True``
-and excluded from :meth:`RegistrySnapshot.deterministic` — the subset the
-differential tests compare byte-for-byte across worker counts and kinds.
+per-process cache warmth, repair in place) is flagged ``timing=True`` and
+excluded from :meth:`RegistrySnapshot.deterministic` — the subset the
+differential tests compare byte-for-byte between an uninterrupted search
+and one that was checkpointed, killed and resumed.
 """
 
 from __future__ import annotations

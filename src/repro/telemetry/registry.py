@@ -6,18 +6,19 @@ determinism contract:
 
 * **Fixed bucket boundaries.**  A histogram's buckets are chosen at creation
   and never adapt to the data, so merging two histograms is exact bucket-wise
-  integer addition — a worker-merged histogram is *byte-identical* to the one
-  a serial run would have produced, not approximately equal.
+  integer addition — a histogram merged from per-item registries is
+  *byte-identical* to one recorded in a single registry, not approximately
+  equal.
 * **Deterministic vs. volatile metrics.**  Wall-clock observations (and
   counters that depend on per-process state, e.g. compile-cache warmth) are
   created with ``timing=True`` and excluded from
   :meth:`RegistrySnapshot.deterministic`; everything else must be a pure
   function of the committed work, so deterministic snapshots compare equal
-  across worker counts and kinds.
+  across a checkpoint and resume.
 * **Plain picklable snapshots.**  :class:`RegistrySnapshot` carries nothing
-  but dicts, tuples and numbers; it crosses process boundaries in the replay
-  engine's ``_ItemEvaluation`` return path and merges into the parent
-  registry in serial commit order.
+  but dicts, tuples and numbers; it rides in search checkpoints and crosses
+  the process boundary from a supervised search worker to the service, and
+  per-item snapshots merge into the engine registry in commit order.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ class RegistrySnapshot:
         """The snapshot minus every timing/volatile metric and all spans.
 
         This is the subset the determinism tests compare byte-for-byte
-        across worker counts and kinds.
+        between an uninterrupted search and a resumed one.
         """
 
         volatile = set(self.timing_names)

@@ -75,8 +75,8 @@ class EnvironmentSpec:
     """A picklable, serializable description of an execution environment.
 
     :class:`~repro.environment.Environment` closes over a kernel factory,
-    which neither pickles (process-pool replay workers) nor serializes (trace
-    files).  The spec captures the factory's *output* instead — argv, stdin,
+    which neither pickles (search checkpoints, supervised search workers)
+    nor serializes (trace files).  The spec captures the factory's *output* instead — argv, stdin,
     filesystem entries, scripted connections and kernel tunables — and can
     rebuild a behaviourally identical environment anywhere.
     """

@@ -194,9 +194,8 @@ def experiment_big(lines: int = 10, changed=(2, 5, 7),
 
     The paper's diff experiments compare full-size text files; this scenario
     scales our inputs toward that (longer lines, more of them, several changed
-    lines) now that the multi-core replay search can afford it.  Used by
-    ``benchmarks/bench_replay_search.py`` and the process-pool determinism
-    tests.
+    lines).  Used by ``benchmarks/bench_replay_search.py`` and the
+    repair-in-place and solve-once tests.
     """
 
     changed = frozenset(changed)

@@ -16,7 +16,6 @@ typed :class:`CheckpointFormatError`, never as a silently wrong resume.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 
 import pytest
@@ -27,7 +26,6 @@ from repro.replay import (
     CheckpointFormatError,
     CheckpointPolicy,
     ReplayEngine,
-    WorkerCrashError,
     load_checkpoint,
     save_checkpoint,
 )
@@ -172,8 +170,10 @@ class TestResumeByteIdentity:
     def test_checkpoint_without_search_counters_resumes(self, tmp_path,
                                                         mkdir_case):
         """A checkpoint whose outcome predates ``vm_steps``, ``repairs``,
-        ``repair_blocked``, ``stop_reason`` and ``solver_unknowns`` resumes
-        to the same result."""
+        ``repair_blocked``, ``stop_reason`` and ``solver_unknowns``, and
+        still carries the retired process pool's ``workers``,
+        ``speculated_items`` and ``speculation_hits``, resumes to the same
+        result."""
 
         pipeline, trace = mkdir_case
         baseline = _engine(pipeline, trace).reproduce()
@@ -186,11 +186,15 @@ class TestResumeByteIdentity:
         for name in ("vm_steps", "repairs", "repair_blocked", "stop_reason",
                      "solver_unknowns"):
             del ckpt.outcome_state.__dict__[name]
+        ckpt.outcome_state.__dict__.update(workers=1, speculated_items=0,
+                                           speculation_hits=0)
         save_checkpoint(path, ckpt)
         resumed = ReplayEngine.from_checkpoint(path).reproduce()
         assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
         assert resumed.stop_reason == "reproduced"
         assert resumed.solver_unknowns == 0
+        assert not {"workers", "speculated_items",
+                    "speculation_hits"} & set(vars(resumed))
 
     def test_request_preempt_checkpoints_at_next_commit(self, tmp_path,
                                                         mkdir_case):
@@ -285,22 +289,3 @@ class TestInjectedFaults:
         # view so interrupted and uninterrupted runs stay byte-identical.
         det = outcome.telemetry.deterministic().to_json()["counters"]
         assert "replay.checkpoint.writes" not in det
-
-
-def _die_evaluate(item):  # pool task stand-in: a worker hard-crash (OOM kill)
-    os._exit(43)
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="monkeypatched pool task needs fork inheritance")
-def test_worker_process_death_raises_typed_error(monkeypatch, mkdir_case):
-    from repro.replay import engine as engine_mod
-
-    pipeline, trace = mkdir_case
-    engine = _engine(pipeline, trace, workers=2, telemetry=True)
-    monkeypatch.setattr(engine_mod, "_process_worker_evaluate", _die_evaluate)
-    with pytest.raises(WorkerCrashError) as excinfo:
-        engine.reproduce()
-    assert "worker process died" in str(excinfo.value)
-    counters = engine._registry.snapshot().to_json()["counters"]
-    assert counters["replay.worker_deaths"] == 1

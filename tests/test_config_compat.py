@@ -49,8 +49,8 @@ LEGACY_PIPELINE_PATTERNS = [
         library_functions={"helper"}, static_skips_library=False)),
     ("backend-library", lambda: PipelineConfig(
         backend="vm", library_functions=set(userver.LIBRARY_FUNCTIONS))),
-    ("workers", lambda: PipelineConfig(
-        backend="vm", replay_workers=3, replay_warm_start=False)),
+    ("warm-start", lambda: PipelineConfig(
+        backend="vm", replay_warm_start=False)),
     ("search-order", lambda: PipelineConfig(
         replay_search_order="bfs", record_max_steps=123_456,
         log_syscalls=False)),
@@ -153,7 +153,7 @@ class TestDictRoundTrip:
                 concolic_budget=ConcolicBudget(max_iterations=3,
                                                max_seconds=1.5, label="LC")),
             replay=ReplaySection(budget=ReplayBudget(max_runs=7),
-                                 workers=4, warm_start=False),
+                                 warm_start=False),
             service=ServiceSection(workers=2, priority="arrival",
                                    persist=False),
         )
@@ -172,8 +172,11 @@ class TestDictRoundTrip:
         ({"replay": {"budget": {"max_rnus": 3}}}, "max_rnus"),
         ({"instrumentation": {"concolic_budget": {"depth": 2}}}, "depth"),
         ({"service": {"pool": 3}}, "pool"),
+        # The retired replay pool and unsupervised dispatch knobs.
+        ({"replay": {"workers": 2}}, "workers"),
+        ({"service": {"supervised": False}}, "supervised"),
     ], ids=["section", "execution-key", "budget-key", "concolic-key",
-            "service-key"])
+            "service-key", "replay-workers", "service-supervised"])
     def test_unknown_keys_rejected(self, payload, needle):
         with pytest.raises(ValueError, match=needle):
             ReproConfig.from_dict(payload)

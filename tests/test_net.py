@@ -359,6 +359,34 @@ class TestUploadServer:
             assert body["status"] == "done"
             assert body["report"]["reproduced"]
 
+    def test_upload_is_decoded_and_checked_once(self, tmp_path, mkdir_bytes,
+                                                monkeypatch):
+        # The handler decodes and checks an upload to pick its partition;
+        # the ingest behind the spool write reuses that trace.
+        from repro.service import inbox as inbox_module
+        from repro.service import net as net_module
+        from repro.service import ReproService
+
+        calls = {"load_trace_bytes": 0, "check_trace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (net_module, inbox_module):
+            monkeypatch.setattr(module, "load_trace_bytes", counted(
+                "load_trace_bytes", module.load_trace_bytes))
+        monkeypatch.setattr(ReproService, "check_trace", counted(
+            "check_trace", ReproService.check_trace))
+        with start_server(tmp_path) as server:
+            receipt = UploadClient(server.host, server.port,
+                                   client_id="once").upload(mkdir_bytes)
+            with server._lock:
+                assert receipt.trace_id in server.service.inbox.traces
+        assert calls == {"load_trace_bytes": 1, "check_trace": 1}
+
     def test_reupload_same_content_is_idempotent(self, tmp_path, mkdir_bytes):
         with start_server(tmp_path) as server:
             client = UploadClient(server.host, server.port, client_id="ada")

@@ -202,7 +202,6 @@ def test_sigkill_mid_search_resumes_byte_identical(tmp_path, mkdir_bytes):
     from repro.service import ReproService
 
     base_config = net_config()
-    base_config.service.supervised = False
     with ReproService(str(tmp_path / "inline"), config=base_config) as svc:
         svc.ingest_bytes(mkdir_bytes)
         (baseline,) = svc.process().values()

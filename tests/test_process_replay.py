@@ -1,12 +1,10 @@
-"""Process-pool replay workers: determinism, warm start, two-process e2e."""
+"""Pending items across a pickle boundary, the warm start, two-process e2e."""
 
 import os
 import pickle
 import random
 import subprocess
 import sys
-
-import pytest
 
 from repro import (
     InstrumentationMethod,
@@ -19,37 +17,10 @@ from repro.replay.pending import PendingItem
 from repro.symbolic.constraints import ConstraintSet, intern_stats
 from repro.symbolic.expr import sym_bin, sym_const, sym_var
 from repro.symbolic.solver import solve, warm_start_assignment
-from repro.workloads import diffutil, userver
-from repro.workloads.coreutils import mkdir, paste
+from repro.workloads import userver
+from repro.workloads.coreutils import mkdir
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: One crashing scenario per workload family (uServer, diff, coreutils).
-FAMILIES = [
-    ("userver-exp2", userver.SOURCE, userver.experiment(2),
-     frozenset(userver.LIBRARY_FUNCTIONS)),
-    ("diff-exp1", diffutil.SOURCE, diffutil.experiment_1(), frozenset()),
-    ("mkdir-bug", mkdir.SOURCE, mkdir.bug_scenario(), frozenset()),
-]
-
-
-def outcome_fingerprint(outcome):
-    """The explored search tree plus every mode-independent counter."""
-
-    crash = None
-    if outcome.crash_site is not None:
-        crash = (outcome.crash_site.function, outcome.crash_site.line)
-    return (
-        outcome.reproduced, outcome.runs, outcome.solver_calls,
-        outcome.warm_start_hits, outcome.solver_nodes,
-        outcome.compile_cache_lookups,
-        tuple((r.outcome, r.consumed_bits, r.constraints, r.deviation)
-              for r in outcome.run_records),
-        tuple(sorted(outcome.pending_stats.items())),
-        tuple(sorted(outcome.found_input.items())),
-        crash,
-    )
-
 
 def record_for(source, environment, library):
     pipeline = Pipeline.from_source(
@@ -60,44 +31,18 @@ def record_for(source, environment, library):
     return pipeline, pipeline.record(plan, environment)
 
 
-def search(pipeline, recording, workers, warm_start=True, budget=None):
+def search(pipeline, recording, warm_start=True, budget=None):
     engine = ReplayEngine(
         program=pipeline.program, plan=recording.plan,
         bitvector=recording.bitvector, syscall_log=recording.syscall_log,
         crash_site=recording.crash_site,
         environment=recording.environment.scaffold(),
         budget=budget or ReplayBudget(max_runs=1500, max_seconds=60),
-        backend="vm", workers=workers, warm_start=warm_start)
+        backend="vm", warm_start=warm_start)
     return engine.reproduce()
 
 
-class TestProcessPoolDeterminism:
-    @pytest.mark.parametrize("name,source,environment,library", FAMILIES,
-                             ids=[f[0] for f in FAMILIES])
-    def test_pool_tree_matches_serial(self, name, source, environment,
-                                      library):
-        pipeline, recording = record_for(source, environment, library)
-        serial = search(pipeline, recording, workers=1)
-        processes = search(pipeline, recording, workers=2)
-        assert serial.reproduced
-        assert outcome_fingerprint(processes) == outcome_fingerprint(serial)
-        # Cross-process observability: the aggregated totals match serial
-        # (the hit/miss split legitimately differs — each worker process
-        # warms its own compile cache — but the lookup total cannot).
-        for key in ("runs", "solver_calls", "solver_nodes", "warm_start_hits",
-                    "compile_cache_lookups"):
-            assert processes.stats()[key] == serial.stats()[key], key
-        assert processes.workers == 2
-        assert serial.compile_cache_lookups == serial.runs
-
-    def test_grown_coreutils_scenario_process_identical(self):
-        pipeline, recording = record_for(paste.SOURCE, paste.big_bug_scenario(24),
-                                         frozenset())
-        serial = search(pipeline, recording, workers=1)
-        processes = search(pipeline, recording, workers=2)
-        assert serial.reproduced
-        assert outcome_fingerprint(processes) == outcome_fingerprint(serial)
-
+class TestPendingItemPickling:
     def test_pending_items_pickle_with_stable_signatures(self):
         constraints = ConstraintSet()
         constraints.add_expr(sym_bin("==", sym_var("a0"), sym_const(47)))
@@ -128,8 +73,8 @@ class TestConstraintInterning:
         base = self._chain(12)
         alternatives = [base.prefix(k).with_negated_last()
                         for k in range(1, 13)]
-        # Each item crosses the process boundary on its own (that is how the
-        # pool submits them), so identity sharing is destroyed ...
+        # Each item crosses a pickle boundary on its own, so identity
+        # sharing is destroyed ...
         clones = [pickle.loads(pickle.dumps(PendingItem(constraints=a)))
                   for a in alternatives]
         assert clones[10].constraints[0] is not clones[11].constraints[0]
@@ -151,9 +96,9 @@ class TestConstraintInterning:
         interned = [a.interned() for a in unshared]
         payload_unshared = len(pickle.dumps(unshared))
         payload_interned = len(pickle.dumps(interned))
-        # Shared prefixes are stored once instead of per item: the payload
-        # the engine ships to (and keeps queued for) its workers shrinks
-        # substantially for prefix-heavy pending lists.
+        # Shared prefixes are stored once instead of per item: a
+        # checkpoint's pending section shrinks substantially for
+        # prefix-heavy pending lists.
         assert payload_interned < payload_unshared * 0.6, (
             payload_interned, payload_unshared)
 
@@ -161,7 +106,7 @@ class TestConstraintInterning:
         pipeline, recording = record_for(mkdir.SOURCE, mkdir.bug_scenario(),
                                          frozenset())
         before = intern_stats()
-        outcome = search(pipeline, recording, workers=1)
+        outcome = search(pipeline, recording)
         assert outcome.reproduced
         after = intern_stats()
         # The search pushed prefix-sharing alternatives through the intern
@@ -207,8 +152,8 @@ class TestWarmStart:
     def test_engine_tree_identical_with_and_without_warm_start(self):
         pipeline, recording = record_for(userver.SOURCE, userver.experiment(2),
                                          frozenset(userver.LIBRARY_FUNCTIONS))
-        warm = search(pipeline, recording, workers=1, warm_start=True)
-        cold = search(pipeline, recording, workers=1, warm_start=False)
+        warm = search(pipeline, recording, warm_start=True)
+        cold = search(pipeline, recording, warm_start=False)
         assert warm.reproduced and cold.reproduced
         # Identical tree (runs, records, pending, input) ...
         def tree(outcome):
@@ -222,6 +167,9 @@ class TestWarmStart:
         assert warm.warm_start_hits > 0
         assert warm.solver_calls < cold.solver_calls
         assert cold.warm_start_hits == 0
+        # One compiled-code cache lookup per committed run, either way.
+        assert warm.compile_cache_lookups == warm.runs
+        assert cold.compile_cache_lookups == cold.runs
 
 
 class TestTwoProcessEndToEnd:
@@ -241,7 +189,7 @@ class TestTwoProcessEndToEnd:
 
         replay = subprocess.run(
             [sys.executable, tool, "replay", "--trace", trace_path,
-             "--workload", "mkdir-bug", "--workers", "2"],
+             "--workload", "mkdir-bug"],
             capture_output=True, text=True, env=env, timeout=120)
         assert replay.returncode == 0, replay.stdout + replay.stderr
         assert "reproduced" in replay.stdout

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+import functools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.instrument.logger import BitvectorLog
@@ -9,6 +11,15 @@ from repro.symbolic.simplify import evaluate, simplify, variables
 from repro.symbolic.solver import solve
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
+from repro.trace import (
+    TRACE_MAGIC,
+    TRACE_VERSION,
+    TraceError,
+    decode_envelope,
+    dump_trace_bytes,
+    encode_envelope,
+    load_trace_bytes,
+)
 
 # ---------------------------------------------------------------------------
 # Symbolic expression generators
@@ -136,3 +147,62 @@ class TestLexerParserProperties:
         source = f"int main() {{ int {name} = {value}; return {name}; }}"
         unit = parse_program(source)
         assert unit.functions[0].name == "main"
+
+
+# ---------------------------------------------------------------------------
+# The trace codec behind a valid CRC
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_sections():
+    """The sections of one real bug report, in file order."""
+
+    from repro.instrument.methods import InstrumentationMethod
+    from repro.service import workload_pipeline
+    from repro.trace import trace_from_recording
+
+    pipeline, environment = workload_pipeline("mkdir-bug")
+    plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
+                              environment=environment)
+    trace = trace_from_recording(pipeline.record(plan, environment),
+                                 program_name="mkdir-bug")
+    return decode_envelope(dump_trace_bytes(trace), TRACE_MAGIC,
+                           TRACE_VERSION)
+
+
+def _mutate(body, mutation):
+    kind, position, data = mutation
+    position = position % (len(body) + 1)
+    if kind == "replace":
+        return data
+    if kind == "overwrite":
+        return body[:position] + data + body[position + len(data):]
+    if kind == "insert":
+        return body[:position] + data + body[position:]
+    return body[:position]  # truncate
+
+
+class TestTraceCodecProperties:
+    """An uploader can forge a correct CRC, so the section decoders see
+    arbitrary bodies: each must raise ``TraceError`` or decode to a trace
+    that re-encodes canonically."""
+
+    mutations = st.tuples(
+        st.sampled_from(("replace", "overwrite", "insert", "truncate")),
+        st.integers(0, 1 << 16), st.binary(min_size=1, max_size=12))
+
+    @given(st.integers(0, 5), mutations)
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_section_is_rejected_or_canonical(self, index, mutation):
+        sections = dict(_recorded_sections())
+        tag = list(sections)[index]
+        sections[tag] = _mutate(sections[tag], mutation)
+        data = encode_envelope(TRACE_MAGIC, TRACE_VERSION, sections,
+                               list(sections))
+        try:
+            trace = load_trace_bytes(data)
+        except TraceError:
+            return
+        encoded = dump_trace_bytes(trace)
+        assert dump_trace_bytes(load_trace_bytes(encoded)) == encoded

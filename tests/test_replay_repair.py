@@ -268,8 +268,8 @@ class TestRepairExactness:
 
     def test_partial_plan_fat_pending(self, monkeypatch):
         """Unlogged alternatives pile up on the pending list around the
-        chain (DFS still pops each forced alternative first); capped like
-        the parallel-determinism test."""
+        chain (DFS still pops each forced alternative first); capped at 40
+        runs."""
 
         def partial(pipeline):
             locations = sorted(pipeline.program.branch_locations)
@@ -554,7 +554,7 @@ def test_search_counters_are_published_as_timing_metrics():
     assert {name.rsplit(".", 1)[1]: value for name, value in counters.items()
             if name.startswith("replay.repair_blocked.")} \
         == outcome.repair_blocked
-    # Repair depends on the worker count: none of it is deterministic.
+    # Repair depends on the backend: none of it is deterministic.
     deterministic = outcome.telemetry.deterministic().counters
     assert not [name for name in deterministic
                 if name.startswith(("replay.vm_steps", "replay.repair"))]

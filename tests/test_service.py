@@ -207,10 +207,10 @@ class TestServiceProcessing:
                 f"{report.trace_id} diverged from the single-shot search"
         assert stats.dedup_ratio == 2.5
 
-    def test_cluster_pool_matches_inline(self, tmp_path, mkdir_bytes,
-                                         mkfifo_bytes):
-        """service.workers > 1 (persistent process pool) explores the same
-        trees the inline scheduler does."""
+    def test_multi_worker_batch_matches_inline(self, tmp_path, mkdir_bytes,
+                                               mkfifo_bytes):
+        """service.workers > 1 (supervised child processes, no other knob
+        set) explores the same trees the inline scheduler does."""
 
         inline_service, _ = self._loaded_service(
             tmp_path / "inline", [(mkdir_bytes, 1), (mkfifo_bytes, 1)])
@@ -218,16 +218,16 @@ class TestServiceProcessing:
 
         config = service_config()
         config.service.workers = 2
-        pooled_service = ReproService(str(tmp_path / "pooled"), config=config)
-        pooled_ids = [pooled_service.ingest_bytes(data).trace_id
-                      for data in (mkdir_bytes, mkfifo_bytes)]
-        with pooled_service:
-            pooled = pooled_service.process()
-        assert pooled_service.stats().searches_run == 2
+        multi_service = ReproService(str(tmp_path / "multi"), config=config)
+        assert multi_service._use_supervisor()
+        multi_ids = [multi_service.ingest_bytes(data).trace_id
+                     for data in (mkdir_bytes, mkfifo_bytes)]
+        with multi_service:
+            multi = multi_service.process()
+        assert multi_service.stats().searches_run == 2
         inline_prints = sorted(r.fingerprint() for r in inline.values())
-        pooled_prints = sorted(pooled[tid].fingerprint()
-                               for tid in pooled_ids)
-        assert pooled_prints == inline_prints
+        multi_prints = sorted(multi[tid].fingerprint() for tid in multi_ids)
+        assert multi_prints == inline_prints
 
     def test_session_scopes_reports_to_its_traces(self, tmp_path,
                                                   mkdir_bytes, mkfifo_bytes):

@@ -1,14 +1,12 @@
-"""Differential parity for plan-specialized bytecode and parallel replay.
+"""Differential parity for plan-specialized bytecode.
 
 The VM may compile a different instruction stream per
 :class:`InstrumentationPlan` (``BRANCH_LOGGED`` / ``BRANCH_BARE``) and run its
-bitvector bookkeeping inline, and the replay engine may spread its search
-over a speculative worker pool — but none of that is allowed to be
+bitvector bookkeeping inline — but none of that is allowed to be
 *observable*: for every workload and for empty / partial / full plans, the
 recorded bitvectors, syscall logs, per-location statistics, crash sites and
 the entire explored replay search tree must match the unspecialized
-tree-walking interpreter bit for bit, and a parallel search must explore
-exactly the runs the serial one does.
+tree-walking interpreter bit for bit.
 """
 
 from __future__ import annotations
@@ -121,8 +119,7 @@ def outcome_fingerprint(outcome) -> tuple:
     )
 
 
-def replay_search(pipeline, recording, backend: str, workers: int,
-                  plan=None, max_runs: int = 400):
+def replay_search(pipeline, recording, backend: str, plan=None):
     engine = ReplayEngine(
         program=pipeline.program,
         plan=plan or recording.plan,
@@ -132,9 +129,8 @@ def replay_search(pipeline, recording, backend: str, workers: int,
         environment=recording.environment.scaffold(),
         # Run-count bounded (not wall-clock bounded) so the termination point
         # is deterministic across engines and machines.
-        budget=ReplayBudget(max_runs=max_runs, max_seconds=600),
+        budget=ReplayBudget(max_runs=400, max_seconds=600),
         backend=backend,
-        workers=workers,
     )
     return engine.reproduce()
 
@@ -144,6 +140,10 @@ REPLAY_SCENARIOS = {
                       ALL_PROGRAMS["mkdir"].bug_scenario(), frozenset()),
     "paste": lambda: (ALL_PROGRAMS["paste"].SOURCE,
                       ALL_PROGRAMS["paste"].bug_scenario(), frozenset()),
+    # The grown coreutils scenario: replay walks a 24-line input file.
+    "paste-big24": lambda: (ALL_PROGRAMS["paste"].SOURCE,
+                            ALL_PROGRAMS["paste"].big_bug_scenario(24),
+                            frozenset()),
     "diff": lambda: (diffutil.SOURCE, diffutil.experiment_1(), frozenset()),
     "userver": lambda: (userver.SOURCE, userver.experiment(1),
                         frozenset(userver.LIBRARY_FUNCTIONS)),
@@ -160,53 +160,13 @@ def test_replay_search_parity(workload):
                               environment=environment)
     recording = pipeline.record(plan, environment)
     reference = outcome_fingerprint(
-        replay_search(pipeline, recording, "interp", 1))
-    for workers in (1, 2):
-        outcome = replay_search(pipeline, recording, "vm", workers)
-        assert outcome_fingerprint(outcome) == reference, (
-            f"{workload}: vm/workers={workers} diverged from the "
-            f"interpreter search")
+        replay_search(pipeline, recording, "interp"))
+    outcome = replay_search(pipeline, recording, "vm")
+    assert outcome_fingerprint(outcome) == reference, (
+        f"{workload}: the vm diverged from the interpreter search")
     assert reference[0], f"{workload}: search did not reproduce the crash"
-
-
-def test_parallel_replay_determinism_with_fat_pending():
-    """A partial plan fans the pending list out; workers must not change it."""
-
-    source, environment, lib = REPLAY_SCENARIOS["userver"]()
-    pipeline = Pipeline.from_source(
-        source, name="spec-userver-partial",
-        config=PipelineConfig(library_functions=set(lib)))
-    locations = sorted(pipeline.program.branch_locations)
-    partial = build_plan(InstrumentationMethod.ALL_BRANCHES,
-                         pipeline.program.branch_locations).from_sets(
-                             "partial", locations[::2], locations)
-    recording = pipeline.record(partial, environment)
-    serial = replay_search(pipeline, recording, "vm", 1, max_runs=40)
-    parallel = replay_search(pipeline, recording, "vm", 2, max_runs=40)
-    assert outcome_fingerprint(serial) == outcome_fingerprint(parallel)
-    # The pool actually speculated (the search has a fat pending list), yet
-    # the explored tree is still byte-identical to the serial engine's.
-    assert parallel.speculated_items > 0
-    assert serial.speculated_items == 0
-
-
-def test_pipeline_threads_workers_and_specialization():
-    """``PipelineConfig.replay_workers`` reaches the plan-specialized VM's
-    search, and the pool explores the serial search's tree."""
-
-    module = ALL_PROGRAMS["mkfifo"]
-    outcomes = {}
-    for workers in (1, 2):
-        config = PipelineConfig(backend="vm", replay_workers=workers)
-        pipeline = Pipeline.from_source(module.SOURCE, name="mkfifo-cfg",
-                                        config=config)
-        plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
-                                  environment=module.bug_scenario())
-        recording = pipeline.record(plan, module.bug_scenario())
-        report = pipeline.reproduce(recording)
-        outcomes[workers] = outcome_fingerprint(report.outcome)
-        assert report.outcome.workers == workers
-    assert outcomes[1] == outcomes[2]
+    # One compiled-code cache lookup per committed run.
+    assert outcome.compile_cache_lookups == outcome.runs
 
 
 # ---------------------------------------------------------------------------

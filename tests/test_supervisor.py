@@ -4,7 +4,7 @@ The supervisor's contract extends the service's byte-identity guarantee to
 a hostile world: replay workers are killed mid-search (deterministic
 seeded fault streams), searches overrun deadlines, long searches are
 preempted for short ones — and every cluster still ends in exactly one of
-two loud states: the **identical** report the unsupervised path produces,
+two loud states: the **identical** report the inline path produces,
 or a typed quarantine entry in the rejection ledger.  Silently wrong or
 silently missing reports are the two outcomes these tests exist to forbid.
 """
@@ -47,8 +47,8 @@ def _report_identity(report):
 
 def _inline_reports(tmp_path, payloads):
     config = service_config()
-    config.service.supervised = False
     with ReproService(str(tmp_path / "inline"), config=config) as service:
+        assert not service._use_supervisor()
         for payload in payloads:
             service.ingest_bytes(payload)
         return service.process()
