@@ -9,14 +9,14 @@ never receives the original file contents.
 Run with:  python examples/diff_privacy_replay.py
 """
 
-from repro import ConcolicBudget, InstrumentationMethod, Pipeline, ReplayBudget
-from repro.service import InstrumentationSection, ReproConfig
+from repro import (ConcolicBudget, InstrumentationMethod, Pipeline,
+                   PipelineConfig, ReplayBudget)
 from repro.workloads import diffutil
 
 
 def main() -> None:
-    config = ReproConfig(instrumentation=InstrumentationSection(
-        concolic_budget=ConcolicBudget(max_iterations=4, max_seconds=8)))
+    config = PipelineConfig(
+        concolic_budget=ConcolicBudget(max_iterations=4, max_seconds=8))
     pipeline = Pipeline.from_source(diffutil.SOURCE, name="diff", config=config)
 
     # The "private" user files.

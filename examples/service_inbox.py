@@ -13,11 +13,11 @@ import os
 import shutil
 import tempfile
 
-from repro import InstrumentationMethod, ReplayBudget
-from repro.service import ReproConfig, ReproService, workload_pipeline
+from repro import InstrumentationMethod, PipelineConfig, ReplayBudget
+from repro.service import ReproService, workload_pipeline
 
 
-def ship_bug_reports(spool: str, config: ReproConfig) -> None:
+def ship_bug_reports(spool: str, config: PipelineConfig) -> None:
     """Simulate users hitting two distinct bugs, with duplicates."""
 
     shipments = [("mkdir-bug", 3), ("paste-bug", 2)]  # (bug, user count)
@@ -35,9 +35,9 @@ def ship_bug_reports(spool: str, config: ReproConfig) -> None:
 
 
 def main() -> None:
-    config = ReproConfig()
-    config.execution.backend = "vm"
-    config.replay.budget = ReplayBudget(max_runs=2000, max_seconds=60)
+    config = PipelineConfig(
+        backend="vm", replay_budget=ReplayBudget(max_runs=2000,
+                                                 max_seconds=60))
 
     workdir = tempfile.mkdtemp(prefix="repro-service-example-")
     spool = os.path.join(workdir, "spool")

@@ -15,15 +15,14 @@ from repro import (
     ConcolicBudget,
     InstrumentationMethod,
     Pipeline,
+    PipelineConfig,
     ReplayBudget,
 )
-from repro.service import InstrumentationSection, ReproConfig
 from repro.workloads import userver
 
 
 def main() -> None:
-    config = ReproConfig(instrumentation=InstrumentationSection(
-        library_functions=set(userver.LIBRARY_FUNCTIONS)))
+    config = PipelineConfig(library_functions=set(userver.LIBRARY_FUNCTIONS))
     pipeline = Pipeline.from_source(userver.SOURCE, name="userver", config=config)
 
     # Pre-deployment analysis uses a plain GET workload (what a developer's

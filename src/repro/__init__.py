@@ -21,10 +21,12 @@ The most convenient entry point for a single program is
     recording = pipeline.record(plan, env)
     report = pipeline.reproduce(recording)
 
+:class:`repro.PipelineConfig` configures every stage, and the service too.
 For batches of shipped bug reports — ingestion, ``(fingerprint, crash
 site)`` deduplication and scheduled replay searches — use the service layer
-(:class:`repro.ReproService` / :class:`repro.ReproConfig`, see
-:mod:`repro.service`); ``python -m repro`` is its command-line face.
+(:class:`repro.service.ReproService`, see :mod:`repro.service`; importing
+:mod:`repro` alone does not load it); ``python -m repro`` is its
+command-line face.
 """
 
 from repro.core.config import ConcolicBudget, PipelineConfig, ReplayBudget
@@ -39,15 +41,6 @@ from repro.core.results import (
 from repro.environment import Environment, simple_environment
 from repro.instrument.methods import InstrumentationMethod
 from repro.instrument.plan import InstrumentationPlan
-from repro.service import (
-    IngestResult,
-    ReproConfig,
-    ReproService,
-    ReproSession,
-    ReproductionReport,
-    ServiceStats,
-    TraceInbox,
-)
 from repro.trace import (
     EnvironmentSpec,
     Trace,
@@ -65,7 +58,6 @@ __all__ = [
     "ConcolicBudget",
     "Environment",
     "EnvironmentSpec",
-    "IngestResult",
     "InstrumentationMethod",
     "InstrumentationPlan",
     "InstrumentationReport",
@@ -74,13 +66,7 @@ __all__ = [
     "RecordingResult",
     "ReplayBudget",
     "ReplayReport",
-    "ReproConfig",
-    "ReproService",
-    "ReproSession",
-    "ReproductionReport",
-    "ServiceStats",
     "Trace",
-    "TraceInbox",
     "TraceError",
     "TraceFingerprintMismatch",
     "TraceFormatError",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.analysis.pointsto import (
     ARGV_OBJECT,
@@ -34,7 +34,6 @@ from repro.lang.ast_nodes import (
     Assign,
     AssignExpr,
     BinaryOp,
-    Block,
     Call,
     CharLiteral,
     Expr,
@@ -44,9 +43,7 @@ from repro.lang.ast_nodes import (
     Identifier,
     IfStmt,
     IntLiteral,
-    Node,
     ReturnStmt,
-    Stmt,
     StringLiteral,
     TernaryOp,
     UnaryOp,

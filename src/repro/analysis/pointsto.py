@@ -18,7 +18,7 @@ labelling some concrete branches symbolic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lang.ast_nodes import (
     ArrayIndex,
@@ -26,11 +26,9 @@ from repro.lang.ast_nodes import (
     AssignExpr,
     BinaryOp,
     Call,
-    Declarator,
     Expr,
     FunctionDef,
     Identifier,
-    Node,
     ReturnStmt,
     StringLiteral,
     TernaryOp,

@@ -1,4 +1,11 @@
-"""Pipeline configuration objects.
+"""The pipeline configuration: one object for the pipeline, service and CLI.
+
+:class:`PipelineConfig` carries the paper's three groups of knobs — the
+pre-deployment analysis budget, the user site's logging choices and the
+developer site's search — plus the execution engine's limits, telemetry
+switches and, as its ``service`` field, the trace-inbox layer's
+:class:`ServiceSection`.  Only :mod:`repro.service` reads that section; it is
+plain data, so importing this module loads no service code.
 
 :class:`ConcolicBudget` and :class:`ReplayBudget` are defined next to the
 engines that consume them and re-exported here so that user code only needs to
@@ -14,12 +21,115 @@ from repro.concolic.budget import ConcolicBudget
 from repro.replay.budget import ReplayBudget
 
 __all__ = ["ConcolicBudget", "PipelineConfig", "ReplayBudget",
-           "coerce_pipeline_config"]
+           "ServiceSection"]
+
+
+@dataclass
+class ServiceSection:
+    """The trace-inbox / batch-reproduction layer.
+
+    ``workers`` is how many cluster searches run at once: with
+    ``workers > 1`` the supervisor (:mod:`repro.service.supervisor`) runs up
+    to that many deduped clusters in parallel, each in a child process that
+    rebuilds the replay engine from a pickled spec; ``workers == 1`` runs
+    cluster searches inline unless a supervision knob below asks for a
+    process.  Either way the per-cluster search tree is byte-identical to
+    the single-shot path — the replay engine's commit discipline guarantees
+    it.  This is the service's one source of parallelism: every replay
+    search is serial.
+
+    The remaining knobs parameterize the robustness surface shared by the
+    inbox and the network listener (:mod:`repro.service.net`):
+
+    * ``max_trace_bytes`` — hard upper bound on one bug report; an oversized
+      upload or spool file is rejected with a ledger entry *before* it is
+      buffered into memory (the listener refuses the frame from its declared
+      length alone).
+    * ``max_rejected_entries`` — size cap of the rejection ledger; oldest
+      entries are evicted so a sustained garbage-upload storm cannot grow
+      ``inbox.json`` without limit.
+    * ``ingest_queue_depth`` / ``spool_writers`` — the listener's bounded
+      ingest queue and the threads draining it into the journaled spool;
+      when the queue is full the server answers *retry-after* instead of
+      buffering, which is the backpressure signal the client's seeded
+      exponential backoff consumes.
+    * ``spool_partitions`` — the spool shards across this many inbox
+      partitions; a trace's partition is its cluster-key hash modulo N, so
+      duplicates of one bug always land (and dedup) in the same shard.
+    * ``read_timeout_seconds`` — per-``recv`` socket timeout; a slow-loris
+      client stalls only its own connection, which is closed at the first
+      silent interval, never the accept loop or other clients.
+    * ``client_quota`` — max accepted uploads per client id per server run
+      (0 = unlimited); the misbehaving client gets quota responses while
+      healthy clients keep their full ingest bandwidth.
+    * ``retry_after_seconds`` — the hint carried by a retry-after response.
+
+    The supervision knobs govern the two-level scheduler
+    (:mod:`repro.service.supervisor`): cluster searches that need isolation
+    — more than one worker, checkpointing, a deadline, preemption, or fault
+    injection — run in supervised child processes that checkpoint at commit
+    boundaries, survive worker death, and resume after service restarts.
+
+    * ``search_deadline_seconds`` — per-search wall-clock deadline (0 = no
+      deadline); a wedged search is killed and its cluster failed with a
+      typed ``SearchDeadlineExceeded`` report instead of blocking the batch.
+    * ``preempt_after_seconds`` — a running search older than this is asked
+      to checkpoint and yield when a *smaller* search waits (0 = never).
+    * ``heartbeat_timeout_seconds`` — a worker silent this long is treated
+      as dead (killed and restarted from its last checkpoint).
+    * ``max_search_retries`` — crash-restarts per cluster before the
+      cluster is quarantined into the rejection ledger as a poison search.
+    * ``retry_backoff_seconds`` — base of the exponential backoff between
+      crash-restarts.
+    * ``checkpoint_every_runs`` — snapshot cadence in committed items.
+      0 (the default) disables checkpointing, keeping plain single-worker
+      batches on the cheap inline path; any positive cadence routes
+      searches through the supervisor so the snapshots have a process to
+      save.  Preemption writes a snapshot regardless of cadence.
+    * ``checkpoint_dir`` — where snapshots live; empty means
+      ``<inbox root>/checkpoints``.
+    """
+
+    workers: int = 1
+    spool_pattern: str = "*.trace"
+    persist: bool = True
+    store_traces: bool = True
+    priority: str = "smallest-first"  # or "arrival"
+    max_trace_bytes: int = 4 * 1024 * 1024
+    max_rejected_entries: int = 256
+    ingest_queue_depth: int = 64
+    spool_writers: int = 1
+    spool_partitions: int = 4
+    read_timeout_seconds: float = 5.0
+    client_quota: int = 0
+    retry_after_seconds: float = 0.05
+    search_deadline_seconds: float = 0.0
+    preempt_after_seconds: float = 0.0
+    heartbeat_timeout_seconds: float = 30.0
+    max_search_retries: int = 2
+    retry_backoff_seconds: float = 0.05
+    checkpoint_every_runs: int = 0
+    checkpoint_dir: str = ""
+    #: Adaptive planning (:mod:`repro.planner`): after this many reports
+    #: fanned out by :meth:`ReproService.process`, the service replans
+    #: automatically at the end of the batch (0 = manual ``replan`` only).
+    #: In-flight searches always finish under their own plan versions first.
+    replan_after_reports: int = 0
+    #: Seed of the replanner's tie-breaking policy (same history + same
+    #: seed ⇒ byte-identical plan ledger).
+    replan_seed: int = 0
+    #: Fraction of the droppable (concrete-only, never-helped) branch pool
+    #: removed per replan generation.
+    replan_max_drop_fraction: float = 0.5
+    #: Append every exported telemetry snapshot to this JSON-lines file at
+    #: the end of each :meth:`ReproService.process` batch (telemetry on).
+    telemetry_jsonl_path: Optional[str] = None
 
 
 @dataclass
 class PipelineConfig:
-    """Knobs shared by every stage of a :class:`~repro.core.pipeline.Pipeline`.
+    """Knobs shared by every stage of a :class:`~repro.core.pipeline.Pipeline`
+    and by the service built on it.
 
     ``library_functions`` plays the role of uClibc in the paper's uServer
     experiment: those functions are excluded from the static analysis (all
@@ -54,27 +164,8 @@ class PipelineConfig:
     # counts per opcode, incl. the logged-vs-bare branch split).  Costs one
     # dict update per dispatched instruction, so it is a separate knob.
     profile_opcodes: bool = False
+    # The trace-inbox / batch-reproduction layer (read by repro.service).
+    service: ServiceSection = field(default_factory=ServiceSection)
 
     def static_skip_set(self) -> Set[str]:
         return set(self.library_functions) if self.static_skips_library else set()
-
-
-def coerce_pipeline_config(config) -> PipelineConfig:
-    """Accept a :class:`PipelineConfig`, a layered config, or ``None``.
-
-    The canonical configuration object is
-    :class:`repro.service.config.ReproConfig`; this shim lets every
-    :class:`~repro.core.pipeline.Pipeline` entry point take either form
-    without the core package importing the service layer (the layered config
-    is recognised duck-typed via its ``to_pipeline_config`` method).
-    """
-
-    if config is None:
-        return PipelineConfig()
-    if isinstance(config, PipelineConfig):
-        return config
-    to_pipeline = getattr(config, "to_pipeline_config", None)
-    if callable(to_pipeline):
-        return to_pipeline()
-    raise TypeError(
-        f"expected PipelineConfig or ReproConfig, got {type(config).__name__}")

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+import dataclasses
+from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.dataflow import StaticAnalysisResult, StaticAnalyzer
 from repro.concolic.budget import ConcolicBudget
 from repro.concolic.engine import ConcolicEngine, DynamicAnalysisResult
-from repro.core.config import PipelineConfig, coerce_pipeline_config
+from repro.core.config import PipelineConfig
 from repro.core.results import (
     AnalysisResult,
     BranchLoggingStats,
@@ -30,8 +29,6 @@ from repro.lang.program import Program
 from repro.replay.budget import ReplayBudget
 from repro.replay.engine import ReplayEngine
 from repro.telemetry import span as telemetry_span
-from repro.concolic.hooks import ConcolicRunTrace
-from repro.concolic.labels import BranchLabels
 
 
 class Pipeline:
@@ -39,9 +36,7 @@ class Pipeline:
 
     def __init__(self, program: Program, config: Optional[PipelineConfig] = None) -> None:
         self.program = program
-        # Accepts the legacy PipelineConfig or the layered service-era
-        # ReproConfig (coerced here so every stage sees one flat object).
-        self.config = coerce_pipeline_config(config)
+        self.config = config or PipelineConfig()
         self.overhead_model = OverheadModel()
         self._baseline_cache: Dict[str, int] = {}
 
@@ -51,9 +46,12 @@ class Pipeline:
     def from_source(cls, source: str, name: str = "program",
                     config: Optional[PipelineConfig] = None,
                     library_functions: Optional[Set[str]] = None) -> "Pipeline":
-        config = coerce_pipeline_config(config)
+        config = config or PipelineConfig()
         if library_functions:
-            config.library_functions = set(library_functions)
+            # A copy: the caller's config (often shared across workloads, as
+            # the service's is) must not carry this program's library set.
+            config = dataclasses.replace(
+                config, library_functions=set(library_functions))
         program = Program.from_source(source, name=name,
                                       library_functions=config.library_functions)
         return cls(program, config)

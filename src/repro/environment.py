@@ -15,8 +15,7 @@ branch bitvector and (optionally) selected syscall results.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.osmodel.filesystem import FileSystem

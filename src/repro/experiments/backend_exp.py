@@ -15,12 +15,11 @@ Measured per workload under two configurations:
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List
 
 from repro.environment import Environment
+from repro.experiments.replay_search_exp import merge_artifact
 from repro.instrument.logger import BranchLogger
 from repro.instrument.methods import InstrumentationMethod, build_plan
 from repro.interp.backend import BACKENDS, create_backend
@@ -121,16 +120,4 @@ def merge_backend_artifact(rows: List[Dict[str, object]],
     either order without clobbering each other.
     """
 
-    payload: Dict[str, object] = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                loaded = json.load(handle)
-        except (ValueError, OSError):
-            loaded = {}
-        if isinstance(loaded, dict):
-            payload = loaded
-    payload["backends"] = rows
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    return path
+    return merge_artifact({"backends": rows}, path)

@@ -24,20 +24,20 @@ import tempfile
 import time
 from typing import Dict
 
+from repro.core.config import PipelineConfig
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay import CheckpointPolicy, ReplayEngine
 from repro.replay.budget import ReplayBudget
-from repro.service import ReproConfig, outcome_fingerprint, workload_pipeline
+from repro.service import outcome_fingerprint, workload_pipeline
 from repro.trace import trace_from_recording
 
 __all__ = ["checkpoint_rows"]
 
 
-def _config() -> ReproConfig:
-    config = ReproConfig()
-    config.execution.backend = "vm"
-    config.replay.budget = ReplayBudget(max_runs=3000, max_seconds=120)
-    return config
+def _config() -> PipelineConfig:
+    return PipelineConfig(
+        backend="vm", replay_budget=ReplayBudget(max_runs=3000,
+                                                 max_seconds=120))
 
 
 def _engine(pipeline, trace) -> ReplayEngine:

@@ -5,15 +5,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.concolic.budget import ConcolicBudget
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
-from repro.core.results import AnalysisResult
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay.budget import ReplayBudget
-from repro.service.config import (
-    InstrumentationSection,
-    ReplaySection,
-    ReproConfig,
-)
 from repro.workloads.coreutils import ALL_PROGRAMS, mkdir
 
 _DEFAULT_BUDGET = ConcolicBudget(max_iterations=20, max_seconds=8)
@@ -21,9 +16,8 @@ _REPLAY_BUDGET = ReplayBudget(max_runs=300, max_seconds=30)
 
 
 def _pipeline_for(module, name: str) -> Pipeline:
-    config = ReproConfig(
-        instrumentation=InstrumentationSection(concolic_budget=_DEFAULT_BUDGET),
-        replay=ReplaySection(budget=_REPLAY_BUDGET))
+    config = PipelineConfig(concolic_budget=_DEFAULT_BUDGET,
+                            replay_budget=_REPLAY_BUDGET)
     return Pipeline.from_source(module.SOURCE, name=name, config=config)
 
 

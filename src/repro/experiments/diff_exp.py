@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.concolic.budget import ConcolicBudget
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
 from repro.core.results import AnalysisResult
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay.budget import ReplayBudget
-from repro.service.config import (
-    InstrumentationSection,
-    ReplaySection,
-    ReproConfig,
-)
 from repro.workloads import diffutil
 
 #: Diff is input-intensive, so (like the paper) the dynamic analysis only
@@ -28,9 +24,8 @@ def make_setup():
     The analysis runs on a generic pair of files, not on the experiment inputs.
     """
 
-    config = ReproConfig(
-        instrumentation=InstrumentationSection(concolic_budget=ANALYSIS_BUDGET),
-        replay=ReplaySection(budget=DEFAULT_REPLAY_BUDGET))
+    config = PipelineConfig(concolic_budget=ANALYSIS_BUDGET,
+                            replay_budget=DEFAULT_REPLAY_BUDGET)
     pipeline = Pipeline.from_source(diffutil.SOURCE, name="diff", config=config)
     # The analysis workload compares two (near) empty files, so the bounded
     # exploration never reaches the per-character comparison loops — the

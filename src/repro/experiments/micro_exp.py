@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.service.config import InstrumentationSection, ReproConfig
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
 from repro.concolic.budget import ConcolicBudget
 from repro.instrument.methods import InstrumentationMethod
@@ -44,8 +44,7 @@ def fibonacci_rows(budget: ConcolicBudget = None) -> List[Dict[str, object]]:
     """Listing 1: every analysis-based method instruments only two branches."""
 
     budget = budget or ConcolicBudget(max_iterations=6, max_seconds=10)
-    config = ReproConfig(instrumentation=InstrumentationSection(
-        concolic_budget=budget))
+    config = PipelineConfig(concolic_budget=budget)
     pipeline = Pipeline.from_source(fibonacci.SOURCE, name="fib", config=config)
     env = fibonacci.scenario_b()
     analysis = pipeline.analyze(env)

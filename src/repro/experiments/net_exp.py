@@ -28,12 +28,12 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import PipelineConfig
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay.budget import ReplayBudget
 from repro.service import (
     FaultInjector,
     FaultSpec,
-    ReproConfig,
     UploadClient,
     UploadRejected,
     UploadServer,
@@ -62,16 +62,16 @@ FAULTY_RATES: Dict[str, float] = {
 }
 
 
-def fleet_config() -> ReproConfig:
-    config = ReproConfig()
-    config.execution.backend = "vm"
-    config.replay.budget = ReplayBudget(max_runs=3000, max_seconds=120)
-    config.telemetry.enabled = True  # arrival stamps -> ingest latency p99
+def fleet_config() -> PipelineConfig:
+    config = PipelineConfig(
+        backend="vm",
+        replay_budget=ReplayBudget(max_runs=3000, max_seconds=120),
+        telemetry_enabled=True)  # arrival stamps -> ingest latency p99
     config.service.read_timeout_seconds = 0.3  # sheds slow-loris fast
     return config
 
 
-def record_payloads(fleet: List[Tuple[str, int]], config: ReproConfig
+def record_payloads(fleet: List[Tuple[str, int]], config: PipelineConfig
                     ) -> List[Tuple[str, bytes]]:
     """The fleet's uploads, in ship order: ``[(workload, trace bytes)...]``.
 

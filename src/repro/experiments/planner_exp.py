@@ -23,16 +23,17 @@ summary lands under the ``planner`` key of ``BENCH_replay.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.core.config import PipelineConfig
+from repro.experiments.replay_search_exp import merge_artifact
 from repro.instrument.methods import InstrumentationMethod
 from repro.planner import LEDGER_FILE, plan_version_of
 from repro.replay.budget import ReplayBudget
-from repro.service import ReproConfig, ReproService, workload_pipeline
+from repro.service import ReproService, workload_pipeline
 
 __all__ = ["WORKLOADS", "fleet_config", "merge_planner_artifact",
            "planner_rows", "planner_summary", "run_generations"]
@@ -44,14 +45,14 @@ WORKLOADS: Tuple[str, ...] = ("mkdir-bug", "diff-exp1")
 GENERATIONS = 4
 
 
-def fleet_config() -> ReproConfig:
-    config = ReproConfig()
-    config.replay.budget = ReplayBudget(max_runs=3000, max_seconds=120)
+def fleet_config() -> PipelineConfig:
+    config = PipelineConfig(
+        replay_budget=ReplayBudget(max_runs=3000, max_seconds=120))
     config.service.replan_seed = 0
     return config
 
 
-def run_generations(workload: str, root: str, config: ReproConfig,
+def run_generations(workload: str, root: str, config: PipelineConfig,
                     generations: int = GENERATIONS) -> List[Dict[str, object]]:
     """Record/ship/reproduce/replan *generations* times; one row each.
 
@@ -190,16 +191,4 @@ def merge_planner_artifact(summary: Dict[str, object],
     order without clobbering each other.
     """
 
-    payload: Dict[str, object] = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                loaded = json.load(handle)
-        except (ValueError, OSError):
-            loaded = {}
-        if isinstance(loaded, dict):
-            payload = loaded
-    payload["planner"] = summary
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    return path
+    return merge_artifact({"planner": summary}, path)

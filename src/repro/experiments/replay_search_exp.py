@@ -17,8 +17,8 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
-from repro.service.config import InstrumentationSection, ReproConfig
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay.budget import ReplayBudget
 from repro.replay.engine import ReplayEngine, ReplayOutcome
@@ -98,8 +98,7 @@ def search_rows(smoke: bool = False, repeats: int = 2,
     for scenario, name, source, environment, lib in scenarios(smoke):
         pipeline = Pipeline.from_source(
             source, name=name,
-            config=ReproConfig(instrumentation=InstrumentationSection(
-                library_functions=set(lib))))
+            config=PipelineConfig(library_functions=set(lib)))
         plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                                   environment=environment)
         recording = pipeline.record(plan, environment)
@@ -142,9 +141,7 @@ def telemetry_rows(smoke: bool = False, repeats: int = 2,
     budget = budget or ReplayBudget(max_runs=6000, max_seconds=240)
     scenario, name, source, environment, lib = scenarios(smoke=True)[0]
     pipeline = Pipeline.from_source(
-        source, name=name,
-        config=ReproConfig(instrumentation=InstrumentationSection(
-            library_functions=set(lib))))
+        source, name=name, config=PipelineConfig(library_functions=set(lib)))
     plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                               environment=environment)
     recording = pipeline.record(plan, environment)
@@ -216,18 +213,37 @@ def write_artifact(rows: List[Dict[str, object]], path: str = "BENCH_replay.json
         payload["net"] = net
     if checkpoint is not None:
         payload["checkpoint"] = checkpoint
-    # Merge, don't clobber: other bench modules contribute their own keys
-    # (``backends`` from bench_backends) to the same artifact, and the
-    # bench files run in either order.
+    # This writer owns the layout: of an existing file it keeps only the
+    # keys the other bench files write, so a retired key does not linger.
+    return merge_artifact(payload, path, keep=MERGED_KEYS)
+
+
+#: Top-level keys of ``BENCH_replay.json`` that other bench files write
+#: (``backends`` from bench_backends, ``planner`` from bench_planner).
+MERGED_KEYS = ("backends", "planner")
+
+
+def merge_artifact(updates: Dict[str, object],
+                   path: str = "BENCH_replay.json",
+                   keep: Optional[Tuple[str, ...]] = None) -> str:
+    """Write *updates* into the artifact at *path*, the one writer of it.
+
+    Keys of an existing file survive unless *updates* replaces them, so the
+    bench files can run in any order; with *keep*, only those existing keys
+    survive.  An unreadable file counts as empty.
+    """
+
+    payload: Dict[str, object] = {}
     if os.path.exists(path):
         try:
             with open(path) as handle:
-                existing = json.load(handle)
+                loaded = json.load(handle)
         except (ValueError, OSError):
-            existing = {}
-        if isinstance(existing, dict):
-            for key, value in existing.items():
-                payload.setdefault(key, value)
+            loaded = {}
+        if isinstance(loaded, dict):
+            payload = {key: value for key, value in loaded.items()
+                       if keep is None or key in keep}
+    payload.update(updates)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     return path

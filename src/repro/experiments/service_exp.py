@@ -22,16 +22,10 @@ import tempfile
 import time
 from typing import Dict, List, Tuple
 
+from repro.core.config import PipelineConfig
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay.budget import ReplayBudget
-from repro.service import (
-    ReplaySection,
-    ReproConfig,
-    ReproService,
-    outcome_fingerprint,
-    workload_pipeline,
-)
-from repro.service.config import ExecutionSection
+from repro.service import ReproService, outcome_fingerprint, workload_pipeline
 
 #: ``(workload, copies)`` per spool batch: the smoke batch is the CI shape
 #: (3 traces, 2 duplicates -> 2 searches); the full batch leans harder on
@@ -43,12 +37,10 @@ BATCHES: Dict[str, List[Tuple[str, int]]] = {
 }
 
 
-def _service_config() -> ReproConfig:
-    return ReproConfig(
-        execution=ExecutionSection(backend="vm"),
-        replay=ReplaySection(budget=ReplayBudget(max_runs=3000,
-                                                 max_seconds=120)),
-    )
+def _service_config() -> PipelineConfig:
+    return PipelineConfig(
+        backend="vm", replay_budget=ReplayBudget(max_runs=3000,
+                                                 max_seconds=120))
 
 
 def inbox_rows(smoke: bool = False) -> List[Dict[str, object]]:

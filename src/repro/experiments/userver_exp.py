@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.concolic.budget import ConcolicBudget
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
 from repro.core.results import AnalysisResult
 from repro.instrument.methods import InstrumentationMethod
 from repro.replay.budget import ReplayBudget
-from repro.service.config import InstrumentationSection, ReproConfig
-from repro.workloads import httpgen, userver
+from repro.workloads import userver
 
 LC_BUDGET = ConcolicBudget(max_iterations=3, max_seconds=6, label="LC")
 HC_BUDGET = ConcolicBudget(max_iterations=16, max_seconds=20, label="HC")
@@ -38,8 +38,8 @@ class UServerSetup:
     @classmethod
     def create(cls, coverages: Iterable[str] = ("LC", "HC"),
                analysis_requests: int = 3) -> "UServerSetup":
-        config = ReproConfig(instrumentation=InstrumentationSection(
-            library_functions=set(userver.LIBRARY_FUNCTIONS)))
+        config = PipelineConfig(
+            library_functions=set(userver.LIBRARY_FUNCTIONS))
         pipeline = Pipeline.from_source(userver.SOURCE, name="userver", config=config)
         analysis_env = userver.saturation_workload(analysis_requests)
         analyses = {}
@@ -57,8 +57,7 @@ class UServerSetup:
 def figure3_rows(request_count: int = 10) -> List[Dict[str, object]]:
     """Figure 3: per-branch-location executions, split app vs library."""
 
-    config = ReproConfig(instrumentation=InstrumentationSection(
-        library_functions=set(userver.LIBRARY_FUNCTIONS)))
+    config = PipelineConfig(library_functions=set(userver.LIBRARY_FUNCTIONS))
     pipeline = Pipeline.from_source(userver.SOURCE, name="userver", config=config)
     profile = pipeline.profile_branch_behavior(userver.profiling_workload(request_count))
     rows = []

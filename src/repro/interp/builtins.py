@@ -42,10 +42,8 @@ from repro.interp.values import (
     as_int,
     binary_int_op,
     concrete,
-    is_null,
-    string_to_array,
 )
-from repro.lang.errors import ExitProgram, ProgramCrash, RuntimeMiniCError
+from repro.lang.errors import ExitProgram, ProgramCrash
 from repro.osmodel.syscalls import SyscallKind
 from repro.symbolic.expr import SymBinOp, SymExpr, as_condition, sym_const
 

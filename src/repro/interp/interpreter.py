@@ -18,7 +18,7 @@ One interpreter instance executes one run of a program.  The interpreter:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.interp.builtins import lookup_builtin

@@ -14,7 +14,7 @@ replay engine during bug reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.lang.cfg import BranchLocation

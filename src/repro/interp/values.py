@@ -14,7 +14,7 @@ The value model is deliberately small:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from repro.lang.errors import RuntimeMiniCError

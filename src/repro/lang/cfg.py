@@ -23,7 +23,6 @@ from repro.lang.ast_nodes import (
     ForStmt,
     FunctionDef,
     IfStmt,
-    Node,
     ReturnStmt,
     Stmt,
     TranslationUnit,

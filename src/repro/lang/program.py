@@ -16,7 +16,6 @@ from repro.lang.ast_nodes import (
     Call,
     FunctionDef,
     GlobalDecl,
-    Node,
     TranslationUnit,
 )
 from repro.lang.cfg import (

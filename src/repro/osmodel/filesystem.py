@@ -8,7 +8,7 @@ only through the kernel's short-read policy and the network model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -14,8 +14,8 @@ ready, so those results must either be logged or searched for during replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.osmodel.filesystem import FileSystem
 from repro.osmodel.network import Connection, NetworkModel, NetworkScript

@@ -18,7 +18,7 @@ in the plan), one of:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.instrument.logger import BitvectorLog

@@ -74,9 +74,6 @@ class PendingList:
             return self._items.pop()
         return self._items.pop(0)
 
-    def clear(self) -> None:
-        self._items.clear()
-
     def stats(self) -> Dict[str, int]:
         return {"pending": len(self._items), "dropped": self.dropped,
                 "duplicates": self.duplicates}

@@ -2,11 +2,10 @@
 
 This package is the canonical way to drive the reproduction system:
 
-* :class:`~repro.service.config.ReproConfig` — one layered configuration
-  (execution / instrumentation / replay / service sections) subsuming the
-  legacy ``PipelineConfig`` / ``ExecutionConfig`` / budget sprawl, with
-  ``from_dict``/``to_dict`` round-tripping and lossless shims to and from
-  the legacy objects;
+* :class:`~repro.core.config.PipelineConfig` — the one configuration of
+  the pipeline, the service and the CLI; its ``service`` field
+  (:class:`~repro.core.config.ServiceSection`) holds the inbox, listener
+  and supervisor knobs;
 * :class:`~repro.service.inbox.TraceInbox` — batch ingestion (bytes, files,
   watched spool directory), two-level deduplication (``(plan fingerprint,
   crash site)`` bug keys; equivalent-recording clusters that each cost one
@@ -21,9 +20,10 @@ This package is the canonical way to drive the reproduction system:
 
 Quickstart (the developer site, serving a spool of shipped bug reports)::
 
-    from repro.service import ReproConfig, ReproService
+    from repro import PipelineConfig
+    from repro.service import ReproService
 
-    with ReproService("inbox-root", config=ReproConfig()) as service:
+    with ReproService("inbox-root", config=PipelineConfig()) as service:
         ingested = service.poll_spool("spool/")       # [IngestResult, ...]
         reports = service.process()                   # one search per cluster
         for trace_id, report in reports.items():
@@ -31,6 +31,7 @@ Quickstart (the developer site, serving a spool of shipped bug reports)::
         print(service.stats().to_json())              # incl. dedup_ratio
 """
 
+from repro.core.config import ServiceSection
 from repro.core.pipeline import Pipeline
 from repro.planner import (
     FleetObservations,
@@ -39,13 +40,6 @@ from repro.planner import (
     PlanVersion,
     ReplanPolicy,
     Replanner,
-)
-from repro.service.config import (
-    ExecutionSection,
-    InstrumentationSection,
-    ReplaySection,
-    ReproConfig,
-    ServiceSection,
 )
 from repro.service.faults import FaultInjector, FaultSpec, NULL_FAULTS
 from repro.service.inbox import (
@@ -78,20 +72,16 @@ from repro.service.supervisor import (
 )
 
 __all__ = [
-    "ExecutionSection",
     "FaultInjector",
     "FaultSpec",
     "FleetObservations",
     "IngestResult",
-    "InstrumentationSection",
     "NULL_FAULTS",
     "PlanLedger",
     "PlanRevision",
     "PlanVersion",
     "ReplanPolicy",
     "Replanner",
-    "ReplaySection",
-    "ReproConfig",
     "ReproService",
     "ReproSession",
     "ReproductionReport",
@@ -122,9 +112,10 @@ def workload_pipeline(name: str, config=None):
     The one shared construction path behind every workload-by-name consumer
     (trace tool, disassembler, examples): resolves the source and its
     library-function set through :func:`repro.workloads.workload_registry`
-    and builds the pipeline under *config* (a :class:`ReproConfig`, a legacy
-    ``PipelineConfig``, or ``None`` for defaults) with the workload's
-    library functions installed.
+    and builds the pipeline under *config* (a
+    :class:`~repro.core.config.PipelineConfig`, or ``None`` for defaults)
+    with the workload's library functions installed on a copy, so one
+    config can build every workload's pipeline.
     """
 
     from repro.workloads import workload_registry

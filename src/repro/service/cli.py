@@ -25,29 +25,31 @@ import hashlib
 import json
 import sys
 
-from repro import InstrumentationMethod, ReplayBudget, TraceError, load_trace
-from repro.service import ReproConfig, ReproService, workload_pipeline
+from repro import (InstrumentationMethod, PipelineConfig, ReplayBudget,
+                   TraceError, load_trace)
+from repro.service import ReproService, workload_pipeline
 from repro.service.service import ANALYSIS_FREE_METHODS
 from repro.workloads import workload_registry
 
 
-def build_config(args) -> ReproConfig:
-    """The layered service config for one CLI invocation."""
+def build_config(args) -> PipelineConfig:
+    """The pipeline and service config for one CLI invocation."""
 
-    config = ReproConfig()
+    config = PipelineConfig()
     if hasattr(args, "backend"):
-        config.execution.backend = args.backend
+        config.backend = args.backend
     if hasattr(args, "no_warm_start"):
-        config.replay.warm_start = not args.no_warm_start
+        config.replay_warm_start = not args.no_warm_start
     if hasattr(args, "max_runs"):
-        config.replay.budget = ReplayBudget(max_runs=args.max_runs,
+        config.replay_budget = ReplayBudget(max_runs=args.max_runs,
                                             max_seconds=args.max_seconds)
     if hasattr(args, "service_workers"):
         config.service.workers = args.service_workers
     if getattr(args, "telemetry", False):
-        config.telemetry.enabled = True
-        config.telemetry.profile_vm = getattr(args, "profile_vm", False)
-        config.telemetry.jsonl_path = getattr(args, "telemetry_jsonl", None)
+        config.telemetry_enabled = True
+        config.profile_opcodes = getattr(args, "profile_vm", False)
+        config.service.telemetry_jsonl_path = getattr(args, "telemetry_jsonl",
+                                                      None)
     return config
 
 

@@ -72,7 +72,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
-from repro.service.config import ReproConfig
 from repro.service.faults import FaultInjector, NULL_FAULTS
 from repro.service.inbox import (
     SpoolJournal,
@@ -269,14 +268,11 @@ _STOP = object()
 class UploadServer:
     """Concurrent, fault-tolerant front door of a :class:`ReproService`."""
 
-    def __init__(self, root: str, config: Optional[ReproConfig] = None,
+    def __init__(self, root: str, config: Optional[PipelineConfig] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  faults: Optional[FaultInjector] = None,
                  service: Optional[ReproService] = None) -> None:
-        if config is None:
-            config = ReproConfig()
-        elif isinstance(config, PipelineConfig):
-            config = ReproConfig.from_legacy(config)
+        config = config or PipelineConfig()
         self.config = config
         self.faults = faults or NULL_FAULTS
         self.service = service or ReproService(root, config=config)

@@ -35,7 +35,6 @@ from repro.planner import (FleetObservations, PlanLedger, PlanVersion,
                            ReplanPolicy, Replanner, plan_fingerprint_digest)
 from repro.replay.engine import (ReplayEngine, ReplayOutcome,
                                  WorkerCrashError, check_matched_binaries)
-from repro.service.config import ReproConfig
 from repro.service.inbox import IngestResult, SpoolJournal, TraceCluster, \
     TraceInbox, UnknownProgramError
 from repro.service.supervisor import (
@@ -298,17 +297,14 @@ class ReproService:
     """The canonical developer-site API: inbox + scheduler + supervisor."""
 
     def __init__(self, root: str,
-                 config: Optional[ReproConfig] = None,
+                 config: Optional[PipelineConfig] = None,
                  programs: Optional[Dict[str, str]] = None,
                  resolver: Optional[Callable[[str], tuple]] = None) -> None:
-        if config is None:
-            config = ReproConfig()
-        elif isinstance(config, PipelineConfig):
-            config = ReproConfig.from_legacy(config)
+        config = config or PipelineConfig()
         self.config = config
         # The service's metrics registry is always real — ServiceStats reads
         # from it, so the counters must count with telemetry off too.  The
-        # ``telemetry.enabled`` knob gates the *extra* surface: wall-clock
+        # ``telemetry_enabled`` knob gates the *extra* surface: wall-clock
         # metrics (ingest latency), spans, per-search registry merges, VM
         # profiling and the JSON-lines sink.
         self._registry = MetricsRegistry()
@@ -323,7 +319,7 @@ class ReproService:
         self._programs_src = dict(programs or {})
         self._resolver = resolver
         self._programs: Dict[str, Program] = {}
-        self._telemetry_on = config.telemetry.enabled
+        self._telemetry_on = config.telemetry_enabled
         #: Seeded fault spec shipped into supervised search workers
         #: (worker_kill / checkpoint_fail streams); set by the chaos harness
         #: or the network listener when it runs with faults.
@@ -485,8 +481,8 @@ class ReproService:
             self._reports_since_replan += len(reports)
             if self._reports_since_replan >= svc.replan_after_reports:
                 self.replan()
-        if self._telemetry_on and self.config.telemetry.jsonl_path:
-            self.flush_telemetry(self.config.telemetry.jsonl_path)
+        if self._telemetry_on and svc.telemetry_jsonl_path:
+            self.flush_telemetry(svc.telemetry_jsonl_path)
         return reports
 
     def _use_supervisor(self) -> bool:
@@ -647,18 +643,17 @@ class ReproService:
         representative = cluster.members[0]
         trace = load_trace(self.inbox.trace_path(representative))
         program = self.program_for(cluster.program)
-        replay = self.config.replay
-        execution = self.config.execution
+        config = self.config
         return ReplayEngine.from_trace(
             program, trace,
             expect_plan=self._expected_plan(program, trace),
-            budget=replay.budget,
-            search_order=replay.search_order,
-            backend=execution.backend,
-            max_call_depth=execution.max_call_depth,
-            warm_start=replay.warm_start,
-            telemetry=self.config.telemetry.enabled,
-            profile_opcodes=self.config.telemetry.profile_vm,
+            budget=config.replay_budget,
+            search_order=config.replay_search_order,
+            backend=config.backend,
+            max_call_depth=config.max_call_depth,
+            warm_start=config.replay_warm_start,
+            telemetry=config.telemetry_enabled,
+            profile_opcodes=config.profile_opcodes,
         )
 
     def _commit_cluster(self, cluster: TraceCluster, outcome: ReplayOutcome,
@@ -779,7 +774,7 @@ class ReproService:
                                         crash_site=cluster.crash_site)
             environment = trace.environment_spec.to_environment()
             engine = ConcolicEngine(program, environment,
-                                    backend=self.config.execution.backend)
+                                    backend=self.config.backend)
             recorder = engine.profile_run(overrides=dict(report.found_input))
             observations.observe_profile(cluster.program, trace.plan,
                                          recorder)

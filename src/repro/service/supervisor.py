@@ -43,9 +43,10 @@ import multiprocessing
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core.config import PipelineConfig
 from repro.replay.checkpoint import CheckpointError, CheckpointPolicy
 from repro.replay.engine import ReplayEngine
 
@@ -150,8 +151,8 @@ class SearchSupervisor:
     #: Monitor loop cadence; every liveness decision is made at this grain.
     _POLL_SECONDS = 0.005
 
-    def __init__(self, root: str, config, registry=None, journal=None,
-                 fault_spec=None, faults=None) -> None:
+    def __init__(self, root: str, config: PipelineConfig, registry=None,
+                 journal=None, fault_spec=None, faults=None) -> None:
         svc = config.service
         self.checkpoint_dir = svc.checkpoint_dir or os.path.join(
             root, "checkpoints")

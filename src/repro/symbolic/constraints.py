@@ -10,7 +10,7 @@ sets describing unexplored alternatives (see
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.symbolic.expr import SymExpr, SymVar, sym_const

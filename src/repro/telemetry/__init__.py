@@ -12,8 +12,8 @@ The observability layer the rest of the system records into:
   registry's timeline;
 * :mod:`~repro.telemetry.runtime` — the thread-local / process-global
   resolution of "the active registry", which compiles to shared no-op
-  singletons when the ``telemetry`` section of
-  :class:`~repro.service.config.ReproConfig` is disabled (the default);
+  singletons when :attr:`~repro.core.config.PipelineConfig.telemetry_enabled`
+  is off (the default);
 * :func:`write_jsonl` — the JSON-lines sink, one metric object per line,
   consumed by ``python -m repro stats`` and the CI telemetry smoke job.
 

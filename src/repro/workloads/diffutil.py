@@ -13,7 +13,7 @@ means reconstructing the full comparison path over both files.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.environment import Environment, simple_environment
 from repro.workloads.minic_lib import READ_LINE_SNIPPET

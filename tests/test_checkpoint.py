@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro import InstrumentationMethod, ReplayBudget
+from repro import InstrumentationMethod, PipelineConfig, ReplayBudget
 from repro.replay import (
     CheckpointError,
     CheckpointFormatError,
@@ -34,16 +34,15 @@ from repro.replay.checkpoint import (
     dump_checkpoint_bytes,
     load_checkpoint_bytes,
 )
-from repro.service import FaultSpec, ReproConfig, outcome_fingerprint, workload_pipeline
+from repro.service import FaultSpec, outcome_fingerprint, workload_pipeline
 from repro.trace import trace_from_recording
 
 
 def _record(workload: str):
     """``(pipeline, trace)`` for one recorded crash of *workload*."""
 
-    config = ReproConfig()
-    config.execution.backend = "vm"
-    pipeline, environment = workload_pipeline(workload, config=config)
+    pipeline, environment = workload_pipeline(
+        workload, config=PipelineConfig(backend="vm"))
     plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
                               environment=environment)
     recording = pipeline.record(plan, environment)

@@ -22,11 +22,10 @@ import time
 
 import pytest
 
-from repro import InstrumentationMethod, ReplayBudget
+from repro import InstrumentationMethod, PipelineConfig, ReplayBudget
 from repro.service import (
     FaultInjector,
     FaultSpec,
-    ReproConfig,
     SpoolJournal,
     TraceInbox,
     TraceTooLargeError,
@@ -60,10 +59,10 @@ from repro.trace import dump_trace_bytes, load_trace_bytes, trace_from_recording
 from test_service import mismatched_traces
 
 
-def net_config(**service_overrides) -> ReproConfig:
-    config = ReproConfig()
-    config.execution.backend = "vm"
-    config.replay.budget = ReplayBudget(max_runs=1500, max_seconds=60)
+def net_config(**service_overrides) -> PipelineConfig:
+    config = PipelineConfig(
+        backend="vm", replay_budget=ReplayBudget(max_runs=1500,
+                                                 max_seconds=60))
     for name, value in service_overrides.items():
         setattr(config.service, name, value)
     return config

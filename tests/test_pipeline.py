@@ -1,5 +1,10 @@
 """Integration tests for the Pipeline API (analyse → instrument → record → replay)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import (
@@ -10,7 +15,8 @@ from repro import (
     ReplayBudget,
 )
 from repro.environment import simple_environment
-from repro.workloads import fibonacci
+from repro.workloads import fibonacci, userver
+from repro.workloads.coreutils import mkdir
 from tests.conftest import GUARD_SOURCE
 
 
@@ -132,3 +138,38 @@ class TestListing1:
             # produces exactly two logged bits (the paper's Listing 1 point).
             assert plan.instrumented_count() == 2
             assert len(recording.bitvector) == 2
+
+
+class TestConfig:
+    def test_from_source_leaves_the_callers_config_alone(self):
+        # One config builds every workload's pipeline (the service and the
+        # workload-by-name helpers share theirs), so a library set given to
+        # one program must not reach the next program's static analysis.
+        config = PipelineConfig()
+        library = set(userver.LIBRARY_FUNCTIONS)
+        server = Pipeline.from_source(userver.SOURCE, name="userver",
+                                      config=config, library_functions=library)
+        assert server.config.static_skip_set() == library
+        assert server.program.library_functions == library
+        assert config.library_functions == set()
+        tool = Pipeline.from_source(mkdir.SOURCE, name="mkdir", config=config)
+        assert tool.config.static_skip_set() == set()
+        assert tool.program.library_functions == set()
+
+
+def test_cold_import_loads_no_service_code():
+    # The pre-deployment side starts with ``import repro, repro.workloads``
+    # and runs neither the service nor the planner, so it must not pay for
+    # compiling them.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    probe = ("import json, sys, repro, repro.workloads; "
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('repro'))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded = json.loads(result.stdout)
+    assert "repro.core.pipeline" in loaded
+    assert [m for m in loaded if m.split(".")[:2] in (
+        ["repro", "service"], ["repro", "planner"])] == []

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro import InstrumentationMethod, ReplayBudget
+from repro import InstrumentationMethod, PipelineConfig, ReplayBudget
 from repro.instrument.plan import InstrumentationPlan
 from repro.lang.cfg import BranchLocation
 from repro.planner import (
@@ -35,7 +35,6 @@ from repro.planner import (
     replan_method,
 )
 from repro.service import (
-    ReproConfig,
     ReproService,
     TraceInbox,
     UploadClient,
@@ -47,10 +46,9 @@ from repro.service import (
 from repro.service.cli import main as cli_main
 
 
-def planner_config() -> ReproConfig:
-    config = ReproConfig()
-    config.replay.budget = ReplayBudget(max_runs=1500, max_seconds=60)
-    return config
+def planner_config() -> PipelineConfig:
+    return PipelineConfig(
+        replay_budget=ReplayBudget(max_runs=1500, max_seconds=60))
 
 
 @pytest.fixture(scope="module")

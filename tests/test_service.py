@@ -17,9 +17,8 @@ import sys
 
 import pytest
 
-from repro import InstrumentationMethod, ReplayBudget
+from repro import InstrumentationMethod, PipelineConfig, ReplayBudget
 from repro.service import (
-    ReproConfig,
     ReproService,
     TraceInbox,
     UnknownProgramError,
@@ -37,11 +36,10 @@ from repro.trace import (
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def service_config() -> ReproConfig:
-    config = ReproConfig()
-    config.execution.backend = "vm"
-    config.replay.budget = ReplayBudget(max_runs=1500, max_seconds=60)
-    return config
+def service_config() -> PipelineConfig:
+    return PipelineConfig(
+        backend="vm", replay_budget=ReplayBudget(max_runs=1500,
+                                                 max_seconds=60))
 
 
 def record_trace_bytes(workload: str) -> bytes:

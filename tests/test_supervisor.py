@@ -19,7 +19,6 @@ from repro.replay import WorkerCrashError
 from repro.service import (
     FaultInjector,
     FaultSpec,
-    ReproConfig,
     ReproService,
     SearchDeadlineExceeded,
     SpoolJournal,
@@ -84,7 +83,7 @@ class TestSupervisedByteIdentity:
         # every cluster converges to the identical report, zero lost.
         base = _inline_reports(tmp_path, [mkdir_bytes, diff_bytes])
         config = service_config()
-        config.telemetry.enabled = True
+        config.telemetry_enabled = True
         config.service.checkpoint_every_runs = 1
         config.service.max_search_retries = 50
         config.service.retry_backoff_seconds = 0.001
@@ -110,7 +109,7 @@ class TestSupervisedByteIdentity:
         # deterministic view: a preempted/killed attempt is a pause, not a
         # result, so final counters are recorded exactly once.
         config = service_config()
-        config.telemetry.enabled = True
+        config.telemetry_enabled = True
         with ReproService(str(tmp_path / "quiet"), config=config) as service:
             _ingest(service, [mkdir_bytes])
             service.process()
@@ -118,7 +117,7 @@ class TestSupervisedByteIdentity:
                     service.telemetry().deterministic().to_json()
                     ["counters"].items() if k.startswith("replay.")}
         config2 = service_config()
-        config2.telemetry.enabled = True
+        config2.telemetry_enabled = True
         config2.service.checkpoint_every_runs = 1
         config2.service.max_search_retries = 50
         config2.service.retry_backoff_seconds = 0.001
@@ -142,7 +141,7 @@ class TestQuarantine:
         # progress, retries exhaust, and the cluster lands in the
         # rejection ledger with a typed reason — never a wrong report.
         config = service_config()
-        config.telemetry.enabled = True
+        config.telemetry_enabled = True
         config.service.checkpoint_every_runs = 0
         config.service.max_search_retries = 2
         config.service.retry_backoff_seconds = 0.001
@@ -188,7 +187,7 @@ class TestQuarantine:
 class TestDeadlines:
     def test_deadline_is_a_typed_outcome(self, tmp_path, mkdir_bytes):
         config = service_config()
-        config.telemetry.enabled = True
+        config.telemetry_enabled = True
         config.service.search_deadline_seconds = 1e-6
         with ReproService(str(tmp_path / "late"), config=config) as service:
             _ingest(service, [mkdir_bytes])
@@ -223,7 +222,7 @@ class TestPreemption:
         # the preempted search later resumes from its checkpoint — both
         # reports still byte-identical to the undisturbed runs.
         config = service_config()
-        config.telemetry.enabled = True
+        config.telemetry_enabled = True
         config.service.priority = "arrival"
         config.service.workers = 1
         config.service.preempt_after_seconds = 1e-4

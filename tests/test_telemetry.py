@@ -15,7 +15,6 @@ from repro import (
 )
 from repro.replay.engine import ReplayEngine
 from repro.service import ReproService
-from repro.service.config import ReproConfig, TelemetrySection
 from repro.service.service import ServiceStats, outcome_fingerprint
 from repro.telemetry import (
     COUNT_BUCKETS,
@@ -300,8 +299,8 @@ class TestServiceTelemetry:
         trace = tmp_path / "a.trace"
         _record_trace("diff-exp1", trace)
         sink = tmp_path / "sink.jsonl"
-        config = ReproConfig(telemetry=TelemetrySection(
-            enabled=True, jsonl_path=str(sink)))
+        config = PipelineConfig(telemetry_enabled=True)
+        config.service.telemetry_jsonl_path = str(sink)
         with ReproService(str(tmp_path / "svc"), config=config) as service:
             session = service.session("test")
             session.ingest_file(str(trace))
@@ -324,11 +323,10 @@ class TestServiceTelemetry:
         trace = tmp_path / "a.trace"
         _record_trace("userver-exp1", trace)
         results = {}
-        for label, section in (("off", TelemetrySection()),
-                               ("on", TelemetrySection(enabled=True))):
+        for label, enabled in (("off", False), ("on", True)):
             root = tmp_path / f"svc-{label}"
-            with ReproService(str(root),
-                              config=ReproConfig(telemetry=section)) as svc:
+            config = PipelineConfig(telemetry_enabled=enabled)
+            with ReproService(str(root), config=config) as svc:
                 svc.ingest_file(str(trace))
                 reports = svc.process()
                 results[label] = (svc.stats(), reports)
@@ -341,31 +339,6 @@ class TestServiceTelemetry:
             {tid: r.fingerprint() for tid, r in reports.items()}
             for _stats, reports in results.values()]
         assert fingerprints[0] == fingerprints[1]
-
-
-class TestConfigTelemetrySection:
-    def test_dict_round_trip(self):
-        config = ReproConfig.from_dict({
-            "telemetry": {"enabled": True, "profile_vm": True,
-                          "jsonl_path": "/tmp/sink.jsonl"}})
-        assert config.telemetry.enabled
-        assert config.telemetry.profile_vm
-        assert config.to_dict()["telemetry"]["jsonl_path"] == "/tmp/sink.jsonl"
-        again = ReproConfig.from_dict(config.to_dict())
-        assert again.to_dict() == config.to_dict()
-
-    def test_unknown_telemetry_key_rejected(self):
-        with pytest.raises((TypeError, ValueError)):
-            ReproConfig.from_dict({"telemetry": {"enabld": True}})
-
-    def test_legacy_round_trip_carries_telemetry(self):
-        legacy = PipelineConfig(telemetry_enabled=True, profile_opcodes=True)
-        layered = ReproConfig.from_legacy(legacy)
-        assert layered.telemetry.enabled
-        assert layered.telemetry.profile_vm
-        back = layered.to_pipeline_config()
-        assert back.telemetry_enabled and back.profile_opcodes
-        assert layered.execution_config().profile_opcodes
 
 
 class TestCli:
