@@ -19,7 +19,8 @@ def test_fig3_userver_branch_behavior(benchmark):
     assert summary["symbolic_fraction"] < 0.35
     # Most branch executions happen in the library.
     assert summary["library_fraction"] > 0.5
-    # (Divergence from the paper noted in EXPERIMENTS.md: because this server
-    # delegates all byte scanning to the lib_* helpers, the library's share of
-    # *symbolic* executions is higher here than the paper's 28%.)
+    # (Divergence from the paper, noted in the README's "Paper tables and
+    # figures" map: because this server delegates all byte scanning to the
+    # lib_* helpers, the library's share of *symbolic* executions is higher
+    # here than the paper's 28%.)
     assert summary["symbolic_locations"] >= 10

@@ -5,8 +5,8 @@ fixtures below are session-scoped so the (comparatively expensive) dynamic and
 static analyses run once and are shared by every uServer / diff benchmark.
 
 Scale: workload sizes and budgets are scaled down so the whole harness runs in
-minutes on a laptop; see DESIGN.md §2 and EXPERIMENTS.md for the mapping to the
-paper's setup.
+minutes on a laptop; the README's "Paper tables and figures" section maps each
+bench file to its table or figure and states the scale.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Experiment generators: one function per table/figure of the paper.
 
 These functions are shared by the ``benchmarks/`` harness (which times them and
-prints the regenerated rows) and by ``EXPERIMENTS.md``.  Every function returns
-a list of row dictionaries so the output can be printed, asserted on, or dumped
-to JSON.
+prints the regenerated rows) and by the README's "Paper tables and figures"
+map, which names the table or figure each bench file regenerates.  Every
+function returns a list of row dictionaries so the output can be printed or
+asserted on.
 
 Scale note: the paper's absolute numbers come from native execution of the real
 programs; this reproduction interprets MiniC re-implementations, so workload
-sizes and budgets are scaled down (see DESIGN.md §2).  The *shape* of each
-table/figure — which method wins, roughly by how much, and where the
+sizes and budgets are scaled down (see the same README section).  The *shape*
+of each table/figure — which method wins, roughly by how much, and where the
 configurations fail — is what the generators reproduce.
 """
 
@@ -20,8 +21,6 @@ from repro.experiments import (
     micro_exp,
     net_exp,
     planner_exp,
-    replay_search_exp,
-    service_exp,
     userver_exp,
 )
 
@@ -34,7 +33,5 @@ __all__ = [
     "net_exp",
     "planner_exp",
     "print_table",
-    "replay_search_exp",
-    "service_exp",
     "userver_exp",
 ]

@@ -19,7 +19,6 @@ import time
 from typing import Dict, List
 
 from repro.environment import Environment
-from repro.experiments.replay_search_exp import merge_artifact
 from repro.instrument.logger import BranchLogger
 from repro.instrument.methods import InstrumentationMethod, build_plan
 from repro.interp.backend import BACKENDS, create_backend
@@ -32,20 +31,9 @@ from repro.vm.compiler import compile_program
 from repro.workloads import fibonacci, microbench, userver
 
 
-def bench_workloads(smoke: bool = False) -> List[tuple]:
-    """``(workload, source, environment)`` triples sized for stable timing.
+def bench_workloads() -> List[tuple]:
+    """``(workload, source, environment)`` triples sized for stable timing."""
 
-    ``smoke=True`` shrinks every scenario so the whole comparison finishes
-    in seconds (the CI bench-smoke step); the full sizes are what the
-    recorded speedups are quoted on.
-    """
-
-    if smoke:
-        return [
-            ("fibonacci", fibonacci.SOURCE, fibonacci.scenario_b()),
-            ("microbench", microbench.SOURCE, microbench.scenario(2_000)),
-            ("userver", userver.SOURCE, userver.saturation_workload(4)),
-        ]
     return [
         ("fibonacci", fibonacci.SOURCE, fibonacci.scenario_b()),
         ("microbench", microbench.SOURCE, microbench.scenario(20_000)),
@@ -75,11 +63,11 @@ def _timed_run(program: Program, environment: Environment, backend: str,
             "branch_executions": result.branch_executions}
 
 
-def backend_rows(repeats: int = 3, smoke: bool = False) -> List[Dict[str, object]]:
+def backend_rows(repeats: int = 3) -> List[Dict[str, object]]:
     """One row per (workload, configuration, backend); best-of-``repeats``."""
 
     rows: List[Dict[str, object]] = []
-    for workload, source, environment in bench_workloads(smoke):
+    for workload, source, environment in bench_workloads():
         program = Program.from_source(source, name=workload)
         # Pay the compilation once, up front.
         compile_program(program, specialize_ints=True,
@@ -109,15 +97,3 @@ def backend_rows(repeats: int = 3, smoke: bool = False) -> List[Dict[str, object
                     "speedup_vs_interp": round(ips / baseline_ips, 2),
                 })
     return rows
-
-
-def merge_backend_artifact(rows: List[Dict[str, object]],
-                           path: str = "BENCH_replay.json") -> str:
-    """Merge the ``backends`` rows into the perf tracking artifact.
-
-    ``bench_replay_search`` owns the artifact's top-level layout; this only
-    adds/replaces the ``backends`` key so the two bench files can run in
-    either order without clobbering each other.
-    """
-
-    return merge_artifact({"backends": rows}, path)

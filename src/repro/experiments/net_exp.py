@@ -1,50 +1,33 @@
-"""Load-generator bench for the network trace-ingestion layer.
+"""Load generator for the network trace-ingestion layer (``repro loadgen``).
 
 Simulates the paper's reporting fleet against a live
 :class:`~repro.service.net.UploadServer`: C client threads ship a
-duplicate-heavy batch of bug reports over TCP — once over a clean network
-and once through the seeded fault injector (drops, truncations, in-flight
-corruption, slow-loris stalls, plus a poison client uploading garbage) —
-and the bench records sustained traces/sec and p99 ingest latency (read
-from the ``service.ingest_latency`` histogram) into the ``net`` key of
-``BENCH_replay.json``.
-
-Every row re-asserts the robustness contract on the way out:
-
-* zero lost reports — every acknowledged upload has a reproduction report;
-* the rejection ledger absorbed exactly the poison uploads;
-* every acked report's explored search tree is **byte-identical** to
-  running that trace alone through ``Pipeline.reproduce_from_trace`` —
-  faults on the wire never leak into reproduction results.
+duplicate-heavy batch of bug reports over TCP, optionally through the
+seeded client-side fault injector (drops, truncations, in-flight
+corruption, slow-loris stalls), plus a poison client uploading garbage
+that the rejection ledger must absorb.  :func:`run_fleet` returns what
+happened to every upload; ``python -m repro loadgen`` turns that into its
+pass/fail summary, and ``tests/test_net.py`` asserts on it directly.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import shutil
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.instrument.methods import InstrumentationMethod
-from repro.replay.budget import ReplayBudget
 from repro.service import (
     FaultInjector,
     FaultSpec,
     UploadClient,
     UploadRejected,
-    UploadServer,
-    outcome_fingerprint,
     workload_pipeline,
 )
-from repro.telemetry import histogram_quantile
 from repro.trace import dump_trace_bytes, trace_from_recording
 
-__all__ = ["FLEETS", "FAULTY_RATES", "net_rows", "record_payloads",
-           "run_fleet"]
+__all__ = ["FLEETS", "record_payloads", "run_fleet"]
 
 #: ``(workload, copies)`` per fleet: how many users ship each bug.
 FLEETS: Dict[str, List[Tuple[str, int]]] = {
@@ -52,23 +35,6 @@ FLEETS: Dict[str, List[Tuple[str, int]]] = {
     "full": [("mkdir-bug", 6), ("mkfifo-bug", 4), ("diff-exp1", 2),
              ("paste-bug", 4)],
 }
-
-#: The fault mix of the chaos run (client-side network damage rates).
-FAULTY_RATES: Dict[str, float] = {
-    "drop_rate": 0.2,
-    "truncate_rate": 0.2,
-    "corrupt_rate": 0.15,
-    "slow_rate": 0.1,
-}
-
-
-def fleet_config() -> PipelineConfig:
-    config = PipelineConfig(
-        backend="vm",
-        replay_budget=ReplayBudget(max_runs=3000, max_seconds=120),
-        telemetry_enabled=True)  # arrival stamps -> ingest latency p99
-    config.service.read_timeout_seconds = 0.3  # sheds slow-loris fast
-    return config
 
 
 def record_payloads(fleet: List[Tuple[str, int]], config: PipelineConfig
@@ -181,98 +147,3 @@ def run_fleet(host: str, port: int, payloads: List[Tuple[str, bytes]],
         "poison_rejected": rejected_uploads,
         "receipts": receipts,
     }
-
-
-def _p99(server: UploadServer) -> Optional[float]:
-    value = histogram_quantile(server.service.telemetry(),
-                               "service.ingest_latency", 0.99)
-    if value is None or math.isinf(value):
-        return None
-    return value
-
-
-def net_rows(smoke: bool = False) -> List[Dict[str, object]]:
-    """One row per scenario (clean / fault-injected), invariants asserted."""
-
-    fleet = FLEETS["smoke" if smoke else "full"]
-    config = fleet_config()
-    payloads = record_payloads(fleet, config)
-    scenarios = [
-        ("net-fleet-clean", None, 0),
-        ("net-fleet-faulty",
-         FaultSpec(seed=1234, **FAULTY_RATES), 2),
-    ]
-    rows: List[Dict[str, object]] = []
-    for scenario, fault_spec, poison in scenarios:
-        workdir = tempfile.mkdtemp(prefix="repro-net-bench-")
-        server = UploadServer(os.path.join(workdir, "service"),
-                              config=config).start()
-        try:
-            summary = run_fleet(server.host, server.port, payloads,
-                                clients=2 if smoke else 4,
-                                fault_spec=fault_spec, seed=7,
-                                timeout=0.8, poison=poison)
-            assert not summary["failed"], summary["failed"]
-            assert summary["acked"] == len(payloads)
-            assert summary["poison_rejected"] == poison
-            if poison:
-                assert len(server.service.inbox.rejected) >= poison
-
-            # Run the searches and fan reports out, through the wire.
-            control = UploadClient(server.host, server.port,
-                                   client_id="control", seed=99)
-            processed = control.process()
-            receipts = summary.pop("receipts")
-            lost = [receipt.trace_id for receipt in receipts.values()
-                    if control.report(receipt.trace_id).get("status")
-                    != "done"]
-            assert not lost, f"acknowledged traces without reports: {lost}"
-
-            # Byte-identity vs the single-shot path, per workload: wire
-            # faults must never leak into reproduction results.
-            by_workload: Dict[str, bytes] = {}
-            for (workload, data) in payloads:
-                by_workload.setdefault(workload, data)
-            for workload, data in by_workload.items():
-                path = os.path.join(workdir, f"{workload}.trace")
-                with open(path, "wb") as handle:
-                    handle.write(data)
-                pipeline, _environment = workload_pipeline(workload,
-                                                           config=config)
-                single = pipeline.reproduce_from_trace(path)
-                expected = outcome_fingerprint(single.outcome)
-                for index, (shipped, _data) in enumerate(payloads):
-                    if shipped != workload:
-                        continue
-                    report = server.service.report(
-                        receipts[index].trace_id)
-                    assert report.fingerprint() == expected, (
-                        f"{workload}: fleet report != single-shot")
-
-            stats = server.service.stats()
-            rows.append({
-                "scenario": scenario,
-                "faults": (fault_spec.to_json()
-                           if fault_spec is not None else None),
-                "uploads": summary["uploads"],
-                "acked": summary["acked"],
-                "clients": summary["clients"],
-                "attempts": summary["attempts"],
-                "retries": summary["retries"],
-                "connection_errors": summary["connection_errors"],
-                "faults_injected": summary["faults_injected"],
-                "poison_rejected": summary["poison_rejected"],
-                "lost_reports": 0,
-                "wall_seconds": summary["wall_seconds"],
-                "traces_per_sec": summary["traces_per_sec"],
-                "p99_ingest_seconds": _p99(server),
-                "searches_run": stats.searches_run,
-                "dedup_ratio": (None if stats.dedup_ratio is None
-                                else round(stats.dedup_ratio, 2)),
-                "reports_fanned_out": int(
-                    processed["stats"]["reports_fanned_out"]),
-            })
-        finally:
-            server.shutdown()
-            shutil.rmtree(workdir, ignore_errors=True)
-    return rows

@@ -17,8 +17,8 @@ Each row asserts the two properties the planner promises:
 
 ``planner_rows`` additionally replays the whole fleet history twice in
 two fresh roots and asserts the resulting plan ledgers are byte-identical
-(replanning is a deterministic function of history and seed).  The
-summary lands under the ``planner`` key of ``BENCH_replay.json``.
+(replanning is a deterministic function of history and seed).
+``benchmarks/bench_planner.py`` runs it and gates the overhead reduction.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ import tempfile
 from typing import Dict, List, Tuple
 
 from repro.core.config import PipelineConfig
-from repro.experiments.replay_search_exp import merge_artifact
 from repro.instrument.methods import InstrumentationMethod
 from repro.planner import LEDGER_FILE, plan_version_of
 from repro.replay.budget import ReplayBudget
 from repro.service import ReproService, workload_pipeline
 
-__all__ = ["WORKLOADS", "fleet_config", "merge_planner_artifact",
-           "planner_rows", "planner_summary", "run_generations"]
+__all__ = ["WORKLOADS", "fleet_config", "planner_rows", "run_generations"]
 
 #: Fleet workloads: each must crash and reproduce under the default budget.
 WORKLOADS: Tuple[str, ...] = ("mkdir-bug", "diff-exp1")
@@ -124,7 +122,7 @@ def _ledger_bytes(root: str) -> bytes:
         return handle.read()
 
 
-def planner_rows(smoke: bool = False) -> List[Dict[str, object]]:
+def planner_rows() -> List[Dict[str, object]]:
     """One row per (workload, generation), loop properties asserted.
 
     The entire fleet history runs twice, in two fresh roots with the same
@@ -132,7 +130,6 @@ def planner_rows(smoke: bool = False) -> List[Dict[str, object]]:
     rows, or replanning is not the deterministic function it claims to be.
     """
 
-    workloads = WORKLOADS[:1] if smoke else WORKLOADS
     config = fleet_config()
     histories: List[List[Dict[str, object]]] = []
     ledgers: List[bytes] = []
@@ -140,7 +137,7 @@ def planner_rows(smoke: bool = False) -> List[Dict[str, object]]:
         workdir = tempfile.mkdtemp(prefix="repro-planner-bench-")
         try:
             rows: List[Dict[str, object]] = []
-            for workload in workloads:
+            for workload in WORKLOADS:
                 rows.extend(run_generations(workload, workdir, config))
             histories.append(rows)
             ledgers.append(_ledger_bytes(workdir))
@@ -152,43 +149,3 @@ def planner_rows(smoke: bool = False) -> List[Dict[str, object]]:
         "same history + same seed must yield identical generation rows")
     _assert_loop_properties(histories[0])
     return histories[0]
-
-
-def planner_summary(rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """The ``planner`` artifact block for ``BENCH_replay.json``."""
-
-    summary: Dict[str, object] = {"workloads": {}, "deterministic": True}
-    for row in rows:
-        entry = summary["workloads"].setdefault(str(row["workload"]), {
-            "generations": [],
-        })
-        entry["generations"].append({
-            "generation": row["generation"],
-            "plan_version": row["plan_version"],
-            "instrumented": row["instrumented"],
-            "overhead_percent": row["overhead_percent"],
-            "reproduced": row["reproduced"],
-        })
-    for workload, entry in summary["workloads"].items():
-        history = entry["generations"]
-        first = history[0]["overhead_percent"]
-        last = history[-1]["overhead_percent"]
-        entry["replans"] = len(history) - 1
-        entry["overhead_first_percent"] = first
-        entry["overhead_last_percent"] = last
-        entry["overhead_reduction_percent"] = (
-            round(100.0 * (first - last) / first, 2) if first else 0.0)
-        entry["reproduction_rate"] = 1.0
-    return summary
-
-
-def merge_planner_artifact(summary: Dict[str, object],
-                           path: str = "BENCH_replay.json") -> str:
-    """Merge the ``planner`` block into the PR-over-PR tracking artifact.
-
-    ``bench_replay_search`` owns the artifact's top-level layout; this only
-    adds/replaces the ``planner`` key so the bench files can run in any
-    order without clobbering each other.
-    """
-
-    return merge_artifact({"planner": summary}, path)

@@ -601,7 +601,6 @@ def main(argv=None) -> int:
     loadgen.add_argument("--process", action="store_true",
                          help="after uploading, trigger replay searches and "
                               "verify every acked upload has a report")
-    loadgen.add_argument("--backend", default="vm", choices=["interp", "vm"])
     loadgen.add_argument("--out", default=None, metavar="PATH",
                          help="also write the JSON summary here")
 

@@ -64,7 +64,7 @@ __all__ = [
 def outcome_fingerprint(outcome: ReplayOutcome) -> tuple:
     """Everything identifying an explored search tree (never timings/costs).
 
-    The same tuple the replay benchmarks fingerprint: run records, pending
+    The tuple the determinism tests compare: run records, pending
     statistics, the reproducing input and the crash location.  Two searches
     with equal fingerprints explored byte-identical trees.
     """
@@ -209,7 +209,8 @@ class ServiceStats:
         counters are the ``service.*`` metrics on
         :meth:`ReproService.telemetry`, and :meth:`ReproService.stats`
         builds this dataclass from them.  Kept as the stable typed surface
-        for existing callers (CLI, benchmarks, experiments).
+        for existing callers: the CLI's JSON output, the upload server's
+        ``process`` and ``stats`` replies, and ``examples/service_inbox.py``.
     """
 
     traces_ingested: int = 0

@@ -38,7 +38,6 @@ from repro.telemetry.registry import (
     RegistrySnapshot,
     SECONDS_BUCKETS,
     SpanRecord,
-    histogram_quantile,
 )
 from repro.telemetry.runtime import (
     NULL_REGISTRY,
@@ -66,7 +65,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "histogram_quantile",
     "read_jsonl",
     "render_summary",
     "scoped",

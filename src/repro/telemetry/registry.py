@@ -36,38 +36,8 @@ __all__ = [
     "RegistrySnapshot",
     "SECONDS_BUCKETS",
     "SpanRecord",
-    "histogram_quantile",
 ]
 
-
-def histogram_quantile(snapshot: "RegistrySnapshot", name: str,
-                       q: float) -> Optional[float]:
-    """The *q*-quantile of a snapshot histogram, as a bucket upper bound.
-
-    Fixed-boundary histograms answer quantile queries conservatively: the
-    returned value is the upper boundary of the first bucket whose
-    cumulative count reaches ``q * count`` — an upper bound on the true
-    quantile, exact to one bucket's width.  Returns ``None`` when the
-    histogram is absent or empty, and ``float("inf")`` when the quantile
-    lands in the overflow bucket (beyond the last boundary).
-
-    This is how the load-generator bench reads p99 ingest latency from the
-    ``service.ingest_latency`` histogram.
-    """
-
-    entry = snapshot.histograms.get(name)
-    if entry is None:
-        return None
-    buckets, counts, count, _total = entry
-    if not count:
-        return None
-    threshold = q * count
-    cumulative = 0
-    for boundary, bucket_count in zip(buckets, counts):
-        cumulative += bucket_count
-        if cumulative >= threshold:
-            return boundary
-    return float("inf")
 
 #: Default boundaries for wall-clock histograms (seconds).  Upper-inclusive;
 #: one overflow bucket catches everything beyond the last boundary.

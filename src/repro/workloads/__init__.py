@@ -42,9 +42,10 @@ def library_functions_for(source: str) -> frozenset:
     """The library-function set (the paper's uClibc analogue) for a source.
 
     The single source of truth for "which workload treats which functions as
-    library code": both the replay-search benchmark and the trace tool build
-    their pipelines through this, so instrumentation plans for a workload are
-    identical no matter which entry point constructed them.  Matching is by
+    library code": :func:`workload_registry` (behind the trace tool and the
+    service) and the service's registered-source programs both resolve it
+    here, so instrumentation plans for a workload are identical no matter
+    which entry point constructed them.  Matching is by
     source *content*, not object identity, so variants that re-render the
     same program still resolve.
     """

@@ -194,8 +194,8 @@ def experiment_big(lines: int = 10, changed=(2, 5, 7),
 
     The paper's diff experiments compare full-size text files; this scenario
     scales our inputs toward that (longer lines, more of them, several changed
-    lines).  Used by ``benchmarks/bench_replay_search.py`` and the
-    repair-in-place and solve-once tests.
+    lines).  Used by perfbench's ``triage`` workload and by the
+    repair-in-place, solve-once and specialization tests.
     """
 
     changed = frozenset(changed)

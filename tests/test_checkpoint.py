@@ -276,12 +276,16 @@ class TestInjectedFaults:
 
     def test_periodic_writes_are_counted(self, tmp_path, mkdir_case):
         pipeline, trace = mkdir_case
+        baseline = _engine(pipeline, trace).reproduce()
+
         path = str(tmp_path / "every.ckpt")
         engine = _engine(pipeline, trace, telemetry=True)
         engine.attach_checkpointing(CheckpointPolicy(path=path,
                                                      every_commits=1))
         outcome = engine.reproduce()
         assert outcome.reproduced and os.path.exists(path)
+        # Snapshotting at every commit leaves the explored tree alone.
+        assert outcome_fingerprint(outcome) == outcome_fingerprint(baseline)
         counters = outcome.telemetry.to_json()["counters"]
         assert counters["replay.checkpoint.writes"] == outcome.committed_items
         # Timing-marked: checkpoint plumbing stays out of the deterministic

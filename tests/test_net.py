@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro import InstrumentationMethod, PipelineConfig, ReplayBudget
+from repro.experiments.net_exp import FLEETS, record_payloads, run_fleet
 from repro.service import (
     FaultInjector,
     FaultSpec,
@@ -642,6 +643,57 @@ class TestUploadServer:
             assert body["inbox"]["rejected"] == 1
             assert len(body["rejected"]) == 1
             assert body["recovered"] == []
+
+
+class TestLoadgenFleet:
+    """``net_exp.run_fleet``, the engine behind ``python -m repro loadgen``:
+    a client fleet over a clean and a damaged network loses no report,
+    the rejection ledger absorbs the poison, and every served report
+    matches the single-shot search of its trace."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        payloads = record_payloads(FLEETS["smoke"], net_config())
+        singles = {}
+        for workload, data in payloads:
+            if workload not in singles:
+                pipeline, _environment = workload_pipeline(
+                    workload, config=net_config())
+                single = pipeline.reproduce_from_trace(load_trace_bytes(data))
+                singles[workload] = outcome_fingerprint(single.outcome)
+        return payloads, singles
+
+    @pytest.mark.parametrize("fault_spec, poison", [
+        (None, 0),
+        (FaultSpec(seed=1234, drop_rate=0.2, truncate_rate=0.2,
+                   corrupt_rate=0.15, slow_rate=0.1), 2),
+    ], ids=["clean", "faulty"])
+    def test_fleet_loses_nothing(self, tmp_path, fleet, fault_spec, poison):
+        payloads, singles = fleet
+        with start_server(tmp_path, read_timeout_seconds=0.3) as server:
+            summary = run_fleet(server.host, server.port, payloads,
+                                clients=2, fault_spec=fault_spec, seed=7,
+                                timeout=0.8, poison=poison)
+            assert summary["failed"] == {}
+            assert summary["acked"] == summary["uploads"] == len(payloads)
+            assert summary["poison_rejected"] == poison
+            if fault_spec is not None:
+                assert sum(summary["faults_injected"].values()) >= 1
+            with server._lock:
+                ledgered = [source for source in server.service.inbox.rejected
+                            if source.startswith("net:poison:")]
+            assert len(ledgered) == poison
+
+            control = UploadClient(server.host, server.port,
+                                   client_id="control")
+            control.process()
+            for index, receipt in summary["receipts"].items():
+                assert control.report(receipt.trace_id)["status"] == "done"
+                with server._lock:
+                    report = server.service.report(receipt.trace_id)
+                workload = payloads[index][0]
+                assert report.fingerprint() == singles[workload], (
+                    f"{workload}: fleet report != single-shot")
 
 
 class TestServerRestart:
