@@ -14,13 +14,11 @@ their source names, branch targets and whether each branch compiled as
         --summary
 
 ``--method none`` (the default compiles unspecialized code) selects the
-plan; ``--no-specialize`` shows the generic stream the opcode profiler
-counts (no unboxed ``BINOP_II*`` forms, no warm-up triggers, no synthesized
-superinstructions); ``--quickened`` runs the workload once first and
-disassembles the stream the warmed-up VM is actually executing
-(runtime-quickened sites rewritten in place, deopted sites back in generic
-form); ``--summary`` prints per-function frame layouts and opcode counts
-instead of full listings.
+plan; the listing is the one stream every run of that plan executes, with
+its unboxed ``BINOP_I*`` forms and fused pairs, as a fresh compile emits it
+(a deopt rewrites a cached stream in place at run time).  ``--summary``
+prints per-function frame layouts and opcode counts instead of full
+listings.
 """
 
 from __future__ import annotations
@@ -35,35 +33,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.instrument.methods import InstrumentationMethod  # noqa: E402
 from repro.lang.resolve import resolve_program  # noqa: E402
 from repro.service import workload_pipeline  # noqa: E402
-from repro.vm import synth  # noqa: E402
 from repro.vm.code import CompiledProgram  # noqa: E402
 from repro.vm.compiler import compile_program  # noqa: E402
 from repro.vm.opcodes import OPCODE_NAMES  # noqa: E402
 from repro.workloads import workload_registry  # noqa: E402
-
-
-def warm_up(program, plan, environment):
-    """Run the workload once on the VM; returns ``(machine, result)``.
-
-    The machine's compiled stream is what the run left behind — warm-up
-    triggers that fired have been rewritten to their quickened forms in
-    place, so disassembling ``machine.compiled`` shows the adaptive state,
-    not the static compile.
-    """
-
-    from repro.instrument.logger import BranchLogger
-    from repro.interp.inputs import ExecutionMode, InputBinder
-    from repro.interp.interpreter import ExecutionConfig
-    from repro.interp.tracer import NullHooks
-    from repro.vm.machine import VirtualMachine
-
-    hooks = BranchLogger(plan) if plan is not None else NullHooks()
-    vm = VirtualMachine(
-        program, kernel=environment.make_kernel(), hooks=hooks,
-        binder=InputBinder(mode=ExecutionMode.RECORD),
-        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend="vm"))
-    result = vm.run(environment.argv)
-    return vm, result
 
 
 def summarize(compiled: CompiledProgram) -> str:
@@ -93,15 +66,6 @@ def main(argv=None) -> int:
                              "(omit for unspecialized code)")
     parser.add_argument("--function", default=None,
                         help="disassemble only this function")
-    stream = parser.add_mutually_exclusive_group()
-    stream.add_argument("--no-specialize", action="store_true",
-                        help="compile the generic stream the opcode profiler "
-                             "counts (boxed slot code, no synthesized "
-                             "superinstructions)")
-    stream.add_argument("--quickened", action="store_true",
-                        help="run the workload once and disassemble the "
-                             "warmed-up stream (runtime quickening applied "
-                             "in place)")
     parser.add_argument("--summary", action="store_true",
                         help="frame layouts and opcode histograms only")
     args = parser.parse_args(argv)
@@ -118,34 +82,13 @@ def main(argv=None) -> int:
     if args.method is not None:
         plan = pipeline.make_plan(InstrumentationMethod(args.method),
                                   environment=environment)
-    specialize = not args.no_specialize
-    quicken_line = None
-    if args.quickened:
-        # Disassemble what the warmed-up VM actually runs: execute the
-        # workload once and dump the machine's own (in-place rewritten)
-        # stream, so warm-up triggers show as their quickened forms and any
-        # guard-violating site shows back in generic form.
-        vm, result = warm_up(program, plan, environment)
-        compiled = vm.compiled
-        quicken_line = (f"quickened after one run ({result.steps} steps): "
-                        f"{vm._quicken_hits} sites rewritten, "
-                        f"{vm._quicken_misses} stayed generic, "
-                        f"{vm._quicken_deopts} deoptimized")
-    else:
-        compiled = compile_program(
-            program, plan, specialize_ints=specialize,
-            synth_fusions=synth.DEFAULT_FUSIONS if specialize else None)
+    compiled = compile_program(program, plan)
 
     stats = resolve_program(program).stats()
     header = [f"workload {args.workload}: {len(compiled.functions)} functions, "
               f"{compiled.instruction_count()} instructions"]
     header.append(f"plan: {args.method or 'none (unspecialized)'}; "
                   f"logged branch slots: {len(compiled.logged_locations)}")
-    header.append("adaptive specialization: "
-                  + ("on (unboxed int slots, warm-up triggers, synthesized "
-                     "superinstructions)" if specialize else "off"))
-    if quicken_line is not None:
-        header.append(quicken_line)
     header.append(
         f"register allocation v{compiled.resolver_version}: "
         f"{stats['slots']} slots, {stats['slot_accesses']} slot accesses, "

@@ -26,7 +26,6 @@ from repro.interp.inputs import ExecutionMode, InputBinder
 from repro.interp.interpreter import ExecutionConfig
 from repro.interp.tracer import NullHooks
 from repro.lang.program import Program
-from repro.vm import synth
 from repro.vm.compiler import compile_program
 from repro.workloads import fibonacci, microbench, userver
 
@@ -70,8 +69,7 @@ def backend_rows(repeats: int = 3) -> List[Dict[str, object]]:
     for workload, source, environment in bench_workloads():
         program = Program.from_source(source, name=workload)
         # Pay the compilation once, up front.
-        compile_program(program, specialize_ints=True,
-                        synth_fusions=synth.DEFAULT_FUSIONS)
+        compile_program(program)
         for configuration, logged in (("none", False), ("all branches", True)):
             measured = {}
             for backend in BACKENDS:

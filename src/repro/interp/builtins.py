@@ -311,7 +311,8 @@ def _memset(interp, args, node) -> Value:
 @builtin("malloc")
 def _malloc(interp, args, node) -> Value:
     size = max(1, _pin(interp, "count", _int_arg(args, 0, 1)))
-    return Pointer(ArrayObject(size, label="malloc"), 0)
+    return Pointer(ArrayObject(size, label="malloc",
+                               array_id=next(interp.array_ids)), 0)
 
 
 @builtin("free")

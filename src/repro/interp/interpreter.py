@@ -17,9 +17,10 @@ One interpreter instance executes one run of a program.  The interpreter:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.interp.builtins import lookup_builtin
 from repro.interp.environment import Environment
@@ -192,28 +193,34 @@ def classify_run_exception(result: ExecutionResult, exc: Exception,
 
 
 def build_main_args(param_count: int, argv: List[str],
-                    binder: InputBinder) -> List[Value]:
+                    binder: InputBinder, array_ids: Iterator[int],
+                    ) -> List[Value]:
     """Marshal argv into guest values for ``main`` (shared by both backends).
 
     argv[0] is the program name (concrete); the bytes of argv[1..] are bound
-    through the :class:`InputBinder` so they can be symbolic.
+    through the :class:`InputBinder` so they can be symbolic.  The arrays
+    take their ids from the run's *array_ids*.
     """
 
     args: List[Value] = []
     if param_count >= 1:
         args.append(concrete(len(argv)))
     if param_count >= 2:
-        argv_array = ArrayObject(len(argv) + 1, label="argv")
+        argv_array = ArrayObject(len(argv) + 1, label="argv",
+                                 array_id=next(array_ids))
         for index, arg in enumerate(argv):
-            argv_array.set(index, Pointer(_make_arg_array(binder, index, arg), 0))
+            argv_array.set(index, Pointer(
+                _make_arg_array(binder, index, arg, next(array_ids)), 0))
         argv_array.set(len(argv), ZERO)
         args.append(Pointer(argv_array, 0))
     return args
 
 
-def _make_arg_array(binder: InputBinder, index: int, text: str) -> ArrayObject:
+def _make_arg_array(binder: InputBinder, index: int, text: str,
+                    array_id: int) -> ArrayObject:
     data = text.encode("utf-8")
-    array = ArrayObject(len(data) + 1, label=f"argv[{index}]")
+    array = ArrayObject(len(data) + 1, label=f"argv[{index}]",
+                        array_id=array_id)
     if index == 0:
         for position, byte in enumerate(data):
             array.set(position, concrete(byte))
@@ -251,6 +258,8 @@ class Interpreter:
         self.symbolic_branch_counter = 0
         self._string_cache: Dict[int, ArrayObject] = {}
         self._syscall_seen = 0
+        # Array ids are per run (see ArrayObject).
+        self.array_ids = itertools.count(1)
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -308,7 +317,8 @@ class Interpreter:
 
     def _call_main(self, argv: List[str]) -> Value:
         main = self.program.main
-        args = build_main_args(len(main.params), argv, self.binder)
+        args = build_main_args(len(main.params), argv, self.binder,
+                               self.array_ids)
         return self._call_function(main, args, main)
 
     # -- functions -------------------------------------------------------------
@@ -371,7 +381,9 @@ class Interpreter:
                 size = 1
                 if declarator.array_size is not None:
                     size = max(1, as_int(self._eval(declarator.array_size)).concrete)
-                value: Value = Pointer(ArrayObject(size, label=declarator.name), 0)
+                value: Value = Pointer(ArrayObject(
+                    size, label=declarator.name,
+                    array_id=next(self.array_ids)), 0)
             elif declarator.init is not None:
                 value = self._eval(declarator.init)
             else:
@@ -491,7 +503,8 @@ class Interpreter:
         if isinstance(node, StringLiteral):
             cached = self._string_cache.get(node.node_id)
             if cached is None:
-                cached = string_to_array(node.value, label="literal")
+                cached = string_to_array(node.value, label="literal",
+                                         array_id=next(self.array_ids))
                 self._string_cache[node.node_id] = cached
             return Pointer(cached, 0)
         if isinstance(node, Identifier):
@@ -527,7 +540,8 @@ class Interpreter:
                 # Taking the address of a scalar boxes it into a one-cell
                 # array; writes through the pointer update the box, and the
                 # variable is rebound to read through it as well.
-                box = ArrayObject(1, label=f"&{node.operand.name}")
+                box = ArrayObject(1, label=f"&{node.operand.name}",
+                                  array_id=next(self.array_ids))
                 box.set(0, value)
                 boxed = Pointer(box, 0)
                 self.env.set(node.operand.name, boxed, node.line)

@@ -13,15 +13,12 @@ The value model is deliberately small:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from repro.lang.errors import RuntimeMiniCError
 from repro.symbolic.expr import SymBinOp, SymConst, SymExpr, SymUnOp
 from repro.symbolic.simplify import simplify
-
-_ARRAY_IDS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -60,12 +57,18 @@ def concrete(value: int) -> ConcolicValue:
 
 
 class ArrayObject:
-    """A block of mutable cells, each holding a runtime value."""
+    """A block of mutable cells, each holding a runtime value.
+
+    ``array_id`` numbers the block within its run: each run (an
+    ``Interpreter`` or ``VirtualMachine``) counts its allocations from 1,
+    in the order both backends share, so a pointer's integer value (see
+    :func:`as_int`) depends on the program, its input and its plan only.
+    """
 
     __slots__ = ("array_id", "cells", "label")
 
-    def __init__(self, size: int, label: str = "") -> None:
-        self.array_id = next(_ARRAY_IDS)
+    def __init__(self, size: int, label: str = "", *, array_id: int) -> None:
+        self.array_id = array_id
         self.cells: List[Value] = [ZERO] * size
         self.label = label
 
@@ -123,14 +126,16 @@ def as_int(value: Value) -> ConcolicValue:
     return ConcolicValue(value.block.array_id * 1_000_003 + value.offset + 1)
 
 
-def string_to_array(text: Union[str, bytes], label: str = "") -> ArrayObject:
+def string_to_array(text: Union[str, bytes], label: str = "", *,
+                    array_id: int) -> ArrayObject:
     """Build a NUL-terminated character array from Python text or bytes."""
 
     if isinstance(text, str):
         data = text.encode("utf-8")
     else:
         data = bytes(text)
-    array = ArrayObject(len(data) + 1, label=label or "string")
+    array = ArrayObject(len(data) + 1, label=label or "string",
+                        array_id=array_id)
     for index, byte in enumerate(data):
         array.cells[index] = ConcolicValue(byte)
     array.cells[len(data)] = ZERO

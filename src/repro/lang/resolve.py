@@ -68,7 +68,7 @@ from repro.lang.ast_nodes import (
 #: Bump whenever resolution semantics (or the slot-op encoding derived from
 #: them) change; the bytecode compiler keys its cache on this.
 #: 2: per-slot int-type lattice (``int_slots``/``pointer_slots``) feeding the
-#: unboxed BINOP_II* superinstructions and the runtime quickening pass.
+#: unboxed BINOP_I* superinstructions.
 #: 3: no named-cell fallback — an unresolved name sends the whole program to
 #: the interpreter — and the global initializers resolve too.
 #: 4: a global that a function called from an initializer uses before the
@@ -84,9 +84,10 @@ SLOT = "slot"      # ("slot", index) — a pure local, lives in frame.slots
 GLOBAL = "global"  # ("global",)     — proven to denote the module global
 
 #: Builtins whose return value is always a plain integer (never a pointer).
-#: Used by the int-slot lattice to classify ``x = builtin(...)`` writes; the
-#: VM's type guards make an over-approximation here merely slow, never wrong,
-#: but this set is exact for the shipped builtin table.
+#: Used by the int-slot lattice to classify ``x = builtin(...)`` writes; an
+#: over-approximation here costs a deopt of the unboxed site (the VM's type
+#: guards), never a wrong result, but this set is exact for the shipped
+#: builtin table.
 _INT_BUILTINS = frozenset({
     "abs", "accept", "assert", "atoi", "close", "file_exists", "fprintf_err",
     "getchar", "isalpha", "isdigit", "isspace", "mkdir", "mkfifo", "mknod",
@@ -215,7 +216,7 @@ class FunctionResolution:
     #: deoptimizes back to the generic form.
     int_slots: frozenset = frozenset()
     #: Slots that may hold pointers or are address-taken: never eligible for
-    #: unboxed raw-int stores, statically or via quickening.
+    #: unboxed raw-int stores.
     pointer_slots: frozenset = frozenset()
 
     def access(self, node_id: int) -> Tuple:

@@ -670,10 +670,8 @@ class ReplayEngine:
     def _search(self, outcome: ReplayOutcome, pending: PendingList,
                 start: float) -> None:
         # Repairing runs in place needs the VM (which a program the
-        # resolver cannot slot does not run on), and the opcode profiler
-        # counts from-main runs.
-        chained = (engine_for(self.program, self.backend) == "vm"
-                   and not (self.telemetry and self.profile_opcodes))
+        # resolver cannot slot does not run on).
+        chained = engine_for(self.program, self.backend) == "vm"
         item = self._next_item(outcome, pending, start)
         solution: Optional[_Solution] = None
         while item is not None:

@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
+from typing import Dict
 
 from repro import (InstrumentationMethod, PipelineConfig, ReplayBudget,
                    TraceError, load_trace)
@@ -125,43 +126,56 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _suggest_fusions(args, counts) -> int:
-    """Re-derive superinstruction candidates from a recorded profile.
+def profile_from_records(records) -> Dict[str, int]:
+    """``{opcode name: count}`` from the ``vm.opcode.*`` telemetry records.
 
-    The data-driven half of ``repro.vm.synth``: score every catalog pair
-    against this workload's compiled instruction streams and the recorded
-    dispatch profile, mark what :func:`~repro.vm.synth.select_fusions`
-    would pick, and flag selections missing from ``DEFAULT_FUSIONS`` (the
-    signal that the shipped literal needs re-deriving).
+    Accepts the dict stream of :func:`repro.telemetry.read_jsonl` (or a
+    registry snapshot's ``jsonl_lines`` parsed the same way).
     """
 
-    from repro.vm import synth
-    from repro.vm.compiler import compile_program
-    from repro.vm.opcodes import OPCODE_NAMES
+    counts: Dict[str, int] = {}
+    for record in records:
+        name = record.get("name", "")
+        if not name.startswith("vm.opcode."):
+            continue
+        value = record.get("value", record.get("count", 0))
+        counts[name[len("vm.opcode."):]] = \
+            counts.get(name[len("vm.opcode."):], 0) + int(value)
+    return counts
 
-    resolved = _pipeline_for(args.suggest_fusions, args)
-    if resolved is None:
-        return 2
-    pipeline, _environment = resolved
-    compiled = compile_program(pipeline.program)
-    ranked = synth.rank_candidates(synth.static_pair_counts(compiled), counts)
-    selected = synth.select_fusions(compiled, counts)
-    if not ranked:
-        print(f"no fusible pairs scored for {args.suggest_fusions}: the "
-              "profile and the compiled program share no catalog pair")
-        return 0
-    print(f"fusion candidates for {args.suggest_fusions} "
-          f"(profile: {sum(counts.values())} dispatches, "
-          f"* = selected by select_fusions):")
-    for name, score in ranked:
-        first, second = synth.PAIR_CATALOG[name]
-        marker = "*" if name in selected else " "
-        print(f" {marker} {name:<18} score={score:>10}  "
-              f"({OPCODE_NAMES[first]};{OPCODE_NAMES[second]})")
-    missing = sorted(set(selected) - set(synth.DEFAULT_FUSIONS))
-    if missing:
-        print(f"not in DEFAULT_FUSIONS (re-derive?): {', '.join(missing)}")
-    return 0
+
+def render_dispatch_table(counts: Dict[str, int], top: int = 12) -> str:
+    """The ``python -m repro stats --opcodes`` view of a dispatch profile.
+
+    Top-*top* opcodes by exact execution count, with each opcode's share of
+    all dispatches and its observation class — ``logged`` (branch opcodes
+    that append to the bitvector), ``bare`` (plan-specialized unlogged
+    branches) or ``-`` (everything else).  The footer totals the
+    logged-vs-bare split, which the distinct ``*_LOGGED`` / ``*_BARE``
+    opcode forms make exact by construction.
+    """
+
+    if not counts:
+        return "(no vm.opcode.* records)"
+    total = sum(counts.values())
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    width = max(len(name) for name, _count in ranked[:top])
+    lines = [f"{'opcode':<{width}}  {'count':>12}  {'share':>6}  class"]
+    for name, count in ranked[:top]:
+        if name.endswith("_LOGGED"):
+            klass = "logged"
+        elif name.endswith("_BARE"):
+            klass = "bare"
+        else:
+            klass = "-"
+        lines.append(f"{name:<{width}}  {count:>12}  "
+                     f"{100.0 * count / total:>5.1f}%  {klass}")
+    logged = sum(c for n, c in counts.items() if n.endswith("_LOGGED"))
+    bare = sum(c for n, c in counts.items() if n.endswith("_BARE"))
+    lines.append(f"total dispatches: {total}  "
+                 f"(logged branches: {logged}, bare branches: {bare}, "
+                 f"shown: {min(top, len(ranked))}/{len(ranked)} opcodes)")
+    return "\n".join(lines)
 
 
 _NO_PROFILE_LINE = ("no profile recorded: the telemetry source has no "
@@ -181,16 +195,12 @@ def cmd_stats(args) -> int:
         service = ReproService(args.root, config=build_config(args))
         snapshot = service.telemetry()
         records = [json.loads(line) for line in snapshot.jsonl_lines()]
-    if args.opcodes is not None or args.suggest_fusions:
-        from repro.vm import synth
-
-        counts = synth.profile_from_records(records)
+    if args.opcodes is not None:
+        counts = profile_from_records(records)
         if not counts:
             print(_NO_PROFILE_LINE)
             return 0
-        if args.suggest_fusions:
-            return _suggest_fusions(args, counts)
-        print(synth.render_dispatch_table(counts, top=args.opcodes))
+        print(render_dispatch_table(counts, top=args.opcodes))
         return 0
     if args.jsonl:
         print(render_summary(records))
@@ -617,10 +627,6 @@ def main(argv=None) -> int:
                        help="render the top-N VM dispatch table (vm.opcode.* "
                             "counters, logged-vs-bare branch split) instead "
                             "of the full summary (default N=12)")
-    stats.add_argument("--suggest-fusions", default=None, metavar="WORKLOAD",
-                       help="re-derive superinstruction candidates for this "
-                            "workload's program from the recorded vm.opcode.* "
-                            "profile (repro.vm.synth.select_fusions)")
 
     replan = sub.add_parser(
         "replan",

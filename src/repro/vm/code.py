@@ -36,11 +36,6 @@ class CodeObject:
     source_line: int = 0
     nlocals: int = 0
     slot_names: List[str] = field(default_factory=list)
-    #: Instruction indexes eligible for runtime quickening: generic binary
-    #: sites whose operand slots are not provably int but never pointers.
-    #: The warm-up triggers (ENTRY_WARM/JUMP_WARM) pass these to the VM's
-    #: quickening pass, which rewrites int-shaped sites to unboxed forms.
-    quicken_sites: Tuple[int, ...] = ()
     #: Slots the resolver's int-type lattice proved integer-only (disassembly
     #: and diagnostics; the compiler consumed the proof at emission time).
     int_slots: frozenset = frozenset()
@@ -167,12 +162,6 @@ class CodeObject:
             operator, location, target, log_slot = arg
             return (f"{operator!r}; {location.short()} -> {target}"
                     f" [slot {log_slot}]")
-        if op == opcodes.ENTRY_WARM:
-            cell, _code = arg
-            return f"countdown={cell[0]}"
-        if op == opcodes.JUMP_WARM:
-            target, cell, _code = arg
-            return f"{target} countdown={cell[0]}"
         if op == opcodes.LOAD2_FAST:
             left, right = arg
             return f"{self._slot(left)}, {self._slot(right)}"

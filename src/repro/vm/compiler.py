@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.interp.builtins import lookup_builtin
 from repro.interp.values import ZERO, concrete
@@ -79,7 +79,6 @@ from repro.lang.resolve import (
     resolve_program,
 )
 from repro.vm import opcodes as op
-from repro.vm import synth
 from repro.vm.code import CodeObject, CompiledProgram
 
 _CACHE_ATTR = "_vm_compiled_by_plan"
@@ -93,13 +92,7 @@ _COMPARISONS = frozenset(("<", ">", "<=", ">=", "==", "!="))
 #: ``binary_int_op``); everything here is branch-free int arithmetic.
 _II_OPS = frozenset(("+", "-", "*", "<", ">", "<=", ">=", "==", "!="))
 
-#: Warm-up countdowns for the quickening triggers: function entries observe
-#: more calls than loop backedges observe iterations before committing, so
-#: both trigger after the frame's slots have realistic shapes.
-_ENTRY_WARM_COUNT = 8
-_JUMP_WARM_COUNT = 16
-
-#: Generic site opcode -> its unboxed form (static emission and quickening).
+#: Generic site opcode -> its unboxed form.
 _UNBOXED_OPCODES = {
     op.BINOP_FC: op.BINOP_IC,
     op.BINOP_FF: op.BINOP_II,
@@ -114,7 +107,6 @@ _UNBOXED_OPCODES = {
 }
 
 #: The slot-vs-const compare-and-branch flavour of each FF fused opcode.
-#: Only emitted under the specialization tier (see ``_fuse_cmp_branch``).
 _FC_BRANCH_FORMS = {
     op.BINOP_FF_BRANCH: op.BINOP_FC_BRANCH,
     op.BINOP_FF_BRANCH_BARE: op.BINOP_FC_BRANCH_BARE,
@@ -122,7 +114,7 @@ _FC_BRANCH_FORMS = {
 }
 
 #: The stack-vs-const (``CONST;BINARY;BRANCH_*``) and stack-vs-stack
-#: (``BINARY;BRANCH_*``) flavours; specialization tier only, same mapping key.
+#: (``BINARY;BRANCH_*``) flavours, under the same mapping key.
 _SC_BRANCH_FORMS = {
     op.BINOP_FF_BRANCH: op.BINOP_SC_BRANCH,
     op.BINOP_FF_BRANCH_BARE: op.BINOP_SC_BRANCH_BARE,
@@ -149,6 +141,59 @@ def unboxed_form(instr: tuple) -> tuple:
                   op.BINOP_FC_BRANCH_BARE, op.BINOP_FC_BRANCH_LOGGED):
         arg = arg[:2] + (arg[2].concrete,) + arg[3:]
     return (_UNBOXED_OPCODES[opcode], tuple(arg) + (instr,), charge, line)
+
+
+#: The fixed pair peephole: adjacent ``(first, second)`` opcodes -> the
+#: superinstruction that replaces them.  Every pair is observation-equivalent
+#: by construction: charges are summed (step parity), the source line of each
+#: error-capable part is kept (crash-site parity) and no pair crosses a
+#: branch event.  RET-family pairs are safe because RET carries no error of
+#: its own; the BINOP_FC;CALL pair keeps the FC part's line in its arg.  The
+#: last two pairs start with a fusion product, so they match only on the
+#: second round (an all-slot array access, ``buf[i]``, is
+#: LOAD_FAST;LOAD_FAST;LOAD_INDEX before fusion and one dispatch after).
+PAIR_CATALOG: Dict[Tuple[int, int], int] = {
+    (op.LOAD_FAST, op.LOAD_FAST): op.LOAD2_FAST,
+    (op.LOAD_FAST, op.LOAD_INDEX): op.LOAD_INDEX_FAST,
+    (op.LOAD_FAST, op.STORE_INDEX): op.STORE_INDEX_FAST,
+    (op.BINOP_FC, op.CALL): op.BINOP_FC_CALL,
+    (op.BINARY, op.RET): op.BINARY_RET,
+    (op.CONST, op.RET): op.CONST_RET,
+    (op.LOAD2_FAST, op.LOAD_INDEX): op.LOAD_INDEX_FF,
+    (op.LOAD2_FAST, op.STORE_INDEX): op.STORE_INDEX_FF,
+}
+
+
+def try_fuse(first: tuple, second: tuple) -> Optional[tuple]:
+    """The fused instruction for two adjacent ones, or ``None``.
+
+    Charges are summed so step accounting stays exact; the line of the part
+    that can raise is kept (LOAD_INDEX errors at the index expression's
+    line, BINARY division-by-zero at the operator's line, BINOP_FC errors at
+    the FC line carried inside the fused arg).
+    """
+
+    first_op, first_arg, first_charge, first_line = first
+    second_op, second_arg, second_charge, second_line = second
+    fused = PAIR_CATALOG.get((first_op, second_op))
+    if fused is None:
+        return None
+    charge = first_charge + second_charge
+    if fused == op.LOAD2_FAST:
+        return (fused, (first_arg, second_arg), charge,
+                first_line or second_line)
+    if fused == op.BINOP_FC_CALL:
+        callee, argc = second_arg
+        return (fused, first_arg + (callee, argc, first_line), charge,
+                second_line)
+    if fused == op.BINARY_RET:
+        return (fused, first_arg, charge, first_line)
+    if fused == op.CONST_RET:
+        return (fused, first_arg, charge, first_line or second_line)
+    # The indexed accesses: the slot operand(s) ride along and the access
+    # keeps its line.
+    return (fused, first_arg, charge, second_line)
+
 
 #: Process-wide compiled-code cache counters (all programs, all plans).
 #: Guarded by a lock because VMs may be constructed from several threads
@@ -216,39 +261,28 @@ def _count_event(kind: str) -> None:
         f"vm.compile_cache.{kind}", timing=True).inc()
 
 
-def compile_program(program: Program, plan=None,
-                    specialize_ints: bool = False,
-                    synth_fusions=None) -> CompiledProgram:
-    """Compile *program* for *plan*, caching per ``(program, key)``.
+def compile_program(program: Program, plan=None) -> CompiledProgram:
+    """Compile *program* for *plan*, caching per ``(program, plan)``.
 
     ``plan=None`` compiles unspecialized branch dispatch; a plan keys the
     cache on :meth:`~repro.instrument.plan.InstrumentationPlan.fingerprint`,
     so specialized code compiled for one plan can never be handed to a run
     using a different plan — two plans only share code when their
     instrumented branch sets are identical (in which case the code streams
-    are, too).
+    are, too).  Every run of the pair, profiled or not, executes the one
+    cached stream.
 
     Locals live in the numbered frame slots the static scope-resolution
     pass of :mod:`repro.lang.resolve` assigns; a program it does not resolve
-    completely raises :class:`~repro.lang.errors.SemanticError`.
-    ``BINOP_FF;BRANCH_*`` pairs always fuse into the compare-and-branch
-    superinstructions.
-
-    ``specialize_ints`` enables the adaptive int specialization tier: the
-    resolver's int-slot lattice drives static ``BINOP_II*`` emission and
-    warm-up triggers mark the remaining candidate sites for runtime
-    quickening.  Keyed into the cache because the quickening pass mutates
-    specialized streams in place and such code must never be handed to a
-    run of the generic stream (the opcode profiler's).
-
-    ``synth_fusions`` is an ordered tuple of :data:`repro.vm.synth.
-    PAIR_CATALOG` names to materialize (``None`` disables the pass); part of
-    the cache key since each selection yields a distinct stream.
+    completely raises :class:`~repro.lang.errors.SemanticError`.  The
+    stream is compiled one way: compare-and-branch fusion, the fixed pair
+    peephole (:data:`PAIR_CATALOG`), and unboxed ``BINOP_I*`` forms at the
+    sites whose operand slots the resolver's int lattice proves int-only.
+    An unboxed site that meets a non-int value deoptimizes by rewriting
+    itself in the cached stream (see :mod:`repro.vm.machine`).
     """
 
-    fusion_key = tuple(synth_fusions) if synth_fusions else ()
-    key = (None if plan is None else plan.fingerprint(),
-           bool(specialize_ints), fusion_key)
+    key = None if plan is None else plan.fingerprint()
     cache = getattr(program, _CACHE_ATTR, None)
     if cache is None:
         cache = {}
@@ -258,9 +292,7 @@ def compile_program(program: Program, plan=None,
         _count_event("hits")
         return cached
     _count_event("misses")
-    compiled = Compiler(program, plan=plan,
-                        specialize_ints=bool(specialize_ints),
-                        synth_fusions=fusion_key).compile()
+    compiled = Compiler(program, plan=plan).compile()
     cache[key] = compiled
     return compiled
 
@@ -277,8 +309,7 @@ class _Label:
 class Compiler:
     """Compiles every function of one program (optionally plan-specialized)."""
 
-    def __init__(self, program: Program, plan=None,
-                 specialize_ints: bool = False, synth_fusions=()) -> None:
+    def __init__(self, program: Program, plan=None) -> None:
         self.program = program
         self.plan = plan
         self.resolution = resolve_program(program)
@@ -287,8 +318,6 @@ class Compiler:
                 f"program {program.name!r} has names the resolver cannot "
                 f"slot ({self.resolution.unresolved()}); it runs on the "
                 f"interpreter")
-        self.specialize_ints = specialize_ints
-        self.synth_fusions = tuple(synth_fusions) if synth_fusions else ()
         # Slot table for BRANCH_LOGGED: slot index -> BranchLocation.  The VM
         # keeps one inline execution counter per slot.
         self.logged_locations: List[object] = []
@@ -369,31 +398,20 @@ class _FunctionEmitter:
             self.emit(op.NOP)
         self.emit(op.CONST, ZERO)
         self.emit(op.RET)
-        # Synthesized superinstructions first (they delete instructions and
-        # remap labels), then the warm-up triggers (they insert and shift
-        # labels) — both while branch args still hold patchable _Labels.
-        if self.compiler.synth_fusions:
-            self._apply_synth(self.compiler.synth_fusions)
-            # Second round for catalog pairs whose first member is itself a
-            # fusion product (LOAD2_FAST;LOAD_INDEX -> LOAD_INDEX_FF); a
-            # no-op when nothing matches.
-            self._apply_synth(self.compiler.synth_fusions)
-        specialize = self.compiler.specialize_ints
-        if specialize and self._needs_quickening():
-            self._insert_warm_triggers()
+        # The pair peephole deletes instructions and remaps labels, so it
+        # runs while branch args still hold patchable _Labels.  The second
+        # round fuses the pairs whose first member is itself a fusion
+        # product (LOAD2_FAST;LOAD_INDEX -> LOAD_INDEX_FF).
+        self._fuse_pairs()
+        self._fuse_pairs()
         self._patch_labels()
-        if specialize:
-            self._specialize_int_sites()
+        self._specialize_int_sites()
 
     def _patch_labels(self) -> None:
         jump_ops = (op.JUMP, op.AND_JUMP, op.OR_JUMP, op.TERN_FALSE)
         for pc, (opcode, arg, charge, line) in enumerate(self.instructions):
             if opcode in jump_ops and isinstance(arg, _Label):
                 self.instructions[pc] = (opcode, arg.pc, charge, line)
-            elif opcode == op.JUMP_WARM:
-                label, cell, code = arg
-                self.instructions[pc] = (opcode, (label.pc, cell, code),
-                                         charge, line)
             elif opcode in (op.BRANCH, op.BRANCH_BARE):
                 location, label = arg
                 self.instructions[pc] = (opcode, (location, label.pc), charge, line)
@@ -432,10 +450,10 @@ class _FunctionEmitter:
                 self.instructions[pc] = (
                     opcode, (operator, location, label.pc, slot), charge, line)
 
-    # -- adaptive specialization passes ------------------------------------------
+    # -- pair fusion and unboxing --------------------------------------------------
 
-    def _apply_synth(self, selections) -> None:
-        """Materialize the selected superinstruction pairs (pre-label-patch).
+    def _fuse_pairs(self) -> None:
+        """Apply the :data:`PAIR_CATALOG` peephole (pre-label-patch).
 
         One greedy left-to-right pass; a pair is declined when a bound label
         points at its second instruction (a jump could land mid-pattern).
@@ -452,8 +470,7 @@ class _FunctionEmitter:
         while index < count:
             pc_map[index] = len(fused_stream)
             if index + 1 < count and (index + 1) not in bound:
-                fused = synth.try_fuse(selections, instructions[index],
-                                       instructions[index + 1])
+                fused = try_fuse(instructions[index], instructions[index + 1])
                 if fused is not None:
                     fused_stream.append(fused)
                     index += 2
@@ -470,9 +487,7 @@ class _FunctionEmitter:
     def _site_slots(self, opcode: int, arg) -> Optional[tuple]:
         """``(operand_slots, target_slots)`` of an int-specializable site.
 
-        Slot positions are identical pre- and post-label-patch (only branch
-        targets change), so both the warm-trigger scan and the rewrite pass
-        share this classification.  Returns ``None`` for non-candidates.
+        Returns ``None`` for non-candidates.
         """
 
         if opcode in (op.BINOP_FC, op.BINOP_FC_STORE):
@@ -495,61 +510,19 @@ class _FunctionEmitter:
             return ((arg[1],), ())
         return None
 
-    def _needs_quickening(self) -> bool:
-        """Whether any site must wait for runtime shape observation."""
-
-        int_slots = self.resolution.int_slots
-        never = self.resolution.pointer_slots
-        for opcode, arg, _charge, _line in self.instructions:
-            slots = self._site_slots(opcode, arg)
-            if slots is None:
-                continue
-            operands, targets = slots
-            if any(slot in never for slot in operands + targets):
-                continue
-            if not all(slot in int_slots for slot in operands):
-                return True
-        return False
-
-    def _insert_warm_triggers(self) -> None:
-        """Insert ENTRY_WARM at pc 0 and turn loop backedges into JUMP_WARM.
-
-        Runs pre-label-patch: inserting at the front shifts every bound
-        label and position by one, and backedge detection compares a JUMP's
-        (already bound) label pc against its own index.  Charges are
-        untouched — ENTRY_WARM carries zero and JUMP_WARM inherits its
-        JUMP's — so step accounting is unchanged.
-        """
-
-        instructions = self.instructions
-        instructions.insert(
-            0, (op.ENTRY_WARM, ([_ENTRY_WARM_COUNT], self.code), 0, 0))
-        for label in self._labels:
-            if label.pc is not None:
-                label.pc += 1
-        self._bound_positions = {position + 1
-                                 for position in self._bound_positions}
-        for index, (opcode, arg, charge, line) in enumerate(instructions):
-            if (opcode == op.JUMP and isinstance(arg, _Label)
-                    and arg.pc is not None and arg.pc <= index):
-                instructions[index] = (
-                    op.JUMP_WARM, (arg, [_JUMP_WARM_COUNT], self.code),
-                    charge, line)
-
     def _specialize_int_sites(self) -> None:
-        """Rewrite provably-int sites to unboxed forms; mark the rest.
+        """Rewrite the provably-int sites to their unboxed forms.
 
         Runs post-label-patch so the generic instruction embedded in each
-        unboxed arg (the deopt target) is final.  Sites whose operand slots
-        are not provably int but never pointers become quickening candidates
-        on ``code.quicken_sites``.
+        unboxed arg (the deopt target) is final.  A site is unboxed when
+        the lattice proves every operand slot int and no operand or target
+        slot ever holds a pointer.
         """
 
         resolution = self.resolution
         int_slots = resolution.int_slots
         never = resolution.pointer_slots
         instructions = self.instructions
-        quicken: List[int] = []
         for index, instr in enumerate(instructions):
             opcode, arg, charge, line = instr
             slots = self._site_slots(opcode, arg)
@@ -560,9 +533,6 @@ class _FunctionEmitter:
                 continue
             if all(slot in int_slots for slot in operands):
                 instructions[index] = unboxed_form(instr)
-            else:
-                quicken.append(index)
-        self.code.quicken_sites = tuple(quicken)
         self.code.int_slots = int_slots
 
     def emit_branch(self, location, else_label: _Label) -> None:
@@ -603,21 +573,16 @@ class _FunctionEmitter:
             return False
         opcode, arg, charge, line = instructions[-1]
         if opcode == op.BINOP_FC:
-            # The slot-vs-const flavour belongs to the specialization tier:
-            # it exists to be unboxed into BINOP_IC_BRANCH* (and to serve as
-            # that form's deopt target), so it is only emitted when the tier
-            # can consume it — the generic stream the opcode profiler counts
-            # keeps the unfused pair.
-            if not self.compiler.specialize_ints:
-                return False
+            # The slot-vs-const flavour: unboxed into BINOP_IC_BRANCH* where
+            # the lattice proves the slot int, and that form's deopt target.
             fused_opcode = _FC_BRANCH_FORMS[fused_opcode]
         elif opcode == op.BINARY:
-            # Stack-condition comparisons (specialization tier only): the
-            # result's truth value is the branch decision.  A CONST feeding
-            # the right operand — the ``ch == 'X'`` parser shape — is
-            # swallowed too, unless a bound label points at the BINARY
-            # (a jump could land there expecting the const on the stack).
-            if not self.compiler.specialize_ints or arg not in _COMPARISONS:
+            # Stack-condition comparisons: the result's truth value is the
+            # branch decision.  A CONST feeding the right operand — the
+            # ``ch == 'X'`` parser shape — is swallowed too, unless a bound
+            # label points at the BINARY (a jump could land there expecting
+            # the const on the stack).
+            if arg not in _COMPARISONS:
                 return False
             if (len(instructions) >= 2
                     and instructions[-2][0] == op.CONST

@@ -32,6 +32,13 @@ paths (symbolic conditions, bitvector mismatches) call back into the hook
 object, whose bookkeeping the machine merges at the end of the run so the
 observable behaviour is bit-identical to the unspecialized engines.
 
+Every run of one ``(program, plan)`` pair executes the one stream
+:func:`~repro.vm.compiler.compile_program` caches for it, profiled runs
+included.  Its unboxed ``BINOP_I*`` sites deoptimize in place: a type-guard
+violation rewrites the site in that cached stream back to its generic form,
+so which forms a run dispatches depends on what ran before it in the
+process.  Its results never do.
+
 A replay run the engine may *repair in place* (:meth:`VirtualMachine.repair`)
 also keeps a guard log (:attr:`VirtualMachine.guards`): at a logged symbolic
 mismatch the replay engine may move the run onto the next input of its
@@ -41,6 +48,7 @@ log off and executes the unguarded helpers.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -79,9 +87,8 @@ from repro.osmodel.syscalls import SyscallKind
 from repro.symbolic.expr import SymExpr, SymVar, as_condition
 from repro.symbolic.simplify import evaluate, variable_names
 from repro.vm import opcodes as op
-from repro.vm import synth
 from repro.vm.code import CodeObject
-from repro.vm.compiler import compile_program, unboxed_form
+from repro.vm.compiler import compile_program
 
 _MISSING = object()
 
@@ -162,17 +169,6 @@ def _profiled_exec_code():
 _SMALL_INTS = tuple(ConcolicValue(i) for i in range(1025))
 _NSMALL = len(_SMALL_INTS)
 
-#: Generic binary sites the runtime quickening pass may rewrite to their
-#: unboxed forms, grouped by where the operand slots live in the arg tuple:
-#: FC-shaped args carry one slot at index 1, FF-shaped args carry two slots
-#: at indexes 1 and 2 (identical before and after branch-target patching).
-_QUICKEN_FC_SITES = frozenset((op.BINOP_FC, op.BINOP_FC_STORE,
-                               op.BINOP_FC_BRANCH, op.BINOP_FC_BRANCH_BARE,
-                               op.BINOP_FC_BRANCH_LOGGED))
-_QUICKEN_FF_SITES = frozenset((op.BINOP_FF, op.BINOP_FF_STORE,
-                               op.BINOP_FF_BRANCH, op.BINOP_FF_BRANCH_BARE,
-                               op.BINOP_FF_BRANCH_LOGGED))
-
 
 #: Shared slot list for frames of functions without locals; never written
 #: (STORE_FAST is only emitted when ``nlocals > 0``).
@@ -215,22 +211,18 @@ class VirtualMachine:
         self._frames: List[_Frame] = []
         self._string_cache: Dict[int, ArrayObject] = {}
         self._syscall_seen = 0
+        # Array ids are per run (see ArrayObject); a run repaired in place
+        # keeps counting where its parent stopped.
+        self.array_ids = itertools.count(1)
         # Plan specialization: compile for the hooks' instrumentation plan
         # when the hooks opt in (BranchLogger / ReplayRunHooks), otherwise run
         # plan-free code whose BRANCH dispatches every event to the hooks.
+        # Profiling is not part of the key: a profiled run executes the
+        # stream every other run of its plan executes.
         self._spec = self._select_specialization()
-        plan = getattr(self.hooks, "plan", None) if self._spec else None
-        # The opcode profiler counts the generic stream: no unboxed int slots,
-        # no runtime quickening (in-place rewrites would make the counts
-        # depend on process warmth) and no synthesized superinstructions
-        # (synth ranking wants the unfused generic profile as its input).
-        generic = bool(self.config.profile_opcodes)
-        self._compile_key = (plan, not generic,
-                             None if generic else synth.DEFAULT_FUSIONS)
+        self._plan = getattr(self.hooks, "plan", None) if self._spec else None
         self.compiled = self.lookup_compiled()
-        self._quicken_hits = 0
-        self._quicken_misses = 0
-        self._quicken_deopts = 0
+        self._deopts = 0
         # Inline state for the specialized branch opcodes.  ``_rec_append``
         # doubles as the record/replay discriminator in the dispatch loop.
         self._rec_append = None
@@ -333,8 +325,8 @@ class VirtualMachine:
         result.wall_seconds = time.monotonic() - start
         if self.opcode_counts is not None:
             self._publish_opcode_counts()
-        if self._quicken_hits or self._quicken_misses or self._quicken_deopts:
-            self._publish_quicken_counts()
+        if self._deopts:
+            self._publish_deopts()
         return result
 
     def _publish_opcode_counts(self) -> None:
@@ -343,7 +335,10 @@ class VirtualMachine:
         ``vm.opcode.<NAME>`` counters are exact per-opcode execution counts;
         the logged-vs-bare branch split falls out directly because
         ``BRANCH_LOGGED`` / ``BRANCH_BARE`` (and their compare-and-branch
-        fusions) are distinct opcodes.
+        fusions) are distinct opcodes.  Flagged ``timing=True``: a deopt
+        earlier in the process may have rewritten an unboxed site of the
+        shared stream back to its generic form, so the split between the
+        two forms depends on what ran before, not on the run alone.
         """
 
         from repro.telemetry import runtime as telemetry_runtime
@@ -352,29 +347,25 @@ class VirtualMachine:
         counter = registry.counter
         for opcode, count in self.opcode_counts.items():
             name = op.OPCODE_NAMES.get(opcode, str(opcode))
-            counter(f"vm.opcode.{name}").inc(count)
+            counter(f"vm.opcode.{name}", timing=True).inc(count)
 
-    def _publish_quicken_counts(self) -> None:
-        """Report quickening activity as ``vm.quicken.*`` counters.
+    def _publish_deopts(self) -> None:
+        """Report the run's deoptimized sites as the ``vm.deopts`` counter.
 
-        Flagged ``timing=True``: how many sites warm up, stay generic or
-        deoptimize depends on per-process compile-cache warmth (a second run
-        in the same process starts from the already-rewritten stream), so
-        the counts are volatile cache-state data, not run semantics.
+        Flagged ``timing=True``: a site deoptimizes once per process (the
+        rewrite lands in the cached stream), so the count depends on what
+        ran before, not on the run alone.
         """
 
         from repro.telemetry import runtime as telemetry_runtime
 
-        registry = telemetry_runtime.active()
-        for kind, count in (("hits", self._quicken_hits),
-                            ("misses", self._quicken_misses),
-                            ("deopts", self._quicken_deopts)):
-            if count:
-                registry.counter(f"vm.quicken.{kind}", timing=True).inc(count)
+        telemetry_runtime.active().counter(
+            "vm.deopts", timing=True).inc(self._deopts)
 
     def _call_main(self, argv: List[str]) -> Value:
         main_fn = self.program.main
-        args = build_main_args(len(main_fn.params), argv, self.binder)
+        args = build_main_args(len(main_fn.params), argv, self.binder,
+                               self.array_ids)
         return self._call(self.compiled.main, args, main_fn.line)
 
     # -- calls ------------------------------------------------------------------
@@ -576,61 +567,7 @@ class VirtualMachine:
         counters stay at one lookup per logical run.
         """
 
-        plan, specialize_ints, fusions = self._compile_key
-        return compile_program(self.program, plan,
-                               specialize_ints=specialize_ints,
-                               synth_fusions=fusions)
-
-    # -- runtime quickening -----------------------------------------------------
-
-    def _quicken_code(self, code: CodeObject,
-                      frame_slots: List[Value]) -> None:
-        """Rewrite *code*'s candidate sites whose operands look int-shaped.
-
-        Called by the warm-up triggers (``ENTRY_WARM`` / ``JUMP_WARM``) with
-        the live frame: a site quickens when every operand slot currently
-        holds a raw int or a concrete :class:`ConcolicValue` — exactly the
-        shapes the unboxed arms accept — and stays generic otherwise.
-        Mis-speculation is safe either way: the unboxed forms carry their
-        generic origin and deoptimize back to it when a guard fails, so the
-        observable run is identical no matter which way a site is rewritten.
-        """
-
-        instructions = code.instructions
-        for site in code.quicken_sites:
-            instr = instructions[site]
-            opcode = instr[0]
-            arg = instr[1]
-            if opcode in _QUICKEN_FC_SITES:
-                left = frame_slots[arg[1]]
-                shaped = (type(left) is int
-                          or (type(left) is ConcolicValue
-                              and left.symbolic is None))
-            elif opcode in _QUICKEN_FF_SITES:
-                left = frame_slots[arg[1]]
-                right = frame_slots[arg[2]]
-                shaped = ((type(left) is int
-                           or (type(left) is ConcolicValue
-                               and left.symbolic is None))
-                          and (type(right) is int
-                               or (type(right) is ConcolicValue
-                                   and right.symbolic is None)))
-            else:
-                # Already rewritten by an earlier trigger (or currently in
-                # unboxed form); leave the site alone.
-                continue
-            if shaped:
-                instructions[site] = unboxed_form(instr)
-                self._quicken_hits += 1
-            else:
-                self._quicken_misses += 1
-
-    def quicken_stats(self) -> Dict[str, int]:
-        """Quickening counters: sites rewritten / left generic / deoptimized."""
-
-        return {"hits": self._quicken_hits,
-                "misses": self._quicken_misses,
-                "deopts": self._quicken_deopts}
+        return compile_program(self.program, self._plan)
 
     # -- the dispatch loop ------------------------------------------------------
 
@@ -818,15 +755,16 @@ class VirtualMachine:
                 else:
                     push(pointer_op(operator, left, right, line))
             # The unboxed-int arms (BINOP_II family): operands come straight
-            # out of slots the resolver's type lattice proved (or runtime
-            # quickening observed) to be int-only; arithmetic runs on raw
-            # Python ints and the *_STORE forms keep raw ints in the target
-            # slot, eliminating ConcolicValue construction entirely on hot
-            # loops.  Every arm guards its operands; a violation rewrites the
-            # site back to the generic instruction carried as the arg's last
-            # element (deoptimization), refunds the already-paid charge, and
+            # out of slots the resolver's type lattice proved to be int-only;
+            # arithmetic runs on raw Python ints and the *_STORE forms keep
+            # raw ints in the target slot, eliminating ConcolicValue
+            # construction entirely on hot loops.  Every arm guards its
+            # operands (a proven-int slot still holds a symbolic value in
+            # analysis and replay runs); a violation rewrites the site back
+            # to the generic instruction carried as the arg's last element
+            # (deoptimization), refunds the already-paid charge, and
             # re-dispatches — the generic arm then produces the identical
-            # observable behaviour, so speculation can never change a run.
+            # observable behaviour, so unboxing can never change a run.
             elif opcode == op.BINOP_II_BRANCH_LOGGED:
                 (operator, left_slot, right_slot,
                  location, target, slot, generic) = arg
@@ -863,7 +801,7 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -901,7 +839,7 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1051,7 +989,7 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1078,7 +1016,7 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1108,7 +1046,7 @@ class VirtualMachine:
                     else:
                         frame_slots[target_slot] = 1 if left >= right else 0
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1141,7 +1079,7 @@ class VirtualMachine:
                     else:
                         frame_slots[target_slot] = 1 if left >= right else 0
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1180,7 +1118,7 @@ class VirtualMachine:
                     else:
                         push(ONE if left >= right else ZERO)
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1216,7 +1154,7 @@ class VirtualMachine:
                     else:
                         push(ONE if left >= right else ZERO)
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1255,7 +1193,7 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
@@ -1291,13 +1229,13 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
-                self._quicken_deopts += 1
+                self._deopts += 1
                 instructions[pc - 1] = generic
                 pc -= 1
                 if charge:
                     step_cell[0] -= charge
-            # Synthesized superinstructions (profile-driven fusions of
-            # adjacent opcode pairs, see repro.vm.synth): each arm is the
+            # The fixed pair fusions (the compiler's pair peephole, see
+            # repro.vm.compiler.PAIR_CATALOG): each arm is the
             # two generic arms spliced together with the combined charge
             # pre-paid at fetch and the error-capable part's source line
             # preserved, so steps, events and crash sites match the unfused
@@ -1643,10 +1581,10 @@ class VirtualMachine:
                 hooks.on_branch(event)
                 if not taken:
                     pc = target
-            # The slot-vs-const flavour (fused BINOP_FC;BRANCH_*): only
-            # emitted under the specialization tier, where it is the deopt
-            # target of BINOP_IC_BRANCH* and the generic form quickening
-            # rewrites from.  Same exactness contract as the FF arms above.
+            # The slot-vs-const flavour (fused BINOP_FC;BRANCH_*): emitted
+            # where the lattice cannot prove the slot int, and the deopt
+            # target of BINOP_IC_BRANCH*.  Same exactness contract as the
+            # FF arms above.
             elif opcode == op.BINOP_FC_BRANCH_LOGGED:
                 operator, slot, right, location, target, slot_idx = arg
                 left = frame_slots[slot]
@@ -2378,7 +2316,8 @@ class VirtualMachine:
                 cache_key, text = arg
                 cached = self._string_cache.get(cache_key)
                 if cached is None:
-                    cached = string_to_array(text, label="literal")
+                    cached = string_to_array(
+                        text, label="literal", array_id=next(self.array_ids))
                     self._string_cache[cache_key] = cached
                 push(Pointer(cached, 0))
             elif opcode == op.LOAD_DEREF:
@@ -2422,7 +2361,8 @@ class VirtualMachine:
                 else:
                     # Box the scalar and rebind the variable, as the
                     # interpreter's address-of does.
-                    box = ArrayObject(1, label=f"&{name}")
+                    box = ArrayObject(1, label=f"&{name}",
+                                      array_id=next(self.array_ids))
                     box.cells[0] = value
                     boxed = Pointer(box, 0)
                     frame_slots[slot] = boxed
@@ -2435,7 +2375,8 @@ class VirtualMachine:
                 if isinstance(value, Pointer):
                     push(value)
                 else:
-                    box = ArrayObject(1, label=f"&{arg}")
+                    box = ArrayObject(1, label=f"&{arg}",
+                                      array_id=next(self.array_ids))
                     box.cells[0] = value
                     boxed = Pointer(box, 0)
                     global_vars[arg] = boxed
@@ -2459,32 +2400,13 @@ class VirtualMachine:
                         guards.append(("array-size", size_value.symbolic,
                                        size_value.concrete))
                     size = max(1, size_value.concrete)
-                push(Pointer(ArrayObject(size, label=label), 0))
+                push(Pointer(ArrayObject(size, label=label,
+                                         array_id=next(self.array_ids)), 0))
             elif opcode == op.CALL_UNDEF:
                 raise RuntimeMiniCError(
                     f"call to undefined function '{arg}'", line)
             elif opcode == op.INVALID_TARGET:
                 raise RuntimeMiniCError("invalid assignment target", line)
-            elif opcode == op.ENTRY_WARM:
-                # Function-entry warm-up trigger: after the countdown
-                # reaches zero, quicken the code object's candidate sites
-                # against the live frame and retire the trigger to a NOP
-                # (same zero charge), so steady state pays nothing.
-                cell, warm_code = arg
-                cell[0] -= 1
-                if cell[0] <= 0:
-                    self._quicken_code(warm_code, frame_slots)
-                    instructions[pc - 1] = (op.NOP, None, charge, line)
-            elif opcode == op.JUMP_WARM:
-                # Loop-backedge warm-up trigger: like ENTRY_WARM, but hot
-                # loops warm up even when the surrounding function is called
-                # once; retires to the plain JUMP it replaced.
-                target, cell, warm_code = arg
-                cell[0] -= 1
-                if cell[0] <= 0:
-                    self._quicken_code(warm_code, frame_slots)
-                    instructions[pc - 1] = (op.JUMP, target, charge, line)
-                pc = target
             elif opcode == op.NOP:
                 pass
             else:  # pragma: no cover - the compiler emits no other opcodes

@@ -100,16 +100,15 @@ BINOP_FF_BRANCH = 50         # arg: (op, slot1, slot2, location, else_target)
 BINOP_FF_BRANCH_BARE = 51    # arg: (op, slot1, slot2, location, else_target)
 BINOP_FF_BRANCH_LOGGED = 52  # arg: (op, slot1, slot2, location, else_target, slot)
 
-# Adaptive specialization: unboxed integer slots ------------------------------
-# Emitted (statically) when the resolver's int-slot lattice proves every
-# operand slot only ever holds integers, or (dynamically) when the runtime
-# quickening pass observed integer shapes at a generic site.  The arms operate
-# on raw Python ints — slot reads accept both raw ints and fully concrete
-# ConcolicValues, the ``*_STORE`` forms write raw ints back — and every form
-# carries its generic origin instruction as the last element of ``arg``: a
-# type-guard violation (symbolic value, pointer, string cell) rewrites the
-# instruction back to that generic form in place and re-dispatches it, so the
-# observable behaviour is the generic path's by construction.
+# Unboxed integer slots --------------------------------------------------------
+# Emitted when the resolver's int-slot lattice proves every operand slot only
+# ever holds integers.  The arms operate on raw Python ints — slot reads
+# accept both raw ints and fully concrete ConcolicValues, the ``*_STORE``
+# forms write raw ints back — and every form carries its generic origin
+# instruction as the last element of ``arg``: a type-guard violation
+# (symbolic value, pointer, string cell) rewrites the instruction back to that
+# generic form in place and re-dispatches it, so the observable behaviour is
+# the generic path's by construction.
 BINOP_II = 53          # arg: (op, slot1, slot2, generic)
 BINOP_IC = 54          # arg: (op, slot, raw_const, generic)
 BINOP_II_STORE = 55    # arg: (op, slot1, slot2, target_slot, generic)
@@ -119,9 +118,9 @@ BINOP_II_BRANCH_BARE = 58    # arg: (op, s1, s2, location, target, generic)
 BINOP_II_BRANCH_LOGGED = 59  # arg: (op, s1, s2, location, target, slot, generic)
 
 # Slot-vs-const compare-and-branch (the ``while (i < 100)`` / ``if (c == 0)``
-# hot shape).  The generic BINOP_FC_BRANCH* forms are only emitted when the
-# specialization tier is on — they exist to be unboxed into BINOP_IC_BRANCH*
-# (statically, or by quickening) and to serve as those forms' deopt targets.
+# hot shape).  The generic BINOP_FC_BRANCH* forms are unboxed into
+# BINOP_IC_BRANCH* where the lattice proves the slot int, and serve as those
+# forms' deopt targets.
 BINOP_FC_BRANCH = 68         # arg: (op, slot, const, location, target)
 BINOP_FC_BRANCH_BARE = 69    # arg: (op, slot, const, location, target)
 BINOP_FC_BRANCH_LOGGED = 70  # arg: (op, slot, const, location, target, slot)
@@ -130,11 +129,11 @@ BINOP_IC_BRANCH_BARE = 72    # arg: (op, slot, raw_const, location, target, gene
 BINOP_IC_BRANCH_LOGGED = 73  # arg: (op, slot, raw_const, location, target,
                              #       slot, generic)
 
-# Stack-condition compare-and-branch (specialization tier only, like the FC
-# forms above).  SC fuses ``CONST;BINARY;BRANCH_*`` — the ``ch == 'X'``
-# parser shape, one dispatch instead of three; BINARY_BRANCH fuses
-# ``BINARY;BRANCH_*`` for comparisons of two stack operands.  Both operate on
-# boxed stack values, so there is no unboxed variant and no deopt path.
+# Stack-condition compare-and-branch.  SC fuses ``CONST;BINARY;BRANCH_*`` —
+# the ``ch == 'X'`` parser shape, one dispatch instead of three;
+# BINARY_BRANCH fuses ``BINARY;BRANCH_*`` for comparisons of two stack
+# operands.  Both operate on boxed stack values, so there is no unboxed
+# variant and no deopt path.
 BINOP_SC_BRANCH = 74         # arg: (op, const, location, target)
 BINOP_SC_BRANCH_BARE = 75    # arg: (op, const, location, target)
 BINOP_SC_BRANCH_LOGGED = 76  # arg: (op, const, location, target, slot)
@@ -143,23 +142,14 @@ BINARY_BRANCH_BARE = 78      # arg: (op, location, target)
 BINARY_BRANCH_LOGGED = 79    # arg: (op, location, target, slot)
 
 # Second-round fusions: the first member is itself a fusion product (the
-# synth pass runs twice), collapsing an all-slot array access into one
+# pair peephole runs twice), collapsing an all-slot array access into one
 # dispatch — ``buf[i]`` is LOAD_FAST;LOAD_FAST;LOAD_INDEX generically.
 LOAD_INDEX_FF = 80   # arg: (base_slot, index_slot) — fused LOAD2_FAST;LOAD_INDEX
 STORE_INDEX_FF = 81  # arg: (base_slot, index_slot) — fused LOAD2_FAST;STORE_INDEX
 
-# Runtime quickening triggers --------------------------------------------------
-# Inserted only when a function has quickening candidates (generic sites whose
-# operand shapes the resolver could not prove).  Each trigger decrements its
-# own counter cell and, at zero, runs the quickening pass over the code
-# object's candidate sites — then rewrites itself to the plain opcode so the
-# warm path pays nothing.
-ENTRY_WARM = 60        # arg: (counter_cell, code) — at function entry
-JUMP_WARM = 61         # arg: (target, counter_cell, code) — on loop backedges
-
-# Profile-synthesized superinstructions ----------------------------------------
-# Materialized by repro.vm.synth from adjacent-opcode pair frequencies in
-# recorded ``vm.opcode.*`` dispatch profiles (see ``DEFAULT_FUSIONS`` there).
+# Fused pairs ------------------------------------------------------------------
+# The compiler's fixed pair peephole (``repro.vm.compiler.PAIR_CATALOG``)
+# fuses these adjacent opcode pairs wherever no jump lands between them.
 LOAD2_FAST = 62        # arg: (slot1, slot2) — fused LOAD_FAST;LOAD_FAST
 CONST_RET = 63         # arg: prebuilt value — fused CONST;RET
 LOAD_INDEX_FAST = 64   # arg: index slot — fused LOAD_FAST;LOAD_INDEX

@@ -1,16 +1,13 @@
-"""Adaptive specialization: the int lattice, quickening, deopt and synth.
+"""Specialization: the int lattice, deopt and the fixed pair fusions.
 
-The tiers under test: the resolver's int-type lattice (which slots may be
-unboxed statically), runtime quickening (warm-up triggers rewriting hot
-generic sites in place), deoptimization (a type-guard violation rewrites a
-specialized site back to its generic origin mid-run — the mechanism that
-makes record-specialized / replay-generic runs observably identical), and
-profile-driven superinstruction synthesis (:mod:`repro.vm.synth`).
+The mechanisms under test: the resolver's int-type lattice (which slots the
+compiler unboxes), deoptimization (a type-guard violation rewrites an
+unboxed site back to its generic origin mid-run — the mechanism that makes
+record-specialized / replay-generic runs observably identical), and the
+compiler's fixed pair peephole (:data:`repro.vm.compiler.PAIR_CATALOG`).
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 
@@ -19,13 +16,14 @@ from repro.core.pipeline import Pipeline
 from repro.instrument.methods import InstrumentationMethod
 from repro.lang.program import Program
 from repro.lang.resolve import resolve_program
+from repro.service import workload_pipeline
+from repro.service.cli import render_dispatch_table
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.runtime import scoped
 from repro.trace import dump_trace_bytes, trace_from_recording
 from repro.vm import opcodes as op
-from repro.vm import synth
 from repro.vm.compiler import compile_program
-from repro.workloads import fibonacci, userver
+from repro.workloads import fibonacci
 from repro.workloads.coreutils import ALL_PROGRAMS
 
 
@@ -93,71 +91,60 @@ class TestIntLattice:
         assert slots["x"] not in fn.int_slots
 
     def test_int_slots_drive_unboxed_emission(self):
+        # One stream: the counting loop's proven-int sites are unboxed, and
+        # `x`, poisoned by a pointer write, keeps its boxed arithmetic.
         program = Program.from_source("""
             int main(int argc, char **argv) {
               int i = 0;
               int total = 0;
+              int x = 1;
               while (i < 1000) { total = total + i; i = i + 1; }
+              x = x + 2;
+              x = argv;
               return total;
             }
         """, name="emission-probe")
-        generic = compile_program(program).functions["main"]
-        specialized = compile_program(
-            program, specialize_ints=True).functions["main"]
-        unboxed = {op.BINOP_II, op.BINOP_IC, op.BINOP_II_STORE,
-                   op.BINOP_IC_STORE, op.BINOP_II_BRANCH, op.BINOP_IC_BRANCH}
-        assert not unboxed & {i[0] for i in generic.instructions}
-        assert unboxed & {i[0] for i in specialized.instructions}
+        code = compile_program(program).functions["main"]
+        slots = {name: index for index, name in enumerate(code.slot_names)}
+        stores = {arg[3]: opcode  # keyed by the target slot
+                  for opcode, arg, _charge, _line in code.instructions
+                  if opcode in (op.BINOP_FC_STORE, op.BINOP_IC_STORE,
+                                op.BINOP_II_STORE)}
+        assert stores == {slots["i"]: op.BINOP_IC_STORE,
+                          slots["total"]: op.BINOP_II_STORE,
+                          slots["x"]: op.BINOP_FC_STORE}
+        assert op.BINOP_IC_BRANCH in {i[0] for i in code.instructions}
 
 
 # ---------------------------------------------------------------------------
-# Runtime quickening and deoptimization counters
+# Deoptimization: the only rewrite of a compiled stream
 # ---------------------------------------------------------------------------
 
 
-def run_vm(program: Program, environment, plan=None):
-    from repro.instrument.logger import BranchLogger
-    from repro.interp.inputs import ExecutionMode, InputBinder
-    from repro.interp.interpreter import ExecutionConfig
-    from repro.interp.tracer import NullHooks
-    from repro.vm.machine import VirtualMachine
+class TestDeopt:
+    def test_concrete_runs_leave_the_compiled_code_as_compiled(self):
+        # A recording runs on concrete values, so no guard fails and the
+        # cached stream stays exactly what the compiler emitted.
+        pipeline, environment = workload_pipeline("userver-exp1")
+        plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
+                                  environment=environment)
+        compiled = compile_program(pipeline.program, plan)
+        codes = [compiled.globals_code, *compiled.functions.values()]
+        snapshot = [list(code.instructions) for code in codes]
+        pipeline.record(plan, environment)
+        pipeline.record(plan, environment)
+        assert [code.instructions for code in codes] == snapshot
+        fresh_pipeline, _ = workload_pipeline("userver-exp1")
+        fresh = compile_program(fresh_pipeline.program, plan)
 
-    hooks = BranchLogger(plan) if plan is not None else NullHooks()
-    vm = VirtualMachine(
-        program, kernel=environment.make_kernel(), hooks=hooks,
-        binder=InputBinder(mode=ExecutionMode.RECORD),
-        config=ExecutionConfig(mode=ExecutionMode.RECORD, backend="vm"))
-    result = vm.run(environment.argv)
-    return vm, result
+        def shape(streams):
+            return [[(opcode, charge, line)
+                     for opcode, _arg, charge, line in stream]
+                    for stream in streams]
 
-
-class TestQuickening:
-    def test_warm_up_rewrites_hot_sites(self):
-        # userver has candidate sites the lattice cannot prove (library
-        # string loops over argv-derived pointers feeding int locals); a
-        # fresh compile starts them generic with warm-up triggers, and one
-        # run must rewrite at least one of them in place.
-        program = Program.from_source(userver.SOURCE, name="quicken-probe")
-        environment = userver.saturation_workload(4)
-        vm, result = run_vm(program, environment)
-        stats = vm.quicken_stats()
-        assert result.steps > 0
-        assert stats["hits"] >= 1, stats
-        assert stats["deopts"] == 0, stats
-
-    def test_second_run_reuses_the_quickened_stream(self):
-        # The compile cache returns the already-rewritten stream, so a
-        # second run in the same process has nothing left to quicken: the
-        # counters are per-run, and the warm sites are already specialized.
-        program = Program.from_source(userver.SOURCE, name="quicken-warm")
-        environment = userver.saturation_workload(4)
-        first_vm, first = run_vm(program, environment)
-        second_vm, second = run_vm(program, environment)
-        assert first_vm.quicken_stats()["hits"] >= 1
-        assert second_vm.quicken_stats()["hits"] == 0
-        # Warm or cold, the observable run is identical.
-        assert (first.steps, first.branch_executions, first.stdout) == \
-            (second.steps, second.branch_executions, second.stdout)
+        assert shape(snapshot) == shape(
+            code.instructions
+            for code in [fresh.globals_code, *fresh.functions.values()])
 
     def test_replay_deoptimizes_specialized_sites(self):
         # Record runs concrete (unboxed guards hold); replay runs the same
@@ -174,7 +161,7 @@ class TestQuickening:
         with scoped(registry):
             pipeline.reproduce(recording)
         counters = registry.snapshot().counters
-        assert counters.get("vm.quicken.deopts", 0) >= 1, counters
+        assert counters.get("vm.deopts", 0) >= 1, counters
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +207,7 @@ def _record_and_reproduce(workload: str, name: str, backend: str):
     registry = MetricsRegistry()
     with scoped(registry):
         report = pipeline.reproduce(recording)
-    deopts = registry.snapshot().counters.get("vm.quicken.deopts", 0)
+    deopts = registry.snapshot().counters.get("vm.deopts", 0)
     return recording, report, deopts
 
 
@@ -229,8 +216,8 @@ def test_guard_violating_replay_produces_identical_traces_and_reports(workload):
     """Record on the specialized VM == record on the interpreter, down to
     the trace bytes.
 
-    The specialized recording runs unboxed/quickened/synthesized code and
-    its replay deoptimizes every guard-violating site back to generic; the
+    The specialized recording runs unboxed and fused code and its replay
+    deoptimizes every guard-violating site back to generic; the
     interpreter oracle has nothing to specialize.  Both must produce the
     byte-identical persisted trace and the identical replay report.
     """
@@ -264,52 +251,30 @@ def test_guard_violating_replay_produces_identical_traces_and_reports(workload):
 
 
 # ---------------------------------------------------------------------------
-# Superinstruction synthesis
+# Superinstruction synthesis: the fixed pair peephole
 # ---------------------------------------------------------------------------
 
 
 class TestSynth:
-    def test_rank_candidates_scores_by_rarer_member(self):
-        static = Counter({(op.LOAD_FAST, op.LOAD_FAST): 3,
-                          (op.BINARY, op.RET): 1})
-        counts = {"LOAD_FAST": 1000, "BINARY": 40, "RET": 90}
-        ranked = synth.rank_candidates(static, counts)
-        assert ranked[0] == ("load2_fast", 1000)
-        assert ("binary_ret", 40) in ranked
-        # No static site, or a never-dispatched member -> not a candidate.
-        names = [name for name, _score in ranked]
-        assert "const_ret" not in names
-        assert "load_index_fast" not in names
-
-    def test_select_fusions_limits_and_orders(self):
-        program = Program.from_source("""
-            int main(int argc, char **argv) {
-              int arr[4];
-              int i = 1;
-              arr[i] = 7;
-              return arr[i];
-            }
-        """, name="synth-select")
-        compiled = compile_program(program)
-        counts = {"LOAD_FAST": 500, "LOAD_INDEX": 120, "STORE_INDEX": 80,
-                  "CONST": 60, "RET": 10}
-        selected = synth.select_fusions(compiled, counts, limit=2)
-        assert len(selected) == 2
-        assert selected[0] == "load2_fast"
-
     def test_try_fuse_second_round_pairs(self):
-        fused = synth.try_fuse(
-            ("load_index_ff",),
-            (op.LOAD2_FAST, (2, 3), 5, 11), (op.LOAD_INDEX, None, 1, 12))
-        assert fused == (op.LOAD_INDEX_FF, (2, 3), 6, 12)
-        stored = synth.try_fuse(
-            ("store_index_ff",),
-            (op.LOAD2_FAST, (0, 1), 2, 7), (op.STORE_INDEX, None, 1, 8))
-        assert stored == (op.STORE_INDEX_FF, (0, 1), 3, 8)
-        # Unselected patterns never fuse.
-        assert synth.try_fuse(
-            ("const_ret",),
-            (op.LOAD2_FAST, (0, 1), 2, 7), (op.STORE_INDEX, None, 1, 8)) is None
+        # The second round fuses a first-round product: each all-slot
+        # access becomes one instruction carrying both slots, the summed
+        # charge of the three it replaces (the two operands of the store;
+        # the statement, the access and its two operands of the load) and
+        # the access's line.
+        program = Program.from_source(
+            "int main(int argc, char **argv) {\n"
+            "  int arr[4];\n"
+            "  int i = 1;\n"
+            "  arr[i] = 7;\n"
+            "  return arr[i];\n"
+            "}\n", name="synth-second-round")
+        code = compile_program(program).functions["main"]
+        slots = {name: index for index, name in enumerate(code.slot_names)}
+        pair = (slots["arr"], slots["i"])
+        assert [instr for instr in code.instructions
+                if instr[0] in (op.LOAD_INDEX_FF, op.STORE_INDEX_FF)] == [
+            (op.STORE_INDEX_FF, pair, 2, 4), (op.LOAD_INDEX_FF, pair, 4, 5)]
 
     def test_compiler_materializes_all_slot_array_access(self):
         # LOAD_FAST;LOAD_FAST;LOAD_INDEX collapses in two rounds: first to
@@ -322,8 +287,7 @@ class TestSynth:
               return arr[i];
             }
         """, name="synth-ff")
-        compiled = compile_program(program, specialize_ints=True,
-                                   synth_fusions=synth.DEFAULT_FUSIONS)
+        compiled = compile_program(program)
         stream = [instr[0] for instr in
                   compiled.functions["main"].instructions]
         assert op.LOAD_INDEX_FF in stream
@@ -331,10 +295,10 @@ class TestSynth:
 
     def test_render_dispatch_table(self):
         counts = {"CONST": 85, "BRANCH_LOGGED": 10, "BRANCH_BARE": 5}
-        table = synth.render_dispatch_table(counts, top=2)
+        table = render_dispatch_table(counts, top=2)
         lines = table.splitlines()
         assert lines[1].startswith("CONST")
         assert "logged branches: 10" in lines[-1]
         assert "bare branches: 5" in lines[-1]
         assert "shown: 2/3 opcodes" in lines[-1]
-        assert synth.render_dispatch_table({}) == "(no vm.opcode.* records)"
+        assert render_dispatch_table({}) == "(no vm.opcode.* records)"

@@ -383,22 +383,3 @@ class TestPlannerCli:
                                      "value": 3}) + "\n")
         assert cli_main(["stats", "--jsonl", str(jsonl), "--opcodes"]) == 0
         assert "no profile recorded" in capsys.readouterr().out
-        assert cli_main(["stats", "--jsonl", str(jsonl),
-                         "--suggest-fusions", "mkdir-bug"]) == 0
-        assert "no profile recorded" in capsys.readouterr().out
-
-    def test_stats_suggest_fusions_ranks_catalog_pairs(self, tmp_path,
-                                                       capsys):
-        from repro.vm.opcodes import OPCODE_NAMES
-
-        jsonl = tmp_path / "telemetry.jsonl"
-        with open(jsonl, "w") as handle:
-            for name in sorted(set(OPCODE_NAMES.values())):
-                handle.write(json.dumps({"type": "counter",
-                                         "name": f"vm.opcode.{name}",
-                                         "value": 100}) + "\n")
-        assert cli_main(["stats", "--jsonl", str(jsonl),
-                         "--suggest-fusions", "mkdir-bug"]) == 0
-        out = capsys.readouterr().out
-        assert "fusion candidates for mkdir-bug" in out
-        assert "*" in out  # select_fusions picked at least one

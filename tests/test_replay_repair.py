@@ -578,7 +578,7 @@ def test_symbolic_builtins_evaluate_to_their_concrete_value(name):
     for value in range(256):
         arg = ConcolicValue(value, byte)
         if name == "atoi":
-            text = ArrayObject(3)
+            text = ArrayObject(3, array_id=1)
             text.cells[0] = arg
             text.cells[1] = ConcolicValue(ord("7"))
             arg = Pointer(text, 0)

@@ -519,31 +519,32 @@ def test_fuzzed_unresolved_programs_run_on_the_interpreter(seed):
 
 
 # ---------------------------------------------------------------------------
-# Fuzzed adaptive-specialization parity: the unboxed/quickened/synthesized
-# VM is observably identical to the generic stream the opcode profiler runs
-# and to the interpreter — same steps, branch events, syscalls, crash sites
-# and stdout — and the replay search it drives explores the identical
+# Fuzzed specialization parity: the VM's unboxed and fused stream, run by
+# the plain and by the opcode-profiling dispatch loop, is observably
+# identical to the interpreter — same steps, branch events, syscalls, crash
+# sites and stdout — and the replay search it drives explores the identical
 # fan-out.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzzed_specialization_parity(seed):
-    """Specialized VM == profiled generic VM == interpreter on random snippets.
+    """VM == profiled VM == interpreter on random snippets.
 
-    The generator leans into the specializer's risk surface: implicitly
-    declared ints, shadowing (slot reuse across sibling blocks), loops
-    (warm-up triggers fire mid-run), symbolic ``atoi`` input flowing into
-    compare-and-branch sites, and undefined-name crashes (crash-site parity
-    through fused superinstructions).
+    The profiled VM runs the same stream under the generated dispatch loop,
+    so the test checks that loop too.  The generator leans into the
+    specializer's risk surface: implicitly declared ints, shadowing (slot
+    reuse across sibling blocks), loops, symbolic ``atoi`` input flowing
+    into compare-and-branch sites, and undefined-name crashes (crash-site
+    parity through fused superinstructions).
     """
 
     base_seed, count = SPECIALIZATION_FUZZ
     for program in fuzzed_programs(base_seed, seed, count):
-        specialized = run_fingerprint(program, "vm")
-        generic = run_fingerprint(program, "vm", profile_opcodes=True)
+        vm = run_fingerprint(program, "vm")
+        profiled = run_fingerprint(program, "vm", profile_opcodes=True)
         interp = run_fingerprint(program, "interp")
-        assert specialized == generic == interp, program.source
+        assert vm == profiled == interp, program.source
 
 
 def _fanout_fingerprint(outcome) -> tuple:

@@ -249,28 +249,29 @@ def test_specialized_opcodes_follow_the_plan():
     partial = build_plan(InstrumentationMethod.ALL_BRANCHES,
                          program.branch_locations).from_sets(
                              "partial", locations[:1], locations)
-    specialized = compile_program(program, partial)
-    opcodes = [instr[0] for code in specialized.functions.values()
-               for instr in code.instructions]
     # Branches count whether they compiled standalone or fused into a
-    # compare-and-branch superinstruction (the `i > argc` slot comparison).
-    logged = (opcodes.count(op.BRANCH_LOGGED)
-              + opcodes.count(op.BINOP_FF_BRANCH_LOGGED))
-    bare = (opcodes.count(op.BRANCH_BARE)
-            + opcodes.count(op.BINOP_FF_BRANCH_BARE))
-    assert logged == 1
-    assert bare == len(locations) - 1
-    assert op.BRANCH not in opcodes and op.BINOP_FF_BRANCH not in opcodes
+    # compare-and-branch superinstruction (`i < 10` and the `i > argc` slot
+    # comparison, unboxed where the slots are proven int): the opcode's
+    # suffix names its flavour.
+    assert _branch_flavours(compile_program(program, partial)) == {
+        "logged": 1, "bare": len(locations) - 1}
+    assert _branch_flavours(compile_program(program)) == {
+        "hooked": len(locations)}
 
-    unspecialized = compile_program(program)
-    plain = [instr[0] for code in unspecialized.functions.values()
-             for instr in code.instructions]
-    assert (plain.count(op.BRANCH)
-            + plain.count(op.BINOP_FF_BRANCH)) == len(locations)
-    for specialized_only in (op.BRANCH_LOGGED, op.BRANCH_BARE,
-                             op.BINOP_FF_BRANCH_LOGGED,
-                             op.BINOP_FF_BRANCH_BARE):
-        assert specialized_only not in plain
+
+def _branch_flavours(compiled) -> dict:
+    """``{flavour: count}`` of the branch opcodes in *compiled*."""
+
+    flavours: dict = {}
+    for code in compiled.functions.values():
+        for instr in code.instructions:
+            name = op.OPCODE_NAMES[instr[0]]
+            if "BRANCH" not in name:
+                continue
+            flavour = ("logged" if name.endswith("_LOGGED")
+                       else "bare" if name.endswith("_BARE") else "hooked")
+            flavours[flavour] = flavours.get(flavour, 0) + 1
+    return flavours
 
 
 def test_superinstructions_emitted():
@@ -287,8 +288,9 @@ def test_superinstructions_emitted():
     compiled = compile_program(program)
     opcodes = [instr[0] for code in compiled.functions.values()
                for instr in code.instructions]
-    assert op.BINOP_FC_STORE in opcodes   # i = i + 1
-    assert op.BINOP_FF_STORE in opcodes   # total = total + i
+    # `i` and `total` are proven int, so the fused stores are unboxed.
+    assert op.BINOP_IC_STORE in opcodes   # i = i + 1
+    assert op.BINOP_II_STORE in opcodes   # total = total + i
     assert op.LOAD_FAST_RET in opcodes    # return r;
 
 
@@ -320,9 +322,11 @@ def test_compare_and_branch_superinstruction_parity():
     program = Program.from_source(source, name="cmp-branch-probe")
 
     # Emission: both slot-slot comparisons fuse — the concrete loop bound
-    # (`i < n`) and the input-dependent character test (`c == target`).
+    # (`i < n`, unboxed: both slots are proven int) and the input-dependent
+    # character test (`c == target`).
     fused = _opcode_stream(compile_program(program))
-    assert fused.count(op.BINOP_FF_BRANCH) == 2
+    assert fused.count(op.BINOP_II_BRANCH) == 1
+    assert fused.count(op.BINOP_FF_BRANCH) == 1
     # ... and plan-specialized code fuses into the logged/bare variants.
     plan = build_plan(InstrumentationMethod.ALL_BRANCHES,
                       program.branch_locations)

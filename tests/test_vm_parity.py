@@ -336,3 +336,21 @@ def test_step_limit_parity():
         # budget by a couple of tree-walker steps, never more.
         assert 5_000 < result.steps <= 5_010
     assert outcomes["vm"] == outcomes["interp"] == (True, 124)
+
+
+def test_pointer_values_are_numbered_per_run():
+    """A pointer's integer value is a function of the run alone.
+
+    Each run numbers its arrays from 1 in allocation order, the same order
+    on both backends, so a program that returns a pointer exits with one
+    code however many runs came before it in the process.
+    """
+
+    source = ('int g = 3; int main(int argc, char **argv) '
+              '{ int *p = &g; char *s = "hi"; int a[4]; return p; }')
+    program = Program.from_source(source, name="pointer-exit")
+    codes = [create_backend(program, config=ExecutionConfig(backend=backend))
+             .run(["pointer-exit", "x"]).exit_code
+             for backend in ("interp", "vm", "vm", "interp")]
+    # argv, argv[0] and argv[1] come first; &g boxes the fourth array.
+    assert codes == [4 * 1_000_003 + 1] * 4
