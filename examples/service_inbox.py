@@ -59,8 +59,9 @@ def main() -> None:
             print(f"  {trace_id}: reproduced={report.reproduced} "
                   f"runs={report.runs}{via}")
         stats = service.stats()
-        print(f"\n{stats.traces_ingested} traces, {stats.searches_run} searches "
-              f"-> dedup ratio {stats.dedup_ratio:.2f}x")
+        print(f"\n{stats['traces_ingested']} traces, "
+              f"{stats['searches_run']} searches "
+              f"-> dedup ratio {stats['dedup_ratio']:.2f}x")
 
     shutil.rmtree(workdir, ignore_errors=True)
 

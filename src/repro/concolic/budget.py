@@ -31,11 +31,3 @@ class ConcolicBudget:
         """The paper's HC configuration (longer exploration)."""
 
         return cls(max_iterations=48, max_seconds=20.0, label="HC")
-
-    def scaled(self, factor: float) -> "ConcolicBudget":
-        """A proportionally larger or smaller budget (used by ablations)."""
-
-        return ConcolicBudget(max_iterations=max(1, int(self.max_iterations * factor)),
-                              max_seconds=self.max_seconds * factor,
-                              max_steps_per_run=self.max_steps_per_run,
-                              label=self.label)

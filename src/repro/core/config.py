@@ -49,13 +49,10 @@ class ServiceSection:
       entries are evicted so a sustained garbage-upload storm cannot grow
       ``inbox.json`` without limit.
     * ``ingest_queue_depth`` / ``spool_writers`` — the listener's bounded
-      ingest queue and the threads draining it into the journaled spool;
+      ingest queue and the threads draining it into the durable spool;
       when the queue is full the server answers *retry-after* instead of
       buffering, which is the backpressure signal the client's seeded
       exponential backoff consumes.
-    * ``spool_partitions`` — the spool shards across this many inbox
-      partitions; a trace's partition is its cluster-key hash modulo N, so
-      duplicates of one bug always land (and dedup) in the same shard.
     * ``read_timeout_seconds`` — per-``recv`` socket timeout; a slow-loris
       client stalls only its own connection, which is closed at the first
       silent interval, never the accept loop or other clients.
@@ -91,15 +88,11 @@ class ServiceSection:
     """
 
     workers: int = 1
-    spool_pattern: str = "*.trace"
-    persist: bool = True
-    store_traces: bool = True
     priority: str = "smallest-first"  # or "arrival"
     max_trace_bytes: int = 4 * 1024 * 1024
     max_rejected_entries: int = 256
     ingest_queue_depth: int = 64
     spool_writers: int = 1
-    spool_partitions: int = 4
     read_timeout_seconds: float = 5.0
     client_quota: int = 0
     retry_after_seconds: float = 0.05
@@ -142,7 +135,6 @@ class PipelineConfig:
     log_syscalls: bool = True
     library_functions: Set[str] = field(default_factory=set)
     static_skips_library: bool = True
-    replay_search_order: str = "dfs"
     record_max_steps: int = 10_000_000
     # Execution engine used by every stage (record, replay, analysis): "vm"
     # (bytecode VM) or "interp" (the tree-walking interpreter, kept as the

@@ -103,11 +103,9 @@ class Pipeline:
         """
 
         needs_dynamic = method in (InstrumentationMethod.DYNAMIC,
-                                   InstrumentationMethod.DYNAMIC_PLUS_STATIC,
-                                   InstrumentationMethod.STATIC_UNION)
+                                   InstrumentationMethod.DYNAMIC_PLUS_STATIC)
         needs_static = method in (InstrumentationMethod.STATIC,
-                                  InstrumentationMethod.DYNAMIC_PLUS_STATIC,
-                                  InstrumentationMethod.STATIC_UNION)
+                                  InstrumentationMethod.DYNAMIC_PLUS_STATIC)
         dynamic = analysis.dynamic if analysis else None
         static = analysis.static if analysis else None
         if needs_dynamic and dynamic is None:
@@ -210,8 +208,7 @@ class Pipeline:
 
     def reproduce(self, recording: RecordingResult,
                   budget: Optional[ReplayBudget] = None,
-                  scenario: str = "",
-                  search_order: Optional[str] = None) -> ReplayReport:
+                  scenario: str = "") -> ReplayReport:
         """Attempt to reproduce the recorded crash from its bug report."""
 
         engine = ReplayEngine(
@@ -222,7 +219,6 @@ class Pipeline:
             crash_site=recording.crash_site,
             environment=recording.environment.scaffold(),
             budget=budget or self.config.replay_budget,
-            search_order=search_order or self.config.replay_search_order,
             backend=self.config.backend,
             max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,
@@ -255,8 +251,8 @@ class Pipeline:
 
     def reproduce_from_trace(self, trace_or_path, budget: Optional[ReplayBudget] = None,
                              scenario: str = "",
-                             expect_plan: Optional[InstrumentationPlan] = None,
-                             search_order: Optional[str] = None) -> ReplayReport:
+                             expect_plan: Optional[InstrumentationPlan] = None
+                             ) -> ReplayReport:
         """Reproduce a crash from a persisted trace (the developer site).
 
         Accepts a path or an already-loaded :class:`~repro.trace.Trace`.  The
@@ -273,7 +269,6 @@ class Pipeline:
         engine = ReplayEngine.from_trace(
             self.program, trace, expect_plan=expect_plan,
             budget=budget or self.config.replay_budget,
-            search_order=search_order or self.config.replay_search_order,
             backend=self.config.backend,
             max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,

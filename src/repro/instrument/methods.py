@@ -1,4 +1,4 @@
-"""The four instrumentation methods (§2.3) plus an ablation variant.
+"""The four instrumentation methods (§2.3) and the uninstrumented baseline.
 
 Given the outputs of the dynamic analysis (branch labels: symbolic / concrete /
 unvisited) and the static analysis (symbolic / concrete), each method selects
@@ -9,9 +9,9 @@ the set of branch locations to instrument:
 * ``DYNAMIC_PLUS_STATIC`` — the paper's combined rule: branches visited by the
   dynamic analysis keep its label; unvisited branches fall back to the static
   label,
-* ``ALL_BRANCHES`` — the naive baseline,
-* ``STATIC_UNION`` — ablation only (not in the paper): the union of the two
-  symbolic sets, i.e. dynamic labels are never allowed to override static ones.
+* ``ALL_BRANCHES`` — the naive baseline.
+
+``NONE`` logs no branch (the uninstrumented run).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class InstrumentationMethod(enum.Enum):
     STATIC = "static"
     DYNAMIC_PLUS_STATIC = "dynamic+static"
     ALL_BRANCHES = "all branches"
-    STATIC_UNION = "static-union"  # ablation, not part of the paper
 
     @classmethod
     def paper_methods(cls) -> Iterable["InstrumentationMethod"]:
@@ -64,10 +63,6 @@ def select_branches(method: InstrumentationMethod,
     if method is InstrumentationMethod.STATIC:
         static = _require(static_result, "static analysis result")
         return set(static.symbolic_branches)
-    if method is InstrumentationMethod.STATIC_UNION:
-        labels = _require(dynamic_labels, "dynamic analysis labels")
-        static = _require(static_result, "static analysis result")
-        return set(labels.symbolic) | set(static.symbolic_branches)
     if method is InstrumentationMethod.DYNAMIC_PLUS_STATIC:
         labels = _require(dynamic_labels, "dynamic analysis labels")
         static = _require(static_result, "static analysis result")

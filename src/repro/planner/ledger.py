@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.instrument.plan import InstrumentationPlan
+from repro.trace import write_atomic
 
 __all__ = [
     "LEDGER_FILE",
@@ -253,12 +254,8 @@ class PlanLedger:
                          for program, versions in sorted(self.programs.items())},
         }
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, self.path)
-        return self.path
+        encoded = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return write_atomic(self.path, encoded.encode("utf-8"))
 
     def _load(self) -> None:
         try:

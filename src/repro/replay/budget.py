@@ -21,12 +21,6 @@ class ReplayBudget:
     max_pending: int = 5_000
 
     @classmethod
-    def generous(cls) -> "ReplayBudget":
-        """A budget large enough for every experiment expected to succeed."""
-
-        return cls(max_runs=2_000, max_seconds=120.0)
-
-    @classmethod
     def quick(cls) -> "ReplayBudget":
         """A small budget used by unit tests."""
 

@@ -6,9 +6,10 @@ order, so at every commit boundary the triple *(engine spec, pending set,
 outcome-so-far)* fully determines the rest of the search.  A checkpoint is
 that triple — plus the merged telemetry snapshot and the elapsed budget
 clock — framed in the same versioned, CRC-checked section envelope as trace
-files (magic ``REPROCKP`` instead of ``REPROTRC``) and written atomically
-(tmp file, fsync, ``os.replace``).  Resuming from a checkpoint taken at
-*any* commit index therefore reproduces a byte-identical explored set and
+files (magic ``REPROCKP`` instead of ``REPROTRC``) and written with
+:func:`~repro.trace.write_atomic` (temp file, fsync, rename).  Resuming from
+a checkpoint taken at *any* commit index therefore reproduces a
+byte-identical explored set and
 :class:`~repro.service.service.ReproductionReport` versus the uninterrupted
 run; the differential tests in ``tests/test_checkpoint.py`` hold this for
 every workload in the suite.
@@ -26,13 +27,12 @@ contributes fidelity.
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Set, Tuple
 
 from repro.trace import TraceFormatError, _Writer, _Reader, \
-    decode_envelope, encode_envelope
+    decode_envelope, encode_envelope, write_atomic
 
 __all__ = [
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CheckpointError",
@@ -182,14 +182,7 @@ def save_checkpoint(path: str, checkpoint: SearchCheckpoint) -> str:
     treat a failed checkpoint as lost work insurance, not a failed search.
     """
 
-    data = dump_checkpoint_bytes(checkpoint)
-    tmp = f"{path}.part"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    return write_atomic(path, dump_checkpoint_bytes(checkpoint))
 
 
 def load_checkpoint(path: str) -> SearchCheckpoint:

@@ -385,7 +385,6 @@ class _EngineSpec:
     crash_site: Optional[CrashSite]
     environment_spec: "object"  # EnvironmentSpec (import cycle avoided)
     budget: ReplayBudget
-    search_order: str
     require_full_log_match: bool
     backend: str
     max_call_depth: int
@@ -402,7 +401,6 @@ class _EngineSpec:
             crash_site=self.crash_site,
             environment=self.environment_spec.to_environment(),
             budget=self.budget,
-            search_order=self.search_order,
             require_full_log_match=self.require_full_log_match,
             backend=self.backend,
             max_call_depth=self.max_call_depth,
@@ -448,7 +446,6 @@ class ReplayEngine:
                  crash_site: Optional[CrashSite],
                  environment: Environment,
                  budget: Optional[ReplayBudget] = None,
-                 search_order: str = "dfs",
                  require_full_log_match: bool = True,
                  backend: str = "vm",
                  max_call_depth: int = 256,
@@ -462,7 +459,6 @@ class ReplayEngine:
         self.crash_site = crash_site
         self.environment = environment
         self.budget = budget or ReplayBudget()
-        self.search_order = search_order
         self.backend = backend
         self.max_call_depth = max_call_depth
         self.warm_start = warm_start
@@ -594,7 +590,7 @@ class ReplayEngine:
             # there; per-item metrics use their own scoped registries and
             # merge at commit time.
             with scoped(self._registry):
-                with span("replay.search", order=self.search_order):
+                with span("replay.search"):
                     self._run_search(outcome, pending, start)
         else:
             self._registry = None
@@ -608,8 +604,7 @@ class ReplayEngine:
     def _initial_state(self) -> Tuple[ReplayOutcome, PendingList]:
         """A fresh search frontier, or the one a checkpoint paused at."""
 
-        pending = PendingList(order=self.search_order,
-                              max_size=self.budget.max_pending)
+        pending = PendingList(max_size=self.budget.max_pending)
         if self._resume is None:
             outcome = ReplayOutcome(reproduced=False)
             pending.push(PendingItem(ConstraintSet(), hint={}, reason="initial run"))
@@ -744,7 +739,6 @@ class ReplayEngine:
             crash_site=self.crash_site,
             environment_spec=EnvironmentSpec.capture(self.environment),
             budget=self.budget,
-            search_order=self.search_order,
             require_full_log_match=self.require_full_log_match,
             backend=self.backend,
             max_call_depth=self.max_call_depth,

@@ -4,8 +4,9 @@ Whenever replay encounters an alternative it does not follow (an uninstrumented
 symbolic branch, or a mismatch against the recorded bitvector), it pushes a
 constraint set describing the unexplored direction onto the pending list.  When
 a run aborts, the engine pops an entry, solves it, and starts a new run with
-the resulting input.  The paper uses a depth-first order; breadth-first is
-provided for the ablation benchmark.
+the resulting input.  Pops are depth-first, as in the paper: repair in place
+continues a run only when the next pop is the alternative that run's commit
+just pushed.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ class PendingItem:
 
 
 class PendingList:
-    """A de-duplicating stack/queue of :class:`PendingItem` objects."""
+    """A de-duplicating stack of :class:`PendingItem` objects."""
 
-    def __init__(self, order: str = "dfs", max_size: int = 5_000) -> None:
-        if order not in ("dfs", "bfs"):
-            raise ValueError("order must be 'dfs' or 'bfs'")
-        self.order = order
+    def __init__(self, max_size: int = 5_000) -> None:
         self.max_size = max_size
         self._items: List[PendingItem] = []
         self._seen: Set[Tuple] = set()
@@ -70,9 +68,7 @@ class PendingList:
     def pop(self) -> Optional[PendingItem]:
         if not self._items:
             return None
-        if self.order == "dfs":
-            return self._items.pop()
-        return self._items.pop(0)
+        return self._items.pop()
 
     def stats(self) -> Dict[str, int]:
         return {"pending": len(self._items), "dropped": self.dropped,

@@ -13,8 +13,8 @@ This package is the canonical way to drive the reproduction system:
 * :class:`~repro.service.service.ReproService` /
   :class:`~repro.service.service.ReproSession` — typed request/response
   objects (:class:`~repro.service.inbox.IngestResult`,
-  :class:`~repro.service.service.ReproductionReport`,
-  :class:`~repro.service.service.ServiceStats`) and a scheduler dispatching
+  :class:`~repro.service.service.ReproductionReport`), a ``stats()`` dict
+  of aggregate counters, and a scheduler dispatching
   deduped clusters, smallest estimated search first, inline or to the
   supervisor's worker processes (one serial search per cluster).
 
@@ -28,7 +28,7 @@ Quickstart (the developer site, serving a spool of shipped bug reports)::
         reports = service.process()                   # one search per cluster
         for trace_id, report in reports.items():
             print(trace_id, report.reproduced, report.found_input)
-        print(service.stats().to_json())              # incl. dedup_ratio
+        print(service.stats())                        # incl. dedup_ratio
 """
 
 from repro.core.config import ServiceSection
@@ -44,7 +44,6 @@ from repro.planner import (
 from repro.service.faults import FaultInjector, FaultSpec, NULL_FAULTS
 from repro.service.inbox import (
     IngestResult,
-    SpoolJournal,
     TraceCluster,
     TraceInbox,
     TraceTooLargeError,
@@ -61,7 +60,6 @@ from repro.service.service import (
     ReproService,
     ReproSession,
     ReproductionReport,
-    ServiceStats,
     outcome_fingerprint,
 )
 from repro.service.supervisor import (
@@ -90,8 +88,6 @@ __all__ = [
     "SearchResult",
     "SearchSupervisor",
     "ServiceSection",
-    "ServiceStats",
-    "SpoolJournal",
     "TraceCluster",
     "TraceInbox",
     "TraceTooLargeError",

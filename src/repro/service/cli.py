@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from typing import Dict
 
@@ -30,6 +31,7 @@ from repro import (InstrumentationMethod, PipelineConfig, ReplayBudget,
                    TraceError, load_trace)
 from repro.service import ReproService, workload_pipeline
 from repro.service.service import ANALYSIS_FREE_METHODS
+from repro.trace import write_atomic
 from repro.workloads import workload_registry
 
 
@@ -191,6 +193,10 @@ def cmd_stats(args) -> int:
     service = snapshot = None
     if args.jsonl:
         records = read_jsonl(args.jsonl)
+    elif not os.path.isdir(args.root):
+        # A mistyped root must not read as an idle service (nor be created).
+        print(f"error: no service state at {args.root}", file=sys.stderr)
+        return 2
     else:
         service = ReproService(args.root, config=build_config(args))
         snapshot = service.telemetry()
@@ -206,7 +212,7 @@ def cmd_stats(args) -> int:
         print(render_summary(records))
         return 0
     if args.json:
-        print(json.dumps(service.stats().to_json(), sort_keys=True))
+        print(json.dumps(service.stats(), sort_keys=True))
         print(json.dumps(snapshot.to_json(), sort_keys=True))
     else:
         print(f"inbox={json.dumps(service.inbox.describe(), sort_keys=True)}")
@@ -276,7 +282,6 @@ def cmd_inbox(args) -> int:
 def cmd_serve(args) -> int:
     """Run the concurrent trace-upload server until SIGTERM/SIGINT."""
 
-    import os
     import signal
     import threading
 
@@ -285,7 +290,6 @@ def cmd_serve(args) -> int:
     config = build_config(args)
     overrides = (("max_trace_bytes", "max_trace_bytes"),
                  ("queue_depth", "ingest_queue_depth"),
-                 ("partitions", "spool_partitions"),
                  ("spool_writers", "spool_writers"),
                  ("read_timeout", "read_timeout_seconds"),
                  ("client_quota", "client_quota"),
@@ -306,11 +310,8 @@ def cmd_serve(args) -> int:
     server = UploadServer(args.root, config=config, host=args.host,
                           port=args.port, faults=faults)
     if args.port_file:
-        # Atomic write: a watcher that sees the file sees the full port.
-        tmp = args.port_file + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(str(server.port))
-        os.replace(tmp, args.port_file)
+        # A watcher that sees the file sees the full port.
+        write_atomic(args.port_file, str(server.port).encode("ascii"))
 
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -324,7 +325,7 @@ def cmd_serve(args) -> int:
     finally:
         server.shutdown()  # graceful drain: queued uploads spool + ack first
     print(f"drained; "
-          f"stats={json.dumps(server.service.stats().to_json(), sort_keys=True)}")
+          f"stats={json.dumps(server.service.stats(), sort_keys=True)}")
     return 0
 
 
@@ -453,7 +454,7 @@ def cmd_serve_batch(args) -> int:
                      if report.crash_site else "none")
             print(f"report {trace_id} [{status}] cluster={report.cluster_id} "
                   f"runs={report.runs} crash={crash}{via}")
-        print(f"stats={json.dumps(service.stats().to_json(), sort_keys=True)}")
+        print(f"stats={json.dumps(service.stats(), sort_keys=True)}")
     return 0 if failed == 0 else 1
 
 
@@ -536,8 +537,8 @@ def main(argv=None) -> int:
         help="run the concurrent trace-upload server (TCP, length-prefixed "
              "frames) until SIGTERM/SIGINT, then drain gracefully")
     serve_net.add_argument("--root", required=True,
-                           help="service state directory (spool + journal + "
-                                "inbox, created if missing)")
+                           help="service state directory (spool + inbox, "
+                                "created if missing)")
     serve_net.add_argument("--host", default="127.0.0.1")
     serve_net.add_argument("--port", type=int, default=0,
                            help="TCP port (0 = pick an ephemeral port)")
@@ -550,8 +551,6 @@ def main(argv=None) -> int:
                            help="reject uploads larger than this many bytes")
     serve_net.add_argument("--queue-depth", type=int, default=None,
                            help="bounded ingest queue depth (backpressure)")
-    serve_net.add_argument("--partitions", type=int, default=None,
-                           help="spool shard count (cluster-key hash)")
     serve_net.add_argument("--spool-writers", type=int, default=None)
     serve_net.add_argument("--read-timeout", type=float, default=None,
                            help="per-read socket timeout, seconds "
@@ -581,7 +580,7 @@ def main(argv=None) -> int:
                            help="FaultSpec JSON for chaos testing, e.g. "
                                 '\'{"spool_fail_rate": 0.2, '
                                 '"worker_kill_rate": 0.1, '
-                                '"crash_points": ["net.after_commit"]}\'')
+                                '"crash_points": ["net.after_ingest"]}\'')
     serve_net.add_argument("--telemetry", action="store_true")
     serve_net.add_argument("--profile-vm", action="store_true")
     serve_net.add_argument("--telemetry-jsonl", default=None, metavar="PATH",

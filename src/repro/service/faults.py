@@ -15,7 +15,7 @@ Two sides consume a spec:
   damaged) retry under the same seeded schedule;
 * **server-side damage** (``spool_fail`` rate and ``crash_points``)
   simulates a failing disk and an abruptly killed process;
-  ``crash_points`` name code locations (e.g. ``spool.after_begin``,
+  ``crash_points`` name code locations (e.g. ``spool.after_temp``,
   ``net.after_ingest``) where the server SIGKILLs *itself* — the
   deterministic stand-in for ``kill -9`` arriving at exactly that moment,
   which the crash-recovery tests drive from a subprocess harness.
@@ -58,7 +58,7 @@ class FaultSpec:
     #: Client: dribble the frame slower than the server's per-read timeout
     #: (a slow-loris attempt; the server must shed the connection).
     slow_rate: float = 0.0
-    #: Server: the journaled spool write raises ``OSError`` (failing disk);
+    #: Server: the spool write raises ``OSError`` (failing disk);
     #: the client is told to retry — nothing was acknowledged.
     spool_fail_rate: float = 0.0
     #: Server: every spool write takes at least this long (slow disk) —

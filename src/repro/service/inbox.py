@@ -43,19 +43,16 @@ therefore gives every unparsable file a grace poll — it is only rejected
 once its size and mtime are unchanged across two consecutive polls (see
 ``_suspects``); a growing file is skipped and retried.
 
-For the network deployment the spool is sharded into ``part-NN``
-subdirectories (one per inbox partition, a trace's shard being its
-cluster-key hash modulo N — see :func:`partition_index`) and writes go
-through :class:`SpoolJournal` + :func:`journaled_spool_write`: an
-append-only intent journal plus write-to-temp / atomic-rename, so a
-``kill -9`` at any point leaves either a fully committed spool file or a
-temp file the journal recovery deletes — never a half-written ``*.trace``
-that a restarted poll would mistake for a report.
+Every file the inbox keeps — ``inbox.json`` and the stored trace copies —
+is written with :func:`~repro.trace.write_atomic` (temp file, fsync,
+rename), so a ``kill -9`` leaves either the previous state or the new one.
+The network listener writes its spool files the same way; the
+``<name>.trace.part`` temp of an interrupted write never matches the
+``*.trace`` poll.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import hashlib
 import json
 import os
@@ -63,26 +60,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.planner.ledger import plan_fingerprint_digest, plan_version_of
-from repro.trace import Trace, TraceError, load_trace_bytes
+from repro.trace import Trace, TraceError, load_trace_bytes, write_atomic
 
 __all__ = [
     "IngestResult",
-    "SpoolJournal",
     "TraceCluster",
     "TraceInbox",
     "TraceTooLargeError",
     "UnknownProgramError",
-    "journaled_spool_write",
-    "partition_dirs",
-    "partition_index",
 ]
 
 _STATE_FILE = "inbox.json"
 _TRACE_DIR = "traces"
 _STATE_VERSION = 1
-_JOURNAL_FILE = "journal.log"
-_PART_PREFIX = "part-"
-_TMP_SUFFIX = ".part"
+_SPOOL_SUFFIX = ".trace"
 
 
 class TraceTooLargeError(TraceError):
@@ -135,180 +126,6 @@ def _recording_digest(trace: Trace) -> str:
 
 def _cluster_id(bug_key: str, recording_digest: str) -> str:
     return f"{bug_key}-{recording_digest[:8]}"
-
-
-# ---------------------------------------------------------------------------
-# spool partitions and the crash-safe journal
-# ---------------------------------------------------------------------------
-
-
-def partition_index(bug_key: str, partitions: int) -> int:
-    """The spool shard for a trace: its cluster-key hash modulo N.
-
-    The bug key is already a uniform hex hash, so taking it modulo the
-    partition count spreads distinct bugs evenly while pinning every
-    duplicate of one bug to the same shard (duplicates dedup locally).
-    """
-
-    if partitions <= 1:
-        return 0
-    return int(bug_key, 16) % partitions
-
-
-def partition_dirs(spool_root: str, partitions: int) -> List[str]:
-    """The ``part-NN`` shard directories under *spool_root* (created)."""
-
-    dirs = []
-    for index in range(max(1, partitions)):
-        path = os.path.join(spool_root, f"{_PART_PREFIX}{index:02d}")
-        os.makedirs(path, exist_ok=True)
-        dirs.append(path)
-    return dirs
-
-
-class SpoolJournal:
-    """Append-only intent journal making spool writes crash-safe.
-
-    Protocol per write (see :func:`journaled_spool_write`):
-
-    1. the payload is written to ``<final>.part`` and flushed;
-    2. ``BEGIN <key> <final>`` is appended (and fsynced);
-    3. the temp file is atomically renamed onto ``<final>``;
-    4. ``COMMIT <key>`` is appended (and fsynced).
-
-    A ``kill -9`` between any two steps leaves a state :meth:`recover` can
-    classify purely from the journal plus the filesystem: a BEGIN without a
-    COMMIT whose final file exists was interrupted *after* the atomic rename
-    (the write is durable — re-commit it); one whose final file is missing
-    was interrupted before (delete the orphan temp; the client never got an
-    acknowledgement and will retry).  Acknowledgements are only sent after
-    step 4, so an acknowledged trace always survives restart.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self.path = os.path.join(root, _JOURNAL_FILE)
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def _append(self, record: Dict[str, str]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def begin(self, key: str, final_path: str) -> None:
-        self._append({"op": "BEGIN", "key": key,
-                      "path": os.path.abspath(final_path)})
-
-    def commit(self, key: str) -> None:
-        self._append({"op": "COMMIT", "key": key})
-
-    # -- search-state records (supervised scheduler) -------------------------------------
-    #
-    # SEARCH_BEGIN/SEARCH_END bracket a cluster's replay search the same way
-    # BEGIN/COMMIT bracket a spool write.  :meth:`recover` silently skips
-    # unknown ops, so journals written by a build with search records stay
-    # readable by builds without them (and vice versa).
-
-    def search_begin(self, cluster_id: str) -> None:
-        self._append({"op": "SEARCH_BEGIN", "key": cluster_id})
-
-    def search_end(self, cluster_id: str) -> None:
-        self._append({"op": "SEARCH_END", "key": cluster_id})
-
-    def recover_searches(self) -> List[str]:
-        """Cluster ids whose search began but never ended — in flight at a
-        crash, candidates for checkpoint resume (first-begun order)."""
-
-        begun: List[str] = []
-        ended = set()
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if record.get("op") == "SEARCH_BEGIN":
-                        if record["key"] not in begun:
-                            begun.append(record["key"])
-                    elif record.get("op") == "SEARCH_END":
-                        ended.add(record["key"])
-        except FileNotFoundError:
-            return []
-        return [key for key in begun if key not in ended]
-
-    def recover(self) -> Dict[str, str]:
-        """Repair interrupted writes; returns ``{key: final_path}`` durable.
-
-        Idempotent: recovering an already-clean journal changes nothing.
-        Unreadable (torn) trailing lines are ignored — they can only belong
-        to a write that never reached its COMMIT, i.e. was never
-        acknowledged.
-        """
-
-        begun: Dict[str, str] = {}
-        committed: Dict[str, str] = {}
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn trailing write of an unacked entry
-                    if record.get("op") == "BEGIN":
-                        begun[record["key"]] = record["path"]
-                    elif record.get("op") == "COMMIT":
-                        if record["key"] in begun:
-                            committed[record["key"]] = begun[record["key"]]
-        except FileNotFoundError:
-            return {}
-        for key, final_path in begun.items():
-            if key in committed:
-                continue
-            if os.path.exists(final_path):
-                # Crash landed between the atomic rename and the COMMIT
-                # record: the data is durable, only the journal is behind.
-                committed[key] = final_path
-                self.commit(key)
-            else:
-                # Crash before the rename: remove the orphan temp.  The
-                # uploader never saw an acknowledgement for this write.
-                try:
-                    os.remove(final_path + _TMP_SUFFIX)
-                except FileNotFoundError:
-                    pass
-        return committed
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-def journaled_spool_write(journal: SpoolJournal, final_path: str,
-                          data: bytes, key: Optional[str] = None,
-                          faults=None) -> str:
-    """Durably write one spool file under the journal's crash protocol.
-
-    *faults* (a :class:`~repro.service.faults.FaultInjector`, duck-typed)
-    lets the chaos harness SIGKILL the process between any two steps —
-    ``spool.after_begin`` and ``spool.after_replace`` are the windows whose
-    recovery the crash tests exercise.
-    """
-
-    key = key or os.path.basename(final_path)
-    tmp = final_path + _TMP_SUFFIX
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    journal.begin(key, final_path)
-    if faults is not None:
-        faults.crash_point("spool.after_begin")
-    os.replace(tmp, final_path)
-    if faults is not None:
-        faults.crash_point("spool.after_replace")
-    journal.commit(key)
-    return final_path
 
 
 @dataclass
@@ -393,18 +210,12 @@ class TraceCluster:
 class TraceInbox:
     """Receives, stores, deduplicates and schedules bug-report traces."""
 
-    def __init__(self, root: str, persist: bool = True,
-                 store_traces: bool = True,
-                 spool_pattern: str = "*.trace",
-                 max_trace_bytes: int = 0,
+    def __init__(self, root: str, max_trace_bytes: int = 0,
                  max_rejected: int = 256,
                  registry=None,
                  check_trace: Optional[Callable[[Trace], None]] = None
                  ) -> None:
         self.root = root
-        self.persist = persist
-        self.store_traces = store_traces
-        self.spool_pattern = spool_pattern
         #: Hard size cap on one trace (0 = unlimited); oversize traces are
         #: rejected before parsing, and the network listener refuses them
         #: from the declared frame length before buffering anything.
@@ -433,9 +244,7 @@ class TraceInbox:
         #: grace poll.
         self._suspects: Dict[str, Tuple[int, int]] = {}
         self._sequence = 0
-        os.makedirs(self.root, exist_ok=True)
-        if self.store_traces:
-            os.makedirs(os.path.join(self.root, _TRACE_DIR), exist_ok=True)
+        os.makedirs(os.path.join(self.root, _TRACE_DIR), exist_ok=True)
         self._load_state()
 
     # -- ingestion --------------------------------------------------------------
@@ -477,11 +286,8 @@ class TraceInbox:
                                        trace.plan.method) or 0)
             self.clusters[cluster_id] = cluster
         cluster.members.append(trace_id)
-        stored = ""
-        if self.store_traces:
-            stored = os.path.join(_TRACE_DIR, f"{trace_id}.trace")
-            with open(os.path.join(self.root, stored), "wb") as handle:
-                handle.write(data)
+        stored = os.path.join(_TRACE_DIR, f"{trace_id}.trace")
+        write_atomic(os.path.join(self.root, stored), data)
         self.traces[trace_id] = {
             "cluster": cluster_id,
             "program": trace.program_name,
@@ -506,12 +312,12 @@ class TraceInbox:
                        trace: Trace) -> IngestResult:
         """Ingest a spool file whose bytes the caller already holds.
 
-        The network listener's path: it journals *data* into a spool
-        partition itself, then records the ingestion against the file so a
-        restarted :meth:`poll_spool` over the partitions skips it.  Calling
-        it again for an already-ingested path returns the original receipt
-        (flagged ``duplicate``) without re-ingesting — the idempotency the
-        upload retry protocol relies on.  *trace* is *data* as the listener
+        The network listener's path: it writes *data* into its spool
+        itself, then records the ingestion against the file so a restarted
+        :meth:`poll_spool` over the spool skips it.  Calling it again for
+        an already-ingested path returns the original receipt (flagged
+        ``duplicate``) without re-ingesting — the idempotency the upload
+        retry protocol relies on.  *trace* is *data* as the listener
         decoded and checked it (see ``check_trace``), so it is not decoded
         again.
         """
@@ -535,7 +341,7 @@ class TraceInbox:
         return result
 
     def poll_spool(self, spool_dir: str) -> List[IngestResult]:
-        """Ingest every not-yet-seen spool file matching the pattern.
+        """Ingest every not-yet-seen ``*.trace`` file in *spool_dir*.
 
         Files are keyed by absolute path: each spool file is one shipped bug
         report, so two files with identical contents are two reports (and
@@ -546,10 +352,6 @@ class TraceInbox:
         poll: an unparsable file that changed (or vanished) since the last
         look is treated as still being written and retried, never
         mis-filed as corrupt (see ``_suspects``).
-
-        ``part-NN`` subdirectories (spool partitions, see
-        :func:`partition_dirs`) are descended into automatically, so one
-        poll covers a sharded spool.
 
         State is persisted once per file, *after* the spool ledger entry is
         recorded, so the on-disk snapshot is always atomic: a crash mid-poll
@@ -563,13 +365,9 @@ class TraceInbox:
         except FileNotFoundError:
             return results
         for name in entries:
-            full = os.path.join(spool_dir, name)
-            if name.startswith(_PART_PREFIX) and os.path.isdir(full):
-                results.extend(self.poll_spool(full))
+            if not name.endswith(_SPOOL_SUFFIX):
                 continue
-            if not fnmatch.fnmatch(name, self.spool_pattern):
-                continue
-            path = os.path.abspath(full)
+            path = os.path.abspath(os.path.join(spool_dir, name))
             if path in self.spooled or path in self.rejected:
                 continue
             try:
@@ -670,11 +468,7 @@ class TraceInbox:
     def trace_path(self, trace_id: str) -> str:
         """Absolute path of the stored copy of *trace_id*."""
 
-        entry = self.traces[trace_id]
-        if not entry["file"]:
-            raise KeyError(f"trace {trace_id} was ingested with "
-                           "store_traces=False; no copy kept")
-        return os.path.join(self.root, entry["file"])
+        return os.path.join(self.root, self.traces[trace_id]["file"])
 
     def cluster_of(self, trace_id: str) -> TraceCluster:
         return self.clusters[self.traces[trace_id]["cluster"]]
@@ -702,8 +496,6 @@ class TraceInbox:
         return os.path.join(self.root, _STATE_FILE)
 
     def _save_state(self) -> None:
-        if not self.persist:
-            return
         payload = {
             "version": _STATE_VERSION,
             "sequence": self._sequence,
@@ -717,10 +509,7 @@ class TraceInbox:
         # runs the pure-Python one, several times slower on a large state.
         # _load_state reads both layouts.
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        tmp = self._state_path() + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(encoded)
-        os.replace(tmp, self._state_path())
+        write_atomic(self._state_path(), encoded.encode("utf-8"))
 
     def _load_state(self) -> None:
         try:

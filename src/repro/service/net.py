@@ -22,14 +22,13 @@ ends:
   - **per-client quotas**: at most ``client_quota`` distinct reports per
     client id (0 = unlimited); the misbehaving client gets quota
     responses, healthy clients keep their bandwidth;
-  - **sharded, journaled spool**: a trace lands in spool partition
-    ``cluster-key-hash % spool_partitions``, written via
-    :func:`~repro.service.inbox.journaled_spool_write` (temp file → intent
-    journal → atomic rename → commit record), and is ingested into the
-    inbox *before* the acknowledgement is sent — so an acked trace is
-    durable twice over, and a ``kill -9`` anywhere leaves a state
-    :meth:`UploadServer.recover` (run at startup) repairs without losing
-    an acked trace or re-searching a finished cluster;
+  - **durable spool**: a trace lands in ``spool/<client>-<digest16>.trace``
+    via :func:`journaled_spool_write` (fsynced temp file, then atomic
+    rename) and is ingested into the inbox *before* the acknowledgement is
+    sent — so an acked trace is durable twice over, and a ``kill -9``
+    anywhere leaves a state :meth:`UploadServer.recover` (run at startup)
+    repairs without losing an acked trace or re-searching a finished
+    cluster;
   - **graceful drain**: :meth:`UploadServer.shutdown` stops accepting,
     answers in-flight uploads with retry-after, and drains the queue so
     every already-accepted write is committed and acknowledged.
@@ -73,16 +72,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.service.faults import FaultInjector, NULL_FAULTS
-from repro.service.inbox import (
-    SpoolJournal,
-    TraceTooLargeError,
-    journaled_spool_write,
-    partition_dirs,
-    partition_index,
-    _bug_key,
-)
+from repro.service.inbox import TraceTooLargeError
 from repro.service.service import ReproService
-from repro.trace import Trace, TraceError, load_trace_bytes
+from repro.trace import (PART_SUFFIX, Trace, TraceError, load_trace_bytes,
+                         write_atomic)
 
 __all__ = [
     "ProtocolError",
@@ -140,7 +133,6 @@ class UploadReceipt:
     cluster_id: str
     duplicate: bool
     bug_key: str
-    partition: int
     #: True when this very upload (same client id + content digest) had
     #: already been acknowledged — the retried-after-lost-ack case.
     duplicate_upload: bool = False
@@ -238,22 +230,41 @@ def _decode_response(payload: bytes) -> Tuple[int, Dict[str, object]]:
 # ---------------------------------------------------------------------------
 
 
+def journaled_spool_write(final_path: str, data: bytes,
+                          faults: FaultInjector = NULL_FAULTS) -> str:
+    """Durably write one spool file with :func:`~repro.trace.write_atomic`.
+
+    The fsynced ``<final>.part`` temp is renamed onto *final_path*; a
+    ``kill -9`` before the rename leaves only the temp, which
+    :meth:`UploadServer.recover` deletes.  *faults* lets the chaos harness
+    SIGKILL the process in the two windows the crash tests exercise:
+    ``spool.after_temp`` (temp fsynced, not yet renamed) and
+    ``spool.after_replace`` (renamed, not yet ingested).  The benchmark
+    times this function as ``service.journal_write``.
+    """
+
+    write_atomic(final_path, data,
+                 before_replace=lambda: faults.crash_point("spool.after_temp"))
+    faults.crash_point("spool.after_replace")
+    return final_path
+
+
 class _PendingUpload:
     """One accepted upload travelling the bounded ingest queue."""
 
-    __slots__ = ("client", "digest", "data", "trace", "partition",
-                 "filename", "result", "done")
+    __slots__ = ("client", "digest", "data", "trace", "path", "result",
+                 "done")
 
     def __init__(self, client: str, digest: str, data: bytes, trace: Trace,
-                 partition: int, filename: str) -> None:
+                 path: str) -> None:
         self.client = client
         self.digest = digest
         self.data = data
         #: *data* decoded and checked by the request handler, so the ingest
         #: does not decode and check it again.
         self.trace = trace
-        self.partition = partition
-        self.filename = filename
+        #: ``spool/<client>-<digest16>.trace``: the idempotency key.
+        self.path = path
         self.result: Optional[Tuple[str, Dict[str, object]]] = None
         self.done = threading.Event()
 
@@ -286,9 +297,7 @@ class UploadServer:
         svc = config.service
         self.max_frame_bytes = svc.max_trace_bytes + _FRAME_SLACK
         self.spool_root = os.path.join(root, _SPOOL_DIR)
-        self.partitions = partition_dirs(self.spool_root,
-                                         svc.spool_partitions)
-        self.journal = SpoolJournal(self.spool_root)
+        os.makedirs(self.spool_root, exist_ok=True)
         #: Guards every touch of the service/inbox state and the registry.
         self._lock = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue(
@@ -307,20 +316,23 @@ class UploadServer:
     # -- lifecycle --------------------------------------------------------------
 
     def recover(self) -> List[str]:
-        """Repair the journal and re-ingest committed-but-unseen spool files.
+        """Sweep interrupted spool writes and ingest committed-but-unseen ones.
 
-        Run at construction (and callable for tests): journal recovery
-        removes half-written temp files, then a partition poll ingests any
-        trace that was committed to the spool but not yet recorded in the
-        inbox when the previous process died.  Both steps are idempotent;
+        Run at construction (and callable for tests): every ``*.part`` temp
+        in the spool is a write that died before its rename — never
+        acknowledged, so the client retries it — and is deleted; then a
+        spool poll ingests any renamed trace the inbox had not recorded
+        when the previous process died.  Both steps are idempotent;
         clusters already searched keep their ``done`` status and reports —
         nothing is searched twice.
         """
 
-        self.journal.recover()
+        for name in os.listdir(self.spool_root):
+            if name.endswith(PART_SUFFIX):
+                os.remove(os.path.join(self.spool_root, name))
         with self._lock:
-            # The partition poll ingests committed spool files the previous
-            # process never recorded; files already in ``inbox.spooled``
+            # The poll ingests renamed spool files the previous process
+            # never recorded; files already in ``inbox.spooled``
             # (the persisted idempotency index — keys are the
             # ``<client>-<digest16>.trace`` paths) are skipped, so a retry
             # of an upload acked by a predecessor dedups instead of
@@ -359,7 +371,7 @@ class UploadServer:
         """Stop accepting; optionally drain the ingest queue, then close.
 
         With ``drain=True`` (the default) every upload already admitted to
-        the queue is journaled, ingested and acknowledged before the server
+        the queue is spooled, ingested and acknowledged before the server
         releases its resources — clients never lose an accepted report to a
         clean shutdown.  New uploads arriving during the drain are answered
         retry-after with reason ``draining``.
@@ -379,8 +391,6 @@ class UploadServer:
         for thread in self._threads[1:]:
             thread.join(timeout=10.0)
         self._closed = True
-        self.service.close()
-        self.journal.close()
 
     def __enter__(self) -> "UploadServer":
         return self.start()
@@ -504,12 +514,8 @@ class UploadServer:
                 self.service.inbox.reject(source, exc)
             return ST_ERROR, {
                 "reason": f"{type(exc).__name__}: {exc}"}
-        bug_key = _bug_key(trace)
-        partition = partition_index(bug_key,
-                                    self.config.service.spool_partitions)
-        filename = f"{client}-{digest[:16]}.trace"
-        path = os.path.abspath(
-            os.path.join(self.partitions[partition], filename))
+        path = os.path.abspath(os.path.join(
+            self.spool_root, f"{client}-{digest[:16]}.trace"))
         retry_after = self.config.service.retry_after_seconds
         with self._lock:
             known = self.service.inbox.spooled.get(path)
@@ -522,7 +528,7 @@ class UploadServer:
                 return ST_ACK, {
                     "trace_id": known, "cluster_id": cluster.cluster_id,
                     "duplicate": True, "bug_key": cluster.bug_key,
-                    "partition": partition, "duplicate_upload": True}
+                    "duplicate_upload": True}
             if self._draining:
                 return ST_RETRY, {"reason": "draining",
                                   "retry_after": retry_after}
@@ -535,8 +541,7 @@ class UploadServer:
                 return ST_QUOTA, {
                     "reason": f"quota of {quota} reports exhausted"}
             accepted.add(digest)
-        pending = _PendingUpload(client, digest, body, trace, partition,
-                                 filename)
+        pending = _PendingUpload(client, digest, body, trace, path)
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
@@ -578,7 +583,7 @@ class UploadServer:
     def _handle_stats(self) -> Tuple[int, Dict[str, object]]:
         with self._lock:
             return ST_STATS, {
-                "stats": self.service.stats().to_json(),
+                "stats": self.service.stats(),
                 "inbox": self.service.inbox.describe(),
                 "rejected": dict(self.service.inbox.rejected),
                 "recovered": list(self.recovered),
@@ -594,7 +599,7 @@ class UploadServer:
                 "reports": {trace_id: dict(report.to_json(),
                                            duplicate_of=report.duplicate_of)
                             for trace_id, report in reports.items()},
-                "stats": self.service.stats().to_json(),
+                "stats": self.service.stats(),
             }
 
     def _handle_plan(self, header: Dict[str, object]
@@ -642,13 +647,9 @@ class UploadServer:
                 time.sleep(self.faults.spec.spool_delay_seconds)
             if self.faults.roll("spool_fail"):
                 raise OSError("injected spool write failure")
-            path = os.path.join(self.partitions[item.partition],
-                                item.filename)
-            journaled_spool_write(self.journal, path, item.data,
-                                  key=item.filename, faults=self.faults)
-            self.faults.crash_point("net.after_commit")
+            journaled_spool_write(item.path, item.data, faults=self.faults)
             with self._lock:
-                result = self.service.ingest_spooled(path, item.data,
+                result = self.service.ingest_spooled(item.path, item.data,
                                                      item.trace)
             self.faults.crash_point("net.after_ingest")
         except OSError as exc:
@@ -670,7 +671,7 @@ class UploadServer:
         item.resolve("ack", {
             "trace_id": result.trace_id, "cluster_id": result.cluster_id,
             "duplicate": result.duplicate, "bug_key": result.bug_key,
-            "partition": item.partition, "duplicate_upload": False})
+            "duplicate_upload": False})
 
     # -- small helpers ----------------------------------------------------------
 
@@ -747,7 +748,6 @@ class UploadClient:
                     trace_id=body["trace_id"], cluster_id=body["cluster_id"],
                     duplicate=bool(body["duplicate"]),
                     bug_key=body.get("bug_key", ""),
-                    partition=int(body.get("partition", 0)),
                     duplicate_upload=bool(body.get("duplicate_upload")),
                     attempts=attempt)
             if status == ST_RETRY:

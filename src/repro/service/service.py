@@ -35,8 +35,8 @@ from repro.planner import (FleetObservations, PlanLedger, PlanVersion,
                            ReplanPolicy, Replanner, plan_fingerprint_digest)
 from repro.replay.engine import (ReplayEngine, ReplayOutcome,
                                  WorkerCrashError, check_matched_binaries)
-from repro.service.inbox import IngestResult, SpoolJournal, TraceCluster, \
-    TraceInbox, UnknownProgramError
+from repro.service.inbox import IngestResult, TraceCluster, TraceInbox, \
+    UnknownProgramError
 from repro.service.supervisor import (
     SearchDeadlineExceeded,
     SearchJob,
@@ -56,7 +56,6 @@ __all__ = [
     "ReproService",
     "ReproSession",
     "ReproductionReport",
-    "ServiceStats",
     "outcome_fingerprint",
 ]
 
@@ -200,51 +199,6 @@ class ReproductionReport:
         )
 
 
-@dataclass
-class ServiceStats:
-    """Aggregate service counters (the observability surface).
-
-    .. deprecated:: 0.4
-        Thin shim over the :mod:`repro.telemetry` registry: the live
-        counters are the ``service.*`` metrics on
-        :meth:`ReproService.telemetry`, and :meth:`ReproService.stats`
-        builds this dataclass from them.  Kept as the stable typed surface
-        for existing callers: the CLI's JSON output, the upload server's
-        ``process`` and ``stats`` replies, and ``examples/service_inbox.py``.
-    """
-
-    traces_ingested: int = 0
-    clusters_total: int = 0
-    clusters_pending: int = 0
-    clusters_done: int = 0
-    searches_run: int = 0
-    reports_fanned_out: int = 0
-    reproduced_clusters: int = 0
-    rejected_traces: int = 0
-    process_wall_seconds: float = 0.0
-
-    @property
-    def dedup_ratio(self) -> Optional[float]:
-        """Traces served per replay search (1.0 = no dedup win).
-
-        ``None`` before any search has run: an empty batch has no ratio, and
-        the old ``1.0`` placeholder read as "we ran searches and saved
-        nothing", which is not what an idle service did.
-        """
-
-        if not self.searches_run:
-            return None
-        return self.reports_fanned_out / self.searches_run
-
-    def to_json(self) -> Dict[str, object]:
-        payload = {name: getattr(self, name)
-                   for name in self.__dataclass_fields__}
-        payload["process_wall_seconds"] = round(self.process_wall_seconds, 4)
-        if self.dedup_ratio is not None:
-            payload["dedup_ratio"] = round(self.dedup_ratio, 4)
-        return payload
-
-
 #: Instrumentation methods whose plans rebuild deterministically without any
 #: pre-deployment analysis; for traces recorded under these the service
 #: re-derives the developer-side plan and enforces the strict
@@ -303,16 +257,13 @@ class ReproService:
                  resolver: Optional[Callable[[str], tuple]] = None) -> None:
         config = config or PipelineConfig()
         self.config = config
-        # The service's metrics registry is always real — ServiceStats reads
+        # The service's metrics registry is always real — stats() reads
         # from it, so the counters must count with telemetry off too.  The
         # ``telemetry_enabled`` knob gates the *extra* surface: wall-clock
         # metrics (ingest latency), spans, per-search registry merges, VM
         # profiling and the JSON-lines sink.
         self._registry = MetricsRegistry()
         self.inbox = TraceInbox(root,
-                                persist=config.service.persist,
-                                store_traces=config.service.store_traces,
-                                spool_pattern=config.service.spool_pattern,
                                 max_trace_bytes=config.service.max_trace_bytes,
                                 max_rejected=config.service.max_rejected_entries,
                                 registry=self._registry,
@@ -328,7 +279,6 @@ class ReproService:
         #: Supervisor-side injector for in-process crash points
         #: (e.g. ``supervisor.after_checkpoint``).
         self.search_fault_injector = None
-        self._search_journal: Optional[SpoolJournal] = None
         #: perf_counter arrival stamp per trace_id, consumed when the
         #: trace's cluster commits (ingest→report latency).
         self._arrivals: Dict[str, float] = {}
@@ -360,7 +310,7 @@ class ReproService:
 
     def ingest_spooled(self, path: str, data: bytes,
                        trace: Trace) -> IngestResult:
-        """Ingest bytes the caller already journaled into the spool.
+        """Ingest bytes the caller already wrote durably into the spool.
 
         The network listener's path (see :mod:`repro.service.net`): the
         spool file is durable before this is called, so the receipt this
@@ -368,7 +318,7 @@ class ReproService:
         re-ingest of an already-recorded path returns the original receipt
         without re-counting an arrival.  *trace* is *data* already decoded
         and passed through :meth:`check_trace`, as the listener does before
-        it picks the spool partition.
+        it queues the upload.
         """
 
         known = os.path.abspath(path) in self.inbox.spooled
@@ -547,7 +497,7 @@ class ReproService:
 
         supervisor = SearchSupervisor(
             self.inbox.root, self.config, registry=self._registry,
-            journal=self._journal(), fault_spec=self.search_faults,
+            fault_spec=self.search_faults,
             faults=self.search_fault_injector)
         jobs: List[SearchJob] = []
         by_id: Dict[str, TraceCluster] = {}
@@ -581,13 +531,6 @@ class ReproService:
                 self._fail_cluster(cluster, WorkerCrashError(result.error),
                                    reports)
 
-    def _journal(self) -> SpoolJournal:
-        """The service-root journal carrying SEARCH_BEGIN/END records."""
-
-        if self._search_journal is None:
-            self._search_journal = SpoolJournal(self.inbox.root)
-        return self._search_journal
-
     def resume_scan(self) -> List[str]:
         """Startup reconciliation of the checkpoint store (crash recovery).
 
@@ -596,8 +539,8 @@ class ReproService:
         snapshot is stale — and returns the cluster ids whose searches were
         in flight when the previous process died.  Those clusters are still
         ``pending``, so the next :meth:`process` resumes each from its
-        checkpoint exactly once; the SEARCH_BEGIN/END journal records make
-        the same fact auditable after the files are gone.
+        checkpoint exactly once: a cluster's ``done`` status in
+        ``inbox.json`` and its checkpoint file are the whole record.
         """
 
         svc = self.config.service
@@ -649,7 +592,6 @@ class ReproService:
             program, trace,
             expect_plan=self._expected_plan(program, trace),
             budget=config.replay_budget,
-            search_order=config.replay_search_order,
             backend=config.backend,
             max_call_depth=config.max_call_depth,
             warm_start=config.replay_warm_start,
@@ -765,8 +707,8 @@ class ReproService:
             representative = cluster.members[0]
             try:
                 trace = load_trace(self.inbox.trace_path(representative))
-            except (TraceError, KeyError, OSError):
-                continue  # store_traces off or a lost file: no evidence
+            except (TraceError, OSError):
+                continue  # a lost or damaged copy: no evidence
             program = self.program_for(cluster.program)
             ledger.register_base(cluster.program, trace.plan)
             report = ReproductionReport.from_json(
@@ -817,23 +759,34 @@ class ReproService:
         return ReproductionReport.from_json(cluster.report, trace_id=trace_id,
                                             cluster=cluster)
 
-    def stats(self) -> ServiceStats:
+    def stats(self) -> Dict[str, object]:
+        """Aggregate counters: the inbox's counts plus this process's
+        ``service.*`` registry counters, as plain JSON-ready data.
+
+        ``dedup_ratio`` (reports fanned out per search) is absent until a
+        search has run: an idle service has no ratio.
+        """
+
         described = self.inbox.describe()
         counters = self._registry.snapshot().counters
-        return ServiceStats(
-            traces_ingested=described["traces"],
-            clusters_total=described["clusters"],
-            clusters_pending=described["pending"],
-            clusters_done=described["done"],
-            searches_run=int(counters.get("service.searches_run", 0)),
-            reports_fanned_out=int(
-                counters.get("service.reports_fanned_out", 0)),
-            reproduced_clusters=int(
+        searches = int(counters.get("service.searches_run", 0))
+        fanned_out = int(counters.get("service.reports_fanned_out", 0))
+        stats: Dict[str, object] = {
+            "traces_ingested": described["traces"],
+            "clusters_total": described["clusters"],
+            "clusters_pending": described["pending"],
+            "clusters_done": described["done"],
+            "searches_run": searches,
+            "reports_fanned_out": fanned_out,
+            "reproduced_clusters": int(
                 counters.get("service.reproduced_clusters", 0)),
-            rejected_traces=described["rejected"],
-            process_wall_seconds=float(
-                counters.get("service.process_wall_seconds", 0.0)),
-        )
+            "rejected_traces": described["rejected"],
+            "process_wall_seconds": round(float(
+                counters.get("service.process_wall_seconds", 0.0)), 4),
+        }
+        if searches:
+            stats["dedup_ratio"] = round(fanned_out / searches, 4)
+        return stats
 
     def telemetry(self) -> RegistrySnapshot:
         """A snapshot of the service registry (the typed export surface).
@@ -853,14 +806,13 @@ class ReproService:
                     append=self._flushes > 1)
 
     # -- lifecycle --------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._search_journal is not None:
-            self._search_journal.close()
-            self._search_journal = None
+    #
+    # Nothing to release: every file the service writes is complete and
+    # synced when the write returns.  The context manager is kept so a
+    # service scopes like the upload server.
 
     def __enter__(self) -> "ReproService":
         return self
 
     def __exit__(self, *_exc) -> None:
-        self.close()
+        return None

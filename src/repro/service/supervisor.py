@@ -5,7 +5,7 @@ serial, and the supervisor runs up to ``service.workers`` of them at once.
 A fire-and-forget process pool would surface a worker OOM-kill as a raw
 :class:`BrokenProcessPool`, let a wedged solver block the batch forever,
 and throw away every in-flight search on a service restart.  The
-supervisor instead treats searches the way the spool journal treats
+supervisor instead treats searches the way the upload server treats
 uploads — as resumable, exactly-once work items:
 
 * each cluster search runs in its own ``multiprocessing.Process``, built
@@ -31,10 +31,11 @@ uploads — as resumable, exactly-once work items:
   and the cluster is quarantined — never silently restarted into a
   possibly-divergent report.
 
-Results cross the process boundary as atomically-written pickle files (one
-per attempt, nonce-named so an orphaned worker from a SIGKILLed service
-cannot race a successor), because a SIGKILLed worker must be
-distinguishable from one that finished — a pipe would conflate the two.
+Results cross the process boundary as pickle files written with
+:func:`~repro.trace.write_atomic` (one per attempt, nonce-named so an
+orphaned worker from a SIGKILLed service cannot race a successor), because
+a SIGKILLed worker must be distinguishable from one that finished — a pipe
+would conflate the two.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import PipelineConfig
 from repro.replay.checkpoint import CheckpointError, CheckpointPolicy
 from repro.replay.engine import ReplayEngine
+from repro.trace import write_atomic
 
 __all__ = ["SearchDeadlineExceeded", "SearchJob", "SearchResult",
            "SearchSupervisor"]
@@ -69,7 +71,6 @@ class SearchJob:
     preemptions: int = 0
     run_seconds: float = 0.0  # cumulative wall time across attempts
     next_eligible: float = 0.0  # monotonic time the next attempt may start
-    journaled: bool = False
 
 
 @dataclass
@@ -97,12 +98,7 @@ class _Running:
 
 
 def _write_result(path: str, payload: Dict[str, Any]) -> None:
-    tmp = f"{path}.part"
-    with open(tmp, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _supervised_search_worker(spec: Any, policy: CheckpointPolicy,
@@ -152,7 +148,7 @@ class SearchSupervisor:
     _POLL_SECONDS = 0.005
 
     def __init__(self, root: str, config: PipelineConfig, registry=None,
-                 journal=None, fault_spec=None, faults=None) -> None:
+                 fault_spec=None, faults=None) -> None:
         svc = config.service
         self.checkpoint_dir = svc.checkpoint_dir or os.path.join(
             root, "checkpoints")
@@ -165,7 +161,6 @@ class SearchSupervisor:
         self.backoff = svc.retry_backoff_seconds
         self.every_commits = svc.checkpoint_every_runs
         self.registry = registry
-        self.journal = journal  # SpoolJournal for SEARCH_BEGIN/END records
         self.fault_spec = fault_spec  # worker-side seeded faults (picklable)
         self.faults = faults  # supervisor-side injector (crash points)
         self._nonce = 0
@@ -230,9 +225,6 @@ class SearchSupervisor:
             name=f"replay-search-{cluster_id[:12]}")
         process.start()
         job.attempts += 1
-        if self.journal is not None and not job.journaled:
-            self.journal.search_begin(cluster_id)
-            job.journaled = True
         self._count("service.supervisor.launched")
         if resumed:
             self._count("service.supervisor.resumes")
@@ -328,12 +320,12 @@ class SearchSupervisor:
         self._remove(entry.result_path)
         if job.attempts > self.max_retries:
             self._count("service.supervisor.quarantined")
-            self._finish_result(job, results, SearchResult(
+            results[job.cluster_id] = SearchResult(
                 kind="quarantined",
                 error=(f"{reason}; gave up after {job.attempts} attempt(s) "
                        f"(max_search_retries={self.max_retries})"),
                 attempts=job.attempts, preemptions=job.preemptions,
-                resumed=entry.resumed))
+                resumed=entry.resumed)
             self._clear_files(job.cluster_id)
             return
         self._count("service.supervisor.restarts")
@@ -350,14 +342,7 @@ class SearchSupervisor:
         self._remove(entry.result_path)
         if clear_checkpoint:
             self._clear_files(entry.job.cluster_id)
-        self._finish_result(entry.job, results, result)
-
-    def _finish_result(self, job: SearchJob,
-                       results: Dict[str, SearchResult],
-                       result: SearchResult) -> None:
-        results[job.cluster_id] = result
-        if self.journal is not None and job.journaled:
-            self.journal.search_end(job.cluster_id)
+        results[entry.job.cluster_id] = result
 
     def _clear_files(self, cluster_id: str) -> None:
         self._remove(self.checkpoint_path(cluster_id))

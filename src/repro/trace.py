@@ -32,14 +32,23 @@ Sections: ``META`` (names), ``PLAN`` (method + branch sets), ``BITV``
 (packed bitvector), ``SYSC`` (per-kind result lists), ``CRSH`` (crash site),
 ``ENVS`` (environment scaffold).  Every read is bounds-checked; truncation,
 bit rot (CRC) and unknown versions raise :class:`TraceFormatError`.
+
+Durable files.  :func:`write_atomic` is the one way the repo writes a file
+that is read back later — trace files, spool files, ``inbox.json``,
+checkpoints, supervisor results, the plan ledger and the ``serve
+--port-file`` handshake: the bytes go to ``<path>.part``, are flushed and
+fsynced, and the temp file is renamed onto *path*.  A reader sees the
+previous file or the new one, never a torn mix, and a ``*.part`` file left
+behind is a write that was interrupted before it committed.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.environment import Environment
 from repro.instrument.logger import BitvectorLog, SyscallResultLog
@@ -51,6 +60,30 @@ from repro.osmodel.network import NetworkModel, NetworkScript, ScriptedConnectio
 
 TRACE_MAGIC = b"REPROTRC"
 TRACE_VERSION = 1
+
+#: Suffix of the temp file :func:`write_atomic` renames onto its target.
+PART_SUFFIX = ".part"
+
+
+def write_atomic(path: str, data: bytes,
+                 before_replace: Optional[Callable[[], None]] = None) -> str:
+    """Write *data* to *path* so that a crash never leaves a torn file.
+
+    The bytes land in ``path + PART_SUFFIX``, which is flushed, fsynced and
+    then atomically renamed onto *path*.  *before_replace* runs between the
+    fsync and the rename (the crash harness kills the process there).  If
+    the write raises, *path* keeps its previous contents.  Returns *path*.
+    """
+
+    tmp = path + PART_SUFFIX
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if before_replace is not None:
+        before_replace()
+    os.replace(tmp, path)
+    return path
 
 
 class TraceError(Exception):
@@ -624,12 +657,9 @@ def describe_sections(data: bytes) -> Dict[str, object]:
 
 
 def save_trace(path: str, trace: Trace) -> str:
-    """Write *trace* to *path*; returns the path for convenience."""
+    """Write *trace* to *path* (see :func:`write_atomic`); returns the path."""
 
-    data = dump_trace_bytes(trace)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return path
+    return write_atomic(path, dump_trace_bytes(trace))
 
 
 def load_trace(path: str,

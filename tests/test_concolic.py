@@ -134,5 +134,3 @@ class TestConcolicEngine:
 
     def test_budget_presets(self):
         assert ConcolicBudget.low_coverage().max_iterations < ConcolicBudget.high_coverage().max_iterations
-        scaled = ConcolicBudget(max_iterations=10, max_seconds=1.0).scaled(2.0)
-        assert scaled.max_iterations == 20

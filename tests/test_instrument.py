@@ -68,11 +68,6 @@ class TestMethodSelection:
         # 5,6 from static because dynamic never visited them.
         assert selected == {loc(1), loc(2), loc(5), loc(6)}
 
-    def test_static_union_ablation_keeps_everything(self):
-        selected = select_branches(InstrumentationMethod.STATIC_UNION, ALL,
-                                   self.labels, self.static)
-        assert selected == {loc(1), loc(2), loc(3), loc(5), loc(6)}
-
     def test_missing_analysis_raises(self):
         with pytest.raises(ValueError):
             select_branches(InstrumentationMethod.DYNAMIC, ALL)

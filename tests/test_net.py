@@ -27,7 +27,6 @@ from repro.experiments.net_exp import FLEETS, record_payloads, run_fleet
 from repro.service import (
     FaultInjector,
     FaultSpec,
-    SpoolJournal,
     TraceInbox,
     TraceTooLargeError,
     UploadClient,
@@ -36,11 +35,6 @@ from repro.service import (
     UploadServer,
     outcome_fingerprint,
     workload_pipeline,
-)
-from repro.service.inbox import (
-    journaled_spool_write,
-    partition_dirs,
-    partition_index,
 )
 from repro.service.net import (
     OP_UPLOAD,
@@ -53,9 +47,11 @@ from repro.service.net import (
     _encode_request,
     _read_frame,
     _send_frame,
+    journaled_spool_write,
 )
 from repro.telemetry import MetricsRegistry
-from repro.trace import dump_trace_bytes, load_trace_bytes, trace_from_recording
+from repro.trace import (dump_trace_bytes, load_trace_bytes,
+                         trace_from_recording, write_atomic)
 
 from test_service import mismatched_traces
 
@@ -170,73 +166,88 @@ class TestFaultSpec:
 
 
 # ---------------------------------------------------------------------------
-# spool partitions and the crash-safe journal
+# the spool's crash protocol: fsynced temp, rename, sweep on restart
 # ---------------------------------------------------------------------------
 
 
-class TestSpoolJournal:
-    def test_partition_index_is_stable_and_in_range(self):
-        keys = [f"{value:016x}" for value in range(50)]
-        for partitions in (1, 4, 7):
-            indexes = [partition_index(key, partitions) for key in keys]
-            assert all(0 <= index < partitions for index in indexes)
-            assert indexes == [partition_index(key, partitions)
-                               for key in keys]
-        assert len({partition_index(key, 4) for key in keys}) > 1
+def spool_name(client: str, data: bytes) -> str:
+    """The spool file name the server gives *client*'s upload of *data*."""
 
-    def test_partition_dirs_created_and_named(self, tmp_path):
-        dirs = partition_dirs(str(tmp_path / "spool"), 3)
-        assert [os.path.basename(d) for d in dirs] == \
-            ["part-00", "part-01", "part-02"]
-        assert all(os.path.isdir(d) for d in dirs)
+    return f"{client}-{hashlib.sha256(data).hexdigest()[:16]}.trace"
 
-    def test_journaled_write_commits_and_recovery_is_idempotent(self, tmp_path):
-        journal = SpoolJournal(str(tmp_path))
-        final = str(tmp_path / "a.trace")
-        journaled_spool_write(journal, final, b"payload")
-        assert open(final, "rb").read() == b"payload"
-        assert not os.path.exists(final + ".part")
-        assert journal.recover() == {"a.trace": os.path.abspath(final)}
-        assert journal.recover() == {"a.trace": os.path.abspath(final)}
-        journal.close()
 
-    def test_recover_commits_renamed_but_uncommitted_write(self, tmp_path):
-        # Crash window: after os.replace, before the COMMIT record.
-        journal = SpoolJournal(str(tmp_path))
-        final = str(tmp_path / "b.trace")
-        with open(final, "wb") as handle:
-            handle.write(b"durable")
-        journal.begin("b.trace", final)
-        journal.close()
-        fresh = SpoolJournal(str(tmp_path))
-        assert fresh.recover() == {"b.trace": os.path.abspath(final)}
-        assert open(final, "rb").read() == b"durable"
-        fresh.close()
+class TestSpoolWrite:
+    def test_spool_write_commits_and_recovery_is_idempotent(
+            self, tmp_path, mkdir_bytes):
+        spool = tmp_path / "svc" / "spool"
+        spool.mkdir(parents=True)
+        final = spool / spool_name("a", mkdir_bytes)
+        assert journaled_spool_write(str(final), mkdir_bytes) == str(final)
+        assert final.read_bytes() == mkdir_bytes
+        server = UploadServer(str(tmp_path / "svc"), config=net_config())
+        try:
+            assert len(server.recovered) == 1
+            assert server.recover() == []  # nothing new the second time
+            assert server.service.inbox.describe()["traces"] == 1
+        finally:
+            server.shutdown()
+        assert os.listdir(spool) == [final.name]  # and no .part temp
 
-    def test_recover_deletes_orphan_temp_of_unacked_write(self, tmp_path):
-        # Crash window: after the BEGIN record, before os.replace.
-        journal = SpoolJournal(str(tmp_path))
-        final = str(tmp_path / "c.trace")
-        with open(final + ".part", "wb") as handle:
-            handle.write(b"half")
-        journal.begin("c.trace", final)
-        journal.close()
-        fresh = SpoolJournal(str(tmp_path))
-        assert fresh.recover() == {}
-        assert not os.path.exists(final + ".part")
-        assert not os.path.exists(final)
-        fresh.close()
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_atomic(str(path), b"old")
 
-    def test_recover_tolerates_torn_trailing_line(self, tmp_path):
-        journal = SpoolJournal(str(tmp_path))
-        final = str(tmp_path / "d.trace")
-        journaled_spool_write(journal, final, b"ok")
-        journal.close()
-        with open(str(tmp_path / "journal.log"), "a") as handle:
-            handle.write('{"op": "BEGIN", "key": "torn')  # no newline, torn
-        fresh = SpoolJournal(str(tmp_path))
-        assert fresh.recover() == {"d.trace": os.path.abspath(final)}
-        fresh.close()
+        def crash():
+            raise OSError("disk gone")
+
+        with pytest.raises(OSError, match="disk gone"):
+            write_atomic(str(path), b"new", before_replace=crash)
+        assert path.read_bytes() == b"old"
+        write_atomic(str(path), b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["state.json"]
+
+    def test_recover_ingests_renamed_but_unrecorded_write(self, tmp_path,
+                                                          mkdir_bytes):
+        # Crash window: after the rename, before the inbox recorded it.
+        spool = tmp_path / "svc" / "spool"
+        spool.mkdir(parents=True)
+        final = spool / spool_name("b", mkdir_bytes)
+        write_atomic(str(final), mkdir_bytes)
+        server = UploadServer(str(tmp_path / "svc"), config=net_config())
+        try:
+            assert len(server.recovered) == 1
+            assert os.path.abspath(final) in server.service.inbox.spooled
+        finally:
+            server.shutdown()
+        assert final.read_bytes() == mkdir_bytes
+
+    def test_recover_deletes_orphan_temp_of_unacked_write(self, tmp_path,
+                                                          mkdir_bytes):
+        # Crash window: the temp is fsynced but never renamed, so the
+        # upload was never acknowledged.  A restart deletes the temp and
+        # ingests nothing; the client's retry then ingests once.
+        spool = tmp_path / "svc" / "spool"
+        spool.mkdir(parents=True)
+        orphan = spool / (spool_name("orphan", mkdir_bytes) + ".part")
+        orphan.write_bytes(mkdir_bytes[: len(mkdir_bytes) // 2])
+        server = start_server(tmp_path)
+        try:
+            assert not orphan.exists()
+            assert server.recovered == []
+            with server._lock:
+                assert server.service.inbox.describe()["traces"] == 0
+                assert server.service.inbox.rejected == {}
+            client = UploadClient(server.host, server.port,
+                                  client_id="orphan")
+            receipt = client.upload(mkdir_bytes)
+            assert not receipt.duplicate and not receipt.duplicate_upload
+            processed = client.process()
+            assert processed["stats"]["traces_ingested"] == 1
+            assert processed["stats"]["searches_run"] == 1
+            assert os.listdir(spool) == [spool_name("orphan", mkdir_bytes)]
+        finally:
+            server.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +303,6 @@ class TestInboxRobustness:
         assert inbox.poll_spool(str(spool)) == []  # unchanged: two strikes
         [(source, _reason)] = inbox.rejected.items()
         assert source.endswith("corrupt.trace")
-
-    def test_poll_descends_partition_dirs(self, tmp_path, mkdir_bytes,
-                                          mkfifo_bytes):
-        spool = str(tmp_path / "spool")
-        parts = partition_dirs(spool, 4)
-        open(os.path.join(parts[0], "a.trace"), "wb").write(mkdir_bytes)
-        open(os.path.join(parts[3], "b.trace"), "wb").write(mkfifo_bytes)
-        inbox = TraceInbox(str(tmp_path / "inbox"))
-        results = inbox.poll_spool(spool)
-        assert len(results) == 2
-        assert inbox.poll_spool(spool) == []  # idempotent re-poll
 
     def test_rejection_ledger_is_bounded_and_counted(self, tmp_path):
         registry = MetricsRegistry()
@@ -361,7 +361,7 @@ class TestUploadServer:
 
     def test_upload_is_decoded_and_checked_once(self, tmp_path, mkdir_bytes,
                                                 monkeypatch):
-        # The handler decodes and checks an upload to pick its partition;
+        # The handler decodes and checks an upload before it queues it;
         # the ingest behind the spool write reuses that trace.
         from repro.service import inbox as inbox_module
         from repro.service import net as net_module
@@ -699,14 +699,12 @@ class TestLoadgenFleet:
 class TestServerRestart:
     def test_restart_recovers_committed_but_uningested_spool(self, tmp_path,
                                                              mkdir_bytes):
-        # Simulate a crash after the journaled spool write but before the
-        # inbox recorded it: the file is durable, inbox.json never saw it.
+        # Simulate a crash after the spool write but before the inbox
+        # recorded it: the file is durable, inbox.json never saw it.
         server = start_server(tmp_path)
-        digest = hashlib.sha256(mkdir_bytes).hexdigest()
-        partition = 1
-        path = os.path.join(server.partitions[partition],
-                            f"crashed-{digest[:16]}.trace")
-        journaled_spool_write(server.journal, path, mkdir_bytes)
+        path = os.path.join(server.spool_root,
+                            spool_name("crashed", mkdir_bytes))
+        journaled_spool_write(path, mkdir_bytes)
         server.shutdown()
 
         revived = start_server(tmp_path)

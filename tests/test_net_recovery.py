@@ -7,17 +7,19 @@ stand-in for ``kill -9`` landing at exactly that moment.  A restart on the
 same root must then recover to a state where:
 
 * no **acknowledged** trace is lost (an acked upload is always in the inbox
-  after restart, directly or via journal + partition-poll recovery);
+  after restart, directly or via the restart's spool poll);
 * nothing is ingested twice (the client's idempotent retry dedups against
   the recovered state instead of re-ingesting);
 * no cluster is searched twice (one search per cluster, ever — a second
   process call runs zero searches).
 
-The five crash points cover every window of the ack protocol::
+The four crash points cover every window of the ack protocol::
 
-    temp write -> BEGIN -> [spool.after_begin] -> rename ->
-    [spool.after_replace] -> COMMIT -> [net.after_commit] ->
-    inbox ingest -> [net.after_ingest] -> ack sent -> [net.after_ack]
+    temp write + fsync -> [spool.after_temp] -> rename ->
+    [spool.after_replace] -> inbox ingest -> [net.after_ingest] ->
+    ack sent -> [net.after_ack]
+
+A restart deletes the ``*.part`` temp the first window leaves behind.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: crash point -> (upload is acked, restart recovers a spool file,
 #:                 inbox already holds the trace after restart)
 CRASH_POINTS = {
-    "spool.after_begin": (False, False, False),
+    "spool.after_temp": (False, False, False),
     "spool.after_replace": (False, True, True),
-    "net.after_commit": (False, True, True),
     "net.after_ingest": (False, False, True),
     "net.after_ack": (True, False, True),
 }
@@ -120,9 +121,11 @@ def test_sigkill_mid_ingest_recovers_exactly_once(tmp_path, mkdir_bytes,
             proc.kill()
             proc.wait(timeout=10)
 
-    # Restart on the crashed root: journal recovery + partition poll.
+    # Restart on the crashed root: the temp sweep + spool poll.
     revived = UploadServer(root, config=net_config())
     try:
+        assert not [name for name in os.listdir(revived.spool_root)
+                    if name.endswith(".part")]
         assert len(revived.recovered) == (1 if recovers_spool_file else 0)
         described = revived.service.inbox.describe()
         if acked:

@@ -315,7 +315,6 @@ class TestPlanWireOp:
     def test_plan_fetch_latest_and_by_version(self, tmp_path, mkdir_setup):
         service, _result, _revisions = replanned_root(
             tmp_path, mkdir_setup)
-        service.close()
         server = UploadServer(service.inbox.root,
                               config=planner_config()).start()
         try:
@@ -363,7 +362,6 @@ class TestPlannerCli:
     def test_replan_command_reports_revisions(self, tmp_path, mkdir_setup,
                                               capsys):
         service, _result, _revisions = replanned_root(tmp_path, mkdir_setup)
-        service.close()
         capsys.readouterr()
         assert cli_main(["replan", "--root", service.inbox.root]) == 0
         out = capsys.readouterr().out

@@ -29,16 +29,10 @@ def constraint_set(*values):
 
 class TestPendingList:
     def test_dfs_order(self):
-        pending = PendingList(order="dfs")
+        pending = PendingList()
         pending.push(PendingItem(constraint_set(1)))
         pending.push(PendingItem(constraint_set(2)))
         assert pending.pop().constraints[0].expr == sym_bin("==", sym_var("v0"), sym_const(2))
-
-    def test_bfs_order(self):
-        pending = PendingList(order="bfs")
-        pending.push(PendingItem(constraint_set(1)))
-        pending.push(PendingItem(constraint_set(2)))
-        assert pending.pop().constraints[0].expr == sym_bin("==", sym_var("v0"), sym_const(1))
 
     def test_duplicates_rejected(self):
         pending = PendingList()
@@ -52,10 +46,6 @@ class TestPendingList:
             pending.push(PendingItem(constraint_set(value)))
         assert len(pending) == 2
         assert pending.dropped == 3
-
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            PendingList(order="random")
 
     def test_pop_empty_returns_none(self):
         assert PendingList().pop() is None
@@ -179,11 +169,3 @@ class TestReproduction:
         recording = pipeline.record(plan, env)
         report = pipeline.reproduce(recording, budget=ReplayBudget(max_runs=3, max_seconds=5))
         assert not report.reproduced
-
-    def test_bfs_search_order_also_reproduces(self):
-        pipeline = self.make_pipeline()
-        env = simple_environment(["guard", "crash"], name="crash")
-        recording = self.record(pipeline, InstrumentationMethod.DYNAMIC_PLUS_STATIC, env)
-        report = pipeline.reproduce(recording, budget=ReplayBudget(max_runs=200, max_seconds=10),
-                                    search_order="bfs")
-        assert report.reproduced

@@ -148,12 +148,6 @@ class TestInboxIngestion:
         for trace_id in reborn.traces:
             assert os.path.exists(reborn.trace_path(trace_id))
 
-    def test_persist_false_writes_no_state(self, tmp_path, mkdir_bytes):
-        root = str(tmp_path / "inbox")
-        inbox = TraceInbox(root, persist=False)
-        inbox.ingest_bytes(mkdir_bytes)
-        assert not os.path.exists(os.path.join(root, "inbox.json"))
-
     def test_priority_orders(self, tmp_path, mkdir_bytes, paste_bytes):
         inbox = TraceInbox(str(tmp_path / "inbox"))
         big = inbox.ingest_bytes(mkdir_bytes)   # more bits
@@ -185,8 +179,8 @@ class TestServiceProcessing:
             tmp_path, [(mkdir_bytes, 3), (mkfifo_bytes, 2)])
         reports = service.process()
         stats = service.stats()
-        assert stats.searches_run == 2  # D = 2 for K = 5
-        assert stats.reports_fanned_out == 5
+        assert stats["searches_run"] == 2  # D = 2 for K = 5
+        assert stats["reports_fanned_out"] == 5
         assert set(reports) == {r.trace_id for r in ingested}
 
         singles = {}
@@ -203,7 +197,7 @@ class TestServiceProcessing:
             assert report.reproduced
             assert report.fingerprint() == singles[report.program], \
                 f"{report.trace_id} diverged from the single-shot search"
-        assert stats.dedup_ratio == 2.5
+        assert stats["dedup_ratio"] == 2.5
 
     def test_multi_worker_batch_matches_inline(self, tmp_path, mkdir_bytes,
                                                mkfifo_bytes):
@@ -222,7 +216,7 @@ class TestServiceProcessing:
                      for data in (mkdir_bytes, mkfifo_bytes)]
         with multi_service:
             multi = multi_service.process()
-        assert multi_service.stats().searches_run == 2
+        assert multi_service.stats()["searches_run"] == 2
         inline_prints = sorted(r.fingerprint() for r in inline.values())
         multi_prints = sorted(multi[tid].fingerprint() for tid in multi_ids)
         assert multi_prints == inline_prints
@@ -255,7 +249,7 @@ class TestServiceProcessing:
         assert restored.fingerprint() == report.fingerprint()
         # Nothing pending: a restarted service re-runs no searches.
         assert reborn.process() == {}
-        assert reborn.stats().searches_run == 0
+        assert reborn.stats()["searches_run"] == 0
         # The search counters travel with the report, outside its identity.
         assert (restored.vm_steps, restored.repairs, restored.stop_reason) \
             == (report.vm_steps, report.repairs, "reproduced")
@@ -339,7 +333,7 @@ class TestServiceProcessing:
         assert counters["service.rejected.UnknownProgramError"] == 1
 
         assert service.process() == {}
-        assert service.stats().searches_run == 0
+        assert service.stats()["searches_run"] == 0
         assert service.inbox.describe()["traces"] == 0
 
     def test_uncompilable_program_rejected_at_ingest(self, tmp_path,
@@ -385,7 +379,7 @@ class TestServiceProcessing:
         reports = service.process()
         assert list(reports) == [good.trace_id]
         assert reports[good.trace_id].reproduced
-        assert service.stats().searches_run == 1
+        assert service.stats()["searches_run"] == 1
 
     def test_mismatched_binaries_rejected_at_ingest(self, tmp_path,
                                                     mkdir_bytes):
@@ -419,7 +413,7 @@ class TestServiceProcessing:
         counters = service.registry.snapshot().counters
         assert counters["service.rejected.TraceFingerprintMismatch"] == 2
         assert list(service.process()) == [good.trace_id]
-        assert service.stats().searches_run == 1
+        assert service.stats()["searches_run"] == 1
 
     def test_loop_exit_outside_a_loop_rejected_at_ingest(self, tmp_path,
                                                          mkdir_bytes):
@@ -468,8 +462,8 @@ class TestServiceProcessing:
             .startswith("RecursionError: ")
         assert service.process() == {}
         stats = service.stats()
-        assert stats.clusters_done == 1
-        assert stats.searches_run == 1
+        assert stats["clusters_done"] == 1
+        assert stats["searches_run"] == 1
 
     def test_same_bug_different_recordings_search_separately(self, tmp_path):
         """Two users hit the *same* bug with *different* inputs: the traces
@@ -489,7 +483,7 @@ class TestServiceProcessing:
         assert r1.cluster_id != r2.cluster_id    # different recordings
         assert not r2.duplicate
         reports = service.process()
-        assert service.stats().searches_run == 2
+        assert service.stats()["searches_run"] == 2
         for data, workload, result in ((exp1, "diff-exp1", r1),
                                        (exp2, "diff-exp2", r2)):
             pipeline, _env = workload_pipeline(workload,
@@ -549,6 +543,24 @@ class TestServeBatchCli:
         assert stats["reproduced_clusters"] == 2
         assert serve.stdout.count("report t") == 3
         assert "via=" in serve.stdout  # the duplicate rode along
+
+    def test_stats_on_missing_root_is_an_error(self, tmp_path, capsys,
+                                               mkdir_bytes):
+        from repro.service.cli import main as cli_main
+
+        missing = tmp_path / "typo"
+        assert cli_main(["stats", "--root", str(missing)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"error: no service state at {missing}"
+        assert not missing.exists()  # a typo creates nothing
+
+        root = tmp_path / "inbox"
+        ReproService(str(root), config=service_config()).ingest_bytes(
+            mkdir_bytes)
+        assert cli_main(["stats", "--root", str(root), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert stats["traces_ingested"] == 1
+        assert "dedup_ratio" not in stats
 
     def test_module_entry_point_lists_workloads(self):
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))

@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.replay.engine import ReplayEngine
 from repro.service import ReproService
-from repro.service.service import ServiceStats, outcome_fingerprint
+from repro.service.service import outcome_fingerprint
 from repro.telemetry import (
     COUNT_BUCKETS,
     MetricsRegistry,
@@ -286,13 +286,25 @@ class TestShims:
         assert events["hits"] + events["misses"] > 0
 
     def test_service_stats_round_trip(self, tmp_path):
-        stats = ServiceStats(searches_run=2, reports_fanned_out=5)
-        payload = stats.to_json()
-        assert payload["dedup_ratio"] == 2.5
-        empty = ServiceStats()
-        assert empty.dedup_ratio is None
-        assert "dedup_ratio" not in empty.to_json()
-        assert json.loads(json.dumps(empty.to_json())) == empty.to_json()
+        # ReproService.stats() is plain JSON data read off the registry:
+        # no dedup_ratio before the first search, fanned-out reports per
+        # search after it.
+        _record_trace("mkdir-bug", tmp_path / "a.trace")
+        _record_trace("mkfifo-bug", tmp_path / "b.trace")
+        with ReproService(str(tmp_path / "svc")) as service:
+            for name in ("a.trace", "a.trace", "b.trace"):
+                service.ingest_file(str(tmp_path / name))
+            idle = service.stats()
+            assert idle["searches_run"] == 0
+            assert "dedup_ratio" not in idle
+            assert json.loads(json.dumps(idle)) == idle
+            service.process()
+            stats = service.stats()
+        assert json.loads(json.dumps(stats)) == stats
+        assert stats["searches_run"] == 2
+        assert stats["reports_fanned_out"] == 3
+        assert stats["dedup_ratio"] == 1.5
+        assert stats["traces_ingested"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +353,7 @@ class TestServiceTelemetry:
                 svc.ingest_file(str(trace))
                 reports = svc.process()
                 results[label] = (svc.stats(), reports)
-        stats_on, stats_off = results["on"][0], results["off"][0]
-        on_json, off_json = stats_on.to_json(), stats_off.to_json()
+        on_json, off_json = results["on"][0], results["off"][0]
         on_json.pop("process_wall_seconds")
         off_json.pop("process_wall_seconds")
         assert on_json == off_json
