@@ -34,7 +34,6 @@ from repro.core.pipeline import Pipeline
 from repro.core.results import (
     AnalysisResult,
     BranchLoggingStats,
-    InstrumentationReport,
     RecordingResult,
     ReplayReport,
 )
@@ -42,7 +41,6 @@ from repro.environment import Environment, simple_environment
 from repro.instrument.methods import InstrumentationMethod
 from repro.instrument.plan import InstrumentationPlan
 from repro.trace import (
-    EnvironmentSpec,
     Trace,
     TraceError,
     TraceFingerprintMismatch,
@@ -57,10 +55,8 @@ __all__ = [
     "BranchLoggingStats",
     "ConcolicBudget",
     "Environment",
-    "EnvironmentSpec",
     "InstrumentationMethod",
     "InstrumentationPlan",
-    "InstrumentationReport",
     "Pipeline",
     "PipelineConfig",
     "RecordingResult",

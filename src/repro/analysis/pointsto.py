@@ -66,9 +66,6 @@ class PointsToResult:
     def may_alias(self, a: str, b: str) -> bool:
         return bool(self.pointees(a) & self.pointees(b))
 
-    def object_count(self) -> int:
-        return len(self.objects)
-
 
 class PointsToAnalysis:
     """Computes :class:`PointsToResult` for a program."""

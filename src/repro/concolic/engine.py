@@ -10,8 +10,11 @@ Outputs:
 
 * a :class:`~repro.concolic.labels.BranchLabels` labelling (symbolic /
   concrete / unvisited) used by the instrumentation methods,
-* per-location execution statistics for the branch-behaviour figures,
 * coverage numbers used to report the LC/HC configurations.
+
+Per-location execution statistics (the branch-behaviour figures, the
+planner) come from :meth:`ConcolicEngine.profile_run`, one run with the
+scenario's real inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.environment import Environment
 from repro.interp.backend import create_backend
 from repro.interp.inputs import ExecutionMode, InputBinder
 from repro.interp.interpreter import ExecutionConfig, ExecutionResult
-from repro.interp.tracer import TraceRecorder
+from repro.interp.tracer import ExecutionHooks, TraceRecorder
 from repro.lang.program import Program
 from repro.symbolic.constraints import ConstraintSet
 from repro.symbolic.simplify import variable_names
@@ -60,8 +63,6 @@ class DynamicAnalysisResult:
     wall_seconds: float = 0.0
     budget: Optional[ConcolicBudget] = None
     runs: List[ConcolicRun] = field(default_factory=list)
-    location_executions: Dict[str, int] = field(default_factory=dict)
-    location_symbolic_executions: Dict[str, int] = field(default_factory=dict)
 
     @property
     def coverage(self) -> float:
@@ -88,7 +89,7 @@ class ConcolicEngine:
     def profile_run(self, overrides: Optional[Dict[str, int]] = None) -> TraceRecorder:
         """Run once with symbolic input tracking and return per-location stats."""
 
-        recorder = ConcolicRunTrace(BranchLabels.for_program(self.program.branch_locations))
+        recorder = TraceRecorder(keep_events=False)
         self._execute(overrides or {}, recorder)
         return recorder
 
@@ -116,7 +117,6 @@ class ConcolicEngine:
             before_visited = len(labels.visited)
             run_result, binder = self._execute(overrides, trace)
             result.iterations += 1
-            self._accumulate_stats(result, trace)
             result.runs.append(ConcolicRun(
                 iteration=result.iterations,
                 overrides=dict(overrides),
@@ -183,23 +183,13 @@ class ConcolicEngine:
         return None
 
     def _execute(self, overrides: Dict[str, int],
-                 trace: ConcolicRunTrace) -> Tuple[ExecutionResult, InputBinder]:
+                 hooks: ExecutionHooks) -> Tuple[ExecutionResult, InputBinder]:
         kernel = self.environment.make_kernel()
         binder = InputBinder(mode=ExecutionMode.ANALYZE, overrides=dict(overrides))
         config = ExecutionConfig(mode=ExecutionMode.ANALYZE,
                                  max_steps=self.budget.max_steps_per_run,
                                  backend=self.backend)
-        executor = create_backend(self.program, kernel=kernel, hooks=trace,
+        executor = create_backend(self.program, kernel=kernel, hooks=hooks,
                                   binder=binder, config=config)
         run_result = executor.run(self.environment.argv)
         return run_result, binder
-
-    @staticmethod
-    def _accumulate_stats(result: DynamicAnalysisResult, trace: ConcolicRunTrace) -> None:
-        for row in trace.location_stats():
-            key = row["location"]
-            result.location_executions[key] = (
-                result.location_executions.get(key, 0) + row["executions"])
-            result.location_symbolic_executions[key] = (
-                result.location_symbolic_executions.get(key, 0)
-                + row["symbolic_executions"])

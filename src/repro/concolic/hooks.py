@@ -1,41 +1,32 @@
 """Execution hooks used by the concolic engine.
 
-A :class:`ConcolicRunTrace` observes one interpreter run: it accumulates the
-ordered path constraints produced by symbolic branches, updates the branch
-labelling, and keeps per-location statistics (re-using
-:class:`~repro.interp.tracer.TraceRecorder`).
+A :class:`ConcolicRunTrace` observes one interpreter run: it updates the
+branch labelling and accumulates the ordered path constraints produced by
+symbolic branches.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.concolic.labels import BranchLabels
-from repro.interp.tracer import BranchEvent, TraceRecorder
+from repro.interp.tracer import BranchEvent, ExecutionHooks
 from repro.symbolic.constraints import Constraint, ConstraintSet
 
 
-class ConcolicRunTrace(TraceRecorder):
-    """Trace of one concolic run: statistics plus the path constraint list."""
+class ConcolicRunTrace(ExecutionHooks):
+    """Trace of one concolic run: the labels it marks and its path constraints."""
 
-    def __init__(self, labels: Optional[BranchLabels] = None,
-                 keep_events: bool = False) -> None:
-        super().__init__(keep_events=keep_events)
+    def __init__(self, labels: Optional[BranchLabels] = None) -> None:
         self.labels = labels if labels is not None else BranchLabels()
         self.path_constraints = ConstraintSet()
-        # Indices (within path_constraints) already negated in earlier
-        # exploration; the engine fills this in before a run so the same
-        # alternative is not scheduled twice.
-        self.constraint_branches: List[BranchEvent] = []
 
     def on_branch(self, event: BranchEvent) -> None:
-        super().on_branch(event)
         self.labels.observe(event.location, event.symbolic)
         if event.symbolic and event.condition is not None:
             self.path_constraints.add(Constraint(event.condition,
                                                  origin=event.location.node_id,
                                                  description=event.location.short()))
-            self.constraint_branches.append(event)
 
     # -- convenience used by the engine --------------------------------------------
 

@@ -18,7 +18,6 @@ from repro.core.config import ConcolicBudget, PipelineConfig, ReplayBudget
 from repro.core.pipeline import Pipeline
 from repro.core.results import (
     AnalysisResult,
-    InstrumentationReport,
     RecordingResult,
     ReplayReport,
 )
@@ -26,7 +25,6 @@ from repro.core.results import (
 __all__ = [
     "AnalysisResult",
     "ConcolicBudget",
-    "InstrumentationReport",
     "Pipeline",
     "PipelineConfig",
     "RecordingResult",

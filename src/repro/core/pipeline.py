@@ -12,7 +12,6 @@ from repro.core.config import PipelineConfig
 from repro.core.results import (
     AnalysisResult,
     BranchLoggingStats,
-    InstrumentationReport,
     RecordingResult,
     ReplayReport,
 )
@@ -29,6 +28,7 @@ from repro.lang.program import Program
 from repro.replay.budget import ReplayBudget
 from repro.replay.engine import ReplayEngine
 from repro.telemetry import span as telemetry_span
+from repro.trace import Trace, load_trace, save_trace, trace_from_recording
 
 
 class Pipeline:
@@ -194,40 +194,20 @@ class Pipeline:
             baseline_steps=baseline,
         )
 
-    def measure_overhead(self, plan: InstrumentationPlan,
-                         environment: Environment) -> InstrumentationReport:
-        """Record once and package the overhead numbers (Figures 2, 4, 5)."""
-
-        recording = self.record(plan, environment)
-        logger_locations = len({loc for loc in plan.instrumented})
-        return InstrumentationReport(plan=plan, overhead=recording.overhead,
-                                     baseline_steps=recording.baseline_steps,
-                                     instrumented_locations_executed=logger_locations)
-
     # -- replay (developer site) -----------------------------------------------------------------------
 
     def reproduce(self, recording: RecordingResult,
                   budget: Optional[ReplayBudget] = None,
                   scenario: str = "") -> ReplayReport:
-        """Attempt to reproduce the recorded crash from its bug report."""
+        """Attempt to reproduce the recorded crash from its bug report.
 
-        engine = ReplayEngine(
-            program=self.program,
-            plan=recording.plan,
-            bitvector=recording.bitvector,
-            syscall_log=recording.syscall_log if recording.plan.log_syscalls else None,
-            crash_site=recording.crash_site,
-            environment=recording.environment.scaffold(),
-            budget=budget or self.config.replay_budget,
-            backend=self.config.backend,
-            max_call_depth=self.config.max_call_depth,
-            warm_start=self.config.replay_warm_start,
-            telemetry=self.config.telemetry_enabled,
-            profile_opcodes=self.config.profile_opcodes,
-        )
-        outcome = engine.reproduce()
-        return ReplayReport(method=recording.plan.method, outcome=outcome,
-                            scenario=scenario or recording.environment.name)
+        The search replays exactly the trace a user site would ship for
+        *recording* (see :func:`~repro.trace.trace_from_recording`).
+        """
+
+        return self.reproduce_from_trace(
+            trace_from_recording(recording, program_name=self.program.name),
+            budget=budget, scenario=scenario)
 
     # -- trace persistence (the user/developer split) -----------------------------------------
 
@@ -240,8 +220,6 @@ class Pipeline:
         site and the structural input scaffold (with ``scaffold=True``, the
         default, the user's data is blanked out before it is serialized).
         """
-
-        from repro.trace import save_trace, trace_from_recording
 
         recording = self.record(plan, environment)
         trace = trace_from_recording(recording, scaffold=scaffold,
@@ -261,8 +239,6 @@ class Pipeline:
         locations this pipeline's program does not have) is rejected with
         :class:`~repro.trace.TraceFingerprintMismatch`.
         """
-
-        from repro.trace import Trace, load_trace
 
         trace = (trace_or_path if isinstance(trace_or_path, Trace)
                  else load_trace(trace_or_path))

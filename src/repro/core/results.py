@@ -32,21 +32,6 @@ class AnalysisResult:
 
 
 @dataclass
-class InstrumentationReport:
-    """An instrumentation plan plus the overhead measured for one workload."""
-
-    plan: InstrumentationPlan
-    overhead: OverheadReport
-    baseline_steps: int
-    instrumented_locations_executed: int = 0
-
-    def describe(self) -> Dict[str, object]:
-        info = dict(self.plan.describe())
-        info.update(self.overhead.describe())
-        return info
-
-
-@dataclass
 class RecordingResult:
     """What the (simulated) user site ships to the developer after a crash.
 

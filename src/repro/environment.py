@@ -1,10 +1,14 @@
-"""Execution environments: argv plus a factory for the simulated OS state.
+"""Execution environments: the inputs of one run, as plain data.
 
 Every stage that runs the program (recording, dynamic analysis, replay) needs a
 fresh :class:`~repro.osmodel.kernel.Kernel` per run, because kernel state
 (file offsets, network scripts, stdin position) is consumed by execution.  An
-:class:`Environment` bundles the argv vector with a kernel factory so each run
-starts from an identical simulated machine.
+:class:`Environment` holds what a run starts from — argv, stdin, filesystem
+entries, scripted connections and kernel tunables — and
+:meth:`Environment.make_kernel` builds an identical simulated machine from it
+for each run.  Being plain data, an environment pickles (search checkpoints,
+supervised search workers) and serializes (the trace file's ``ENVS``
+section) as it is.
 
 Replay uses :meth:`Environment.scaffold` — an environment with the same
 *structure* (argument lengths, stdin length, file sizes, connection count and
@@ -15,24 +19,41 @@ branch bitvector and (optionally) selected syscall results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 from repro.osmodel.filesystem import FileSystem
 from repro.osmodel.kernel import Kernel, KernelConfig
 from repro.osmodel.network import NetworkModel, NetworkScript, ScriptedConnection
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
-    """argv plus a kernel factory describing one execution scenario."""
+    """The inputs of one execution scenario."""
 
-    argv: List[str]
-    kernel_factory: Callable[[], Kernel] = Kernel
+    argv: Tuple[str, ...]
     name: str = "scenario"
+    stdin: bytes = b""
+    read_chunk_limit: int = 0
+    max_idle_selects: int = 16
+    #: ``(path, data, kind, mode)`` per filesystem entry, in insertion order,
+    #: under the normalized path :class:`FileSystem` keys it by.
+    files: Tuple[Tuple[str, bytes, str, int], ...] = ()
+    #: ``(request, arrival_step, chunks)`` per scripted connection.
+    connections: Tuple[Tuple[bytes, int, Tuple[int, ...]], ...] = ()
 
     def make_kernel(self) -> Kernel:
-        return self.kernel_factory()
+        fs = FileSystem()
+        for path, data, kind, mode in self.files:
+            fs.add_file(path, data, kind=kind, mode=mode)
+        script = NetworkScript(connections=[
+            ScriptedConnection(request=request, arrival_step=arrival,
+                               chunks=list(chunks))
+            for request, arrival, chunks in self.connections])
+        return Kernel(filesystem=fs, network=NetworkModel(script),
+                      config=KernelConfig(stdin_data=self.stdin,
+                                          read_chunk_limit=self.read_chunk_limit,
+                                          max_idle_selects=self.max_idle_selects))
 
     # -- scaffolding for replay -------------------------------------------------------
 
@@ -41,8 +62,8 @@ class Environment:
 
         The argv strings keep their lengths (content replaced by ``A``), stdin
         keeps its length, scripted requests keep their lengths, and the
-        filesystem keeps its paths and file sizes.  The replay engine combines
-        this scaffold with solver-chosen input bytes.
+        filesystem keeps its paths, kinds, modes and file sizes.  The replay
+        engine combines this scaffold with solver-chosen input bytes.
 
         Arguments that name a path of the (structurally preserved) filesystem
         are kept verbatim: the path string is already disclosed by the
@@ -57,40 +78,18 @@ class Environment:
         revealed.
         """
 
-        template = self.make_kernel()
-        known_paths = set(template.fs.snapshot())
-        blank_argv = [self.argv[0]] + [
-            arg if arg in known_paths else "A" * len(arg)
-            for arg in self.argv[1:]
-        ]
-
-        def factory() -> Kernel:
-            kernel = self.make_kernel()
-            kernel.config = KernelConfig(
-                stdin_data=b"A" * len(kernel.config.stdin_data),
-                read_chunk_limit=kernel.config.read_chunk_limit,
-                max_idle_selects=kernel.config.max_idle_selects,
-            )
-            blank_fs = FileSystem()
-            for path, entry in kernel.fs.snapshot().items():
-                if path == "/":
-                    continue
-                original = kernel.fs.get(path)
-                kind = original.kind if original else "file"
-                blank_fs.add_file(path, b"A" * len(entry), kind=kind)
-            kernel.fs = blank_fs
-            blank_connections = [
-                ScriptedConnection(request=b"A" * len(conn.request),
-                                   arrival_step=conn.arrival_step,
-                                   chunks=conn.chunks)
-                for conn in kernel.net.script.connections
-            ]
-            kernel.net = NetworkModel(NetworkScript(connections=blank_connections))
-            return kernel
-
-        del template  # only built to mirror the public contract; not reused
-        return Environment(argv=blank_argv, kernel_factory=factory,
-                           name=f"{self.name}-scaffold")
+        known_paths = {"/"} | {path for path, _, _, _ in self.files}
+        return replace(
+            self,
+            argv=self.argv[:1] + tuple(
+                arg if arg in known_paths else "A" * len(arg)
+                for arg in self.argv[1:]),
+            name=f"{self.name}-scaffold",
+            stdin=b"A" * len(self.stdin),
+            files=tuple((path, b"A" * len(data), kind, mode)
+                        for path, data, kind, mode in self.files),
+            connections=tuple((b"A" * len(request), arrival, chunks)
+                              for request, arrival, chunks in self.connections))
 
 
 def simple_environment(argv: Sequence[str], stdin: bytes = b"",
@@ -101,20 +100,16 @@ def simple_environment(argv: Sequence[str], stdin: bytes = b"",
     """Convenience constructor used by workloads and tests.
 
     ``files`` maps path -> bytes; ``requests`` is the scripted client workload
-    delivered through the network model.
+    delivered through the network model, request *i* arriving at step *i*.
     """
 
-    argv_list = list(argv)
-    files = dict(files or {})
-    request_list = [bytes(r) for r in (requests or ())]
-
-    def factory() -> Kernel:
-        fs = FileSystem()
-        for path, data in files.items():
-            fs.add_file(path, bytes(data))
-        net = NetworkModel(NetworkScript.from_requests(request_list))
-        return Kernel(filesystem=fs, network=net,
-                      config=KernelConfig(stdin_data=bytes(stdin),
-                                          read_chunk_limit=read_chunk_limit))
-
-    return Environment(argv=argv_list, kernel_factory=factory, name=name)
+    fs = FileSystem()
+    for path, data in (files or {}).items():
+        fs.add_file(path, bytes(data))
+    return Environment(
+        argv=tuple(argv), name=name, stdin=bytes(stdin),
+        read_chunk_limit=read_chunk_limit,
+        files=tuple((entry.path, entry.data, entry.kind, entry.mode)
+                    for entry in fs.entries()),
+        connections=tuple((bytes(request), index, ())
+                          for index, request in enumerate(requests or ())))

@@ -224,6 +224,3 @@ class BranchLogger(ExecutionHooks):
         if self.plan.log_syscalls:
             total += self.syscall_log.storage_bytes()
         return total
-
-    def instrumented_locations_executed(self) -> int:
-        return len(self.per_location_executions)

@@ -33,19 +33,6 @@ from repro.osmodel.syscalls import SyscallKind
 BACKENDS = ("interp", "vm")
 
 
-def compile_cache_stats() -> dict:
-    """Hit/miss counters of the VM's ``(Program, plan)`` compiled-code cache.
-
-    The replay engine's hundreds of re-runs must hit this cache after the
-    first run of each plan; a miss-heavy profile means plans are being
-    rebuilt with differing fingerprints.  Counters are process-wide.
-    """
-
-    from repro.vm.compiler import cache_stats
-
-    return cache_stats()
-
-
 @runtime_checkable
 class Backend(Protocol):
     """What every execution engine exposes.

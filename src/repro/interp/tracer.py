@@ -46,9 +46,6 @@ class ExecutionHooks:
     def on_syscall(self, event: SyscallEvent) -> None:
         """Called after every syscall the guest performs."""
 
-    def on_step(self, count: int = 1) -> None:
-        """Called periodically with the number of interpreter steps executed."""
-
 
 class NullHooks(ExecutionHooks):
     """Hooks that ignore every event (plain execution)."""
@@ -116,22 +113,3 @@ class TraceRecorder(ExecutionHooks):
             if 0 < symbolic < count:
                 mixed.append(location)
         return sorted(mixed)
-
-
-class CompositeHooks(ExecutionHooks):
-    """Fan events out to several hook objects."""
-
-    def __init__(self, *hooks: ExecutionHooks) -> None:
-        self.hooks = [h for h in hooks if h is not None]
-
-    def on_branch(self, event: BranchEvent) -> None:
-        for hook in self.hooks:
-            hook.on_branch(event)
-
-    def on_syscall(self, event: SyscallEvent) -> None:
-        for hook in self.hooks:
-            hook.on_syscall(event)
-
-    def on_step(self, count: int = 1) -> None:
-        for hook in self.hooks:
-            hook.on_step(count)

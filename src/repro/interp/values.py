@@ -95,9 +95,6 @@ class Pointer:
     block: ArrayObject
     offset: int = 0
 
-    def deref_index(self, extra: int = 0) -> int:
-        return self.offset + extra
-
     def moved(self, delta: int) -> "Pointer":
         return Pointer(self.block, self.offset + delta)
 
@@ -106,12 +103,6 @@ class Pointer:
 
 
 Value = Union[ConcolicValue, Pointer]
-
-
-def is_null(value: Value) -> bool:
-    """True when the value is the C null pointer (integer 0)."""
-
-    return isinstance(value, ConcolicValue) and value.concrete == 0
 
 
 def as_int(value: Value) -> ConcolicValue:

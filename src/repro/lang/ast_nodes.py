@@ -74,10 +74,6 @@ class TypeName(Node):
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return self.base + "*" * self.pointer_depth
 
-    @property
-    def is_pointer(self) -> bool:
-        return self.pointer_depth > 0
-
 
 # ---------------------------------------------------------------------------
 # Expressions

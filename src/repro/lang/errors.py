@@ -53,14 +53,6 @@ class DivisionByZeroError(RuntimeMiniCError):
     """Integer division or modulo by zero."""
 
 
-class MemoryError_(RuntimeMiniCError):
-    """Out-of-bounds access, null dereference, or invalid pointer arithmetic.
-
-    The trailing underscore avoids shadowing the Python built-in
-    :class:`MemoryError`, which has different semantics.
-    """
-
-
 class ProgramCrash(RuntimeMiniCError):
     """The simulated equivalent of a segfault / abort in the guest program.
 

@@ -76,12 +76,6 @@ class Program:
     def main(self) -> FunctionDef:
         return self.functions["main"]
 
-    def branch_by_id(self, node_id: int) -> Optional[BranchLocation]:
-        for location in self.branch_locations:
-            if location.node_id == node_id:
-                return location
-        return None
-
     def branches_in_function(self, function_name: str) -> List[BranchLocation]:
         return [b for b in self.branch_locations if b.function == function_name]
 

@@ -46,9 +46,6 @@ class FileSystem:
     def listdir(self) -> List[str]:
         return sorted(self._entries)
 
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     # -- mutation ----------------------------------------------------------------
 
     def add_file(self, path: str, data: bytes = b"", kind: str = "file",
@@ -126,8 +123,8 @@ class FileSystem:
         """Every entry except the implicit root, in insertion order.
 
         Unlike :meth:`snapshot` this keeps the entry *kind* (file, dir, fifo,
-        node) and mode, which the trace serializer needs to rebuild a
-        behaviourally identical filesystem in another process.
+        node) and mode, which an :class:`~repro.environment.Environment`
+        records to rebuild a behaviourally identical filesystem per run.
         """
 
         return [entry for path, entry in self._entries.items() if path != "/"]

@@ -108,7 +108,6 @@ class NetworkModel:
         self._next_to_arrive = 0
         self._step = 0
         self.connections: Dict[int, Connection] = {}
-        self._accepted = 0
 
     def advance(self) -> None:
         """Advance simulated time by one step (called on each select)."""
@@ -127,7 +126,6 @@ class NetworkModel:
             return None
         scripted = self.script.connections[self._next_to_arrive]
         self._next_to_arrive += 1
-        self._accepted += 1
         connection = Connection(conn_id, scripted.request, scripted.chunks)
         self.connections[conn_id] = connection
         return connection
@@ -135,9 +133,6 @@ class NetworkModel:
     def readable(self, conn_id: int) -> bool:
         connection = self.connections.get(conn_id)
         return bool(connection and not connection.closed and connection.available() > 0)
-
-    def readable_connections(self) -> List[int]:
-        return [cid for cid in sorted(self.connections) if self.readable(cid)]
 
     def close(self, conn_id: int) -> None:
         connection = self.connections.get(conn_id)
@@ -150,9 +145,6 @@ class NetworkModel:
         if self._next_to_arrive < len(self.script.connections):
             return False
         return not any(self.readable(cid) for cid in self.connections)
-
-    def accepted_count(self) -> int:
-        return self._accepted
 
     def responses(self) -> Dict[int, bytes]:
         """Bytes the guest sent back on each connection (for assertions)."""

@@ -91,6 +91,3 @@ class SyscallTrace:
 
     def of_kind(self, kind: SyscallKind) -> List[SyscallEvent]:
         return [e for e in self.events if e.kind is kind]
-
-    def results_of(self, kind: SyscallKind) -> List[int]:
-        return [e.result for e in self.events if e.kind is kind]

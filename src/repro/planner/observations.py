@@ -110,7 +110,7 @@ class FleetObservations:
                         recorder) -> None:
         """Fold one developer-site re-profile of a reproduced run.
 
-        *recorder* is the :class:`~repro.concolic.hooks.ConcolicRunTrace`
+        *recorder* is the :class:`~repro.interp.tracer.TraceRecorder`
         of ``ConcolicEngine.profile_run`` driven by the report's
         ``found_input`` — i.e. the branch behaviour of the run the fleet
         actually crashed on, observed with full visibility.

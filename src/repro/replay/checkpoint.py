@@ -2,7 +2,7 @@
 
 The commit discipline of :class:`~repro.replay.engine.ReplayEngine` makes
 this cheap and exact: results are folded into the outcome in serial pop
-order, so at every commit boundary the triple *(engine spec, pending set,
+order, so at every commit boundary the triple *(engine, pending set,
 outcome-so-far)* fully determines the rest of the search.  A checkpoint is
 that triple — plus the merged telemetry snapshot and the elapsed budget
 clock — framed in the same versioned, CRC-checked section envelope as trace
@@ -19,10 +19,10 @@ version all raise :class:`CheckpointFormatError`.  The supervisor treats a
 corrupt checkpoint as poison — the cluster is quarantined with the typed
 error, never silently restarted into a possibly-wrong report.
 
-Section bodies are pickles (the spec already crosses the supervisor's
-process boundary by pickle), so the envelope contributes the
-integrity story — magic, version, length and checksum — while pickle
-contributes fidelity.
+Section bodies are pickles (the engine pickles its own inputs, see
+:meth:`~repro.replay.engine.ReplayEngine.__getstate__`), so the envelope
+contributes the integrity story — magic, version, length and checksum —
+while pickle contributes fidelity.
 """
 
 from __future__ import annotations
@@ -42,9 +42,11 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"REPROCKP"
-CHECKPOINT_VERSION = 1
+#: Version 2: the ``ENGN`` section pickles the engine itself.  A file of any
+#: other version is refused with :class:`CheckpointFormatError`.
+CHECKPOINT_VERSION = 2
 
-_SECTION_ORDER = (b"META", b"SPEC", b"PEND", b"OUTC", b"TELE")
+_SECTION_ORDER = (b"META", b"ENGN", b"PEND", b"OUTC", b"TELE")
 
 
 class CheckpointError(Exception):
@@ -89,8 +91,8 @@ class CheckpointPolicy:
 class SearchCheckpoint:
     """Everything needed to continue a search from one commit boundary."""
 
-    #: The picklable engine recipe (``ReplayEngine.to_spec()``).
-    spec: Any
+    #: The engine running the search (pickled as its constructor inputs).
+    engine: Any
     #: Committed items so far — the commit index this snapshot pauses at.
     commits: int
     #: Budget clock already consumed; folded into ``max_seconds`` on resume.
@@ -122,7 +124,7 @@ def _unpickle(body: bytes, what: str) -> Any:
 
 
 def dump_checkpoint_bytes(checkpoint: SearchCheckpoint) -> bytes:
-    """Serialize *checkpoint* into the version-1 binary form."""
+    """Serialize *checkpoint* into the current binary form."""
 
     meta = _Writer()
     meta.u64(checkpoint.commits)
@@ -130,7 +132,7 @@ def dump_checkpoint_bytes(checkpoint: SearchCheckpoint) -> bytes:
     meta.u64(len(checkpoint.pending_items))
     sections = {
         b"META": meta.getvalue(),
-        b"SPEC": _pickle(checkpoint.spec),
+        b"ENGN": _pickle(checkpoint.engine),
         b"PEND": _pickle({
             "items": checkpoint.pending_items,
             "seen": checkpoint.seen_signatures,
@@ -162,7 +164,7 @@ def load_checkpoint_bytes(data: bytes) -> SearchCheckpoint:
         raise CheckpointFormatError(str(exc))
     pend = _unpickle(sections[b"PEND"], "PEND")
     return SearchCheckpoint(
-        spec=_unpickle(sections[b"SPEC"], "SPEC"),
+        engine=_unpickle(sections[b"ENGN"], "ENGN"),
         commits=commits,
         elapsed_seconds=elapsed,
         pending_items=pend["items"],

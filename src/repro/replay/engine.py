@@ -17,7 +17,7 @@ counters and the explored pending set are therefore a pure function of the
 recording, which is what lets a search pause at any commit boundary and
 resume elsewhere (:mod:`repro.replay.checkpoint`).  Parallelism lives one
 level up: the service's supervisor runs one search per trace cluster in its
-own process, rebuilt from the picklable :class:`_EngineSpec`.
+own process, from a pickled :class:`ReplayEngine`.
 
 **Repair in place.**  A search on the VM does not restart a run that
 reaches a logged symbolic branch going the wrong way.  The run is committed
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -152,22 +151,6 @@ class ReplayOutcome:
     # for an uninterrupted search and one resumed from a checkpoint.
     telemetry: Optional[RegistrySnapshot] = None
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # A checkpoint written before the search counters existed resumes
-        # with them at their defaults.  One written while the engine had a
-        # process pool also carries ``workers``, ``speculated_items`` and
-        # ``speculation_hits``; resuming rebuilds the outcome from its
-        # fields (``_initial_state``), which leaves those behind.
-        self.__dict__.update(vm_steps=0, repairs=0, repair_blocked={},
-                             stop_reason="", solver_unknowns=0)
-        self.__dict__.update(state)
-
-    @property
-    def replay_time(self) -> float:
-        """Replay time in seconds, the paper's Table 3/5/6 metric."""
-
-        return self.wall_seconds
-
     @property
     def compile_cache_lookups(self) -> int:
         """Compiled-code cache lookups by committed runs (hits + misses).
@@ -215,10 +198,6 @@ class _ItemEvaluation:
     repaired: bool = False
     repair_blocked: str = ""
     solver_unknowns: int = 0
-    # Snapshot of the per-item metrics registry (VM opcode counts, item
-    # histograms, solver/compile-cache timings), merged into the engine
-    # registry at commit time, in pop order.
-    telemetry: Optional[RegistrySnapshot] = None
 
 
 @dataclass
@@ -236,67 +215,50 @@ class _Solution:
 
 
 class _ItemScope:
-    """Per-item attribution: a metrics registry and compile-cache events.
+    """Per-item attribution: compile-cache events and the item's clock.
 
     Opened around one physical run; :meth:`restart` starts the next logical
     run inside it when a chain continues in place, so every committed
-    evaluation carries exactly its own metrics, as in a restarted search.
+    evaluation carries exactly its own cache counts, as in a restarted
+    search.  Metrics go straight into the search's one registry: the search
+    is serial and commits every evaluation in the order it ran.
     """
 
-    def __init__(self, telemetry: bool) -> None:
-        self.telemetry = telemetry
-        self.registry: Optional[MetricsRegistry] = None
+    def __init__(self, registry: Optional[MetricsRegistry]) -> None:
+        self.registry = registry
         self.started = time.perf_counter()
         self._cache = vm_compiler.cache_scope()
-        self._scope = None
         self.cache_events: Dict[str, int] = {}
 
     def __enter__(self) -> "_ItemScope":
         self.cache_events = self._cache.__enter__()
-        self._open_registry()
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._scope is not None:
-            self._scope.__exit__(*exc)
         self._cache.__exit__(*exc)
-
-    def _open_registry(self) -> None:
-        if self.telemetry:
-            self.registry = MetricsRegistry()
-            self._scope = scoped(self.registry)
-            self._scope.__enter__()
 
     def restart(self) -> None:
         self.cache_events["hits"] = self.cache_events["misses"] = 0
         self.started = time.perf_counter()
-        if self._scope is not None:
-            self._scope.__exit__(None, None, None)
-            self._open_registry()
 
     def finish(self, evaluation: _ItemEvaluation) -> _ItemEvaluation:
-        """Fill *evaluation*'s cache counters and metrics snapshot."""
+        """Fill *evaluation*'s cache counters and observe its histograms."""
 
         evaluation.cache_hits = self.cache_events["hits"]
         evaluation.cache_misses = self.cache_events["misses"]
-        local = self.registry
-        if local is None:
+        registry = self.registry
+        if registry is None:
             return evaluation
-        # One registry per item: items collect into isolated registries,
-        # snapshot them into the evaluation, and the commit path merges
-        # snapshots in pop order — so the deterministic portion of the
-        # merged registry is a pure function of the committed sequence.
-        local.histogram("replay.item_seconds", SECONDS_BUCKETS,
-                        timing=True).observe(time.perf_counter() - self.started)
+        registry.histogram("replay.item_seconds", SECONDS_BUCKETS,
+                           timing=True).observe(time.perf_counter() - self.started)
         if evaluation.ran:
-            local.histogram("replay.item_consumed_bits").observe(
+            registry.histogram("replay.item_consumed_bits").observe(
                 evaluation.consumed_bits)
-            local.histogram("replay.item_constraints").observe(
+            registry.histogram("replay.item_constraints").observe(
                 evaluation.constraints)
         if evaluation.solver_calls:
-            local.histogram("replay.item_solver_nodes").observe(
+            registry.histogram("replay.item_solver_nodes").observe(
                 evaluation.solver_nodes)
-        evaluation.telemetry = local.snapshot()
         return evaluation
 
 
@@ -367,49 +329,6 @@ class _Chain:
         return True
 
 
-@dataclass
-class _EngineSpec:
-    """A picklable recipe for rebuilding an engine in another process.
-
-    The recorded bitvector travels packed (``BitvectorLog.to_bytes``), the
-    environment as a :class:`~repro.trace.EnvironmentSpec`, and the program as
-    a cache-stripped clone (compiled-code caches are per-process anyway); the
-    plan keeps its branch sets but drops analysis metadata.
-    """
-
-    program: Program
-    plan: InstrumentationPlan
-    bits: bytes
-    bit_count: int
-    syscall_log: Optional[SyscallResultLog]
-    crash_site: Optional[CrashSite]
-    environment_spec: "object"  # EnvironmentSpec (import cycle avoided)
-    budget: ReplayBudget
-    require_full_log_match: bool
-    backend: str
-    max_call_depth: int
-    warm_start: bool
-    telemetry: bool = False
-    profile_opcodes: bool = False
-
-    def build_engine(self) -> "ReplayEngine":
-        return ReplayEngine(
-            program=self.program,
-            plan=self.plan,
-            bitvector=BitvectorLog.from_bytes(self.bits, self.bit_count),
-            syscall_log=self.syscall_log,
-            crash_site=self.crash_site,
-            environment=self.environment_spec.to_environment(),
-            budget=self.budget,
-            require_full_log_match=self.require_full_log_match,
-            backend=self.backend,
-            max_call_depth=self.max_call_depth,
-            warm_start=self.warm_start,
-            telemetry=self.telemetry,
-            profile_opcodes=self.profile_opcodes,
-        )
-
-
 def check_matched_binaries(program: Program, trace,
                            expect_plan: Optional[InstrumentationPlan] = None
                            ) -> None:
@@ -475,11 +394,9 @@ class ReplayEngine:
         # committed sequence.
         self._ckpt_policy = None
         self._resume = None
-        self._preempt = threading.Event()
         self._commits = 0
         self._elapsed_prior = 0.0
         self._fault_injector_cache = None
-        self._live_state: Optional[Tuple[ReplayOutcome, PendingList, float]] = None
         # The forced alternative the last commit pushed (its final
         # alternative, when that push was not a duplicate or a drop).
         self._forced_item: Optional[PendingItem] = None
@@ -490,6 +407,48 @@ class ReplayEngine:
         # the bug" means for externally-induced crashes (the uServer SIGSEGV
         # scenarios), where the crash location alone carries no information.
         self.require_full_log_match = require_full_log_match
+
+    # -- pickling: the engine's inputs, nothing it derived ---------------------------------
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The constructor arguments, for a search worker or a checkpoint.
+
+        The recorded bitvector travels packed, the program as a clone without
+        its compiled-code caches (they are per-process anyway), and the plan
+        without its analysis metadata.  Search state (a checkpointing policy,
+        a resume source, the registry) stays behind: the rebuilt engine
+        explores the same search tree by the engine's commit discipline.
+        """
+
+        program = self.program
+        return {
+            "program": Program(source=program.source, unit=program.unit,
+                               name=program.name,
+                               functions=dict(program.functions),
+                               cfgs=dict(program.cfgs),
+                               branch_locations=list(program.branch_locations),
+                               library_functions=set(program.library_functions)),
+            "plan": InstrumentationPlan(method=self.plan.method,
+                                        instrumented=self.plan.instrumented,
+                                        all_locations=self.plan.all_locations,
+                                        log_syscalls=self.plan.log_syscalls),
+            "bitvector": (self.bitvector.to_bytes(), len(self.bitvector)),
+            "syscall_log": self.syscall_log,
+            "crash_site": self.crash_site,
+            "environment": self.environment,
+            "budget": self.budget,
+            "require_full_log_match": self.require_full_log_match,
+            "backend": self.backend,
+            "max_call_depth": self.max_call_depth,
+            "warm_start": self.warm_start,
+            "telemetry": self.telemetry,
+            "profile_opcodes": self.profile_opcodes,
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        state = dict(state)
+        state["bitvector"] = BitvectorLog.from_bytes(*state["bitvector"])
+        self.__init__(**state)
 
     # -- construction from a persisted trace ------------------------------------------------
 
@@ -508,16 +467,14 @@ class ReplayEngine:
         check_matched_binaries(program, trace, expect_plan)
         return cls(program=program, plan=trace.plan, bitvector=trace.bitvector,
                    syscall_log=trace.syscall_log if trace.plan.log_syscalls else None,
-                   crash_site=trace.crash_site, environment=trace.environment(),
+                   crash_site=trace.crash_site, environment=trace.environment,
                    **kwargs)
 
     @classmethod
-    def from_checkpoint(cls, source, policy=None) -> "ReplayEngine":
-        """Rebuild an engine that continues a checkpointed search.
+    def from_checkpoint(cls, path: str, policy=None) -> "ReplayEngine":
+        """Rebuild an engine that continues the search checkpointed at *path*.
 
-        *source* is a checkpoint path or a loaded
-        :class:`~repro.replay.checkpoint.SearchCheckpoint`.  The returned
-        engine's :meth:`reproduce` restores the pending set, the
+        The returned engine's :meth:`reproduce` restores the pending set, the
         outcome-so-far, the merged telemetry and the consumed budget clock,
         then continues from the saved commit boundary — producing a
         byte-identical explored set and report versus the uninterrupted run.
@@ -526,11 +483,10 @@ class ReplayEngine:
         any search work happens.
         """
 
-        from repro.replay.checkpoint import SearchCheckpoint, load_checkpoint
+        from repro.replay.checkpoint import load_checkpoint
 
-        ckpt = source if isinstance(source, SearchCheckpoint) \
-            else load_checkpoint(source)
-        engine = ckpt.spec.build_engine()
+        ckpt = load_checkpoint(path)
+        engine = ckpt.engine
         engine._resume = ckpt
         if policy is not None:
             engine.attach_checkpointing(policy)
@@ -542,37 +498,12 @@ class ReplayEngine:
         """Install a :class:`~repro.replay.checkpoint.CheckpointPolicy`.
 
         Kept out of the constructor: checkpointing is an operational concern
-        layered onto an engine (by the supervisor, a test, or the overhead
-        experiment), not part of the search definition a spec pickles.
+        layered onto an engine (by the supervisor or a test), not part of
+        the search definition the engine pickles.
         """
 
         self._ckpt_policy = policy
         self._fault_injector_cache = None
-
-    def request_preempt(self) -> None:
-        """Ask the running search to checkpoint and stop at the next commit."""
-
-        self._preempt.set()
-
-    def checkpoint(self, path: Optional[str] = None) -> str:
-        """Write the current search state to *path* (or the policy path).
-
-        Only meaningful while a search is live (between commits, or from
-        another thread while the search runs); raises
-        :class:`~repro.replay.checkpoint.CheckpointError` otherwise.
-        """
-
-        from repro.replay.checkpoint import CheckpointError, save_checkpoint
-
-        if self._live_state is None:
-            raise CheckpointError("no search is running; checkpoint() only "
-                                  "captures a live search between commits")
-        outcome, pending, start = self._live_state
-        target = path or (self._ckpt_policy.path if self._ckpt_policy else "")
-        if not target:
-            raise CheckpointError("no checkpoint path: pass one or attach a "
-                                  "CheckpointPolicy with a path")
-        return save_checkpoint(target, self._make_checkpoint(outcome, pending, start))
 
     def reproduce(self) -> ReplayOutcome:
         """Run the guided search until the bug is reproduced or the budget ends."""
@@ -585,16 +516,15 @@ class ReplayEngine:
                 # Resume with the checkpointed metrics so the final merged
                 # registry equals the uninterrupted run's.
                 self._registry.merge_snapshot(self._resume.telemetry)
-            # The search runs under the engine registry so the
-            # replay.search span (and any commit-side instrumentation) lands
-            # there; per-item metrics use their own scoped registries and
-            # merge at commit time.
+            # The search runs under the engine registry, so the
+            # replay.search span, every item's metrics and what the VM
+            # publishes at the end of each physical run all land there.
             with scoped(self._registry):
                 with span("replay.search"):
-                    self._run_search(outcome, pending, start)
+                    self._search(outcome, pending, start)
         else:
             self._registry = None
-            self._run_search(outcome, pending, start)
+            self._search(outcome, pending, start)
         outcome.wall_seconds = self._elapsed_prior + time.monotonic() - start
         outcome.pending_stats = pending.stats()
         if self._registry is not None:
@@ -626,14 +556,6 @@ class ReplayEngine:
         self._commits = ckpt.commits
         self._elapsed_prior = ckpt.elapsed_seconds
         return outcome, pending
-
-    def _run_search(self, outcome: ReplayOutcome, pending: PendingList,
-                    start: float) -> None:
-        self._live_state = (outcome, pending, start)
-        try:
-            self._search(outcome, pending, start)
-        finally:
-            self._live_state = None
 
     def _finalize_telemetry(self, outcome: ReplayOutcome) -> None:
         """Record search-level metrics and snapshot the engine registry.
@@ -705,48 +627,6 @@ class ReplayEngine:
             return None
         return self._next_item(outcome, pending, start)
 
-    def to_spec(self) -> _EngineSpec:
-        """A picklable recipe that rebuilds this engine elsewhere.
-
-        The service's supervisor ships one spec per deduped trace cluster
-        to a child process, which runs ``spec.build_engine().reproduce()``
-        in its own interpreter; checkpoints carry the same spec.  The
-        rebuilt engine explores the same search tree by the engine's commit
-        discipline.
-        """
-
-        from repro.trace import EnvironmentSpec
-
-        # A fresh Program instance carries only the dataclass fields: the
-        # per-plan compiled-code cache (and any other derived attributes
-        # stashed on the original) stay home instead of being pickled.
-        program = Program(source=self.program.source, unit=self.program.unit,
-                          name=self.program.name,
-                          functions=dict(self.program.functions),
-                          cfgs=dict(self.program.cfgs),
-                          branch_locations=list(self.program.branch_locations),
-                          library_functions=set(self.program.library_functions))
-        plan = InstrumentationPlan(method=self.plan.method,
-                                   instrumented=self.plan.instrumented,
-                                   all_locations=self.plan.all_locations,
-                                   log_syscalls=self.plan.log_syscalls)
-        return _EngineSpec(
-            program=program,
-            plan=plan,
-            bits=self.bitvector.to_bytes(),
-            bit_count=len(self.bitvector),
-            syscall_log=self.syscall_log,
-            crash_site=self.crash_site,
-            environment_spec=EnvironmentSpec.capture(self.environment),
-            budget=self.budget,
-            require_full_log_match=self.require_full_log_match,
-            backend=self.backend,
-            max_call_depth=self.max_call_depth,
-            warm_start=self.warm_start,
-            telemetry=self.telemetry,
-            profile_opcodes=self.profile_opcodes,
-        )
-
     def _budget_exhausted(self, outcome: ReplayOutcome, start: float) -> bool:
         # A resumed search inherits the clock already consumed before its
         # checkpoint, so the wall budget spans the whole logical search.
@@ -780,8 +660,7 @@ class ReplayEngine:
             return False
         if policy.heartbeat_path:
             self._touch(policy.heartbeat_path)
-        preempt = (self._preempt.is_set()
-                   or (policy.preempt_flag and os.path.exists(policy.preempt_flag))
+        preempt = ((policy.preempt_flag and os.path.exists(policy.preempt_flag))
                    or (policy.preempt_after_commits
                        and self._commits >= policy.preempt_after_commits))
         periodic = (policy.every_commits
@@ -802,7 +681,7 @@ class ReplayEngine:
         from repro.replay.checkpoint import SearchCheckpoint
 
         return SearchCheckpoint(
-            spec=self.to_spec(),
+            engine=self,
             commits=self._commits,
             elapsed_seconds=self._elapsed_prior + time.monotonic() - start,
             pending_items=list(pending._items),
@@ -874,7 +753,7 @@ class ReplayEngine:
         and has committed every logical run in it (see ``chain.next_item``).
         """
 
-        with _ItemScope(self.telemetry) as scope:
+        with _ItemScope(self._registry) as scope:
             if solution is None:
                 solution = self._solve(item)
             self._note_solve(solution)
@@ -988,12 +867,6 @@ class ReplayEngine:
                 outcome.repair_blocked.get(blocked, 0) + 1)
         registry = self._registry
         if registry is not None:
-            # Merge the item's registry first (commit order = pop order),
-            # then fold the flat counters the item snapshot does not
-            # carry.  Cache hits/misses depend on per-process cache warmth,
-            # so they are timing-marked like the compiler's own counters.
-            if evaluation.telemetry is not None:
-                registry.merge_snapshot(evaluation.telemetry)
             registry.counter("replay.solver_calls").inc(evaluation.solver_calls)
             registry.counter("replay.solver_nodes").inc(evaluation.solver_nodes)
             if evaluation.warm_start:

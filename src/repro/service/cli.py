@@ -185,6 +185,18 @@ _NO_PROFILE_LINE = ("no profile recorded: the telemetry source has no "
                     "--profile-vm)")
 
 
+def _no_service_state(root: str) -> bool:
+    """True, after saying so, when *root* is not a directory.
+
+    A mistyped root must not read as an idle service, nor be created.
+    """
+
+    if os.path.isdir(root):
+        return False
+    print(f"error: no service state at {root}", file=sys.stderr)
+    return True
+
+
 def cmd_stats(args) -> int:
     """Render telemetry: a service root's live counters or a JSONL sink."""
 
@@ -193,9 +205,7 @@ def cmd_stats(args) -> int:
     service = snapshot = None
     if args.jsonl:
         records = read_jsonl(args.jsonl)
-    elif not os.path.isdir(args.root):
-        # A mistyped root must not read as an idle service (nor be created).
-        print(f"error: no service state at {args.root}", file=sys.stderr)
+    elif _no_service_state(args.root):
         return 2
     else:
         service = ReproService(args.root, config=build_config(args))
@@ -388,6 +398,8 @@ def cmd_replan(args) -> int:
     versions keep working (routed by fingerprint).
     """
 
+    if _no_service_state(args.root):
+        return 2
     with ReproService(args.root, config=build_config(args)) as service:
         revisions = service.replan(seed=args.seed,
                                    max_drop_fraction=args.max_drop_fraction)

@@ -22,10 +22,13 @@ The inbox is the receiving dock for that traffic:
   member, without ever handing a trace a report its own single-shot search
   would not have produced.
 * **restartable state** — the inbox persists its ledger (``inbox.json``) and
-  a copy of every ingested trace under its root directory, so a restarted
-  service resumes exactly where it stopped: spool files already ingested are
-  not re-ingested, finished clusters keep their reports, pending clusters
-  are searched next.
+  every ingested trace under its root directory, so a restarted service
+  resumes exactly where it stopped: spool files already ingested are not
+  re-ingested, finished clusters keep their reports, pending clusters are
+  searched next.  A trace whose file already lies under the root (the
+  network listener's spool) is recorded by that path; one from outside
+  (bytes, a file elsewhere, an external spool directory) is copied to
+  ``traces/<trace id>.trace``.
 
 Corrupt or truncated trace files never poison a batch: they are recorded in
 the rejection ledger (with the one-line reason) and skipped on subsequent
@@ -43,7 +46,7 @@ therefore gives every unparsable file a grace poll — it is only rejected
 once its size and mtime are unchanged across two consecutive polls (see
 ``_suspects``); a growing file is skipped and retried.
 
-Every file the inbox keeps — ``inbox.json`` and the stored trace copies —
+Every file the inbox writes — ``inbox.json`` and the stored trace copies —
 is written with :func:`~repro.trace.write_atomic` (temp file, fsync,
 rename), so a ``kill -9`` leaves either the previous state or the new one.
 The network listener writes its spool files the same way; the
@@ -53,6 +56,7 @@ The network listener writes its spool files the same way; the
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -106,7 +110,9 @@ def _recording_digest(trace: Trace) -> str:
 
     Two traces with equal digests drive the replay engine identically, so
     one search's report is exact for both — the precondition for fanning a
-    cluster's report out to all members.
+    cluster's report out to all members.  The environment enters as its
+    field values, not its ``repr``, so renaming its class or a field leaves
+    every cluster id where it was.
     """
 
     syscalls = None
@@ -119,7 +125,7 @@ def _recording_digest(trace: Trace) -> str:
         trace.bitvector.to_bytes(),
         trace.plan.log_syscalls,
         syscalls,
-        trace.environment_spec,
+        dataclasses.astuple(trace.environment),
     )).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -286,8 +292,14 @@ class TraceInbox:
                                        trace.plan.method) or 0)
             self.clusters[cluster_id] = cluster
         cluster.members.append(trace_id)
-        stored = os.path.join(_TRACE_DIR, f"{trace_id}.trace")
-        write_atomic(os.path.join(self.root, stored), data)
+        root = os.path.abspath(self.root)
+        if os.path.isabs(source) and os.path.commonpath([root, source]) == root:
+            # Already durable under the root (the listener's spool file):
+            # record it where it lies instead of storing a second copy.
+            stored = os.path.relpath(source, root)
+        else:
+            stored = os.path.join(_TRACE_DIR, f"{trace_id}.trace")
+            write_atomic(os.path.join(self.root, stored), data)
         self.traces[trace_id] = {
             "cluster": cluster_id,
             "program": trace.program_name,
@@ -466,7 +478,7 @@ class TraceInbox:
         self._save_state()
 
     def trace_path(self, trace_id: str) -> str:
-        """Absolute path of the stored copy of *trace_id*."""
+        """Path of *trace_id*'s stored trace: its copy, or its spool file."""
 
         return os.path.join(self.root, self.traces[trace_id]["file"])
 

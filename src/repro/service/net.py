@@ -360,13 +360,6 @@ class UploadServer:
             self._threads.append(writer)
         return self
 
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until :meth:`shutdown` is called."""
-
-        if not self._threads:
-            self.start()
-        self._threads[0].join()
-
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting; optionally drain the ingest queue, then close.
 

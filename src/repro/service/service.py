@@ -8,8 +8,8 @@ directory), deduplicate into clusters of equivalent reports — same
 inbox module for the two-level semantics — and
 :meth:`ReproService.process` dispatches one replay search per cluster —
 smallest estimated search first — either inline or through the supervisor
-(:mod:`repro.service.supervisor`), whose child processes rebuild the engine
-from the pickled :class:`~repro.replay.engine._EngineSpec`.  Every member
+(:mod:`repro.service.supervisor`), whose child processes run the cluster's
+:class:`~repro.replay.engine.ReplayEngine`.  Every member
 of a cluster receives the cluster's :class:`ReproductionReport`; because
 the replay engine commits its work in pop order, each report's explored
 search tree is byte-identical to running that trace alone through
@@ -508,7 +508,7 @@ class ReproService:
                 self._fail_cluster(cluster, exc, reports)
                 continue
             jobs.append(SearchJob(cluster_id=cluster.cluster_id,
-                                  spec=engine.to_spec(), bits=cluster.bits))
+                                  engine=engine, bits=cluster.bits))
             by_id[cluster.cluster_id] = cluster
         results = supervisor.run(jobs)
         for job in jobs:
@@ -715,7 +715,7 @@ class ReproService:
                 cluster.report, trace_id=representative, cluster=cluster)
             observations.observe_report(cluster.program, report,
                                         crash_site=cluster.crash_site)
-            environment = trace.environment_spec.to_environment()
+            environment = trace.environment
             engine = ConcolicEngine(program, environment,
                                     backend=self.config.backend)
             recorder = engine.profile_run(overrides=dict(report.found_input))

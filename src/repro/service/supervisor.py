@@ -8,8 +8,8 @@ and throw away every in-flight search on a service restart.  The
 supervisor instead treats searches the way the upload server treats
 uploads — as resumable, exactly-once work items:
 
-* each cluster search runs in its own ``multiprocessing.Process``, built
-  from the cluster's picklable :class:`~repro.replay.engine._EngineSpec`
+* each cluster search runs in its own ``multiprocessing.Process``, given
+  the cluster's (picklable) :class:`~repro.replay.engine.ReplayEngine`
   and a :class:`~repro.replay.checkpoint.CheckpointPolicy` pointing at
   ``<checkpoint dir>/<cluster id>.ckpt``;
 * the worker checkpoints every N committed items and touches a heartbeat
@@ -65,7 +65,7 @@ class SearchJob:
     """One cluster search as the supervisor schedules it."""
 
     cluster_id: str
-    spec: Any  # picklable _EngineSpec
+    engine: ReplayEngine
     bits: int = 0  # recorded bitvector size — the priority key
     attempts: int = 0
     preemptions: int = 0
@@ -101,7 +101,7 @@ def _write_result(path: str, payload: Dict[str, Any]) -> None:
     write_atomic(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _supervised_search_worker(spec: Any, policy: CheckpointPolicy,
+def _supervised_search_worker(engine: ReplayEngine, policy: CheckpointPolicy,
                               result_path: str) -> None:
     """Child-process entry point: run (or resume) one cluster search.
 
@@ -111,7 +111,6 @@ def _supervised_search_worker(spec: Any, policy: CheckpointPolicy,
     """
 
     try:
-        engine: Optional[ReplayEngine] = None
         if policy.path and os.path.exists(policy.path):
             try:
                 engine = ReplayEngine.from_checkpoint(policy.path,
@@ -122,8 +121,7 @@ def _supervised_search_worker(spec: Any, policy: CheckpointPolicy,
                     "error": f"{type(exc).__name__}: {exc}",
                 })
                 return
-        if engine is None:
-            engine = spec.build_engine()
+        else:
             engine.attach_checkpointing(policy)
         outcome = engine.reproduce()
         _write_result(result_path, {
@@ -221,7 +219,7 @@ class SearchSupervisor:
             f"{cluster_id}.{os.getpid()}.{self._nonce}.result")
         process = multiprocessing.Process(
             target=_supervised_search_worker,
-            args=(job.spec, policy, result_path),
+            args=(job.engine, policy, result_path),
             name=f"replay-search-{cluster_id[:12]}")
         process.start()
         job.attempts += 1

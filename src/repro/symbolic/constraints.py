@@ -89,13 +89,6 @@ def intern_stats() -> Dict[str, int]:
         return dict(_INTERN_STATS)
 
 
-def clear_intern_table() -> None:
-    with _INTERN_LOCK:
-        _INTERN_CHAIN.clear()
-        _INTERN_STATS["hits"] = 0
-        _INTERN_STATS["misses"] = 0
-
-
 class ConstraintSet:
     """An ordered, append-only conjunction of :class:`Constraint` objects."""
 

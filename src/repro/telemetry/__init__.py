@@ -3,10 +3,10 @@
 The observability layer the rest of the system records into:
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — process- or
-  item-local counters, gauges and fixed-bucket histograms whose snapshots
+  search-local counters, gauges and fixed-bucket histograms whose snapshots
   are picklable and merge *exactly* (bucket-wise integer addition), so
-  telemetry merged per item, or carried across a checkpoint and resume, is
-  byte-identical to an uninterrupted run's;
+  telemetry carried across a checkpoint and resume is byte-identical to an
+  uninterrupted run's;
 * :func:`~repro.telemetry.spans.span` — nested wall-clock intervals
   (``with span("replay.search", cluster=...)``) recorded into the active
   registry's timeline;

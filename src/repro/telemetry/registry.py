@@ -1,12 +1,12 @@
 """The metrics registry: counters, gauges and fixed-bucket histograms.
 
-One :class:`MetricsRegistry` is a process-local (or item-local) collection of
-named instruments.  Three design rules keep it compatible with the engine's
+One :class:`MetricsRegistry` is a process-local (or search-local) collection
+of named instruments.  Three design rules keep it compatible with the engine's
 determinism contract:
 
 * **Fixed bucket boundaries.**  A histogram's buckets are chosen at creation
   and never adapt to the data, so merging two histograms is exact bucket-wise
-  integer addition — a histogram merged from per-item registries is
+  integer addition — a histogram merged from a checkpoint's snapshot is
   *byte-identical* to one recorded in a single registry, not approximately
   equal.
 * **Deterministic vs. volatile metrics.**  Wall-clock observations (and
@@ -17,8 +17,7 @@ determinism contract:
   across a checkpoint and resume.
 * **Plain picklable snapshots.**  :class:`RegistrySnapshot` carries nothing
   but dicts, tuples and numbers; it rides in search checkpoints and crosses
-  the process boundary from a supervised search worker to the service, and
-  per-item snapshots merge into the engine registry in commit order.
+  the process boundary from a supervised search worker to the service.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Instrumented code never holds a registry directly — it asks
 Three levels resolve, cheapest first:
 
 * a **thread-local scope** installed by :func:`scoped` (the replay engine
-  wraps each pending-item evaluation in one, so a run's VM/solver metrics
-  land in that item's private registry and travel home in its evaluation);
+  wraps its search in one, so every run's VM/solver metrics land in that
+  search's registry);
 * the **process-global registry** installed by :func:`enable`;
 * the :data:`NULL_REGISTRY` when telemetry is off — its instruments are
   shared no-op singletons, so disabled instrumentation costs one attribute
@@ -127,8 +127,8 @@ def scoped(registry) -> Iterator[object]:
     """Route this thread's telemetry into *registry* while the scope is open.
 
     Scopes nest (the previous registry is restored on exit), and a scope
-    shadows the process-global registry — that is what isolates one pending
-    item's metrics from the engine's and from other threads'.
+    shadows the process-global registry — that is what isolates one
+    search's metrics from the service's and from other threads'.
     """
 
     previous = getattr(_TLS, "registry", None)

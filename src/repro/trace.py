@@ -48,15 +48,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.environment import Environment
 from repro.instrument.logger import BitvectorLog, SyscallResultLog
 from repro.instrument.plan import InstrumentationPlan
 from repro.interp.interpreter import CrashSite
-from repro.osmodel.filesystem import FileSystem
-from repro.osmodel.kernel import Kernel, KernelConfig
-from repro.osmodel.network import NetworkModel, NetworkScript, ScriptedConnection
 
 TRACE_MAGIC = b"REPROTRC"
 TRACE_VERSION = 1
@@ -99,72 +96,6 @@ class TraceFingerprintMismatch(TraceError):
 
 
 # ---------------------------------------------------------------------------
-# Environment specification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    """A picklable, serializable description of an execution environment.
-
-    :class:`~repro.environment.Environment` closes over a kernel factory,
-    which neither pickles (search checkpoints, supervised search workers)
-    nor serializes (trace files).  The spec captures the factory's *output* instead — argv, stdin,
-    filesystem entries, scripted connections and kernel tunables — and can
-    rebuild a behaviourally identical environment anywhere.
-    """
-
-    argv: Tuple[str, ...]
-    name: str = "scenario"
-    stdin: bytes = b""
-    read_chunk_limit: int = 0
-    max_idle_selects: int = 16
-    #: ``(path, data, kind, mode)`` per filesystem entry, in insertion order.
-    files: Tuple[Tuple[str, bytes, str, int], ...] = ()
-    #: ``(request, arrival_step, chunks)`` per scripted connection.
-    connections: Tuple[Tuple[bytes, int, Tuple[int, ...]], ...] = ()
-
-    @classmethod
-    def capture(cls, environment: Environment) -> "EnvironmentSpec":
-        """Snapshot one fresh kernel of *environment* into a spec."""
-
-        kernel = environment.make_kernel()
-        files = tuple((entry.path, bytes(entry.data), entry.kind, entry.mode)
-                      for entry in kernel.fs.entries())
-        connections = tuple(
-            (bytes(conn.request), conn.arrival_step, tuple(conn.chunks))
-            for conn in kernel.net.script.connections)
-        return cls(argv=tuple(environment.argv), name=environment.name,
-                   stdin=bytes(kernel.config.stdin_data),
-                   read_chunk_limit=kernel.config.read_chunk_limit,
-                   max_idle_selects=kernel.config.max_idle_selects,
-                   files=files, connections=connections)
-
-    def make_kernel(self) -> Kernel:
-        fs = FileSystem()
-        for path, data, kind, mode in self.files:
-            fs.add_file(path, data, kind=kind, mode=mode)
-        script = NetworkScript(connections=[
-            ScriptedConnection(request=request, arrival_step=arrival,
-                               chunks=list(chunks))
-            for request, arrival, chunks in self.connections])
-        return Kernel(filesystem=fs, network=NetworkModel(script),
-                      config=KernelConfig(stdin_data=self.stdin,
-                                          read_chunk_limit=self.read_chunk_limit,
-                                          max_idle_selects=self.max_idle_selects))
-
-    def to_environment(self) -> Environment:
-        """An :class:`Environment` producing kernels identical to the capture.
-
-        The kernel factory is a bound method of this (picklable) spec, so the
-        returned environment crosses process boundaries intact.
-        """
-
-        return Environment(argv=list(self.argv), kernel_factory=self.make_kernel,
-                           name=self.name)
-
-
-# ---------------------------------------------------------------------------
 # The trace bundle
 # ---------------------------------------------------------------------------
 
@@ -177,12 +108,9 @@ class Trace:
     bitvector: BitvectorLog
     syscall_log: Optional[SyscallResultLog]
     crash_site: Optional[CrashSite]
-    environment_spec: EnvironmentSpec
+    environment: Environment
     program_name: str = "program"
     scenario: str = ""
-
-    def environment(self) -> Environment:
-        return self.environment_spec.to_environment()
 
     def fingerprint(self) -> tuple:
         return self.plan.fingerprint()
@@ -202,9 +130,9 @@ class Trace:
             "syscall_results": self.syscall_log.count() if self.syscall_log else 0,
             "crash_site": (f"{self.crash_site.function}:{self.crash_site.line}"
                            if self.crash_site else None),
-            "argv": list(self.environment_spec.argv),
-            "files": [path for path, _, _, _ in self.environment_spec.files],
-            "connections": len(self.environment_spec.connections),
+            "argv": list(self.environment.argv),
+            "files": [path for path, _, _, _ in self.environment.files],
+            "connections": len(self.environment.connections),
         }
 
 
@@ -222,7 +150,7 @@ def trace_from_recording(recording, scaffold: bool = True,
                  bitvector=recording.bitvector,
                  syscall_log=recording.syscall_log if recording.plan.log_syscalls else None,
                  crash_site=recording.crash_site,
-                 environment_spec=EnvironmentSpec.capture(environment),
+                 environment=environment,
                  program_name=program_name,
                  scenario=recording.environment.name)
 
@@ -453,23 +381,23 @@ def _decode_crash(body: bytes) -> Optional[CrashSite]:
     return crash
 
 
-def _encode_environment(spec: EnvironmentSpec) -> bytes:
+def _encode_environment(environment: Environment) -> bytes:
     writer = _Writer()
-    writer.u32(len(spec.argv))
-    for arg in spec.argv:
+    writer.u32(len(environment.argv))
+    for arg in environment.argv:
         writer.string(arg)
-    writer.string(spec.name)
-    writer.blob(spec.stdin)
-    writer.u32(spec.read_chunk_limit)
-    writer.u32(spec.max_idle_selects)
-    writer.u32(len(spec.files))
-    for path, data, kind, mode in spec.files:
+    writer.string(environment.name)
+    writer.blob(environment.stdin)
+    writer.u32(environment.read_chunk_limit)
+    writer.u32(environment.max_idle_selects)
+    writer.u32(len(environment.files))
+    for path, data, kind, mode in environment.files:
         writer.string(path)
         writer.blob(data)
         writer.string(kind)
         writer.u32(mode)
-    writer.u32(len(spec.connections))
-    for request, arrival_step, chunks in spec.connections:
+    writer.u32(len(environment.connections))
+    for request, arrival_step, chunks in environment.connections:
         writer.blob(request)
         writer.u32(arrival_step)
         writer.u32(len(chunks))
@@ -478,7 +406,7 @@ def _encode_environment(spec: EnvironmentSpec) -> bytes:
     return writer.getvalue()
 
 
-def _decode_environment(body: bytes) -> EnvironmentSpec:
+def _decode_environment(body: bytes) -> Environment:
     reader = _Reader(body, "ENVS section")
     argv = tuple(reader.string() for _ in range(reader.u32()))
     name = reader.string()
@@ -492,10 +420,10 @@ def _decode_environment(body: bytes) -> EnvironmentSpec:
          tuple(reader.u32() for _ in range(reader.u32())))
         for _ in range(reader.u32()))
     reader.expect_end("ENVS section")
-    return EnvironmentSpec(argv=argv, name=name, stdin=stdin,
-                           read_chunk_limit=read_chunk_limit,
-                           max_idle_selects=max_idle_selects,
-                           files=files, connections=connections)
+    return Environment(argv=argv, name=name, stdin=stdin,
+                       read_chunk_limit=read_chunk_limit,
+                       max_idle_selects=max_idle_selects,
+                       files=files, connections=connections)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +510,7 @@ def dump_trace_bytes(trace: Trace) -> bytes:
         b"BITV": _encode_bitvector(trace.bitvector),
         b"SYSC": _encode_syscalls(trace.syscall_log),
         b"CRSH": _encode_crash(trace.crash_site),
-        b"ENVS": _encode_environment(trace.environment_spec),
+        b"ENVS": _encode_environment(trace.environment),
     }
     return encode_envelope(TRACE_MAGIC, TRACE_VERSION, sections, _SECTION_ORDER)
 
@@ -608,7 +536,7 @@ def load_trace_bytes(data: bytes,
                   bitvector=_decode_bitvector(sections[b"BITV"]),
                   syscall_log=_decode_syscalls(sections[b"SYSC"]),
                   crash_site=_decode_crash(sections[b"CRSH"]),
-                  environment_spec=_decode_environment(sections[b"ENVS"]),
+                  environment=_decode_environment(sections[b"ENVS"]),
                   program_name=program_name,
                   scenario=scenario)
     if expect_plan is not None:

@@ -123,9 +123,3 @@ def benign_scenario(paths: List[str] = ("alpha", "beta/gamma")) -> Environment:
 
     argv = ["mkdir", "-p", "-v"] + list(paths)
     return simple_environment(argv, name="mkdir-ok")
-
-
-def mode_scenario() -> Environment:
-    """Exercises the mode-parsing path without triggering the bug."""
-
-    return simple_environment(["mkdir", "-m", "0750", "secure"], name="mkdir-mode")

@@ -160,8 +160,3 @@ def benign_scenario(files: Optional[Dict[str, bytes]] = None) -> Environment:
     }
     return simple_environment(["paste", "-d,:", "/a.txt", "/b.txt"],
                               files=files, name="paste-ok")
-
-
-def serial_scenario() -> Environment:
-    return simple_environment(["paste", "-s", "/a.txt"],
-                              files={"/a.txt": b"x\ny\nz\n"}, name="paste-serial")

@@ -18,7 +18,7 @@ follow the recorded parsing path.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.environment import Environment, simple_environment
 from repro.workloads import httpgen
@@ -416,7 +416,3 @@ def profiling_workload(request_count: int = 12) -> Environment:
 
     return environment_for(httpgen.mixed_workload(request_count),
                            name=f"userver-mix{request_count}")
-
-
-def all_experiments() -> List[Environment]:
-    return [experiment(number) for number in httpgen.ALL_SCENARIOS]

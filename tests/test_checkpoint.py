@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import struct
 
 import pytest
 
@@ -166,48 +167,6 @@ class TestResumeByteIdentity:
         assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
         assert resumed.telemetry.deterministic().canonical_bytes() == want
 
-    def test_checkpoint_without_search_counters_resumes(self, tmp_path,
-                                                        mkdir_case):
-        """A checkpoint whose outcome predates ``vm_steps``, ``repairs``,
-        ``repair_blocked``, ``stop_reason`` and ``solver_unknowns``, and
-        still carries the retired process pool's ``workers``,
-        ``speculated_items`` and ``speculation_hits``, resumes to the same
-        result."""
-
-        pipeline, trace = mkdir_case
-        baseline = _engine(pipeline, trace).reproduce()
-        path = str(tmp_path / "old.ckpt")
-        engine = _engine(pipeline, trace)
-        engine.attach_checkpointing(
-            CheckpointPolicy(path=path, preempt_after_commits=1))
-        engine.reproduce()
-        ckpt = load_checkpoint(path)
-        for name in ("vm_steps", "repairs", "repair_blocked", "stop_reason",
-                     "solver_unknowns"):
-            del ckpt.outcome_state.__dict__[name]
-        ckpt.outcome_state.__dict__.update(workers=1, speculated_items=0,
-                                           speculation_hits=0)
-        save_checkpoint(path, ckpt)
-        resumed = ReplayEngine.from_checkpoint(path).reproduce()
-        assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
-        assert resumed.stop_reason == "reproduced"
-        assert resumed.solver_unknowns == 0
-        assert not {"workers", "speculated_items",
-                    "speculation_hits"} & set(vars(resumed))
-
-    def test_request_preempt_checkpoints_at_next_commit(self, tmp_path,
-                                                        mkdir_case):
-        pipeline, trace = mkdir_case
-        baseline = _engine(pipeline, trace).reproduce()
-        path = str(tmp_path / "asked.ckpt")
-        engine = _engine(pipeline, trace)
-        engine.attach_checkpointing(CheckpointPolicy(path=path))
-        engine.request_preempt()
-        paused = engine.reproduce()
-        assert paused.preempted and paused.committed_items == 1
-        resumed = ReplayEngine.from_checkpoint(path).reproduce()
-        assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
-
 
 class TestCorruption:
     def _checkpoint(self, tmp_path, case) -> str:
@@ -243,14 +202,19 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_version_1_checkpoint_is_refused(self, tmp_path, mkdir_case):
+        # Version 1 pickled a separate engine recipe; this build reads only
+        # checkpoints that pickle the engine itself.
+        path = self._checkpoint(tmp_path, mkdir_case)
+        data = bytearray(open(path, "rb").read())
+        data[8:12] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(CheckpointFormatError, match="version 1"):
+            load_checkpoint(path)
+
     def test_missing_file_is_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "never-written.ckpt"))
-
-    def test_live_checkpoint_requires_running_search(self, mkdir_case):
-        pipeline, trace = mkdir_case
-        with pytest.raises(CheckpointError):
-            _engine(pipeline, trace).checkpoint("/tmp/nowhere.ckpt")
 
 
 class TestInjectedFaults:

@@ -724,6 +724,34 @@ class TestServerRestart:
         finally:
             revived.shutdown()
 
+    def test_upload_is_stored_once_as_its_spool_file(self, tmp_path,
+                                                     mkdir_bytes):
+        # The spool file is the upload's one durable copy: the inbox
+        # records it by path and keeps nothing under traces/.
+        server = start_server(tmp_path)
+        client = UploadClient(server.host, server.port, client_id="once")
+        receipt = client.upload(mkdir_bytes)
+        spool_file = os.path.join(server.spool_root,
+                                  spool_name("once", mkdir_bytes))
+        server.shutdown()
+        traces_dir = tmp_path / "svc" / "traces"
+        assert list(traces_dir.glob("*.trace")) == []
+
+        revived = start_server(tmp_path)
+        try:
+            with revived._lock:
+                stored = revived.service.inbox.trace_path(receipt.trace_id)
+            assert os.path.samefile(stored, spool_file)
+            client = UploadClient(revived.host, revived.port,
+                                  client_id="once")
+            processed = client.process()
+            assert processed["stats"]["searches_run"] == 1
+            body = client.report(receipt.trace_id)
+            assert body["status"] == "done" and body["report"]["reproduced"]
+        finally:
+            revived.shutdown()
+        assert list(traces_dir.glob("*.trace")) == []
+
     def test_done_clusters_stay_done_across_restart(self, tmp_path,
                                                     mkdir_bytes):
         server = start_server(tmp_path)

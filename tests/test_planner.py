@@ -371,8 +371,17 @@ class TestPlannerCli:
         assert "mkdir-bug" in out and LEDGER_FILE in out
 
     def test_replan_command_empty_root(self, tmp_path, capsys):
-        assert cli_main(["replan", "--root", str(tmp_path / "empty")]) == 0
+        root = tmp_path / "empty"
+        root.mkdir()
+        assert cli_main(["replan", "--root", str(root)]) == 0
         assert "nothing to replan" in capsys.readouterr().out
+
+    def test_replan_command_missing_root(self, tmp_path, capsys):
+        # A mistyped root is an error, as for `stats`, and creates nothing.
+        root = tmp_path / "missing"
+        assert cli_main(["replan", "--root", str(root)]) == 2
+        assert f"no service state at {root}" in capsys.readouterr().err
+        assert not root.exists()
 
     def test_stats_without_profile_prints_hint(self, tmp_path, capsys):
         jsonl = tmp_path / "telemetry.jsonl"

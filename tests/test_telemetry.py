@@ -32,6 +32,7 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.vm import compiler as vm_compiler
+from repro.vm.machine import VirtualMachine
 from repro.vm.opcodes import OPCODE_NAMES
 from repro.workloads import workload_registry
 
@@ -226,6 +227,31 @@ class TestDifferentialOnOff:
         assert off.telemetry is None
         assert on.telemetry is not None
         assert on.telemetry.counters["replay.runs"] == off.runs
+
+    @pytest.mark.parametrize("name", ["userver-exp1", "paste-bug",
+                                      "diff-exp1"])
+    def test_profiled_search_keeps_every_published_count(self, monkeypatch,
+                                                         name):
+        # A run repaired in place publishes its opcode counts when the
+        # physical run ends, after the items it ran were committed: the
+        # search's registry must still receive them.
+        published = []
+        publish = VirtualMachine._publish_opcode_counts
+
+        def spy(vm):
+            published.append(sum(vm.opcode_counts.values()))
+            publish(vm)
+
+        monkeypatch.setattr(VirtualMachine, "_publish_opcode_counts", spy)
+        pipeline, plan, environment = _pipeline_for(
+            name, telemetry_enabled=True, profile_opcodes=True)
+        recording = pipeline.record(plan, environment)
+        del published[:]
+        outcome = _search(pipeline, recording, telemetry=True, profile=True)
+        assert outcome.reproduced and outcome.repairs > 0
+        kept = sum(value for key, value in outcome.telemetry.counters.items()
+                   if key.startswith("vm.opcode."))
+        assert kept == sum(published) > 0
 
     def test_profiled_vm_execution_parity(self):
         pipeline, plan, environment = _pipeline_for(

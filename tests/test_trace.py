@@ -18,11 +18,7 @@ from repro import (
     trace_from_recording,
 )
 from repro.replay.engine import ReplayEngine
-from repro.trace import (
-    EnvironmentSpec,
-    dump_trace_bytes,
-    load_trace_bytes,
-)
+from repro.trace import dump_trace_bytes, load_trace_bytes
 from repro.workloads import diffutil, userver
 from repro.workloads.coreutils import mkdir
 from tests.conftest import GUARD_SOURCE
@@ -89,14 +85,14 @@ class TestRoundTrip:
         _, _, recording = diff_recording
         trace = trace_from_recording(recording)
         contents = {path: data for path, data, _, _ in
-                    trace.environment_spec.files}
+                    trace.environment.files}
         # Structure (paths, sizes) survives; contents do not.
         assert set(contents) == {"/old.txt", "/new.txt"}
         for path, data in contents.items():
             assert len(data) == len(diffutil.EXP1_FILES[path])
             assert data != diffutil.EXP1_FILES[path]
         # Path-naming argv entries stay verbatim (the scaffold contract).
-        assert trace.environment_spec.argv[1:] == ("/old.txt", "/new.txt")
+        assert trace.environment.argv[1:] == ("/old.txt", "/new.txt")
 
     def test_replay_from_loaded_trace_reproduces(self, diff_recording):
         pipeline, plan, recording = diff_recording
@@ -218,15 +214,19 @@ class TestCorruption:
 
 
 class TestEnvironmentSpec:
+    """An :class:`Environment` is the one, plain-data description of a
+    run's inputs: traces encode it, checkpoints and workers pickle it."""
+
     def test_capture_rebuild_identical_kernels(self):
         env = userver.experiment(2)
-        spec = EnvironmentSpec.capture(env)
-        original = env.make_kernel()
-        rebuilt = spec.to_environment().make_kernel()
+        _, _, recording = record_workload("userver", userver.SOURCE, env,
+                                          frozenset(userver.LIBRARY_FUNCTIONS))
+        trace = trace_from_recording(recording, scaffold=False)
+        back = load_trace_bytes(dump_trace_bytes(trace)).environment
+        assert back == env
+        original, rebuilt = env.make_kernel(), back.make_kernel()
         assert rebuilt.fs.snapshot() == original.fs.snapshot()
-        assert rebuilt.config.stdin_data == original.config.stdin_data
-        assert rebuilt.config.read_chunk_limit == original.config.read_chunk_limit
-        assert rebuilt.config.max_idle_selects == original.config.max_idle_selects
+        assert rebuilt.config == original.config
         originals = original.net.script.connections
         rebuilts = rebuilt.net.script.connections
         assert [(c.request, c.arrival_step, list(c.chunks)) for c in rebuilts] == \
@@ -234,27 +234,22 @@ class TestEnvironmentSpec:
 
     def test_kinds_and_modes_survive(self):
         from repro.environment import Environment
-        from repro.osmodel.filesystem import FileSystem
-        from repro.osmodel.kernel import Kernel
 
-        def factory():
-            kernel = Kernel()
-            kernel.fs.add_file("/plain.txt", b"abc")
-            kernel.fs.mkdir("/dir", mode=0o750)
-            kernel.fs.mknod("/dev.node", mode=0o600, kind="node")
-            return kernel
-
-        spec = EnvironmentSpec.capture(Environment(argv=["x"], kernel_factory=factory))
-        rebuilt = spec.to_environment().make_kernel()
-        for path in ("/plain.txt", "/dir", "/dev.node"):
-            original, clone = factory().fs.get(path), rebuilt.fs.get(path)
-            assert (original.kind, original.mode, original.data) == \
-                   (clone.kind, clone.mode, clone.data)
+        env = Environment(argv=("x",), files=(
+            ("/plain.txt", b"abc", "file", 0o644),
+            ("/dir", b"", "dir", 0o750),
+            ("/dev.node", b"", "node", 0o600)))
+        scaffold = env.scaffold()
+        for kernel in (env.make_kernel(), scaffold.make_kernel()):
+            for path, data, kind, mode in env.files:
+                entry = kernel.fs.get(path)
+                assert (entry.kind, entry.mode, len(entry.data)) == \
+                       (kind, mode, len(data))
+        assert scaffold.make_kernel().fs.get("/plain.txt").data == b"AAA"
 
     def test_spec_and_environment_pickle(self):
-        spec = EnvironmentSpec.capture(diffutil.experiment_1())
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        env = pickle.loads(pickle.dumps(clone.to_environment()))
-        assert env.make_kernel().fs.snapshot() == \
-               spec.to_environment().make_kernel().fs.snapshot()
+        env = diffutil.experiment_1()
+        clone = pickle.loads(pickle.dumps(env))
+        assert clone == env
+        assert clone.make_kernel().fs.snapshot() == \
+               env.make_kernel().fs.snapshot()
