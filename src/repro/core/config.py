@@ -31,7 +31,7 @@ class ServiceSection:
     ``workers`` is how many cluster searches run at once: with
     ``workers > 1`` the supervisor (:mod:`repro.service.supervisor`) runs up
     to that many deduped clusters in parallel, each in a child process that
-    rebuilds the replay engine from a pickled spec; ``workers == 1`` runs
+    unpickles the cluster's replay engine; ``workers == 1`` runs
     cluster searches inline unless a supervision knob below asks for a
     process.  Either way the per-cluster search tree is byte-identical to
     the single-shot path — the replay engine's commit discipline guarantees
@@ -45,21 +45,16 @@ class ServiceSection:
       upload or spool file is rejected with a ledger entry *before* it is
       buffered into memory (the listener refuses the frame from its declared
       length alone).
-    * ``max_rejected_entries`` — size cap of the rejection ledger; oldest
-      entries are evicted so a sustained garbage-upload storm cannot grow
-      ``inbox.json`` without limit.
-    * ``ingest_queue_depth`` / ``spool_writers`` — the listener's bounded
-      ingest queue and the threads draining it into the durable spool;
-      when the queue is full the server answers *retry-after* instead of
-      buffering, which is the backpressure signal the client's seeded
-      exponential backoff consumes.
+    * ``ingest_queue_depth`` — how many uploads the listener admits at once
+      (they spool one at a time); with every slot taken the server answers
+      *retry-after* instead of buffering, which is the backpressure signal
+      the client's seeded exponential backoff consumes.
     * ``read_timeout_seconds`` — per-``recv`` socket timeout; a slow-loris
       client stalls only its own connection, which is closed at the first
       silent interval, never the accept loop or other clients.
     * ``client_quota`` — max accepted uploads per client id per server run
       (0 = unlimited); the misbehaving client gets quota responses while
       healthy clients keep their full ingest bandwidth.
-    * ``retry_after_seconds`` — the hint carried by a retry-after response.
 
     The supervision knobs govern the two-level scheduler
     (:mod:`repro.service.supervisor`): cluster searches that need isolation
@@ -72,8 +67,6 @@ class ServiceSection:
       typed ``SearchDeadlineExceeded`` report instead of blocking the batch.
     * ``preempt_after_seconds`` — a running search older than this is asked
       to checkpoint and yield when a *smaller* search waits (0 = never).
-    * ``heartbeat_timeout_seconds`` — a worker silent this long is treated
-      as dead (killed and restarted from its last checkpoint).
     * ``max_search_retries`` — crash-restarts per cluster before the
       cluster is quarantined into the rejection ledger as a poison search.
     * ``retry_backoff_seconds`` — base of the exponential backoff between
@@ -83,26 +76,20 @@ class ServiceSection:
       batches on the cheap inline path; any positive cadence routes
       searches through the supervisor so the snapshots have a process to
       save.  Preemption writes a snapshot regardless of cadence.
-    * ``checkpoint_dir`` — where snapshots live; empty means
-      ``<inbox root>/checkpoints``.
+      Snapshots live in ``<inbox root>/checkpoints``.
     """
 
     workers: int = 1
     priority: str = "smallest-first"  # or "arrival"
     max_trace_bytes: int = 4 * 1024 * 1024
-    max_rejected_entries: int = 256
     ingest_queue_depth: int = 64
-    spool_writers: int = 1
     read_timeout_seconds: float = 5.0
     client_quota: int = 0
-    retry_after_seconds: float = 0.05
     search_deadline_seconds: float = 0.0
     preempt_after_seconds: float = 0.0
-    heartbeat_timeout_seconds: float = 30.0
     max_search_retries: int = 2
     retry_backoff_seconds: float = 0.05
     checkpoint_every_runs: int = 0
-    checkpoint_dir: str = ""
     #: Adaptive planning (:mod:`repro.planner`): after this many reports
     #: fanned out by :meth:`ReproService.process`, the service replans
     #: automatically at the end of the batch (0 = manual ``replan`` only).
@@ -111,9 +98,6 @@ class ServiceSection:
     #: Seed of the replanner's tie-breaking policy (same history + same
     #: seed ⇒ byte-identical plan ledger).
     replan_seed: int = 0
-    #: Fraction of the droppable (concrete-only, never-helped) branch pool
-    #: removed per replan generation.
-    replan_max_drop_fraction: float = 0.5
     #: Append every exported telemetry snapshot to this JSON-lines file at
     #: the end of each :meth:`ReproService.process` batch (telemetry on).
     telemetry_jsonl_path: Optional[str] = None
@@ -134,8 +118,6 @@ class PipelineConfig:
     replay_budget: ReplayBudget = field(default_factory=ReplayBudget)
     log_syscalls: bool = True
     library_functions: Set[str] = field(default_factory=set)
-    static_skips_library: bool = True
-    record_max_steps: int = 10_000_000
     # Execution engine used by every stage (record, replay, analysis): "vm"
     # (bytecode VM) or "interp" (the tree-walking interpreter, kept as the
     # reference oracle the VM is tested against).
@@ -144,8 +126,6 @@ class PipelineConfig:
     # assignment; skips the solver whenever flipping one branch only moves
     # one input variable (see repro.symbolic.solver.warm_start_assignment).
     replay_warm_start: bool = True
-    # Guest call-stack depth limit applied to record and replay runs.
-    max_call_depth: int = 256
     # Record metrics and spans into repro.telemetry registries during record
     # and replay.  Telemetry never affects the explored search tree (the
     # on/off differential tests assert byte-identical outcomes); off (the
@@ -158,6 +138,3 @@ class PipelineConfig:
     profile_opcodes: bool = False
     # The trace-inbox / batch-reproduction layer (read by repro.service).
     service: ServiceSection = field(default_factory=ServiceSection)
-
-    def static_skip_set(self) -> Set[str]:
-        return set(self.library_functions) if self.static_skips_library else set()

@@ -30,6 +30,9 @@ from repro.replay.engine import ReplayEngine
 from repro.telemetry import span as telemetry_span
 from repro.trace import Trace, load_trace, save_trace, trace_from_recording
 
+#: Step cap of a user-site run (the uninstrumented baseline included).
+RECORD_MAX_STEPS = 10_000_000
+
 
 class Pipeline:
     """Orchestrates the full workflow for one program."""
@@ -38,7 +41,7 @@ class Pipeline:
         self.program = program
         self.config = config or PipelineConfig()
         self.overhead_model = OverheadModel()
-        self._baseline_cache: Dict[str, int] = {}
+        self._baseline_cache: Dict[Environment, int] = {}
 
     # -- construction -----------------------------------------------------------------------
 
@@ -67,7 +70,7 @@ class Pipeline:
 
     def run_static_analysis(self) -> StaticAnalysisResult:
         analyzer = StaticAnalyzer(self.program,
-                                  skip_functions=self.config.static_skip_set())
+                                  skip_functions=self.config.library_functions)
         return analyzer.run()
 
     def analyze(self, environment: Environment,
@@ -133,11 +136,11 @@ class Pipeline:
     def baseline_steps(self, environment: Environment) -> int:
         """Interpreter steps of the uninstrumented run (the ``none`` config)."""
 
-        cached = self._baseline_cache.get(environment.name)
+        cached = self._baseline_cache.get(environment)
         if cached is not None:
             return cached
         result = self._plain_run(environment)
-        self._baseline_cache[environment.name] = result.steps
+        self._baseline_cache[environment] = result.steps
         return result.steps
 
     def _plain_run(self, environment: Environment) -> ExecutionResult:
@@ -147,8 +150,7 @@ class Pipeline:
             hooks=NullHooks(),
             binder=InputBinder(mode=ExecutionMode.RECORD),
             config=ExecutionConfig(mode=ExecutionMode.RECORD,
-                                   max_steps=self.config.record_max_steps,
-                                   max_call_depth=self.config.max_call_depth,
+                                   max_steps=RECORD_MAX_STEPS,
                                    backend=self.config.backend),
         )
         return executor.run(environment.argv)
@@ -163,8 +165,7 @@ class Pipeline:
             hooks=logger,
             binder=InputBinder(mode=ExecutionMode.RECORD),
             config=ExecutionConfig(mode=ExecutionMode.RECORD,
-                                   max_steps=self.config.record_max_steps,
-                                   max_call_depth=self.config.max_call_depth,
+                                   max_steps=RECORD_MAX_STEPS,
                                    backend=self.config.backend,
                                    profile_opcodes=(self.config.telemetry_enabled
                                                     and self.config.profile_opcodes)),
@@ -246,7 +247,6 @@ class Pipeline:
             self.program, trace, expect_plan=expect_plan,
             budget=budget or self.config.replay_budget,
             backend=self.config.backend,
-            max_call_depth=self.config.max_call_depth,
             warm_start=self.config.replay_warm_start,
             telemetry=self.config.telemetry_enabled,
             profile_opcodes=self.config.profile_opcodes,

@@ -1,4 +1,4 @@
-"""``repro.service`` — the session-based public API for bug reproduction.
+"""``repro.service`` — the public API for bug reproduction at fleet scale.
 
 This package is the canonical way to drive the reproduction system:
 
@@ -10,8 +10,7 @@ This package is the canonical way to drive the reproduction system:
   watched spool directory), two-level deduplication (``(plan fingerprint,
   crash site)`` bug keys; equivalent-recording clusters that each cost one
   replay search), and restartable persisted state;
-* :class:`~repro.service.service.ReproService` /
-  :class:`~repro.service.service.ReproSession` — typed request/response
+* :class:`~repro.service.service.ReproService` — typed request/response
   objects (:class:`~repro.service.inbox.IngestResult`,
   :class:`~repro.service.service.ReproductionReport`), a ``stats()`` dict
   of aggregate counters, and a scheduler dispatching
@@ -58,7 +57,6 @@ from repro.service.net import (
 )
 from repro.service.service import (
     ReproService,
-    ReproSession,
     ReproductionReport,
     outcome_fingerprint,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "ReplanPolicy",
     "Replanner",
     "ReproService",
-    "ReproSession",
     "ReproductionReport",
     "SearchDeadlineExceeded",
     "SearchJob",

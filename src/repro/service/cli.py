@@ -35,10 +35,15 @@ from repro.trace import write_atomic
 from repro.workloads import workload_registry
 
 
+#: The replay budget of every command; ``--max-runs``/``--max-seconds``
+#: override it where a command has them.
+CLI_REPLAY_BUDGET = ReplayBudget(max_runs=3000, max_seconds=120.0)
+
+
 def build_config(args) -> PipelineConfig:
     """The pipeline and service config for one CLI invocation."""
 
-    config = PipelineConfig()
+    config = PipelineConfig(replay_budget=CLI_REPLAY_BUDGET)
     if hasattr(args, "backend"):
         config.backend = args.backend
     if hasattr(args, "no_warm_start"):
@@ -300,7 +305,6 @@ def cmd_serve(args) -> int:
     config = build_config(args)
     overrides = (("max_trace_bytes", "max_trace_bytes"),
                  ("queue_depth", "ingest_queue_depth"),
-                 ("spool_writers", "spool_writers"),
                  ("read_timeout", "read_timeout_seconds"),
                  ("client_quota", "client_quota"),
                  ("search_deadline", "search_deadline_seconds"),
@@ -333,7 +337,7 @@ def cmd_serve(args) -> int:
         while not stop.is_set():
             stop.wait(0.2)
     finally:
-        server.shutdown()  # graceful drain: queued uploads spool + ack first
+        server.shutdown()  # graceful drain: admitted uploads spool + ack first
     print(f"drained; "
           f"stats={json.dumps(server.service.stats(), sort_keys=True)}")
     return 0
@@ -497,8 +501,10 @@ def main(argv=None) -> int:
                         help="the developer's copy of the program")
     replay.add_argument("--backend", default="vm", choices=["interp", "vm"])
     replay.add_argument("--no-warm-start", action="store_true")
-    replay.add_argument("--max-runs", type=int, default=3000)
-    replay.add_argument("--max-seconds", type=float, default=120.0)
+    replay.add_argument("--max-runs", type=int,
+                        default=CLI_REPLAY_BUDGET.max_runs)
+    replay.add_argument("--max-seconds", type=float,
+                        default=CLI_REPLAY_BUDGET.max_seconds)
 
     inbox = sub.add_parser("inbox", help="ingest traces into a deduplicating inbox")
     inbox.add_argument("--root", required=True,
@@ -519,8 +525,10 @@ def main(argv=None) -> int:
                        help="cluster searches the supervisor runs at once, "
                             "each in its own process (1 = inline)")
     serve.add_argument("--max-clusters", type=int, default=None)
-    serve.add_argument("--max-runs", type=int, default=3000)
-    serve.add_argument("--max-seconds", type=float, default=120.0)
+    serve.add_argument("--max-runs", type=int,
+                       default=CLI_REPLAY_BUDGET.max_runs)
+    serve.add_argument("--max-seconds", type=float,
+                       default=CLI_REPLAY_BUDGET.max_seconds)
     serve.add_argument("--search-deadline", type=float, default=None,
                        help="per-search wall-clock deadline, seconds "
                             "(0 = none)")
@@ -562,8 +570,8 @@ def main(argv=None) -> int:
     serve_net.add_argument("--max-trace-bytes", type=int, default=None,
                            help="reject uploads larger than this many bytes")
     serve_net.add_argument("--queue-depth", type=int, default=None,
-                           help="bounded ingest queue depth (backpressure)")
-    serve_net.add_argument("--spool-writers", type=int, default=None)
+                           help="uploads admitted at once; more are "
+                                "answered retry-after (backpressure)")
     serve_net.add_argument("--read-timeout", type=float, default=None,
                            help="per-read socket timeout, seconds "
                                 "(slow-loris shedding)")
@@ -651,8 +659,7 @@ def main(argv=None) -> int:
                              "service.replan_seed)")
     replan.add_argument("--max-drop-fraction", type=float, default=None,
                         help="fraction of the droppable branch pool removed "
-                             "per generation (default: config's "
-                             "service.replan_max_drop_fraction)")
+                             "per generation (default: 0.5)")
 
     args = parser.parse_args(argv)
     if args.command == "stats" and not (args.root or args.jsonl):

@@ -62,7 +62,7 @@ class FaultSpec:
     #: the client is told to retry — nothing was acknowledged.
     spool_fail_rate: float = 0.0
     #: Server: every spool write takes at least this long (slow disk) —
-    #: the lever that deterministically fills the bounded ingest queue so
+    #: the lever that deterministically takes every admission slot so
     #: overload/backpressure paths can be exercised.
     spool_delay_seconds: float = 0.0
     #: Worker: a supervised replay-search worker SIGKILLs itself after a

@@ -61,7 +61,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.planner.ledger import plan_fingerprint_digest, plan_version_of
 from repro.trace import Trace, TraceError, load_trace_bytes, write_atomic
@@ -72,6 +72,7 @@ __all__ = [
     "TraceInbox",
     "TraceTooLargeError",
     "UnknownProgramError",
+    "error_line",
 ]
 
 _STATE_FILE = "inbox.json"
@@ -88,6 +89,20 @@ class UnknownProgramError(TraceError):
     """A decodable trace names a program the service cannot load: no
     registry resolves the name, its source does not compile, or the
     resolver raised."""
+
+
+def error_line(error: Union[Exception, str]) -> str:
+    """``"<Type>: <message>"`` on one line, for an exception or that line.
+
+    A supervised search's exception crosses the process boundary as the
+    line; the ledger and a failed report treat it as the exception itself.
+    """
+
+    if isinstance(error, Exception):
+        name, message = type(error).__name__, str(error)
+    else:
+        name, _, message = error.partition(": ")
+    return f"{name}: " + " ".join(message.split())
 
 
 def _bug_key(trace: Trace) -> str:
@@ -389,7 +404,7 @@ class TraceInbox:
             if self.max_trace_bytes and stamp.st_size > self.max_trace_bytes:
                 # Oversize is rejectable immediately: a file still growing
                 # past the cap will only ever stay oversize.
-                self._reject(path, TraceTooLargeError(
+                self.reject(path, TraceTooLargeError(
                     f"spool file is {stamp.st_size} bytes "
                     f"(max_trace_bytes={self.max_trace_bytes})"))
                 continue
@@ -410,7 +425,7 @@ class TraceInbox:
                     self._suspects[path] = signature
                     continue
                 del self._suspects[path]
-                self._reject(path, exc)
+                self.reject(path, exc)
                 continue
             self._suspects.pop(path, None)
             self.spooled[path] = result.trace_id
@@ -418,27 +433,23 @@ class TraceInbox:
             results.append(result)
         return results
 
-    def reject(self, source: str, exc: Exception) -> None:
-        """Record a rejection originating outside the poll loop.
+    def reject(self, source: str, error: Union[Exception, str]) -> None:
+        """Ledger one rejection (bounded) and bump its telemetry counter.
 
-        The network listener's entry point: a corrupt, oversized or
-        over-quota upload gets a ledger entry under a ``net:`` pseudo-source
-        so the damage is visible in ``inbox.json`` and the
-        ``service.rejected.*`` counters, exactly like a bad spool file.
+        *error* is an exception or its ``"<Type>: <message>"`` line (see
+        :func:`error_line`); the counter is ``service.rejected.<Type>``.
+        Besides bad spool files, the network listener ledgers corrupt,
+        oversized or over-quota uploads here under a ``net:`` source, and
+        the service its poison searches under a ``cluster:`` one.
         """
 
-        self._reject(source, exc)
-
-    def _reject(self, source: str, exc: Exception) -> None:
-        """Ledger one rejection (bounded) and bump its telemetry counter."""
-
-        reason = f"{type(exc).__name__}: " + " ".join(str(exc).split())
+        reason = error_line(error)
         self.rejected.pop(source, None)  # re-insertion moves it to newest
         self.rejected[source] = reason
         self._evict_rejected()
         if self.registry is not None:
             self.registry.counter(
-                f"service.rejected.{type(exc).__name__}").inc()
+                f"service.rejected.{reason.partition(':')[0]}").inc()
         self._save_state()
 
     def _evict_rejected(self) -> None:

@@ -14,11 +14,11 @@ ends:
     from its *declared* length, before a byte of it is buffered;
   - **per-read socket timeouts**: a slow-loris client stalls only its own
     connection, which is shed at the first silent interval;
-  - **bounded ingest queue**: accepted uploads flow through a
-    ``queue.Queue(maxsize=ingest_queue_depth)`` drained by spool-writer
-    threads; when it is full the server answers *retry-after* instead of
-    buffering — backpressure the client's seeded exponential backoff
-    consumes;
+  - **bounded admission**: the connection thread that checks an upload
+    also spools, ingests and answers it, holding one of
+    ``ingest_queue_depth`` admission slots meanwhile; when none is free the
+    server answers *retry-after* instead of buffering — backpressure the
+    client's seeded exponential backoff consumes;
   - **per-client quotas**: at most ``client_quota`` distinct reports per
     client id (0 = unlimited); the misbehaving client gets quota
     responses, healthy clients keep their bandwidth;
@@ -30,8 +30,8 @@ ends:
     repairs without losing an acked trace or re-searching a finished
     cluster;
   - **graceful drain**: :meth:`UploadServer.shutdown` stops accepting,
-    answers in-flight uploads with retry-after, and drains the queue so
-    every already-accepted write is committed and acknowledged.
+    answers new uploads with retry-after, and returns once every admitted
+    upload is committed and its acknowledgement sent.
 
 * :class:`UploadClient` — the user-machine library.  Uploads are
   *idempotent*: keyed by ``(client id, content digest)``, so a retry after
@@ -57,10 +57,10 @@ from the ledger; omitted version means latest).  Statuses: ``A`` ack,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import queue
 import random
 import re
 import socket
@@ -104,6 +104,8 @@ ST_PLAN = ord("L")
 
 #: Slack on top of ``max_trace_bytes`` for the op byte and JSON header.
 _FRAME_SLACK = 64 * 1024
+#: The hint a retry-after response carries, seconds.
+RETRY_AFTER_SECONDS = 0.05
 _SPOOL_DIR = "spool"
 _CLIENT_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -249,33 +251,6 @@ def journaled_spool_write(final_path: str, data: bytes,
     return final_path
 
 
-class _PendingUpload:
-    """One accepted upload travelling the bounded ingest queue."""
-
-    __slots__ = ("client", "digest", "data", "trace", "path", "result",
-                 "done")
-
-    def __init__(self, client: str, digest: str, data: bytes, trace: Trace,
-                 path: str) -> None:
-        self.client = client
-        self.digest = digest
-        self.data = data
-        #: *data* decoded and checked by the request handler, so the ingest
-        #: does not decode and check it again.
-        self.trace = trace
-        #: ``spool/<client>-<digest16>.trace``: the idempotency key.
-        self.path = path
-        self.result: Optional[Tuple[str, Dict[str, object]]] = None
-        self.done = threading.Event()
-
-    def resolve(self, kind: str, body: Dict[str, object]) -> None:
-        self.result = (kind, body)
-        self.done.set()
-
-
-_STOP = object()
-
-
 class UploadServer:
     """Concurrent, fault-tolerant front door of a :class:`ReproService`."""
 
@@ -300,13 +275,17 @@ class UploadServer:
         os.makedirs(self.spool_root, exist_ok=True)
         #: Guards every touch of the service/inbox state and the registry.
         self._lock = threading.Lock()
-        self._queue: "queue.Queue" = queue.Queue(
-            maxsize=max(1, svc.ingest_queue_depth))
+        #: Serializes spool writes, so two uploads of one (client, digest)
+        #: never write the same ``.part`` temp at once.
+        self._spool_lock = threading.Lock()
+        #: One slot per admitted upload, held until its answer is sent.
+        self._depth = max(1, svc.ingest_queue_depth)
+        self._slots = threading.BoundedSemaphore(self._depth)
         self._client_digests: Dict[str, set] = {}
         self.recovered = self.recover()
         self._draining = False
         self._closed = False
-        self._threads: List[threading.Thread] = []
+        self._accept: Optional[threading.Thread] = None
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -346,28 +325,21 @@ class UploadServer:
         return [result.trace_id for result in results]
 
     def start(self) -> "UploadServer":
-        if self._threads:
+        if self._accept is not None:
             return self  # already running: entering a started server is a no-op
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="repro-net-accept", daemon=True)
-        accept.start()
-        self._threads.append(accept)
-        for index in range(max(1, self.config.service.spool_writers)):
-            writer = threading.Thread(target=self._spool_writer,
-                                      name=f"repro-net-spool-{index}",
-                                      daemon=True)
-            writer.start()
-            self._threads.append(writer)
+        self._accept = threading.Thread(target=self._accept_loop,
+                                        name="repro-net-accept", daemon=True)
+        self._accept.start()
         return self
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting; optionally drain the ingest queue, then close.
+        """Stop accepting; optionally wait for admitted uploads, then close.
 
-        With ``drain=True`` (the default) every upload already admitted to
-        the queue is spooled, ingested and acknowledged before the server
-        releases its resources — clients never lose an accepted report to a
-        clean shutdown.  New uploads arriving during the drain are answered
-        retry-after with reason ``draining``.
+        With ``drain=True`` (the default) every upload already admitted is
+        spooled, ingested and acknowledged before this returns — clients
+        never lose an accepted report to a clean shutdown.  New uploads
+        arriving during the drain are answered retry-after with reason
+        ``draining``.
         """
 
         if self._closed:
@@ -378,11 +350,9 @@ class UploadServer:
         except OSError:
             pass
         if drain:
-            self._queue.join()
-        for _ in range(max(1, self.config.service.spool_writers)):
-            self._queue.put(_STOP)
-        for thread in self._threads[1:]:
-            thread.join(timeout=10.0)
+            # Each admitted upload frees its slot once its answer is sent.
+            for _ in range(self._depth):
+                self._slots.acquire()
         self._closed = True
 
     def __enter__(self) -> "UploadServer":
@@ -459,26 +429,40 @@ class UploadServer:
             self._count("service.net.protocol_errors")
             self._best_effort_send(conn, ST_ERROR, {"reason": str(exc)})
             return False
-        if op == OP_UPLOAD:
-            status, response = self._handle_upload(header, body, peer)
-        elif op == OP_REPORT:
-            status, response = self._handle_report(header)
-        elif op == OP_STATS:
-            status, response = self._handle_stats()
-        elif op == OP_PROCESS:
-            status, response = self._handle_process(header)
-        elif op == OP_PLAN:
-            status, response = self._handle_plan(header)
-        else:
-            self._count("service.net.protocol_errors")
-            status, response = ST_ERROR, {"reason": f"unknown op {op}"}
-        self._best_effort_send(conn, status, response)
+        # An admitted upload's slot is freed on leaving this block, after
+        # its answer is sent: that is what a draining shutdown waits for.
+        with contextlib.ExitStack() as answered:
+            if op == OP_UPLOAD:
+                status, response = self._handle_upload(header, body, peer,
+                                                       answered)
+            elif op == OP_REPORT:
+                status, response = self._handle_report(header)
+            elif op == OP_STATS:
+                status, response = self._handle_stats()
+            elif op == OP_PROCESS:
+                status, response = self._handle_process(header)
+            elif op == OP_PLAN:
+                status, response = self._handle_plan(header)
+            else:
+                self._count("service.net.protocol_errors")
+                status, response = ST_ERROR, {"reason": f"unknown op {op}"}
+            self._best_effort_send(conn, status, response)
         return op == OP_UPLOAD and status == ST_ACK
 
     # -- request handlers -------------------------------------------------------
 
     def _handle_upload(self, header: Dict[str, object], body: bytes,
-                       peer: str) -> Tuple[int, Dict[str, object]]:
+                       peer: str, answered: contextlib.ExitStack
+                       ) -> Tuple[int, Dict[str, object]]:
+        """Check, admit, spool and ingest one upload.
+
+        The checks run in order: header, digest, size, decode,
+        ``check_trace``, the idempotency index, draining, quota.  An upload
+        that passes them all takes an admission slot without blocking (none
+        free: retry-after ``queue-full``) and releases it through
+        *answered* once its answer is sent.
+        """
+
         client = str(header.get("client", ""))
         digest = str(header.get("digest", ""))
         if not _CLIENT_ID_RE.match(client) or not _DIGEST_RE.match(digest):
@@ -509,7 +493,6 @@ class UploadServer:
                 "reason": f"{type(exc).__name__}: {exc}"}
         path = os.path.abspath(os.path.join(
             self.spool_root, f"{client}-{digest[:16]}.trace"))
-        retry_after = self.config.service.retry_after_seconds
         with self._lock:
             known = self.service.inbox.spooled.get(path)
             if known:
@@ -524,7 +507,7 @@ class UploadServer:
                     "duplicate_upload": True}
             if self._draining:
                 return ST_RETRY, {"reason": "draining",
-                                  "retry_after": retry_after}
+                                  "retry_after": RETRY_AFTER_SECONDS}
             quota = self.config.service.client_quota
             accepted = self._client_digests.setdefault(client, set())
             if quota and digest not in accepted and len(accepted) >= quota:
@@ -533,31 +516,15 @@ class UploadServer:
                     "distinct reports"))
                 return ST_QUOTA, {
                     "reason": f"quota of {quota} reports exhausted"}
-            accepted.add(digest)
-        pending = _PendingUpload(client, digest, body, trace, path)
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            with self._lock:
+            if not self._slots.acquire(blocking=False):
+                # Not admitted, so the upload spends no quota.
                 self._registry().counter("service.net.retry_after").inc()
-                # The upload was not admitted: give its quota slot back.
-                self._client_digests.get(client, set()).discard(digest)
-            return ST_RETRY, {"reason": "queue-full",
-                              "retry_after": retry_after}
-        if not pending.done.wait(
-                timeout=max(30.0,
-                            self.config.service.read_timeout_seconds * 8)):
-            return ST_RETRY, {"reason": "ingest-stalled",
-                              "retry_after": retry_after}
-        kind, response = pending.result
-        if kind == "ack":
-            self._count("service.net.uploads_acked")
-            return ST_ACK, response
-        if kind == "retry":
-            with self._lock:
-                self._client_digests.get(client, set()).discard(digest)
-            return ST_RETRY, response
-        return ST_ERROR, response
+                return ST_RETRY, {"reason": "queue-full",
+                                  "retry_after": RETRY_AFTER_SECONDS}
+            answered.callback(self._slots.release)
+            accepted.add(digest)
+        with self._spool_lock:
+            return self._write_and_ingest(client, digest, body, trace, path)
 
     def _handle_report(self, header: Dict[str, object]
                        ) -> Tuple[int, Dict[str, object]]:
@@ -620,51 +587,46 @@ class UploadServer:
             return ST_PLAN, {"plan": entry.to_json(),
                              "latest": ledger.latest(program).version}
 
-    # -- the spool-writer side of the bounded queue -----------------------------
+    # -- the admitted upload ----------------------------------------------------
 
-    def _spool_writer(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _STOP:
-                    return
-                self._write_and_ingest(item)
-            finally:
-                self._queue.task_done()
+    def _write_and_ingest(self, client: str, digest: str, data: bytes,
+                          trace: Trace, path: str
+                          ) -> Tuple[int, Dict[str, object]]:
+        """Spool *data* durably at *path*, ingest it, and build the answer.
 
-    def _write_and_ingest(self, item: _PendingUpload) -> None:
-        retry_after = self.config.service.retry_after_seconds
+        *trace* is *data* as :meth:`_handle_upload` decoded and checked it;
+        *path* (``spool/<client>-<digest16>.trace``) is the idempotency key.
+        """
+
         try:
             self.faults.crash_point("net.before_spool")
             if self.faults.spec.spool_delay_seconds:
                 time.sleep(self.faults.spec.spool_delay_seconds)
             if self.faults.roll("spool_fail"):
                 raise OSError("injected spool write failure")
-            journaled_spool_write(item.path, item.data, faults=self.faults)
+            journaled_spool_write(path, data, faults=self.faults)
             with self._lock:
-                result = self.service.ingest_spooled(item.path, item.data,
-                                                     item.trace)
+                result = self.service.ingest_spooled(path, data, trace)
             self.faults.crash_point("net.after_ingest")
         except OSError as exc:
             # A failing disk must not fail the client permanently: nothing
             # was acknowledged, so "try again" is both safe and honest.
             self._count("service.net.spool_write_failures")
-            item.resolve("retry", {
-                "reason": f"spool-write-failed: {exc}",
-                "retry_after": retry_after})
-            return
+            with self._lock:
+                self._client_digests.get(client, set()).discard(digest)
+            return ST_RETRY, {"reason": f"spool-write-failed: {exc}",
+                              "retry_after": RETRY_AFTER_SECONDS}
         except TraceError as exc:
             # Unreachable in the normal flow (the handler validated the
-            # bytes), kept so a writer thread can never die on a bad trace.
+            # bytes), kept so a bad trace is ledgered, not a dropped line.
             with self._lock:
-                self.service.inbox.reject(
-                    f"net:{item.client}:{item.digest[:12]}", exc)
-            item.resolve("error", {"reason": f"{type(exc).__name__}: {exc}"})
-            return
-        item.resolve("ack", {
+                self.service.inbox.reject(f"net:{client}:{digest[:12]}", exc)
+            return ST_ERROR, {"reason": f"{type(exc).__name__}: {exc}"}
+        self._count("service.net.uploads_acked")
+        return ST_ACK, {
             "trace_id": result.trace_id, "cluster_id": result.cluster_id,
             "duplicate": result.duplicate, "bug_key": result.bug_key,
-            "duplicate_upload": False})
+            "duplicate_upload": False}
 
     # -- small helpers ----------------------------------------------------------
 

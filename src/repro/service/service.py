@@ -1,4 +1,4 @@
-"""The reproduction service: sessions, batch scheduling, typed reports.
+"""The reproduction service: ingestion, batch scheduling, typed reports.
 
 :class:`ReproService` is the developer-site daemon of the paper's
 user/developer split, grown to fleet scale: traces stream into a
@@ -14,10 +14,6 @@ of a cluster receives the cluster's :class:`ReproductionReport`; because
 the replay engine commits its work in pop order, each report's explored
 search tree is byte-identical to running that trace alone through
 :meth:`Pipeline.reproduce_from_trace`.
-
-:class:`ReproSession` is the client-side handle: a session ingests traces,
-remembers which ones are *its own*, and reads their reports back — the shape
-a per-connection context takes once a network transport fronts the inbox.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import PipelineConfig
 from repro.instrument.methods import InstrumentationMethod, build_plan
@@ -35,11 +31,12 @@ from repro.planner import (FleetObservations, PlanLedger, PlanVersion,
                            ReplanPolicy, Replanner, plan_fingerprint_digest)
 from repro.replay.engine import (ReplayEngine, ReplayOutcome,
                                  WorkerCrashError, check_matched_binaries)
-from repro.service.inbox import IngestResult, TraceCluster, TraceInbox, \
-    UnknownProgramError
+from repro.service.inbox import (IngestResult, TraceCluster, TraceInbox,
+                                 UnknownProgramError, error_line)
 from repro.service.supervisor import (
     SearchDeadlineExceeded,
     SearchJob,
+    SearchResult,
     SearchSupervisor,
 )
 from repro.telemetry import (
@@ -54,7 +51,6 @@ from repro.trace import Trace, TraceError, load_trace
 
 __all__ = [
     "ReproService",
-    "ReproSession",
     "ReproductionReport",
     "outcome_fingerprint",
 ]
@@ -199,6 +195,15 @@ class ReproductionReport:
         )
 
 
+def _search_inline(engine: ReplayEngine) -> SearchResult:
+    """Run one search in this process; an exception fails only this search."""
+
+    try:
+        return SearchResult(kind="ok", outcome=engine.reproduce())
+    except Exception as exc:  # noqa: BLE001 - one search, not the batch
+        return SearchResult(kind="failed", error=error_line(exc))
+
+
 #: Instrumentation methods whose plans rebuild deterministically without any
 #: pre-deployment analysis; for traces recorded under these the service
 #: re-derives the developer-side plan and enforces the strict
@@ -207,45 +212,6 @@ class ReproductionReport:
 #: branch-location check in :func:`check_matched_binaries`.
 ANALYSIS_FREE_METHODS = frozenset((InstrumentationMethod.ALL_BRANCHES.value,
                                    InstrumentationMethod.NONE.value))
-
-
-class ReproSession:
-    """A client handle on the service: ingest traces, read their reports."""
-
-    def __init__(self, service: "ReproService", name: str = "") -> None:
-        self.service = service
-        self.name = name or f"session-{id(self):x}"
-        self.trace_ids: List[str] = []
-
-    def ingest_bytes(self, data: bytes, source: str = "bytes") -> IngestResult:
-        result = self.service.ingest_bytes(data, source=source)
-        self.trace_ids.append(result.trace_id)
-        return result
-
-    def ingest_file(self, path: str) -> IngestResult:
-        result = self.service.ingest_file(path)
-        self.trace_ids.append(result.trace_id)
-        return result
-
-    def report(self, trace_id: str) -> Optional[ReproductionReport]:
-        return self.service.report(trace_id)
-
-    def reports(self) -> Dict[str, Optional[ReproductionReport]]:
-        """Reports for every trace this session ingested (None = pending)."""
-
-        return {trace_id: self.service.report(trace_id)
-                for trace_id in self.trace_ids}
-
-    def telemetry(self) -> "RegistrySnapshot":
-        """The service's metrics snapshot (see :meth:`ReproService.telemetry`)."""
-
-        return self.service.telemetry()
-
-    def __enter__(self) -> "ReproSession":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        return None
 
 
 class ReproService:
@@ -265,7 +231,6 @@ class ReproService:
         self._registry = MetricsRegistry()
         self.inbox = TraceInbox(root,
                                 max_trace_bytes=config.service.max_trace_bytes,
-                                max_rejected=config.service.max_rejected_entries,
                                 registry=self._registry,
                                 check_trace=self.check_trace)
         self._programs_src = dict(programs or {})
@@ -318,7 +283,7 @@ class ReproService:
         re-ingest of an already-recorded path returns the original receipt
         without re-counting an arrival.  *trace* is *data* already decoded
         and passed through :meth:`check_trace`, as the listener does before
-        it queues the upload.
+        it admits the upload.
         """
 
         known = os.path.abspath(path) in self.inbox.spooled
@@ -330,9 +295,6 @@ class ReproService:
         """The live service metrics registry (counters always count)."""
 
         return self._registry
-
-    def session(self, name: str = "") -> ReproSession:
-        return ReproSession(self, name)
 
     # -- program resolution -----------------------------------------------------
 
@@ -454,82 +416,63 @@ class ReproService:
 
     def _process_clusters(self, clusters: List[TraceCluster],
                           reports: Dict[str, ReproductionReport]) -> None:
-        if self._use_supervisor():
-            self._process_supervised(clusters, reports)
-            return
+        """Search each cluster and commit the search's result.
+
+        Inline, each search commits before the next one starts, so a search
+        that raises fails only its own cluster.  Supervised (see
+        :meth:`_use_supervisor`), the batch runs first and then commits in
+        dispatch order.  Either way a search ends as a
+        :class:`~repro.service.supervisor.SearchResult`, and
+        :meth:`_commit_result` records it.
+        """
+
+        supervised = self._use_supervisor()
+        batch: List[Tuple[TraceCluster, SearchJob]] = []
         for cluster in clusters:
             try:
                 engine = self._engine_for(cluster)
             except (TraceError, KeyError) as exc:
                 self._fail_cluster(cluster, exc, reports)
                 continue
-            self._finish_search(cluster, engine, reports)
+            if supervised:
+                batch.append((cluster, SearchJob(cluster_id=cluster.cluster_id,
+                                                 engine=engine,
+                                                 bits=cluster.bits)))
+            else:
+                self._commit_result(cluster, _search_inline(engine), reports)
+        if supervised:
+            supervisor = SearchSupervisor(
+                self.inbox.root, self.config, registry=self._registry,
+                fault_spec=self.search_faults,
+                faults=self.search_fault_injector)
+            results = supervisor.run([job for _cluster, job in batch])
+            for cluster, job in batch:
+                self._commit_result(cluster, results[job.cluster_id], reports)
 
-    def _finish_search(self, cluster: TraceCluster, engine: ReplayEngine,
+    def _commit_result(self, cluster: TraceCluster, result: SearchResult,
                        reports: Dict[str, ReproductionReport]) -> None:
-        """Run one cluster's search and commit it at once.
+        """Record one search's terminal state as its cluster's reports.
 
-        A search that raises fails only its own cluster, with a typed error
-        report and a rejection-ledger entry (as the supervisor quarantines a
-        poison search); clusters already committed stay committed, and the
-        next :meth:`process` call does not meet the poison cluster again.
+        ``ok`` commits the search.  The other kinds fail the cluster:
+        ``deadline`` with a typed :class:`SearchDeadlineExceeded`,
+        ``quarantined`` (crash-restarts exhausted, or a corrupt checkpoint)
+        with a :class:`WorkerCrashError`, and ``failed`` with the search's
+        own error.  The last two also land in the rejection ledger, so
+        operators see poison searches where they already look for poison
+        uploads.
         """
 
-        try:
-            outcome = engine.reproduce()
-        except Exception as exc:  # noqa: BLE001 - one search, not the batch
-            self.inbox.reject(f"cluster:{cluster.cluster_id}", exc)
-            self._fail_cluster(cluster, exc, reports)
+        if result.kind == "ok":
+            self._commit_cluster(cluster, result.outcome, reports)
             return
-        self._commit_cluster(cluster, outcome, reports)
-
-    def _process_supervised(self, clusters: List[TraceCluster],
-                            reports: Dict[str, ReproductionReport]) -> None:
-        """Dispatch the batch through the crash-surviving scheduler.
-
-        Terminal supervisor states map onto the report surface: ``ok``
-        commits like any search; ``deadline`` fails the cluster with a typed
-        :class:`~repro.service.supervisor.SearchDeadlineExceeded`;
-        ``quarantined`` (retries exhausted, or a corrupt checkpoint)
-        additionally lands in the rejection ledger so operators see poison
-        searches where they already look for poison uploads.
-        """
-
-        supervisor = SearchSupervisor(
-            self.inbox.root, self.config, registry=self._registry,
-            fault_spec=self.search_faults,
-            faults=self.search_fault_injector)
-        jobs: List[SearchJob] = []
-        by_id: Dict[str, TraceCluster] = {}
-        for cluster in clusters:
-            try:
-                engine = self._engine_for(cluster)
-            except (TraceError, KeyError) as exc:
-                self._fail_cluster(cluster, exc, reports)
-                continue
-            jobs.append(SearchJob(cluster_id=cluster.cluster_id,
-                                  engine=engine, bits=cluster.bits))
-            by_id[cluster.cluster_id] = cluster
-        results = supervisor.run(jobs)
-        for job in jobs:
-            cluster = by_id[job.cluster_id]
-            result = results.get(job.cluster_id)
-            if result is None:  # defensive: the supervisor always answers
-                self._fail_cluster(cluster, WorkerCrashError(
-                    "supervisor returned no result"), reports)
-            elif result.kind == "ok":
-                self._commit_cluster(cluster, result.outcome, reports)
-            elif result.kind == "deadline":
-                self._fail_cluster(cluster,
-                                   SearchDeadlineExceeded(result.error),
-                                   reports)
-            elif result.kind == "quarantined":
-                exc = WorkerCrashError(result.error)
-                self.inbox.reject(f"cluster:{cluster.cluster_id}", exc)
-                self._fail_cluster(cluster, exc, reports)
-            else:  # "failed": a typed in-worker error, no retry value
-                self._fail_cluster(cluster, WorkerCrashError(result.error),
-                                   reports)
+        if result.kind == "deadline":
+            self._fail_cluster(cluster, SearchDeadlineExceeded(result.error),
+                               reports)
+            return
+        error = (WorkerCrashError(result.error)
+                 if result.kind == "quarantined" else result.error)
+        self.inbox.reject(f"cluster:{cluster.cluster_id}", error)
+        self._fail_cluster(cluster, error, reports)
 
     def resume_scan(self) -> List[str]:
         """Startup reconciliation of the checkpoint store (crash recovery).
@@ -543,14 +486,12 @@ class ReproService:
         ``inbox.json`` and its checkpoint file are the whole record.
         """
 
-        svc = self.config.service
-        checkpoint_dir = svc.checkpoint_dir or os.path.join(
-            self.inbox.root, "checkpoints")
+        checkpoint_dir = os.path.join(self.inbox.root, "checkpoints")
         resumable: List[str] = []
         if not os.path.isdir(checkpoint_dir):
             return resumable
-        pending = {cluster.cluster_id
-                   for cluster in self.inbox.pending_clusters(svc.priority)}
+        pending = {cluster.cluster_id for cluster in
+                   self.inbox.pending_clusters(self.config.service.priority)}
         for name in sorted(os.listdir(checkpoint_dir)):
             path = os.path.join(checkpoint_dir, name)
             if name.endswith(".ckpt"):
@@ -593,7 +534,6 @@ class ReproService:
             expect_plan=self._expected_plan(program, trace),
             budget=config.replay_budget,
             backend=config.backend,
-            max_call_depth=config.max_call_depth,
             warm_start=config.replay_warm_start,
             telemetry=config.telemetry_enabled,
             profile_opcodes=config.profile_opcodes,
@@ -624,9 +564,12 @@ class ReproService:
             self._registry.counter("service.reports_fanned_out").inc()
             self._observe_latency(trace_id)
 
-    def _fail_cluster(self, cluster: TraceCluster, exc: Exception,
+    def _fail_cluster(self, cluster: TraceCluster,
+                      error: Union[Exception, str],
                       reports: Dict[str, ReproductionReport]) -> None:
-        reason = f"{type(exc).__name__}: " + " ".join(str(exc).split())
+        """Fail *cluster* with *error*: an exception or its :func:`error_line`."""
+
+        reason = error_line(error)
         payload = {
             "reproduced": False, "runs": 0, "wall_seconds": 0.0,
             "timed_out": False, "crash_site": None, "found_input": {},
@@ -690,10 +633,9 @@ class ReproService:
         from repro.concolic.engine import ConcolicEngine
         from repro.core.pipeline import Pipeline
 
-        svc = self.config.service
         policy = ReplanPolicy(
-            seed=svc.replan_seed if seed is None else seed,
-            max_drop_fraction=(svc.replan_max_drop_fraction
+            seed=self.config.service.replan_seed if seed is None else seed,
+            max_drop_fraction=(ReplanPolicy.max_drop_fraction
                                if max_drop_fraction is None
                                else max_drop_fraction))
         ledger = self.plan_ledger

@@ -55,6 +55,10 @@ from repro.trace import write_atomic
 __all__ = ["SearchDeadlineExceeded", "SearchJob", "SearchResult",
            "SearchSupervisor"]
 
+#: A worker silent this long (no commit, no heartbeat) is treated as dead:
+#: killed and restarted from its last checkpoint.
+HEARTBEAT_TIMEOUT_SECONDS = 30.0
+
 
 class SearchDeadlineExceeded(Exception):
     """A cluster search overran ``search_deadline_seconds`` and was killed."""
@@ -148,13 +152,11 @@ class SearchSupervisor:
     def __init__(self, root: str, config: PipelineConfig, registry=None,
                  fault_spec=None, faults=None) -> None:
         svc = config.service
-        self.checkpoint_dir = svc.checkpoint_dir or os.path.join(
-            root, "checkpoints")
+        self.checkpoint_dir = os.path.join(root, "checkpoints")
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.workers = max(1, int(svc.workers))
         self.deadline = svc.search_deadline_seconds
         self.preempt_after = svc.preempt_after_seconds
-        self.heartbeat_timeout = svc.heartbeat_timeout_seconds
         self.max_retries = max(0, int(svc.max_search_retries))
         self.backoff = svc.retry_backoff_seconds
         self.every_commits = svc.checkpoint_every_runs
@@ -258,8 +260,7 @@ class SearchSupervisor:
                         resumed=entry.resumed), clear_checkpoint=True)
                     self._count("service.supervisor.deadline_exceeded")
                     continue
-                if self.heartbeat_timeout > 0 and self._silent_for(
-                        entry, now) > self.heartbeat_timeout:
+                if self._silent_for(entry, now) > HEARTBEAT_TIMEOUT_SECONDS:
                     # A wedged worker: no commits, no heartbeat.  Kill it and
                     # take the crash path — its checkpoint (if any) resumes.
                     self._kill(entry)

@@ -10,10 +10,10 @@ The observability layer the rest of the system records into:
 * :func:`~repro.telemetry.spans.span` — nested wall-clock intervals
   (``with span("replay.search", cluster=...)``) recorded into the active
   registry's timeline;
-* :mod:`~repro.telemetry.runtime` — the thread-local / process-global
-  resolution of "the active registry", which compiles to shared no-op
-  singletons when :attr:`~repro.core.config.PipelineConfig.telemetry_enabled`
-  is off (the default);
+* :mod:`~repro.telemetry.runtime` — the thread-local resolution of "the
+  active registry", which compiles to shared no-op singletons when
+  :attr:`~repro.core.config.PipelineConfig.telemetry_enabled` is off (the
+  default);
 * :func:`write_jsonl` — the JSON-lines sink, one metric object per line,
   consumed by ``python -m repro stats`` and the CI telemetry smoke job.
 
@@ -43,9 +43,6 @@ from repro.telemetry.runtime import (
     NULL_REGISTRY,
     NullRegistry,
     active,
-    disable,
-    enable,
-    enabled,
     scoped,
 )
 from repro.telemetry.spans import span
@@ -62,9 +59,6 @@ __all__ = [
     "SECONDS_BUCKETS",
     "SpanRecord",
     "active",
-    "disable",
-    "enable",
-    "enabled",
     "read_jsonl",
     "render_summary",
     "scoped",

@@ -134,12 +134,13 @@ class SpanRecord:
 
 @dataclass
 class RegistrySnapshot:
-    """A picklable, mergeable point-in-time copy of a registry.
+    """A picklable point-in-time copy of a registry.
 
     ``histograms`` maps name -> ``(buckets, counts, count, sum)``;
     ``timing_names`` lists the metrics excluded from deterministic
-    comparison.  Merging requires identical bucket boundaries per name —
-    guaranteed because boundaries are fixed at creation.
+    comparison.  :meth:`MetricsRegistry.merge_snapshot` folds a snapshot
+    into a live registry; that requires identical bucket boundaries per
+    name — guaranteed because boundaries are fixed at creation.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
@@ -148,30 +149,6 @@ class RegistrySnapshot:
         field(default_factory=dict)
     timing_names: Tuple[str, ...] = ()
     spans: Tuple[SpanRecord, ...] = ()
-
-    def merge(self, other: "RegistrySnapshot") -> "RegistrySnapshot":
-        """Fold *other* into this snapshot in place (and return self)."""
-
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in other.gauges.items():
-            self.gauges[name] = value
-        for name, (buckets, counts, count, total) in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = (buckets, counts, count, total)
-                continue
-            if mine[0] != buckets:
-                raise ValueError(
-                    f"histogram {name!r} bucket boundaries differ between "
-                    "merged snapshots — boundaries must be fixed at creation")
-            merged_counts = tuple(a + b for a, b in zip(mine[1], counts))
-            self.histograms[name] = (buckets, merged_counts,
-                                     mine[2] + count, mine[3] + total)
-        timing = set(self.timing_names) | set(other.timing_names)
-        self.timing_names = tuple(sorted(timing))
-        self.spans = tuple(self.spans) + tuple(other.spans)
-        return self
 
     def deterministic(self) -> "RegistrySnapshot":
         """The snapshot minus every timing/volatile metric and all spans.

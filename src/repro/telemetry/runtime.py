@@ -1,17 +1,15 @@
 """The telemetry runtime: which registry (if any) is currently active.
 
 Instrumented code never holds a registry directly — it asks
-:func:`active` for the current one and records into whatever comes back.
-Three levels resolve, cheapest first:
+:func:`active` for the current one and records into whatever comes back:
 
-* a **thread-local scope** installed by :func:`scoped` (the replay engine
+* the **thread-local scope** installed by :func:`scoped` (the replay engine
   wraps its search in one, so every run's VM/solver metrics land in that
-  search's registry);
-* the **process-global registry** installed by :func:`enable`;
-* the :data:`NULL_REGISTRY` when telemetry is off — its instruments are
-  shared no-op singletons, so disabled instrumentation costs one attribute
-  lookup and an empty method call at each site (and the VM dispatch loop
-  costs literally nothing: profiling swaps in a different loop *function*
+  search's registry, and the service wraps its batch in its own);
+* otherwise the :data:`NULL_REGISTRY` — its instruments are shared no-op
+  singletons, so disabled instrumentation costs one attribute lookup and
+  an empty method call at each site (and the VM dispatch loop costs
+  literally nothing: profiling swaps in a different loop *function*
   instead of testing a flag per instruction).
 """
 
@@ -19,17 +17,14 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.telemetry.registry import MetricsRegistry, RegistrySnapshot
+from repro.telemetry.registry import RegistrySnapshot
 
 __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "active",
-    "disable",
-    "enable",
-    "enabled",
     "scoped",
 ]
 
@@ -84,51 +79,22 @@ class NullRegistry:
 NULL_REGISTRY = NullRegistry()
 
 _TLS = threading.local()
-_GLOBAL: object = NULL_REGISTRY
-_GLOBAL_LOCK = threading.Lock()
 
 
 def active():
     """The registry instrumentation should record into right now."""
 
     scope = getattr(_TLS, "registry", None)
-    if scope is not None:
-        return scope
-    return _GLOBAL
-
-
-def enabled() -> bool:
-    """Is any real registry active on this thread?"""
-
-    return active().enabled
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install (and return) the process-global registry."""
-
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if registry is None:
-            registry = MetricsRegistry()
-        _GLOBAL = registry
-    return registry
-
-
-def disable() -> None:
-    """Drop the process-global registry; telemetry reverts to no-ops."""
-
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = NULL_REGISTRY
+    return NULL_REGISTRY if scope is None else scope
 
 
 @contextlib.contextmanager
 def scoped(registry) -> Iterator[object]:
     """Route this thread's telemetry into *registry* while the scope is open.
 
-    Scopes nest (the previous registry is restored on exit), and a scope
-    shadows the process-global registry — that is what isolates one
-    search's metrics from the service's and from other threads'.
+    Scopes nest (the previous registry is restored on exit) — that is what
+    isolates one search's metrics from the service's and from other
+    threads'.
     """
 
     previous = getattr(_TLS, "registry", None)

@@ -17,6 +17,7 @@ import json
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -38,7 +39,6 @@ from repro.service import (
 )
 from repro.service.net import (
     OP_UPLOAD,
-    ST_ACK,
     ST_ERROR,
     ST_RETRY,
     ProtocolError,
@@ -361,7 +361,7 @@ class TestUploadServer:
 
     def test_upload_is_decoded_and_checked_once(self, tmp_path, mkdir_bytes,
                                                 monkeypatch):
-        # The handler decodes and checks an upload before it queues it;
+        # The handler decodes and checks an upload before it admits it;
         # the ingest behind the spool write reuses that trace.
         from repro.service import inbox as inbox_module
         from repro.service import net as net_module
@@ -531,12 +531,12 @@ class TestUploadServer:
     def test_queue_full_backpressure_retries_until_acked(self, tmp_path,
                                                          mkdir_bytes,
                                                          mkfifo_bytes):
-        # A slow spool disk (injected delay) + depth-1 queue: concurrent
-        # uploads must draw retry-after, and every client's backoff loop
-        # must still land its report.
+        # A slow spool disk (injected delay) + one admission slot:
+        # concurrent uploads must draw retry-after, and every client's
+        # backoff loop must still land its report.
         faults = FaultInjector(FaultSpec(spool_delay_seconds=0.2))
-        with start_server(tmp_path, faults=faults, ingest_queue_depth=1,
-                          spool_writers=1) as server:
+        with start_server(tmp_path, faults=faults,
+                          ingest_queue_depth=1) as server:
             payloads = [mkdir_bytes, mkfifo_bytes,
                         mkdir_bytes + b"", mkfifo_bytes + b""]
             receipts = {}
@@ -562,6 +562,47 @@ class TestUploadServer:
             counters = server.service.registry.snapshot().counters
             assert counters.get("service.net.retry_after", 0) > 0
             assert counters["service.net.uploads_acked"] == len(payloads)
+
+    def test_racing_uploads_of_one_report_store_it_once(self, tmp_path,
+                                                        mkdir_bytes,
+                                                        mkfifo_bytes):
+        # More uploading threads than cores, two slots and a short switch
+        # interval: one client's report racing itself is spooled and
+        # ingested once, and every upload is acked with that trace id.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with start_server(tmp_path, ingest_queue_depth=2) as server:
+                receipts, errors = [], []
+
+                def ship(index):
+                    data = (mkdir_bytes, mkfifo_bytes)[index % 2]
+                    client = UploadClient(server.host, server.port,
+                                          client_id="racer", seed=index,
+                                          max_attempts=40, base_delay=0.01)
+                    try:
+                        receipts.append((data, client.upload(data)))
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=ship, args=(index,))
+                           for index in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors and len(receipts) == 8
+                trace_ids = {}
+                for data, receipt in receipts:
+                    trace_ids.setdefault(data, set()).add(receipt.trace_id)
+                assert sorted(map(len, trace_ids.values())) == [1, 1]
+                with server._lock:
+                    assert server.service.inbox.describe()["traces"] == 2
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(os.listdir(server.spool_root)) == sorted(
+            spool_name("racer", data) for data in (mkdir_bytes, mkfifo_bytes))
 
     def test_spool_write_failure_never_acks_or_ingests(self, tmp_path,
                                                        mkdir_bytes):
@@ -630,6 +671,39 @@ class TestUploadServer:
             assert revived.service.inbox.describe()["traces"] == 1
         finally:
             revived.shutdown()
+
+    def test_drain_returns_only_after_the_ack_is_sent(self, tmp_path,
+                                                      mkdir_bytes,
+                                                      monkeypatch):
+        # Every answer goes out 0.5 s late.  A draining shutdown that began
+        # once the upload was ingested must still wait for its ack: the
+        # caller may exit the process as soon as shutdown() returns.
+        answered = []
+        send = UploadServer._best_effort_send
+
+        def late_send(self, conn, status, body):
+            time.sleep(0.5)
+            send(self, conn, status, body)
+            answered.append(time.monotonic())
+
+        monkeypatch.setattr(UploadServer, "_best_effort_send", late_send)
+        server = start_server(tmp_path)
+        receipts = []
+        uploader = threading.Thread(target=lambda: receipts.append(
+            UploadClient(server.host, server.port,
+                         client_id="late").upload(mkdir_bytes)))
+        uploader.start()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            with server._lock:
+                if server.service.inbox.describe()["traces"]:
+                    break
+            time.sleep(0.01)
+        server.shutdown()
+        drained = time.monotonic()
+        uploader.join()
+        assert receipts and len(answered) == 1
+        assert drained >= answered[0]
 
     def test_stats_endpoint_reports_rejections_and_faults(self, tmp_path,
                                                           mkdir_bytes):

@@ -15,7 +15,7 @@ from repro import (
     ReplayBudget,
 )
 from repro.environment import simple_environment
-from repro.workloads import fibonacci, userver
+from repro.workloads import fibonacci, microbench, userver
 from repro.workloads.coreutils import mkdir
 from tests.conftest import GUARD_SOURCE
 
@@ -95,6 +95,17 @@ class TestRecording:
         second = pipeline.baseline_steps(crash_env)
         assert first == second
 
+    def test_baseline_cache_is_keyed_by_the_environment_not_its_name(self):
+        # Two environments may share a name (simple_environment's default
+        # is "scenario"); each keeps its own baseline.
+        bench = Pipeline.from_source(microbench.SOURCE, name="microbench")
+        short = simple_environment(["countloop", "10"], name="same")
+        long = simple_environment(["countloop", "1000"], name="same")
+        assert bench.baseline_steps(short) == 148
+        assert bench.baseline_steps(long) == 12_028
+        fresh = Pipeline.from_source(microbench.SOURCE, name="microbench")
+        assert fresh.baseline_steps(long) == 12_028
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("method", list(InstrumentationMethod.paper_methods()))
@@ -149,11 +160,11 @@ class TestConfig:
         library = set(userver.LIBRARY_FUNCTIONS)
         server = Pipeline.from_source(userver.SOURCE, name="userver",
                                       config=config, library_functions=library)
-        assert server.config.static_skip_set() == library
+        assert server.config.library_functions == library
         assert server.program.library_functions == library
         assert config.library_functions == set()
         tool = Pipeline.from_source(mkdir.SOURCE, name="mkdir", config=config)
-        assert tool.config.static_skip_set() == set()
+        assert tool.config.library_functions == set()
         assert tool.program.library_functions == set()
 
 

@@ -1,4 +1,4 @@
-"""The service layer: inbox dedup, scheduling, sessions, fan-out, restart.
+"""The service layer: inbox dedup, scheduling, fan-out, restart.
 
 The load-bearing contract is the acceptance criterion of the trace-inbox
 design: for a batch of K traces with D distinct ``(fingerprint, crash
@@ -25,7 +25,7 @@ from repro.service import (
     outcome_fingerprint,
     workload_pipeline,
 )
-from repro.lang.cfg import BranchLocation
+from repro.replay.engine import ReplayEngine
 from repro.trace import (
     TraceFingerprintMismatch,
     dump_trace_bytes,
@@ -221,22 +221,20 @@ class TestServiceProcessing:
         multi_prints = sorted(multi[tid].fingerprint() for tid in multi_ids)
         assert multi_prints == inline_prints
 
-    def test_session_scopes_reports_to_its_traces(self, tmp_path,
-                                                  mkdir_bytes, mkfifo_bytes):
+    def test_reports_are_read_back_per_trace(self, tmp_path, mkdir_bytes,
+                                             mkfifo_bytes):
         service = ReproService(str(tmp_path / "inbox"),
                                config=service_config())
-        with service.session(name="user-a") as alice:
-            a1 = alice.ingest_bytes(mkdir_bytes)
-            a2 = alice.ingest_bytes(mkdir_bytes)
-        with service.session(name="user-b") as bob:
-            b1 = bob.ingest_bytes(mkfifo_bytes)
-        assert alice.report(a1.trace_id) is None  # nothing processed yet
+        a1 = service.ingest_bytes(mkdir_bytes)
+        a2 = service.ingest_bytes(mkdir_bytes)
+        b1 = service.ingest_bytes(mkfifo_bytes)
+        assert service.report(a1.trace_id) is None  # nothing processed yet
         service.process()
-        alice_reports = alice.reports()
-        assert set(alice_reports) == {a1.trace_id, a2.trace_id}
-        assert all(r.reproduced for r in alice_reports.values())
-        assert alice_reports[a2.trace_id].duplicate_of == a1.trace_id
-        assert bob.report(b1.trace_id).program == "mkfifo-bug"
+        mine = {trace_id: service.report(trace_id)
+                for trace_id in (a1.trace_id, a2.trace_id)}
+        assert all(r.reproduced for r in mine.values())
+        assert mine[a2.trace_id].duplicate_of == a1.trace_id
+        assert service.report(b1.trace_id).program == "mkfifo-bug"
 
     def test_reports_survive_restart(self, tmp_path, mkdir_bytes):
         root = str(tmp_path / "inbox")
@@ -465,6 +463,40 @@ class TestServiceProcessing:
         assert stats["clusters_done"] == 1
         assert stats["searches_run"] == 1
 
+    @pytest.mark.parametrize("supervised", [False, True],
+                             ids=["inline", "supervised"])
+    def test_failed_search_leaves_the_same_record_either_way(
+            self, tmp_path, mkdir_bytes, mkfifo_bytes, monkeypatch,
+            supervised):
+        """A search that raises ends its cluster with the search's own
+        error, one ledger entry and one ``service.rejected.<Type>`` count,
+        whether it ran inline or in a supervised worker.  The worker is
+        forked, so the class-level patch reaches it."""
+
+        reproduce = ReplayEngine.reproduce
+
+        def poisoned(engine):
+            if engine.program.name == "mkdir-bug":
+                raise RecursionError("maximum recursion depth exceeded")
+            return reproduce(engine)
+
+        monkeypatch.setattr(ReplayEngine, "reproduce", poisoned)
+        config = service_config()
+        if supervised:
+            config.service.checkpoint_every_runs = 1
+        service = ReproService(str(tmp_path / "inbox"), config=config)
+        assert service._use_supervisor() == supervised
+        poison = service.ingest_bytes(mkdir_bytes)
+        healthy = service.ingest_bytes(mkfifo_bytes)
+        reports = service.process()
+        assert reports[healthy.trace_id].reproduced
+        error = "RecursionError: maximum recursion depth exceeded"
+        assert reports[poison.trace_id].error == error
+        assert service.inbox.rejected == {f"cluster:{poison.cluster_id}": error}
+        counters = service.registry.snapshot().counters
+        assert counters["service.rejected.RecursionError"] == 1
+        assert counters["service.failed_clusters"] == 1
+
     def test_same_bug_different_recordings_search_separately(self, tmp_path):
         """Two users hit the *same* bug with *different* inputs: the traces
         share a bug key but are not equivalent recordings, so each gets its
@@ -543,6 +575,28 @@ class TestServeBatchCli:
         assert stats["reproduced_clusters"] == 2
         assert serve.stdout.count("report t") == 3
         assert "via=" in serve.stdout  # the duplicate rode along
+
+    def test_serve_searches_under_the_budget_of_serve_batch_and_replay(
+            self, monkeypatch):
+        from repro.service import cli
+
+        budgets = {}
+
+        def capture(command):
+            def handler(args):
+                budgets[command] = cli.build_config(args).replay_budget
+                return 0
+            return handler
+
+        for command in ("serve", "serve_batch", "replay"):
+            monkeypatch.setattr(cli, f"cmd_{command}", capture(command))
+        assert cli.main(["serve", "--root", "svc"]) == 0
+        assert cli.main(["serve-batch", "--root", "inbox"]) == 0
+        assert cli.main(["replay", "--trace", "t.trace",
+                         "--workload", "mkdir-bug"]) == 0
+        assert budgets["serve"] == budgets["serve_batch"] \
+            == budgets["replay"] == ReplayBudget(max_runs=3000,
+                                                 max_seconds=120.0)
 
     def test_stats_on_missing_root_is_an_error(self, tmp_path, capsys,
                                                mkdir_bytes):

@@ -20,11 +20,8 @@ from repro.telemetry import (
     COUNT_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
-    RegistrySnapshot,
     SECONDS_BUCKETS,
     active,
-    disable,
-    enable,
     read_jsonl,
     render_summary,
     scoped,
@@ -112,16 +109,17 @@ class TestRegistry:
         for value in (1, 7, 300, 2, 40, 9_999):
             serial.histogram("h", buckets=(1, 10, 100)).observe(value)
         serial.counter("c").inc(6)
-        merged = parts[0].merge(parts[1])
-        assert merged.canonical_bytes() == serial.snapshot().canonical_bytes()
+        merged = MetricsRegistry()
+        for part in parts:
+            merged.merge_snapshot(part)
+        assert merged.snapshot().canonical_bytes() \
+            == serial.snapshot().canonical_bytes()
 
     def test_merge_rejects_differing_buckets(self):
         a = MetricsRegistry()
         a.histogram("h", buckets=(1, 2)).observe(1)
         b = MetricsRegistry()
         b.histogram("h", buckets=(1, 3)).observe(1)
-        with pytest.raises(ValueError, match="boundaries"):
-            a.snapshot().merge(b.snapshot())
         with pytest.raises(ValueError, match="boundaries"):
             a.merge_snapshot(b.snapshot())
 
@@ -171,20 +169,18 @@ class TestRuntime:
         active().histogram("x").observe(1)
         assert active().snapshot().counters == {}
 
-    def test_scoped_overrides_global(self):
+    def test_scopes_nest(self):
         registry = MetricsRegistry()
         outer = MetricsRegistry()
-        enable(outer)
-        try:
+        with scoped(outer):
             assert active() is outer
             with scoped(registry):
                 assert active() is registry
-                registry.counter("in").inc()
+                active().counter("in").inc()
             assert active() is outer
-        finally:
-            disable()
         assert active() is NULL_REGISTRY
         assert registry.snapshot().counters == {"in": 1}
+        assert outer.snapshot().counters == {}
 
     def test_spans_nest_with_depth(self):
         registry = MetricsRegistry()
@@ -351,12 +347,11 @@ class TestServiceTelemetry:
         config = PipelineConfig(telemetry_enabled=True)
         config.service.telemetry_jsonl_path = str(sink)
         with ReproService(str(tmp_path / "svc"), config=config) as service:
-            session = service.session("test")
-            session.ingest_file(str(trace))
-            session.ingest_file(str(trace))
+            service.ingest_file(str(trace))
+            service.ingest_file(str(trace))
             reports = service.process()
             assert all(r.reproduced for r in reports.values())
-            snap = session.telemetry()
+            snap = service.telemetry()
         assert snap.counters["service.searches_run"] == 1
         assert snap.counters["service.reports_fanned_out"] == 2
         assert snap.counters["service.duplicate_traces"] == 1
