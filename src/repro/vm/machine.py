@@ -632,128 +632,18 @@ class VirtualMachine:
                 if total > max_steps:
                     raise StepLimitExceeded("interpreter step budget exhausted",
                                             line)
-            if opcode == op.LOAD_FAST:
-                value = frame_slots[arg]
-                # Unboxed stores keep raw ints in int-typed slots; the
-                # operand stack stays boxed, so re-box on the way out
-                # (interned instances for the common small range).
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
-                push(value)
-            elif opcode == op.CONST:
+            # The arms run in order of how often each opcode executes, most
+            # frequent first: an instruction pays one failed
+            # ``opcode == op.X`` test (a module-attribute load and an int
+            # compare) for every arm above its own.  The counts come from
+            # the VM's profiler (``ExecutionConfig.profile_opcodes``) over
+            # the registry workloads (``repro.workloads.all_cases()``), with
+            # analyze, record, replay and plain runs weighted equally.  The
+            # arms are disjoint, so their order changes no behaviour.  A
+            # comment that introduces a family of arms sits above the
+            # family's first arm in this order.
+            if opcode == op.CONST:
                 push(arg)
-            # The four slot superinstructions inline the fully concrete
-            # arithmetic of the hot operators (comparison results and small
-            # sums reuse interned values; binary_int_op would build the same
-            # frozen dataclass from scratch).  Symbolic operands, pointers
-            # and the rare operators take the shared helpers, so results are
-            # identical by construction.
-            elif opcode == op.BINOP_FC:
-                operator, slot, right = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue and left.symbolic is None
-                        and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        push(ONE if a < b else ZERO)
-                        continue
-                    if operator == "+":
-                        r = a + b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                    if operator == "-":
-                        r = a - b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                    if operator == ">":
-                        push(ONE if a > b else ZERO)
-                        continue
-                    if operator == "==":
-                        push(ONE if a == b else ZERO)
-                        continue
-                    if operator == "!=":
-                        push(ONE if a != b else ZERO)
-                        continue
-                    if operator == "<=":
-                        push(ONE if a <= b else ZERO)
-                        continue
-                    if operator == ">=":
-                        push(ONE if a >= b else ZERO)
-                        continue
-                    if operator == "*":
-                        r = a * b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                if type(left) is ConcolicValue:
-                    try:
-                        push(int_op(operator, left, right))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    push(pointer_op(operator, left, right, line))
-            elif opcode == op.BINOP_FF:
-                operator, left_slot, right_slot = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
-                if (type(left) is ConcolicValue
-                        and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        push(ONE if a < b else ZERO)
-                        continue
-                    if operator == "+":
-                        r = a + b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                    if operator == "-":
-                        r = a - b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                    if operator == ">":
-                        push(ONE if a > b else ZERO)
-                        continue
-                    if operator == "==":
-                        push(ONE if a == b else ZERO)
-                        continue
-                    if operator == "!=":
-                        push(ONE if a != b else ZERO)
-                        continue
-                    if operator == "<=":
-                        push(ONE if a <= b else ZERO)
-                        continue
-                    if operator == ">=":
-                        push(ONE if a >= b else ZERO)
-                        continue
-                    if operator == "*":
-                        r = a * b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                if type(left) is ConcolicValue and type(right) is ConcolicValue:
-                    try:
-                        push(int_op(operator, left, right))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    push(pointer_op(operator, left, right, line))
             # The unboxed-int arms (BINOP_II family): operands come straight
             # out of slots the resolver's type lattice proved to be int-only;
             # arithmetic runs on raw Python ints and the *_STORE forms keep
@@ -765,262 +655,6 @@ class VirtualMachine:
             # (deoptimization), refunds the already-paid charge, and
             # re-dispatches — the generic arm then produces the identical
             # observable behaviour, so unboxing can never change a run.
-            elif opcode == op.BINOP_II_BRANCH_LOGGED:
-                (operator, left_slot, right_slot,
-                 location, target, slot, generic) = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_IC_BRANCH_LOGGED:
-                (operator, slot, right,
-                 location, target, slot_idx, generic) = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            # Stack-condition compare-and-branch (fused CONST;BINARY;BRANCH_*
-            # and BINARY;BRANCH_*): boxed stack operands, so there is no
-            # unboxed form and no deopt — symbolic or pointer operands take
-            # the exact slow path of the unfused sequence inline.
-            elif opcode == op.BINOP_SC_BRANCH_LOGGED:
-                operator, right, location, target, slot_idx = arg
-                left = pop()
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINARY_BRANCH_LOGGED:
-                operator, location, target, slot_idx = arg
-                right = pop()
-                left = pop()
-                if (type(left) is ConcolicValue and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_II_BRANCH_BARE:
-                operator, left_slot, right_slot, location, target, generic = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_IC_BRANCH_BARE:
-                operator, slot, right, location, target, generic = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
             elif opcode == op.BINOP_IC_STORE:
                 operator, slot, right, target_slot, generic = arg
                 left = frame_slots[slot]
@@ -1051,189 +685,8 @@ class VirtualMachine:
                 pc -= 1
                 if charge:
                     step_cell[0] -= charge
-            elif opcode == op.BINOP_II_STORE:
-                operator, left_slot, right_slot, target_slot, generic = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "+":
-                        frame_slots[target_slot] = left + right
-                    elif operator == "-":
-                        frame_slots[target_slot] = left - right
-                    elif operator == "*":
-                        frame_slots[target_slot] = left * right
-                    elif operator == "<":
-                        frame_slots[target_slot] = 1 if left < right else 0
-                    elif operator == ">":
-                        frame_slots[target_slot] = 1 if left > right else 0
-                    elif operator == "==":
-                        frame_slots[target_slot] = 1 if left == right else 0
-                    elif operator == "!=":
-                        frame_slots[target_slot] = 1 if left != right else 0
-                    elif operator == "<=":
-                        frame_slots[target_slot] = 1 if left <= right else 0
-                    else:
-                        frame_slots[target_slot] = 1 if left >= right else 0
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_II:
-                operator, left_slot, right_slot, generic = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "+":
-                        r = left + right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "-":
-                        r = left - right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "*":
-                        r = left * right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "<":
-                        push(ONE if left < right else ZERO)
-                    elif operator == ">":
-                        push(ONE if left > right else ZERO)
-                    elif operator == "==":
-                        push(ONE if left == right else ZERO)
-                    elif operator == "!=":
-                        push(ONE if left != right else ZERO)
-                    elif operator == "<=":
-                        push(ONE if left <= right else ZERO)
-                    else:
-                        push(ONE if left >= right else ZERO)
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_IC:
-                operator, slot, right, generic = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "+":
-                        r = left + right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "-":
-                        r = left - right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "*":
-                        r = left * right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "<":
-                        push(ONE if left < right else ZERO)
-                    elif operator == ">":
-                        push(ONE if left > right else ZERO)
-                    elif operator == "==":
-                        push(ONE if left == right else ZERO)
-                    elif operator == "!=":
-                        push(ONE if left != right else ZERO)
-                    elif operator == "<=":
-                        push(ONE if left <= right else ZERO)
-                    else:
-                        push(ONE if left >= right else ZERO)
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_II_BRANCH:
-                operator, left_slot, right_slot, location, target, generic = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    if null_hooks:
-                        self.branch_counter += 1
-                        if not taken:
-                            pc = target
-                        continue
-                    event = BranchEvent(location=location, taken=taken,
-                                        symbolic=False, condition=None,
-                                        index=self.branch_counter)
-                    self.branch_counter += 1
-                    hooks.on_branch(event)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_IC_BRANCH:
-                operator, slot, right, location, target, generic = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    if null_hooks:
-                        self.branch_counter += 1
-                        if not taken:
-                            pc = target
-                        continue
-                    event = BranchEvent(location=location, taken=taken,
-                                        symbolic=False, condition=None,
-                                        index=self.branch_counter)
-                    self.branch_counter += 1
-                    hooks.on_branch(event)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
+            elif opcode == op.JUMP:
+                pc = arg
             # The fixed pair fusions (the compiler's pair peephole, see
             # repro.vm.compiler.PAIR_CATALOG): each arm is the
             # two generic arms spliced together with the combined charge
@@ -1317,6 +770,96 @@ class VirtualMachine:
                 push = stack.append
                 pop = stack.pop
                 pc = 0
+            elif opcode == op.STORE_INDEX_FF:
+                base_slot, index_slot = arg
+                base = frame_slots[base_slot]
+                if type(base) is int:
+                    base = _SMALL_INTS[base] if 0 <= base < _NSMALL \
+                        else ConcolicValue(base)
+                index = frame_slots[index_slot]
+                if type(index) is int:
+                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
+                        else ConcolicValue(index)
+                value = pop()
+                block, position = resolve(base, index, line)
+                block.cells[position] = value
+            elif opcode == op.BINOP_IC_BRANCH:
+                operator, slot, right, location, target, generic = arg
+                left = frame_slots[slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(left) is int:
+                    if operator == "<":
+                        taken = left < right
+                    elif operator == ">":
+                        taken = left > right
+                    elif operator == "==":
+                        taken = left == right
+                    elif operator == "!=":
+                        taken = left != right
+                    elif operator == "<=":
+                        taken = left <= right
+                    else:
+                        taken = left >= right
+                    if null_hooks:
+                        self.branch_counter += 1
+                        if not taken:
+                            pc = target
+                        continue
+                    event = BranchEvent(location=location, taken=taken,
+                                        symbolic=False, condition=None,
+                                        index=self.branch_counter)
+                    self.branch_counter += 1
+                    hooks.on_branch(event)
+                    if not taken:
+                        pc = target
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.BINOP_II_BRANCH_BARE:
+                operator, left_slot, right_slot, location, target, generic = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(right) is ConcolicValue and right.symbolic is None:
+                    right = right.concrete
+                if type(left) is int and type(right) is int:
+                    if operator == "<":
+                        taken = left < right
+                    elif operator == ">":
+                        taken = left > right
+                    elif operator == "==":
+                        taken = left == right
+                    elif operator == "!=":
+                        taken = left != right
+                    elif operator == "<=":
+                        taken = left <= right
+                    else:
+                        taken = left >= right
+                    self.branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.LOAD_FAST_RET:
+                value = frame_slots[arg]
+                if type(value) is int:
+                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
+                        else ConcolicValue(value)
+                if not call_stack:
+                    return value
+                frames.pop()
+                (instructions, end, pc, stack, push, pop,
+                 frame_slots) = call_stack.pop()
+                push(value)
             elif opcode == op.BINARY_RET:
                 right = pop()
                 left = pop()
@@ -1333,35 +876,81 @@ class VirtualMachine:
                 (instructions, end, pc, stack, push, pop,
                  frame_slots) = call_stack.pop()
                 push(value)
-            elif opcode == op.LOAD2_FAST:
-                left_slot, right_slot = arg
-                value = frame_slots[left_slot]
+            elif opcode == op.BINOP_IC_BRANCH_BARE:
+                operator, slot, right, location, target, generic = arg
+                left = frame_slots[slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(left) is int:
+                    if operator == "<":
+                        taken = left < right
+                    elif operator == ">":
+                        taken = left > right
+                    elif operator == "==":
+                        taken = left == right
+                    elif operator == "!=":
+                        taken = left != right
+                    elif operator == "<=":
+                        taken = left <= right
+                    else:
+                        taken = left >= right
+                    self.branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.BINOP_II_BRANCH:
+                operator, left_slot, right_slot, location, target, generic = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(right) is ConcolicValue and right.symbolic is None:
+                    right = right.concrete
+                if type(left) is int and type(right) is int:
+                    if operator == "<":
+                        taken = left < right
+                    elif operator == ">":
+                        taken = left > right
+                    elif operator == "==":
+                        taken = left == right
+                    elif operator == "!=":
+                        taken = left != right
+                    elif operator == "<=":
+                        taken = left <= right
+                    else:
+                        taken = left >= right
+                    if null_hooks:
+                        self.branch_counter += 1
+                        if not taken:
+                            pc = target
+                        continue
+                    event = BranchEvent(location=location, taken=taken,
+                                        symbolic=False, condition=None,
+                                        index=self.branch_counter)
+                    self.branch_counter += 1
+                    hooks.on_branch(event)
+                    if not taken:
+                        pc = target
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.LOAD_FAST:
+                value = frame_slots[arg]
+                # Unboxed stores keep raw ints in int-typed slots; the
+                # operand stack stays boxed, so re-box on the way out
+                # (interned instances for the common small range).
                 if type(value) is int:
                     value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
                         else ConcolicValue(value)
                 push(value)
-                value = frame_slots[right_slot]
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
-                push(value)
-            elif opcode == op.LOAD_INDEX_FAST:
-                index = frame_slots[arg]
-                if type(index) is int:
-                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
-                        else ConcolicValue(index)
-                base = pop()
-                block, position = resolve(base, index, line)
-                push(block.cells[position])
-            elif opcode == op.STORE_INDEX_FAST:
-                index = frame_slots[arg]
-                if type(index) is int:
-                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
-                        else ConcolicValue(index)
-                base = pop()
-                value = pop()
-                block, position = resolve(base, index, line)
-                block.cells[position] = value
             elif opcode == op.LOAD_INDEX_FF:
                 base_slot, index_slot = arg
                 base = frame_slots[base_slot]
@@ -1374,19 +963,848 @@ class VirtualMachine:
                         else ConcolicValue(index)
                 block, position = resolve(base, index, line)
                 push(block.cells[position])
-            elif opcode == op.STORE_INDEX_FF:
-                base_slot, index_slot = arg
-                base = frame_slots[base_slot]
-                if type(base) is int:
-                    base = _SMALL_INTS[base] if 0 <= base < _NSMALL \
-                        else ConcolicValue(base)
-                index = frame_slots[index_slot]
+            elif opcode == op.STORE_FAST:
+                frame_slots[arg] = pop()
+            elif opcode == op.BINARY:
+                right = pop()
+                left = pop()
+                if type(left) is ConcolicValue and type(right) is ConcolicValue:
+                    try:
+                        push(int_op(arg, left, right))
+                    except ZeroDivisionError:
+                        raise DivisionByZeroError("division by zero", line)
+                else:
+                    push(pointer_op(arg, left, right, line))
+            elif opcode == op.LOAD_INDEX:
+                index = pop()
+                base = pop()
+                block, position = resolve(base, index, line)
+                push(block.cells[position])
+            elif opcode == op.LOAD2_FAST:
+                left_slot, right_slot = arg
+                value = frame_slots[left_slot]
+                if type(value) is int:
+                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
+                        else ConcolicValue(value)
+                push(value)
+                value = frame_slots[right_slot]
+                if type(value) is int:
+                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
+                        else ConcolicValue(value)
+                push(value)
+            elif opcode == op.CALL_BUILTIN:
+                fn, argc, node = arg
+                if argc:
+                    args = stack[-argc:]
+                    del stack[-argc:]
+                else:
+                    args = []
+                push(fn(self, args, node))
+            elif opcode == op.BINOP_IC:
+                operator, slot, right, generic = arg
+                left = frame_slots[slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(left) is int:
+                    if operator == "+":
+                        r = left + right
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                    elif operator == "-":
+                        r = left - right
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                    elif operator == "*":
+                        r = left * right
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                    elif operator == "<":
+                        push(ONE if left < right else ZERO)
+                    elif operator == ">":
+                        push(ONE if left > right else ZERO)
+                    elif operator == "==":
+                        push(ONE if left == right else ZERO)
+                    elif operator == "!=":
+                        push(ONE if left != right else ZERO)
+                    elif operator == "<=":
+                        push(ONE if left <= right else ZERO)
+                    else:
+                        push(ONE if left >= right else ZERO)
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            # Stack-condition compare-and-branch (fused CONST;BINARY;BRANCH_*
+            # and BINARY;BRANCH_*): boxed stack operands, so there is no
+            # unboxed form and no deopt — symbolic or pointer operands take
+            # the exact slow path of the unfused sequence inline.
+            elif opcode == op.BINARY_BRANCH:
+                operator, location, target = arg
+                right = pop()
+                left = pop()
+                if (type(left) is ConcolicValue and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    symbolic = False
+                    condition_source = None
+                else:
+                    if (type(left) is ConcolicValue
+                            and type(right) is ConcolicValue):
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        condition_source = value.symbolic
+                        symbolic = condition_source is not None
+                    else:
+                        taken = as_int(value).concrete != 0
+                        symbolic = False
+                        condition_source = None
+                if null_hooks:
+                    self.branch_counter += 1
+                    if symbolic:
+                        self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                condition = None
+                if symbolic:
+                    expr = as_condition(condition_source)
+                    condition = expr if taken else expr.negated()
+                event = BranchEvent(location=location, taken=taken,
+                                    symbolic=symbolic, condition=condition,
+                                    index=self.branch_counter)
+                self.branch_counter += 1
+                if symbolic:
+                    self.symbolic_branch_counter += 1
+                hooks.on_branch(event)
+                if not taken:
+                    pc = target
+            elif opcode == op.AND_JUMP:
+                left = pop()
+                if type(left) is not ConcolicValue:
+                    left = as_int(left)
+                if left.concrete == 0:
+                    sym = left.symbolic
+                    if sym is not None:
+                        sym = as_condition(sym)
+                        if guards is not None:
+                            guards.append(("short-circuit", sym, 0))
+                    push(ConcolicValue(0, sym))
+                    pc = arg
+                else:
+                    if guards is not None and left.symbolic is not None:
+                        guards.append(("short-circuit",
+                                       as_condition(left.symbolic), 1))
+                    push(left)
+            elif opcode == op.BINOP_SC_BRANCH:
+                operator, right, location, target = arg
+                left = pop()
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    symbolic = False
+                    condition_source = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        condition_source = value.symbolic
+                        symbolic = condition_source is not None
+                    else:
+                        taken = as_int(value).concrete != 0
+                        symbolic = False
+                        condition_source = None
+                if null_hooks:
+                    self.branch_counter += 1
+                    if symbolic:
+                        self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                condition = None
+                if symbolic:
+                    expr = as_condition(condition_source)
+                    condition = expr if taken else expr.negated()
+                event = BranchEvent(location=location, taken=taken,
+                                    symbolic=symbolic, condition=condition,
+                                    index=self.branch_counter)
+                self.branch_counter += 1
+                if symbolic:
+                    self.symbolic_branch_counter += 1
+                hooks.on_branch(event)
+                if not taken:
+                    pc = target
+            elif opcode == op.AND_END:
+                right = pop()
+                left = pop()
+                if type(right) is not ConcolicValue:
+                    right = as_int(right)
+                push(int_op("&&", left, right))
+            elif opcode == op.BINOP_II:
+                operator, left_slot, right_slot, generic = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(right) is ConcolicValue and right.symbolic is None:
+                    right = right.concrete
+                if type(left) is int and type(right) is int:
+                    if operator == "+":
+                        r = left + right
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                    elif operator == "-":
+                        r = left - right
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                    elif operator == "*":
+                        r = left * right
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                    elif operator == "<":
+                        push(ONE if left < right else ZERO)
+                    elif operator == ">":
+                        push(ONE if left > right else ZERO)
+                    elif operator == "==":
+                        push(ONE if left == right else ZERO)
+                    elif operator == "!=":
+                        push(ONE if left != right else ZERO)
+                    elif operator == "<=":
+                        push(ONE if left <= right else ZERO)
+                    else:
+                        push(ONE if left >= right else ZERO)
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.LOAD_INDEX_FAST:
+                index = frame_slots[arg]
                 if type(index) is int:
                     index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
                         else ConcolicValue(index)
-                value = pop()
+                base = pop()
                 block, position = resolve(base, index, line)
-                block.cells[position] = value
+                push(block.cells[position])
+            # The three compare-and-branch superinstructions (fused
+            # BINOP_FF;BRANCH_*): two fully concrete slots decide the branch
+            # without materializing the truth value; symbolic or pointer
+            # operands rebuild it through the shared helpers so the observed
+            # behaviour (events, conditions, crashes) is identical to the
+            # unfused pair by construction.
+            elif opcode == op.BINOP_FF_BRANCH:
+                operator, left_slot, right_slot, location, target = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
+                if type(right) is int:
+                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
+                        else ConcolicValue(right)
+                if (type(left) is ConcolicValue
+                        and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    symbolic = False
+                    condition_source = None
+                else:
+                    if (type(left) is ConcolicValue
+                            and type(right) is ConcolicValue):
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        condition_source = value.symbolic
+                        symbolic = condition_source is not None
+                    else:
+                        taken = as_int(value).concrete != 0
+                        symbolic = False
+                        condition_source = None
+                if null_hooks:
+                    self.branch_counter += 1
+                    if symbolic:
+                        self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                condition = None
+                if symbolic:
+                    expr = as_condition(condition_source)
+                    condition = expr if taken else expr.negated()
+                event = BranchEvent(location=location, taken=taken,
+                                    symbolic=symbolic, condition=condition,
+                                    index=self.branch_counter)
+                self.branch_counter += 1
+                if symbolic:
+                    self.symbolic_branch_counter += 1
+                hooks.on_branch(event)
+                if not taken:
+                    pc = target
+            elif opcode == op.NOP:
+                pass
+            elif opcode == op.LOAD_GLOBAL:
+                value = global_vars.get(arg, _MISSING)
+                if value is _MISSING:
+                    raise RuntimeMiniCError(f"undefined variable '{arg}'",
+                                            line)
+                push(value)
+            elif opcode == op.CALL:
+                callee, argc = arg
+                if len(frames) >= max_call_depth:
+                    raise ProgramCrash("call stack overflow", line,
+                                       self.current_function_name())
+                callee_frame = _Frame(callee.name, callee.nlocals)
+                callee_slots = callee_frame.slots
+                nparams = len(callee.params)
+                if argc == nparams:
+                    # Parameters occupy slots 0..n-1 in declaration order
+                    # (resolution creates them first), so the arguments
+                    # drop straight in.
+                    if argc:
+                        callee_slots[:argc] = stack[-argc:]
+                        del stack[-argc:]
+                else:
+                    # Extra arguments were evaluated and are dropped;
+                    # missing ones read as zero, as in the interpreter.
+                    if argc:
+                        args = stack[-argc:]
+                        del stack[-argc:]
+                    else:
+                        args = []
+                    for index in range(nparams):
+                        callee_slots[index] = args[index] if index < argc \
+                            else ZERO
+                call_stack.append((instructions, end, pc, stack, push, pop,
+                                   frame_slots))
+                frames.append(callee_frame)
+                frame_slots = callee_slots
+                instructions = callee.instructions
+                end = len(instructions)
+                stack = []
+                push = stack.append
+                pop = stack.pop
+                pc = 0
+            # The slot-vs-const flavour (fused BINOP_FC;BRANCH_*): emitted
+            # where the lattice cannot prove the slot int, and the deopt
+            # target of BINOP_IC_BRANCH*.  Same exactness contract as the
+            # FF arms above.
+            elif opcode == op.BINOP_FC_BRANCH:
+                operator, slot, right, location, target = arg
+                left = frame_slots[slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    symbolic = False
+                    condition_source = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        condition_source = value.symbolic
+                        symbolic = condition_source is not None
+                    else:
+                        taken = as_int(value).concrete != 0
+                        symbolic = False
+                        condition_source = None
+                if null_hooks:
+                    self.branch_counter += 1
+                    if symbolic:
+                        self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                condition = None
+                if symbolic:
+                    expr = as_condition(condition_source)
+                    condition = expr if taken else expr.negated()
+                event = BranchEvent(location=location, taken=taken,
+                                    symbolic=symbolic, condition=condition,
+                                    index=self.branch_counter)
+                self.branch_counter += 1
+                if symbolic:
+                    self.symbolic_branch_counter += 1
+                hooks.on_branch(event)
+                if not taken:
+                    pc = target
+            elif opcode == op.BRANCH:
+                location, target = arg
+                value = pop()
+                if type(value) is ConcolicValue:
+                    taken = value.concrete != 0
+                    symbolic = value.symbolic is not None
+                else:
+                    taken = as_int(value).concrete != 0
+                    symbolic = False
+                if null_hooks:
+                    self.branch_counter += 1
+                    if symbolic:
+                        self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                condition = None
+                if symbolic:
+                    expr = as_condition(value.symbolic)
+                    condition = expr if taken else expr.negated()
+                event = BranchEvent(location=location, taken=taken,
+                                    symbolic=symbolic, condition=condition,
+                                    index=self.branch_counter)
+                self.branch_counter += 1
+                if symbolic:
+                    self.symbolic_branch_counter += 1
+                hooks.on_branch(event)
+                if not taken:
+                    pc = target
+            elif opcode == op.BINOP_SC_BRANCH_LOGGED:
+                operator, right, location, target, slot_idx = arg
+                left = pop()
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is None:
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        cursor = cursor_cell[0]
+                        if cursor >= replay_len:
+                            hooks.vm_log_exhausted(location)  # raises AbortRun
+                        cursor_cell[0] = cursor + 1
+                        if replay_bits[cursor] != taken:
+                            hooks.vm_concrete_mismatch(location, cursor)
+                else:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
+                if not taken:
+                    pc = target
+            elif opcode == op.BINOP_SC_BRANCH_BARE:
+                operator, right, location, target = arg
+                left = pop()
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is not None:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is None:
+                        expr = as_condition(sym)
+                        hooks.vm_bare_symbolic(BranchEvent(
+                            location=location, taken=taken, symbolic=True,
+                            condition=expr if taken else expr.negated(),
+                            index=index))
+                if not taken:
+                    pc = target
+            elif opcode == op.BRANCH_LOGGED:
+                # Plan-specialized instrumented branch: the bitvector append
+                # (record) / cursor compare (replay) is inlined; only symbolic
+                # conditions and deviations reach the hook object.
+                location, target, slot = arg
+                value = pop()
+                if type(value) is ConcolicValue:
+                    taken = value.concrete != 0
+                    sym = value.symbolic
+                else:
+                    taken = as_int(value).concrete != 0
+                    sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is None:
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot] += 1
+                    else:
+                        cursor = cursor_cell[0]
+                        if cursor >= replay_len:
+                            hooks.vm_log_exhausted(location)  # raises AbortRun
+                        cursor_cell[0] = cursor + 1
+                        if replay_bits[cursor] != taken:
+                            hooks.vm_concrete_mismatch(location, cursor)
+                else:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot] += 1
+                    else:
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
+                if not taken:
+                    pc = target
+            elif opcode == op.BINOP_II_BRANCH_LOGGED:
+                (operator, left_slot, right_slot,
+                 location, target, slot, generic) = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(right) is ConcolicValue and right.symbolic is None:
+                    right = right.concrete
+                if type(left) is int and type(right) is int:
+                    if operator == "<":
+                        taken = left < right
+                    elif operator == ">":
+                        taken = left > right
+                    elif operator == "==":
+                        taken = left == right
+                    elif operator == "!=":
+                        taken = left != right
+                    elif operator == "<=":
+                        taken = left <= right
+                    else:
+                        taken = left >= right
+                    self.branch_counter += 1
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot] += 1
+                    else:
+                        cursor = cursor_cell[0]
+                        if cursor >= replay_len:
+                            hooks.vm_log_exhausted(location)  # raises AbortRun
+                        cursor_cell[0] = cursor + 1
+                        if replay_bits[cursor] != taken:
+                            hooks.vm_concrete_mismatch(location, cursor)
+                    if not taken:
+                        pc = target
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.BINOP_IC_BRANCH_LOGGED:
+                (operator, slot, right,
+                 location, target, slot_idx, generic) = arg
+                left = frame_slots[slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(left) is int:
+                    if operator == "<":
+                        taken = left < right
+                    elif operator == ">":
+                        taken = left > right
+                    elif operator == "==":
+                        taken = left == right
+                    elif operator == "!=":
+                        taken = left != right
+                    elif operator == "<=":
+                        taken = left <= right
+                    else:
+                        taken = left >= right
+                    self.branch_counter += 1
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        cursor = cursor_cell[0]
+                        if cursor >= replay_len:
+                            hooks.vm_log_exhausted(location)  # raises AbortRun
+                        cursor_cell[0] = cursor + 1
+                        if replay_bits[cursor] != taken:
+                            hooks.vm_concrete_mismatch(location, cursor)
+                    if not taken:
+                        pc = target
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
+            elif opcode == op.POP:
+                pop()
+            elif opcode == op.NEW_ARRAY:
+                label, has_size = arg
+                size = 1
+                if has_size:
+                    size_value = pop()
+                    if type(size_value) is not ConcolicValue:
+                        size_value = as_int(size_value)
+                    if guards is not None and size_value.symbolic is not None:
+                        guards.append(("array-size", size_value.symbolic,
+                                       size_value.concrete))
+                    size = max(1, size_value.concrete)
+                push(Pointer(ArrayObject(size, label=label,
+                                         array_id=next(self.array_ids)), 0))
+            elif opcode == op.BINARY_BRANCH_BARE:
+                operator, location, target = arg
+                right = pop()
+                left = pop()
+                if (type(left) is ConcolicValue and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if (type(left) is ConcolicValue
+                            and type(right) is ConcolicValue):
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is not None:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is None:
+                        expr = as_condition(sym)
+                        hooks.vm_bare_symbolic(BranchEvent(
+                            location=location, taken=taken, symbolic=True,
+                            condition=expr if taken else expr.negated(),
+                            index=index))
+                if not taken:
+                    pc = target
+            elif opcode == op.BINARY_BRANCH_LOGGED:
+                operator, location, target, slot_idx = arg
+                right = pop()
+                left = pop()
+                if (type(left) is ConcolicValue and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if (type(left) is ConcolicValue
+                            and type(right) is ConcolicValue):
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is None:
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        cursor = cursor_cell[0]
+                        if cursor >= replay_len:
+                            hooks.vm_log_exhausted(location)  # raises AbortRun
+                        cursor_cell[0] = cursor + 1
+                        if replay_bits[cursor] != taken:
+                            hooks.vm_concrete_mismatch(location, cursor)
+                else:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
+                if not taken:
+                    pc = target
+            elif opcode == op.BINOP_FC_BRANCH_BARE:
+                operator, slot, right, location, target = arg
+                left = frame_slots[slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is not None:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is None:
+                        expr = as_condition(sym)
+                        hooks.vm_bare_symbolic(BranchEvent(
+                            location=location, taken=taken, symbolic=True,
+                            condition=expr if taken else expr.negated(),
+                            index=index))
+                if not taken:
+                    pc = target
             elif opcode == op.CONST_RET:
                 if not call_stack:
                     return arg
@@ -1394,12 +1812,302 @@ class VirtualMachine:
                 (instructions, end, pc, stack, push, pop,
                  frame_slots) = call_stack.pop()
                 push(arg)
-            # The three compare-and-branch superinstructions (fused
-            # BINOP_FF;BRANCH_*): two fully concrete slots decide the branch
-            # without materializing the truth value; symbolic or pointer
-            # operands rebuild it through the shared helpers so the observed
-            # behaviour (events, conditions, crashes) is identical to the
-            # unfused pair by construction.
+            elif opcode == op.STORE_GLOBAL:
+                global_vars[arg] = pop()
+            elif opcode == op.STRING:
+                cache_key, text = arg
+                cached = self._string_cache.get(cache_key)
+                if cached is None:
+                    cached = string_to_array(
+                        text, label="literal", array_id=next(self.array_ids))
+                    self._string_cache[cache_key] = cached
+                push(Pointer(cached, 0))
+            elif opcode == op.STORE_INDEX_FAST:
+                index = frame_slots[arg]
+                if type(index) is int:
+                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
+                        else ConcolicValue(index)
+                base = pop()
+                value = pop()
+                block, position = resolve(base, index, line)
+                block.cells[position] = value
+            elif opcode == op.BRANCH_BARE:
+                # Plan-specialized uninstrumented branch: zero hook dispatch
+                # unless the condition is symbolic (replay case 1).
+                location, target = arg
+                value = pop()
+                if type(value) is ConcolicValue:
+                    taken = value.concrete != 0
+                    sym = value.symbolic
+                else:
+                    taken = as_int(value).concrete != 0
+                    sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is not None:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is None:
+                        expr = as_condition(sym)
+                        hooks.vm_bare_symbolic(BranchEvent(
+                            location=location, taken=taken, symbolic=True,
+                            condition=expr if taken else expr.negated(),
+                            index=index))
+                if not taken:
+                    pc = target
+            # The four slot superinstructions inline the fully concrete
+            # arithmetic of the hot operators (comparison results and small
+            # sums reuse interned values; binary_int_op would build the same
+            # frozen dataclass from scratch).  Symbolic operands, pointers
+            # and the rare operators take the shared helpers, so results are
+            # identical by construction.
+            elif opcode == op.BINOP_FC:
+                operator, slot, right = arg
+                left = frame_slots[slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
+                if (type(left) is ConcolicValue and left.symbolic is None
+                        and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        push(ONE if a < b else ZERO)
+                        continue
+                    if operator == "+":
+                        r = a + b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                    if operator == "-":
+                        r = a - b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                    if operator == ">":
+                        push(ONE if a > b else ZERO)
+                        continue
+                    if operator == "==":
+                        push(ONE if a == b else ZERO)
+                        continue
+                    if operator == "!=":
+                        push(ONE if a != b else ZERO)
+                        continue
+                    if operator == "<=":
+                        push(ONE if a <= b else ZERO)
+                        continue
+                    if operator == ">=":
+                        push(ONE if a >= b else ZERO)
+                        continue
+                    if operator == "*":
+                        r = a * b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                if type(left) is ConcolicValue:
+                    try:
+                        push(int_op(operator, left, right))
+                    except ZeroDivisionError:
+                        raise DivisionByZeroError("division by zero", line)
+                else:
+                    push(pointer_op(operator, left, right, line))
+            elif opcode == op.STORE_INDEX:
+                index = pop()
+                base = pop()
+                value = pop()
+                block, position = resolve(base, index, line)
+                block.cells[position] = value
+            elif opcode == op.OR_JUMP:
+                left = pop()
+                if type(left) is not ConcolicValue:
+                    left = as_int(left)
+                if left.concrete != 0:
+                    sym = left.symbolic
+                    if sym is not None:
+                        sym = as_condition(sym)
+                        if guards is not None:
+                            guards.append(("short-circuit", sym, 1))
+                    push(ConcolicValue(1, sym))
+                    pc = arg
+                else:
+                    if guards is not None and left.symbolic is not None:
+                        guards.append(("short-circuit",
+                                       as_condition(left.symbolic), 0))
+                    push(left)
+            elif opcode == op.OR_END:
+                right = pop()
+                left = pop()
+                if type(right) is not ConcolicValue:
+                    right = as_int(right)
+                push(int_op("||", left, right))
+            elif opcode == op.BINOP_FC_BRANCH_LOGGED:
+                operator, slot, right, location, target, slot_idx = arg
+                left = frame_slots[slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+                index = self.branch_counter
+                self.branch_counter = index + 1
+                if sym is None:
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        cursor = cursor_cell[0]
+                        if cursor >= replay_len:
+                            hooks.vm_log_exhausted(location)  # raises AbortRun
+                        cursor_cell[0] = cursor + 1
+                        if replay_bits[cursor] != taken:
+                            hooks.vm_concrete_mismatch(location, cursor)
+                else:
+                    self.symbolic_branch_counter += 1
+                    if rec_append is not None:
+                        rec_append(taken)
+                        slot_counts[slot_idx] += 1
+                    else:
+                        # May abort the run, or repair it onto the next
+                        # input and follow the recorded direction instead.
+                        taken = hooks.vm_logged_symbolic(
+                            location, taken, as_condition(sym), index,
+                            stack, call_stack)
+                if not taken:
+                    pc = target
+            elif opcode == op.RET:
+                value = pop()
+                if not call_stack:
+                    return value
+                frames.pop()
+                (instructions, end, pc, stack, push, pop,
+                 frame_slots) = call_stack.pop()
+                push(value)
+            elif opcode == op.UNARY:
+                value = pop()
+                if type(value) is Pointer:
+                    if arg == "!":
+                        push(concrete(0))
+                    else:
+                        raise RuntimeMiniCError(
+                            f"unary {arg!r} applied to a pointer", line)
+                else:
+                    try:
+                        push(unary_int_op(arg, value))
+                    except ZeroDivisionError:
+                        raise DivisionByZeroError("division by zero", line)
+            elif opcode == op.BINOP_FF:
+                operator, left_slot, right_slot = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
+                if type(right) is int:
+                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
+                        else ConcolicValue(right)
+                if (type(left) is ConcolicValue
+                        and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        push(ONE if a < b else ZERO)
+                        continue
+                    if operator == "+":
+                        r = a + b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                    if operator == "-":
+                        r = a - b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                    if operator == ">":
+                        push(ONE if a > b else ZERO)
+                        continue
+                    if operator == "==":
+                        push(ONE if a == b else ZERO)
+                        continue
+                    if operator == "!=":
+                        push(ONE if a != b else ZERO)
+                        continue
+                    if operator == "<=":
+                        push(ONE if a <= b else ZERO)
+                        continue
+                    if operator == ">=":
+                        push(ONE if a >= b else ZERO)
+                        continue
+                    if operator == "*":
+                        r = a * b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                if type(left) is ConcolicValue and type(right) is ConcolicValue:
+                    try:
+                        push(int_op(operator, left, right))
+                    except ZeroDivisionError:
+                        raise DivisionByZeroError("division by zero", line)
+                else:
+                    push(pointer_op(operator, left, right, line))
+            elif opcode == op.BINOP_II_STORE:
+                operator, left_slot, right_slot, target_slot, generic = arg
+                left = frame_slots[left_slot]
+                right = frame_slots[right_slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(right) is ConcolicValue and right.symbolic is None:
+                    right = right.concrete
+                if type(left) is int and type(right) is int:
+                    if operator == "+":
+                        frame_slots[target_slot] = left + right
+                    elif operator == "-":
+                        frame_slots[target_slot] = left - right
+                    elif operator == "*":
+                        frame_slots[target_slot] = left * right
+                    elif operator == "<":
+                        frame_slots[target_slot] = 1 if left < right else 0
+                    elif operator == ">":
+                        frame_slots[target_slot] = 1 if left > right else 0
+                    elif operator == "==":
+                        frame_slots[target_slot] = 1 if left == right else 0
+                    elif operator == "!=":
+                        frame_slots[target_slot] = 1 if left != right else 0
+                    elif operator == "<=":
+                        frame_slots[target_slot] = 1 if left <= right else 0
+                    else:
+                        frame_slots[target_slot] = 1 if left >= right else 0
+                    continue
+                self._deopts += 1
+                instructions[pc - 1] = generic
+                pc -= 1
+                if charge:
+                    step_cell[0] -= charge
             elif opcode == op.BINOP_FF_BRANCH_LOGGED:
                 operator, left_slot, right_slot, location, target, slot = arg
                 left = frame_slots[left_slot]
@@ -1518,434 +2226,6 @@ class VirtualMachine:
                             index=index))
                 if not taken:
                     pc = target
-            elif opcode == op.BINOP_FF_BRANCH:
-                operator, left_slot, right_slot, location, target = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
-                if (type(left) is ConcolicValue
-                        and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    symbolic = False
-                    condition_source = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
-                    else:
-                        taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
-            # The slot-vs-const flavour (fused BINOP_FC;BRANCH_*): emitted
-            # where the lattice cannot prove the slot int, and the deopt
-            # target of BINOP_IC_BRANCH*.  Same exactness contract as the
-            # FF arms above.
-            elif opcode == op.BINOP_FC_BRANCH_LOGGED:
-                operator, slot, right, location, target, slot_idx = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_FC_BRANCH_BARE:
-                operator, slot, right, location, target = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_FC_BRANCH:
-                operator, slot, right, location, target = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    symbolic = False
-                    condition_source = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
-                    else:
-                        taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_SC_BRANCH_BARE:
-                operator, right, location, target = arg
-                left = pop()
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_SC_BRANCH:
-                operator, right, location, target = arg
-                left = pop()
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    symbolic = False
-                    condition_source = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
-                    else:
-                        taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINARY_BRANCH_BARE:
-                operator, location, target = arg
-                right = pop()
-                left = pop()
-                if (type(left) is ConcolicValue and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
-            elif opcode == op.BINARY_BRANCH:
-                operator, location, target = arg
-                right = pop()
-                left = pop()
-                if (type(left) is ConcolicValue and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    symbolic = False
-                    condition_source = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
-                    else:
-                        taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
             elif opcode == op.BINOP_FC_STORE:
                 operator, slot, right, target_slot = arg
                 left = frame_slots[slot]
@@ -2061,247 +2341,8 @@ class VirtualMachine:
                 else:
                     frame_slots[target_slot] = pointer_op(
                         operator, left, right, line)
-            elif opcode == op.STORE_FAST:
-                frame_slots[arg] = pop()
-            elif opcode == op.BINARY:
-                right = pop()
-                left = pop()
-                if type(left) is ConcolicValue and type(right) is ConcolicValue:
-                    try:
-                        push(int_op(arg, left, right))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    push(pointer_op(arg, left, right, line))
-            elif opcode == op.BRANCH:
-                location, target = arg
-                value = pop()
-                if type(value) is ConcolicValue:
-                    taken = value.concrete != 0
-                    symbolic = value.symbolic is not None
-                else:
-                    taken = as_int(value).concrete != 0
-                    symbolic = False
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(value.symbolic)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
-            elif opcode == op.BRANCH_LOGGED:
-                # Plan-specialized instrumented branch: the bitvector append
-                # (record) / cursor compare (replay) is inlined; only symbolic
-                # conditions and deviations reach the hook object.
-                location, target, slot = arg
-                value = pop()
-                if type(value) is ConcolicValue:
-                    taken = value.concrete != 0
-                    sym = value.symbolic
-                else:
-                    taken = as_int(value).concrete != 0
-                    sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BRANCH_BARE:
-                # Plan-specialized uninstrumented branch: zero hook dispatch
-                # unless the condition is symbolic (replay case 1).
-                location, target = arg
-                value = pop()
-                if type(value) is ConcolicValue:
-                    taken = value.concrete != 0
-                    sym = value.symbolic
-                else:
-                    taken = as_int(value).concrete != 0
-                    sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
-            elif opcode == op.JUMP:
-                pc = arg
-            elif opcode == op.LOAD_INDEX:
-                index = pop()
-                base = pop()
-                block, position = resolve(base, index, line)
-                push(block.cells[position])
-            elif opcode == op.STORE_INDEX:
-                index = pop()
-                base = pop()
-                value = pop()
-                block, position = resolve(base, index, line)
-                block.cells[position] = value
-            elif opcode == op.CALL_BUILTIN:
-                fn, argc, node = arg
-                if argc:
-                    args = stack[-argc:]
-                    del stack[-argc:]
-                else:
-                    args = []
-                push(fn(self, args, node))
-            elif opcode == op.CALL:
-                callee, argc = arg
-                if len(frames) >= max_call_depth:
-                    raise ProgramCrash("call stack overflow", line,
-                                       self.current_function_name())
-                callee_frame = _Frame(callee.name, callee.nlocals)
-                callee_slots = callee_frame.slots
-                nparams = len(callee.params)
-                if argc == nparams:
-                    # Parameters occupy slots 0..n-1 in declaration order
-                    # (resolution creates them first), so the arguments
-                    # drop straight in.
-                    if argc:
-                        callee_slots[:argc] = stack[-argc:]
-                        del stack[-argc:]
-                else:
-                    # Extra arguments were evaluated and are dropped;
-                    # missing ones read as zero, as in the interpreter.
-                    if argc:
-                        args = stack[-argc:]
-                        del stack[-argc:]
-                    else:
-                        args = []
-                    for index in range(nparams):
-                        callee_slots[index] = args[index] if index < argc \
-                            else ZERO
-                call_stack.append((instructions, end, pc, stack, push, pop,
-                                   frame_slots))
-                frames.append(callee_frame)
-                frame_slots = callee_slots
-                instructions = callee.instructions
-                end = len(instructions)
-                stack = []
-                push = stack.append
-                pop = stack.pop
-                pc = 0
-            elif opcode == op.POP:
-                pop()
             elif opcode == op.DUP:
                 push(stack[-1])
-            elif opcode == op.RET:
-                value = pop()
-                if not call_stack:
-                    return value
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame_slots) = call_stack.pop()
-                push(value)
-            elif opcode == op.LOAD_FAST_RET:
-                value = frame_slots[arg]
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
-                if not call_stack:
-                    return value
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame_slots) = call_stack.pop()
-                push(value)
-            elif opcode == op.UNARY:
-                value = pop()
-                if type(value) is Pointer:
-                    if arg == "!":
-                        push(concrete(0))
-                    else:
-                        raise RuntimeMiniCError(
-                            f"unary {arg!r} applied to a pointer", line)
-                else:
-                    try:
-                        push(unary_int_op(arg, value))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-            elif opcode == op.AND_JUMP:
-                left = pop()
-                if type(left) is not ConcolicValue:
-                    left = as_int(left)
-                if left.concrete == 0:
-                    sym = left.symbolic
-                    if sym is not None:
-                        sym = as_condition(sym)
-                        if guards is not None:
-                            guards.append(("short-circuit", sym, 0))
-                    push(ConcolicValue(0, sym))
-                    pc = arg
-                else:
-                    if guards is not None and left.symbolic is not None:
-                        guards.append(("short-circuit",
-                                       as_condition(left.symbolic), 1))
-                    push(left)
-            elif opcode == op.AND_END:
-                right = pop()
-                left = pop()
-                if type(right) is not ConcolicValue:
-                    right = as_int(right)
-                push(int_op("&&", left, right))
-            elif opcode == op.OR_JUMP:
-                left = pop()
-                if type(left) is not ConcolicValue:
-                    left = as_int(left)
-                if left.concrete != 0:
-                    sym = left.symbolic
-                    if sym is not None:
-                        sym = as_condition(sym)
-                        if guards is not None:
-                            guards.append(("short-circuit", sym, 1))
-                    push(ConcolicValue(1, sym))
-                    pc = arg
-                else:
-                    if guards is not None and left.symbolic is not None:
-                        guards.append(("short-circuit",
-                                       as_condition(left.symbolic), 0))
-                    push(left)
-            elif opcode == op.OR_END:
-                right = pop()
-                left = pop()
-                if type(right) is not ConcolicValue:
-                    right = as_int(right)
-                push(int_op("||", left, right))
             elif opcode == op.TERN_FALSE:
                 value = pop()
                 if type(value) is not ConcolicValue:
@@ -2312,14 +2353,6 @@ class VirtualMachine:
                                    0 if value.concrete == 0 else 1))
                 if value.concrete == 0:
                     pc = arg
-            elif opcode == op.STRING:
-                cache_key, text = arg
-                cached = self._string_cache.get(cache_key)
-                if cached is None:
-                    cached = string_to_array(
-                        text, label="literal", array_id=next(self.array_ids))
-                    self._string_cache[cache_key] = cached
-                push(Pointer(cached, 0))
             elif opcode == op.LOAD_DEREF:
                 pointer = pop()
                 if not isinstance(pointer, Pointer):
@@ -2339,14 +2372,6 @@ class VirtualMachine:
                     raise ProgramCrash("pointer store out of bounds", line,
                                        self.current_function_name())
                 pointer.block.cells[pointer.offset] = value
-            elif opcode == op.LOAD_GLOBAL:
-                value = global_vars.get(arg, _MISSING)
-                if value is _MISSING:
-                    raise RuntimeMiniCError(f"undefined variable '{arg}'",
-                                            line)
-                push(value)
-            elif opcode == op.STORE_GLOBAL:
-                global_vars[arg] = pop()
             elif opcode == op.ADDR_FAST:
                 slot, name = arg
                 value = frame_slots[slot]
@@ -2389,26 +2414,11 @@ class VirtualMachine:
             elif opcode == op.ADDR_INVALID:
                 raise RuntimeMiniCError(
                     "cannot take the address of this expression", line)
-            elif opcode == op.NEW_ARRAY:
-                label, has_size = arg
-                size = 1
-                if has_size:
-                    size_value = pop()
-                    if type(size_value) is not ConcolicValue:
-                        size_value = as_int(size_value)
-                    if guards is not None and size_value.symbolic is not None:
-                        guards.append(("array-size", size_value.symbolic,
-                                       size_value.concrete))
-                    size = max(1, size_value.concrete)
-                push(Pointer(ArrayObject(size, label=label,
-                                         array_id=next(self.array_ids)), 0))
             elif opcode == op.CALL_UNDEF:
                 raise RuntimeMiniCError(
                     f"call to undefined function '{arg}'", line)
             elif opcode == op.INVALID_TARGET:
                 raise RuntimeMiniCError("invalid assignment target", line)
-            elif opcode == op.NOP:
-                pass
             else:  # pragma: no cover - the compiler emits no other opcodes
                 raise RuntimeMiniCError(f"unknown opcode {opcode}", line)
         # Only reachable if a code object lacks the CONST;RET terminator the
