@@ -38,12 +38,20 @@ class BranchLocation:
 
     Ordering and hashing are by ``(function, node_id)``, which makes branch
     enumeration deterministic for a given parse of the program.
+
+    ``index`` is the location's position in its program's
+    ``Program.branch_locations`` (``None`` on a location built outside
+    :func:`enumerate_branch_locations`).  It is not part of the identity: it
+    takes no part in equality, hashing, ordering or ``repr``, so plans,
+    fingerprints and trace files do not see it.  The VM's analyze mode reads
+    it to mark a concrete branch with one list store.
     """
 
     function: str
     node_id: int
     line: int
     kind: str  # "if" | "while" | "for"
+    index: Optional[int] = field(default=None, compare=False, repr=False)
 
     def short(self) -> str:
         """Human-readable label used in reports and figures."""
@@ -51,7 +59,8 @@ class BranchLocation:
         return f"{self.function}:{self.line}:{self.kind}"
 
 
-def branch_location_for(function_name: str, stmt: Stmt) -> BranchLocation:
+def branch_location_for(function_name: str, stmt: Stmt,
+                        index: Optional[int] = None) -> BranchLocation:
     """Build the :class:`BranchLocation` for a branch statement node."""
 
     if isinstance(stmt, IfStmt):
@@ -63,17 +72,22 @@ def branch_location_for(function_name: str, stmt: Stmt) -> BranchLocation:
     else:  # pragma: no cover - guarded by callers
         raise TypeError(f"not a branch statement: {stmt!r}")
     return BranchLocation(function=function_name, node_id=stmt.node_id,
-                          line=stmt.line, kind=kind)
+                          line=stmt.line, kind=kind, index=index)
 
 
 def enumerate_branch_locations(unit: TranslationUnit) -> List[BranchLocation]:
-    """Return every branch location in the translation unit, in a stable order."""
+    """Return every branch location in the translation unit, in a stable order.
 
-    locations: List[BranchLocation] = []
-    for function in unit.functions:
-        for stmt in iter_branch_statements(function.body):
-            locations.append(branch_location_for(function.name, stmt))
-    return sorted(locations)
+    The order is the locations' own, by function and then node id (node ids
+    are unique within a parse), and each location carries its position in
+    it as its ``index``.
+    """
+
+    branches = sorted(((function.name, stmt) for function in unit.functions
+                       for stmt in iter_branch_statements(function.body)),
+                      key=lambda branch: (branch[0], branch[1].node_id))
+    return [branch_location_for(name, stmt, index)
+            for index, (name, stmt) in enumerate(branches)]
 
 
 # ---------------------------------------------------------------------------

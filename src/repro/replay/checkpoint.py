@@ -163,6 +163,13 @@ def load_checkpoint_bytes(data: bytes) -> SearchCheckpoint:
     except TraceFormatError as exc:
         raise CheckpointFormatError(str(exc))
     pend = _unpickle(sections[b"PEND"], "PEND")
+    if not (isinstance(pend, dict) and isinstance(pend.get("items"), list)
+            and isinstance(pend.get("seen"), set)
+            and type(pend.get("dropped")) is int
+            and type(pend.get("duplicates")) is int):
+        raise CheckpointFormatError(
+            "malformed PEND section in checkpoint: expected a dict of "
+            "items (list), seen (set), dropped and duplicates (ints)")
     return SearchCheckpoint(
         engine=_unpickle(sections[b"ENGN"], "ENGN"),
         commits=commits,

@@ -159,8 +159,12 @@ def render_dispatch_table(counts: Dict[str, int], top: int = 12) -> str:
     that append to the bitvector), ``bare`` (plan-specialized unlogged
     branches) or ``-`` (everything else).  The footer totals the
     logged-vs-bare split, which the distinct ``*_LOGGED`` / ``*_BARE``
-    opcode forms make exact by construction.
+    opcode forms make exact by construction, and the mean number of opcode
+    tests a dispatch paid in the VM's arm order
+    (:func:`~repro.vm.machine.mean_arm_position`).
     """
+
+    from repro.vm.machine import mean_arm_position
 
     if not counts:
         return "(no vm.opcode.* records)"
@@ -181,7 +185,9 @@ def render_dispatch_table(counts: Dict[str, int], top: int = 12) -> str:
     bare = sum(c for n, c in counts.items() if n.endswith("_BARE"))
     lines.append(f"total dispatches: {total}  "
                  f"(logged branches: {logged}, bare branches: {bare}, "
-                 f"shown: {min(top, len(ranked))}/{len(ranked)} opcodes)")
+                 f"shown: {min(top, len(ranked))}/{len(ranked)} opcodes)  "
+                 f"mean arms tested per dispatch: "
+                 f"{mean_arm_position(counts):.2f}")
     return "\n".join(lines)
 
 

@@ -65,8 +65,10 @@ import random
 import re
 import socket
 import struct
+import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -113,6 +115,23 @@ _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
 class ProtocolError(Exception):
     """A malformed frame, header, or oversized declared length."""
+
+
+def _optional_int(header: Dict[str, object], field: str, minimum: int
+                  ) -> Optional[int]:
+    """Header *field*: absent or null, or an int of at least *minimum*.
+
+    A bool is not an int here.  Anything else is a :class:`ProtocolError`
+    that names the field.
+    """
+
+    value = header.get(field)
+    if value is None:
+        return None
+    if type(value) is not int or value < minimum:
+        raise ProtocolError(f"header field {field!r} must be null or an "
+                            f"integer >= {minimum}")
+    return value
 
 
 class QuotaExceeded(Exception):
@@ -401,7 +420,17 @@ class UploadServer:
                     return
                 if payload is None:
                     return  # clean EOF between frames
-                was_upload_ack = self._dispatch(conn, payload, peer)
+                try:
+                    was_upload_ack = self._dispatch(conn, payload, peer)
+                except Exception:
+                    # Last resort: a failing handler answers an error frame
+                    # instead of a silent close, and the server keeps
+                    # serving; only this connection ends.
+                    self._count("service.net.internal_errors")
+                    traceback.print_exc(file=sys.stderr)
+                    self._best_effort_send(conn, ST_ERROR,
+                                           {"reason": "internal error"})
+                    return
                 if was_upload_ack:
                     self.faults.crash_point("net.after_ack")
         except OSError:
@@ -432,20 +461,23 @@ class UploadServer:
         # An admitted upload's slot is freed on leaving this block, after
         # its answer is sent: that is what a draining shutdown waits for.
         with contextlib.ExitStack() as answered:
-            if op == OP_UPLOAD:
-                status, response = self._handle_upload(header, body, peer,
-                                                       answered)
-            elif op == OP_REPORT:
-                status, response = self._handle_report(header)
-            elif op == OP_STATS:
-                status, response = self._handle_stats()
-            elif op == OP_PROCESS:
-                status, response = self._handle_process(header)
-            elif op == OP_PLAN:
-                status, response = self._handle_plan(header)
-            else:
+            try:
+                if op == OP_UPLOAD:
+                    status, response = self._handle_upload(header, body, peer,
+                                                           answered)
+                elif op == OP_REPORT:
+                    status, response = self._handle_report(header)
+                elif op == OP_STATS:
+                    status, response = self._handle_stats()
+                elif op == OP_PROCESS:
+                    status, response = self._handle_process(header)
+                elif op == OP_PLAN:
+                    status, response = self._handle_plan(header)
+                else:
+                    raise ProtocolError(f"unknown op {op}")
+            except ProtocolError as exc:
                 self._count("service.net.protocol_errors")
-                status, response = ST_ERROR, {"reason": f"unknown op {op}"}
+                status, response = ST_ERROR, {"reason": str(exc)}
             self._best_effort_send(conn, status, response)
         return op == OP_UPLOAD and status == ST_ACK
 
@@ -552,7 +584,7 @@ class UploadServer:
 
     def _handle_process(self, header: Dict[str, object]
                         ) -> Tuple[int, Dict[str, object]]:
-        max_clusters = header.get("max_clusters")
+        max_clusters = _optional_int(header, "max_clusters", 0)
         with self._lock:
             reports = self.service.process(max_clusters=max_clusters)
             return ST_PROCESSED, {
@@ -574,10 +606,10 @@ class UploadServer:
         """
 
         program = str(header.get("program", ""))
-        version = header.get("version")
+        version = _optional_int(header, "version", 1)
         with self._lock:
             ledger = self.service.plan_ledger
-            entry = (ledger.version(program, int(version))
+            entry = (ledger.version(program, version)
                      if version is not None else ledger.latest(program))
             if entry is None:
                 return ST_ERROR, {

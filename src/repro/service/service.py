@@ -370,6 +370,8 @@ class ReproService:
         trace* of every cluster processed in this call.
         """
 
+        if max_clusters is not None and max_clusters < 0:
+            raise ValueError(f"max_clusters must be >= 0, not {max_clusters}")
         start = time.perf_counter()
         clusters = self.inbox.pending_clusters(self.config.service.priority)
         if max_clusters is not None:

@@ -321,6 +321,10 @@ class Compiler:
         # Slot table for BRANCH_LOGGED: slot index -> BranchLocation.  The VM
         # keeps one inline execution counter per slot.
         self.logged_locations: List[object] = []
+        # Branch instructions carry the program's own locations, whose dense
+        # index the VM's analyze mode marks a concrete branch by.
+        self.branch_locations = {location: location
+                                 for location in program.branch_locations}
         # Stubs first so recursive and mutual calls can reference callees.
         self.code_objects: Dict[str, CodeObject] = {}
         for name, fn in program.functions.items():
@@ -535,6 +539,12 @@ class _FunctionEmitter:
                 instructions[index] = unboxed_form(instr)
         self.code.int_slots = int_slots
 
+    def branch_location(self, stmt: Stmt):
+        """The program's location of branch statement *stmt*."""
+
+        return self.compiler.branch_locations[
+            branch_location_for(self.function_name, stmt)]
+
     def emit_branch(self, location, else_label: _Label) -> None:
         """Emit the branch flavour the compilation mode calls for."""
 
@@ -669,7 +679,7 @@ class _FunctionEmitter:
     def _compile_if(self, stmt: IfStmt) -> None:
         else_label = self.new_label()
         self.compile_expr(stmt.cond)
-        location = branch_location_for(self.function_name, stmt)
+        location = self.branch_location(stmt)
         self.emit_branch(location, else_label)
         self.compile_stmt(stmt.then)
         if stmt.otherwise is not None:
@@ -686,7 +696,7 @@ class _FunctionEmitter:
         after = self.new_label()
         self.bind(header)  # flushes the while-statement charge before the loop
         self.compile_expr(stmt.cond)
-        location = branch_location_for(self.function_name, stmt)
+        location = self.branch_location(stmt)
         self.emit_branch(location, after)
         self.loops.append((after, header))
         self.compile_stmt(stmt.body)
@@ -703,7 +713,7 @@ class _FunctionEmitter:
         self.bind(header)
         if stmt.cond is not None:
             self.compile_expr(stmt.cond)
-            location = branch_location_for(self.function_name, stmt)
+            location = self.branch_location(stmt)
             self.emit_branch(location, after)
         self.loops.append((after, cont))
         self.compile_stmt(stmt.body)

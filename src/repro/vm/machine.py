@@ -32,6 +32,18 @@ paths (symbolic conditions, bitvector mismatches) call back into the hook
 object, whose bookkeeping the machine merges at the end of the run so the
 observable behaviour is bit-identical to the unspecialized engines.
 
+The third inline mode, *analyze*, serves the concolic analysis
+(:class:`~repro.concolic.hooks.ConcolicRunTrace`, ``vm_inline =
+"analyze"``).  It runs the plan-free stream, but a concrete branch only sets
+its location's mark in a per-run list, by the dense index its
+:class:`~repro.lang.cfg.BranchLocation` carries; a symbolic branch still
+builds its :class:`BranchEvent` for the hooks, which add its constraint.
+:meth:`VirtualMachine.run` folds the marks into the labels once, after the
+run ends however it ends (a crash or the step cap included).
+
+The opcode arms of the dispatch loop run most frequent first (see the
+comment above them and :func:`mean_arm_position`).
+
 Every run of one ``(program, plan)`` pair executes the one stream
 :func:`~repro.vm.compiler.compile_program` caches for it, profiled runs
 included.  Its unboxed ``BINOP_I*`` sites deoptimize in place: a type-guard
@@ -50,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.interp.inputs import InputBinder
 from repro.interp.interpreter import (
@@ -97,6 +109,68 @@ _MISSING = object()
 _PROFILED_EXEC_CACHE: List[object] = [None]
 
 
+def _dispatch_loop():
+    """``(tree, function, loop, first_line)`` of the shipped dispatch loop.
+
+    The module AST of :meth:`VirtualMachine._exec_code`'s source, its
+    function node, the ``while`` loop inside it, and the source line the
+    function starts on.  Raises ``OSError`` or ``TypeError`` when the source
+    cannot be retrieved (frozen builds).
+    """
+
+    import ast
+    import inspect
+    import textwrap
+
+    lines, first_line = inspect.getsourcelines(VirtualMachine._exec_code)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    fn = tree.body[0]
+    loop = next(node for node in fn.body if isinstance(node, ast.While))
+    return tree, fn, loop, first_line
+
+
+def dispatch_arm_order() -> List[str]:
+    """The opcode names of the dispatch chain's arms, in the order tested.
+
+    Read from the shipped loop's source, so it is always the order the
+    running code tests: an instruction whose opcode is the chain's *n*-th
+    arm pays *n* opcode tests.
+    """
+
+    import ast
+
+    _tree, _fn, loop, _line = _dispatch_loop()
+    arm = next(stmt for stmt in loop.body
+               if isinstance(stmt, ast.If)
+               and isinstance(stmt.test, ast.Compare)
+               and isinstance(stmt.test.left, ast.Name)
+               and stmt.test.left.id == "opcode")
+    names = []
+    while arm is not None:
+        names.append(arm.test.comparators[0].attr)
+        orelse = arm.orelse
+        arm = orelse[0] if len(orelse) == 1 and isinstance(orelse[0], ast.If) \
+            else None
+    return names
+
+
+def mean_arm_position(counts: Mapping[str, int]) -> float:
+    """Mean opcode tests per dispatch of a profile (opcode name -> count).
+
+    Arm 1 costs one test.  Names the chain does not test (a profile written
+    by an older VM) are left out; an empty profile reads 0.0.
+    """
+
+    position = {name: index
+                for index, name in enumerate(dispatch_arm_order(), 1)}
+    known = [(position[name], count) for name, count in counts.items()
+             if name in position]
+    total = sum(count for _position, count in known)
+    if not total:
+        return 0.0
+    return sum(arm * count for arm, count in known) / total
+
+
 def _build_profiled_exec():
     """Generate the per-opcode-counting dispatch loop from the real one.
 
@@ -112,20 +186,10 @@ def _build_profiled_exec():
     """
 
     import ast
-    import inspect
-    import textwrap
 
     try:
-        lines, first_line = inspect.getsourcelines(VirtualMachine._exec_code)
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-    except (OSError, TypeError, SyntaxError):  # pragma: no cover - frozen
-        return None
-    fn = tree.body[0]
-    if not isinstance(fn, ast.FunctionDef):  # pragma: no cover - defensive
-        return None
-    loop = next((node for node in fn.body if isinstance(node, ast.While)),
-                None)
-    if loop is None:  # pragma: no cover - defensive
+        tree, fn, loop, first_line = _dispatch_loop()
+    except (OSError, TypeError):  # pragma: no cover - frozen
         return None
     # Count right after the first statement that binds ``opcode`` (the
     # instruction fetch) so every dispatch iteration counts exactly once,
@@ -216,11 +280,13 @@ class VirtualMachine:
         self.array_ids = itertools.count(1)
         # Plan specialization: compile for the hooks' instrumentation plan
         # when the hooks opt in (BranchLogger / ReplayRunHooks), otherwise run
-        # plan-free code whose BRANCH dispatches every event to the hooks.
+        # plan-free code whose BRANCH dispatches every event to the hooks
+        # (analyze mode runs that stream too, under compile key None).
         # Profiling is not part of the key: a profiled run executes the
         # stream every other run of its plan executes.
         self._spec = self._select_specialization()
-        self._plan = getattr(self.hooks, "plan", None) if self._spec else None
+        self._plan = (self.hooks.plan if self._spec in ("record", "replay")
+                      else None)
         self.compiled = self.lookup_compiled()
         self._deopts = 0
         # Inline state for the specialized branch opcodes.  ``_rec_append``
@@ -230,7 +296,10 @@ class VirtualMachine:
         self._replay_bits: List[bool] = []
         self._replay_len = 0
         self._cursor_cell = [0]
-        if self._spec == "record":
+        self._marks: Optional[List[bool]] = None
+        if self._spec == "analyze":
+            self._marks = [False] * len(self.program.branch_locations)
+        elif self._spec == "record":
             self._rec_append = self.hooks.bitvector.bits.append
             self._slot_counts = [0] * len(self.compiled.logged_locations)
         elif self._spec == "replay":
@@ -258,9 +327,11 @@ class VirtualMachine:
                 self._exec_code = profiled.__get__(self, VirtualMachine)
 
     def _select_specialization(self) -> Optional[str]:
+        mode = getattr(self.hooks, "vm_inline", None)
+        if mode == "analyze":
+            return "analyze"
         if getattr(self.hooks, "plan", None) is None:
             return None
-        mode = getattr(self.hooks, "vm_inline", None)
         if mode == "record" and self.hooks.vm_can_inline():
             return "record"
         if mode == "replay" and hasattr(self.hooks, "cursor_cell"):
@@ -317,6 +388,9 @@ class VirtualMachine:
                                 self._slot_counts)
         elif self._spec == "replay":
             self.hooks.vm_finish(self.branch_counter)
+        elif self._spec == "analyze":
+            self.hooks.vm_fold_marks(self.program.branch_locations,
+                                     self._marks)
         result.steps = self._steps[0]
         result.branch_executions = self.branch_counter
         result.symbolic_branch_executions = self.symbolic_branch_counter
@@ -604,6 +678,11 @@ class VirtualMachine:
         # Exactly-NullHooks runs observe no branch events at all, so the
         # unspecialized BRANCH can skip building them (counters still tick).
         null_hooks = type(hooks) is NullHooks
+        # Analyze mode's per-location marks (None in every other run): a
+        # concrete branch of the plan-free stream sets its location's mark
+        # instead of building a BranchEvent; only symbolic ones reach the
+        # hooks.
+        marks = self._marks
         # Plan-specialized inline state (None / empty when unspecialized).
         rec_append = self._rec_append
         slot_counts = self._slot_counts
@@ -638,10 +717,12 @@ class VirtualMachine:
             # compare) for every arm above its own.  The counts come from
             # the VM's profiler (``ExecutionConfig.profile_opcodes``) over
             # the registry workloads (``repro.workloads.all_cases()``), with
-            # analyze, record, replay and plain runs weighted equally.  The
-            # arms are disjoint, so their order changes no behaviour.  A
-            # comment that introduces a family of arms sits above the
-            # family's first arm in this order.
+            # analyze, record, replay and plain runs weighted equally;
+            # tests/test_dispatch_order.py holds that profile's
+            # mean_arm_position to 12 in each mode.  The arms are disjoint,
+            # so their order changes no behaviour.  A comment that
+            # introduces a family of arms sits above the family's first arm
+            # in this order.
             if opcode == op.CONST:
                 push(arg)
             # The unboxed-int arms (BINOP_II family): operands come straight
@@ -806,6 +887,12 @@ class VirtualMachine:
                         if not taken:
                             pc = target
                         continue
+                    if marks is not None:
+                        marks[location.index] = True
+                        self.branch_counter += 1
+                        if not taken:
+                            pc = target
+                        continue
                     event = BranchEvent(location=location, taken=taken,
                                         symbolic=False, condition=None,
                                         index=self.branch_counter)
@@ -925,6 +1012,12 @@ class VirtualMachine:
                     else:
                         taken = left >= right
                     if null_hooks:
+                        self.branch_counter += 1
+                        if not taken:
+                            pc = target
+                        continue
+                    if marks is not None:
+                        marks[location.index] = True
                         self.branch_counter += 1
                         if not taken:
                             pc = target
@@ -1083,6 +1176,12 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
+                if marks is not None and not symbolic:
+                    marks[location.index] = True
+                    self.branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
                 condition = None
                 if symbolic:
                     expr = as_condition(condition_source)
@@ -1151,6 +1250,12 @@ class VirtualMachine:
                     self.branch_counter += 1
                     if symbolic:
                         self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                if marks is not None and not symbolic:
+                    marks[location.index] = True
+                    self.branch_counter += 1
                     if not taken:
                         pc = target
                     continue
@@ -1276,6 +1381,12 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
+                if marks is not None and not symbolic:
+                    marks[location.index] = True
+                    self.branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
                 condition = None
                 if symbolic:
                     expr = as_condition(condition_source)
@@ -1381,6 +1492,12 @@ class VirtualMachine:
                     if not taken:
                         pc = target
                     continue
+                if marks is not None and not symbolic:
+                    marks[location.index] = True
+                    self.branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
                 condition = None
                 if symbolic:
                     expr = as_condition(condition_source)
@@ -1407,6 +1524,12 @@ class VirtualMachine:
                     self.branch_counter += 1
                     if symbolic:
                         self.symbolic_branch_counter += 1
+                    if not taken:
+                        pc = target
+                    continue
+                if marks is not None and not symbolic:
+                    marks[location.index] = True
+                    self.branch_counter += 1
                     if not taken:
                         pc = target
                     continue

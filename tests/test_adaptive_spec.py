@@ -301,4 +301,6 @@ class TestSynth:
         assert "logged branches: 10" in lines[-1]
         assert "bare branches: 5" in lines[-1]
         assert "shown: 2/3 opcodes" in lines[-1]
+        # CONST is arm 1, BRANCH_LOGGED arm 34 and BRANCH_BARE arm 46.
+        assert lines[-1].endswith("mean arms tested per dispatch: 6.55")
         assert render_dispatch_table({}) == "(no vm.opcode.* records)"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import struct
 
 import pytest
@@ -31,12 +32,14 @@ from repro.replay import (
     save_checkpoint,
 )
 from repro.replay.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     SearchCheckpoint,
     dump_checkpoint_bytes,
     load_checkpoint_bytes,
 )
 from repro.service import FaultSpec, outcome_fingerprint, workload_pipeline
-from repro.trace import trace_from_recording
+from repro.trace import decode_envelope, encode_envelope, trace_from_recording
 
 
 def _record(workload: str):
@@ -211,6 +214,23 @@ class TestCorruption:
         open(path, "wb").write(bytes(data))
         with pytest.raises(CheckpointFormatError, match="version 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("pend", [
+        ["not", "a", "dict"],
+        {"seen": set(), "dropped": 0, "duplicates": 0},
+    ], ids=["list", "dict-without-items"])
+    def test_malformed_pend_section_is_typed(self, tmp_path, mkdir_case,
+                                             pend):
+        # A well-formed envelope (valid CRC) around a PEND section of the
+        # wrong shape: the loader checks the shape before it reads it.
+        path = self._checkpoint(tmp_path, mkdir_case)
+        sections = decode_envelope(open(path, "rb").read(), CHECKPOINT_MAGIC,
+                                   CHECKPOINT_VERSION, what="checkpoint")
+        sections[b"PEND"] = pickle.dumps(pend)
+        data = encode_envelope(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, sections,
+                               list(sections))
+        with pytest.raises(CheckpointFormatError, match="PEND"):
+            load_checkpoint_bytes(data)
 
     def test_missing_file_is_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):

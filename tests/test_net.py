@@ -28,6 +28,7 @@ from repro.experiments.net_exp import FLEETS, record_payloads, run_fleet
 from repro.service import (
     FaultInjector,
     FaultSpec,
+    ReproService,
     TraceInbox,
     TraceTooLargeError,
     UploadClient,
@@ -38,6 +39,8 @@ from repro.service import (
     workload_pipeline,
 )
 from repro.service.net import (
+    OP_PLAN,
+    OP_PROCESS,
     OP_UPLOAD,
     ST_ERROR,
     ST_RETRY,
@@ -335,6 +338,17 @@ def start_server(tmp_path, faults=None, **service_overrides):
     config = net_config(**service_overrides)
     return UploadServer(str(tmp_path / "svc"), config=config,
                         faults=faults).start()
+
+
+def raw_request(server, payload: bytes):
+    """``(status, body)`` of one request on its own connection."""
+
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5.0) as conn:
+        _send_frame(conn, payload)
+        response = _read_frame(conn, 1 << 20)
+    assert response is not None, "connection closed before response"
+    return _decode_response(response)
 
 
 class TestUploadServer:
@@ -717,6 +731,42 @@ class TestUploadServer:
             assert body["inbox"]["rejected"] == 1
             assert len(body["rejected"]) == 1
             assert body["recovered"] == []
+
+
+    @pytest.mark.parametrize("op,header,field", [
+        (OP_PLAN, {"program": "mkdir-bug", "version": "abc"}, "version"),
+        (OP_PLAN, {"program": "mkdir-bug", "version": [1]}, "version"),
+        (OP_PROCESS, {"max_clusters": "x"}, "max_clusters"),
+        (OP_PROCESS, {"max_clusters": -1}, "max_clusters"),
+        (OP_PROCESS, {"max_clusters": True}, "max_clusters"),
+    ], ids=["version-str", "version-list", "max-clusters-str",
+            "max-clusters-negative", "max-clusters-bool"])
+    def test_wrong_typed_header_is_answered_with_an_error(self, tmp_path, op,
+                                                          header, field):
+        with start_server(tmp_path) as server:
+            status, body = raw_request(server, _encode_request(op, header))
+            assert status == ST_ERROR
+            assert repr(field) in body["reason"]
+            counters = server.service.registry.snapshot().counters
+            assert counters["service.net.protocol_errors"] == 1
+            # The server keeps serving on new connections.
+            client = UploadClient(server.host, server.port, client_id="c1")
+            assert client.stats_remote()["stats"]["traces_ingested"] == 0
+
+    def test_failing_handler_is_answered_and_the_server_keeps_serving(
+            self, tmp_path, monkeypatch, capsys):
+        def broken(self, max_clusters=None):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(ReproService, "process", broken)
+        with start_server(tmp_path) as server:
+            status, body = raw_request(server, _encode_request(OP_PROCESS, {}))
+            assert (status, body) == (ST_ERROR, {"reason": "internal error"})
+            counters = server.service.registry.snapshot().counters
+            assert counters["service.net.internal_errors"] == 1
+            client = UploadClient(server.host, server.port, client_id="c1")
+            assert client.stats_remote()["stats"]["traces_ingested"] == 0
+        assert "RuntimeError: handler bug" in capsys.readouterr().err
 
 
 class TestLoadgenFleet:

@@ -537,6 +537,10 @@ class TestServiceProcessing:
         # Only the smallest cluster ran.
         assert set(reports) == {small.trace_id}
         assert service.inbox.cluster_of(big.trace_id).status == "pending"
+        # A negative cap would slice off the last clusters instead.
+        with pytest.raises(ValueError, match="max_clusters"):
+            service.process(max_clusters=-1)
+        assert service.inbox.cluster_of(big.trace_id).status == "pending"
 
 
 class TestServeBatchCli:
