@@ -36,7 +36,8 @@ class ServiceSection:
     process.  Either way the per-cluster search tree is byte-identical to
     the single-shot path — the replay engine's commit discipline guarantees
     it.  This is the service's one source of parallelism: every replay
-    search is serial.
+    search is serial.  Pending clusters dispatch smallest recorded
+    bitvector first, and a launched search runs until it ends or dies.
 
     The remaining knobs parameterize the robustness surface shared by the
     inbox and the network listener (:mod:`repro.service.net`):
@@ -58,37 +59,29 @@ class ServiceSection:
 
     The supervision knobs govern the two-level scheduler
     (:mod:`repro.service.supervisor`): cluster searches that need isolation
-    — more than one worker, checkpointing, a deadline, preemption, or fault
-    injection — run in supervised child processes that checkpoint at commit
-    boundaries, survive worker death, and resume after service restarts.
+    — more than one worker, checkpointing, a deadline, or fault injection —
+    run in supervised child processes that checkpoint at commit boundaries,
+    survive worker death, and resume after service restarts.
 
     * ``search_deadline_seconds`` — per-search wall-clock deadline (0 = no
       deadline); a wedged search is killed and its cluster failed with a
       typed ``SearchDeadlineExceeded`` report instead of blocking the batch.
-    * ``preempt_after_seconds`` — a running search older than this is asked
-      to checkpoint and yield when a *smaller* search waits (0 = never).
     * ``max_search_retries`` — crash-restarts per cluster before the
       cluster is quarantined into the rejection ledger as a poison search.
-    * ``retry_backoff_seconds`` — base of the exponential backoff between
-      crash-restarts.
     * ``checkpoint_every_runs`` — snapshot cadence in committed items.
       0 (the default) disables checkpointing, keeping plain single-worker
       batches on the cheap inline path; any positive cadence routes
       searches through the supervisor so the snapshots have a process to
-      save.  Preemption writes a snapshot regardless of cadence.
-      Snapshots live in ``<inbox root>/checkpoints``.
+      save.  Snapshots live in ``<inbox root>/checkpoints``.
     """
 
     workers: int = 1
-    priority: str = "smallest-first"  # or "arrival"
     max_trace_bytes: int = 4 * 1024 * 1024
     ingest_queue_depth: int = 64
     read_timeout_seconds: float = 5.0
     client_quota: int = 0
     search_deadline_seconds: float = 0.0
-    preempt_after_seconds: float = 0.0
     max_search_retries: int = 2
-    retry_backoff_seconds: float = 0.05
     checkpoint_every_runs: int = 0
     #: Adaptive planning (:mod:`repro.planner`): after this many reports
     #: fanned out by :meth:`ReproService.process`, the service replans

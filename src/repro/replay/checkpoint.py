@@ -1,4 +1,4 @@
-"""On-disk search checkpoints: pause a replay search, resume it anywhere.
+"""On-disk search checkpoints: resume a killed replay search anywhere.
 
 The commit discipline of :class:`~repro.replay.engine.ReplayEngine` makes
 this cheap and exact: results are folded into the outcome in serial pop
@@ -12,7 +12,7 @@ a checkpoint taken at *any* commit index therefore reproduces a
 byte-identical explored set and
 :class:`~repro.service.service.ReproductionReport` versus the uninterrupted
 run; the differential tests in ``tests/test_checkpoint.py`` hold this for
-every workload in the suite.
+every commit boundary of four workloads.
 
 Corruption is loud: truncation, bit rot (CRC), a bad pickle or an unknown
 version all raise :class:`CheckpointFormatError`.  The supervisor treats a
@@ -67,12 +67,7 @@ class CheckpointPolicy:
     commit-boundary behaviour:
 
     * ``path`` — where snapshots land (atomic replace, last write wins);
-    * ``every_commits`` — cadence; ``0`` disables periodic snapshots
-      (preemption still writes one);
-    * ``preempt_flag`` — a file whose existence asks the search to
-      checkpoint and stop (the supervisor's cooperative preemption lever);
-    * ``preempt_after_commits`` — deterministic self-preemption after
-      exactly N commits (differential tests and the overhead experiment);
+    * ``every_commits`` — cadence; ``0`` writes no snapshot;
     * ``heartbeat_path`` — a file the engine touches per commit so a
       supervisor can tell a slow search from a wedged one;
     * ``fault_spec`` — a :class:`~repro.service.faults.FaultSpec` driving
@@ -81,8 +76,6 @@ class CheckpointPolicy:
 
     path: str = ""
     every_commits: int = 0
-    preempt_flag: str = ""
-    preempt_after_commits: int = 0
     heartbeat_path: str = ""
     fault_spec: Optional[Any] = None
 
@@ -93,7 +86,7 @@ class SearchCheckpoint:
 
     #: The engine running the search (pickled as its constructor inputs).
     engine: Any
-    #: Committed items so far — the commit index this snapshot pauses at.
+    #: Committed items so far — the commit index this snapshot was taken at.
     commits: int
     #: Budget clock already consumed; folded into ``max_seconds`` on resume.
     elapsed_seconds: float

@@ -14,10 +14,10 @@ set, run the program, collect the run's alternatives — yields a distilled
 counters), and the engine commits evaluations strictly in the pending list's
 pop order.  The committed sequence of runs, the pushed alternatives, the
 counters and the explored pending set are therefore a pure function of the
-recording, which is what lets a search pause at any commit boundary and
-resume elsewhere (:mod:`repro.replay.checkpoint`).  Parallelism lives one
-level up: the service's supervisor runs one search per trace cluster in its
-own process, from a pickled :class:`ReplayEngine`.
+recording, which is what lets a search killed after any commit boundary
+resume elsewhere from its snapshot (:mod:`repro.replay.checkpoint`).
+Parallelism lives one level up: the service's supervisor runs one search
+per trace cluster in its own process, from a pickled :class:`ReplayEngine`.
 
 **Repair in place.**  A search on the VM does not restart a run that
 reaches a logged symbolic branch going the wrong way.  The run is committed
@@ -121,13 +121,12 @@ class ReplayOutcome:
     symbolic_logged_executions: int = 0
     symbolic_not_logged_locations: int = 0
     symbolic_not_logged_executions: int = 0
-    # Checkpoint/preemption lifecycle (never part of the explored-set
-    # identity).  ``committed_items`` counts committed evaluations —
-    # including unsatisfiable ones that never ran — and is the commit index
-    # checkpoints are taken at.  A ``preempted`` outcome is a *pause*, not a
-    # result: its checkpoint resumes to the identical final outcome.
+    # Checkpoint lifecycle (never part of the explored-set identity).
+    # ``committed_items`` counts committed evaluations — including
+    # unsatisfiable ones that never ran — and is the commit index
+    # checkpoints are taken at; ``resumed`` marks a search continued from
+    # a checkpoint.
     committed_items: int = 0
-    preempted: bool = False
     resumed: bool = False
     # What the search did, beyond what it explored (never part of the
     # explored-set identity: repair depends on the backend).
@@ -141,8 +140,8 @@ class ReplayOutcome:
     #: wide to enumerate).  Their items were dropped like unsatisfiable
     #: ones; a search that drops one proves nothing about the bug.
     solver_unknowns: int = 0
-    #: Why the search ended: "reproduced", "exhausted", "run-cap",
-    #: "deadline" or "preempted".
+    #: Why the search ended: "reproduced", "exhausted", "run-cap" or
+    #: "deadline".
     stop_reason: str = ""
     # Metrics recorded during the search when the engine runs with
     # ``telemetry=True``; ``None`` otherwise.  Timing-marked metrics (wall
@@ -387,7 +386,7 @@ class ReplayEngine:
         self.telemetry = telemetry
         self.profile_opcodes = profile_opcodes
         self._registry: Optional[MetricsRegistry] = None
-        # Checkpoint/preemption state.  A policy is attached after
+        # Checkpoint state.  A policy is attached after
         # construction (attach_checkpointing); a resume source is installed
         # by from_checkpoint.  All of it is consulted only at commit
         # boundaries, so the explored set stays a pure function of the
@@ -532,7 +531,12 @@ class ReplayEngine:
         return outcome
 
     def _initial_state(self) -> Tuple[ReplayOutcome, PendingList]:
-        """A fresh search frontier, or the one a checkpoint paused at."""
+        """A fresh search frontier, or the one a checkpoint was taken at.
+
+        ``dataclasses.replace`` rebuilds the outcome from its declared
+        fields only, so an attribute an older build pickled into the
+        snapshot's outcome does not survive the resume.
+        """
 
         pending = PendingList(max_size=self.budget.max_pending)
         if self._resume is None:
@@ -546,7 +550,6 @@ class ReplayEngine:
             pending_stats=dict(ckpt.outcome_state.pending_stats),
             run_records=list(ckpt.outcome_state.run_records),
             telemetry=None,
-            preempted=False,
             stop_reason="",
             resumed=True)
         pending._items = list(ckpt.pending_items)
@@ -560,24 +563,20 @@ class ReplayEngine:
     def _finalize_telemetry(self, outcome: ReplayOutcome) -> None:
         """Record search-level metrics and snapshot the engine registry.
 
-        Everything deterministic here is a pure function of the committed run
-        sequence; per-run facts (preemption, resumes) are timing-marked so
-        ``deterministic()`` drops them.  A *preempted* outcome is a pause,
-        not a result: the final counters are skipped (the resumed run
-        records them once, at the true end), so the deterministic snapshot
-        of the resumed run equals the uninterrupted run's byte for byte.
+        Runs once, at the search's one end.  Everything deterministic here
+        is a pure function of the committed run sequence; whether the
+        search resumed is timing-marked so ``deterministic()`` drops it.  A
+        snapshot holds no final counters, so a search resumed from one
+        records them exactly once, like the uninterrupted run.
         """
 
         registry = self._registry
         assert registry is not None
-        if not outcome.preempted:
-            registry.counter("replay.reproduced").inc(
-                1 if outcome.reproduced else 0)
-            registry.counter("replay.timed_out").inc(1 if outcome.timed_out else 0)
-            for name, value in outcome.pending_stats.items():
-                registry.counter(f"replay.pending.{name}").inc(value)
-        else:
-            registry.counter("replay.preempted", timing=True).inc()
+        registry.counter("replay.reproduced").inc(
+            1 if outcome.reproduced else 0)
+        registry.counter("replay.timed_out").inc(1 if outcome.timed_out else 0)
+        for name, value in outcome.pending_stats.items():
+            registry.counter(f"replay.pending.{name}").inc(value)
         if outcome.resumed:
             registry.counter("replay.checkpoint.resumes", timing=True).inc()
         outcome.telemetry = registry.snapshot()
@@ -622,9 +621,9 @@ class ReplayEngine:
         is committed exactly once, in pop order.
         """
 
-        if (self._commit(outcome, pending, evaluation)
-                or self._post_commit(outcome, pending, start)):
+        if self._commit(outcome, pending, evaluation):
             return None
+        self._post_commit(outcome, pending, start)
         return self._next_item(outcome, pending, start)
 
     def _budget_exhausted(self, outcome: ReplayOutcome, start: float) -> bool:
@@ -643,38 +642,29 @@ class ReplayEngine:
     # -- checkpointing at commit boundaries ---------------------------------------------------
 
     def _post_commit(self, outcome: ReplayOutcome, pending: PendingList,
-                     start: float) -> bool:
-        """Checkpoint/heartbeat/preemption bookkeeping after one commit.
+                     start: float) -> None:
+        """Checkpoint/heartbeat bookkeeping after one commit.
 
-        Returns True to *pause* the search (preemption): the outcome is
-        marked ``preempted`` and a checkpoint has been written, so a later
-        :meth:`from_checkpoint` engine finishes it with a byte-identical
-        result.  Runs strictly at commit boundaries — the only points where
-        (pending, outcome) is a consistent, resumable pair.
+        A snapshot written here is what a worker killed later resumes from:
+        a :meth:`from_checkpoint` engine finishes the search with a
+        byte-identical result.  Runs strictly at commit boundaries — the
+        only points where (pending, outcome) is a consistent, resumable
+        pair.
         """
 
         self._commits += 1
         outcome.committed_items = self._commits
         policy = self._ckpt_policy
         if policy is None:
-            return False
+            return
         if policy.heartbeat_path:
             self._touch(policy.heartbeat_path)
-        preempt = ((policy.preempt_flag and os.path.exists(policy.preempt_flag))
-                   or (policy.preempt_after_commits
-                       and self._commits >= policy.preempt_after_commits))
-        periodic = (policy.every_commits
-                    and self._commits % policy.every_commits == 0)
-        if policy.path and (preempt or periodic):
+        if (policy.path and policy.every_commits
+                and self._commits % policy.every_commits == 0):
             self._write_checkpoint(outcome, pending, start)
         injector = self._fault_injector()
         if injector is not None and injector.roll("worker_kill"):
             injector.kill_now()
-        if preempt:
-            outcome.preempted = True
-            outcome.stop_reason = "preempted"
-            return True
-        return False
 
     def _make_checkpoint(self, outcome: ReplayOutcome, pending: PendingList,
                          start: float):

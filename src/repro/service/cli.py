@@ -316,7 +316,6 @@ def cmd_serve(args) -> int:
                  ("search_deadline", "search_deadline_seconds"),
                  ("checkpoint_every", "checkpoint_every_runs"),
                  ("search_retries", "max_search_retries"),
-                 ("preempt_after", "preempt_after_seconds"),
                  ("replan_after", "replan_after_reports"),
                  ("replan_seed", "replan_seed"))
     for arg_name, field_name in overrides:
@@ -441,17 +440,15 @@ def cmd_serve_batch(args) -> int:
     config = build_config(args)
     overrides = (("search_deadline", "search_deadline_seconds"),
                  ("checkpoint_every", "checkpoint_every_runs"),
-                 ("search_retries", "max_search_retries"),
-                 ("preempt_after", "preempt_after_seconds"))
+                 ("search_retries", "max_search_retries"))
     for arg_name, field_name in overrides:
         value = getattr(args, arg_name, None)
         if value is not None:
             setattr(config.service, field_name, value)
     with ReproService(args.root, config=config) as service:
         if args.faults:
-            injector = FaultInjector(FaultSpec.from_json(json.loads(args.faults)))
-            service.search_faults = injector.spec
-            service.search_fault_injector = injector
+            service.search_faults = FaultInjector(
+                FaultSpec.from_json(json.loads(args.faults)))
         resumable = service.resume_scan()
         if resumable:
             # Exactly-once across restarts: these clusters had a live search
@@ -478,6 +475,19 @@ def cmd_serve_batch(args) -> int:
                   f"runs={report.runs} crash={crash}{via}")
         print(f"stats={json.dumps(service.stats(), sort_keys=True)}")
     return 0 if failed == 0 else 1
+
+
+def _count_arg(text: str) -> int:
+    """An argparse type: a whole number, 0 or more."""
+
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= 0, not {text!r}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -530,7 +540,7 @@ def main(argv=None) -> int:
     serve.add_argument("--service-workers", type=int, default=1,
                        help="cluster searches the supervisor runs at once, "
                             "each in its own process (1 = inline)")
-    serve.add_argument("--max-clusters", type=int, default=None)
+    serve.add_argument("--max-clusters", type=_count_arg, default=None)
     serve.add_argument("--max-runs", type=int,
                        default=CLI_REPLAY_BUDGET.max_runs)
     serve.add_argument("--max-seconds", type=float,
@@ -540,13 +550,10 @@ def main(argv=None) -> int:
                             "(0 = none)")
     serve.add_argument("--checkpoint-every", type=int, default=None,
                        help="checkpoint each search every N committed runs "
-                            "(0 = only on preemption)")
+                            "(0 = never)")
     serve.add_argument("--search-retries", type=int, default=None,
                        help="restarts from checkpoint after a worker crash "
                             "before the cluster is quarantined")
-    serve.add_argument("--preempt-after", type=float, default=None,
-                       help="preempt a search after this many seconds when "
-                            "smaller searches wait (0 = never)")
     serve.add_argument("--faults", default=None, metavar="JSON",
                        help="FaultSpec JSON for chaos testing search workers, "
                             'e.g. \'{"worker_kill_rate": 0.1}\'')
@@ -589,13 +596,10 @@ def main(argv=None) -> int:
                                 "(0 = none)")
     serve_net.add_argument("--checkpoint-every", type=int, default=None,
                            help="checkpoint each search every N committed "
-                                "runs (0 = only on preemption)")
+                                "runs (0 = never)")
     serve_net.add_argument("--search-retries", type=int, default=None,
                            help="restarts from checkpoint after a worker "
                                 "crash before the cluster is quarantined")
-    serve_net.add_argument("--preempt-after", type=float, default=None,
-                           help="preempt a search after this many seconds "
-                                "when smaller searches wait (0 = never)")
     serve_net.add_argument("--replan-after", type=int, default=None,
                            help="revise instrumentation plans after this "
                                 "many fanned-out reports (0 = never; see "

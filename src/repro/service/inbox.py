@@ -179,7 +179,8 @@ class TraceCluster:
     #: Search-size estimate (bits of the first member's bitvector); the
     #: scheduler runs smallest-estimated-search-first.
     bits: int
-    #: Ingestion order of the first member (tie-break and "arrival" order).
+    #: Ingestion order of the first member: the dispatch tie-break, and the
+    #: order the ``inbox`` command lists clusters in.
     arrival: int
     members: List[str] = field(default_factory=list)
     status: str = "pending"  # "pending" | "done" | "failed"
@@ -465,20 +466,16 @@ class TraceInbox:
 
     # -- scheduling -------------------------------------------------------------
 
-    def pending_clusters(self, priority: str = "smallest-first"
-                         ) -> List[TraceCluster]:
+    def pending_clusters(self) -> List[TraceCluster]:
         """Clusters awaiting a replay search, in dispatch order.
 
-        ``smallest-first`` orders by the bitvector-size estimate (shortest
-        recorded log ≈ smallest guided search) so cheap reproductions are
-        reported while the expensive ones still run; ``arrival`` is FIFO.
+        Smallest first: by the bitvector-size estimate (shortest recorded
+        log ≈ smallest guided search), then by arrival, so cheap
+        reproductions are reported while the expensive ones still run.
         """
 
         pending = [c for c in self.clusters.values() if c.status == "pending"]
-        if priority == "arrival":
-            pending.sort(key=lambda c: c.arrival)
-        else:
-            pending.sort(key=lambda c: (c.bits, c.arrival))
+        pending.sort(key=lambda c: (c.bits, c.arrival))
         return pending
 
     def mark_done(self, cluster_id: str, report: Dict[str, object],

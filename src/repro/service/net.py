@@ -282,12 +282,9 @@ class UploadServer:
         self.faults = faults or NULL_FAULTS
         self.service = service or ReproService(root, config=config)
         if self.faults is not NULL_FAULTS:
-            # Hand the chaos spec through to the supervised scheduler: the
-            # worker-side seeded streams (worker_kill / checkpoint_fail)
-            # travel as the picklable spec, the supervisor-side crash points
-            # (e.g. supervisor.after_checkpoint) use the live injector.
-            self.service.search_faults = self.faults.spec
-            self.service.search_fault_injector = self.faults
+            # Hand the chaos injector through to the supervised scheduler
+            # (crash points here, seeded streams in each search worker).
+            self.service.search_faults = self.faults
         svc = config.service
         self.max_frame_bytes = svc.max_trace_bytes + _FRAME_SLACK
         self.spool_root = os.path.join(root, _SPOOL_DIR)

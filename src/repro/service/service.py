@@ -31,6 +31,7 @@ from repro.planner import (FleetObservations, PlanLedger, PlanVersion,
                            ReplanPolicy, Replanner, plan_fingerprint_digest)
 from repro.replay.engine import (ReplayEngine, ReplayOutcome,
                                  WorkerCrashError, check_matched_binaries)
+from repro.service.faults import FaultInjector
 from repro.service.inbox import (IngestResult, TraceCluster, TraceInbox,
                                  UnknownProgramError, error_line)
 from repro.service.supervisor import (
@@ -237,13 +238,12 @@ class ReproService:
         self._resolver = resolver
         self._programs: Dict[str, Program] = {}
         self._telemetry_on = config.telemetry_enabled
-        #: Seeded fault spec shipped into supervised search workers
-        #: (worker_kill / checkpoint_fail streams); set by the chaos harness
-        #: or the network listener when it runs with faults.
-        self.search_faults = None
-        #: Supervisor-side injector for in-process crash points
-        #: (e.g. ``supervisor.after_checkpoint``).
-        self.search_fault_injector = None
+        #: Seeded faults for supervised searches; set by the chaos harness
+        #: or the network listener when it runs with faults.  Its crash
+        #: points (``supervisor.after_checkpoint``) fire in this process,
+        #: and its spec travels to each worker (``worker_kill`` /
+        #: ``checkpoint_fail`` streams).
+        self.search_faults: Optional[FaultInjector] = None
         #: perf_counter arrival stamp per trace_id, consumed when the
         #: trace's cluster commits (ingest→report latency).
         self._arrivals: Dict[str, float] = {}
@@ -362,8 +362,7 @@ class ReproService:
                 ) -> Dict[str, ReproductionReport]:
         """Run replay searches for pending clusters; fan reports out.
 
-        Clusters dispatch in priority order (smallest estimated search
-        first, per the ``service.priority`` section).  With
+        Clusters dispatch smallest estimated search first.  With
         ``service.workers > 1`` (or any supervision knob set, see
         :meth:`_use_supervisor`) the supervisor runs the searches in child
         processes; otherwise they run inline.  Returns a report per *member
@@ -373,7 +372,7 @@ class ReproService:
         if max_clusters is not None and max_clusters < 0:
             raise ValueError(f"max_clusters must be >= 0, not {max_clusters}")
         start = time.perf_counter()
-        clusters = self.inbox.pending_clusters(self.config.service.priority)
+        clusters = self.inbox.pending_clusters()
         if max_clusters is not None:
             clusters = clusters[:max_clusters]
         self._registry.gauge("service.queue_depth", timing=True).set(
@@ -403,17 +402,16 @@ class ReproService:
     def _use_supervisor(self) -> bool:
         """Supervised dispatch whenever a search needs process isolation.
 
-        Multi-worker batches, checkpointing, deadlines, preemption and
-        fault injection all require searches the service can kill, restart
-        and resume; plain single-worker batches keep the cheap inline path
-        (identical results either way — the engine's commit discipline).
+        Multi-worker batches, checkpointing, deadlines and fault injection
+        all require searches the service can kill, restart and resume;
+        plain single-worker batches keep the cheap inline path (identical
+        results either way — the engine's commit discipline).
         """
 
         svc = self.config.service
         return (svc.workers > 1
                 or svc.checkpoint_every_runs > 0
                 or svc.search_deadline_seconds > 0
-                or svc.preempt_after_seconds > 0
                 or self.search_faults is not None)
 
     def _process_clusters(self, clusters: List[TraceCluster],
@@ -438,15 +436,13 @@ class ReproService:
                 continue
             if supervised:
                 batch.append((cluster, SearchJob(cluster_id=cluster.cluster_id,
-                                                 engine=engine,
-                                                 bits=cluster.bits)))
+                                                 engine=engine)))
             else:
                 self._commit_result(cluster, _search_inline(engine), reports)
         if supervised:
             supervisor = SearchSupervisor(
                 self.inbox.root, self.config, registry=self._registry,
-                fault_spec=self.search_faults,
-                faults=self.search_fault_injector)
+                faults=self.search_faults)
             results = supervisor.run([job for _cluster, job in batch])
             for cluster, job in batch:
                 self._commit_result(cluster, results[job.cluster_id], reports)
@@ -479,9 +475,10 @@ class ReproService:
     def resume_scan(self) -> List[str]:
         """Startup reconciliation of the checkpoint store (crash recovery).
 
-        Deletes checkpoints (and flags/heartbeats/orphaned results) of
-        clusters that are no longer pending — their reports are durable, the
-        snapshot is stale — and returns the cluster ids whose searches were
+        Deletes every file in the store but the checkpoints of pending
+        clusters — a finished cluster's report is durable, so its snapshot,
+        heartbeat and orphaned results are stale, and so is any flag file
+        an older build left — and returns the cluster ids whose searches were
         in flight when the previous process died.  Those clusters are still
         ``pending``, so the next :meth:`process` resumes each from its
         checkpoint exactly once: a cluster's ``done`` status in
@@ -492,8 +489,8 @@ class ReproService:
         resumable: List[str] = []
         if not os.path.isdir(checkpoint_dir):
             return resumable
-        pending = {cluster.cluster_id for cluster in
-                   self.inbox.pending_clusters(self.config.service.priority)}
+        pending = {cluster.cluster_id
+                   for cluster in self.inbox.pending_clusters()}
         for name in sorted(os.listdir(checkpoint_dir)):
             path = os.path.join(checkpoint_dir, name)
             if name.endswith(".ckpt"):

@@ -22,10 +22,6 @@ uploads — as resumable, exactly-once work items:
 * after ``max_search_retries`` crash-restarts the cluster is quarantined
   (a poison search must not wedge the queue) — the service records it in
   the rejection ledger with the typed error;
-* when a *smaller* search waits behind a long-running one, the supervisor
-  touches the worker's preempt flag; the worker checkpoints at its next
-  commit and yields, the short searches run, and the long search resumes
-  where it paused;
 * a corrupt or truncated checkpoint is poison, not a shrug: the worker
   reports the typed :class:`~repro.replay.checkpoint.CheckpointFormatError`
   and the cluster is quarantined — never silently restarted into a
@@ -59,6 +55,9 @@ __all__ = ["SearchDeadlineExceeded", "SearchJob", "SearchResult",
 #: killed and restarted from its last checkpoint.
 HEARTBEAT_TIMEOUT_SECONDS = 30.0
 
+#: Base of the exponential backoff between crash-restarts of one search.
+RETRY_BACKOFF_SECONDS = 0.05
+
 
 class SearchDeadlineExceeded(Exception):
     """A cluster search overran ``search_deadline_seconds`` and was killed."""
@@ -70,9 +69,7 @@ class SearchJob:
 
     cluster_id: str
     engine: ReplayEngine
-    bits: int = 0  # recorded bitvector size — the priority key
     attempts: int = 0
-    preemptions: int = 0
     run_seconds: float = 0.0  # cumulative wall time across attempts
     next_eligible: float = 0.0  # monotonic time the next attempt may start
 
@@ -84,9 +81,6 @@ class SearchResult:
     kind: str  # "ok" | "deadline" | "quarantined" | "failed"
     outcome: Any = None  # ReplayOutcome when kind == "ok"
     error: str = ""
-    attempts: int = 1
-    preemptions: int = 0
-    resumed: bool = False
 
 
 @dataclass
@@ -96,8 +90,6 @@ class _Running:
     started: float
     result_path: str
     policy: CheckpointPolicy
-    preempt_requested: bool = False
-    resumed: bool = False
     checkpoint_seen: bool = False
 
 
@@ -127,11 +119,8 @@ def _supervised_search_worker(engine: ReplayEngine, policy: CheckpointPolicy,
                 return
         else:
             engine.attach_checkpointing(policy)
-        outcome = engine.reproduce()
-        _write_result(result_path, {
-            "kind": "preempted" if outcome.preempted else "ok",
-            "outcome": outcome,
-        })
+        _write_result(result_path, {"kind": "ok",
+                                    "outcome": engine.reproduce()})
     except BaseException as exc:  # report, then let the process die loudly
         try:
             _write_result(result_path, {
@@ -150,28 +139,24 @@ class SearchSupervisor:
     _POLL_SECONDS = 0.005
 
     def __init__(self, root: str, config: PipelineConfig, registry=None,
-                 fault_spec=None, faults=None) -> None:
+                 faults=None) -> None:
         svc = config.service
         self.checkpoint_dir = os.path.join(root, "checkpoints")
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.workers = max(1, int(svc.workers))
         self.deadline = svc.search_deadline_seconds
-        self.preempt_after = svc.preempt_after_seconds
         self.max_retries = max(0, int(svc.max_search_retries))
-        self.backoff = svc.retry_backoff_seconds
         self.every_commits = svc.checkpoint_every_runs
         self.registry = registry
-        self.fault_spec = fault_spec  # worker-side seeded faults (picklable)
-        self.faults = faults  # supervisor-side injector (crash points)
+        # The live injector fires the crash points here; each worker rolls
+        # its seeded streams from the (picklable) spec.
+        self.faults = faults
         self._nonce = 0
 
     # -- paths ---------------------------------------------------------------------------
 
     def checkpoint_path(self, cluster_id: str) -> str:
         return os.path.join(self.checkpoint_dir, f"{cluster_id}.ckpt")
-
-    def _preempt_flag(self, cluster_id: str) -> str:
-        return os.path.join(self.checkpoint_dir, f"{cluster_id}.preempt")
 
     def _heartbeat(self, cluster_id: str) -> str:
         return os.path.join(self.checkpoint_dir, f"{cluster_id}.heartbeat")
@@ -181,9 +166,8 @@ class SearchSupervisor:
     def run(self, jobs: List[SearchJob]) -> Dict[str, SearchResult]:
         """Drive every job to a terminal :class:`SearchResult`.
 
-        *jobs* arrive in the service's priority order; crashed jobs rejoin
-        the head of the queue (they were highest-priority when launched),
-        preempted jobs rejoin the tail (they yielded to smaller work).
+        *jobs* arrive in the service's dispatch order; a crashed job
+        rejoins the head of the queue (it was first when launched).
         """
 
         queue: List[SearchJob] = list(jobs)
@@ -207,13 +191,9 @@ class SearchSupervisor:
         policy = CheckpointPolicy(
             path=self.checkpoint_path(cluster_id),
             every_commits=self.every_commits,
-            preempt_flag=self._preempt_flag(cluster_id),
             heartbeat_path=self._heartbeat(cluster_id),
-            fault_spec=self.fault_spec,
+            fault_spec=self.faults.spec if self.faults is not None else None,
         )
-        # Stale preempt flags from a previous slice must not re-preempt the
-        # resumed attempt immediately.
-        self._remove(policy.preempt_flag)
         resumed = os.path.exists(policy.path)
         self._nonce += 1
         result_path = os.path.join(
@@ -229,13 +209,11 @@ class SearchSupervisor:
         if resumed:
             self._count("service.supervisor.resumes")
         return _Running(job=job, process=process, started=time.monotonic(),
-                        result_path=result_path, policy=policy,
-                        resumed=resumed)
+                        result_path=result_path, policy=policy)
 
     def _monitor(self, running: List[_Running], queue: List[SearchJob],
                  results: Dict[str, SearchResult]) -> None:
         now = time.monotonic()
-        min_waiting_bits = min((job.bits for job in queue), default=None)
         for entry in list(running):
             job = entry.job
             if not entry.checkpoint_seen and os.path.exists(entry.policy.path):
@@ -254,10 +232,7 @@ class SearchSupervisor:
                         kind="deadline",
                         error=(f"search exceeded its "
                                f"{self.deadline:g}s deadline after "
-                               f"{job.attempts} attempt(s)"),
-                        attempts=job.attempts,
-                        preemptions=job.preemptions,
-                        resumed=entry.resumed), clear_checkpoint=True)
+                               f"{job.attempts} attempt(s)")))
                     self._count("service.supervisor.deadline_exceeded")
                     continue
                 if self._silent_for(entry, now) > HEARTBEAT_TIMEOUT_SECONDS:
@@ -267,14 +242,6 @@ class SearchSupervisor:
                     entry.process.join()
                     self._handle_crash(entry, running, queue, results,
                                        reason="heartbeat timeout")
-                    continue
-                if (self.preempt_after > 0 and not entry.preempt_requested
-                        and min_waiting_bits is not None
-                        and min_waiting_bits < job.bits
-                        and now - entry.started > self.preempt_after):
-                    # A smaller search is waiting: ask this one to yield.
-                    self._touch(entry.policy.preempt_flag)
-                    entry.preempt_requested = True
                 continue
             entry.process.join()
             payload = self._read_result(entry.result_path)
@@ -286,28 +253,14 @@ class SearchSupervisor:
             kind = payload.get("kind")
             if kind == "ok":
                 self._finish(entry, running, results, SearchResult(
-                    kind="ok", outcome=payload["outcome"],
-                    attempts=job.attempts, preemptions=job.preemptions,
-                    resumed=entry.resumed), clear_checkpoint=True)
-            elif kind == "preempted":
-                job.preemptions += 1
-                job.run_seconds += now - entry.started
-                self._count("service.supervisor.preemptions")
-                running.remove(entry)
-                self._remove(entry.result_path)
-                self._remove(entry.policy.preempt_flag)
-                queue.append(job)  # yielded to smaller work: back of the line
+                    kind="ok", outcome=payload["outcome"]))
             elif kind == "checkpoint-corrupt":
                 self._count("service.supervisor.checkpoint_corrupt")
                 self._finish(entry, running, results, SearchResult(
-                    kind="quarantined", error=payload.get("error", ""),
-                    attempts=job.attempts, preemptions=job.preemptions,
-                    resumed=entry.resumed), clear_checkpoint=True)
+                    kind="quarantined", error=payload.get("error", "")))
             else:  # in-worker exception: deterministic, retrying cannot help
                 self._finish(entry, running, results, SearchResult(
-                    kind="failed", error=payload.get("error", "worker error"),
-                    attempts=job.attempts, preemptions=job.preemptions,
-                    resumed=entry.resumed), clear_checkpoint=True)
+                    kind="failed", error=payload.get("error", "worker error")))
 
     def _handle_crash(self, entry: _Running, running: List[_Running],
                       queue: List[SearchJob],
@@ -322,30 +275,26 @@ class SearchSupervisor:
             results[job.cluster_id] = SearchResult(
                 kind="quarantined",
                 error=(f"{reason}; gave up after {job.attempts} attempt(s) "
-                       f"(max_search_retries={self.max_retries})"),
-                attempts=job.attempts, preemptions=job.preemptions,
-                resumed=entry.resumed)
+                       f"(max_search_retries={self.max_retries})"))
             self._clear_files(job.cluster_id)
             return
         self._count("service.supervisor.restarts")
-        job.next_eligible = (time.monotonic()
-                             + self.backoff * (2 ** (job.attempts - 1)))
-        queue.insert(0, job)  # it was highest-priority when launched
+        backoff = RETRY_BACKOFF_SECONDS * (2 ** (job.attempts - 1))
+        job.next_eligible = time.monotonic() + backoff
+        queue.insert(0, job)  # it was first in line when launched
 
     # -- completion & bookkeeping ---------------------------------------------------------
 
     def _finish(self, entry: _Running, running: List[_Running],
-                results: Dict[str, SearchResult], result: SearchResult,
-                clear_checkpoint: bool = False) -> None:
+                results: Dict[str, SearchResult],
+                result: SearchResult) -> None:
         running.remove(entry)
         self._remove(entry.result_path)
-        if clear_checkpoint:
-            self._clear_files(entry.job.cluster_id)
+        self._clear_files(entry.job.cluster_id)
         results[entry.job.cluster_id] = result
 
     def _clear_files(self, cluster_id: str) -> None:
         self._remove(self.checkpoint_path(cluster_id))
-        self._remove(self._preempt_flag(cluster_id))
         self._remove(self._heartbeat(cluster_id))
 
     def _silent_for(self, entry: _Running, now: float) -> float:
@@ -371,14 +320,6 @@ class SearchSupervisor:
         # telemetry so deterministic snapshots stay comparable.
         if self.registry is not None:
             self.registry.counter(name, timing=True).inc()
-
-    @staticmethod
-    def _touch(path: str) -> None:
-        try:
-            with open(path, "a"):
-                pass
-        except OSError:
-            pass
 
     @staticmethod
     def _remove(path: str) -> None:

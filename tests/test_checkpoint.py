@@ -1,13 +1,16 @@
 """Checkpoint/resume at the engine level: byte-identity from any boundary.
 
-The load-bearing contract of the checkpoint subsystem: a search preempted
-at an **arbitrary** commit boundary and resumed from its snapshot explores
-exactly the search tree the uninterrupted run explores — same explored
-set, same found input, same run records, same deterministic telemetry.
-This holds by construction (serial pop-order commit discipline: the
-(pending, outcome) pair at a commit boundary fully determines the rest of
-the search), and these tests pin the construction down for every boundary
-of several differential-testing workloads.
+The load-bearing contract of the checkpoint subsystem: a search killed
+after an **arbitrary** commit boundary and resumed from the snapshot it
+wrote there explores exactly the search tree the uninterrupted run
+explores — same explored set, same found input, same run records, same
+deterministic telemetry.  This holds by construction (serial pop-order
+commit discipline: the (pending, outcome) pair at a commit boundary fully
+determines the rest of the search), and these tests pin the construction
+down for every boundary of several differential-testing workloads.  The
+snapshots come from one uninterrupted run that checkpoints at every
+commit, as a supervised worker does; :func:`_snapshot_run` keeps a copy of
+each, which is the file a worker killed after that commit resumes from.
 
 Corruption is the other half: a damaged snapshot must surface as a loud
 typed :class:`CheckpointFormatError`, never as a silently wrong resume.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import shutil
 import struct
 
 import pytest
@@ -31,6 +35,7 @@ from repro.replay import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.replay import checkpoint as checkpoint_module
 from repro.replay.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -59,6 +64,33 @@ def _engine(pipeline, trace, **kwargs):
     return ReplayEngine.from_trace(pipeline.program, trace, **kwargs)
 
 
+def _snapshot_run(pipeline, trace, directory: str, **kwargs):
+    """One uninterrupted search that checkpoints at every commit.
+
+    Returns ``(outcome, snapshots)``: ``snapshots[i]`` is a copy of the
+    snapshot written after commit ``i + 1``.  The copies are taken by
+    wrapping ``save_checkpoint``, which the engine looks up at each write.
+    """
+
+    os.makedirs(directory, exist_ok=True)
+    snapshots = []
+
+    def save_and_copy(path, checkpoint):
+        written = save_checkpoint(path, checkpoint)
+        copy = os.path.join(directory, f"commit-{len(snapshots) + 1}.ckpt")
+        shutil.copyfile(path, copy)
+        snapshots.append(copy)
+        return written
+
+    engine = _engine(pipeline, trace, **kwargs)
+    engine.attach_checkpointing(CheckpointPolicy(
+        path=os.path.join(directory, "live.ckpt"), every_commits=1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checkpoint_module, "save_checkpoint", save_and_copy)
+        outcome = engine.reproduce()
+    return outcome, snapshots
+
+
 @pytest.fixture(scope="module")
 def mkdir_case():
     return _record("mkdir-bug")
@@ -69,15 +101,26 @@ def diff_case():
     return _record("diff-exp1")
 
 
+@pytest.fixture(scope="module")
+def mkdir_snapshots(tmp_path_factory, mkdir_case):
+    """The snapshots of one uninterrupted mkdir-bug search, by commit."""
+
+    pipeline, trace = mkdir_case
+    directory = str(tmp_path_factory.mktemp("mkdir-snapshots"))
+    return _snapshot_run(pipeline, trace, directory)[1]
+
+
+def _first_snapshot(mkdir_snapshots, tmp_path) -> str:
+    """A private copy of the commit-1 snapshot, free to damage."""
+
+    path = str(tmp_path / "commit-1.ckpt")
+    shutil.copyfile(mkdir_snapshots[0], path)
+    return path
+
+
 class TestSnapshotCodec:
-    def test_roundtrip_preserves_every_field(self, tmp_path, mkdir_case):
-        pipeline, trace = mkdir_case
-        engine = _engine(pipeline, trace)
-        path = str(tmp_path / "probe.ckpt")
-        engine.attach_checkpointing(
-            CheckpointPolicy(path=path, preempt_after_commits=1))
-        paused = engine.reproduce()
-        assert paused.preempted and paused.committed_items == 1
+    def test_roundtrip_preserves_every_field(self, tmp_path, mkdir_snapshots):
+        path = _first_snapshot(mkdir_snapshots, tmp_path)
 
         ckpt = load_checkpoint(path)
         again = str(tmp_path / "again.ckpt")
@@ -106,14 +149,8 @@ class TestSnapshotCodec:
         b = ReplayEngine.from_checkpoint(again).reproduce()
         assert outcome_fingerprint(a) == outcome_fingerprint(b)
 
-    def test_bytes_roundtrip_without_filesystem(self, mkdir_case, tmp_path):
-        pipeline, trace = mkdir_case
-        engine = _engine(pipeline, trace)
-        path = str(tmp_path / "probe.ckpt")
-        engine.attach_checkpointing(
-            CheckpointPolicy(path=path, preempt_after_commits=1))
-        engine.reproduce()
-        ckpt = load_checkpoint(path)
+    def test_bytes_roundtrip_without_filesystem(self, mkdir_snapshots):
+        ckpt = load_checkpoint(mkdir_snapshots[0])
         assert isinstance(ckpt, SearchCheckpoint)
         reread = load_checkpoint_bytes(dump_checkpoint_bytes(ckpt))
         assert reread.commits == ckpt.commits
@@ -126,27 +163,35 @@ class TestResumeByteIdentity:
                                           "paste-bug", "diff-exp1"])
     def test_resume_from_every_commit_boundary(self, tmp_path, workload):
         pipeline, trace = _record(workload)
-        baseline = _engine(pipeline, trace).reproduce()
-        assert baseline.reproduced
-        want = outcome_fingerprint(baseline)
-        boundaries = baseline.committed_items
-        assert boundaries >= 2, "workload too small to exercise resume"
+        for telemetry in (False, True):
+            baseline = _engine(pipeline, trace,
+                               telemetry=telemetry).reproduce()
+            assert baseline.reproduced
+            want = outcome_fingerprint(baseline)
+            boundaries = baseline.committed_items
+            assert boundaries >= 2, "workload too small to exercise resume"
 
-        for cut in range(1, boundaries):
-            path = str(tmp_path / f"{workload}.{cut}.ckpt")
-            engine = _engine(pipeline, trace)
-            engine.attach_checkpointing(
-                CheckpointPolicy(path=path, preempt_after_commits=cut))
-            paused = engine.reproduce()
-            assert paused.preempted and not paused.reproduced
-            assert paused.committed_items == cut
-            assert os.path.exists(path)
-
-            resumed = ReplayEngine.from_checkpoint(path).reproduce()
-            assert resumed.reproduced and resumed.resumed
-            assert outcome_fingerprint(resumed) == want, (
-                f"{workload}: resume at commit {cut} diverged")
-            assert resumed.committed_items == boundaries
+            outcome, snapshots = _snapshot_run(
+                pipeline, trace, str(tmp_path / f"telemetry-{telemetry}"),
+                telemetry=telemetry)
+            assert outcome_fingerprint(outcome) == want
+            # Every boundary, the last one included.
+            assert len(snapshots) == boundaries
+            for cut, path in enumerate(snapshots, start=1):
+                assert load_checkpoint(path).commits == cut
+                resumed = ReplayEngine.from_checkpoint(path).reproduce()
+                assert resumed.reproduced and resumed.resumed
+                assert outcome_fingerprint(resumed) == want, (
+                    f"{workload}: resume at commit {cut} diverged")
+                assert resumed.committed_items == boundaries
+                if telemetry:
+                    assert (resumed.telemetry.deterministic().canonical_bytes()
+                            == baseline.telemetry.deterministic()
+                            .canonical_bytes()), (
+                        f"{workload}: telemetry after resume at commit {cut} "
+                        "diverged")
+                    counters = resumed.telemetry.to_json()["counters"]
+                    assert counters["replay.checkpoint.resumes"] == 1
 
     def test_resume_merges_telemetry_deterministically(self, tmp_path,
                                                        diff_case):
@@ -155,60 +200,70 @@ class TestResumeByteIdentity:
         assert baseline.reproduced and baseline.telemetry is not None
         want = baseline.telemetry.deterministic().canonical_bytes()
 
-        cut = baseline.committed_items // 2
-        path = str(tmp_path / "mid.ckpt")
-        engine = _engine(pipeline, trace, telemetry=True)
-        engine.attach_checkpointing(
-            CheckpointPolicy(path=path, preempt_after_commits=cut))
-        paused = engine.reproduce()
-        # A pause is not a result: the preempted run records none of the
-        # final outcome counters, so the resumed run counts them exactly
-        # once and the merged registry equals the uninterrupted one.
-        assert paused.preempted
+        _outcome, snapshots = _snapshot_run(pipeline, trace, str(tmp_path),
+                                            telemetry=True)
+        middle = snapshots[baseline.committed_items // 2 - 1]
+        # A snapshot is not a result: it holds none of the final outcome
+        # counters, so the resumed run counts them exactly once and the
+        # merged registry equals the uninterrupted one.
+        saved = load_checkpoint(middle).telemetry.to_json()["counters"]
+        assert "replay.reproduced" not in saved
 
-        resumed = ReplayEngine.from_checkpoint(path).reproduce()
+        resumed = ReplayEngine.from_checkpoint(middle).reproduce()
         assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
         assert resumed.telemetry.deterministic().canonical_bytes() == want
 
+    def test_checkpoint_of_the_previous_build_resumes(self, tmp_path,
+                                                      mkdir_case,
+                                                      mkdir_snapshots):
+        # The previous build's ReplayOutcome had a ``preempted`` field and
+        # a ``"preempted"`` stop reason, so a snapshot it left in a service
+        # root pickles both.  Resuming one rebuilds the outcome from the
+        # declared fields and ends with the search's real stop reason.
+        pipeline, trace = mkdir_case
+        baseline = _engine(pipeline, trace).reproduce()
+        older = load_checkpoint(mkdir_snapshots[0])
+        older.outcome_state.preempted = True
+        older.outcome_state.stop_reason = "preempted"
+        path = str(tmp_path / "older.ckpt")
+        save_checkpoint(path, older)
+        assert load_checkpoint(path).outcome_state.preempted
+
+        resumed = ReplayEngine.from_checkpoint(path).reproduce()
+        assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
+        assert resumed.stop_reason == baseline.stop_reason == "reproduced"
+        assert not hasattr(resumed, "preempted")
+
 
 class TestCorruption:
-    def _checkpoint(self, tmp_path, case) -> str:
-        pipeline, trace = case
-        path = str(tmp_path / "victim.ckpt")
-        engine = _engine(pipeline, trace)
-        engine.attach_checkpointing(
-            CheckpointPolicy(path=path, preempt_after_commits=1))
-        engine.reproduce()
-        return path
-
-    def test_bad_magic_is_typed(self, tmp_path, mkdir_case):
-        path = self._checkpoint(tmp_path, mkdir_case)
+    def test_bad_magic_is_typed(self, tmp_path, mkdir_snapshots):
+        path = _first_snapshot(mkdir_snapshots, tmp_path)
         data = bytearray(open(path, "rb").read())
         data[:8] = b"NOTACKPT"
         open(path, "wb").write(bytes(data))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
-    def test_truncation_is_typed(self, tmp_path, mkdir_case):
-        path = self._checkpoint(tmp_path, mkdir_case)
+    def test_truncation_is_typed(self, tmp_path, mkdir_snapshots):
+        path = _first_snapshot(mkdir_snapshots, tmp_path)
         data = open(path, "rb").read()
         for cut in (0, 4, len(data) // 2, len(data) - 1):
             open(path, "wb").write(data[:cut])
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(path)
 
-    def test_payload_flip_fails_crc(self, tmp_path, mkdir_case):
-        path = self._checkpoint(tmp_path, mkdir_case)
+    def test_payload_flip_fails_crc(self, tmp_path, mkdir_snapshots):
+        path = _first_snapshot(mkdir_snapshots, tmp_path)
         data = bytearray(open(path, "rb").read())
         data[-1] ^= 0xFF
         open(path, "wb").write(bytes(data))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
-    def test_version_1_checkpoint_is_refused(self, tmp_path, mkdir_case):
+    def test_version_1_checkpoint_is_refused(self, tmp_path, mkdir_snapshots):
         # Version 1 pickled a separate engine recipe; this build reads only
         # checkpoints that pickle the engine itself.
-        path = self._checkpoint(tmp_path, mkdir_case)
+        path = _first_snapshot(mkdir_snapshots, tmp_path)
         data = bytearray(open(path, "rb").read())
         data[8:12] = struct.pack("<I", 1)
         open(path, "wb").write(bytes(data))
@@ -219,13 +274,12 @@ class TestCorruption:
         ["not", "a", "dict"],
         {"seen": set(), "dropped": 0, "duplicates": 0},
     ], ids=["list", "dict-without-items"])
-    def test_malformed_pend_section_is_typed(self, tmp_path, mkdir_case,
-                                             pend):
+    def test_malformed_pend_section_is_typed(self, mkdir_snapshots, pend):
         # A well-formed envelope (valid CRC) around a PEND section of the
         # wrong shape: the loader checks the shape before it reads it.
-        path = self._checkpoint(tmp_path, mkdir_case)
-        sections = decode_envelope(open(path, "rb").read(), CHECKPOINT_MAGIC,
-                                   CHECKPOINT_VERSION, what="checkpoint")
+        sections = decode_envelope(open(mkdir_snapshots[0], "rb").read(),
+                                   CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                   what="checkpoint")
         sections[b"PEND"] = pickle.dumps(pend)
         data = encode_envelope(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, sections,
                                list(sections))

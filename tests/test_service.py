@@ -155,9 +155,6 @@ class TestInboxIngestion:
         assert big.bits > small.bits
         smallest = [c.cluster_id for c in inbox.pending_clusters()]
         assert smallest == [small.cluster_id, big.cluster_id]
-        arrival = [c.cluster_id
-                   for c in inbox.pending_clusters(priority="arrival")]
-        assert arrival == [big.cluster_id, small.cluster_id]
 
 
 class TestServiceProcessing:
@@ -436,8 +433,7 @@ class TestServiceProcessing:
             tmp_path, [(mkdir_bytes, 1), (mkfifo_bytes, 1)])
         poison = service.inbox.cluster_of(ingested[0].trace_id)
         healthy = service.inbox.cluster_of(ingested[1].trace_id)
-        order = [c.cluster_id for c in service.inbox.pending_clusters(
-            service.config.service.priority)]
+        order = [c.cluster_id for c in service.inbox.pending_clusters()]
         assert order == [healthy.cluster_id, poison.cluster_id]
         engine_for = service._engine_for
 
@@ -530,8 +526,7 @@ class TestServiceProcessing:
                                config=service_config())
         big = service.ingest_bytes(mkdir_bytes)
         small = service.ingest_bytes(paste_bytes)
-        order = [c.cluster_id for c in service.inbox.pending_clusters(
-            service.config.service.priority)]
+        order = [c.cluster_id for c in service.inbox.pending_clusters()]
         assert order == [small.cluster_id, big.cluster_id]
         reports = service.process(max_clusters=1)
         # Only the smallest cluster ran.
@@ -619,6 +614,21 @@ class TestServeBatchCli:
         stats = json.loads(capsys.readouterr().out.splitlines()[0])
         assert stats["traces_ingested"] == 1
         assert "dedup_ratio" not in stats
+
+    def test_negative_max_clusters_is_a_usage_error(self, tmp_path, capsys,
+                                                    mkdir_bytes):
+        from repro.service.cli import main as cli_main
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "u1.trace").write_bytes(mkdir_bytes)
+        root = tmp_path / "inbox"
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["serve-batch", "--root", str(root), "--spool",
+                      str(spool), "--max-clusters", "-1"])
+        assert exited.value.code == 2
+        assert "--max-clusters" in capsys.readouterr().err
+        assert not root.exists()  # refused before anything is ingested
 
     def test_module_entry_point_lists_workloads(self):
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))

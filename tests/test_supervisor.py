@@ -1,9 +1,9 @@
-"""The supervised search fleet: crash recovery, deadlines, preemption.
+"""The supervised search fleet: crash recovery, deadlines, quarantine.
 
 The supervisor's contract extends the service's byte-identity guarantee to
 a hostile world: replay workers are killed mid-search (deterministic
-seeded fault streams), searches overrun deadlines, long searches are
-preempted for short ones — and every cluster still ends in exactly one of
+seeded fault streams) and resume from their last snapshot, searches
+overrun deadlines — and every cluster still ends in exactly one of
 two loud states: the **identical** report the inline path produces,
 or a typed quarantine entry in the rejection ledger.  Silently wrong or
 silently missing reports are the two outcomes these tests exist to forbid.
@@ -22,6 +22,7 @@ from repro.service import (
     ReproService,
     SearchDeadlineExceeded,
 )
+from repro.service import supervisor
 
 from test_service import record_trace_bytes, service_config
 
@@ -76,7 +77,7 @@ class TestSupervisedByteIdentity:
                 _report_identity(base[trace_id])
 
     def test_worker_kills_lose_nothing(self, tmp_path, mkdir_bytes,
-                                       diff_bytes):
+                                       diff_bytes, monkeypatch):
         # The acceptance criterion of the fleet design: a seeded storm of
         # worker SIGKILLs, checkpoint-every-commit, bounded restarts —
         # every cluster converges to the identical report, zero lost.
@@ -85,11 +86,10 @@ class TestSupervisedByteIdentity:
         config.telemetry_enabled = True
         config.service.checkpoint_every_runs = 1
         config.service.max_search_retries = 50
-        config.service.retry_backoff_seconds = 0.001
+        monkeypatch.setattr(supervisor, "RETRY_BACKOFF_SECONDS", 0.001)
         with ReproService(str(tmp_path / "chaos"), config=config) as service:
-            spec = FaultSpec(seed=7, worker_kill_rate=0.4)
-            service.search_faults = spec
-            service.search_fault_injector = FaultInjector(spec)
+            service.search_faults = FaultInjector(
+                FaultSpec(seed=7, worker_kill_rate=0.4))
             _ingest(service, [mkdir_bytes, diff_bytes])
             reports = service.process()
             counters = service.telemetry().to_json()["counters"]
@@ -103,9 +103,10 @@ class TestSupervisedByteIdentity:
         ckdir = os.path.join(str(tmp_path / "chaos"), "checkpoints")
         assert [n for n in os.listdir(ckdir) if n.endswith(".ckpt")] == []
 
-    def test_resumed_search_never_doublecounts(self, tmp_path, mkdir_bytes):
+    def test_resumed_search_never_doublecounts(self, tmp_path, mkdir_bytes,
+                                               monkeypatch):
         # Telemetry across kill/resume equals the undisturbed run's
-        # deterministic view: a preempted/killed attempt is a pause, not a
+        # deterministic view: a killed attempt leaves a snapshot, not a
         # result, so final counters are recorded exactly once.
         config = service_config()
         config.telemetry_enabled = True
@@ -119,11 +120,10 @@ class TestSupervisedByteIdentity:
         config2.telemetry_enabled = True
         config2.service.checkpoint_every_runs = 1
         config2.service.max_search_retries = 50
-        config2.service.retry_backoff_seconds = 0.001
+        monkeypatch.setattr(supervisor, "RETRY_BACKOFF_SECONDS", 0.001)
         with ReproService(str(tmp_path / "storm"), config=config2) as service:
-            spec = FaultSpec(seed=11, worker_kill_rate=0.5)
-            service.search_faults = spec
-            service.search_fault_injector = FaultInjector(spec)
+            service.search_faults = FaultInjector(
+                FaultSpec(seed=11, worker_kill_rate=0.5))
             _ingest(service, [mkdir_bytes])
             reports = service.process()
             got = {k: v for k, v in
@@ -135,7 +135,7 @@ class TestSupervisedByteIdentity:
 
 class TestQuarantine:
     def test_unrecoverable_cluster_is_quarantined(self, tmp_path,
-                                                  mkdir_bytes):
+                                                  mkdir_bytes, monkeypatch):
         # Kill rate 1.0 with checkpointing disabled: no attempt can make
         # progress, retries exhaust, and the cluster lands in the
         # rejection ledger with a typed reason — never a wrong report.
@@ -143,11 +143,10 @@ class TestQuarantine:
         config.telemetry_enabled = True
         config.service.checkpoint_every_runs = 0
         config.service.max_search_retries = 2
-        config.service.retry_backoff_seconds = 0.001
+        monkeypatch.setattr(supervisor, "RETRY_BACKOFF_SECONDS", 0.001)
         with ReproService(str(tmp_path / "poison"), config=config) as service:
-            spec = FaultSpec(seed=7, worker_kill_rate=1.0)
-            service.search_faults = spec
-            service.search_fault_injector = FaultInjector(spec)
+            service.search_faults = FaultInjector(
+                FaultSpec(seed=7, worker_kill_rate=1.0))
             _ingest(service, [mkdir_bytes])
             reports = service.process()
             rejected = dict(service.inbox.rejected)
@@ -208,32 +207,6 @@ class TestDeadlines:
             _ingest(service, [mkdir_bytes])
             reports = service.process()
         for trace_id in base:
-            assert _report_identity(reports[trace_id]) == \
-                _report_identity(base[trace_id])
-
-
-class TestPreemption:
-    def test_waiting_small_search_preempts_running_big_one(
-            self, tmp_path, mkdir_bytes, diff_bytes):
-        base = _inline_reports(tmp_path, [diff_bytes, mkdir_bytes])
-        # Arrival order launches the big diff search first with one slot;
-        # the smaller waiting search preempts it almost immediately, and
-        # the preempted search later resumes from its checkpoint — both
-        # reports still byte-identical to the undisturbed runs.
-        config = service_config()
-        config.telemetry_enabled = True
-        config.service.priority = "arrival"
-        config.service.workers = 1
-        config.service.preempt_after_seconds = 1e-4
-        config.service.checkpoint_every_runs = 1
-        with ReproService(str(tmp_path / "pre"), config=config) as service:
-            _ingest(service, [diff_bytes, mkdir_bytes])
-            reports = service.process()
-            counters = service.telemetry().to_json()["counters"]
-        assert counters["service.supervisor.preemptions"] >= 1
-        assert counters["replay.checkpoint.resumes"] >= 1
-        for trace_id in base:
-            assert reports[trace_id].reproduced
             assert _report_identity(reports[trace_id]) == \
                 _report_identity(base[trace_id])
 
