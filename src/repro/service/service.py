@@ -481,8 +481,8 @@ class ReproService:
         an older build left — and returns the cluster ids whose searches were
         in flight when the previous process died.  Those clusters are still
         ``pending``, so the next :meth:`process` resumes each from its
-        checkpoint exactly once: a cluster's ``done`` status in
-        ``inbox.json`` and its checkpoint file are the whole record.
+        checkpoint exactly once: a cluster's ``done`` status in the inbox's
+        ledger and its checkpoint file are the whole record.
         """
 
         checkpoint_dir = os.path.join(self.inbox.root, "checkpoints")

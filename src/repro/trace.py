@@ -34,12 +34,15 @@ Sections: ``META`` (names), ``PLAN`` (method + branch sets), ``BITV``
 bit rot (CRC) and unknown versions raise :class:`TraceFormatError`.
 
 Durable files.  :func:`write_atomic` is the one way the repo writes a file
-that is read back later — trace files, spool files, ``inbox.json``,
-checkpoints, supervisor results, the plan ledger and the ``serve
---port-file`` handshake: the bytes go to ``<path>.part``, are flushed and
-fsynced, and the temp file is renamed onto *path*.  A reader sees the
-previous file or the new one, never a torn mix, and a ``*.part`` file left
-behind is a write that was interrupted before it committed.
+that is read back later — trace files, spool files, the inbox's snapshot
+``inbox.json``, checkpoints, supervisor results, the plan ledger and the
+``serve --port-file`` handshake: the bytes go to ``<path>.part``, are
+flushed and fsynced, and the temp file is renamed onto *path*.  A reader
+sees the previous file or the new one, never a torn mix, and a ``*.part``
+file left behind is a write that was interrupted before it committed.  The
+one exception is the inbox's operation log ``inbox.log``, which is appended
+to and fsynced record by record; its reader ignores a torn last record (see
+:mod:`repro.service.inbox`).
 """
 
 from __future__ import annotations

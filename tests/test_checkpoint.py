@@ -213,6 +213,30 @@ class TestResumeByteIdentity:
         assert outcome_fingerprint(resumed) == outcome_fingerprint(baseline)
         assert resumed.telemetry.deterministic().canonical_bytes() == want
 
+    def test_resume_restores_the_pending_lists_bookkeeping(self, tmp_path,
+                                                           mkdir_snapshots):
+        # The PEND section carries the pending list's dedup set and its
+        # dropped and duplicates counts.  Every snapshot of the workloads
+        # above ends its search with both counts 0, so seed them: give the
+        # commit-1 snapshot the signatures the uninterrupted run first
+        # pushes at commit 2, and nonzero counts.  The resumed search must
+        # count those pushes as duplicates on top of the restored counts.
+        before = load_checkpoint(mkdir_snapshots[0])
+        after = load_checkpoint(mkdir_snapshots[1])
+        pushed = after.seen_signatures - before.seen_signatures
+        assert pushed and before.commits == 1
+        path = str(tmp_path / "seeded.ckpt")
+        save_checkpoint(path, dataclasses.replace(
+            before, seen_signatures=before.seen_signatures | pushed,
+            dropped=5, duplicates=7))
+
+        resumed = ReplayEngine.from_checkpoint(path).reproduce()
+        assert resumed.committed_items == 2
+        assert resumed.pending_stats == {
+            "pending": 0, "dropped": 5, "duplicates": 7 + len(pushed)}
+        # Its one alternative deduplicated away, the search runs dry.
+        assert not resumed.reproduced
+
     def test_checkpoint_of_the_previous_build_resumes(self, tmp_path,
                                                       mkdir_case,
                                                       mkdir_snapshots):

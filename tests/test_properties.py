@@ -1,7 +1,12 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+import copy
 import functools
+import json
+import os
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.instrument.logger import BitvectorLog
@@ -206,3 +211,125 @@ class TestTraceCodecProperties:
             return
         encoded = dump_trace_bytes(trace)
         assert dump_trace_bytes(load_trace_bytes(encoded)) == encoded
+
+
+# ---------------------------------------------------------------------------
+# The service's inbox state read back from disk
+# ---------------------------------------------------------------------------
+
+#: One value of each JSON type: a mutation swaps a value for one of another.
+_JSON_VALUES = (None, True, 7, 0.5, "x", [], {})
+
+
+def _paths(document, prefix=()):
+    """The path of every value inside *document*, the document excluded."""
+
+    if isinstance(document, dict):
+        items = document.items()
+    elif isinstance(document, list):
+        items = enumerate(document)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate_json(document, rng):
+    """A copy of *document* with one value replaced by a value of another
+    JSON type, or one object key deleted."""
+
+    document = copy.deepcopy(document)
+    path = rng.choice(list(_paths(document)))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if isinstance(parent, dict) and rng.random() < 0.5:
+        del parent[key]
+    else:
+        kind = type(parent[key])
+        parent[key] = copy.deepcopy(rng.choice(
+            [value for value in _JSON_VALUES if type(value) is not kind]))
+    return document
+
+
+@pytest.fixture(scope="module")
+def processed_root(tmp_path_factory):
+    """A service root holding two processed bugs.  The snapshot covers the
+    first; the log holds one record of each kind after it: the second
+    bug's ingest, a rejection and the second bug's commit."""
+
+    from repro.instrument.methods import InstrumentationMethod
+    from repro.service import ReproService, workload_pipeline
+    from repro.service.inbox import TraceTooLargeError
+    from repro.trace import trace_from_recording
+
+    def recorded(workload):
+        pipeline, environment = workload_pipeline(workload)
+        plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
+                                  environment=environment)
+        return dump_trace_bytes(trace_from_recording(
+            pipeline.record(plan, environment), scaffold=True,
+            program_name=workload))
+
+    root = str(tmp_path_factory.mktemp("processed") / "inbox")
+    service = ReproService(root)
+    service.ingest_bytes(recorded("mkdir-bug"))
+    service.process()
+    service.inbox._compact()
+    service.ingest_bytes(recorded("mkfifo-bug"))
+    service.inbox.reject("net:u1", TraceTooLargeError("too big"))
+    service.process()
+    with open(os.path.join(root, "inbox.json")) as handle:
+        snapshot = json.load(handle)
+    with open(os.path.join(root, "inbox.log")) as handle:
+        records = [json.loads(line) for line in handle]
+    assert [record["op"] for record in records] == ["ingest", "reject",
+                                                    "done"]
+    return root, snapshot, records
+
+
+class TestInboxStateProperties:
+    """The inbox's snapshot and log are read back after a restart: a
+    mutated value of the wrong JSON type, or a deleted key, must load
+    to a service that works or raise ``TraceError`` — never leak a
+    ``KeyError``, ``TypeError`` or ``AttributeError`` from a later read."""
+
+    MUTATIONS = 480
+
+    def test_mutated_state_is_rejected_or_served(self, processed_root):
+        from repro.service import ReproService
+
+        root, snapshot, records = processed_root
+        targets = [None] + list(range(len(records)))
+        rng = random.Random(2028)
+        outcomes = {"served": 0, "typed": 0}
+        escapes = []
+        for index in range(self.MUTATIONS):
+            target = targets[index % len(targets)]
+            state, log = snapshot, list(records)
+            if target is None:
+                state = _mutate_json(snapshot, rng)
+            else:
+                log[target] = _mutate_json(records[target], rng)
+            with open(os.path.join(root, "inbox.json"), "w") as handle:
+                json.dump(state, handle)
+            with open(os.path.join(root, "inbox.log"), "w") as handle:
+                handle.writelines(json.dumps(record) + "\n"
+                                  for record in log)
+            try:
+                service = ReproService(root)
+                service.stats()
+                service.process()
+                for trace_id in list(service.inbox.traces):
+                    service.report(trace_id)
+            except TraceError:
+                outcomes["typed"] += 1
+            except Exception as exc:  # noqa: BLE001 - what the test hunts
+                escapes.append((target, state if target is None
+                                else log[target], repr(exc)))
+            else:
+                outcomes["served"] += 1
+        assert not escapes, escapes[:3]
+        assert outcomes["served"] and outcomes["typed"], outcomes

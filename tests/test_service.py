@@ -26,7 +26,10 @@ from repro.service import (
     workload_pipeline,
 )
 from repro.replay.engine import ReplayEngine
+from repro.service import inbox as inbox_module
+from repro.service.inbox import TraceTooLargeError
 from repro.trace import (
+    TraceError,
     TraceFingerprintMismatch,
     dump_trace_bytes,
     load_trace_bytes,
@@ -252,17 +255,23 @@ class TestServiceProcessing:
 
     def test_pretty_printed_state_still_loads(self, tmp_path, mkdir_bytes):
         """State files from before the compact encoding (indented, and
-        without the search counters on their reports) load unchanged."""
+        without the search counters on their reports) load unchanged, and
+        so do both layouts of a root written before the operation log: a
+        version-1 ``inbox.json`` and no ``inbox.log``."""
 
         root = str(tmp_path / "inbox")
         service = ReproService(root, config=service_config())
         trace_id = service.ingest_bytes(mkdir_bytes).trace_id
         report = service.process()[trace_id]
+        # One ingest and one commit are two log records; a compaction
+        # writes the snapshot.
+        service.inbox._compact()
         path = os.path.join(root, "inbox.json")
         with open(path) as handle:
             text = handle.read()
         assert "\n" not in text  # written compact
         payload = json.loads(text)
+        assert payload["last_record"] == 2
         for cluster in payload["clusters"].values():
             for key in ("vm_steps", "repairs", "repair_blocked",
                         "stop_reason"):
@@ -273,6 +282,16 @@ class TestServiceProcessing:
         assert restored.fingerprint() == report.fingerprint()
         assert (restored.vm_steps, restored.repairs, restored.repair_blocked,
                 restored.stop_reason) == (0, 0, {}, "")
+
+        del payload["last_record"]
+        payload["version"] = 1
+        os.remove(os.path.join(root, "inbox.log"))
+        for indent in (None, 2):
+            with open(path, "w") as handle:
+                json.dump(payload, handle, indent=indent, sort_keys=True)
+            reborn = ReproService(root, config=service_config())
+            assert reborn.report(trace_id).fingerprint() == report.fingerprint()
+            assert reborn.process() == {}
 
     def test_unknown_program_fails_cluster_not_service(self, tmp_path,
                                                        mkdir_bytes):
@@ -536,6 +555,124 @@ class TestServiceProcessing:
         with pytest.raises(ValueError, match="max_clusters"):
             service.process(max_clusters=-1)
         assert service.inbox.cluster_of(big.trace_id).status == "pending"
+
+
+class TestInboxLog:
+    """The inbox's state is a snapshot plus an operation log: whatever the
+    live service did, a service reopened on its root holds the same state."""
+
+    @staticmethod
+    def _state(service):
+        inbox = service.inbox
+        return (inbox.traces,
+                {cid: cluster.to_json()
+                 for cid, cluster in inbox.clusters.items()},
+                inbox.spooled, list(inbox.rejected.items()))
+
+    def test_reopened_service_matches_the_live_one(
+            self, tmp_path, monkeypatch, mkdir_bytes, mkfifo_bytes,
+            paste_bytes):
+        # Compact whenever the log outgrows the snapshot, however small.
+        monkeypatch.setattr(inbox_module, "_COMPACT_FLOOR", 0)
+        root = str(tmp_path / "inbox")
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "u1.trace").write_bytes(paste_bytes)
+        (spool / "broken.trace").write_bytes(b"not a trace")
+        live = ReproService(root, config=service_config())
+        for data in (mkdir_bytes, mkdir_bytes, mkfifo_bytes):
+            live.ingest_bytes(data)
+        assert len(live.poll_spool(str(spool))) == 1
+        assert live.poll_spool(str(spool)) == []  # rejects broken.trace
+        reports = live.process()
+        assert len(reports) == 4
+        # More rejections than the ledger holds, not in name order: the
+        # reopened ledger keeps the same newest 256, oldest first.
+        for index in range(300):
+            live.inbox.reject(f"net:c{index * 7919 % 1000:03d}",
+                              TraceTooLargeError("too big"))
+        assert len(live.inbox.rejected) == live.inbox.max_rejected == 256
+        live.ingest_bytes(mkfifo_bytes)
+
+        log_path = os.path.join(root, "inbox.log")
+        with open(os.path.join(root, "inbox.json")) as handle:
+            covered = json.load(handle)["last_record"]
+        with open(log_path, "rb") as handle:
+            records = [json.loads(line) for line in handle]
+        assert covered > 0 and records  # compacted, with records after it
+        assert [r["n"] for r in records] == list(
+            range(covered + 1, covered + 1 + len(records)))
+        # An append cut short by a crash: bytes after the last newline.
+        with open(log_path, "ab") as handle:
+            handle.write(b'{"n":%d,"op":"rej' % (records[-1]["n"] + 1))
+
+        reborn = ReproService(root, config=service_config())
+        assert self._state(reborn) == self._state(live)
+        assert len(reborn.inbox.rejected) == 256
+        for trace_id, report in reports.items():
+            assert reborn.report(trace_id).fingerprint() == \
+                report.fingerprint()
+        assert reborn.process() == {}
+        assert reborn.poll_spool(str(spool)) == []
+
+        # The next append overwrites the torn record: every line parses.
+        reborn.inbox.reject("net:last", TraceTooLargeError("too big"))
+        with open(log_path, "rb") as handle:
+            text = handle.read()
+        assert text.endswith(b"\n")
+        assert [json.loads(line)["n"] for line in text.splitlines()] == \
+            [r["n"] for r in records] + [records[-1]["n"] + 1]
+        assert self._state(ReproService(root, config=service_config())) \
+            == self._state(reborn)
+
+    def test_compaction_cut_short_applies_nothing_twice(self, tmp_path,
+                                                        mkdir_bytes,
+                                                        mkfifo_bytes):
+        root = str(tmp_path / "inbox")
+        live = ReproService(root, config=service_config())
+        live.ingest_bytes(mkdir_bytes)
+        live.process()
+        log_path = os.path.join(root, "inbox.log")
+        with open(log_path, "rb") as handle:
+            stale = handle.read()
+        live.inbox._compact()
+        # A crash between the snapshot's rename and the log's truncation
+        # leaves the records the snapshot already covers.
+        with open(log_path, "wb") as handle:
+            handle.write(stale)
+        reborn = ReproService(root, config=service_config())
+        assert self._state(reborn) == self._state(live)
+        reborn.ingest_bytes(mkfifo_bytes)
+        assert self._state(ReproService(root, config=service_config())) \
+            == self._state(reborn)
+
+    @pytest.mark.parametrize("damage", ["unreadable", "renumbered",
+                                        "wrong-type", "unknown-cluster"])
+    def test_damaged_record_is_a_typed_error(self, tmp_path, mkdir_bytes,
+                                             mkfifo_bytes, damage):
+        root = str(tmp_path / "inbox")
+        service = ReproService(root, config=service_config())
+        service.ingest_bytes(mkdir_bytes)
+        service.ingest_bytes(mkfifo_bytes)
+        service.inbox.reject("net:x", TraceTooLargeError("too big"))
+        log_path = os.path.join(root, "inbox.log")
+        with open(log_path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        record = json.loads(lines[1])
+        if damage == "unreadable":
+            lines[1] = lines[1][:-5]
+        elif damage == "renumbered":
+            record["n"] = 7
+        elif damage == "wrong-type":
+            record["entry"]["file"] = 3
+        else:
+            record["entry"]["cluster"] = "nowhere"
+        if damage != "unreadable":
+            lines[1] = json.dumps(record).encode("utf-8")
+        with open(log_path, "wb") as handle:
+            handle.write(b"\n".join(lines))
+        with pytest.raises(TraceError, match=r"inbox\.log: record 2"):
+            ReproService(root, config=service_config())
 
 
 class TestServeBatchCli:
