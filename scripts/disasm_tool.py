@@ -3,9 +3,9 @@
 
 The debugging aid for the register-allocation and plan-specialization
 layers: dump every compiled code object — opcode names, slot numbers with
-their source names, branch targets and whether each branch compiled as
-``BRANCH_LOGGED`` (instrumented: inline bitvector append/compare) or
-``BRANCH_BARE`` (hook-free) under the selected instrumentation plan::
+their source names, branch targets and, for each branch the selected
+instrumentation plan logs, its bitvector slot (``[slot N]``: inline
+bitvector append/compare; a branch without the mark dispatches no hook)::
 
     PYTHONPATH=src python scripts/disasm_tool.py --workload microbench
     PYTHONPATH=src python scripts/disasm_tool.py --workload diff-exp1 \

@@ -126,8 +126,9 @@ class PipelineConfig:
     # singletons and the VM runs its unmodified dispatch loop.
     telemetry_enabled: bool = False
     # Swap in the VM's per-opcode profiling dispatch loop (exact execution
-    # counts per opcode, incl. the logged-vs-bare branch split).  Costs one
-    # dict update per dispatched instruction, so it is a separate knob.
+    # counts per opcode, plus each run's logged-vs-unlogged branch split as
+    # vm.branches.*).  Costs one dict update per dispatched instruction, so
+    # it is a separate knob.
     profile_opcodes: bool = False
     # The trace-inbox / batch-reproduction layer (read by repro.service).
     service: ServiceSection = field(default_factory=ServiceSection)

@@ -203,8 +203,9 @@ class BranchLogger(ExecutionHooks):
 
         The VM appended bits directly onto ``self.bitvector.bits`` (bypassing
         :meth:`BitvectorLog.append` and its flush bookkeeping) and counted
-        executions per ``BRANCH_LOGGED`` slot; this recomputes the flush count
-        and rebuilds the per-location tallies exactly as per-event dispatch
+        executions per logged branch slot (the ``slot`` operand of the
+        stream's branch opcodes); this recomputes the flush count and
+        rebuilds the per-location tallies exactly as per-event dispatch
         would have.
         """
 

@@ -14,7 +14,7 @@ package revises it from what the fleet actually reported.  Three pieces:
   the freed budget on branches that would prune expensive searches.
 """
 
-from .ledger import (LEDGER_FILE, PlanLedger, PlanVersion,
+from .ledger import (LEDGER_FILE, PlanLedger, PlanLedgerError, PlanVersion,
                      plan_fingerprint_digest, plan_version_of, replan_method)
 from .observations import BranchEvidence, FleetObservations, ProgramObservations
 from .replanner import PlanRevision, ReplanPolicy, Replanner
@@ -24,6 +24,7 @@ __all__ = [
     "BranchEvidence",
     "FleetObservations",
     "PlanLedger",
+    "PlanLedgerError",
     "PlanRevision",
     "PlanVersion",
     "ProgramObservations",

@@ -40,6 +40,7 @@ from repro.trace import write_atomic
 __all__ = [
     "LEDGER_FILE",
     "PlanLedger",
+    "PlanLedgerError",
     "PlanVersion",
     "plan_fingerprint_digest",
     "plan_version_of",
@@ -90,8 +91,37 @@ def plan_fingerprint_digest(plan_or_fingerprint) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _location_rows(rows) -> List[Tuple[str, int, int, str]]:
-    return sorted((str(f), int(n), int(l), str(k)) for f, n, l, k in rows)
+class PlanLedgerError(ValueError):
+    """``plan_ledger.json`` cannot be read, or a value in it has the wrong
+    shape; the message names the file and the key path."""
+
+
+def _typed(value, kinds: tuple, where: str):
+    """*value*, if its exact type is one of *kinds* (so a JSON ``true`` is
+    no ``int``); else a :class:`PlanLedgerError` naming *where*."""
+
+    if type(value) not in kinds:
+        names = " or ".join("null" if kind is type(None) else kind.__name__
+                            for kind in kinds)
+        raise PlanLedgerError(
+            f"{where}: expected {names}, got {type(value).__name__}")
+    return value
+
+
+_ROW_TYPES = (str, int, int, str)
+
+
+def _location_rows(rows, where: str) -> List[Tuple[str, int, int, str]]:
+    """*rows* as sorted ``(function, node_id, line, kind)`` tuples."""
+
+    checked = []
+    for index, row in enumerate(_typed(rows, (list, tuple), where)):
+        if (type(row) not in (list, tuple) or len(row) != len(_ROW_TYPES)
+                or tuple(map(type, row)) != _ROW_TYPES):
+            raise PlanLedgerError(f"{where}[{index}]: expected a "
+                                  f"(str, int, int, str) row, got {row!r}")
+        checked.append(tuple(row))
+    return sorted(checked)
 
 
 @dataclass
@@ -122,8 +152,10 @@ class PlanVersion:
                                         str(plan.method))),
                    fingerprint=plan_fingerprint_digest(plan),
                    log_syscalls=plan.log_syscalls,
-                   instrumented=_location_rows(rows["instrumented"]),
-                   all_locations=_location_rows(rows["all_locations"]),
+                   instrumented=_location_rows(rows["instrumented"],
+                                               "instrumented"),
+                   all_locations=_location_rows(rows["all_locations"],
+                                                "all_locations"),
                    revision=revision)
 
     def plan(self) -> InstrumentationPlan:
@@ -147,16 +179,35 @@ class PlanVersion:
         }
 
     @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "PlanVersion":
-        return cls(program=payload["program"],
-                   version=int(payload["version"]),
-                   parent=payload.get("parent"),
-                   method=payload["method"],
-                   fingerprint=payload["fingerprint"],
-                   log_syscalls=bool(payload["log_syscalls"]),
-                   instrumented=_location_rows(payload["instrumented"]),
-                   all_locations=_location_rows(payload["all_locations"]),
-                   revision=payload.get("revision"))
+    def from_json(cls, payload: Dict[str, object],
+                  where: str = "plan version") -> "PlanVersion":
+        """A version from its :meth:`to_json` form.
+
+        A missing key or a value of the wrong JSON type is a
+        :class:`PlanLedgerError` naming *where* and the key; ``parent`` and
+        ``revision`` may be absent (read as null).
+        """
+
+        _typed(payload, (dict,), where)
+
+        def field(key: str, kinds: tuple, optional: bool = False):
+            if key not in payload and not optional:
+                raise PlanLedgerError(f"{where}.{key}: missing")
+            return _typed(payload.get(key), kinds, f"{where}.{key}")
+
+        nullable = type(None)
+        return cls(program=field("program", (str,)),
+                   version=field("version", (int,)),
+                   parent=field("parent", (int, nullable), optional=True),
+                   method=field("method", (str,)),
+                   fingerprint=field("fingerprint", (str,)),
+                   log_syscalls=field("log_syscalls", (bool,)),
+                   instrumented=_location_rows(field("instrumented", (list,)),
+                                               f"{where}.instrumented"),
+                   all_locations=_location_rows(
+                       field("all_locations", (list,)),
+                       f"{where}.all_locations"),
+                   revision=field("revision", (dict, nullable), optional=True))
 
 
 class PlanLedger:
@@ -258,17 +309,47 @@ class PlanLedger:
         return write_atomic(self.path, encoded.encode("utf-8"))
 
     def _load(self) -> None:
+        """Read the ledger file, if there is one.
+
+        Anything but a ledger of this build's layout is a
+        :class:`PlanLedgerError` naming the file and the key path: JSON
+        types and required keys, each location row's shape, each program's
+        versions ascending, and each ``parent`` null or an earlier version
+        of the same program.
+        """
+
         try:
             with open(self.path) as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
             return
         except (OSError, ValueError) as exc:
-            raise ValueError(f"unreadable plan ledger {self.path}: {exc}")
-        if payload.get("version") != _LEDGER_VERSION:
-            raise ValueError(
-                f"plan ledger version {payload.get('version')} unsupported "
+            raise PlanLedgerError(
+                f"unreadable plan ledger {self.path}: {exc}") from None
+        where = f"{self.path}:"
+        version = _typed(payload, (dict,), where).get("version")
+        if type(version) is not int or version != _LEDGER_VERSION:
+            raise PlanLedgerError(
+                f"plan ledger version {version} unsupported "
                 f"(this build reads version {_LEDGER_VERSION})")
-        self.programs = {
-            program: [PlanVersion.from_json(entry) for entry in versions]
-            for program, versions in payload.get("programs", {}).items()}
+        programs = _typed(payload.get("programs", {}), (dict,),
+                          f"{where} programs")
+        for program, versions in programs.items():
+            name = f"{where} programs[{program!r}]"
+            entries: List[PlanVersion] = []
+            for index, raw in enumerate(_typed(versions, (list,), name)):
+                at = f"{name}[{index}]"
+                entry = PlanVersion.from_json(raw, at)
+                if entry.program != program:
+                    raise PlanLedgerError(
+                        f"{at}.program: {entry.program!r} differs")
+                if entries and entry.version <= entries[-1].version:
+                    raise PlanLedgerError(
+                        f"{at}.version: {entry.version} does not follow "
+                        f"{entries[-1].version}")
+                if entry.parent is not None and entry.parent not in {
+                        earlier.version for earlier in entries}:
+                    raise PlanLedgerError(
+                        f"{at}.parent: {entry.parent} is no earlier version")
+                entries.append(entry)
+            self.programs[program] = entries

@@ -162,7 +162,7 @@ class ReplayRunHooks(ExecutionHooks):
     #
     # Called by the bytecode VM from plan-specialized code for the cases its
     # inline cursor walk cannot decide alone.  Instrumented-ness is already
-    # baked into the opcode, so no plan lookup happens here.
+    # baked into the branch's slot operand, so no plan lookup happens here.
 
     def vm_bare_symbolic(self, event: BranchEvent) -> None:
         """Case 1 slow path: symbolic condition at an uninstrumented branch."""

@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Dict
+from typing import Dict, Optional
 
 from repro import (InstrumentationMethod, PipelineConfig, ReplayBudget,
                    TraceError, load_trace)
@@ -133,58 +133,58 @@ def cmd_info(args) -> int:
     return 0
 
 
-def profile_from_records(records) -> Dict[str, int]:
-    """``{opcode name: count}`` from the ``vm.opcode.*`` telemetry records.
+def profile_from_records(records, prefix: str = "vm.opcode.") -> Dict[str, int]:
+    """``{name: count}`` of the counters under *prefix*, prefix stripped.
 
-    Accepts the dict stream of :func:`repro.telemetry.read_jsonl` (or a
-    registry snapshot's ``jsonl_lines`` parsed the same way).
+    The default reads the ``vm.opcode.*`` dispatch profile; ``vm.branches.``
+    reads the profiled runs' logged-vs-unlogged branch split.  Accepts the
+    dict stream of :func:`repro.telemetry.read_jsonl` (or a registry
+    snapshot's ``jsonl_lines`` parsed the same way).
     """
 
     counts: Dict[str, int] = {}
     for record in records:
         name = record.get("name", "")
-        if not name.startswith("vm.opcode."):
+        if not name.startswith(prefix):
             continue
         value = record.get("value", record.get("count", 0))
-        counts[name[len("vm.opcode."):]] = \
-            counts.get(name[len("vm.opcode."):], 0) + int(value)
+        key = name[len(prefix):]
+        counts[key] = counts.get(key, 0) + int(value)
     return counts
 
 
-def render_dispatch_table(counts: Dict[str, int], top: int = 12) -> str:
+def render_dispatch_table(counts: Dict[str, int], top: int = 12,
+                          branches: Optional[Dict[str, int]] = None) -> str:
     """The ``python -m repro stats --opcodes`` view of a dispatch profile.
 
     Top-*top* opcodes by exact execution count, with each opcode's share of
-    all dispatches and its observation class — ``logged`` (branch opcodes
-    that append to the bitvector), ``bare`` (plan-specialized unlogged
-    branches) or ``-`` (everything else).  The footer totals the
-    logged-vs-bare split, which the distinct ``*_LOGGED`` / ``*_BARE``
-    opcode forms make exact by construction, and the mean number of opcode
-    tests a dispatch paid in the VM's arm order
+    all dispatches and its class: ``branch`` for the seven branch shapes,
+    ``-`` for everything else.  Whether a branch is logged is its operand,
+    not its opcode, so the footer's logged-vs-unlogged split comes from the
+    runs' ``vm.branches.logged`` / ``vm.branches.unlogged`` counters
+    (*branches*, keyed ``logged`` and ``unlogged``).  The footer also gives
+    the mean number of opcode tests a dispatch paid in the VM's arm order
     (:func:`~repro.vm.machine.mean_arm_position`).
     """
 
     from repro.vm.machine import mean_arm_position
+    from repro.vm.opcodes import BRANCH_OPCODES, OPCODE_NAMES
 
     if not counts:
         return "(no vm.opcode.* records)"
+    branches = branches or {}
+    branch_names = {OPCODE_NAMES[opcode] for opcode in BRANCH_OPCODES}
     total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     width = max(len(name) for name, _count in ranked[:top])
     lines = [f"{'opcode':<{width}}  {'count':>12}  {'share':>6}  class"]
     for name, count in ranked[:top]:
-        if name.endswith("_LOGGED"):
-            klass = "logged"
-        elif name.endswith("_BARE"):
-            klass = "bare"
-        else:
-            klass = "-"
+        klass = "branch" if name in branch_names else "-"
         lines.append(f"{name:<{width}}  {count:>12}  "
                      f"{100.0 * count / total:>5.1f}%  {klass}")
-    logged = sum(c for n, c in counts.items() if n.endswith("_LOGGED"))
-    bare = sum(c for n, c in counts.items() if n.endswith("_BARE"))
     lines.append(f"total dispatches: {total}  "
-                 f"(logged branches: {logged}, bare branches: {bare}, "
+                 f"(logged branches: {branches.get('logged', 0)}, "
+                 f"unlogged branches: {branches.get('unlogged', 0)}, "
                  f"shown: {min(top, len(ranked))}/{len(ranked)} opcodes)  "
                  f"mean arms tested per dispatch: "
                  f"{mean_arm_position(counts):.2f}")
@@ -227,7 +227,9 @@ def cmd_stats(args) -> int:
         if not counts:
             print(_NO_PROFILE_LINE)
             return 0
-        print(render_dispatch_table(counts, top=args.opcodes))
+        print(render_dispatch_table(
+            counts, top=args.opcodes,
+            branches=profile_from_records(records, "vm.branches.")))
         return 0
     if args.jsonl:
         print(render_summary(records))
@@ -654,8 +656,9 @@ def main(argv=None) -> int:
     stats.add_argument("--opcodes", nargs="?", const=12, type=int,
                        default=None, metavar="N",
                        help="render the top-N VM dispatch table (vm.opcode.* "
-                            "counters, logged-vs-bare branch split) instead "
-                            "of the full summary (default N=12)")
+                            "counters, vm.branches.* logged-vs-unlogged "
+                            "split) instead of the full summary "
+                            "(default N=12)")
 
     replan = sub.add_parser(
         "replan",

@@ -48,7 +48,12 @@ returned, so nothing acknowledged it: it is ignored, and overwritten by the
 next append.  Every other unreadable or malformed record, and a snapshot of
 the wrong shape, raises :class:`~repro.trace.TraceError` naming the file and
 the record.  A root written before the log existed (an ``inbox.json`` of
-version 1, compact or indented, and no log) loads unchanged.
+version 1, compact or indented, and no log) loads unchanged.  One inbox
+writes a root at a time: an append or compaction that finds the log or
+the snapshot changed by another writer since this inbox last read or
+wrote it raises :class:`~repro.trace.TraceError` (see
+:meth:`TraceInbox._locked_log`) instead of overwriting that writer's
+records.
 
 Corrupt or truncated trace files never poison a batch: they are recorded in
 the rejection ledger (with the one-line reason) and skipped on subsequent
@@ -76,7 +81,9 @@ one.  The network listener writes its spool files the same way; the
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -208,6 +215,17 @@ def _check_entry(entry, where: str) -> dict:
     for key in _ENTRY_FIELDS:
         _field(entry, key, (str,), where)
     return entry
+
+
+def _file_id(path: str) -> Optional[Tuple[int, int, int]]:
+    """``(inode, size, mtime_ns)`` of *path*, None if it is absent: tells
+    one atomic rewrite of the file from the next."""
+
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 class TraceTooLargeError(TraceError):
@@ -416,6 +434,8 @@ class TraceInbox:
         #: the snapshot's size: together they decide when to compact.
         self._log_bytes = 0
         self._snapshot_bytes = 0
+        #: The snapshot this inbox last read or wrote (see _file_id).
+        self._snapshot_id: Optional[Tuple[int, int, int]] = None
         os.makedirs(os.path.join(self.root, _TRACE_DIR), exist_ok=True)
         self._load_state()
 
@@ -671,23 +691,50 @@ class TraceInbox:
         number = self._records + 1
         line = json.dumps({"n": number, **record},
                           separators=(",", ":")).encode("utf-8") + b"\n"
-        path = self._log_path()
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
-        try:
+        with self._locked_log() as fd:
             # Written after the last whole record, not at the file's end:
-            # this overwrites a torn record (left by a crash, or by an append
-            # that raised), and the truncation drops whatever is left of it.
+            # this overwrites a torn record (left by a crash, or by an
+            # append that raised), and the truncation drops whatever is
+            # left of it.
             if os.pwrite(fd, line, self._log_bytes) != len(line):
-                raise OSError(f"short write to {path}")
+                raise OSError(f"short write to {self._log_path()}")
             os.ftruncate(fd, self._log_bytes + len(line))
             os.fsync(fd)
+            self._records = number
+            self._log_bytes += len(line)
+            self._apply(record)
+            if self._log_bytes > max(self._snapshot_bytes, _COMPACT_FLOOR):
+                self._compact(fd)
+
+    @contextlib.contextmanager
+    def _locked_log(self):
+        """The log's descriptor, under an exclusive ``flock``, once it is
+        checked to hold what this inbox last read or wrote.
+
+        Another writer on the root (a second process, or a second inbox
+        object) appends after its own idea of the log's end, or rewrites
+        the snapshot and empties the log when it compacts: either would
+        silently drop records.  So a whole record (a newline) past this
+        inbox's last one, a log shorter than that, or a snapshot this inbox
+        did not last read or write is a ``TraceError`` before anything is
+        written or changed in memory.  A torn record (bytes without a
+        newline) is an append that never returned, and is overwritten.
+        """
+
+        path = self._log_path()
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size < self._log_bytes or b"\n" in os.pread(
+                    fd, size - self._log_bytes, self._log_bytes) \
+                    or _file_id(self._state_path()) != self._snapshot_id:
+                raise TraceError(
+                    f"{path}: changed by another writer since this inbox "
+                    f"last read it; reopen the root")
+            yield fd
         finally:
-            os.close(fd)
-        self._records = number
-        self._log_bytes += len(line)
-        self._apply(record)
-        if self._log_bytes > max(self._snapshot_bytes, _COMPACT_FLOOR):
-            self._compact()
+            os.close(fd)  # releases the lock
 
     def _apply(self, record: Dict[str, object]) -> None:
         """Apply one log record, written here or checked, to the ledger."""
@@ -713,8 +760,17 @@ class TraceInbox:
             cluster.status = op
             cluster.report = record["report"]
 
-    def _compact(self) -> None:
-        """Rewrite the snapshot to cover every record, then empty the log."""
+    def _compact(self, fd: Optional[int] = None) -> None:
+        """Rewrite the snapshot to cover every record, then empty the log.
+
+        *fd* is the log, already locked by the append that called; without
+        it the log is locked and checked here first.
+        """
+
+        if fd is None:
+            with self._locked_log() as locked:
+                self._compact(locked)
+            return
 
         payload = {
             "version": _STATE_VERSION,
@@ -734,9 +790,10 @@ class TraceInbox:
         encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         write_atomic(self._state_path(), encoded)
         self._snapshot_bytes = len(encoded)
+        self._snapshot_id = _file_id(self._state_path())
         # A crash before this truncation leaves records the snapshot
         # covers; loading skips them by number.
-        os.truncate(self._log_path(), 0)
+        os.ftruncate(fd, 0)
         self._log_bytes = 0
 
     def _load_state(self) -> None:
@@ -756,6 +813,7 @@ class TraceInbox:
                     f"unreadable inbox state {path}: {exc}") from None
             self._restore(payload, f"{path}: snapshot")
             self._snapshot_bytes = len(data)
+            self._snapshot_id = _file_id(path)
         self._replay_log()
 
     def _restore(self, payload, where: str) -> None:

@@ -18,6 +18,16 @@ from repro.vm.opcodes import OPCODE_NAMES
 Instruction = Tuple[int, object, int, int]
 """``(opcode, arg, charge, line)`` — see :mod:`repro.vm.opcodes`."""
 
+#: Disassembly column width: the longest opcode name plus one space.
+_NAME_WIDTH = max(len(name) for name in OPCODE_NAMES.values()) + 1
+
+
+def _branch_text(location, target, slot) -> str:
+    """A branch operand's tail: its location, target and logged slot."""
+
+    text = f"{location.short()} -> {target}"
+    return text if slot is None else f"{text} [slot {slot}]"
+
 
 @dataclass
 class CodeObject:
@@ -56,7 +66,8 @@ class CodeObject:
             operand = self._format_arg(op, arg)
             note = f"  ; steps+={charge}" if charge else ""
             src = f"  @L{line}" if line else ""
-            lines.append(f"  {pc:4d}  {OPCODE_NAMES.get(op, op):<14}{operand}{note}{src}")
+            lines.append(f"  {pc:4d}  {OPCODE_NAMES.get(op, op):<{_NAME_WIDTH}}"
+                         f"{operand}{note}{src}")
         return "\n".join(lines)
 
     def _slot(self, index: object) -> str:
@@ -68,12 +79,8 @@ class CodeObject:
     def _format_arg(self, op: int, arg: object) -> str:
         if arg is None:
             return ""
-        if op in (opcodes.BRANCH, opcodes.BRANCH_BARE):
-            location, target = arg
-            return f"{location.short()} -> {target}"
-        if op == opcodes.BRANCH_LOGGED:
-            location, target, slot = arg
-            return f"{location.short()} -> {target} [slot {slot}]"
+        if op == opcodes.BRANCH:
+            return _branch_text(*arg)
         if op == opcodes.CALL:
             code, argc = arg
             return f"{code.name}/{argc}"
@@ -99,14 +106,10 @@ class CodeObject:
             operator, left, right, target = arg
             return (f"{operator!r} {self._slot(left)}, {self._slot(right)}"
                     f" -> {self._slot(target)}")
-        if op in (opcodes.BINOP_FF_BRANCH, opcodes.BINOP_FF_BRANCH_BARE):
-            operator, left, right, location, target = arg
+        if op == opcodes.BINOP_FF_BRANCH:
+            operator, left, right, *branch = arg
             return (f"{operator!r} {self._slot(left)}, {self._slot(right)}; "
-                    f"{location.short()} -> {target}")
-        if op == opcodes.BINOP_FF_BRANCH_LOGGED:
-            operator, left, right, location, target, slot = arg
-            return (f"{operator!r} {self._slot(left)}, {self._slot(right)}; "
-                    f"{location.short()} -> {target} [slot {slot}]")
+                    f"{_branch_text(*branch)}")
         if op == opcodes.BINOP_II:
             operator, left, right, _generic = arg
             return (f"{operator!r} {self._slot(left)}, {self._slot(right)}"
@@ -122,46 +125,24 @@ class CodeObject:
             operator, slot, const, target, _generic = arg
             return (f"{operator!r} {self._slot(slot)}, {const}"
                     f" -> {self._slot(target)}  [unboxed]")
-        if op in (opcodes.BINOP_II_BRANCH, opcodes.BINOP_II_BRANCH_BARE):
-            operator, left, right, location, target, _generic = arg
+        if op == opcodes.BINOP_II_BRANCH:
+            operator, left, right, *branch, _generic = arg
             return (f"{operator!r} {self._slot(left)}, {self._slot(right)}; "
-                    f"{location.short()} -> {target}  [unboxed]")
-        if op == opcodes.BINOP_II_BRANCH_LOGGED:
-            operator, left, right, location, target, slot, _generic = arg
-            return (f"{operator!r} {self._slot(left)}, {self._slot(right)}; "
-                    f"{location.short()} -> {target} [slot {slot}]  [unboxed]")
-        if op in (opcodes.BINOP_FC_BRANCH, opcodes.BINOP_FC_BRANCH_BARE):
-            operator, slot, const, location, target = arg
+                    f"{_branch_text(*branch)}  [unboxed]")
+        if op == opcodes.BINOP_FC_BRANCH:
+            operator, slot, const, *branch = arg
             return (f"{operator!r} {self._slot(slot)}, {const!r}; "
-                    f"{location.short()} -> {target}")
-        if op == opcodes.BINOP_FC_BRANCH_LOGGED:
-            operator, slot, const, location, target, log_slot = arg
-            return (f"{operator!r} {self._slot(slot)}, {const!r}; "
-                    f"{location.short()} -> {target} [slot {log_slot}]")
-        if op in (opcodes.BINOP_IC_BRANCH, opcodes.BINOP_IC_BRANCH_BARE):
-            operator, slot, const, location, target, _generic = arg
+                    f"{_branch_text(*branch)}")
+        if op == opcodes.BINOP_IC_BRANCH:
+            operator, slot, const, *branch, _generic = arg
             return (f"{operator!r} {self._slot(slot)}, {const}; "
-                    f"{location.short()} -> {target}  [unboxed]")
-        if op == opcodes.BINOP_IC_BRANCH_LOGGED:
-            operator, slot, const, location, target, log_slot, _generic = arg
-            return (f"{operator!r} {self._slot(slot)}, {const}; "
-                    f"{location.short()} -> {target} [slot {log_slot}]"
-                    f"  [unboxed]")
-        if op in (opcodes.BINOP_SC_BRANCH, opcodes.BINOP_SC_BRANCH_BARE):
-            operator, const, location, target = arg
-            return (f"{operator!r} <stack>, {const!r}; "
-                    f"{location.short()} -> {target}")
-        if op == opcodes.BINOP_SC_BRANCH_LOGGED:
-            operator, const, location, target, log_slot = arg
-            return (f"{operator!r} <stack>, {const!r}; "
-                    f"{location.short()} -> {target} [slot {log_slot}]")
-        if op in (opcodes.BINARY_BRANCH, opcodes.BINARY_BRANCH_BARE):
-            operator, location, target = arg
-            return f"{operator!r}; {location.short()} -> {target}"
-        if op == opcodes.BINARY_BRANCH_LOGGED:
-            operator, location, target, log_slot = arg
-            return (f"{operator!r}; {location.short()} -> {target}"
-                    f" [slot {log_slot}]")
+                    f"{_branch_text(*branch)}  [unboxed]")
+        if op == opcodes.BINOP_SC_BRANCH:
+            operator, const, *branch = arg
+            return f"{operator!r} <stack>, {const!r}; {_branch_text(*branch)}"
+        if op == opcodes.BINARY_BRANCH:
+            operator, *branch = arg
+            return f"{operator!r}; {_branch_text(*branch)}"
         if op == opcodes.LOAD2_FAST:
             left, right = arg
             return f"{self._slot(left)}, {self._slot(right)}"
@@ -186,7 +167,7 @@ class CompiledProgram:
     When compiled for a specific :class:`~repro.instrument.plan.
     InstrumentationPlan` (*plan-specialized* code), ``plan_fingerprint``
     identifies the plan the instruction stream was specialized for and
-    ``logged_locations`` maps every ``BRANCH_LOGGED`` slot index back to its
+    ``logged_locations`` maps every logged branch's slot index back to its
     :class:`~repro.lang.cfg.BranchLocation` (the VM keeps one inline counter
     per slot and merges them into the logger's per-location statistics at the
     end of the run).  Unspecialized code has ``plan_fingerprint is None`` and

@@ -26,13 +26,13 @@ on the interpreter, see :func:`repro.interp.backend.create_backend`).
 Compilation is cached per ``(Program, plan fingerprint)`` pair
 (``compile_program``), so the replay engine's hundreds of re-runs compile once
 per instrumentation plan.  Passing an :class:`~repro.instrument.plan.
-InstrumentationPlan` produces *plan-specialized* code: branches the plan
-instruments compile to ``BRANCH_LOGGED`` (the VM inlines the bitvector
-append/compare) and every other branch compiles to the hook-free
-``BRANCH_BARE`` — uninstrumented branches pay zero hook dispatch, mirroring
-the paper's "overhead only where you instrument".  Without a plan the generic
-``BRANCH`` (every event dispatched to the hooks) is emitted, which any
-:class:`~repro.interp.tracer.ExecutionHooks` implementation can observe.
+InstrumentationPlan` produces *plan-specialized* code: every branch opcode
+carries a ``slot`` operand, the branch's bitvector slot where the plan
+instruments it (the VM inlines the bitvector append/compare there) and
+``None`` everywhere else, so an uninstrumented branch pays no hook dispatch,
+mirroring the paper's "overhead only where you instrument".  Without a plan
+every slot is ``None``, and the VM reports each branch to whatever
+:class:`~repro.interp.tracer.ExecutionHooks` the run installs.
 """
 
 from __future__ import annotations
@@ -99,31 +99,7 @@ _UNBOXED_OPCODES = {
     op.BINOP_FC_STORE: op.BINOP_IC_STORE,
     op.BINOP_FF_STORE: op.BINOP_II_STORE,
     op.BINOP_FF_BRANCH: op.BINOP_II_BRANCH,
-    op.BINOP_FF_BRANCH_BARE: op.BINOP_II_BRANCH_BARE,
-    op.BINOP_FF_BRANCH_LOGGED: op.BINOP_II_BRANCH_LOGGED,
     op.BINOP_FC_BRANCH: op.BINOP_IC_BRANCH,
-    op.BINOP_FC_BRANCH_BARE: op.BINOP_IC_BRANCH_BARE,
-    op.BINOP_FC_BRANCH_LOGGED: op.BINOP_IC_BRANCH_LOGGED,
-}
-
-#: The slot-vs-const compare-and-branch flavour of each FF fused opcode.
-_FC_BRANCH_FORMS = {
-    op.BINOP_FF_BRANCH: op.BINOP_FC_BRANCH,
-    op.BINOP_FF_BRANCH_BARE: op.BINOP_FC_BRANCH_BARE,
-    op.BINOP_FF_BRANCH_LOGGED: op.BINOP_FC_BRANCH_LOGGED,
-}
-
-#: The stack-vs-const (``CONST;BINARY;BRANCH_*``) and stack-vs-stack
-#: (``BINARY;BRANCH_*``) flavours, under the same mapping key.
-_SC_BRANCH_FORMS = {
-    op.BINOP_FF_BRANCH: op.BINOP_SC_BRANCH,
-    op.BINOP_FF_BRANCH_BARE: op.BINOP_SC_BRANCH_BARE,
-    op.BINOP_FF_BRANCH_LOGGED: op.BINOP_SC_BRANCH_LOGGED,
-}
-_BINARY_BRANCH_FORMS = {
-    op.BINOP_FF_BRANCH: op.BINARY_BRANCH,
-    op.BINOP_FF_BRANCH_BARE: op.BINARY_BRANCH_BARE,
-    op.BINOP_FF_BRANCH_LOGGED: op.BINARY_BRANCH_LOGGED,
 }
 
 
@@ -137,8 +113,7 @@ def unboxed_form(instr: tuple) -> tuple:
     """
 
     opcode, arg, charge, line = instr
-    if opcode in (op.BINOP_FC, op.BINOP_FC_STORE, op.BINOP_FC_BRANCH,
-                  op.BINOP_FC_BRANCH_BARE, op.BINOP_FC_BRANCH_LOGGED):
+    if opcode in (op.BINOP_FC, op.BINOP_FC_STORE, op.BINOP_FC_BRANCH):
         arg = arg[:2] + (arg[2].concrete,) + arg[3:]
     return (_UNBOXED_OPCODES[opcode], tuple(arg) + (instr,), charge, line)
 
@@ -318,8 +293,8 @@ class Compiler:
                 f"program {program.name!r} has names the resolver cannot "
                 f"slot ({self.resolution.unresolved()}); it runs on the "
                 f"interpreter")
-        # Slot table for BRANCH_LOGGED: slot index -> BranchLocation.  The VM
-        # keeps one inline execution counter per slot.
+        # Slot table of the logged branches: slot index -> BranchLocation.
+        # The VM keeps one inline execution counter per slot.
         self.logged_locations: List[object] = []
         # Branch instructions carry the program's own locations, whose dense
         # index the VM's analyze mode marks a concrete branch by.
@@ -416,43 +391,10 @@ class _FunctionEmitter:
         for pc, (opcode, arg, charge, line) in enumerate(self.instructions):
             if opcode in jump_ops and isinstance(arg, _Label):
                 self.instructions[pc] = (opcode, arg.pc, charge, line)
-            elif opcode in (op.BRANCH, op.BRANCH_BARE):
-                location, label = arg
-                self.instructions[pc] = (opcode, (location, label.pc), charge, line)
-            elif opcode == op.BRANCH_LOGGED:
-                location, label, slot = arg
-                self.instructions[pc] = (opcode, (location, label.pc, slot),
-                                         charge, line)
-            elif opcode in (op.BINOP_FF_BRANCH, op.BINOP_FF_BRANCH_BARE,
-                            op.BINOP_FC_BRANCH, op.BINOP_FC_BRANCH_BARE):
-                operator, left, right, location, label = arg
+            elif opcode in op.BRANCH_OPCODES:
+                # Every branch shape ends its arg in ``(..., label, slot)``.
                 self.instructions[pc] = (
-                    opcode, (operator, left, right, location, label.pc),
-                    charge, line)
-            elif opcode in (op.BINOP_FF_BRANCH_LOGGED,
-                            op.BINOP_FC_BRANCH_LOGGED):
-                operator, left, right, location, label, slot = arg
-                self.instructions[pc] = (
-                    opcode, (operator, left, right, location, label.pc, slot),
-                    charge, line)
-            elif opcode in (op.BINOP_SC_BRANCH, op.BINOP_SC_BRANCH_BARE):
-                operator, const, location, label = arg
-                self.instructions[pc] = (
-                    opcode, (operator, const, location, label.pc),
-                    charge, line)
-            elif opcode == op.BINOP_SC_BRANCH_LOGGED:
-                operator, const, location, label, slot = arg
-                self.instructions[pc] = (
-                    opcode, (operator, const, location, label.pc, slot),
-                    charge, line)
-            elif opcode in (op.BINARY_BRANCH, op.BINARY_BRANCH_BARE):
-                operator, location, label = arg
-                self.instructions[pc] = (
-                    opcode, (operator, location, label.pc), charge, line)
-            elif opcode == op.BINARY_BRANCH_LOGGED:
-                operator, location, label, slot = arg
-                self.instructions[pc] = (
-                    opcode, (operator, location, label.pc, slot), charge, line)
+                    opcode, arg[:-2] + (arg[-2].pc, arg[-1]), charge, line)
 
     # -- pair fusion and unboxing --------------------------------------------------
 
@@ -504,11 +446,9 @@ class _FunctionEmitter:
                 return None
             targets = (arg[3],) if opcode == op.BINOP_FF_STORE else ()
             return ((arg[1], arg[2]), targets)
-        if opcode in (op.BINOP_FF_BRANCH, op.BINOP_FF_BRANCH_BARE,
-                      op.BINOP_FF_BRANCH_LOGGED):
+        if opcode == op.BINOP_FF_BRANCH:
             return ((arg[1], arg[2]), ())
-        if opcode in (op.BINOP_FC_BRANCH, op.BINOP_FC_BRANCH_BARE,
-                      op.BINOP_FC_BRANCH_LOGGED):
+        if opcode == op.BINOP_FC_BRANCH:
             if arg[2].symbolic is not None:
                 return None
             return ((arg[1],), ())
@@ -546,29 +486,25 @@ class _FunctionEmitter:
             branch_location_for(self.function_name, stmt)]
 
     def emit_branch(self, location, else_label: _Label) -> None:
-        """Emit the branch flavour the compilation mode calls for."""
+        """Emit a branch whose ``slot`` says whether the plan logs it.
+
+        The slot is the branch's bitvector slot when the plan instruments
+        the location and ``None`` otherwise, so plan-free code carries
+        ``None`` throughout.  This is the only decision the compilation
+        mode makes about a branch.
+        """
 
         plan = self.compiler.plan
-        if plan is None:
-            if self._fuse_cmp_branch(op.BINOP_FF_BRANCH,
-                                     (location, else_label)):
-                return
-            self.emit(op.BRANCH, (location, else_label))
-        elif plan.is_instrumented(location):
+        slot = None
+        if plan is not None and plan.is_instrumented(location):
             slot = len(self.compiler.logged_locations)
             self.compiler.logged_locations.append(location)
-            if self._fuse_cmp_branch(op.BINOP_FF_BRANCH_LOGGED,
-                                     (location, else_label, slot)):
-                return
-            self.emit(op.BRANCH_LOGGED, (location, else_label, slot))
-        else:
-            if self._fuse_cmp_branch(op.BINOP_FF_BRANCH_BARE,
-                                     (location, else_label)):
-                return
-            self.emit(op.BRANCH_BARE, (location, else_label))
+        branch_arg = (location, else_label, slot)
+        if not self._fuse_cmp_branch(branch_arg):
+            self.emit(op.BRANCH, branch_arg)
 
-    def _fuse_cmp_branch(self, fused_opcode: int, branch_arg: tuple) -> bool:
-        """Peephole: collapse ``BINOP_FF;BRANCH_*`` (the ``while (i < n)``
+    def _fuse_cmp_branch(self, branch_arg: tuple) -> bool:
+        """Peephole: collapse ``BINOP_FF;BRANCH`` (the ``while (i < n)``
         hot shape) into one compare-and-branch dispatch.
 
         Only comparison operators fuse: their concrete result *is* the branch
@@ -583,9 +519,9 @@ class _FunctionEmitter:
             return False
         opcode, arg, charge, line = instructions[-1]
         if opcode == op.BINOP_FC:
-            # The slot-vs-const flavour: unboxed into BINOP_IC_BRANCH* where
+            # The slot-vs-const shape: unboxed into BINOP_IC_BRANCH where
             # the lattice proves the slot int, and that form's deopt target.
-            fused_opcode = _FC_BRANCH_FORMS[fused_opcode]
+            fused_opcode = op.BINOP_FC_BRANCH
         elif opcode == op.BINARY:
             # Stack-condition comparisons: the result's truth value is the
             # branch decision.  A CONST feeding the right operand — the
@@ -601,15 +537,17 @@ class _FunctionEmitter:
                 _const_op, const, const_charge, _const_line = instructions[-1]
                 charge += const_charge + self.pending
                 self.pending = 0
-                instructions[-1] = (_SC_BRANCH_FORMS[fused_opcode],
+                instructions[-1] = (op.BINOP_SC_BRANCH,
                                     (arg, const) + branch_arg, charge, line)
                 return True
             charge += self.pending
             self.pending = 0
-            instructions[-1] = (_BINARY_BRANCH_FORMS[fused_opcode],
-                                (arg,) + branch_arg, charge, line)
+            instructions[-1] = (op.BINARY_BRANCH, (arg,) + branch_arg,
+                                charge, line)
             return True
-        elif opcode != op.BINOP_FF:
+        elif opcode == op.BINOP_FF:
+            fused_opcode = op.BINOP_FF_BRANCH
+        else:
             return False
         if arg[0] not in _COMPARISONS:
             return False

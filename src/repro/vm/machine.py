@@ -24,13 +24,13 @@ When the installed hooks are the branch-logging runtime
 (:class:`~repro.instrument.logger.BranchLogger`) or the replay-run policy
 (:class:`~repro.replay.hooks.ReplayRunHooks`) — recognised duck-typed via
 their ``vm_inline`` attribute — the machine additionally runs
-*plan-specialized* code (see :mod:`repro.vm.compiler`): instrumented branches
-execute ``BRANCH_LOGGED`` with the bitvector append (record) or
-append/compare cursor walk (replay) inlined into the dispatch loop, and all
-other branches execute the hook-free ``BRANCH_BARE``.  Only the rare slow
-paths (symbolic conditions, bitvector mismatches) call back into the hook
-object, whose bookkeeping the machine merges at the end of the run so the
-observable behaviour is bit-identical to the unspecialized engines.
+*plan-specialized* code (see :mod:`repro.vm.compiler`): a branch the plan
+instruments carries its bitvector slot as an operand, and the bitvector
+append (record) or cursor compare (replay) is inlined into the dispatch
+loop; every other branch carries no slot and dispatches no hook.  Only the
+rare slow paths (symbolic conditions, bitvector mismatches) call back into
+the hook object, whose bookkeeping the machine merges at the end of the run
+so the observable behaviour is bit-identical to the unspecialized engines.
 
 The third inline mode, *analyze*, serves the concolic analysis
 (:class:`~repro.concolic.hooks.ConcolicRunTrace`, ``vm_inline =
@@ -42,7 +42,9 @@ builds its :class:`BranchEvent` for the hooks, which add its constraint.
 run ends however it ends (a crash or the step cap included).
 
 The opcode arms of the dispatch loop run most frequent first (see the
-comment above them and :func:`mean_arm_position`).
+comment above them and :func:`mean_arm_position`).  The seven branch shapes
+compute only the branch's direction and share one tail after the arms, so
+what a branch does with its outcome in each kind of run is written once.
 
 Every run of one ``(program, plan)`` pair executes the one stream
 :func:`~repro.vm.compiler.compile_program` caches for it, profiled runs
@@ -289,10 +291,11 @@ class VirtualMachine:
                       else None)
         self.compiled = self.lookup_compiled()
         self._deopts = 0
-        # Inline state for the specialized branch opcodes.  ``_rec_append``
-        # doubles as the record/replay discriminator in the dispatch loop.
+        # Inline state for the logged branches.  ``_rec_append`` doubles as
+        # the record/replay discriminator in the dispatch loop, and both
+        # modes count each slot's executions (a plan-free stream has none).
         self._rec_append = None
-        self._slot_counts: List[int] = []
+        self._slot_counts = [0] * len(self.compiled.logged_locations)
         self._replay_bits: List[bool] = []
         self._replay_len = 0
         self._cursor_cell = [0]
@@ -301,7 +304,6 @@ class VirtualMachine:
             self._marks = [False] * len(self.program.branch_locations)
         elif self._spec == "record":
             self._rec_append = self.hooks.bitvector.bits.append
-            self._slot_counts = [0] * len(self.compiled.logged_locations)
         elif self._spec == "replay":
             bitvector = self.hooks.bitvector
             bits = getattr(bitvector, "bits", None)
@@ -406,13 +408,15 @@ class VirtualMachine:
     def _publish_opcode_counts(self) -> None:
         """Merge the profiled dispatch counts into the active registry.
 
-        ``vm.opcode.<NAME>`` counters are exact per-opcode execution counts;
-        the logged-vs-bare branch split falls out directly because
-        ``BRANCH_LOGGED`` / ``BRANCH_BARE`` (and their compare-and-branch
-        fusions) are distinct opcodes.  Flagged ``timing=True``: a deopt
-        earlier in the process may have rewritten an unboxed site of the
-        shared stream back to its generic form, so the split between the
-        two forms depends on what ran before, not on the run alone.
+        ``vm.opcode.<NAME>`` counters are exact per-opcode execution counts.
+        A deopt earlier in the process may have rewritten an unboxed site
+        of the shared stream back to its generic form, so the split between
+        the two forms depends on what ran before, not on the run alone.
+        Whether a branch is logged is its operand, not its opcode, so the
+        run adds the split: ``vm.branches.logged`` (the executions counted
+        per logged slot) and ``vm.branches.unlogged`` (every other branch
+        execution).  All of them are flagged ``timing=True``, so turning
+        the profiler on leaves the deterministic snapshot as it was.
         """
 
         from repro.telemetry import runtime as telemetry_runtime
@@ -422,6 +426,10 @@ class VirtualMachine:
         for opcode, count in self.opcode_counts.items():
             name = op.OPCODE_NAMES.get(opcode, str(opcode))
             counter(f"vm.opcode.{name}", timing=True).inc(count)
+        logged = sum(self._slot_counts)
+        counter("vm.branches.logged", timing=True).inc(logged)
+        counter("vm.branches.unlogged", timing=True).inc(
+            self.branch_counter - logged)
 
     def _publish_deopts(self) -> None:
         """Report the run's deoptimized sites as the ``vm.deopts`` counter.
@@ -675,14 +683,22 @@ class VirtualMachine:
         # Parked caller states: (instructions, end, pc, stack, push, pop,
         # frame_slots) per active guest call.
         call_stack: List[tuple] = []
-        # Exactly-NullHooks runs observe no branch events at all, so the
-        # unspecialized BRANCH can skip building them (counters still tick).
-        null_hooks = type(hooks) is NullHooks
-        # Analyze mode's per-location marks (None in every other run): a
-        # concrete branch of the plan-free stream sets its location's mark
-        # instead of building a BranchEvent; only symbolic ones reach the
-        # hooks.
+        # What an unlogged branch reports, chosen once per run (a logged
+        # one only exists in record and replay runs).  Analyze mode sets a
+        # concrete branch's mark in ``marks`` (None in every other run)
+        # instead of building a BranchEvent; any other plan-free run with
+        # hooks hands every branch to ``on_branch``; a replay run hands a
+        # symbolic one to the hooks' unlogged-symbolic callback.  Plain runs
+        # (exactly NullHooks) and record runs report nothing; the counters
+        # still tick.
         marks = self._marks
+        on_concrete = on_symbolic = None
+        if self._spec == "replay":
+            on_symbolic = hooks.vm_bare_symbolic
+        elif self._spec != "record" and type(hooks) is not NullHooks:
+            on_symbolic = hooks.on_branch
+            if marks is None:
+                on_concrete = on_symbolic
         # Plan-specialized inline state (None / empty when unspecialized).
         rec_append = self._rec_append
         slot_counts = self._slot_counts
@@ -719,12 +735,13 @@ class VirtualMachine:
             # the registry workloads (``repro.workloads.all_cases()``), with
             # analyze, record, replay and plain runs weighted equally;
             # tests/test_dispatch_order.py holds that profile's
-            # mean_arm_position to 12 in each mode.  The arms are disjoint,
+            # mean_arm_position to 10 in each mode.  The arms are disjoint,
             # so their order changes no behaviour.  A comment that
             # introduces a family of arms sits above the family's first arm
             # in this order.
             if opcode == op.CONST:
                 push(arg)
+                continue
             # The unboxed-int arms (BINOP_II family): operands come straight
             # out of slots the resolver's type lattice proved to be int-only;
             # arithmetic runs on raw Python ints and the *_STORE forms keep
@@ -766,8 +783,39 @@ class VirtualMachine:
                 pc -= 1
                 if charge:
                     step_cell[0] -= charge
+                continue
             elif opcode == op.JUMP:
                 pc = arg
+                continue
+            # The seven branch shapes compute only the branch's direction:
+            # each binds location, target, slot, taken and sym and falls
+            # through to the branch tail below the chain.
+            elif opcode == op.BINOP_IC_BRANCH:
+                (operator, left_slot, right,
+                 location, target, slot, generic) = arg
+                left = frame_slots[left_slot]
+                if type(left) is ConcolicValue and left.symbolic is None:
+                    left = left.concrete
+                if type(left) is not int:
+                    self._deopts += 1
+                    instructions[pc - 1] = generic
+                    pc -= 1
+                    if charge:
+                        step_cell[0] -= charge
+                    continue
+                if operator == "<":
+                    taken = left < right
+                elif operator == ">":
+                    taken = left > right
+                elif operator == "==":
+                    taken = left == right
+                elif operator == "!=":
+                    taken = left != right
+                elif operator == "<=":
+                    taken = left <= right
+                else:
+                    taken = left >= right
+                sym = None
             # The fixed pair fusions (the compiler's pair peephole, see
             # repro.vm.compiler.PAIR_CATALOG): each arm is the
             # two generic arms spliced together with the combined charge
@@ -851,6 +899,7 @@ class VirtualMachine:
                 push = stack.append
                 pop = stack.pop
                 pc = 0
+                continue
             elif opcode == op.STORE_INDEX_FF:
                 base_slot, index_slot = arg
                 base = frame_slots[base_slot]
@@ -864,78 +913,36 @@ class VirtualMachine:
                 value = pop()
                 block, position = resolve(base, index, line)
                 block.cells[position] = value
-            elif opcode == op.BINOP_IC_BRANCH:
-                operator, slot, right, location, target, generic = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    if null_hooks:
-                        self.branch_counter += 1
-                        if not taken:
-                            pc = target
-                        continue
-                    if marks is not None:
-                        marks[location.index] = True
-                        self.branch_counter += 1
-                        if not taken:
-                            pc = target
-                        continue
-                    event = BranchEvent(location=location, taken=taken,
-                                        symbolic=False, condition=None,
-                                        index=self.branch_counter)
-                    self.branch_counter += 1
-                    hooks.on_branch(event)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_II_BRANCH_BARE:
-                operator, left_slot, right_slot, location, target, generic = arg
+                continue
+            elif opcode == op.BINOP_II_BRANCH:
+                (operator, left_slot, right_slot,
+                 location, target, slot, generic) = arg
                 left = frame_slots[left_slot]
                 right = frame_slots[right_slot]
                 if type(left) is ConcolicValue and left.symbolic is None:
                     left = left.concrete
                 if type(right) is ConcolicValue and right.symbolic is None:
                     right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
+                if type(left) is not int or type(right) is not int:
+                    self._deopts += 1
+                    instructions[pc - 1] = generic
+                    pc -= 1
+                    if charge:
+                        step_cell[0] -= charge
                     continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
+                if operator == "<":
+                    taken = left < right
+                elif operator == ">":
+                    taken = left > right
+                elif operator == "==":
+                    taken = left == right
+                elif operator == "!=":
+                    taken = left != right
+                elif operator == "<=":
+                    taken = left <= right
+                else:
+                    taken = left >= right
+                sym = None
             elif opcode == op.LOAD_FAST_RET:
                 value = frame_slots[arg]
                 if type(value) is int:
@@ -947,6 +954,7 @@ class VirtualMachine:
                 (instructions, end, pc, stack, push, pop,
                  frame_slots) = call_stack.pop()
                 push(value)
+                continue
             elif opcode == op.BINARY_RET:
                 right = pop()
                 left = pop()
@@ -963,78 +971,7 @@ class VirtualMachine:
                 (instructions, end, pc, stack, push, pop,
                  frame_slots) = call_stack.pop()
                 push(value)
-            elif opcode == op.BINOP_IC_BRANCH_BARE:
-                operator, slot, right, location, target, generic = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_II_BRANCH:
-                operator, left_slot, right_slot, location, target, generic = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    if null_hooks:
-                        self.branch_counter += 1
-                        if not taken:
-                            pc = target
-                        continue
-                    if marks is not None:
-                        marks[location.index] = True
-                        self.branch_counter += 1
-                        if not taken:
-                            pc = target
-                        continue
-                    event = BranchEvent(location=location, taken=taken,
-                                        symbolic=False, condition=None,
-                                        index=self.branch_counter)
-                    self.branch_counter += 1
-                    hooks.on_branch(event)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
+                continue
             elif opcode == op.LOAD_FAST:
                 value = frame_slots[arg]
                 # Unboxed stores keep raw ints in int-typed slots; the
@@ -1044,6 +981,7 @@ class VirtualMachine:
                     value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
                         else ConcolicValue(value)
                 push(value)
+                continue
             elif opcode == op.LOAD_INDEX_FF:
                 base_slot, index_slot = arg
                 base = frame_slots[base_slot]
@@ -1056,8 +994,10 @@ class VirtualMachine:
                         else ConcolicValue(index)
                 block, position = resolve(base, index, line)
                 push(block.cells[position])
+                continue
             elif opcode == op.STORE_FAST:
                 frame_slots[arg] = pop()
+                continue
             elif opcode == op.BINARY:
                 right = pop()
                 left = pop()
@@ -1068,11 +1008,13 @@ class VirtualMachine:
                         raise DivisionByZeroError("division by zero", line)
                 else:
                     push(pointer_op(arg, left, right, line))
+                continue
             elif opcode == op.LOAD_INDEX:
                 index = pop()
                 base = pop()
                 block, position = resolve(base, index, line)
                 push(block.cells[position])
+                continue
             elif opcode == op.LOAD2_FAST:
                 left_slot, right_slot = arg
                 value = frame_slots[left_slot]
@@ -1085,6 +1027,75 @@ class VirtualMachine:
                     value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
                         else ConcolicValue(value)
                 push(value)
+                continue
+            # Stack-condition compare-and-branch (fused CONST;BINARY;BRANCH
+            # and BINARY;BRANCH): boxed stack operands, so there is no
+            # unboxed form and no deopt — symbolic or pointer operands take
+            # the exact slow path of the unfused sequence inline.
+            elif opcode == op.BINARY_BRANCH:
+                operator, location, target, slot = arg
+                right = pop()
+                left = pop()
+                if (type(left) is ConcolicValue and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if (type(left) is ConcolicValue
+                            and type(right) is ConcolicValue):
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+            elif opcode == op.BINOP_SC_BRANCH:
+                operator, right, location, target, slot = arg
+                left = pop()
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
             elif opcode == op.CALL_BUILTIN:
                 fn, argc, node = arg
                 if argc:
@@ -1093,6 +1104,7 @@ class VirtualMachine:
                 else:
                     args = []
                 push(fn(self, args, node))
+                continue
             elif opcode == op.BINOP_IC:
                 operator, slot, right, generic = arg
                 left = frame_slots[slot]
@@ -1129,72 +1141,7 @@ class VirtualMachine:
                 pc -= 1
                 if charge:
                     step_cell[0] -= charge
-            # Stack-condition compare-and-branch (fused CONST;BINARY;BRANCH_*
-            # and BINARY;BRANCH_*): boxed stack operands, so there is no
-            # unboxed form and no deopt — symbolic or pointer operands take
-            # the exact slow path of the unfused sequence inline.
-            elif opcode == op.BINARY_BRANCH:
-                operator, location, target = arg
-                right = pop()
-                left = pop()
-                if (type(left) is ConcolicValue and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    symbolic = False
-                    condition_source = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
-                    else:
-                        taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                if marks is not None and not symbolic:
-                    marks[location.index] = True
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
+                continue
             elif opcode == op.AND_JUMP:
                 left = pop()
                 if type(left) is not ConcolicValue:
@@ -1212,27 +1159,43 @@ class VirtualMachine:
                         guards.append(("short-circuit",
                                        as_condition(left.symbolic), 1))
                     push(left)
-            elif opcode == op.BINOP_SC_BRANCH:
-                operator, right, location, target = arg
-                left = pop()
+                continue
+            elif opcode == op.BRANCH:
+                location, target, slot = arg
+                value = pop()
+                if type(value) is ConcolicValue:
+                    taken = value.concrete != 0
+                    sym = value.symbolic
+                else:
+                    taken = as_int(value).concrete != 0
+                    sym = None
+            # The slot-vs-const shape (fused BINOP_FC;BRANCH): emitted
+            # where the lattice cannot prove the slot int, and the deopt
+            # target of BINOP_IC_BRANCH.  Same exactness contract as
+            # BINOP_FF_BRANCH.
+            elif opcode == op.BINOP_FC_BRANCH:
+                operator, left_slot, right, location, target, slot = arg
+                left = frame_slots[left_slot]
+                if type(left) is int:
+                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
+                        else ConcolicValue(left)
                 if (type(left) is ConcolicValue
                         and left.symbolic is None and right.symbolic is None):
                     a = left.concrete
                     b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
+                    if operator == "<":
                         taken = a < b
                     elif operator == ">":
                         taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
                     elif operator == "<=":
                         taken = a <= b
                     else:
                         taken = a >= b
-                    symbolic = False
-                    condition_source = None
+                    sym = None
                 else:
                     if type(left) is ConcolicValue:
                         value = int_op(operator, left, right)
@@ -1240,44 +1203,17 @@ class VirtualMachine:
                         value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
+                        sym = value.symbolic
                     else:
                         taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                if marks is not None and not symbolic:
-                    marks[location.index] = True
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
+                        sym = None
             elif opcode == op.AND_END:
                 right = pop()
                 left = pop()
                 if type(right) is not ConcolicValue:
                     right = as_int(right)
                 push(int_op("&&", left, right))
+                continue
             elif opcode == op.BINOP_II:
                 operator, left_slot, right_slot, generic = arg
                 left = frame_slots[left_slot]
@@ -1317,6 +1253,7 @@ class VirtualMachine:
                 pc -= 1
                 if charge:
                     step_cell[0] -= charge
+                continue
             elif opcode == op.LOAD_INDEX_FAST:
                 index = frame_slots[arg]
                 if type(index) is int:
@@ -1325,14 +1262,15 @@ class VirtualMachine:
                 base = pop()
                 block, position = resolve(base, index, line)
                 push(block.cells[position])
-            # The three compare-and-branch superinstructions (fused
-            # BINOP_FF;BRANCH_*): two fully concrete slots decide the branch
+                continue
+            # The compare-and-branch superinstruction (fused
+            # BINOP_FF;BRANCH): two fully concrete slots decide the branch
             # without materializing the truth value; symbolic or pointer
             # operands rebuild it through the shared helpers so the observed
             # behaviour (events, conditions, crashes) is identical to the
             # unfused pair by construction.
             elif opcode == op.BINOP_FF_BRANCH:
-                operator, left_slot, right_slot, location, target = arg
+                operator, left_slot, right_slot, location, target, slot = arg
                 left = frame_slots[left_slot]
                 right = frame_slots[right_slot]
                 if type(left) is int:
@@ -1358,8 +1296,7 @@ class VirtualMachine:
                         taken = a <= b
                     else:
                         taken = a >= b
-                    symbolic = False
-                    condition_source = None
+                    sym = None
                 else:
                     if (type(left) is ConcolicValue
                             and type(right) is ConcolicValue):
@@ -1368,46 +1305,19 @@ class VirtualMachine:
                         value = pointer_op(operator, left, right, line)
                     if type(value) is ConcolicValue:
                         taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
+                        sym = value.symbolic
                     else:
                         taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                if marks is not None and not symbolic:
-                    marks[location.index] = True
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
+                        sym = None
             elif opcode == op.NOP:
-                pass
+                continue
             elif opcode == op.LOAD_GLOBAL:
                 value = global_vars.get(arg, _MISSING)
                 if value is _MISSING:
                     raise RuntimeMiniCError(f"undefined variable '{arg}'",
                                             line)
                 push(value)
+                continue
             elif opcode == op.CALL:
                 callee, argc = arg
                 if len(frames) >= max_call_depth:
@@ -1444,327 +1354,10 @@ class VirtualMachine:
                 push = stack.append
                 pop = stack.pop
                 pc = 0
-            # The slot-vs-const flavour (fused BINOP_FC;BRANCH_*): emitted
-            # where the lattice cannot prove the slot int, and the deopt
-            # target of BINOP_IC_BRANCH*.  Same exactness contract as the
-            # FF arms above.
-            elif opcode == op.BINOP_FC_BRANCH:
-                operator, slot, right, location, target = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    symbolic = False
-                    condition_source = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        condition_source = value.symbolic
-                        symbolic = condition_source is not None
-                    else:
-                        taken = as_int(value).concrete != 0
-                        symbolic = False
-                        condition_source = None
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                if marks is not None and not symbolic:
-                    marks[location.index] = True
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(condition_source)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
-            elif opcode == op.BRANCH:
-                location, target = arg
-                value = pop()
-                if type(value) is ConcolicValue:
-                    taken = value.concrete != 0
-                    symbolic = value.symbolic is not None
-                else:
-                    taken = as_int(value).concrete != 0
-                    symbolic = False
-                if null_hooks:
-                    self.branch_counter += 1
-                    if symbolic:
-                        self.symbolic_branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                if marks is not None and not symbolic:
-                    marks[location.index] = True
-                    self.branch_counter += 1
-                    if not taken:
-                        pc = target
-                    continue
-                condition = None
-                if symbolic:
-                    expr = as_condition(value.symbolic)
-                    condition = expr if taken else expr.negated()
-                event = BranchEvent(location=location, taken=taken,
-                                    symbolic=symbolic, condition=condition,
-                                    index=self.branch_counter)
-                self.branch_counter += 1
-                if symbolic:
-                    self.symbolic_branch_counter += 1
-                hooks.on_branch(event)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_SC_BRANCH_LOGGED:
-                operator, right, location, target, slot_idx = arg
-                left = pop()
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_SC_BRANCH_BARE:
-                operator, right, location, target = arg
-                left = pop()
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
-            elif opcode == op.BRANCH_LOGGED:
-                # Plan-specialized instrumented branch: the bitvector append
-                # (record) / cursor compare (replay) is inlined; only symbolic
-                # conditions and deviations reach the hook object.
-                location, target, slot = arg
-                value = pop()
-                if type(value) is ConcolicValue:
-                    taken = value.concrete != 0
-                    sym = value.symbolic
-                else:
-                    taken = as_int(value).concrete != 0
-                    sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_II_BRANCH_LOGGED:
-                (operator, left_slot, right_slot,
-                 location, target, slot, generic) = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-            elif opcode == op.BINOP_IC_BRANCH_LOGGED:
-                (operator, slot, right,
-                 location, target, slot_idx, generic) = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "<":
-                        taken = left < right
-                    elif operator == ">":
-                        taken = left > right
-                    elif operator == "==":
-                        taken = left == right
-                    elif operator == "!=":
-                        taken = left != right
-                    elif operator == "<=":
-                        taken = left <= right
-                    else:
-                        taken = left >= right
-                    self.branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                    if not taken:
-                        pc = target
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
+                continue
             elif opcode == op.POP:
                 pop()
+                continue
             elif opcode == op.NEW_ARRAY:
                 label, has_size = arg
                 size = 1
@@ -1778,156 +1371,7 @@ class VirtualMachine:
                     size = max(1, size_value.concrete)
                 push(Pointer(ArrayObject(size, label=label,
                                          array_id=next(self.array_ids)), 0))
-            elif opcode == op.BINARY_BRANCH_BARE:
-                operator, location, target = arg
-                right = pop()
-                left = pop()
-                if (type(left) is ConcolicValue and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
-            elif opcode == op.BINARY_BRANCH_LOGGED:
-                operator, location, target, slot_idx = arg
-                right = pop()
-                left = pop()
-                if (type(left) is ConcolicValue and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_FC_BRANCH_BARE:
-                operator, slot, right, location, target = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
+                continue
             elif opcode == op.CONST_RET:
                 if not call_stack:
                     return arg
@@ -1935,8 +1379,10 @@ class VirtualMachine:
                 (instructions, end, pc, stack, push, pop,
                  frame_slots) = call_stack.pop()
                 push(arg)
+                continue
             elif opcode == op.STORE_GLOBAL:
                 global_vars[arg] = pop()
+                continue
             elif opcode == op.STRING:
                 cache_key, text = arg
                 cached = self._string_cache.get(cache_key)
@@ -1945,6 +1391,7 @@ class VirtualMachine:
                         text, label="literal", array_id=next(self.array_ids))
                     self._string_cache[cache_key] = cached
                 push(Pointer(cached, 0))
+                continue
             elif opcode == op.STORE_INDEX_FAST:
                 index = frame_slots[arg]
                 if type(index) is int:
@@ -1954,29 +1401,7 @@ class VirtualMachine:
                 value = pop()
                 block, position = resolve(base, index, line)
                 block.cells[position] = value
-            elif opcode == op.BRANCH_BARE:
-                # Plan-specialized uninstrumented branch: zero hook dispatch
-                # unless the condition is symbolic (replay case 1).
-                location, target = arg
-                value = pop()
-                if type(value) is ConcolicValue:
-                    taken = value.concrete != 0
-                    sym = value.symbolic
-                else:
-                    taken = as_int(value).concrete != 0
-                    sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
+                continue
             # The four slot superinstructions inline the fully concrete
             # arithmetic of the hot operators (comparison results and small
             # sums reuse interned values; binary_int_op would build the same
@@ -2033,12 +1458,14 @@ class VirtualMachine:
                         raise DivisionByZeroError("division by zero", line)
                 else:
                     push(pointer_op(operator, left, right, line))
+                continue
             elif opcode == op.STORE_INDEX:
                 index = pop()
                 base = pop()
                 value = pop()
                 block, position = resolve(base, index, line)
                 block.cells[position] = value
+                continue
             elif opcode == op.OR_JUMP:
                 left = pop()
                 if type(left) is not ConcolicValue:
@@ -2056,72 +1483,14 @@ class VirtualMachine:
                         guards.append(("short-circuit",
                                        as_condition(left.symbolic), 0))
                     push(left)
+                continue
             elif opcode == op.OR_END:
                 right = pop()
                 left = pop()
                 if type(right) is not ConcolicValue:
                     right = as_int(right)
                 push(int_op("||", left, right))
-            elif opcode == op.BINOP_FC_BRANCH_LOGGED:
-                operator, slot, right, location, target, slot_idx = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot_idx] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
+                continue
             elif opcode == op.RET:
                 value = pop()
                 if not call_stack:
@@ -2130,6 +1499,7 @@ class VirtualMachine:
                 (instructions, end, pc, stack, push, pop,
                  frame_slots) = call_stack.pop()
                 push(value)
+                continue
             elif opcode == op.UNARY:
                 value = pop()
                 if type(value) is Pointer:
@@ -2143,6 +1513,7 @@ class VirtualMachine:
                         push(unary_int_op(arg, value))
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
+                continue
             elif opcode == op.BINOP_FF:
                 operator, left_slot, right_slot = arg
                 left = frame_slots[left_slot]
@@ -2198,6 +1569,7 @@ class VirtualMachine:
                         raise DivisionByZeroError("division by zero", line)
                 else:
                     push(pointer_op(operator, left, right, line))
+                continue
             elif opcode == op.BINOP_II_STORE:
                 operator, left_slot, right_slot, target_slot, generic = arg
                 left = frame_slots[left_slot]
@@ -2231,124 +1603,7 @@ class VirtualMachine:
                 pc -= 1
                 if charge:
                     step_cell[0] -= charge
-            elif opcode == op.BINOP_FF_BRANCH_LOGGED:
-                operator, left_slot, right_slot, location, target, slot = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
-                if (type(left) is ConcolicValue
-                        and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is None:
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        cursor = cursor_cell[0]
-                        if cursor >= replay_len:
-                            hooks.vm_log_exhausted(location)  # raises AbortRun
-                        cursor_cell[0] = cursor + 1
-                        if replay_bits[cursor] != taken:
-                            hooks.vm_concrete_mismatch(location, cursor)
-                else:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is not None:
-                        rec_append(taken)
-                        slot_counts[slot] += 1
-                    else:
-                        # May abort the run, or repair it onto the next
-                        # input and follow the recorded direction instead.
-                        taken = hooks.vm_logged_symbolic(
-                            location, taken, as_condition(sym), index,
-                            stack, call_stack)
-                if not taken:
-                    pc = target
-            elif opcode == op.BINOP_FF_BRANCH_BARE:
-                operator, left_slot, right_slot, location, target = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
-                if (type(left) is ConcolicValue
-                        and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-                index = self.branch_counter
-                self.branch_counter = index + 1
-                if sym is not None:
-                    self.symbolic_branch_counter += 1
-                    if rec_append is None:
-                        expr = as_condition(sym)
-                        hooks.vm_bare_symbolic(BranchEvent(
-                            location=location, taken=taken, symbolic=True,
-                            condition=expr if taken else expr.negated(),
-                            index=index))
-                if not taken:
-                    pc = target
+                continue
             elif opcode == op.BINOP_FC_STORE:
                 operator, slot, right, target_slot = arg
                 left = frame_slots[slot]
@@ -2404,6 +1659,7 @@ class VirtualMachine:
                 else:
                     frame_slots[target_slot] = pointer_op(
                         operator, left, right, line)
+                continue
             elif opcode == op.BINOP_FF_STORE:
                 operator, left_slot, right_slot, target_slot = arg
                 left = frame_slots[left_slot]
@@ -2464,8 +1720,10 @@ class VirtualMachine:
                 else:
                     frame_slots[target_slot] = pointer_op(
                         operator, left, right, line)
+                continue
             elif opcode == op.DUP:
                 push(stack[-1])
+                continue
             elif opcode == op.TERN_FALSE:
                 value = pop()
                 if type(value) is not ConcolicValue:
@@ -2476,6 +1734,7 @@ class VirtualMachine:
                                    0 if value.concrete == 0 else 1))
                 if value.concrete == 0:
                     pc = arg
+                continue
             elif opcode == op.LOAD_DEREF:
                 pointer = pop()
                 if not isinstance(pointer, Pointer):
@@ -2485,6 +1744,7 @@ class VirtualMachine:
                     raise ProgramCrash("pointer read out of bounds", line,
                                        self.current_function_name())
                 push(pointer.block.cells[pointer.offset])
+                continue
             elif opcode == op.STORE_DEREF:
                 pointer = pop()
                 value = pop()
@@ -2495,6 +1755,7 @@ class VirtualMachine:
                     raise ProgramCrash("pointer store out of bounds", line,
                                        self.current_function_name())
                 pointer.block.cells[pointer.offset] = value
+                continue
             elif opcode == op.ADDR_FAST:
                 slot, name = arg
                 value = frame_slots[slot]
@@ -2515,6 +1776,7 @@ class VirtualMachine:
                     boxed = Pointer(box, 0)
                     frame_slots[slot] = boxed
                     push(boxed)
+                continue
             elif opcode == op.ADDR_GLOBAL:
                 value = global_vars.get(arg, _MISSING)
                 if value is _MISSING:
@@ -2529,11 +1791,13 @@ class VirtualMachine:
                     boxed = Pointer(box, 0)
                     global_vars[arg] = boxed
                     push(boxed)
+                continue
             elif opcode == op.ADDR_INDEX:
                 index = pop()
                 base = pop()
                 block, position = resolve(base, index, line)
                 push(Pointer(block, position))
+                continue
             elif opcode == op.ADDR_INVALID:
                 raise RuntimeMiniCError(
                     "cannot take the address of this expression", line)
@@ -2544,6 +1808,53 @@ class VirtualMachine:
                 raise RuntimeMiniCError("invalid assignment target", line)
             else:  # pragma: no cover - the compiler emits no other opcodes
                 raise RuntimeMiniCError(f"unknown opcode {opcode}", line)
+            # The branch tail.  Every arm above ends in ``continue``,
+            # ``return`` or ``raise`` except the seven branch shapes, which
+            # bind ``location``, ``target``, ``slot``, ``taken`` and ``sym``
+            # (the condition's symbolic part, or None) and fall through to
+            # here, so what a branch does with its outcome is written once.
+            index = self.branch_counter
+            self.branch_counter = index + 1
+            if slot is not None:
+                # A logged branch: the bitvector append (record) or the
+                # cursor walk (replay) is inlined; only symbolic conditions
+                # and deviations reach the hook object.
+                slot_counts[slot] += 1
+                if rec_append is not None:
+                    if sym is not None:
+                        self.symbolic_branch_counter += 1
+                    rec_append(taken)
+                elif sym is None:
+                    cursor = cursor_cell[0]
+                    if cursor >= replay_len:
+                        hooks.vm_log_exhausted(location)  # raises AbortRun
+                    cursor_cell[0] = cursor + 1
+                    if replay_bits[cursor] != taken:
+                        hooks.vm_concrete_mismatch(location, cursor)
+                else:
+                    self.symbolic_branch_counter += 1
+                    # May abort the run, or repair it onto the next input
+                    # and follow the recorded direction instead.
+                    taken = hooks.vm_logged_symbolic(
+                        location, taken, as_condition(sym), index, stack,
+                        call_stack)
+            elif sym is None:
+                if marks is not None:
+                    marks[location.index] = True
+                elif on_concrete is not None:
+                    on_concrete(BranchEvent(location=location, taken=taken,
+                                            symbolic=False, condition=None,
+                                            index=index))
+            else:
+                self.symbolic_branch_counter += 1
+                if on_symbolic is not None:
+                    expr = as_condition(sym)
+                    on_symbolic(BranchEvent(
+                        location=location, taken=taken, symbolic=True,
+                        condition=expr if taken else expr.negated(),
+                        index=index))
+            if not taken:
+                pc = target
         # Only reachable if a code object lacks the CONST;RET terminator the
         # compiler always emits.
         if call_stack:  # pragma: no cover

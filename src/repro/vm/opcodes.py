@@ -6,8 +6,8 @@ The instruction stream is a flat list of 4-tuples::
 
 * ``opcode`` — one of the integer constants below;
 * ``arg`` — the operand (a slot index, a global's name, a prebuilt
-  :class:`ConcolicValue`, a jump target, a ``(location, target)`` pair for
-  branches, ...), or ``None``;
+  :class:`ConcolicValue`, a jump target, a ``(location, target, slot)``
+  triple for branches, ...), or ``None``;
 * ``charge`` — how many tree-walker *steps* this instruction accounts for.
   The compiler distributes AST-node visit counts over the instruction stream
   (pre-order, so ancestors are charged before their first descendant executes)
@@ -59,13 +59,13 @@ OR_END = 24        # combine the two operands of a fully evaluated ||
 TERN_FALSE = 25    # arg: target — ternary selector (no branch event)
 
 # Control flow with events ----------------------------------------------------
-BRANCH = 26        # arg: (BranchLocation, else_target) — pop cond, emit event
-# Plan-specialized variants (only emitted when compiling for a specific
-# InstrumentationPlan — see repro.vm.compiler.compile_program):
-BRANCH_BARE = 38   # arg: (BranchLocation, else_target) — uninstrumented: no
-                   # hook dispatch unless the condition is symbolic
-BRANCH_LOGGED = 39  # arg: (BranchLocation, else_target, slot) — instrumented:
-                    # inline bitvector append (record) / compare (replay)
+# Every branch opcode carries ``slot`` right after its ``(location, target)``
+# pair: the branch's bitvector slot when the plan the stream was compiled for
+# logs it, ``None`` otherwise (always ``None`` in a plan-free stream).  A
+# logged branch appends its bit inline (record) or walks the replay cursor
+# (replay); what an unlogged one does depends on the run, not on the stream
+# (see repro.vm.machine).
+BRANCH = 26        # arg: (BranchLocation, else_target, slot) — pop cond
 
 # Calls -----------------------------------------------------------------------
 CALL = 27          # arg: (CodeObject, argc) — call a user-defined function
@@ -91,14 +91,12 @@ BINOP_FC_STORE = 48  # arg: (op, slot, const, target_slot) — ...;STORE_FAST
 BINOP_FF_STORE = 49  # arg: (op, slot1, slot2, target_slot) — ...;STORE_FAST
 
 # Compare-and-branch superinstructions -----------------------------------------
-# Fused ``BINOP_FF;BRANCH_*`` for the ``while (i < n)`` hot shape: compare two
+# Fused ``BINOP_FF;BRANCH`` for the ``while (i < n)`` hot shape: compare two
 # slots and branch in one dispatch.  Only comparison operators fuse (their
 # fully concrete result is the branch decision directly — no intermediate
 # ConcolicValue is built); symbolic or pointer operands fall back to the exact
 # slow path of the unfused pair.
-BINOP_FF_BRANCH = 50         # arg: (op, slot1, slot2, location, else_target)
-BINOP_FF_BRANCH_BARE = 51    # arg: (op, slot1, slot2, location, else_target)
-BINOP_FF_BRANCH_LOGGED = 52  # arg: (op, slot1, slot2, location, else_target, slot)
+BINOP_FF_BRANCH = 50   # arg: (op, slot1, slot2, location, else_target, slot)
 
 # Unboxed integer slots --------------------------------------------------------
 # Emitted when the resolver's int-slot lattice proves every operand slot only
@@ -113,33 +111,22 @@ BINOP_II = 53          # arg: (op, slot1, slot2, generic)
 BINOP_IC = 54          # arg: (op, slot, raw_const, generic)
 BINOP_II_STORE = 55    # arg: (op, slot1, slot2, target_slot, generic)
 BINOP_IC_STORE = 56    # arg: (op, slot, raw_const, target_slot, generic)
-BINOP_II_BRANCH = 57         # arg: (op, s1, s2, location, target, generic)
-BINOP_II_BRANCH_BARE = 58    # arg: (op, s1, s2, location, target, generic)
-BINOP_II_BRANCH_LOGGED = 59  # arg: (op, s1, s2, location, target, slot, generic)
+BINOP_II_BRANCH = 57   # arg: (op, s1, s2, location, target, slot, generic)
 
 # Slot-vs-const compare-and-branch (the ``while (i < 100)`` / ``if (c == 0)``
-# hot shape).  The generic BINOP_FC_BRANCH* forms are unboxed into
-# BINOP_IC_BRANCH* where the lattice proves the slot int, and serve as those
-# forms' deopt targets.
-BINOP_FC_BRANCH = 68         # arg: (op, slot, const, location, target)
-BINOP_FC_BRANCH_BARE = 69    # arg: (op, slot, const, location, target)
-BINOP_FC_BRANCH_LOGGED = 70  # arg: (op, slot, const, location, target, slot)
-BINOP_IC_BRANCH = 71         # arg: (op, slot, raw_const, location, target, generic)
-BINOP_IC_BRANCH_BARE = 72    # arg: (op, slot, raw_const, location, target, generic)
-BINOP_IC_BRANCH_LOGGED = 73  # arg: (op, slot, raw_const, location, target,
-                             #       slot, generic)
+# hot shape).  The generic BINOP_FC_BRANCH is unboxed into BINOP_IC_BRANCH
+# where the lattice proves the slot int, and serves as its deopt target.
+BINOP_FC_BRANCH = 68   # arg: (op, var_slot, const, location, target, slot)
+BINOP_IC_BRANCH = 71   # arg: (op, var_slot, raw_const, location, target,
+                       #       slot, generic)
 
-# Stack-condition compare-and-branch.  SC fuses ``CONST;BINARY;BRANCH_*`` —
+# Stack-condition compare-and-branch.  SC fuses ``CONST;BINARY;BRANCH`` —
 # the ``ch == 'X'`` parser shape, one dispatch instead of three;
-# BINARY_BRANCH fuses ``BINARY;BRANCH_*`` for comparisons of two stack
+# BINARY_BRANCH fuses ``BINARY;BRANCH`` for comparisons of two stack
 # operands.  Both operate on boxed stack values, so there is no unboxed
 # variant and no deopt path.
-BINOP_SC_BRANCH = 74         # arg: (op, const, location, target)
-BINOP_SC_BRANCH_BARE = 75    # arg: (op, const, location, target)
-BINOP_SC_BRANCH_LOGGED = 76  # arg: (op, const, location, target, slot)
-BINARY_BRANCH = 77           # arg: (op, location, target)
-BINARY_BRANCH_BARE = 78      # arg: (op, location, target)
-BINARY_BRANCH_LOGGED = 79    # arg: (op, location, target, slot)
+BINOP_SC_BRANCH = 74   # arg: (op, const, location, target, slot)
+BINARY_BRANCH = 77     # arg: (op, location, target, slot)
 
 # Second-round fusions: the first member is itself a fusion product (the
 # pair peephole runs twice), collapsing an all-slot array access into one
@@ -162,3 +149,9 @@ OPCODE_NAMES = {
     for name, value in sorted(globals().items())
     if isinstance(value, int) and name.isupper() and not name.startswith("_")
 }
+
+#: The branch shapes: each carries ``(..., location, target, slot)`` as the
+#: tail of its arg (the unboxed forms add their ``generic`` origin after it).
+BRANCH_OPCODES = frozenset((BRANCH, BINOP_FF_BRANCH, BINOP_FC_BRANCH,
+                            BINOP_SC_BRANCH, BINARY_BRANCH, BINOP_II_BRANCH,
+                            BINOP_IC_BRANCH))

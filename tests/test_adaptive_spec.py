@@ -294,13 +294,15 @@ class TestSynth:
         assert op.STORE_INDEX_FF in stream
 
     def test_render_dispatch_table(self):
-        counts = {"CONST": 85, "BRANCH_LOGGED": 10, "BRANCH_BARE": 5}
-        table = render_dispatch_table(counts, top=2)
+        counts = {"CONST": 85, "BRANCH": 10, "BINOP_FF_BRANCH": 5}
+        table = render_dispatch_table(
+            counts, top=2, branches={"logged": 10, "unlogged": 5})
         lines = table.splitlines()
         assert lines[1].startswith("CONST")
+        assert lines[2].startswith("BRANCH") and lines[2].endswith("branch")
         assert "logged branches: 10" in lines[-1]
-        assert "bare branches: 5" in lines[-1]
+        assert "unlogged branches: 5" in lines[-1]
         assert "shown: 2/3 opcodes" in lines[-1]
-        # CONST is arm 1, BRANCH_LOGGED arm 34 and BRANCH_BARE arm 46.
-        assert lines[-1].endswith("mean arms tested per dispatch: 6.55")
+        # CONST is arm 1, BRANCH arm 21 and BINOP_FF_BRANCH arm 26.
+        assert lines[-1].endswith("mean arms tested per dispatch: 4.25")
         assert render_dispatch_table({}) == "(no vm.opcode.* records)"

@@ -6,12 +6,18 @@ profiled in each of the VM's four kinds of run: analyze (concolic
 iterations), record and replay (under the dynamic+static plan) and plain
 (``NullHooks``).  Dispatch counts are timing metrics (a deopt moves a site's
 counts from its unboxed form to the generic one), hence the margin between
-the bound below and the order's own figures (8.4, 9.6, 7.5 and 8.7 when it
-was derived; the order before it read 22.2, 20.8, 19.7 and 22.6).
+the bound below and the order's own figures (7.41, 7.44, 6.40 and 7.74 when
+it was derived, with one arm per branch shape; 8.4, 9.6, 7.5 and 8.7 while
+each shape had three flavoured arms; 22.2, 20.8, 19.7 and 22.6 before the
+chain was ordered at all).
+
+The seven branch shapes are the only arms that fall through: they compute
+the branch's direction and share the one branch tail after the chain.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 
 import pytest
@@ -25,7 +31,8 @@ from repro.replay import engine as replay_engine
 from repro.replay.budget import ReplayBudget
 from repro.telemetry import MetricsRegistry, scoped
 from repro.vm import opcodes as op
-from repro.vm.machine import dispatch_arm_order, mean_arm_position
+from repro.vm.machine import (_dispatch_loop, dispatch_arm_order,
+                               mean_arm_position)
 from repro.workloads import all_cases, library_functions_for
 
 MODES = ("analyze", "record", "replay", "plain")
@@ -87,7 +94,34 @@ def test_the_chain_tests_every_opcode_once():
 def test_hot_opcodes_sit_at_the_top_of_the_chain(registry_profile, mode):
     profile = registry_profile[mode]
     assert sum(profile.values()) > 0
-    assert mean_arm_position(profile) <= 12
+    assert mean_arm_position(profile) <= 10
+
+
+def _arm_bodies():
+    """``(opcode name, body statements)`` of each arm, in chain order."""
+
+    _tree, _fn, loop, _line = _dispatch_loop()
+    arm = next(stmt for stmt in loop.body
+               if isinstance(stmt, ast.If)
+               and isinstance(stmt.test, ast.Compare)
+               and isinstance(stmt.test.left, ast.Name)
+               and stmt.test.left.id == "opcode")
+    arms = []
+    while arm is not None:
+        arms.append((arm.test.comparators[0].attr, arm.body))
+        orelse = arm.orelse
+        arm = orelse[0] if len(orelse) == 1 and isinstance(orelse[0], ast.If) \
+            else None
+    return arms
+
+
+def test_only_the_branch_shapes_fall_through_to_the_branch_tail():
+    branch_shapes = {op.OPCODE_NAMES[opcode] for opcode in op.BRANCH_OPCODES}
+    assert len(branch_shapes) == 7
+    falling_through = {
+        name for name, body in _arm_bodies()
+        if not isinstance(body[-1], (ast.Continue, ast.Return, ast.Raise))}
+    assert falling_through == branch_shapes
 
 
 def test_mean_arm_position_weighs_arms_by_dispatches():

@@ -333,3 +333,77 @@ class TestInboxStateProperties:
                 outcomes["served"] += 1
         assert not escapes, escapes[:3]
         assert outcomes["served"] and outcomes["typed"], outcomes
+
+
+# ---------------------------------------------------------------------------
+# The service's plan ledger read back from disk
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def replanned_root(tmp_path_factory):
+    """A service root whose plan ledger holds mkdir-bug's base plan and
+    one replanned version of it."""
+
+    from repro.instrument.methods import InstrumentationMethod
+    from repro.planner import LEDGER_FILE
+    from repro.service import ReproService, workload_pipeline
+    from repro.trace import trace_from_recording
+
+    pipeline, environment = workload_pipeline("mkdir-bug")
+    plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
+                              environment=environment)
+    root = str(tmp_path_factory.mktemp("replanned") / "inbox")
+    service = ReproService(root)
+    service.ingest_bytes(dump_trace_bytes(trace_from_recording(
+        pipeline.record(plan, environment), scaffold=True,
+        program_name="mkdir-bug")))
+    service.process()
+    assert service.replan()
+    with open(os.path.join(root, LEDGER_FILE)) as handle:
+        ledger = json.load(handle)
+    assert [entry["parent"] for entry in ledger["programs"]["mkdir-bug"]] \
+        == [None, 1]
+    return root, ledger
+
+
+class TestPlanLedgerProperties:
+    """``plan_ledger.json`` is read back by every service that routes or
+    replans: a mutated value of the wrong JSON type, or a deleted key,
+    must load to a ledger that works or raise ``PlanLedgerError`` — never
+    leak a ``KeyError``, ``TypeError`` or ``AttributeError`` from a later
+    read."""
+
+    MUTATIONS = 400
+
+    def test_mutated_ledger_is_rejected_or_served(self, replanned_root):
+        from repro.planner import LEDGER_FILE, PlanLedger, PlanLedgerError
+        from repro.service import ReproService
+
+        root, ledger = replanned_root
+        path = os.path.join(root, LEDGER_FILE)
+        rng = random.Random(2029)
+        outcomes = {"served": 0, "typed": 0}
+        escapes = []
+        for _index in range(self.MUTATIONS):
+            mutated = _mutate_json(ledger, rng)
+            with open(path, "w") as handle:
+                json.dump(mutated, handle)
+            try:
+                loaded = PlanLedger.load(root)
+                loaded.describe()
+                for program in loaded.programs:
+                    latest = loaded.latest(program)
+                    if latest is not None:
+                        latest.plan()
+                        assert loaded.by_fingerprint(
+                            program, latest.fingerprint) is not None
+                ReproService(root).replan()
+            except PlanLedgerError:
+                outcomes["typed"] += 1
+            except Exception as exc:  # noqa: BLE001 - what the test hunts
+                escapes.append((mutated, repr(exc)))
+            else:
+                outcomes["served"] += 1
+        assert not escapes, escapes[:3]
+        assert outcomes["served"] and outcomes["typed"], outcomes

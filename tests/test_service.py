@@ -646,6 +646,26 @@ class TestInboxLog:
         assert self._state(ReproService(root, config=service_config())) \
             == self._state(reborn)
 
+    @pytest.mark.parametrize("compact_floor", [None, 0])
+    def test_a_second_writer_is_a_typed_error(self, tmp_path, monkeypatch,
+                                              compact_floor):
+        # Two inboxes on one root each append after their own idea of the
+        # log's end, so one's record would overwrite the other's; at a
+        # floor of 0 every append compacts, rewriting the snapshot and
+        # emptying the log under the other inbox instead.
+        if compact_floor is not None:
+            monkeypatch.setattr(inbox_module, "_COMPACT_FLOOR", compact_floor)
+        root = str(tmp_path / "inbox")
+        first = ReproService(root, config=service_config())
+        second = ReproService(root, config=service_config())
+        first.inbox.reject("net:a", TraceTooLargeError("too big"))
+        with pytest.raises(TraceError, match="another writer"):
+            second.inbox.reject("net:b", TraceTooLargeError("too big"))
+        assert second.inbox.rejected == {}
+        first.inbox.reject("net:c", TraceTooLargeError("too big"))
+        reloaded = ReproService(root, config=service_config())
+        assert list(reloaded.inbox.rejected) == ["net:a", "net:c"]
+
     @pytest.mark.parametrize("damage", ["unreadable", "renumbered",
                                         "wrong-type", "unknown-cluster"])
     def test_damaged_record_is_a_typed_error(self, tmp_path, mkdir_bytes,

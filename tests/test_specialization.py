@@ -1,9 +1,10 @@
 """Differential parity for plan-specialized bytecode.
 
 The VM may compile a different instruction stream per
-:class:`InstrumentationPlan` (``BRANCH_LOGGED`` / ``BRANCH_BARE``) and run its
-bitvector bookkeeping inline — but none of that is allowed to be
-*observable*: for every workload and for empty / partial / full plans, the
+:class:`InstrumentationPlan` (each branch's ``slot`` operand says whether
+the plan logs it) and run its bitvector bookkeeping inline — but none of
+that is allowed to be *observable*: for every workload and for empty /
+partial / full plans, the
 recorded bitvectors, syscall logs, per-location statistics, crash sites and
 the entire explored replay search tree must match the unspecialized
 tree-walking interpreter bit for bit.
@@ -251,25 +252,40 @@ def test_specialized_opcodes_follow_the_plan():
                              "partial", locations[:1], locations)
     # Branches count whether they compiled standalone or fused into a
     # compare-and-branch superinstruction (`i < 10` and the `i > argc` slot
-    # comparison, unboxed where the slots are proven int): the opcode's
-    # suffix names its flavour.
+    # comparison, unboxed where the slots are proven int): the `slot`
+    # operand names its flavour.
     assert _branch_flavours(compile_program(program, partial)) == {
         "logged": 1, "bare": len(locations) - 1}
     assert _branch_flavours(compile_program(program)) == {
         "hooked": len(locations)}
 
 
+def _branch_slot(opcode: int, arg: tuple):
+    """The ``slot`` operand of a branch instruction (unboxed forms carry
+    their generic origin after it)."""
+
+    return arg[-2] if opcode in (op.BINOP_II_BRANCH, op.BINOP_IC_BRANCH) \
+        else arg[-1]
+
+
 def _branch_flavours(compiled) -> dict:
-    """``{flavour: count}`` of the branch opcodes in *compiled*."""
+    """``{flavour: count}`` of the branch instructions in *compiled*.
+
+    ``logged`` carries a slot, ``bare`` is a slotless branch of
+    plan-specialized code and ``hooked`` one of plan-free code.
+    """
 
     flavours: dict = {}
     for code in compiled.functions.values():
-        for instr in code.instructions:
-            name = op.OPCODE_NAMES[instr[0]]
-            if "BRANCH" not in name:
+        for opcode, arg, _charge, _line in code.instructions:
+            if opcode not in op.BRANCH_OPCODES:
                 continue
-            flavour = ("logged" if name.endswith("_LOGGED")
-                       else "bare" if name.endswith("_BARE") else "hooked")
+            if _branch_slot(opcode, arg) is not None:
+                flavour = "logged"
+            elif compiled.plan_fingerprint is not None:
+                flavour = "bare"
+            else:
+                flavour = "hooked"
             flavours[flavour] = flavours.get(flavour, 0) + 1
     return flavours
 
@@ -327,11 +343,15 @@ def test_compare_and_branch_superinstruction_parity():
     fused = _opcode_stream(compile_program(program))
     assert fused.count(op.BINOP_II_BRANCH) == 1
     assert fused.count(op.BINOP_FF_BRANCH) == 1
-    # ... and plan-specialized code fuses into the logged/bare variants.
+    # ... and plan-specialized code fuses the same way, logging the branch
+    # through its slot operand.
     plan = build_plan(InstrumentationMethod.ALL_BRANCHES,
                       program.branch_locations)
-    specialized = _opcode_stream(compile_program(program, plan))
-    assert op.BINOP_FF_BRANCH_LOGGED in specialized
+    specialized = [instr for code in compile_program(program, plan)
+                   .functions.values() for instr in code.instructions]
+    assert any(opcode == op.BINOP_FF_BRANCH
+               and _branch_slot(opcode, arg) is not None
+               for opcode, arg, _charge, _line in specialized)
 
     # Record-mode differential against the interpreter.
     environment = simple_environment(["cmp", "axbx"], name="cmp-branch")
