@@ -13,10 +13,9 @@ bitvector append/compare; a branch without the mark dispatches no hook)::
     PYTHONPATH=src python scripts/disasm_tool.py --workload userver-exp1 \
         --summary
 
-``--method none`` (the default compiles unspecialized code) selects the
-plan; the listing is the one stream every run of that plan executes, with
-its unboxed ``BINOP_I*`` forms and fused pairs, as a fresh compile emits it
-(a deopt rewrites a cached stream in place at run time).  ``--summary``
+``--method`` selects the plan (omitted: unspecialized code); the listing
+is the one stream every run of that plan executes, compare-and-branch and
+slot superinstructions included, and no run rewrites it.  ``--summary``
 prints per-function frame layouts and opcode counts instead of full
 listings.
 """

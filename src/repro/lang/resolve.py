@@ -73,7 +73,8 @@ from repro.lang.ast_nodes import (
 #: the interpreter — and the global initializers resolve too.
 #: 4: a global that a function called from an initializer uses before the
 #: global's declaration is unresolved.
-RESOLVER_VERSION = 4
+#: 5: no int-type lattice; the stream has no unboxed forms.
+RESOLVER_VERSION = 5
 
 # Declaration states in the abstract scope chain.
 _DECLARED = 1
@@ -82,22 +83,6 @@ _MAYBE = 2
 #: Access resolutions, as stored in :attr:`FunctionResolution.accesses`.
 SLOT = "slot"      # ("slot", index) — a pure local, lives in frame.slots
 GLOBAL = "global"  # ("global",)     — proven to denote the module global
-
-#: Builtins whose return value is always a plain integer (never a pointer).
-#: Used by the int-slot lattice to classify ``x = builtin(...)`` writes; an
-#: over-approximation here costs a deopt of the unboxed site (the VM's type
-#: guards), never a wrong result, but this set is exact for the shipped
-#: builtin table.
-_INT_BUILTINS = frozenset({
-    "abs", "accept", "assert", "atoi", "close", "file_exists", "fprintf_err",
-    "getchar", "isalpha", "isdigit", "isspace", "mkdir", "mkfifo", "mknod",
-    "net_listen", "net_select", "open", "printf", "putchar", "puts", "read",
-    "read_option", "recv", "send", "send_str", "strcmp", "strlen", "strncmp",
-    "tolower", "toupper", "unlink", "workload_done", "write",
-})
-
-#: Scalar base types whose depth-0 values are integers.
-_INT_BASES = frozenset({"int", "char"})
 
 
 class _Var:
@@ -208,16 +193,6 @@ class FunctionResolution:
     accesses: Dict[int, Tuple] = field(default_factory=dict)
     #: Names with an access the walk cannot pin to one variable.
     unresolved: frozenset = frozenset()
-    #: Slots the int-type lattice proved only ever hold integers (every write
-    #: reaching them is provably an int under the declared types of params
-    #: and callees).  The proof is optimistic about declarations — a caller
-    #: passing a pointer into an ``int`` parameter defeats it — which is safe
-    #: because every unboxed instruction carries a runtime type guard that
-    #: deoptimizes back to the generic form.
-    int_slots: frozenset = frozenset()
-    #: Slots that may hold pointers or are address-taken: never eligible for
-    #: unboxed raw-int stores.
-    pointer_slots: frozenset = frozenset()
 
     def access(self, node_id: int) -> Tuple:
         return self.accesses[node_id]
@@ -263,9 +238,7 @@ class ProgramResolution:
                 else:
                     global_accesses += 1
         return {"slots": slots, "slot_accesses": slot_accesses,
-                "global_accesses": global_accesses,
-                "int_slots": sum(
-                    len(r.int_slots) for r in self.functions.values())}
+                "global_accesses": global_accesses}
 
 
 #: Base-scope uid (parameters and function-body implicit locals that are not
@@ -279,13 +252,10 @@ _MAX_LOOP_PASSES = 8
 class _FunctionResolver:
     """Resolves one function body (see module docstring for the model)."""
 
-    def __init__(self, function: Optional[FunctionDef], global_names: Set[str],
-                 int_functions: Optional[Set[str]] = None) -> None:
+    def __init__(self, function: Optional[FunctionDef],
+                 global_names: Set[str]) -> None:
         self.function = function
         self.global_names = global_names
-        # Program functions whose declared return type is a depth-0 scalar;
-        # calls to them classify as int writes in the type lattice.
-        self.int_functions = int_functions if int_functions is not None else set()
         self.vars: Dict[Tuple[int, str], _Var] = {}
         self.accesses: Dict[int, object] = {}  # node_id -> _Var | GLOBAL
         self.unresolved: Set[str] = set()
@@ -596,119 +566,7 @@ class _FunctionResolver:
                     SLOT, slot_of[(target.scope_uid, target.name)])
             else:
                 resolution.accesses[node_id] = (GLOBAL,)
-        resolution.int_slots, resolution.pointer_slots = \
-            self._int_slot_analysis(slot_of)
         return resolution
-
-    # -- int-type lattice --------------------------------------------------------
-
-    def _int_slot_analysis(self, slot_of: Dict[Tuple[int, str], int],
-                           ) -> Tuple[frozenset, frozenset]:
-        """Prove which slots only ever hold integers.
-
-        Second pass over the function body, after slot assignment: collect
-        every write reaching each slotted variable (declarator initializers,
-        assignments, parameter bindings) plus the *never-int* conditions
-        (array/pointer declarations, pointer-typed parameters, address-taken
-        variables — ``&x`` may rebind ``x`` to the boxing pointer).  Then run
-        an optimistic fixpoint: start every non-never variable as INT and
-        demote any whose reaching writes are not all provably int, until
-        stable.  Optimism about declared types (``int`` parameters, ``int``
-        callees) is sound because the VM guards every unboxed site at run
-        time; the lattice only decides where the fast form is *worth
-        emitting*, never what a value *is*.
-        """
-
-        never: Set[Tuple[int, str]] = set()
-        writes: List[Tuple[Tuple[int, str], Optional[Expr]]] = []
-
-        def var_key(node: Node) -> Optional[Tuple[int, str]]:
-            target = self.accesses.get(node.node_id)
-            if isinstance(target, _Var):
-                return (target.scope_uid, target.name)
-            return None
-
-        for param in self.function.params:
-            key = (_BASE_SCOPE, param.name)
-            if key not in slot_of:
-                continue
-            type_name = param.type_name
-            if type_name.pointer_depth or type_name.base not in _INT_BASES:
-                never.add(key)
-            # Declared-int parameters contribute no write: they start INT and
-            # only in-body assignments can demote them.
-        for node in self.function.body.walk():
-            if isinstance(node, VarDecl):
-                pointer_decl = (node.type_name.pointer_depth > 0
-                                or node.type_name.base not in _INT_BASES)
-                for declarator in node.declarators:
-                    key = var_key(declarator)
-                    if key is None:
-                        continue
-                    if declarator.is_array or pointer_decl:
-                        never.add(key)
-                    else:
-                        # No initializer means the implicit int zero.
-                        writes.append((key, declarator.init))
-            elif isinstance(node, (Assign, AssignExpr)):
-                target = node.target
-                if isinstance(target, Identifier):
-                    key = var_key(target)
-                    if key is not None:
-                        writes.append((key, node.value))
-            elif isinstance(node, UnaryOp) and node.op == "&":
-                operand = node.operand
-                if isinstance(operand, Identifier):
-                    key = var_key(operand)
-                    if key is not None:
-                        never.add(key)
-
-        int_vars: Set[Tuple[int, str]] = {
-            key for key in slot_of if key not in never}
-        for _ in range(_MAX_LOOP_PASSES):
-            demoted = {key for key, value in writes
-                       if key in int_vars
-                       and not self._provably_int(value, int_vars)}
-            if not demoted:
-                break
-            int_vars -= demoted
-        int_slots = frozenset(slot_of[key] for key in int_vars)
-        pointer_slots = frozenset(
-            slot_of[key] for key in never if key in slot_of)
-        return int_slots, pointer_slots
-
-    def _provably_int(self, node: Optional[Expr],
-                      int_vars: Set[Tuple[int, str]]) -> bool:
-        """Whether *node* evaluates to an integer under the current lattice."""
-
-        if node is None:  # declarator without initializer: the implicit zero
-            return True
-        if isinstance(node, (IntLiteral, CharLiteral)):
-            return True
-        if isinstance(node, Identifier):
-            target = self.accesses.get(node.node_id)
-            return (isinstance(target, _Var)
-                    and (target.scope_uid, target.name) in int_vars)
-        if isinstance(node, UnaryOp):
-            if node.op in ("&", "*"):
-                return False
-            return self._provably_int(node.operand, int_vars)
-        if isinstance(node, BinaryOp):
-            # Pointer arithmetic yields pointers, so both operands must be
-            # ints; every int x int operator (including && / ||) yields int.
-            return (self._provably_int(node.left, int_vars)
-                    and self._provably_int(node.right, int_vars))
-        if isinstance(node, TernaryOp):
-            return (self._provably_int(node.then, int_vars)
-                    and self._provably_int(node.otherwise, int_vars))
-        if isinstance(node, AssignExpr):
-            return self._provably_int(node.value, int_vars)
-        if isinstance(node, Call):
-            if node.name in self.int_functions:
-                return True
-            return node.name in _INT_BUILTINS
-        # ArrayIndex (cells hold arbitrary values), StringLiteral, unknown.
-        return False
 
 
 def _globals_used(function: FunctionDef,
@@ -766,12 +624,7 @@ def resolve_program(program) -> ProgramResolution:
     if cached is not None and cached.version == RESOLVER_VERSION:
         return cached
     global_names = set(program.global_names())
-    int_functions = {
-        name for name, function in program.functions.items()
-        if function.return_type.pointer_depth == 0
-        and function.return_type.base in _INT_BASES}
-    functions = {name: _FunctionResolver(function, global_names,
-                                         int_functions).resolve()
+    functions = {name: _FunctionResolver(function, global_names).resolve()
                  for name, function in program.functions.items()}
     resolution = ProgramResolution(
         version=RESOLVER_VERSION,

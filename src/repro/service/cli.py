@@ -139,7 +139,9 @@ def profile_from_records(records, prefix: str = "vm.opcode.") -> Dict[str, int]:
     The default reads the ``vm.opcode.*`` dispatch profile; ``vm.branches.``
     reads the profiled runs' logged-vs-unlogged branch split.  Accepts the
     dict stream of :func:`repro.telemetry.read_jsonl` (or a registry
-    snapshot's ``jsonl_lines`` parsed the same way).
+    snapshot's ``jsonl_lines`` parsed the same way) and sums every record,
+    so a sink's records go through :func:`repro.telemetry.latest_flushes`
+    first.
     """
 
     counts: Dict[str, int] = {}
@@ -158,7 +160,7 @@ def render_dispatch_table(counts: Dict[str, int], top: int = 12,
     """The ``python -m repro stats --opcodes`` view of a dispatch profile.
 
     Top-*top* opcodes by exact execution count, with each opcode's share of
-    all dispatches and its class: ``branch`` for the seven branch shapes,
+    all dispatches and its class: ``branch`` for the five branch shapes,
     ``-`` for everything else.  Whether a branch is logged is its operand,
     not its opcode, so the footer's logged-vs-unlogged split comes from the
     runs' ``vm.branches.logged`` / ``vm.branches.unlogged`` counters
@@ -211,11 +213,11 @@ def _no_service_state(root: str) -> bool:
 def cmd_stats(args) -> int:
     """Render telemetry: a service root's live counters or a JSONL sink."""
 
-    from repro.telemetry import read_jsonl, render_summary
+    from repro.telemetry import latest_flushes, read_jsonl, render_summary
 
     service = snapshot = None
     if args.jsonl:
-        records = read_jsonl(args.jsonl)
+        records = latest_flushes(read_jsonl(args.jsonl))
     elif _no_service_state(args.root):
         return 2
     else:

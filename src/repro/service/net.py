@@ -134,6 +134,18 @@ def _optional_int(header: Dict[str, object], field: str, minimum: int
     return value
 
 
+def _required_str(header: Dict[str, object], field: str) -> str:
+    """Header *field*: a string, which must be present.
+
+    Anything else is a :class:`ProtocolError` that names the field.
+    """
+
+    value = header.get(field)
+    if type(value) is not str:
+        raise ProtocolError(f"header field {field!r} must be a string")
+    return value
+
+
 class QuotaExceeded(Exception):
     """A client exceeded its per-client distinct-report quota."""
 
@@ -492,8 +504,8 @@ class UploadServer:
         *answered* once its answer is sent.
         """
 
-        client = str(header.get("client", ""))
-        digest = str(header.get("digest", ""))
+        client = _required_str(header, "client")
+        digest = _required_str(header, "digest")
         if not _CLIENT_ID_RE.match(client) or not _DIGEST_RE.match(digest):
             self._count("service.net.protocol_errors")
             return ST_ERROR, {"reason": "bad client id or digest"}
@@ -557,7 +569,7 @@ class UploadServer:
 
     def _handle_report(self, header: Dict[str, object]
                        ) -> Tuple[int, Dict[str, object]]:
-        trace_id = str(header.get("trace", ""))
+        trace_id = _required_str(header, "trace")
         with self._lock:
             if trace_id not in self.service.inbox.traces:
                 return ST_REPORT, {"status": "unknown", "report": None}
@@ -602,7 +614,7 @@ class UploadServer:
         uploads stay routable by fingerprint, so nothing forces an upgrade.
         """
 
-        program = str(header.get("program", ""))
+        program = _required_str(header, "program")
         version = _optional_int(header, "version", 1)
         with self._lock:
             ledger = self.service.plan_ledger

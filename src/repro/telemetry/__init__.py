@@ -15,7 +15,8 @@ The observability layer the rest of the system records into:
   :attr:`~repro.core.config.PipelineConfig.telemetry_enabled` is off (the
   default);
 * :func:`write_jsonl` — the JSON-lines sink, one metric object per line,
-  consumed by ``python -m repro stats`` and the CI telemetry smoke job.
+  consumed by ``python -m repro stats`` and the CI telemetry smoke job;
+  :func:`latest_flushes` keeps the records a reader should sum.
 
 Determinism contract: telemetry never feeds back into execution, and every
 metric that is not a pure function of the committed work (wall clocks,
@@ -59,6 +60,7 @@ __all__ = [
     "SECONDS_BUCKETS",
     "SpanRecord",
     "active",
+    "latest_flushes",
     "read_jsonl",
     "render_summary",
     "scoped",
@@ -91,6 +93,26 @@ def read_jsonl(path: str) -> List[Dict[str, object]]:
             if line:
                 records.append(json.loads(line))
     return records
+
+
+def latest_flushes(records: List[Dict[str, object]]
+                   ) -> List[Dict[str, object]]:
+    """The records of each ``source``'s highest ``flush``, in sink order.
+
+    A service appends its whole cumulative registry to the sink on every
+    flush, tagged ``source`` and ``flush``, so a source's last flush holds
+    every count it made and summing the earlier ones counts them again.
+    Records without a ``flush`` key pass through.
+    """
+
+    last: Dict[object, int] = {}
+    for record in records:
+        if "flush" in record:
+            source = record.get("source")
+            last[source] = max(last.get(source, 0), record["flush"])
+    return [record for record in records
+            if "flush" not in record
+            or record["flush"] == last[record.get("source")]]
 
 
 def render_summary(records: List[Dict[str, object]]) -> str:

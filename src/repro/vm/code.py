@@ -46,9 +46,6 @@ class CodeObject:
     source_line: int = 0
     nlocals: int = 0
     slot_names: List[str] = field(default_factory=list)
-    #: Slots the resolver's int-type lattice proved integer-only (disassembly
-    #: and diagnostics; the compiler consumed the proof at emission time).
-    int_slots: frozenset = frozenset()
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -110,53 +107,16 @@ class CodeObject:
             operator, left, right, *branch = arg
             return (f"{operator!r} {self._slot(left)}, {self._slot(right)}; "
                     f"{_branch_text(*branch)}")
-        if op == opcodes.BINOP_II:
-            operator, left, right, _generic = arg
-            return (f"{operator!r} {self._slot(left)}, {self._slot(right)}"
-                    f"  [unboxed]")
-        if op == opcodes.BINOP_IC:
-            operator, slot, const, _generic = arg
-            return f"{operator!r} {self._slot(slot)}, {const}  [unboxed]"
-        if op == opcodes.BINOP_II_STORE:
-            operator, left, right, target, _generic = arg
-            return (f"{operator!r} {self._slot(left)}, {self._slot(right)}"
-                    f" -> {self._slot(target)}  [unboxed]")
-        if op == opcodes.BINOP_IC_STORE:
-            operator, slot, const, target, _generic = arg
-            return (f"{operator!r} {self._slot(slot)}, {const}"
-                    f" -> {self._slot(target)}  [unboxed]")
-        if op == opcodes.BINOP_II_BRANCH:
-            operator, left, right, *branch, _generic = arg
-            return (f"{operator!r} {self._slot(left)}, {self._slot(right)}; "
-                    f"{_branch_text(*branch)}  [unboxed]")
         if op == opcodes.BINOP_FC_BRANCH:
             operator, slot, const, *branch = arg
             return (f"{operator!r} {self._slot(slot)}, {const!r}; "
                     f"{_branch_text(*branch)}")
-        if op == opcodes.BINOP_IC_BRANCH:
-            operator, slot, const, *branch, _generic = arg
-            return (f"{operator!r} {self._slot(slot)}, {const}; "
-                    f"{_branch_text(*branch)}  [unboxed]")
         if op == opcodes.BINOP_SC_BRANCH:
             operator, const, *branch = arg
             return f"{operator!r} <stack>, {const!r}; {_branch_text(*branch)}"
         if op == opcodes.BINARY_BRANCH:
             operator, *branch = arg
             return f"{operator!r}; {_branch_text(*branch)}"
-        if op == opcodes.LOAD2_FAST:
-            left, right = arg
-            return f"{self._slot(left)}, {self._slot(right)}"
-        if op in (opcodes.LOAD_INDEX_FAST, opcodes.STORE_INDEX_FAST):
-            return f"[{self._slot(arg)}]"
-        if op in (opcodes.LOAD_INDEX_FF, opcodes.STORE_INDEX_FF):
-            base, index = arg
-            return f"{self._slot(base)}[{self._slot(index)}]"
-        if op == opcodes.BINOP_FC_CALL:
-            operator, slot, const, callee, argc, _fc_line = arg
-            return (f"{operator!r} {self._slot(slot)}, {const!r}; "
-                    f"{callee.name}/{argc}")
-        if op == opcodes.BINARY_RET:
-            return f"{arg!r}"
         return repr(arg)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.interp.builtins import lookup_builtin
 from repro.interp.values import ZERO, concrete
@@ -86,89 +86,6 @@ _CACHE_ATTR = "_vm_compiled_by_plan"
 #: Operators eligible for compare-and-branch fusion (their concrete result is
 #: the branch decision itself).
 _COMPARISONS = frozenset(("<", ">", "<=", ">=", "==", "!="))
-
-#: Operators the unboxed BINOP_II* forms implement inline.  Division and
-#: modulo stay generic (their zero checks and C-style truncation live in
-#: ``binary_int_op``); everything here is branch-free int arithmetic.
-_II_OPS = frozenset(("+", "-", "*", "<", ">", "<=", ">=", "==", "!="))
-
-#: Generic site opcode -> its unboxed form.
-_UNBOXED_OPCODES = {
-    op.BINOP_FC: op.BINOP_IC,
-    op.BINOP_FF: op.BINOP_II,
-    op.BINOP_FC_STORE: op.BINOP_IC_STORE,
-    op.BINOP_FF_STORE: op.BINOP_II_STORE,
-    op.BINOP_FF_BRANCH: op.BINOP_II_BRANCH,
-    op.BINOP_FC_BRANCH: op.BINOP_IC_BRANCH,
-}
-
-
-def unboxed_form(instr: tuple) -> tuple:
-    """The unboxed (BINOP_I*) instruction for a generic candidate site.
-
-    The original instruction rides along as the last arg element: it is the
-    deopt target the VM rewrites back on a type-guard violation, making
-    deoptimization a one-slot list store.  FC consts unbox to the raw int
-    here, so the hot arm never touches the ConcolicValue.
-    """
-
-    opcode, arg, charge, line = instr
-    if opcode in (op.BINOP_FC, op.BINOP_FC_STORE, op.BINOP_FC_BRANCH):
-        arg = arg[:2] + (arg[2].concrete,) + arg[3:]
-    return (_UNBOXED_OPCODES[opcode], tuple(arg) + (instr,), charge, line)
-
-
-#: The fixed pair peephole: adjacent ``(first, second)`` opcodes -> the
-#: superinstruction that replaces them.  Every pair is observation-equivalent
-#: by construction: charges are summed (step parity), the source line of each
-#: error-capable part is kept (crash-site parity) and no pair crosses a
-#: branch event.  RET-family pairs are safe because RET carries no error of
-#: its own; the BINOP_FC;CALL pair keeps the FC part's line in its arg.  The
-#: last two pairs start with a fusion product, so they match only on the
-#: second round (an all-slot array access, ``buf[i]``, is
-#: LOAD_FAST;LOAD_FAST;LOAD_INDEX before fusion and one dispatch after).
-PAIR_CATALOG: Dict[Tuple[int, int], int] = {
-    (op.LOAD_FAST, op.LOAD_FAST): op.LOAD2_FAST,
-    (op.LOAD_FAST, op.LOAD_INDEX): op.LOAD_INDEX_FAST,
-    (op.LOAD_FAST, op.STORE_INDEX): op.STORE_INDEX_FAST,
-    (op.BINOP_FC, op.CALL): op.BINOP_FC_CALL,
-    (op.BINARY, op.RET): op.BINARY_RET,
-    (op.CONST, op.RET): op.CONST_RET,
-    (op.LOAD2_FAST, op.LOAD_INDEX): op.LOAD_INDEX_FF,
-    (op.LOAD2_FAST, op.STORE_INDEX): op.STORE_INDEX_FF,
-}
-
-
-def try_fuse(first: tuple, second: tuple) -> Optional[tuple]:
-    """The fused instruction for two adjacent ones, or ``None``.
-
-    Charges are summed so step accounting stays exact; the line of the part
-    that can raise is kept (LOAD_INDEX errors at the index expression's
-    line, BINARY division-by-zero at the operator's line, BINOP_FC errors at
-    the FC line carried inside the fused arg).
-    """
-
-    first_op, first_arg, first_charge, first_line = first
-    second_op, second_arg, second_charge, second_line = second
-    fused = PAIR_CATALOG.get((first_op, second_op))
-    if fused is None:
-        return None
-    charge = first_charge + second_charge
-    if fused == op.LOAD2_FAST:
-        return (fused, (first_arg, second_arg), charge,
-                first_line or second_line)
-    if fused == op.BINOP_FC_CALL:
-        callee, argc = second_arg
-        return (fused, first_arg + (callee, argc, first_line), charge,
-                second_line)
-    if fused == op.BINARY_RET:
-        return (fused, first_arg, charge, first_line)
-    if fused == op.CONST_RET:
-        return (fused, first_arg, charge, first_line or second_line)
-    # The indexed accesses: the slot operand(s) ride along and the access
-    # keeps its line.
-    return (fused, first_arg, charge, second_line)
-
 
 #: Process-wide compiled-code cache counters (all programs, all plans).
 #: Guarded by a lock because VMs may be constructed from several threads
@@ -250,11 +167,9 @@ def compile_program(program: Program, plan=None) -> CompiledProgram:
     Locals live in the numbered frame slots the static scope-resolution
     pass of :mod:`repro.lang.resolve` assigns; a program it does not resolve
     completely raises :class:`~repro.lang.errors.SemanticError`.  The
-    stream is compiled one way: compare-and-branch fusion, the fixed pair
-    peephole (:data:`PAIR_CATALOG`), and unboxed ``BINOP_I*`` forms at the
-    sites whose operand slots the resolver's int lattice proves int-only.
-    An unboxed site that meets a non-int value deoptimizes by rewriting
-    itself in the cached stream (see :mod:`repro.vm.machine`).
+    stream is compiled one way, with the superinstructions the emitter
+    fuses as it goes (slot operands, slot stores, ``return x;`` and
+    compare-and-branch), and no run rewrites it once it is returned.
     """
 
     key = None if plan is None else plan.fingerprint()
@@ -341,13 +256,11 @@ class _FunctionEmitter:
                  code: CodeObject, resolution: FunctionResolution) -> None:
         self.compiler = compiler
         self.function_name = function_name
-        self.code = code
         self.instructions = code.instructions
         self.resolution = resolution
         self.pending = 0
         # (break_label, continue_label) for each enclosing loop.
         self.loops: List[tuple] = []
-        self._labels: List[_Label] = []
         # Instruction indexes some already-bound label points at; peephole
         # fusion must not swallow a jump target.
         self._bound_positions: set = set()
@@ -358,11 +271,6 @@ class _FunctionEmitter:
         charge = self.pending
         self.pending = 0
         self.instructions.append((opcode, arg, charge, line))
-
-    def new_label(self) -> _Label:
-        label = _Label()
-        self._labels.append(label)
-        return label
 
     def bind(self, label: _Label) -> None:
         # Flush any pending charge so it is not re-paid by every path that
@@ -377,14 +285,7 @@ class _FunctionEmitter:
             self.emit(op.NOP)
         self.emit(op.CONST, ZERO)
         self.emit(op.RET)
-        # The pair peephole deletes instructions and remaps labels, so it
-        # runs while branch args still hold patchable _Labels.  The second
-        # round fuses the pairs whose first member is itself a fusion
-        # product (LOAD2_FAST;LOAD_INDEX -> LOAD_INDEX_FF).
-        self._fuse_pairs()
-        self._fuse_pairs()
         self._patch_labels()
-        self._specialize_int_sites()
 
     def _patch_labels(self) -> None:
         jump_ops = (op.JUMP, op.AND_JUMP, op.OR_JUMP, op.TERN_FALSE)
@@ -395,89 +296,6 @@ class _FunctionEmitter:
                 # Every branch shape ends its arg in ``(..., label, slot)``.
                 self.instructions[pc] = (
                     opcode, arg[:-2] + (arg[-2].pc, arg[-1]), charge, line)
-
-    # -- pair fusion and unboxing --------------------------------------------------
-
-    def _fuse_pairs(self) -> None:
-        """Apply the :data:`PAIR_CATALOG` peephole (pre-label-patch).
-
-        One greedy left-to-right pass; a pair is declined when a bound label
-        points at its second instruction (a jump could land mid-pattern).
-        Deleting instructions shifts every later pc, so bound labels and
-        positions are remapped through an old->new table.
-        """
-
-        instructions = self.instructions
-        bound = self._bound_positions
-        fused_stream: List = []
-        pc_map: Dict[int, int] = {}
-        index = 0
-        count = len(instructions)
-        while index < count:
-            pc_map[index] = len(fused_stream)
-            if index + 1 < count and (index + 1) not in bound:
-                fused = try_fuse(instructions[index], instructions[index + 1])
-                if fused is not None:
-                    fused_stream.append(fused)
-                    index += 2
-                    continue
-            fused_stream.append(instructions[index])
-            index += 1
-        pc_map[count] = len(fused_stream)
-        for label in self._labels:
-            if label.pc is not None:
-                label.pc = pc_map[label.pc]
-        self._bound_positions = {pc_map[position] for position in bound}
-        instructions[:] = fused_stream
-
-    def _site_slots(self, opcode: int, arg) -> Optional[tuple]:
-        """``(operand_slots, target_slots)`` of an int-specializable site.
-
-        Returns ``None`` for non-candidates.
-        """
-
-        if opcode in (op.BINOP_FC, op.BINOP_FC_STORE):
-            if arg[0] not in _II_OPS or arg[2].symbolic is not None:
-                return None
-            targets = (arg[3],) if opcode == op.BINOP_FC_STORE else ()
-            return ((arg[1],), targets)
-        if opcode in (op.BINOP_FF, op.BINOP_FF_STORE):
-            if arg[0] not in _II_OPS:
-                return None
-            targets = (arg[3],) if opcode == op.BINOP_FF_STORE else ()
-            return ((arg[1], arg[2]), targets)
-        if opcode == op.BINOP_FF_BRANCH:
-            return ((arg[1], arg[2]), ())
-        if opcode == op.BINOP_FC_BRANCH:
-            if arg[2].symbolic is not None:
-                return None
-            return ((arg[1],), ())
-        return None
-
-    def _specialize_int_sites(self) -> None:
-        """Rewrite the provably-int sites to their unboxed forms.
-
-        Runs post-label-patch so the generic instruction embedded in each
-        unboxed arg (the deopt target) is final.  A site is unboxed when
-        the lattice proves every operand slot int and no operand or target
-        slot ever holds a pointer.
-        """
-
-        resolution = self.resolution
-        int_slots = resolution.int_slots
-        never = resolution.pointer_slots
-        instructions = self.instructions
-        for index, instr in enumerate(instructions):
-            opcode, arg, charge, line = instr
-            slots = self._site_slots(opcode, arg)
-            if slots is None:
-                continue
-            operands, targets = slots
-            if any(slot in never for slot in operands + targets):
-                continue
-            if all(slot in int_slots for slot in operands):
-                instructions[index] = unboxed_form(instr)
-        self.code.int_slots = int_slots
 
     def branch_location(self, stmt: Stmt):
         """The program's location of branch statement *stmt*."""
@@ -509,7 +327,7 @@ class _FunctionEmitter:
 
         Only comparison operators fuse: their concrete result *is* the branch
         decision, so the fused opcode skips materializing the intermediate
-        truth value entirely.  Same label rules as :meth:`_fuse_binop_store`
+        truth value entirely.  Same label rules as :meth:`_fuse_binop_store_fast`
         — declined when a bound label points at the would-be branch position
         (a jump could land there expecting the condition on the stack).
         """
@@ -519,8 +337,6 @@ class _FunctionEmitter:
             return False
         opcode, arg, charge, line = instructions[-1]
         if opcode == op.BINOP_FC:
-            # The slot-vs-const shape: unboxed into BINOP_IC_BRANCH where
-            # the lattice proves the slot int, and that form's deopt target.
             fused_opcode = op.BINOP_FC_BRANCH
         elif opcode == op.BINARY:
             # Stack-condition comparisons: the result's truth value is the
@@ -615,13 +431,13 @@ class _FunctionEmitter:
                 self.emit(op.STORE_GLOBAL, declarator.name)
 
     def _compile_if(self, stmt: IfStmt) -> None:
-        else_label = self.new_label()
+        else_label = _Label()
         self.compile_expr(stmt.cond)
         location = self.branch_location(stmt)
         self.emit_branch(location, else_label)
         self.compile_stmt(stmt.then)
         if stmt.otherwise is not None:
-            end_label = self.new_label()
+            end_label = _Label()
             self.emit(op.JUMP, end_label)
             self.bind(else_label)
             self.compile_stmt(stmt.otherwise)
@@ -630,8 +446,8 @@ class _FunctionEmitter:
             self.bind(else_label)
 
     def _compile_while(self, stmt: WhileStmt) -> None:
-        header = self.new_label()
-        after = self.new_label()
+        header = _Label()
+        after = _Label()
         self.bind(header)  # flushes the while-statement charge before the loop
         self.compile_expr(stmt.cond)
         location = self.branch_location(stmt)
@@ -645,9 +461,9 @@ class _FunctionEmitter:
     def _compile_for(self, stmt: ForStmt) -> None:
         if stmt.init is not None:
             self.compile_stmt(stmt.init)
-        header = self.new_label()
-        cont = self.new_label()
-        after = self.new_label()
+        header = _Label()
+        cont = _Label()
+        after = _Label()
         self.bind(header)
         if stmt.cond is not None:
             self.compile_expr(stmt.cond)
@@ -751,7 +567,7 @@ class _FunctionEmitter:
 
     def _compile_binary(self, node: BinaryOp) -> None:
         if node.op == "&&":
-            end = self.new_label()
+            end = _Label()
             self.compile_expr(node.left)
             self.emit(op.AND_JUMP, end)
             self.compile_expr(node.right)
@@ -759,7 +575,7 @@ class _FunctionEmitter:
             self.bind(end)
             return
         if node.op == "||":
-            end = self.new_label()
+            end = _Label()
             self.compile_expr(node.left)
             self.emit(op.OR_JUMP, end)
             self.compile_expr(node.right)
@@ -846,8 +662,8 @@ class _FunctionEmitter:
         return True
 
     def _compile_ternary(self, node: TernaryOp) -> None:
-        else_label = self.new_label()
-        end_label = self.new_label()
+        else_label = _Label()
+        end_label = _Label()
         self.compile_expr(node.cond)
         self.emit(op.TERN_FALSE, else_label)
         self.compile_expr(node.then)

@@ -42,16 +42,16 @@ builds its :class:`BranchEvent` for the hooks, which add its constraint.
 run ends however it ends (a crash or the step cap included).
 
 The opcode arms of the dispatch loop run most frequent first (see the
-comment above them and :func:`mean_arm_position`).  The seven branch shapes
+comment above them and :func:`mean_arm_position`).  The five branch shapes
 compute only the branch's direction and share one tail after the arms, so
 what a branch does with its outcome in each kind of run is written once.
 
 Every run of one ``(program, plan)`` pair executes the one stream
 :func:`~repro.vm.compiler.compile_program` caches for it, profiled runs
-included.  Its unboxed ``BINOP_I*`` sites deoptimize in place: a type-guard
-violation rewrites the site in that cached stream back to its generic form,
-so which forms a run dispatches depends on what ran before it in the
-process.  Its results never do.
+included, and no run writes to it: what a run dispatches depends on the
+program, the plan and the run's own input, never on what ran before it in
+the process.  A value in a frame slot or on the operand stack is always a
+:class:`ConcolicValue` or a :class:`Pointer`, never a raw int.
 
 A replay run the engine may *repair in place* (:meth:`VirtualMachine.repair`)
 also keeps a guard log (:attr:`VirtualMachine.guards`): at a logged symbolic
@@ -290,7 +290,6 @@ class VirtualMachine:
         self._plan = (self.hooks.plan if self._spec in ("record", "replay")
                       else None)
         self.compiled = self.lookup_compiled()
-        self._deopts = 0
         # Inline state for the logged branches.  ``_rec_append`` doubles as
         # the record/replay discriminator in the dispatch loop, and both
         # modes count each slot's executions (a plan-free stream has none).
@@ -401,17 +400,15 @@ class VirtualMachine:
         result.wall_seconds = time.monotonic() - start
         if self.opcode_counts is not None:
             self._publish_opcode_counts()
-        if self._deopts:
-            self._publish_deopts()
         return result
 
     def _publish_opcode_counts(self) -> None:
         """Merge the profiled dispatch counts into the active registry.
 
         ``vm.opcode.<NAME>`` counters are exact per-opcode execution counts.
-        A deopt earlier in the process may have rewritten an unboxed site
-        of the shared stream back to its generic form, so the split between
-        the two forms depends on what ran before, not on the run alone.
+        Like ``replay.vm_steps`` they count what the VM executed, not what a
+        search committed: a search resumed from a checkpoint re-runs from
+        ``main`` what the uninterrupted search repaired in place.
         Whether a branch is logged is its operand, not its opcode, so the
         run adds the split: ``vm.branches.logged`` (the executions counted
         per logged slot) and ``vm.branches.unlogged`` (every other branch
@@ -430,19 +427,6 @@ class VirtualMachine:
         counter("vm.branches.logged", timing=True).inc(logged)
         counter("vm.branches.unlogged", timing=True).inc(
             self.branch_counter - logged)
-
-    def _publish_deopts(self) -> None:
-        """Report the run's deoptimized sites as the ``vm.deopts`` counter.
-
-        Flagged ``timing=True``: a site deoptimizes once per process (the
-        rewrite lands in the cached stream), so the count depends on what
-        ran before, not on the run alone.
-        """
-
-        from repro.telemetry import runtime as telemetry_runtime
-
-        telemetry_runtime.active().counter(
-            "vm.deopts", timing=True).inc(self._deopts)
 
     def _call_main(self, argv: List[str]) -> Value:
         main_fn = self.program.main
@@ -735,141 +719,166 @@ class VirtualMachine:
             # the registry workloads (``repro.workloads.all_cases()``), with
             # analyze, record, replay and plain runs weighted equally;
             # tests/test_dispatch_order.py holds that profile's
-            # mean_arm_position to 10 in each mode.  The arms are disjoint,
+            # mean_arm_position to 8 in each mode.  The arms are disjoint,
             # so their order changes no behaviour.  A comment that
             # introduces a family of arms sits above the family's first arm
             # in this order.
-            if opcode == op.CONST:
+            if opcode == op.LOAD_FAST:
+                push(frame_slots[arg])
+                continue
+            elif opcode == op.CONST:
                 push(arg)
                 continue
-            # The unboxed-int arms (BINOP_II family): operands come straight
-            # out of slots the resolver's type lattice proved to be int-only;
-            # arithmetic runs on raw Python ints and the *_STORE forms keep
-            # raw ints in the target slot, eliminating ConcolicValue
-            # construction entirely on hot loops.  Every arm guards its
-            # operands (a proven-int slot still holds a symbolic value in
-            # analysis and replay runs); a violation rewrites the site back
-            # to the generic instruction carried as the arg's last element
-            # (deoptimization), refunds the already-paid charge, and
-            # re-dispatches — the generic arm then produces the identical
-            # observable behaviour, so unboxing can never change a run.
-            elif opcode == op.BINOP_IC_STORE:
-                operator, slot, right, target_slot, generic = arg
+            # The four slot superinstructions inline the fully concrete
+            # arithmetic of the hot operators (comparison results and small
+            # sums reuse interned values; binary_int_op would build the same
+            # frozen dataclass from scratch).  Symbolic operands, pointers
+            # and the rare operators take the shared helpers, so results are
+            # identical by construction.
+            elif opcode == op.BINOP_FC_STORE:
+                operator, slot, right, target_slot = arg
                 left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "+":
-                        frame_slots[target_slot] = left + right
-                    elif operator == "-":
-                        frame_slots[target_slot] = left - right
-                    elif operator == "*":
-                        frame_slots[target_slot] = left * right
-                    elif operator == "<":
-                        frame_slots[target_slot] = 1 if left < right else 0
-                    elif operator == ">":
-                        frame_slots[target_slot] = 1 if left > right else 0
-                    elif operator == "==":
-                        frame_slots[target_slot] = 1 if left == right else 0
-                    elif operator == "!=":
-                        frame_slots[target_slot] = 1 if left != right else 0
-                    elif operator == "<=":
-                        frame_slots[target_slot] = 1 if left <= right else 0
-                    else:
-                        frame_slots[target_slot] = 1 if left >= right else 0
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-                continue
-            elif opcode == op.JUMP:
-                pc = arg
-                continue
-            # The seven branch shapes compute only the branch's direction:
-            # each binds location, target, slot, taken and sym and falls
-            # through to the branch tail below the chain.
-            elif opcode == op.BINOP_IC_BRANCH:
-                (operator, left_slot, right,
-                 location, target, slot, generic) = arg
-                left = frame_slots[left_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is not int:
-                    self._deopts += 1
-                    instructions[pc - 1] = generic
-                    pc -= 1
-                    if charge:
-                        step_cell[0] -= charge
-                    continue
-                if operator == "<":
-                    taken = left < right
-                elif operator == ">":
-                    taken = left > right
-                elif operator == "==":
-                    taken = left == right
-                elif operator == "!=":
-                    taken = left != right
-                elif operator == "<=":
-                    taken = left <= right
-                else:
-                    taken = left >= right
-                sym = None
-            # The fixed pair fusions (the compiler's pair peephole, see
-            # repro.vm.compiler.PAIR_CATALOG): each arm is the
-            # two generic arms spliced together with the combined charge
-            # pre-paid at fetch and the error-capable part's source line
-            # preserved, so steps, events and crash sites match the unfused
-            # pair exactly.
-            elif opcode == op.BINOP_FC_CALL:
-                operator, slot, right, callee, argc, fc_line = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
                 if (type(left) is ConcolicValue and left.symbolic is None
                         and right.symbolic is None):
                     a = left.concrete
                     b = right.concrete
                     if operator == "+":
                         r = a + b
-                        value = (_SMALL_INTS[r] if 0 <= r < _NSMALL
-                                 else ConcolicValue(r))
-                    elif operator == "-":
+                        frame_slots[target_slot] = (
+                            _SMALL_INTS[r] if 0 <= r < _NSMALL
+                            else ConcolicValue(r))
+                        continue
+                    if operator == "-":
                         r = a - b
-                        value = (_SMALL_INTS[r] if 0 <= r < _NSMALL
-                                 else ConcolicValue(r))
-                    elif operator == "*":
+                        frame_slots[target_slot] = (
+                            _SMALL_INTS[r] if 0 <= r < _NSMALL
+                            else ConcolicValue(r))
+                        continue
+                    if operator == "*":
                         r = a * b
-                        value = (_SMALL_INTS[r] if 0 <= r < _NSMALL
-                                 else ConcolicValue(r))
-                    elif operator == "<":
-                        value = ONE if a < b else ZERO
-                    elif operator == ">":
-                        value = ONE if a > b else ZERO
-                    elif operator == "==":
-                        value = ONE if a == b else ZERO
-                    elif operator == "!=":
-                        value = ONE if a != b else ZERO
-                    elif operator == "<=":
-                        value = ONE if a <= b else ZERO
-                    elif operator == ">=":
-                        value = ONE if a >= b else ZERO
-                    else:
-                        try:
-                            value = int_op(operator, left, right)
-                        except ZeroDivisionError:
-                            raise DivisionByZeroError("division by zero",
-                                                      fc_line)
-                elif type(left) is ConcolicValue:
+                        frame_slots[target_slot] = (
+                            _SMALL_INTS[r] if 0 <= r < _NSMALL
+                            else ConcolicValue(r))
+                        continue
+                    if operator == "<":
+                        frame_slots[target_slot] = ONE if a < b else ZERO
+                        continue
+                    if operator == ">":
+                        frame_slots[target_slot] = ONE if a > b else ZERO
+                        continue
+                    if operator == "==":
+                        frame_slots[target_slot] = ONE if a == b else ZERO
+                        continue
+                    if operator == "!=":
+                        frame_slots[target_slot] = ONE if a != b else ZERO
+                        continue
+                    if operator == "<=":
+                        frame_slots[target_slot] = ONE if a <= b else ZERO
+                        continue
+                    if operator == ">=":
+                        frame_slots[target_slot] = ONE if a >= b else ZERO
+                        continue
+                if type(left) is ConcolicValue:
                     try:
-                        value = int_op(operator, left, right)
+                        frame_slots[target_slot] = int_op(operator, left, right)
                     except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", fc_line)
+                        raise DivisionByZeroError("division by zero", line)
                 else:
-                    value = pointer_op(operator, left, right, fc_line)
-                push(value)
+                    frame_slots[target_slot] = pointer_op(
+                        operator, left, right, line)
+                continue
+            # The five branch shapes compute only the branch's direction:
+            # each binds location, target, slot, taken and sym and falls
+            # through to the branch tail below the chain.  The
+            # compare-and-branch superinstructions decide a fully concrete
+            # comparison without building its truth value; symbolic or
+            # pointer operands take the shared helpers, so events,
+            # conditions and crashes are the unfused sequence's by
+            # construction.
+            elif opcode == op.BINOP_FC_BRANCH:
+                operator, left_slot, right, location, target, slot = arg
+                left = frame_slots[left_slot]
+                if (type(left) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
+                else:
+                    if type(left) is ConcolicValue:
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
+            elif opcode == op.JUMP:
+                pc = arg
+                continue
+            elif opcode == op.BINOP_FC:
+                operator, slot, right = arg
+                left = frame_slots[slot]
+                if (type(left) is ConcolicValue and left.symbolic is None
+                        and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        push(ONE if a < b else ZERO)
+                        continue
+                    if operator == "+":
+                        r = a + b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                    if operator == "-":
+                        r = a - b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                    if operator == ">":
+                        push(ONE if a > b else ZERO)
+                        continue
+                    if operator == "==":
+                        push(ONE if a == b else ZERO)
+                        continue
+                    if operator == "!=":
+                        push(ONE if a != b else ZERO)
+                        continue
+                    if operator == "<=":
+                        push(ONE if a <= b else ZERO)
+                        continue
+                    if operator == ">=":
+                        push(ONE if a >= b else ZERO)
+                        continue
+                    if operator == "*":
+                        r = a * b
+                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
+                             else ConcolicValue(r))
+                        continue
+                if type(left) is ConcolicValue:
+                    try:
+                        push(int_op(operator, left, right))
+                    except ZeroDivisionError:
+                        raise DivisionByZeroError("division by zero", line)
+                else:
+                    push(pointer_op(operator, left, right, line))
+                continue
+            elif opcode == op.CALL:
+                callee, argc = arg
                 if len(frames) >= max_call_depth:
                     raise ProgramCrash("call stack overflow", line,
                                        self.current_function_name())
@@ -877,10 +886,15 @@ class VirtualMachine:
                 callee_slots = callee_frame.slots
                 nparams = len(callee.params)
                 if argc == nparams:
+                    # Parameters occupy slots 0..n-1 in declaration order
+                    # (resolution creates them first), so the arguments
+                    # drop straight in.
                     if argc:
                         callee_slots[:argc] = stack[-argc:]
                         del stack[-argc:]
                 else:
+                    # Extra arguments were evaluated and are dropped;
+                    # missing ones read as zero, as in the interpreter.
                     if argc:
                         args = stack[-argc:]
                         del stack[-argc:]
@@ -900,104 +914,47 @@ class VirtualMachine:
                 pop = stack.pop
                 pc = 0
                 continue
-            elif opcode == op.STORE_INDEX_FF:
-                base_slot, index_slot = arg
-                base = frame_slots[base_slot]
-                if type(base) is int:
-                    base = _SMALL_INTS[base] if 0 <= base < _NSMALL \
-                        else ConcolicValue(base)
-                index = frame_slots[index_slot]
-                if type(index) is int:
-                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
-                        else ConcolicValue(index)
+            elif opcode == op.STORE_INDEX:
+                index = pop()
+                base = pop()
                 value = pop()
                 block, position = resolve(base, index, line)
                 block.cells[position] = value
                 continue
-            elif opcode == op.BINOP_II_BRANCH:
-                (operator, left_slot, right_slot,
-                 location, target, slot, generic) = arg
+            elif opcode == op.BINOP_FF_BRANCH:
+                operator, left_slot, right_slot, location, target, slot = arg
                 left = frame_slots[left_slot]
                 right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is not int or type(right) is not int:
-                    self._deopts += 1
-                    instructions[pc - 1] = generic
-                    pc -= 1
-                    if charge:
-                        step_cell[0] -= charge
-                    continue
-                if operator == "<":
-                    taken = left < right
-                elif operator == ">":
-                    taken = left > right
-                elif operator == "==":
-                    taken = left == right
-                elif operator == "!=":
-                    taken = left != right
-                elif operator == "<=":
-                    taken = left <= right
+                if (type(left) is ConcolicValue
+                        and type(right) is ConcolicValue
+                        and left.symbolic is None and right.symbolic is None):
+                    a = left.concrete
+                    b = right.concrete
+                    if operator == "<":
+                        taken = a < b
+                    elif operator == ">":
+                        taken = a > b
+                    elif operator == "==":
+                        taken = a == b
+                    elif operator == "!=":
+                        taken = a != b
+                    elif operator == "<=":
+                        taken = a <= b
+                    else:
+                        taken = a >= b
+                    sym = None
                 else:
-                    taken = left >= right
-                sym = None
-            elif opcode == op.LOAD_FAST_RET:
-                value = frame_slots[arg]
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
-                if not call_stack:
-                    return value
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame_slots) = call_stack.pop()
-                push(value)
-                continue
-            elif opcode == op.BINARY_RET:
-                right = pop()
-                left = pop()
-                if type(left) is ConcolicValue and type(right) is ConcolicValue:
-                    try:
-                        value = int_op(arg, left, right)
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    value = pointer_op(arg, left, right, line)
-                if not call_stack:
-                    return value
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame_slots) = call_stack.pop()
-                push(value)
-                continue
-            elif opcode == op.LOAD_FAST:
-                value = frame_slots[arg]
-                # Unboxed stores keep raw ints in int-typed slots; the
-                # operand stack stays boxed, so re-box on the way out
-                # (interned instances for the common small range).
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
-                push(value)
-                continue
-            elif opcode == op.LOAD_INDEX_FF:
-                base_slot, index_slot = arg
-                base = frame_slots[base_slot]
-                if type(base) is int:
-                    base = _SMALL_INTS[base] if 0 <= base < _NSMALL \
-                        else ConcolicValue(base)
-                index = frame_slots[index_slot]
-                if type(index) is int:
-                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
-                        else ConcolicValue(index)
-                block, position = resolve(base, index, line)
-                push(block.cells[position])
-                continue
-            elif opcode == op.STORE_FAST:
-                frame_slots[arg] = pop()
-                continue
+                    if (type(left) is ConcolicValue
+                            and type(right) is ConcolicValue):
+                        value = int_op(operator, left, right)
+                    else:
+                        value = pointer_op(operator, left, right, line)
+                    if type(value) is ConcolicValue:
+                        taken = value.concrete != 0
+                        sym = value.symbolic
+                    else:
+                        taken = as_int(value).concrete != 0
+                        sym = None
             elif opcode == op.BINARY:
                 right = pop()
                 left = pop()
@@ -1009,29 +966,33 @@ class VirtualMachine:
                 else:
                     push(pointer_op(arg, left, right, line))
                 continue
+            elif opcode == op.RET:
+                value = pop()
+                if not call_stack:
+                    return value
+                frames.pop()
+                (instructions, end, pc, stack, push, pop,
+                 frame_slots) = call_stack.pop()
+                push(value)
+                continue
             elif opcode == op.LOAD_INDEX:
                 index = pop()
                 base = pop()
                 block, position = resolve(base, index, line)
                 push(block.cells[position])
                 continue
-            elif opcode == op.LOAD2_FAST:
-                left_slot, right_slot = arg
-                value = frame_slots[left_slot]
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
-                push(value)
-                value = frame_slots[right_slot]
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
+            elif opcode == op.LOAD_FAST_RET:
+                value = frame_slots[arg]
+                if not call_stack:
+                    return value
+                frames.pop()
+                (instructions, end, pc, stack, push, pop,
+                 frame_slots) = call_stack.pop()
                 push(value)
                 continue
-            # Stack-condition compare-and-branch (fused CONST;BINARY;BRANCH
-            # and BINARY;BRANCH): boxed stack operands, so there is no
-            # unboxed form and no deopt — symbolic or pointer operands take
-            # the exact slow path of the unfused sequence inline.
+            elif opcode == op.STORE_FAST:
+                frame_slots[arg] = pop()
+                continue
             elif opcode == op.BINARY_BRANCH:
                 operator, location, target, slot = arg
                 right = pop()
@@ -1105,43 +1066,6 @@ class VirtualMachine:
                     args = []
                 push(fn(self, args, node))
                 continue
-            elif opcode == op.BINOP_IC:
-                operator, slot, right, generic = arg
-                left = frame_slots[slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(left) is int:
-                    if operator == "+":
-                        r = left + right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "-":
-                        r = left - right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "*":
-                        r = left * right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "<":
-                        push(ONE if left < right else ZERO)
-                    elif operator == ">":
-                        push(ONE if left > right else ZERO)
-                    elif operator == "==":
-                        push(ONE if left == right else ZERO)
-                    elif operator == "!=":
-                        push(ONE if left != right else ZERO)
-                    elif operator == "<=":
-                        push(ONE if left <= right else ZERO)
-                    else:
-                        push(ONE if left >= right else ZERO)
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-                continue
             elif opcode == op.AND_JUMP:
                 left = pop()
                 if type(left) is not ConcolicValue:
@@ -1169,44 +1093,6 @@ class VirtualMachine:
                 else:
                     taken = as_int(value).concrete != 0
                     sym = None
-            # The slot-vs-const shape (fused BINOP_FC;BRANCH): emitted
-            # where the lattice cannot prove the slot int, and the deopt
-            # target of BINOP_IC_BRANCH.  Same exactness contract as
-            # BINOP_FF_BRANCH.
-            elif opcode == op.BINOP_FC_BRANCH:
-                operator, left_slot, right, location, target, slot = arg
-                left = frame_slots[left_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if type(left) is ConcolicValue:
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
             elif opcode == op.AND_END:
                 right = pop()
                 left = pop()
@@ -1214,208 +1100,13 @@ class VirtualMachine:
                     right = as_int(right)
                 push(int_op("&&", left, right))
                 continue
-            elif opcode == op.BINOP_II:
-                operator, left_slot, right_slot, generic = arg
+            elif opcode == op.BINOP_FF:
+                operator, left_slot, right_slot = arg
                 left = frame_slots[left_slot]
                 right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "+":
-                        r = left + right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "-":
-                        r = left - right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "*":
-                        r = left * right
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                    elif operator == "<":
-                        push(ONE if left < right else ZERO)
-                    elif operator == ">":
-                        push(ONE if left > right else ZERO)
-                    elif operator == "==":
-                        push(ONE if left == right else ZERO)
-                    elif operator == "!=":
-                        push(ONE if left != right else ZERO)
-                    elif operator == "<=":
-                        push(ONE if left <= right else ZERO)
-                    else:
-                        push(ONE if left >= right else ZERO)
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-                continue
-            elif opcode == op.LOAD_INDEX_FAST:
-                index = frame_slots[arg]
-                if type(index) is int:
-                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
-                        else ConcolicValue(index)
-                base = pop()
-                block, position = resolve(base, index, line)
-                push(block.cells[position])
-                continue
-            # The compare-and-branch superinstruction (fused
-            # BINOP_FF;BRANCH): two fully concrete slots decide the branch
-            # without materializing the truth value; symbolic or pointer
-            # operands rebuild it through the shared helpers so the observed
-            # behaviour (events, conditions, crashes) is identical to the
-            # unfused pair by construction.
-            elif opcode == op.BINOP_FF_BRANCH:
-                operator, left_slot, right_slot, location, target, slot = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
                 if (type(left) is ConcolicValue
                         and type(right) is ConcolicValue
                         and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        taken = a < b
-                    elif operator == ">":
-                        taken = a > b
-                    elif operator == "==":
-                        taken = a == b
-                    elif operator == "!=":
-                        taken = a != b
-                    elif operator == "<=":
-                        taken = a <= b
-                    else:
-                        taken = a >= b
-                    sym = None
-                else:
-                    if (type(left) is ConcolicValue
-                            and type(right) is ConcolicValue):
-                        value = int_op(operator, left, right)
-                    else:
-                        value = pointer_op(operator, left, right, line)
-                    if type(value) is ConcolicValue:
-                        taken = value.concrete != 0
-                        sym = value.symbolic
-                    else:
-                        taken = as_int(value).concrete != 0
-                        sym = None
-            elif opcode == op.NOP:
-                continue
-            elif opcode == op.LOAD_GLOBAL:
-                value = global_vars.get(arg, _MISSING)
-                if value is _MISSING:
-                    raise RuntimeMiniCError(f"undefined variable '{arg}'",
-                                            line)
-                push(value)
-                continue
-            elif opcode == op.CALL:
-                callee, argc = arg
-                if len(frames) >= max_call_depth:
-                    raise ProgramCrash("call stack overflow", line,
-                                       self.current_function_name())
-                callee_frame = _Frame(callee.name, callee.nlocals)
-                callee_slots = callee_frame.slots
-                nparams = len(callee.params)
-                if argc == nparams:
-                    # Parameters occupy slots 0..n-1 in declaration order
-                    # (resolution creates them first), so the arguments
-                    # drop straight in.
-                    if argc:
-                        callee_slots[:argc] = stack[-argc:]
-                        del stack[-argc:]
-                else:
-                    # Extra arguments were evaluated and are dropped;
-                    # missing ones read as zero, as in the interpreter.
-                    if argc:
-                        args = stack[-argc:]
-                        del stack[-argc:]
-                    else:
-                        args = []
-                    for index in range(nparams):
-                        callee_slots[index] = args[index] if index < argc \
-                            else ZERO
-                call_stack.append((instructions, end, pc, stack, push, pop,
-                                   frame_slots))
-                frames.append(callee_frame)
-                frame_slots = callee_slots
-                instructions = callee.instructions
-                end = len(instructions)
-                stack = []
-                push = stack.append
-                pop = stack.pop
-                pc = 0
-                continue
-            elif opcode == op.POP:
-                pop()
-                continue
-            elif opcode == op.NEW_ARRAY:
-                label, has_size = arg
-                size = 1
-                if has_size:
-                    size_value = pop()
-                    if type(size_value) is not ConcolicValue:
-                        size_value = as_int(size_value)
-                    if guards is not None and size_value.symbolic is not None:
-                        guards.append(("array-size", size_value.symbolic,
-                                       size_value.concrete))
-                    size = max(1, size_value.concrete)
-                push(Pointer(ArrayObject(size, label=label,
-                                         array_id=next(self.array_ids)), 0))
-                continue
-            elif opcode == op.CONST_RET:
-                if not call_stack:
-                    return arg
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame_slots) = call_stack.pop()
-                push(arg)
-                continue
-            elif opcode == op.STORE_GLOBAL:
-                global_vars[arg] = pop()
-                continue
-            elif opcode == op.STRING:
-                cache_key, text = arg
-                cached = self._string_cache.get(cache_key)
-                if cached is None:
-                    cached = string_to_array(
-                        text, label="literal", array_id=next(self.array_ids))
-                    self._string_cache[cache_key] = cached
-                push(Pointer(cached, 0))
-                continue
-            elif opcode == op.STORE_INDEX_FAST:
-                index = frame_slots[arg]
-                if type(index) is int:
-                    index = _SMALL_INTS[index] if 0 <= index < _NSMALL \
-                        else ConcolicValue(index)
-                base = pop()
-                value = pop()
-                block, position = resolve(base, index, line)
-                block.cells[position] = value
-                continue
-            # The four slot superinstructions inline the fully concrete
-            # arithmetic of the hot operators (comparison results and small
-            # sums reuse interned values; binary_int_op would build the same
-            # frozen dataclass from scratch).  Symbolic operands, pointers
-            # and the rare operators take the shared helpers, so results are
-            # identical by construction.
-            elif opcode == op.BINOP_FC:
-                operator, slot, right = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue and left.symbolic is None
-                        and right.symbolic is None):
                     a = left.concrete
                     b = right.concrete
                     if operator == "<":
@@ -1451,7 +1142,7 @@ class VirtualMachine:
                         push(_SMALL_INTS[r] if 0 <= r < _NSMALL
                              else ConcolicValue(r))
                         continue
-                if type(left) is ConcolicValue:
+                if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
                         push(int_op(operator, left, right))
                     except ZeroDivisionError:
@@ -1459,12 +1150,43 @@ class VirtualMachine:
                 else:
                     push(pointer_op(operator, left, right, line))
                 continue
-            elif opcode == op.STORE_INDEX:
-                index = pop()
-                base = pop()
-                value = pop()
-                block, position = resolve(base, index, line)
-                block.cells[position] = value
+            elif opcode == op.NOP:
+                continue
+            elif opcode == op.LOAD_GLOBAL:
+                value = global_vars.get(arg, _MISSING)
+                if value is _MISSING:
+                    raise RuntimeMiniCError(f"undefined variable '{arg}'",
+                                            line)
+                push(value)
+                continue
+            elif opcode == op.POP:
+                pop()
+                continue
+            elif opcode == op.NEW_ARRAY:
+                label, has_size = arg
+                size = 1
+                if has_size:
+                    size_value = pop()
+                    if type(size_value) is not ConcolicValue:
+                        size_value = as_int(size_value)
+                    if guards is not None and size_value.symbolic is not None:
+                        guards.append(("array-size", size_value.symbolic,
+                                       size_value.concrete))
+                    size = max(1, size_value.concrete)
+                push(Pointer(ArrayObject(size, label=label,
+                                         array_id=next(self.array_ids)), 0))
+                continue
+            elif opcode == op.STORE_GLOBAL:
+                global_vars[arg] = pop()
+                continue
+            elif opcode == op.STRING:
+                cache_key, text = arg
+                cached = self._string_cache.get(cache_key)
+                if cached is None:
+                    cached = string_to_array(
+                        text, label="literal", array_id=next(self.array_ids))
+                    self._string_cache[cache_key] = cached
+                push(Pointer(cached, 0))
                 continue
             elif opcode == op.OR_JUMP:
                 left = pop()
@@ -1491,15 +1213,6 @@ class VirtualMachine:
                     right = as_int(right)
                 push(int_op("||", left, right))
                 continue
-            elif opcode == op.RET:
-                value = pop()
-                if not call_stack:
-                    return value
-                frames.pop()
-                (instructions, end, pc, stack, push, pop,
-                 frame_slots) = call_stack.pop()
-                push(value)
-                continue
             elif opcode == op.UNARY:
                 value = pop()
                 if type(value) is Pointer:
@@ -1514,162 +1227,10 @@ class VirtualMachine:
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 continue
-            elif opcode == op.BINOP_FF:
-                operator, left_slot, right_slot = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
-                if (type(left) is ConcolicValue
-                        and type(right) is ConcolicValue
-                        and left.symbolic is None and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "<":
-                        push(ONE if a < b else ZERO)
-                        continue
-                    if operator == "+":
-                        r = a + b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                    if operator == "-":
-                        r = a - b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                    if operator == ">":
-                        push(ONE if a > b else ZERO)
-                        continue
-                    if operator == "==":
-                        push(ONE if a == b else ZERO)
-                        continue
-                    if operator == "!=":
-                        push(ONE if a != b else ZERO)
-                        continue
-                    if operator == "<=":
-                        push(ONE if a <= b else ZERO)
-                        continue
-                    if operator == ">=":
-                        push(ONE if a >= b else ZERO)
-                        continue
-                    if operator == "*":
-                        r = a * b
-                        push(_SMALL_INTS[r] if 0 <= r < _NSMALL
-                             else ConcolicValue(r))
-                        continue
-                if type(left) is ConcolicValue and type(right) is ConcolicValue:
-                    try:
-                        push(int_op(operator, left, right))
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    push(pointer_op(operator, left, right, line))
-                continue
-            elif opcode == op.BINOP_II_STORE:
-                operator, left_slot, right_slot, target_slot, generic = arg
-                left = frame_slots[left_slot]
-                right = frame_slots[right_slot]
-                if type(left) is ConcolicValue and left.symbolic is None:
-                    left = left.concrete
-                if type(right) is ConcolicValue and right.symbolic is None:
-                    right = right.concrete
-                if type(left) is int and type(right) is int:
-                    if operator == "+":
-                        frame_slots[target_slot] = left + right
-                    elif operator == "-":
-                        frame_slots[target_slot] = left - right
-                    elif operator == "*":
-                        frame_slots[target_slot] = left * right
-                    elif operator == "<":
-                        frame_slots[target_slot] = 1 if left < right else 0
-                    elif operator == ">":
-                        frame_slots[target_slot] = 1 if left > right else 0
-                    elif operator == "==":
-                        frame_slots[target_slot] = 1 if left == right else 0
-                    elif operator == "!=":
-                        frame_slots[target_slot] = 1 if left != right else 0
-                    elif operator == "<=":
-                        frame_slots[target_slot] = 1 if left <= right else 0
-                    else:
-                        frame_slots[target_slot] = 1 if left >= right else 0
-                    continue
-                self._deopts += 1
-                instructions[pc - 1] = generic
-                pc -= 1
-                if charge:
-                    step_cell[0] -= charge
-                continue
-            elif opcode == op.BINOP_FC_STORE:
-                operator, slot, right, target_slot = arg
-                left = frame_slots[slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if (type(left) is ConcolicValue and left.symbolic is None
-                        and right.symbolic is None):
-                    a = left.concrete
-                    b = right.concrete
-                    if operator == "+":
-                        r = a + b
-                        frame_slots[target_slot] = (
-                            _SMALL_INTS[r] if 0 <= r < _NSMALL
-                            else ConcolicValue(r))
-                        continue
-                    if operator == "-":
-                        r = a - b
-                        frame_slots[target_slot] = (
-                            _SMALL_INTS[r] if 0 <= r < _NSMALL
-                            else ConcolicValue(r))
-                        continue
-                    if operator == "*":
-                        r = a * b
-                        frame_slots[target_slot] = (
-                            _SMALL_INTS[r] if 0 <= r < _NSMALL
-                            else ConcolicValue(r))
-                        continue
-                    if operator == "<":
-                        frame_slots[target_slot] = ONE if a < b else ZERO
-                        continue
-                    if operator == ">":
-                        frame_slots[target_slot] = ONE if a > b else ZERO
-                        continue
-                    if operator == "==":
-                        frame_slots[target_slot] = ONE if a == b else ZERO
-                        continue
-                    if operator == "!=":
-                        frame_slots[target_slot] = ONE if a != b else ZERO
-                        continue
-                    if operator == "<=":
-                        frame_slots[target_slot] = ONE if a <= b else ZERO
-                        continue
-                    if operator == ">=":
-                        frame_slots[target_slot] = ONE if a >= b else ZERO
-                        continue
-                if type(left) is ConcolicValue:
-                    try:
-                        frame_slots[target_slot] = int_op(operator,
-                                                                 left, right)
-                    except ZeroDivisionError:
-                        raise DivisionByZeroError("division by zero", line)
-                else:
-                    frame_slots[target_slot] = pointer_op(
-                        operator, left, right, line)
-                continue
             elif opcode == op.BINOP_FF_STORE:
                 operator, left_slot, right_slot, target_slot = arg
                 left = frame_slots[left_slot]
                 right = frame_slots[right_slot]
-                if type(left) is int:
-                    left = _SMALL_INTS[left] if 0 <= left < _NSMALL \
-                        else ConcolicValue(left)
-                if type(right) is int:
-                    right = _SMALL_INTS[right] if 0 <= right < _NSMALL \
-                        else ConcolicValue(right)
                 if (type(left) is ConcolicValue
                         and type(right) is ConcolicValue
                         and left.symbolic is None and right.symbolic is None):
@@ -1713,8 +1274,7 @@ class VirtualMachine:
                         continue
                 if type(left) is ConcolicValue and type(right) is ConcolicValue:
                     try:
-                        frame_slots[target_slot] = int_op(operator,
-                                                                 left, right)
+                        frame_slots[target_slot] = int_op(operator, left, right)
                     except ZeroDivisionError:
                         raise DivisionByZeroError("division by zero", line)
                 else:
@@ -1759,12 +1319,6 @@ class VirtualMachine:
             elif opcode == op.ADDR_FAST:
                 slot, name = arg
                 value = frame_slots[slot]
-                # Address-taken slots are excluded from int specialization,
-                # but normalize defensively: a raw int must never escape
-                # into an addressable cell.
-                if type(value) is int:
-                    value = _SMALL_INTS[value] if 0 <= value < _NSMALL \
-                        else ConcolicValue(value)
                 if isinstance(value, Pointer):
                     push(value)
                 else:
@@ -1809,7 +1363,7 @@ class VirtualMachine:
             else:  # pragma: no cover - the compiler emits no other opcodes
                 raise RuntimeMiniCError(f"unknown opcode {opcode}", line)
             # The branch tail.  Every arm above ends in ``continue``,
-            # ``return`` or ``raise`` except the seven branch shapes, which
+            # ``return`` or ``raise`` except the five branch shapes, which
             # bind ``location``, ``target``, ``slot``, ``taken`` and ``sym``
             # (the condition's symbolic part, or None) and fall through to
             # here, so what a branch does with its outcome is written once.

@@ -18,7 +18,10 @@ The instruction stream is a flat list of 4-tuples::
 
 The machine is a straight stack machine: expression operands are pushed
 left-to-right in the interpreter's evaluation order, so hook events (branches,
-syscalls) fire in exactly the same order as in the tree-walker.
+syscalls) fire in exactly the same order as in the tree-walker.  The
+superinstructions below are fused by the compiler as it emits, and no run
+rewrites an instruction: every run of one ``(program, plan)`` pair dispatches
+the same stream.
 
 Every variable access is a numbered frame slot or a global: the compiler only
 takes programs the static scope resolution (:mod:`repro.lang.resolve`)
@@ -91,58 +94,18 @@ BINOP_FC_STORE = 48  # arg: (op, slot, const, target_slot) — ...;STORE_FAST
 BINOP_FF_STORE = 49  # arg: (op, slot1, slot2, target_slot) — ...;STORE_FAST
 
 # Compare-and-branch superinstructions -----------------------------------------
-# Fused ``BINOP_FF;BRANCH`` for the ``while (i < n)`` hot shape: compare two
-# slots and branch in one dispatch.  Only comparison operators fuse (their
-# fully concrete result is the branch decision directly — no intermediate
-# ConcolicValue is built); symbolic or pointer operands fall back to the exact
-# slow path of the unfused pair.
+# A comparison fused with the branch it feeds, one dispatch for the hot loop
+# and parser shapes.  Only comparison operators fuse (a fully concrete result
+# is the branch decision directly, so no intermediate ConcolicValue is
+# built); symbolic or pointer operands take the exact slow path of the
+# unfused sequence inline.  FF fuses ``BINOP_FF;BRANCH`` (``while (i < n)``),
+# FC ``BINOP_FC;BRANCH`` (``while (i < 100)``, ``if (c == 0)``), SC
+# ``CONST;BINARY;BRANCH`` (the ``ch == 'X'`` parser shape) and
+# BINARY_BRANCH ``BINARY;BRANCH`` (two stack operands).
 BINOP_FF_BRANCH = 50   # arg: (op, slot1, slot2, location, else_target, slot)
-
-# Unboxed integer slots --------------------------------------------------------
-# Emitted when the resolver's int-slot lattice proves every operand slot only
-# ever holds integers.  The arms operate on raw Python ints — slot reads
-# accept both raw ints and fully concrete ConcolicValues, the ``*_STORE``
-# forms write raw ints back — and every form carries its generic origin
-# instruction as the last element of ``arg``: a type-guard violation
-# (symbolic value, pointer, string cell) rewrites the instruction back to that
-# generic form in place and re-dispatches it, so the observable behaviour is
-# the generic path's by construction.
-BINOP_II = 53          # arg: (op, slot1, slot2, generic)
-BINOP_IC = 54          # arg: (op, slot, raw_const, generic)
-BINOP_II_STORE = 55    # arg: (op, slot1, slot2, target_slot, generic)
-BINOP_IC_STORE = 56    # arg: (op, slot, raw_const, target_slot, generic)
-BINOP_II_BRANCH = 57   # arg: (op, s1, s2, location, target, slot, generic)
-
-# Slot-vs-const compare-and-branch (the ``while (i < 100)`` / ``if (c == 0)``
-# hot shape).  The generic BINOP_FC_BRANCH is unboxed into BINOP_IC_BRANCH
-# where the lattice proves the slot int, and serves as its deopt target.
 BINOP_FC_BRANCH = 68   # arg: (op, var_slot, const, location, target, slot)
-BINOP_IC_BRANCH = 71   # arg: (op, var_slot, raw_const, location, target,
-                       #       slot, generic)
-
-# Stack-condition compare-and-branch.  SC fuses ``CONST;BINARY;BRANCH`` —
-# the ``ch == 'X'`` parser shape, one dispatch instead of three;
-# BINARY_BRANCH fuses ``BINARY;BRANCH`` for comparisons of two stack
-# operands.  Both operate on boxed stack values, so there is no unboxed
-# variant and no deopt path.
 BINOP_SC_BRANCH = 74   # arg: (op, const, location, target, slot)
 BINARY_BRANCH = 77     # arg: (op, location, target, slot)
-
-# Second-round fusions: the first member is itself a fusion product (the
-# pair peephole runs twice), collapsing an all-slot array access into one
-# dispatch — ``buf[i]`` is LOAD_FAST;LOAD_FAST;LOAD_INDEX generically.
-LOAD_INDEX_FF = 80   # arg: (base_slot, index_slot) — fused LOAD2_FAST;LOAD_INDEX
-STORE_INDEX_FF = 81  # arg: (base_slot, index_slot) — fused LOAD2_FAST;STORE_INDEX
-
-# Fused pairs ------------------------------------------------------------------
-# The compiler's fixed pair peephole (``repro.vm.compiler.PAIR_CATALOG``)
-# fuses these adjacent opcode pairs wherever no jump lands between them.
-LOAD2_FAST = 62        # arg: (slot1, slot2) — fused LOAD_FAST;LOAD_FAST
-CONST_RET = 63         # arg: prebuilt value — fused CONST;RET
-LOAD_INDEX_FAST = 64   # arg: index slot — fused LOAD_FAST;LOAD_INDEX
-BINOP_FC_CALL = 65     # arg: (op, slot, const, callee, argc, fc_line)
-BINARY_RET = 66        # arg: operator — fused BINARY;RET
-STORE_INDEX_FAST = 67  # arg: index slot — fused LOAD_FAST;STORE_INDEX
 
 OPCODE_NAMES = {
     value: name
@@ -151,7 +114,6 @@ OPCODE_NAMES = {
 }
 
 #: The branch shapes: each carries ``(..., location, target, slot)`` as the
-#: tail of its arg (the unboxed forms add their ``generic`` origin after it).
+#: tail of its arg.
 BRANCH_OPCODES = frozenset((BRANCH, BINOP_FF_BRANCH, BINOP_FC_BRANCH,
-                            BINOP_SC_BRANCH, BINARY_BRANCH, BINOP_II_BRANCH,
-                            BINOP_IC_BRANCH))
+                            BINOP_SC_BRANCH, BINARY_BRANCH))

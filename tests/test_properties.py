@@ -407,3 +407,172 @@ class TestPlanLedgerProperties:
                 outcomes["served"] += 1
         assert not escapes, escapes[:3]
         assert outcomes["served"] and outcomes["typed"], outcomes
+
+
+# ---------------------------------------------------------------------------
+# Request frames on the wire
+# ---------------------------------------------------------------------------
+
+
+def _request_fields():
+    """op -> {header field: (required, kind, minimum)} of each request."""
+
+    from repro.service import net
+
+    return {
+        net.OP_UPLOAD: {"client": (True, str, None),
+                        "digest": (True, str, None)},
+        net.OP_REPORT: {"trace": (True, str, None)},
+        net.OP_STATS: {},
+        net.OP_PROCESS: {"max_clusters": (False, int, 0)},
+        net.OP_PLAN: {"program": (True, str, None),
+                      "version": (False, int, 1)},
+    }
+
+
+def _well_formed(op, header) -> bool:
+    """Whether *header* is a valid header of request *op*."""
+
+    if not isinstance(header, dict):
+        return False
+    for field, (required, kind, minimum) in _request_fields()[op].items():
+        value = header.get(field)
+        if value is None:
+            if required:
+                return False
+        elif type(value) is not kind or (minimum is not None
+                                         and value < minimum):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def frame_server(tmp_path_factory):
+    """A live upload server that acked and processed one mkdir-bug upload
+    and holds its base plan, with one well-formed request per op."""
+
+    import hashlib
+
+    from repro.instrument.methods import InstrumentationMethod
+    from repro.service import net, workload_pipeline
+    from repro.trace import trace_from_recording
+
+    pipeline, environment = workload_pipeline("mkdir-bug")
+    plan = pipeline.make_plan(InstrumentationMethod.ALL_BRANCHES,
+                              environment=environment)
+    body = dump_trace_bytes(trace_from_recording(
+        pipeline.record(plan, environment), scaffold=True,
+        program_name="mkdir-bug"))
+    server = net.UploadServer(
+        str(tmp_path_factory.mktemp("frames") / "svc")).start()
+    try:
+        upload = (net.OP_UPLOAD,
+                  {"client": "alice",
+                   "digest": hashlib.sha256(body).hexdigest()}, body)
+        status, answer = _send_request(server, net._encode_request(*upload))
+        assert status == net.ST_ACK, answer
+        server.service.process()
+        server.service.plan_ledger.register_base("mkdir-bug", plan)
+        requests = [upload,
+                    (net.OP_REPORT, {"trace": answer["trace_id"]}, b""),
+                    (net.OP_STATS, {}, b""),
+                    (net.OP_PROCESS, {"max_clusters": 1}, b""),
+                    (net.OP_PLAN, {"program": "mkdir-bug", "version": 1},
+                     b"")]
+        yield server, requests
+    finally:
+        server.shutdown()
+
+
+def _send_request(server, payload: bytes):
+    """``(status, body)`` of one frame sent on its own connection, or
+    ``None`` when the server closed it without an answer."""
+
+    import socket
+
+    from repro.service import net
+
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10.0) as conn:
+        net._send_frame(conn, payload)
+        try:
+            response = net._read_frame(conn, 1 << 20)
+        except ConnectionError:
+            return None
+    return None if response is None else net._decode_response(response)
+
+
+def _mutate_request(op, header, body, rng):
+    """``(payload, well_formed)``: request *op* after one seeded mutation."""
+
+    import struct
+
+    from repro.service import net
+
+    kinds = ["long", "non-object"]
+    if header:
+        kinds += ["swap", "delete"]
+    kind = rng.choice(kinds)
+    if kind == "non-object":
+        blob = json.dumps(rng.choice([None, True, 7, 0.5, "x", []]))
+        return (bytes([op]) + struct.pack("!H", len(blob)) + blob.encode()
+                + body, False)
+    if kind == "long":
+        payload = net._encode_request(op, header, body)
+        declared = len(payload) - 3 + rng.randint(1, 64)
+        assert declared <= 0xFFFF
+        return payload[:1] + struct.pack("!H", declared) + payload[3:], False
+    mutated = dict(header)
+    field = rng.choice(sorted(mutated))
+    if kind == "delete":
+        del mutated[field]
+    else:
+        mutated[field] = copy.deepcopy(rng.choice(
+            [value for value in _JSON_VALUES
+             if type(value) is not type(header[field])]))
+    return net._encode_request(op, mutated, body), _well_formed(op, mutated)
+
+
+class TestRequestFrameProperties:
+    """Every request frame gets a typed answer: a header of the wrong JSON
+    type, a missing key, a declared header longer than the frame or a
+    header that is no JSON object is answered ``ST_ERROR`` with a reason,
+    never with a silent close or a handler's internal error."""
+
+    MUTATIONS = 400
+
+    def test_mutated_request_is_answered(self, frame_server):
+        from repro.service import net
+
+        server, requests = frame_server
+        statuses = {net.ST_ACK, net.ST_RETRY, net.ST_QUOTA, net.ST_ERROR,
+                    net.ST_REPORT, net.ST_STATS, net.ST_PROCESSED,
+                    net.ST_PLAN}
+        for op, header, body in requests:
+            status, answer = _send_request(
+                server, net._encode_request(op, header, body))
+            assert status != net.ST_ERROR, (chr(op), answer)
+        rng = random.Random(2031)
+        outcomes = {"served": 0, "error": 0}
+        escapes = []
+        for index in range(self.MUTATIONS):
+            op, header, body = requests[index % len(requests)]
+            payload, well_formed = _mutate_request(op, header, body, rng)
+            answered = _send_request(server, payload)
+            if answered is None or answered[0] not in statuses \
+                    or not isinstance(answered[1], dict):
+                escapes.append((chr(op), payload[:80], answered))
+            elif well_formed:
+                outcomes["served"] += 1
+                if answered[0] == net.ST_ERROR:
+                    escapes.append((chr(op), payload[:80], answered))
+            else:
+                outcomes["error"] += 1
+                reason = answered[1].get("reason")
+                if answered[0] != net.ST_ERROR or not isinstance(reason, str) \
+                        or not reason:
+                    escapes.append((chr(op), payload[:80], answered))
+        assert not escapes, escapes[:3]
+        assert outcomes["served"] and outcomes["error"], outcomes
+        counters = server.service.registry.snapshot().counters
+        assert counters.get("service.net.internal_errors", 0) == 0

@@ -118,8 +118,6 @@ def live_state(vm, hooks: ReplayRunHooks, stack: list, call_stack: list):
     def value(v):
         if v is None or v is machine._MISSING:
             return repr(v is None)
-        if type(v) is int:  # an unboxed slot
-            return (v, None)
         if isinstance(v, ConcolicValue):
             return (v.concrete,
                     None if v.symbolic is None else str(v.symbolic))

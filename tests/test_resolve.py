@@ -519,7 +519,7 @@ def test_fuzzed_unresolved_programs_run_on_the_interpreter(seed):
 
 
 # ---------------------------------------------------------------------------
-# Fuzzed specialization parity: the VM's unboxed and fused stream, run by
+# Fuzzed specialization parity: the VM's superinstruction stream, run by
 # the plain and by the opcode-profiling dispatch loop, is observably
 # identical to the interpreter — same steps, branch events, syscalls, crash
 # sites and stdout — and the replay search it drives explores the identical

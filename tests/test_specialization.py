@@ -252,20 +252,11 @@ def test_specialized_opcodes_follow_the_plan():
                              "partial", locations[:1], locations)
     # Branches count whether they compiled standalone or fused into a
     # compare-and-branch superinstruction (`i < 10` and the `i > argc` slot
-    # comparison, unboxed where the slots are proven int): the `slot`
-    # operand names its flavour.
+    # comparison): the `slot` operand names its flavour.
     assert _branch_flavours(compile_program(program, partial)) == {
         "logged": 1, "bare": len(locations) - 1}
     assert _branch_flavours(compile_program(program)) == {
         "hooked": len(locations)}
-
-
-def _branch_slot(opcode: int, arg: tuple):
-    """The ``slot`` operand of a branch instruction (unboxed forms carry
-    their generic origin after it)."""
-
-    return arg[-2] if opcode in (op.BINOP_II_BRANCH, op.BINOP_IC_BRANCH) \
-        else arg[-1]
 
 
 def _branch_flavours(compiled) -> dict:
@@ -280,7 +271,7 @@ def _branch_flavours(compiled) -> dict:
         for opcode, arg, _charge, _line in code.instructions:
             if opcode not in op.BRANCH_OPCODES:
                 continue
-            if _branch_slot(opcode, arg) is not None:
+            if arg[-1] is not None:
                 flavour = "logged"
             elif compiled.plan_fingerprint is not None:
                 flavour = "bare"
@@ -304,9 +295,8 @@ def test_superinstructions_emitted():
     compiled = compile_program(program)
     opcodes = [instr[0] for code in compiled.functions.values()
                for instr in code.instructions]
-    # `i` and `total` are proven int, so the fused stores are unboxed.
-    assert op.BINOP_IC_STORE in opcodes   # i = i + 1
-    assert op.BINOP_II_STORE in opcodes   # total = total + i
+    assert op.BINOP_FC_STORE in opcodes   # i = i + 1
+    assert op.BINOP_FF_STORE in opcodes   # total = total + i
     assert op.LOAD_FAST_RET in opcodes    # return r;
 
 
@@ -338,19 +328,16 @@ def test_compare_and_branch_superinstruction_parity():
     program = Program.from_source(source, name="cmp-branch-probe")
 
     # Emission: both slot-slot comparisons fuse — the concrete loop bound
-    # (`i < n`, unboxed: both slots are proven int) and the input-dependent
-    # character test (`c == target`).
+    # (`i < n`) and the input-dependent character test (`c == target`).
     fused = _opcode_stream(compile_program(program))
-    assert fused.count(op.BINOP_II_BRANCH) == 1
-    assert fused.count(op.BINOP_FF_BRANCH) == 1
+    assert fused.count(op.BINOP_FF_BRANCH) == 2
     # ... and plan-specialized code fuses the same way, logging the branch
     # through its slot operand.
     plan = build_plan(InstrumentationMethod.ALL_BRANCHES,
                       program.branch_locations)
     specialized = [instr for code in compile_program(program, plan)
                    .functions.values() for instr in code.instructions]
-    assert any(opcode == op.BINOP_FF_BRANCH
-               and _branch_slot(opcode, arg) is not None
+    assert any(opcode == op.BINOP_FF_BRANCH and arg[-1] is not None
                for opcode, arg, _charge, _line in specialized)
 
     # Record-mode differential against the interpreter.
